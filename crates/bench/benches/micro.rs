@@ -13,7 +13,8 @@ use dagger_nic::ring;
 use dagger_rpc::frag::{fragment, Reassembler};
 use dagger_rpc::Wire;
 use dagger_sim::dist::Zipf;
-use dagger_sim::{Histogram, Rng};
+use dagger_sim::Rng;
+use dagger_telemetry::Histogram;
 use dagger_types::{
     CacheLine, ConnectionId, FlowId, FnId, LbPolicy, NodeAddr, RpcHeader, RpcId, RpcKind,
     HEADER_BYTES,

@@ -36,5 +36,7 @@ fn main() {
         cfg.conn_cache_entries,
         cfg.iface
     );
-    println!("  host coherent cache         128 KiB direct-mapped (hit/miss modeled)");
+    println!(
+        "  host coherent cache         per-engine connection-tuple cache (generation-stamped)"
+    );
 }

@@ -1,9 +1,10 @@
-//! Telemetry-driven elastic RSS controller: the first closed-loop consumer
-//! of the time-series engine.
+//! Elastic RSS controller: a closed loop from this NIC's per-queue receive
+//! counters back into its `queue.mask` soft register.
 //!
-//! A background thread subscribes to the [`dagger_telemetry::TelemetryBus`]
-//! and watches this NIC's per-queue `nic.<addr>.q<i>.rx_frames` gauge
-//! series. When one receive queue sustains a load skew above threshold
+//! A background thread reads the NIC's own per-queue [`QueueStats`] banks
+//! (the counters behind the `nic.<addr>.q<i>.rx_frames` gauges) and diffs
+//! `rx_frames` once per poll. When one receive queue sustains a load skew
+//! above threshold
 //! (a hotspot: many connections hashing onto one queue), the controller
 //! rewrites the `queue.mask` soft register to exclude the hot queue —
 //! senders' fresh RSS routes then spread those connections over the
@@ -30,15 +31,16 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use dagger_telemetry::{BusEvent, BusEventKind, FlightEventKind, Telemetry};
+use dagger_telemetry::{FlightEventKind, Telemetry};
 use dagger_types::NodeAddr;
 
+use crate::monitor::QueueStats;
 use crate::softreg::SoftRegisterFile;
 
 /// Tuning knobs of the elastic RSS controller.
 #[derive(Clone, Debug)]
 pub struct BalancerConfig {
-    /// Observation window: the thread samples the series engine and
+    /// Observation window: the thread reads the per-queue counters and
     /// re-evaluates once per interval.
     pub poll_interval: Duration,
     /// Max-over-mean per-queue load ratio that counts as a hotspot.
@@ -82,21 +84,22 @@ pub struct QueueBalancer {
 impl QueueBalancer {
     /// Spawns the controller for one NIC.
     ///
-    /// `telemetry` must be the hub the NIC's collector registers its
-    /// per-queue gauges with; `softregs` the NIC's own register file
-    /// (its mask handle is shared with the fabric's RSS router).
+    /// `queues` are the NIC's per-worker counter banks, indexed by queue;
+    /// `softregs` the NIC's own register file (its mask handle is shared
+    /// with the fabric's RSS router); `telemetry` receives the
+    /// `nic.<addr>.balancer.*` counters and shed/restore flight events.
     pub fn start(
         telemetry: Arc<Telemetry>,
         softregs: Arc<SoftRegisterFile>,
         addr: NodeAddr,
-        num_queues: usize,
+        queues: Vec<Arc<QueueStats>>,
         cfg: BalancerConfig,
     ) -> QueueBalancer {
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
         let handle = std::thread::Builder::new()
             .name(format!("dagger-balancer-{}", addr.raw()))
-            .spawn(move || run(&telemetry, &softregs, addr, num_queues, &cfg, &stop2))
+            .spawn(move || run(&telemetry, &softregs, addr, &queues, &cfg, &stop2))
             .expect("spawn queue balancer");
         QueueBalancer {
             stop,
@@ -128,20 +131,14 @@ impl std::fmt::Debug for QueueBalancer {
 }
 
 fn run(
-    telemetry: &Arc<Telemetry>,
+    telemetry: &Telemetry,
     softregs: &SoftRegisterFile,
     addr: NodeAddr,
-    num_queues: usize,
+    queues: &[Arc<QueueStats>],
     cfg: &BalancerConfig,
     stop: &AtomicBool,
 ) {
-    let bus = Arc::clone(telemetry.bus());
-    let mut reader = telemetry.subscribe();
-    // Resolve the per-queue rx_frames series ids up front; the interner
-    // returns the same id the sampling engine publishes under.
-    let series_ids: Vec<u32> = (0..num_queues)
-        .map(|q| bus.intern(&format!("nic.{}.q{q}.rx_frames", addr.raw())))
-        .collect();
+    let num_queues = queues.len();
     let polls = telemetry
         .registry()
         .counter(&format!("nic.{}.balancer.polls", addr.raw()));
@@ -157,35 +154,23 @@ fn run(
     } else {
         (1u64 << num_queues) - 1
     };
-    // Cumulative rx_frames totals per queue: `cur` tracks the latest gauge
-    // values off the bus, `base` the values at the previous decision.
-    let mut cur = vec![0u64; num_queues];
+    // Cumulative rx_frames per queue at the previous decision.
     let mut base = vec![0u64; num_queues];
-    let mut events: Vec<BusEvent> = Vec::new();
     let mut state = State::Balanced;
     let mut streak: u32 = 0;
     let mut cooldown: u32 = 0;
 
     while !stop.load(Ordering::Relaxed) {
         std::thread::sleep(cfg.poll_interval);
-        // Drive the sampling grid ourselves: collectors refresh the
-        // per-queue gauges and the series engine publishes the changes
-        // this reader is about to drain.
-        telemetry.sample_now();
         polls.add(1);
-        reader.poll(&mut events);
-        for ev in events.drain(..) {
-            if ev.kind != BusEventKind::GaugeSet {
-                continue;
-            }
-            if let Some(q) = series_ids.iter().position(|&id| id == ev.series) {
-                cur[q] = ev.value;
-            }
-        }
-        let loads: Vec<u64> = (0..num_queues)
-            .map(|q| cur[q].saturating_sub(base[q]))
+        let loads: Vec<u64> = queues
+            .iter()
+            .zip(base.iter_mut())
+            .map(|(qs, base)| {
+                let cur = qs.snapshot().rx_frames;
+                cur.saturating_sub(std::mem::replace(base, cur))
+            })
             .collect();
-        base.copy_from_slice(&cur);
         let total: u64 = loads.iter().sum();
         cooldown = cooldown.saturating_sub(1);
 
@@ -247,20 +232,22 @@ fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dagger_telemetry::SeriesConfig;
 
-    /// Drives the controller with synthetic per-queue gauge advances and
+    fn banks(n: usize) -> Vec<Arc<QueueStats>> {
+        (0..n).map(|_| Arc::new(QueueStats::default())).collect()
+    }
+
+    /// Drives the controller with synthetic per-queue counter advances and
     /// watches the soft mask: a sustained hotspot on q1 must shed q1, and
-    /// quiet must restore the full mask.
+    /// quiet must restore the full mask. Nothing here ever calls
+    /// `Telemetry::sample_now()`: the loop reads the counters directly and
+    /// does not depend on the sampling grid.
     #[test]
     fn sheds_hot_queue_and_restores_on_quiet() {
-        let telemetry = Telemetry::with_series_config(SeriesConfig::default());
+        let telemetry = Telemetry::new();
         let softregs = Arc::new(SoftRegisterFile::default());
         let addr = NodeAddr(9);
-        let reg = telemetry.registry();
-        let g: Vec<_> = (0..4)
-            .map(|q| reg.gauge(&format!("nic.9.q{q}.rx_frames")))
-            .collect();
+        let queues = banks(4);
         let cfg = BalancerConfig {
             poll_interval: Duration::from_millis(1),
             skew_threshold: 2.0,
@@ -268,19 +255,22 @@ mod tests {
             cooldown: 1,
             min_window_frames: 32,
         };
-        let mut bal =
-            QueueBalancer::start(Arc::clone(&telemetry), Arc::clone(&softregs), addr, 4, cfg);
+        let mut bal = QueueBalancer::start(
+            Arc::clone(&telemetry),
+            Arc::clone(&softregs),
+            addr,
+            queues.clone(),
+            cfg,
+        );
         // Feed a hotspot: q1 takes ~90% of the frames.
-        let mut totals = [0u64; 4];
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while softregs.active_queue_mask() == 0 {
             assert!(
                 std::time::Instant::now() < deadline,
                 "balancer never shed the hot queue"
             );
-            for (q, t) in totals.iter_mut().enumerate() {
-                *t += if q == 1 { 900 } else { 30 };
-                g[q].set(*t);
+            for (q, qs) in queues.iter().enumerate() {
+                qs.add_rx_frames(if q == 1 { 900 } else { 30 });
             }
             std::thread::sleep(Duration::from_millis(1));
         }
@@ -289,7 +279,7 @@ mod tests {
             0b1101,
             "mask must exclude exactly the hot queue"
         );
-        // Quiet: gauges stop advancing; the mask must come back.
+        // Quiet: counters stop advancing; the mask must come back.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while softregs.active_queue_mask() != 0 {
             assert!(
@@ -302,27 +292,26 @@ mod tests {
         let snap = telemetry.snapshot();
         assert_eq!(snap.registry.counter("nic.9.balancer.remaps"), Some(1));
         assert_eq!(snap.registry.counter("nic.9.balancer.restores"), Some(1));
+        assert_eq!(snap.series.samples, 1, "only the snapshot above sampled");
     }
 
     #[test]
     fn transient_burst_below_sustain_does_not_remap() {
-        let telemetry = Telemetry::with_series_config(SeriesConfig::default());
         let softregs = Arc::new(SoftRegisterFile::default());
-        let reg = telemetry.registry();
-        let g1 = reg.gauge("nic.7.q1.rx_frames");
+        let queues = banks(2);
         let cfg = BalancerConfig {
             poll_interval: Duration::from_millis(1),
             sustain: 50, // far more windows than the burst below lasts
             ..BalancerConfig::default()
         };
         let mut bal = QueueBalancer::start(
-            Arc::clone(&telemetry),
+            Telemetry::new(),
             Arc::clone(&softregs),
             NodeAddr(7),
-            2,
+            queues.clone(),
             cfg,
         );
-        g1.set(10_000); // one skewed window, then silence
+        queues[1].add_rx_frames(10_000); // one skewed window, then silence
         std::thread::sleep(Duration::from_millis(40));
         bal.stop();
         assert_eq!(softregs.active_queue_mask(), 0, "mask must not move");
@@ -330,13 +319,11 @@ mod tests {
 
     #[test]
     fn stop_is_idempotent_and_drop_safe() {
-        let telemetry = Telemetry::new();
-        let softregs = Arc::new(SoftRegisterFile::default());
         let mut bal = QueueBalancer::start(
-            telemetry,
-            softregs,
+            Telemetry::new(),
+            Arc::new(SoftRegisterFile::default()),
             NodeAddr(3),
-            2,
+            banks(2),
             BalancerConfig::default(),
         );
         bal.stop();

@@ -5,7 +5,7 @@
 //! [`EngineCore`]: a contiguous partition of the flows (their TX/RX rings),
 //! a private fabric port queue, and private copies of every datapath
 //! structure — buffer pool, connection-tuple cache, request buffer, flow
-//! FIFOs, scheduler, HCC, reliable-transport instance — so the hot path
+//! FIFOs, scheduler, reliable-transport instance — so the hot path
 //! never shares mutable state between workers. Shared pieces are the
 //! all-atomic Packet Monitor, the Connection Manager mutex (reached only on
 //! tuple-cache misses), the soft register file, and the confirmed-set fed
@@ -54,7 +54,6 @@ use dagger_telemetry::{FlightEventKind, RpcEvent, Telemetry};
 use dagger_types::offload::CacheClass;
 use dagger_types::{
     CacheLine, ConnectionId, FlowId, LbPolicy, NodeAddr, RpcHeader, RpcKind, FRAME_PAYLOAD_BYTES,
-    HEADER_BYTES,
 };
 
 use crate::arbiter::ArbiterSlot;
@@ -63,7 +62,6 @@ use crate::conncache::{ConnTupleCache, U64Map};
 use crate::connmgr::{CmPort, ConnectionManager, ConnectionTuple};
 use crate::fabric::FabricPort;
 use crate::flow::FlowFifos;
-use crate::hcc::HostCoherentCache;
 use crate::lb::{fnv1a, LoadBalancer};
 use crate::monitor::{PacketMonitor, QueueStats};
 use crate::nic::queue_of_flow;
@@ -85,7 +83,7 @@ pub const CTRL_CLOSE_FN: u16 = 0xFFFE;
 pub const CTRL_OPEN_ACK_FN: u16 = 0xFFFD;
 
 /// The RSS route tag of a connection: every frame of `cid` carries the same
-/// tag, so [`crate::fabric::MemFabric::route`] pins the connection to one
+/// tag, so [`crate::fabric::Fabric::route`] pins the connection to one
 /// engine queue of the destination NIC (per-flow FIFO order depends on it).
 pub fn conn_route_tag(cid: ConnectionId) -> u64 {
     fnv1a(&cid.raw().to_le_bytes())
@@ -196,7 +194,6 @@ pub(crate) struct EngineCore {
     pub reqbuf: RequestBuffer,
     pub fifos: FlowFifos,
     pub sched: FlowScheduler,
-    pub hcc: HostCoherentCache,
     pub protocol: Protocol,
     pub arbiter: Option<ArbiterSlot>,
     pub stop: Arc<AtomicBool>,
@@ -219,6 +216,14 @@ pub(crate) struct EngineCore {
     pub pending_out: VecDeque<(Datagram, u16)>,
     /// Frames fetched from TX rings in the current polling window.
     pub window_frames: u64,
+    /// Grid tick of the last `RetransmitBurst` flight event. Bursts are
+    /// coalesced to one event per tick: a blackholed peer makes every
+    /// retransmit timeout a burst — thousands per second from a spinning
+    /// engine — and one event per burst laps the flight ring, evicting the
+    /// partition that caused them.
+    pub burst_tick: u64,
+    /// Frames retransmitted since that event.
+    pub burst_frames: u64,
     /// `true` while the engine polls the LLC directly instead of through
     /// its local coherent cache (the high-load mode of §4.4.1).
     pub direct_polling: bool,
@@ -553,12 +558,6 @@ impl EngineCore {
                         self.softregs.offload_cache_entries() as usize,
                     );
                 }
-                // In cached mode, the coherent fetch of connection state
-                // goes through the HCC; direct mode bypasses it.
-                if !self.direct_polling {
-                    self.hcc
-                        .access(u64::from(hdr.connection_id.raw()) * HEADER_BYTES as u64);
-                }
                 let tuple = self
                     .conn_cache
                     .lookup(hdr.connection_id, CmPort::Tx, &self.conn_mgr);
@@ -855,12 +854,22 @@ impl EngineCore {
         }
         self.wire_out = wire;
         if retransmits > 0 {
-            self.telemetry.flight().record(
-                FlightEventKind::RetransmitBurst,
-                self.addr.raw(),
-                u64::from(self.queue_id),
-                retransmits,
-            );
+            // At most one event per grid tick per queue, carrying every
+            // frame retransmitted since the previous one.
+            self.burst_frames += retransmits;
+            let flight = self.telemetry.flight();
+            let tick = flight.tick_now();
+            if tick != self.burst_tick {
+                flight.record_at(
+                    tick,
+                    FlightEventKind::RetransmitBurst,
+                    self.addr.raw(),
+                    u64::from(self.queue_id),
+                    self.burst_frames,
+                );
+                self.burst_tick = tick;
+                self.burst_frames = 0;
+            }
         }
     }
 
@@ -1110,8 +1119,6 @@ impl EngineCore {
                 RpcEvent::EngineRx,
             );
         }
-        self.hcc
-            .access(u64::from(hdr.connection_id.raw()) * HEADER_BYTES as u64);
         let tuple = self
             .conn_cache
             .lookup(hdr.connection_id, CmPort::Rx, &self.conn_mgr);
@@ -1312,7 +1319,7 @@ impl EngineCore {
 mod tests {
     use super::*;
     use crate::alloc_counter;
-    use crate::fabric::MemFabric;
+    use crate::fabric::{Fabric, MemFabric};
     use crate::ring::ring;
     use crate::softreg::SoftRegisterFile;
     use crate::xfer::xfer_ring;
@@ -1328,7 +1335,7 @@ mod tests {
     ) {
         let fabric = MemFabric::new();
         let addr = NodeAddr(1);
-        let port = Arc::new(fabric.attach(addr).unwrap());
+        let port = fabric.attach_queues(addr, 1).unwrap().remove(0);
         let (host_tx, engine_rx) = ring(64);
         let (engine_tx, host_rx) = ring(64);
         let conn_mgr = Arc::new(Mutex::new(ConnectionManager::new(16)));
@@ -1373,7 +1380,6 @@ mod tests {
             reqbuf: RequestBuffer::new(256),
             fifos: FlowFifos::new(1),
             sched: FlowScheduler::new(1, 4),
-            hcc: HostCoherentCache::with_default_capacity(),
             protocol: Protocol::default(),
             arbiter: None,
             stop: Arc::new(AtomicBool::new(false)),
@@ -1382,6 +1388,8 @@ mod tests {
             reliable: None,
             pending_out: VecDeque::new(),
             window_frames: 0,
+            burst_tick: 0,
+            burst_frames: 0,
             direct_polling: false,
             telemetry: Telemetry::new(),
             pool: BufPool::default(),
@@ -1475,7 +1483,7 @@ mod tests {
                     addr,
                     queue_id: q as u16,
                     num_queues: 2,
-                    port: Arc::new(port),
+                    port,
                     tx_rings: std::mem::take(&mut tx_rings[q]),
                     rx_rings: std::mem::take(&mut rx_rings[q]),
                     conn_mgr: Arc::clone(&conn_mgr),
@@ -1485,7 +1493,6 @@ mod tests {
                     reqbuf: RequestBuffer::new(256),
                     fifos: FlowFifos::new(2),
                     sched: FlowScheduler::new(2, 4),
-                    hcc: HostCoherentCache::with_default_capacity(),
                     protocol: Protocol::default(),
                     arbiter: None,
                     stop: Arc::clone(&stop),
@@ -1494,6 +1501,8 @@ mod tests {
                     reliable: None,
                     pending_out: VecDeque::new(),
                     window_frames: 0,
+                    burst_tick: 0,
+                    burst_frames: 0,
                     direct_polling: false,
                     telemetry: Arc::clone(&telemetry),
                     pool: BufPool::default(),
@@ -1610,6 +1619,50 @@ mod tests {
             rx_allocs, 0,
             "steady-state rx_round hit the allocator {rx_allocs} time(s)"
         );
+    }
+
+    /// A peer that never acks (here: the loopback RX side is never
+    /// drained) makes every retransmit timeout a burst. The flight ring
+    /// must see at most one `RetransmitBurst` per grid tick, however fast
+    /// the engine spins — one event per burst laps the ring within a
+    /// 150 ms partition and evicts the partition event itself.
+    #[test]
+    fn retransmit_burst_events_are_bounded_by_grid_ticks() {
+        use crate::reliable::ReliableConfig;
+        let (mut core, mut host_tx, _host_rx) = loopback_core();
+        core.reliable = Some(ReliableTransport::new(
+            core.addr,
+            ReliableConfig {
+                retransmit_after_ticks: 1,
+                ..ReliableConfig::default()
+            },
+        ));
+        host_tx.try_push(data_frame(0)).unwrap();
+        assert!(core.tx_round(0));
+        let flight = Arc::clone(core.telemetry.flight());
+        let first_tick = flight.tick_now();
+        const ROUNDS: u64 = 20_000;
+        for _ in 0..ROUNDS {
+            core.reliable_tick();
+            while core.port.try_recv().is_some() {} // blackhole
+        }
+        let ticks = flight.tick_now() - first_tick + 1;
+        let bursts: Vec<_> = flight
+            .snapshot()
+            .into_iter()
+            .filter(|e| e.kind == FlightEventKind::RetransmitBurst)
+            .collect();
+        let retransmissions = core.reliable.as_ref().unwrap().stats().retransmissions;
+        assert!(retransmissions >= ROUNDS / 2, "only {retransmissions}");
+        assert!(
+            bursts.len() as u64 <= ticks,
+            "{} events in {ticks} grid tick(s)",
+            bursts.len()
+        );
+        // Coalescing loses nothing: events plus the open remainder carry
+        // every retransmitted frame.
+        let reported: u64 = bursts.iter().map(|e| e.b).sum();
+        assert_eq!(reported + core.burst_frames, retransmissions);
     }
 
     #[test]

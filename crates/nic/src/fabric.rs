@@ -484,7 +484,7 @@ impl FaultState {
 /// A switch-table entry: one receive queue per engine queue of the attached
 /// NIC (RSS-style), per-queue wakers registered by the owning workers, and
 /// an optional live handle onto the NIC's soft-register active-queue mask
-/// consulted by [`MemFabric::route`].
+/// consulted by [`Fabric::route`].
 #[derive(Debug)]
 struct PortEntry {
     queues: Vec<Arc<PortQueue>>,
@@ -645,129 +645,6 @@ impl MemFabric {
         });
     }
 
-    /// Attaches a single-queue NIC under `addr` and returns its port.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DaggerError::Fabric`] if the address is already attached.
-    pub fn attach(&self, addr: NodeAddr) -> Result<MemFabricPort> {
-        let mut ports = self.attach_queues(addr, 1)?;
-        Ok(ports.pop().expect("attach_queues(_, 1) returns one port"))
-    }
-
-    /// Attaches a NIC with `num_queues` engine queues under `addr` and
-    /// returns one [`MemFabricPort`] per queue (index `i` receives traffic
-    /// routed to queue `i`). The address detaches when the last of the
-    /// returned ports drops.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DaggerError::Fabric`] if the address is already attached.
-    pub fn attach_queues(&self, addr: NodeAddr, num_queues: usize) -> Result<Vec<MemFabricPort>> {
-        let n = num_queues.max(1);
-        let mut table = self.table.write();
-        if table.ports.contains_key(&addr) {
-            return Err(DaggerError::Fabric(format!(
-                "address {addr} already attached"
-            )));
-        }
-        let queues: Vec<_> = (0..n).map(|_| Arc::new(PortQueue::new())).collect();
-        table.ports.insert(
-            addr,
-            PortEntry {
-                queues: queues.clone(),
-                wakers: vec![None; n],
-                active_mask: None,
-            },
-        );
-        let guard = Arc::new(PortGuard {
-            addr,
-            fabric: self.clone(),
-        });
-        Ok(queues
-            .into_iter()
-            .enumerate()
-            .map(|(i, rx)| MemFabricPort {
-                addr,
-                queue: i as u16,
-                fabric: self.clone(),
-                rx,
-                _guard: Arc::clone(&guard),
-            })
-            .collect())
-    }
-
-    /// Registers the waker that frame delivery to `addr`'s queue 0 should
-    /// trip, so a parked engine wakes as soon as traffic arrives. No-op for
-    /// unknown addresses.
-    pub fn set_waker(&self, addr: NodeAddr, waker: Arc<EngineWaker>) {
-        self.set_queue_waker(addr, 0, waker);
-    }
-
-    /// Registers the waker for one engine queue of `addr`. No-op for
-    /// unknown addresses or out-of-range queues.
-    pub fn set_queue_waker(&self, addr: NodeAddr, queue: u16, waker: Arc<EngineWaker>) {
-        if let Some(entry) = self.table.write().ports.get_mut(&addr) {
-            if let Some(slot) = entry.wakers.get_mut(queue as usize) {
-                *slot = Some(waker);
-            }
-        }
-    }
-
-    /// Hands the fabric a live handle onto `addr`'s soft-register
-    /// active-queue mask; [`MemFabric::route`] consults it for every new
-    /// route decision toward `addr`. No-op for unknown addresses.
-    pub fn set_queue_mask(&self, addr: NodeAddr, mask: Arc<AtomicU64>) {
-        if let Some(entry) = self.table.write().ports.get_mut(&addr) {
-            entry.active_mask = Some(mask);
-        }
-    }
-
-    /// Number of engine queues `addr` attached with (0 if unknown).
-    pub fn queue_count(&self, addr: NodeAddr) -> usize {
-        self.table
-            .read()
-            .ports
-            .get(&addr)
-            .map_or(0, |e| e.queues.len())
-    }
-
-    /// RSS route decision: which of `dst`'s engine queues should traffic
-    /// tagged `tag` (typically a connection hash) land on?
-    ///
-    /// Deterministic: the same `(dst queue count, active mask, tag)` always
-    /// yields the same queue, so a connection's frames stay queue-affine.
-    /// The active mask gates only *new* decisions — bits beyond the queue
-    /// count are ignored, and a mask selecting no queue falls back to "all
-    /// active" so traffic is never stranded. Unknown destinations route
-    /// to 0 (the send will fail with the switch-table error anyway).
-    pub fn route(&self, dst: NodeAddr, tag: u64) -> u16 {
-        let table = self.table.read();
-        let Some(entry) = table.ports.get(&dst) else {
-            return 0;
-        };
-        let n = entry.queues.len();
-        if n <= 1 {
-            return 0;
-        }
-        let all = if n >= 64 { u64::MAX } else { (1u64 << n) - 1 };
-        let mut mask = entry
-            .active_mask
-            .as_ref()
-            .map_or(0, |m| m.load(Ordering::Relaxed))
-            & all;
-        if mask == 0 {
-            mask = all;
-        }
-        // Pick the k-th set bit of the mask, k = tag mod popcount.
-        let k = tag % u64::from(mask.count_ones());
-        let mut m = mask;
-        for _ in 0..k {
-            m &= m - 1;
-        }
-        m.trailing_zeros() as u16
-    }
-
     /// Detaches `addr`; queued datagrams for it are discarded.
     pub fn detach(&self, addr: NodeAddr) {
         self.table.write().ports.remove(&addr);
@@ -820,27 +697,6 @@ impl MemFabric {
         let mut state = self.faults.lock();
         state.event += 1;
         self.release_due(&mut state);
-    }
-
-    /// Flushes every frame still held by reorder/delay injection into its
-    /// destination queue, regardless of due time. Shutdown calls this so
-    /// the engine's final ring drain sees everything the fabric was
-    /// holding; chaos determinism is unaffected because release consumes
-    /// no stream randomness and the fault was already counted at hold
-    /// time. Held frames for detached destinations are discarded.
-    pub fn quiesce(&self) {
-        let mut state = self.faults.lock();
-        let held = std::mem::take(&mut state.held);
-        self.held_count
-            .fetch_sub(held.len() as u64, Ordering::Relaxed);
-        for frame in held {
-            let _ = self.deliver(frame.dst, frame.queue, frame.bytes);
-        }
-    }
-
-    /// Frames currently held by reorder/delay injection.
-    pub fn in_flight(&self) -> usize {
-        self.held_count.load(Ordering::Relaxed) as usize
     }
 
     /// Forwards one frame from `src` toward `dst`'s engine queue `queue`.
@@ -935,39 +791,118 @@ impl MemFabric {
     }
 }
 
-/// [`MemFabric`] behind the portable seam: delegates to the inherent
-/// methods (which keep their concrete-typed signatures for in-process
-/// fault-plan tooling) and erases the port type.
+/// [`MemFabric`] behind the portable seam. Fault-plan, partition and
+/// `fault_stats` tooling stays inherent (it is specific to this backend).
 impl Fabric for MemFabric {
     fn attach_queues(&self, addr: NodeAddr, num_queues: usize) -> Result<Vec<Arc<dyn FabricPort>>> {
-        Ok(MemFabric::attach_queues(self, addr, num_queues)?
+        let n = num_queues.max(1);
+        let mut table = self.table.write();
+        if table.ports.contains_key(&addr) {
+            return Err(DaggerError::Fabric(format!(
+                "address {addr} already attached"
+            )));
+        }
+        let queues: Vec<_> = (0..n).map(|_| Arc::new(PortQueue::new())).collect();
+        table.ports.insert(
+            addr,
+            PortEntry {
+                queues: queues.clone(),
+                wakers: vec![None; n],
+                active_mask: None,
+            },
+        );
+        let guard = Arc::new(PortGuard {
+            addr,
+            fabric: self.clone(),
+        });
+        Ok(queues
             .into_iter()
-            .map(|p| Arc::new(p) as Arc<dyn FabricPort>)
+            .enumerate()
+            .map(|(i, rx)| {
+                Arc::new(MemFabricPort {
+                    addr,
+                    queue: i as u16,
+                    fabric: self.clone(),
+                    rx,
+                    _guard: Arc::clone(&guard),
+                }) as Arc<dyn FabricPort>
+            })
             .collect())
     }
 
     fn set_queue_waker(&self, addr: NodeAddr, queue: u16, waker: Arc<EngineWaker>) {
-        MemFabric::set_queue_waker(self, addr, queue, waker);
+        if let Some(entry) = self.table.write().ports.get_mut(&addr) {
+            if let Some(slot) = entry.wakers.get_mut(queue as usize) {
+                *slot = Some(waker);
+            }
+        }
     }
 
     fn set_queue_mask(&self, addr: NodeAddr, mask: Arc<AtomicU64>) {
-        MemFabric::set_queue_mask(self, addr, mask);
+        if let Some(entry) = self.table.write().ports.get_mut(&addr) {
+            entry.active_mask = Some(mask);
+        }
     }
 
     fn queue_count(&self, addr: NodeAddr) -> usize {
-        MemFabric::queue_count(self, addr)
+        self.table
+            .read()
+            .ports
+            .get(&addr)
+            .map_or(0, |e| e.queues.len())
     }
 
+    /// Deterministic: the same `(dst queue count, active mask, tag)` always
+    /// yields the same queue, so a connection's frames stay queue-affine.
+    /// The active mask gates only *new* decisions — bits beyond the queue
+    /// count are ignored, and a mask selecting no queue falls back to "all
+    /// active" so traffic is never stranded. Unknown destinations route
+    /// to 0 (the send will fail with the switch-table error anyway).
     fn route(&self, dst: NodeAddr, tag: u64) -> u16 {
-        MemFabric::route(self, dst, tag)
+        let table = self.table.read();
+        let Some(entry) = table.ports.get(&dst) else {
+            return 0;
+        };
+        let n = entry.queues.len();
+        if n <= 1 {
+            return 0;
+        }
+        let all = if n >= 64 { u64::MAX } else { (1u64 << n) - 1 };
+        let mut mask = entry
+            .active_mask
+            .as_ref()
+            .map_or(0, |m| m.load(Ordering::Relaxed))
+            & all;
+        if mask == 0 {
+            mask = all;
+        }
+        // Pick the k-th set bit of the mask, k = tag mod popcount.
+        let k = tag % u64::from(mask.count_ones());
+        let mut m = mask;
+        for _ in 0..k {
+            m &= m - 1;
+        }
+        m.trailing_zeros() as u16
     }
 
+    /// Flushes every frame still held by reorder/delay injection into its
+    /// destination queue, regardless of due time. Chaos determinism is
+    /// unaffected because release consumes no stream randomness and the
+    /// fault was already counted at hold time. Held frames for detached
+    /// destinations are discarded.
     fn quiesce(&self) {
-        MemFabric::quiesce(self);
+        let mut state = self.faults.lock();
+        let held = std::mem::take(&mut state.held);
+        self.held_count
+            .fetch_sub(held.len() as u64, Ordering::Relaxed);
+        for frame in held {
+            let _ = self.deliver(frame.dst, frame.queue, frame.bytes);
+        }
     }
 
+    /// Frames currently held by reorder/delay injection.
     fn in_flight(&self) -> usize {
-        MemFabric::in_flight(self)
+        self.held_count.load(Ordering::Relaxed) as usize
     }
 }
 
@@ -985,12 +920,9 @@ impl Drop for PortGuard {
     }
 }
 
-/// One engine queue's attachment point on the in-memory fabric. A
-/// single-queue NIC has exactly one ([`MemFabric::attach`]); a sharded NIC
-/// holds one per worker ([`MemFabric::attach_queues`]), each receiving only
-/// the traffic routed to its queue index. The engine consumes it as a
-/// `dyn` [`FabricPort`]; the inherent methods below keep the concrete type
-/// usable directly in fault-plan tooling and tests.
+/// One engine queue's attachment point on the in-memory fabric: a sharded
+/// NIC holds one per worker, each receiving only the traffic routed to its
+/// queue index. Handed out (type-erased) by [`Fabric::attach_queues`].
 #[derive(Debug)]
 pub struct MemFabricPort {
     addr: NodeAddr,
@@ -1000,70 +932,26 @@ pub struct MemFabricPort {
     _guard: Arc<PortGuard>,
 }
 
-impl MemFabricPort {
-    /// The address this port is attached under.
-    pub fn addr(&self) -> NodeAddr {
+impl FabricPort for MemFabricPort {
+    fn addr(&self) -> NodeAddr {
         self.addr
     }
 
-    /// The engine queue index this port receives for.
-    pub fn queue(&self) -> u16 {
+    fn queue(&self) -> u16 {
         self.queue
     }
 
-    /// Sends encoded datagram bytes to `dst`'s queue 0 through the switch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DaggerError::Fabric`] if `dst` is not in the switching
-    /// table.
-    pub fn send(&self, dst: NodeAddr, bytes: Vec<u8>) -> Result<()> {
-        self.send_to(dst, 0, bytes)
-    }
-
-    /// Sends encoded datagram bytes to a specific engine queue of `dst`
-    /// (normally one chosen by [`MemFabricPort::route`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DaggerError::Fabric`] if `dst` is not in the switching
-    /// table.
-    pub fn send_to(&self, dst: NodeAddr, dst_queue: u16, bytes: Vec<u8>) -> Result<()> {
+    fn send_to(&self, dst: NodeAddr, dst_queue: u16, bytes: Vec<u8>) -> Result<()> {
         self.fabric.forward(self.addr, dst, dst_queue, bytes)
     }
 
-    /// RSS route decision toward `dst` for traffic tagged `tag`; see
-    /// [`MemFabric::route`].
-    pub fn route(&self, dst: NodeAddr, tag: u64) -> u16 {
+    fn route(&self, dst: NodeAddr, tag: u64) -> u16 {
         self.fabric.route(dst, tag)
     }
 
-    /// Receives the next datagram queued for this port's queue, if any.
-    pub fn try_recv(&self) -> Option<Vec<u8>> {
+    fn try_recv(&self) -> Option<Vec<u8>> {
         self.fabric.poll_released();
         self.rx.pop()
-    }
-}
-
-impl FabricPort for MemFabricPort {
-    fn addr(&self) -> NodeAddr {
-        MemFabricPort::addr(self)
-    }
-
-    fn queue(&self) -> u16 {
-        MemFabricPort::queue(self)
-    }
-
-    fn send_to(&self, dst: NodeAddr, dst_queue: u16, bytes: Vec<u8>) -> Result<()> {
-        MemFabricPort::send_to(self, dst, dst_queue, bytes)
-    }
-
-    fn route(&self, dst: NodeAddr, tag: u64) -> u16 {
-        MemFabricPort::route(self, dst, tag)
-    }
-
-    fn try_recv(&self) -> Option<Vec<u8>> {
-        MemFabricPort::try_recv(self)
     }
 
     fn fabric(&self) -> &dyn Fabric {
@@ -1075,11 +963,18 @@ impl FabricPort for MemFabricPort {
 mod tests {
     use super::*;
 
+    /// Attaches a single-queue NIC under `addr` and returns its port.
+    fn attach(fabric: &MemFabric, addr: NodeAddr) -> Result<Arc<dyn FabricPort>> {
+        fabric
+            .attach_queues(addr, 1)
+            .map(|mut ports| ports.remove(0))
+    }
+
     #[test]
     fn attach_send_recv() {
         let fabric = MemFabric::new();
-        let a = fabric.attach(NodeAddr(1)).unwrap();
-        let b = fabric.attach(NodeAddr(2)).unwrap();
+        let a = attach(&fabric, NodeAddr(1)).unwrap();
+        let b = attach(&fabric, NodeAddr(2)).unwrap();
         a.send(NodeAddr(2), vec![1, 2, 3]).unwrap();
         assert_eq!(b.try_recv(), Some(vec![1, 2, 3]));
         assert_eq!(b.try_recv(), None);
@@ -1088,21 +983,21 @@ mod tests {
     #[test]
     fn duplicate_address_rejected() {
         let fabric = MemFabric::new();
-        let _a = fabric.attach(NodeAddr(1)).unwrap();
-        assert!(fabric.attach(NodeAddr(1)).is_err());
+        let _a = attach(&fabric, NodeAddr(1)).unwrap();
+        assert!(attach(&fabric, NodeAddr(1)).is_err());
     }
 
     #[test]
     fn unknown_destination_errors() {
         let fabric = MemFabric::new();
-        let a = fabric.attach(NodeAddr(1)).unwrap();
+        let a = attach(&fabric, NodeAddr(1)).unwrap();
         assert!(a.send(NodeAddr(9), vec![0]).is_err());
     }
 
     #[test]
     fn loopback_to_self_allowed() {
         let fabric = MemFabric::new();
-        let a = fabric.attach(NodeAddr(1)).unwrap();
+        let a = attach(&fabric, NodeAddr(1)).unwrap();
         a.send(NodeAddr(1), vec![7]).unwrap();
         assert_eq!(a.try_recv(), Some(vec![7]));
     }
@@ -1111,19 +1006,19 @@ mod tests {
     fn detach_on_drop() {
         let fabric = MemFabric::new();
         {
-            let _a = fabric.attach(NodeAddr(1)).unwrap();
+            let _a = attach(&fabric, NodeAddr(1)).unwrap();
             assert_eq!(fabric.ports(), 1);
         }
         assert_eq!(fabric.ports(), 0);
         // Address can be reused after drop.
-        let _a2 = fabric.attach(NodeAddr(1)).unwrap();
+        let _a2 = attach(&fabric, NodeAddr(1)).unwrap();
     }
 
     #[test]
     fn ordered_delivery_per_sender() {
         let fabric = MemFabric::new();
-        let a = fabric.attach(NodeAddr(1)).unwrap();
-        let b = fabric.attach(NodeAddr(2)).unwrap();
+        let a = attach(&fabric, NodeAddr(1)).unwrap();
+        let b = attach(&fabric, NodeAddr(2)).unwrap();
         for i in 0..100u8 {
             a.send(NodeAddr(2), vec![i]).unwrap();
         }
@@ -1135,8 +1030,8 @@ mod tests {
     #[test]
     fn cross_thread_traffic() {
         let fabric = MemFabric::new();
-        let a = fabric.attach(NodeAddr(1)).unwrap();
-        let b = fabric.attach(NodeAddr(2)).unwrap();
+        let a = attach(&fabric, NodeAddr(1)).unwrap();
+        let b = attach(&fabric, NodeAddr(2)).unwrap();
         let sender = std::thread::spawn(move || {
             for i in 0..10_000u32 {
                 a.send(NodeAddr(2), i.to_le_bytes().to_vec()).unwrap();
@@ -1158,8 +1053,8 @@ mod tests {
     fn with_loss_clamps_both_bounds() {
         // Below range: clamps to 0, drops nothing.
         let clean = MemFabric::with_loss(-3.5, 1);
-        let a = clean.attach(NodeAddr(1)).unwrap();
-        let b = clean.attach(NodeAddr(2)).unwrap();
+        let a = attach(&clean, NodeAddr(1)).unwrap();
+        let b = attach(&clean, NodeAddr(2)).unwrap();
         for _ in 0..50 {
             a.send(NodeAddr(2), vec![1]).unwrap();
         }
@@ -1170,8 +1065,8 @@ mod tests {
 
         // Above range: clamps to 1, drops everything.
         let hole = MemFabric::with_loss(7.0, 1);
-        let a = hole.attach(NodeAddr(1)).unwrap();
-        let b = hole.attach(NodeAddr(2)).unwrap();
+        let a = attach(&hole, NodeAddr(1)).unwrap();
+        let b = attach(&hole, NodeAddr(2)).unwrap();
         for _ in 0..50 {
             a.send(NodeAddr(2), vec![1]).unwrap();
         }
@@ -1180,8 +1075,8 @@ mod tests {
 
         // NaN: treated as 0.
         let nan = MemFabric::with_loss(f64::NAN, 1);
-        let a = nan.attach(NodeAddr(1)).unwrap();
-        let b = nan.attach(NodeAddr(2)).unwrap();
+        let a = attach(&nan, NodeAddr(1)).unwrap();
+        let b = attach(&nan, NodeAddr(2)).unwrap();
         a.send(NodeAddr(2), vec![9]).unwrap();
         assert_eq!(b.try_recv(), Some(vec![9]));
     }
@@ -1190,8 +1085,8 @@ mod tests {
     fn loss_is_deterministic_per_seed() {
         let outcomes = |seed: u64| -> Vec<bool> {
             let fabric = MemFabric::with_loss(0.5, seed);
-            let a = fabric.attach(NodeAddr(1)).unwrap();
-            let b = fabric.attach(NodeAddr(2)).unwrap();
+            let a = attach(&fabric, NodeAddr(1)).unwrap();
+            let b = attach(&fabric, NodeAddr(2)).unwrap();
             (0..64u8)
                 .map(|i| {
                     a.send(NodeAddr(2), vec![i]).unwrap();
@@ -1206,8 +1101,8 @@ mod tests {
     #[test]
     fn duplicate_injection_delivers_twice() {
         let fabric = MemFabric::with_faults(FaultPlan::seeded(3).with_duplicate(1.0));
-        let a = fabric.attach(NodeAddr(1)).unwrap();
-        let b = fabric.attach(NodeAddr(2)).unwrap();
+        let a = attach(&fabric, NodeAddr(1)).unwrap();
+        let b = attach(&fabric, NodeAddr(2)).unwrap();
         a.send(NodeAddr(2), vec![5]).unwrap();
         assert_eq!(b.try_recv(), Some(vec![5]));
         assert_eq!(b.try_recv(), Some(vec![5]));
@@ -1218,8 +1113,8 @@ mod tests {
     #[test]
     fn corruption_flips_exactly_one_bit() {
         let fabric = MemFabric::with_faults(FaultPlan::seeded(4).with_corrupt(1.0));
-        let a = fabric.attach(NodeAddr(1)).unwrap();
-        let b = fabric.attach(NodeAddr(2)).unwrap();
+        let a = attach(&fabric, NodeAddr(1)).unwrap();
+        let b = attach(&fabric, NodeAddr(2)).unwrap();
         let original = vec![0u8; 32];
         a.send(NodeAddr(2), original.clone()).unwrap();
         let got = b.try_recv().unwrap();
@@ -1235,8 +1130,8 @@ mod tests {
     #[test]
     fn reorder_lets_later_frames_overtake() {
         let fabric = MemFabric::with_faults(FaultPlan::seeded(2).with_reorder(0.5, 4));
-        let a = fabric.attach(NodeAddr(1)).unwrap();
-        let b = fabric.attach(NodeAddr(2)).unwrap();
+        let a = attach(&fabric, NodeAddr(1)).unwrap();
+        let b = attach(&fabric, NodeAddr(2)).unwrap();
         for i in 0..200u8 {
             a.send(NodeAddr(2), vec![i]).unwrap();
         }
@@ -1255,8 +1150,8 @@ mod tests {
     #[test]
     fn delayed_frames_drain_via_receiver_polls() {
         let fabric = MemFabric::with_faults(FaultPlan::seeded(5).with_delay(1.0, 16));
-        let a = fabric.attach(NodeAddr(1)).unwrap();
-        let b = fabric.attach(NodeAddr(2)).unwrap();
+        let a = attach(&fabric, NodeAddr(1)).unwrap();
+        let b = attach(&fabric, NodeAddr(2)).unwrap();
         a.send(NodeAddr(2), vec![1]).unwrap();
         // No further sends: the receiver's own polls must advance the
         // event clock and surface the frame.
@@ -1274,8 +1169,8 @@ mod tests {
     #[test]
     fn partition_blackholes_and_heals() {
         let fabric = MemFabric::new();
-        let a = fabric.attach(NodeAddr(1)).unwrap();
-        let b = fabric.attach(NodeAddr(2)).unwrap();
+        let a = attach(&fabric, NodeAddr(1)).unwrap();
+        let b = attach(&fabric, NodeAddr(2)).unwrap();
         fabric.partition(NodeAddr(1), NodeAddr(2));
         assert!(fabric.partitioned());
         a.send(NodeAddr(2), vec![1]).unwrap();
@@ -1292,9 +1187,9 @@ mod tests {
     #[test]
     fn node_partition_cuts_all_links() {
         let fabric = MemFabric::new();
-        let a = fabric.attach(NodeAddr(1)).unwrap();
-        let b = fabric.attach(NodeAddr(2)).unwrap();
-        let c = fabric.attach(NodeAddr(3)).unwrap();
+        let a = attach(&fabric, NodeAddr(1)).unwrap();
+        let b = attach(&fabric, NodeAddr(2)).unwrap();
+        let c = attach(&fabric, NodeAddr(3)).unwrap();
         fabric.partition_node(NodeAddr(2));
         a.send(NodeAddr(2), vec![1]).unwrap();
         b.send(NodeAddr(3), vec![2]).unwrap();
@@ -1310,9 +1205,9 @@ mod tests {
     fn per_link_plan_overrides_global() {
         let fabric = MemFabric::with_faults(FaultPlan::seeded(6).with_drop(1.0));
         fabric.set_link_faults(NodeAddr(1), NodeAddr(3), Some(FaultPlan::seeded(6)));
-        let a = fabric.attach(NodeAddr(1)).unwrap();
-        let b = fabric.attach(NodeAddr(2)).unwrap();
-        let c = fabric.attach(NodeAddr(3)).unwrap();
+        let a = attach(&fabric, NodeAddr(1)).unwrap();
+        let b = attach(&fabric, NodeAddr(2)).unwrap();
+        let c = attach(&fabric, NodeAddr(3)).unwrap();
         a.send(NodeAddr(2), vec![1]).unwrap(); // global: dropped
         a.send(NodeAddr(3), vec![2]).unwrap(); // override: clean
         assert_eq!(b.try_recv(), None);
@@ -1326,8 +1221,8 @@ mod tests {
     #[test]
     fn mid_run_plan_swap() {
         let fabric = MemFabric::new();
-        let a = fabric.attach(NodeAddr(1)).unwrap();
-        let b = fabric.attach(NodeAddr(2)).unwrap();
+        let a = attach(&fabric, NodeAddr(1)).unwrap();
+        let b = attach(&fabric, NodeAddr(2)).unwrap();
         a.send(NodeAddr(2), vec![1]).unwrap();
         assert_eq!(b.try_recv(), Some(vec![1]));
         fabric.set_faults(Some(FaultPlan::seeded(1).with_drop(1.0)));
@@ -1348,8 +1243,8 @@ mod tests {
         );
         let telemetry = Telemetry::new();
         fabric.register_telemetry(&telemetry);
-        let a = fabric.attach(NodeAddr(1)).unwrap();
-        let b = fabric.attach(NodeAddr(2)).unwrap();
+        let a = attach(&fabric, NodeAddr(1)).unwrap();
+        let b = attach(&fabric, NodeAddr(2)).unwrap();
         for i in 0..100u8 {
             a.send(NodeAddr(2), vec![i; 8]).unwrap();
         }
@@ -1375,7 +1270,7 @@ mod tests {
     #[test]
     fn multi_queue_delivery_is_queue_addressed() {
         let fabric = MemFabric::new();
-        let a = fabric.attach(NodeAddr(1)).unwrap();
+        let a = attach(&fabric, NodeAddr(1)).unwrap();
         let ports = fabric.attach_queues(NodeAddr(2), 4).unwrap();
         assert_eq!(fabric.queue_count(NodeAddr(2)), 4);
         assert_eq!(fabric.queue_count(NodeAddr(9)), 0);
@@ -1434,7 +1329,7 @@ mod tests {
             (0..64u64).map(|t| fabric.route(NodeAddr(2), t)).collect();
         assert_eq!(hit.len(), 4, "mask without in-range bits = all queues");
         // Single-queue and unknown destinations always route to 0.
-        let _a = fabric.attach(NodeAddr(1)).unwrap();
+        let _a = attach(&fabric, NodeAddr(1)).unwrap();
         assert_eq!(fabric.route(NodeAddr(1), 12345), 0);
         assert_eq!(fabric.route(NodeAddr(99), 12345), 0);
     }
@@ -1442,7 +1337,7 @@ mod tests {
     #[test]
     fn held_frames_release_to_their_routed_queue() {
         let fabric = MemFabric::with_faults(FaultPlan::seeded(5).with_delay(1.0, 8));
-        let a = fabric.attach(NodeAddr(1)).unwrap();
+        let a = attach(&fabric, NodeAddr(1)).unwrap();
         let ports = fabric.attach_queues(NodeAddr(2), 2).unwrap();
         a.send_to(NodeAddr(2), 1, vec![7]).unwrap();
         let mut got = None;
@@ -1467,8 +1362,8 @@ mod tests {
                     .with_corrupt(0.1)
                     .with_delay(0.1, 8),
             );
-            let a = fabric.attach(NodeAddr(1)).unwrap();
-            let b = fabric.attach(NodeAddr(2)).unwrap();
+            let a = attach(&fabric, NodeAddr(1)).unwrap();
+            let b = attach(&fabric, NodeAddr(2)).unwrap();
             let mut got = Vec::new();
             for i in 0..128u8 {
                 a.send(NodeAddr(2), vec![i; 4]).unwrap();

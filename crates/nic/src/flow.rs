@@ -8,20 +8,10 @@ use std::collections::VecDeque;
 
 use crate::reqbuf::SlotId;
 
-/// Occupancy statistics for one flow's FIFO, for the telemetry layer.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FifoStats {
-    /// Total frame references ever pushed into this FIFO.
-    pub pushed: u64,
-    /// High watermark of the FIFO's depth.
-    pub max_depth: usize,
-}
-
 /// The array of per-flow slot-reference FIFOs.
 #[derive(Debug)]
 pub struct FlowFifos {
     fifos: Vec<VecDeque<SlotId>>,
-    stats: Vec<FifoStats>,
 }
 
 impl FlowFifos {
@@ -34,7 +24,6 @@ impl FlowFifos {
         assert!(flows > 0, "at least one flow required");
         FlowFifos {
             fifos: (0..flows).map(|_| VecDeque::new()).collect(),
-            stats: vec![FifoStats::default(); flows],
         }
     }
 
@@ -50,18 +39,6 @@ impl FlowFifos {
     /// Panics if `flow` is out of range.
     pub fn push(&mut self, flow: usize, slot: SlotId) {
         self.fifos[flow].push_back(slot);
-        let stats = &mut self.stats[flow];
-        stats.pushed += 1;
-        stats.max_depth = stats.max_depth.max(self.fifos[flow].len());
-    }
-
-    /// Occupancy statistics for `flow`'s FIFO.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `flow` is out of range.
-    pub fn stats(&self, flow: usize) -> FifoStats {
-        self.stats[flow]
     }
 
     /// Number of staged frames for `flow`.
@@ -116,20 +93,6 @@ mod tests {
         assert_eq!(f.len(1), 0);
         assert_eq!(f.len(2), 1);
         assert!(!f.is_empty());
-    }
-
-    #[test]
-    fn fifo_stats_track_pushes_and_watermark() {
-        let mut f = FlowFifos::new(2);
-        for i in 0..4 {
-            f.push(0, SlotId(i));
-        }
-        f.pop_batch(0, 3);
-        f.push(0, SlotId(9));
-        let s = f.stats(0);
-        assert_eq!(s.pushed, 5);
-        assert_eq!(s.max_depth, 4, "watermark survives drains");
-        assert_eq!(f.stats(1), FifoStats::default());
     }
 
     #[test]

@@ -23,7 +23,6 @@
 //!   by IDL-generated tables and the coherent hot-key response cache
 //!   (§5.6, DESIGN.md §18);
 //! * [`softreg`] — the Soft-Reconfiguration Unit register file (§4.1);
-//! * [`hcc`] — the 128 KB direct-mapped Host Coherent Cache model;
 //! * [`arbiter`] — the fair round-robin CCI-P bus arbiter used when several
 //!   virtual NICs share one FPGA (Fig. 14);
 //! * [`fabric`] — the [`fabric::Fabric`] transport seam plus the
@@ -34,7 +33,8 @@
 //! * [`bufpool`] — free lists of wire buffers and line vectors keeping the
 //!   steady-state datapath allocation-free (§4.4);
 //! * [`conncache`] — the engine-private connection-tuple cache with
-//!   generation-stamped invalidation (§4.4.1);
+//!   generation-stamped invalidation, the Host Coherent Cache analogue
+//!   (§4.4.1);
 //! * [`wait`] — the adaptive spin → yield → park backoff and the engine
 //!   wakeup latch;
 //! * [`xfer`] — cross-queue SPSC handoff rings moving steered frames from
@@ -56,7 +56,6 @@ pub mod engine;
 pub mod fabric;
 pub mod fabric_udp;
 pub mod flow;
-pub mod hcc;
 pub mod lb;
 pub mod monitor;
 pub mod nic;

@@ -50,11 +50,10 @@ use crate::connmgr::{ConnectionManager, ConnectionTuple};
 use crate::engine::{encode_ctrl_close, encode_ctrl_open, EngineCore};
 use crate::fabric::{Fabric, FabricPort};
 use crate::flow::FlowFifos;
-use crate::hcc::HostCoherentCache;
 use crate::lb::LoadBalancer;
 use crate::monitor::{PacketMonitor, QueueStats};
 use crate::offload::{OffloadSnapshot, OffloadState};
-use crate::reliable::{ReliableConfig, ReliableTransport};
+use crate::reliable::{ReliableConfig, ReliableStats, ReliableTransport, SharedReliableStats};
 use crate::reqbuf::RequestBuffer;
 use crate::ring::{ring, RingConsumer, RingProducer};
 use crate::sched::FlowScheduler;
@@ -119,6 +118,9 @@ pub struct Nic {
     wakers: Vec<Arc<EngineWaker>>,
     /// Per-worker counter banks, exported as `nic.<addr>.q<i>.*`.
     qstats: Vec<Arc<QueueStats>>,
+    /// Per-worker reliable-transport counter mirrors (empty when the NIC is
+    /// not reliable).
+    reliable_stats: Vec<Arc<SharedReliableStats>>,
     /// The on-NIC compute offload stage (DESIGN.md §18), shared with every
     /// engine worker. Idle until [`Nic::configure_offload`] installs a spec
     /// and the `nic_serde` soft register is raised.
@@ -304,7 +306,6 @@ impl Nic {
                 reqbuf: RequestBuffer::new((cfg.rx_ring_capacity * cfg.num_flows).max(64)),
                 fifos: FlowFifos::new(cfg.num_flows),
                 sched: FlowScheduler::new(cfg.num_flows, SCHED_TIMEOUT_TICKS),
-                hcc: HostCoherentCache::with_default_capacity(),
                 protocol: Default::default(),
                 arbiter: arbiter.take(),
                 stop: Arc::clone(&stop),
@@ -313,6 +314,8 @@ impl Nic {
                 reliable,
                 pending_out: Default::default(),
                 window_frames: 0,
+                burst_tick: 0,
+                burst_frames: 0,
                 direct_polling: false,
                 telemetry: Arc::clone(&telemetry),
                 pool,
@@ -352,6 +355,7 @@ impl Nic {
             let monitor = Arc::clone(&monitor);
             let conn_mgr = Arc::clone(&conn_mgr);
             let qstats = qstats.clone();
+            let reliable_stats = reliable_stats.clone();
             let offload = Arc::clone(&offload);
             let prefix = format!("nic.{}", addr.raw());
             let name = prefix.clone();
@@ -453,30 +457,26 @@ impl Nic {
                 reg.set_gauge(&format!("{prefix}.cm.rx_port_hits"), cm.rx_port.hits);
                 reg.set_gauge(&format!("{prefix}.cm.rx_port_misses"), cm.rx_port.misses);
                 if !reliable_stats.is_empty() {
-                    let mut retransmissions = 0u64;
-                    let mut out_of_order_drops = 0u64;
-                    let mut duplicate_drops = 0u64;
-                    let mut wire_drops = 0u64;
-                    for rs in &reliable_stats {
+                    let mut total = ReliableStats::default();
+                    for (q, rs) in reliable_stats.iter().enumerate() {
                         let r = rs.snapshot();
-                        retransmissions += r.retransmissions;
-                        out_of_order_drops += r.out_of_order_drops;
-                        duplicate_drops += r.duplicate_drops;
-                        wire_drops += r.wire_drops;
+                        reg.set_gauge(&format!("{prefix}.q{q}.reliable.sacked"), r.sacked);
+                        reg.set_gauge(
+                            &format!("{prefix}.q{q}.reliable.wasted_retransmits"),
+                            r.wasted_retransmits,
+                        );
+                        total += r;
                     }
-                    reg.set_gauge(
-                        &format!("{prefix}.reliable.retransmissions"),
-                        retransmissions,
-                    );
-                    reg.set_gauge(
-                        &format!("{prefix}.reliable.out_of_order_drops"),
-                        out_of_order_drops,
-                    );
-                    reg.set_gauge(
-                        &format!("{prefix}.reliable.duplicate_drops"),
-                        duplicate_drops,
-                    );
-                    reg.set_gauge(&format!("{prefix}.reliable.wire_drops"), wire_drops);
+                    for (name, v) in [
+                        ("retransmissions", total.retransmissions),
+                        ("out_of_order_drops", total.out_of_order_drops),
+                        ("duplicate_drops", total.duplicate_drops),
+                        ("wire_drops", total.wire_drops),
+                        ("sacked", total.sacked),
+                        ("wasted_retransmits", total.wasted_retransmits),
+                    ] {
+                        reg.set_gauge(&format!("{prefix}.reliable.{name}"), v);
+                    }
                 }
             });
         }
@@ -507,6 +507,7 @@ impl Nic {
             telemetry,
             wakers,
             qstats,
+            reliable_stats,
             offload,
         }))
     }
@@ -536,6 +537,17 @@ impl Nic {
         &self.qstats
     }
 
+    /// Reliable-transport counters summed over every engine queue (all
+    /// zero on an unreliable NIC); also exported as
+    /// `nic.<addr>.reliable.*` gauges.
+    pub fn reliable_stats(&self) -> ReliableStats {
+        let mut total = ReliableStats::default();
+        for rs in &self.reliable_stats {
+            total += rs.snapshot();
+        }
+        total
+    }
+
     /// Installs the on-NIC offload spec: the IDL-generated serde and cache
     /// tables the engine executes per frame (DESIGN.md §18). One-shot, like
     /// hardware configuration at synthesis time — returns `false` if a spec
@@ -558,15 +570,15 @@ impl Nic {
         &self.telemetry
     }
 
-    /// Spawns the telemetry-driven elastic RSS controller for this NIC:
-    /// a closed loop from the per-queue `rx_frames` series back into the
-    /// `queue.mask` soft register (see [`crate::balancer`]).
+    /// Spawns the elastic RSS controller for this NIC: a closed loop from
+    /// the per-queue `rx_frames` counters back into the `queue.mask` soft
+    /// register (see [`crate::balancer`]).
     pub fn start_balancer(&self, cfg: crate::balancer::BalancerConfig) -> QueueBalancer {
         QueueBalancer::start(
             Arc::clone(&self.telemetry),
             Arc::clone(&self.softregs),
             self.addr,
-            self.cfg.num_queues.max(1),
+            self.qstats.clone(),
             cfg,
         )
     }

@@ -547,6 +547,17 @@ pub struct ReliableStats {
     pub wasted_retransmits: u64,
 }
 
+impl std::ops::AddAssign for ReliableStats {
+    fn add_assign(&mut self, other: ReliableStats) {
+        self.retransmissions += other.retransmissions;
+        self.out_of_order_drops += other.out_of_order_drops;
+        self.duplicate_drops += other.duplicate_drops;
+        self.wire_drops += other.wire_drops;
+        self.sacked += other.sacked;
+        self.wasted_retransmits += other.wasted_retransmits;
+    }
+}
+
 /// A lock-free mirror of [`ReliableStats`], shared between the engine
 /// thread (which owns the [`ReliableTransport`]) and host-side telemetry
 /// collectors. Updated at every counting point, so host reads are always

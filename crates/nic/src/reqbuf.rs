@@ -18,7 +18,6 @@ pub struct SlotId(pub u32);
 pub struct RequestBuffer {
     slots: Vec<Option<CacheLine>>,
     free: VecDeque<u32>,
-    high_watermark: usize,
 }
 
 impl RequestBuffer {
@@ -33,7 +32,6 @@ impl RequestBuffer {
         RequestBuffer {
             slots: vec![None; capacity],
             free: (0..capacity as u32).collect(),
-            high_watermark: 0,
         }
     }
 
@@ -47,17 +45,11 @@ impl RequestBuffer {
         self.slots.len() - self.free.len()
     }
 
-    /// Highest simultaneous occupancy seen.
-    pub fn high_watermark(&self) -> usize {
-        self.high_watermark
-    }
-
     /// Stages a frame; `None` when every slot is occupied (the hardware
     /// asserts backpressure on the input controller in that case).
     pub fn alloc(&mut self, line: CacheLine) -> Option<SlotId> {
         let id = self.free.pop_front()?;
         self.slots[id as usize] = Some(line);
-        self.high_watermark = self.high_watermark.max(self.in_use());
         Some(SlotId(id))
     }
 
@@ -74,11 +66,6 @@ impl RequestBuffer {
             .expect("take from empty request-buffer slot");
         self.free.push_back(slot.0);
         line
-    }
-
-    /// Reads a staged frame without releasing the slot.
-    pub fn peek(&self, slot: SlotId) -> Option<&CacheLine> {
-        self.slots.get(slot.0 as usize).and_then(|s| s.as_ref())
     }
 }
 
@@ -123,30 +110,11 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_release() {
-        let mut rb = RequestBuffer::new(2);
-        let s = rb.alloc(line(9)).unwrap();
-        assert_eq!(rb.peek(s).unwrap().payload()[0], 9);
-        assert_eq!(rb.in_use(), 1);
-    }
-
-    #[test]
     #[should_panic(expected = "empty request-buffer slot")]
     fn double_take_panics() {
         let mut rb = RequestBuffer::new(2);
         let s = rb.alloc(line(1)).unwrap();
         rb.take(s);
         rb.take(s);
-    }
-
-    #[test]
-    fn high_watermark_tracks_peak() {
-        let mut rb = RequestBuffer::new(8);
-        let slots: Vec<_> = (0..5).map(|i| rb.alloc(line(i)).unwrap()).collect();
-        for s in slots {
-            rb.take(s);
-        }
-        assert_eq!(rb.high_watermark(), 5);
-        assert_eq!(rb.in_use(), 0);
     }
 }

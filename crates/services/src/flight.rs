@@ -24,7 +24,7 @@ use dagger_kvs::server::{KvGetRequest, KvSetRequest, KvStoreClient, KvStoreDispa
 use dagger_kvs::Mica;
 use dagger_nic::{Fabric, Nic};
 use dagger_rpc::{RpcClientPool, RpcThreadedServer, ThreadingModel};
-use dagger_telemetry::{ContextScope, SpanKind, Telemetry, TelemetrySnapshot};
+use dagger_telemetry::{ContextScope, SpanKind, Telemetry};
 use dagger_types::{HardConfig, LbPolicy, NodeAddr, Result};
 
 use crate::trace::Tracer;
@@ -222,7 +222,7 @@ struct FlightInfoHandler {
 impl FlightInfoApi for FlightInfoHandler {
     fn flight_info(&self, request: FlightInfoRequest) -> Result<FlightInfoResponse> {
         let req_no = self.counter.fetch_add(1, Ordering::Relaxed);
-        let _span = self.tracer.start(request.passenger_id, "Flight");
+        let _span = self.tracer.start("Flight");
         // Deterministic busy work: the Flight tier is the compute-heavy one.
         let mut acc = u64::from(request.flight) | 1;
         for _ in 0..self.work {
@@ -241,7 +241,7 @@ struct BaggageHandler {
 
 impl BaggageApi for BaggageHandler {
     fn bag_status(&self, request: BagRequest) -> Result<BagResponse> {
-        let _span = self.tracer.start(request.passenger_id, "Baggage");
+        let _span = self.tracer.start("Baggage");
         Ok(BagResponse {
             checked: request.bags,
         })
@@ -255,7 +255,7 @@ struct PassportHandler {
 
 impl PassportApi for PassportHandler {
     fn verify(&self, request: PassportRequest) -> Result<PassportResponse> {
-        let _span = self.tracer.start(request.passenger_id, "Passport");
+        let _span = self.tracer.start("Passport");
         // Nested blocking RPC into the Citizens MICA cache.
         let found = self
             .citizens
@@ -278,7 +278,7 @@ struct CheckInHandler {
 
 impl CheckInApi for CheckInHandler {
     fn check_in(&self, request: CheckInRequest) -> Result<CheckInResponse> {
-        let _span = self.tracer.start(request.passenger_id, "CheckIn");
+        let _span = self.tracer.start("CheckIn");
         // Non-blocking fan-out to the three mid tiers (§5.7)...
         let flight_call = self.flight.flight_info_async(&FlightInfoRequest {
             flight: request.flight,
@@ -367,10 +367,10 @@ impl FlightApp {
     pub fn launch(fabric: &dyn Fabric, config: &FlightConfig) -> Result<FlightApp> {
         // One hub for all eight tiers: every NIC's collector, every
         // RPC-stage stamp, and every distributed-trace span lands in the
-        // same registry and trace epoch. The §5.7 tier tracer is bridged
-        // into the hub so tier visits nest inside their server spans.
+        // same registry and trace epoch. The §5.7 tier tracer records into
+        // the same hub, so tier visits nest inside their server spans.
         let telemetry = Telemetry::new();
-        let tracer = Tracer::with_telemetry(Arc::clone(&telemetry));
+        let tracer = Tracer::new(Arc::clone(&telemetry));
         let a = config.addrs;
         let mut servers = Vec::new();
         let mut nics = Vec::new();
@@ -596,15 +596,6 @@ impl FlightApp {
     /// The telemetry hub shared by all eight tier NICs.
     pub fn telemetry(&self) -> &Arc<Telemetry> {
         &self.telemetry
-    }
-
-    /// A unified telemetry snapshot: NIC collectors run, the §5.7 span
-    /// tracer folds its per-tier aggregates into the registry, and the
-    /// result captures counters, gauges, histograms, and RPC stage traces
-    /// for every tier at once.
-    pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
-        self.tracer.fold_into(self.telemetry.registry());
-        self.telemetry.snapshot()
     }
 
     /// Direct handle to the Airport MICA store (test inspection).

@@ -28,8 +28,8 @@ use std::rc::Rc;
 use dagger_sim::dist::{Exp, LogNormal};
 use dagger_sim::engine::Sim;
 use dagger_sim::rng::Rng;
-use dagger_sim::stats::{Histogram, Summary};
 use dagger_sim::Nanos;
+use dagger_telemetry::{Histogram, Summary};
 
 /// One-way fabric hop between tiers (≈ half the Dagger RTT).
 pub const HOP_NS: Nanos = 1_050;

@@ -22,4 +22,4 @@ pub mod trace;
 
 pub use flight::FlightApp;
 pub use flight_sim::{FlightSim, FlightSimConfig, FlightSimReport};
-pub use trace::{Span, TraceSummary, Tracer, DEFAULT_SPAN_CAPACITY};
+pub use trace::{TraceSummary, Tracer};

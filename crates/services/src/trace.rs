@@ -3,50 +3,25 @@
 //! "In order to profile the application, we design a lightweight request
 //! tracing system and integrate it with Dagger. Our analysis reveals that
 //! the system is bottlenecked by the resource-demanding and long-running
-//! Flight service." The tracer collects `(request, tier, start, end)` spans
-//! from every tier with negligible overhead (one mutex push per span) and
-//! summarizes per-tier time so exactly that kind of bottleneck analysis can
-//! be reproduced on the functional application.
+//! Flight service." The tracer is a thin front over the application's
+//! telemetry hub: every tier visit records its duration into the hub's
+//! `app.tier.<tier>_ns` histogram (one short mutex hold per visit) and,
+//! when distributed tracing is on, opens an `Internal` span nested under
+//! whatever span dispatched the handler. [`Tracer::summary`] reads those
+//! histograms back so exactly that kind of bottleneck analysis can be
+//! reproduced on the functional application.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::Mutex;
-
 use dagger_telemetry::{
-    current_context, ContextScope, MetricsRegistry, OpenSpan, SpanKind, Telemetry,
+    current_context, ContextScope, HistogramHandle, OpenSpan, SpanKind, Telemetry,
 };
-
-/// Default bound on the tracer's span buffer; the oldest spans are dropped
-/// (and counted) past this point.
-pub const DEFAULT_SPAN_CAPACITY: usize = 65_536;
-
-/// One traced tier visit.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Span {
-    /// The end-to-end request this span belongs to.
-    pub request_id: u64,
-    /// Tier name.
-    pub tier: &'static str,
-    /// Nanoseconds from tracer creation to span start.
-    pub start_ns: u64,
-    /// Nanoseconds from tracer creation to span end.
-    pub end_ns: u64,
-}
-
-impl Span {
-    /// The span's duration.
-    pub fn duration_ns(&self) -> u64 {
-        self.end_ns.saturating_sub(self.start_ns)
-    }
-}
 
 /// Per-tier aggregate view of a trace.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TraceSummary {
-    /// `(tier, span count, total ns, max ns)` sorted by total descending.
+    /// `(tier, visit count, total ns, max ns)` sorted by total descending.
     pub tiers: Vec<(String, u64, u64, u64)>,
 }
 
@@ -58,209 +33,77 @@ impl TraceSummary {
     }
 }
 
-/// A process-wide span collector with a bounded buffer: past the capacity
-/// the oldest spans are evicted (and counted as dropped), so a long-running
-/// application cannot grow the tracer without bound.
+/// The application's tier tracer: a front over one telemetry hub.
 #[derive(Debug)]
 pub struct Tracer {
-    epoch: Instant,
-    spans: Mutex<SpanBuffer>,
-    dropped: AtomicU64,
-    /// When bridged to a telemetry hub, each tier visit additionally opens
-    /// a distributed [`dagger_telemetry::Span`] in the hub's span collector,
-    /// parented on the thread's current trace context (the dispatching
-    /// server span), and scopes the context so nested RPCs issued inside
-    /// the visit become its children. The legacy per-tier buffer and
-    /// [`Tracer::fold_into`] behave identically either way.
-    bridge: Option<Arc<Telemetry>>,
-}
-
-#[derive(Debug)]
-struct SpanBuffer {
-    spans: VecDeque<Span>,
-    capacity: usize,
+    telemetry: Arc<Telemetry>,
 }
 
 impl Tracer {
-    /// Creates an empty tracer with the default span capacity; span
-    /// timestamps are relative to this call.
-    pub fn new() -> Arc<Self> {
-        Self::with_capacity(DEFAULT_SPAN_CAPACITY)
+    /// Creates a tracer recording into `telemetry`.
+    pub fn new(telemetry: Arc<Telemetry>) -> Arc<Self> {
+        Arc::new(Tracer { telemetry })
     }
 
-    /// Creates an empty tracer bounded to `capacity` spans (clamped to at
-    /// least one).
-    pub fn with_capacity(capacity: usize) -> Arc<Self> {
-        Arc::new(Tracer {
-            epoch: Instant::now(),
-            spans: Mutex::new(SpanBuffer {
-                spans: VecDeque::new(),
-                capacity: capacity.max(1),
-            }),
-            dropped: AtomicU64::new(0),
-            bridge: None,
-        })
-    }
-
-    /// Creates a tracer bridged to `telemetry`: tier visits also land as
-    /// `Internal` spans in the hub's distributed-trace collector (when it
-    /// is enabled), nested under whatever span dispatched the handler.
-    pub fn with_telemetry(telemetry: Arc<Telemetry>) -> Arc<Self> {
-        Arc::new(Tracer {
-            epoch: Instant::now(),
-            spans: Mutex::new(SpanBuffer {
-                spans: VecDeque::new(),
-                capacity: DEFAULT_SPAN_CAPACITY,
-            }),
-            dropped: AtomicU64::new(0),
-            bridge: Some(telemetry),
-        })
-    }
-
-    /// Current offset from the tracer epoch.
-    pub fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
-
-    /// Opens a span; closing it records the measurement.
-    pub fn start(self: &Arc<Self>, request_id: u64, tier: &'static str) -> SpanGuard {
-        let bridged = self.bridge.as_ref().and_then(|telemetry| {
-            let span = telemetry
-                .spans()
-                .start(tier, SpanKind::Internal, current_context())?;
-            let scope = ContextScope::enter(span.context());
-            Some(BridgedSpan {
-                span,
-                _scope: scope,
-            })
-        });
+    /// Opens a tier visit; dropping the guard records the measurement.
+    /// While the hub's span collector is enabled the visit is also a
+    /// distributed span, and the thread's trace context is scoped onto it
+    /// so nested RPCs issued inside the visit become its children.
+    pub fn start(&self, tier: &'static str) -> SpanGuard<'_> {
+        let span = self
+            .telemetry
+            .spans()
+            .start(tier, SpanKind::Internal, current_context())
+            .map(|span| {
+                let scope = ContextScope::enter(span.context());
+                (span, scope)
+            });
         SpanGuard {
-            tracer: Arc::clone(self),
-            request_id,
-            tier,
-            start_ns: self.now_ns(),
-            bridged,
+            tracer: self,
+            hist: self
+                .telemetry
+                .registry()
+                .histogram(&format!("app.tier.{tier}_ns")),
+            started: Instant::now(),
+            span,
         }
     }
 
-    /// Records a complete span directly, evicting the oldest span when the
-    /// buffer is full.
-    pub fn record(&self, span: Span) {
-        let mut buf = self.spans.lock();
-        if buf.spans.len() >= buf.capacity {
-            buf.spans.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        buf.spans.push_back(span);
-    }
-
-    /// Number of buffered spans.
-    pub fn len(&self) -> usize {
-        self.spans.lock().spans.len()
-    }
-
-    /// `true` when no spans are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The buffer's capacity.
-    pub fn capacity(&self) -> usize {
-        self.spans.lock().capacity
-    }
-
-    /// Spans evicted to make room since creation (or the last
-    /// [`Tracer::clear`]).
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Empties the span buffer and resets the dropped counter, starting a
-    /// fresh observation window.
-    pub fn clear(&self) {
-        self.spans.lock().spans.clear();
-        self.dropped.store(0, Ordering::Relaxed);
-    }
-
-    /// Snapshot of all buffered spans.
-    pub fn spans(&self) -> Vec<Span> {
-        self.spans.lock().spans.iter().cloned().collect()
-    }
-
-    /// Drains the buffered spans into a metrics registry: each span's
-    /// duration goes to the `app.tier.<tier>_ns` histogram and the dropped
-    /// count to the `app.trace.dropped_spans` counter, unifying §5.7
-    /// application tracing with the NIC/RPC telemetry. Draining (rather
-    /// than copying) keeps repeated folds from double-counting; the buffer
-    /// and dropped counter are empty afterwards.
-    pub fn fold_into(&self, registry: &MetricsRegistry) {
-        let spans: Vec<Span> = self.spans.lock().spans.drain(..).collect();
-        for span in spans {
-            registry
-                .histogram(&format!("app.tier.{}_ns", span.tier))
-                .record(span.duration_ns());
-        }
-        let dropped = self.dropped.swap(0, Ordering::Relaxed);
-        if dropped > 0 {
-            registry.counter("app.trace.dropped_spans").add(dropped);
-        }
-    }
-
-    /// Aggregates spans per tier, sorted by total time descending.
+    /// Aggregates visits per tier from the hub's `app.tier.*` histograms,
+    /// sorted by total time descending.
     pub fn summary(&self) -> TraceSummary {
-        let mut agg: HashMap<&'static str, (u64, u64, u64)> = HashMap::new();
-        for span in self.spans.lock().spans.iter() {
-            let entry = agg.entry(span.tier).or_default();
-            entry.0 += 1;
-            entry.1 += span.duration_ns();
-            entry.2 = entry.2.max(span.duration_ns());
-        }
-        let mut tiers: Vec<(String, u64, u64, u64)> = agg
-            .into_iter()
-            .map(|(tier, (n, total, max))| (tier.to_string(), n, total, max))
+        let mut tiers: Vec<(String, u64, u64, u64)> = self
+            .telemetry
+            .registry()
+            .snapshot()
+            .histograms
+            .iter()
+            .filter_map(|(name, s)| {
+                let tier = name.strip_prefix("app.tier.")?.strip_suffix("_ns")?;
+                let total = (s.mean_ns * s.count as f64).round() as u64;
+                Some((tier.to_string(), s.count, total, s.max_ns))
+            })
             .collect();
         tiers.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)));
         TraceSummary { tiers }
     }
 }
 
-/// The distributed-trace shadow of a [`SpanGuard`]: the open span plus the
-/// context scope that parents nested calls on it.
+/// An open tier visit; records itself when dropped.
 #[derive(Debug)]
-struct BridgedSpan {
-    span: OpenSpan,
-    _scope: ContextScope,
+pub struct SpanGuard<'a> {
+    tracer: &'a Tracer,
+    hist: HistogramHandle,
+    started: Instant,
+    span: Option<(OpenSpan, ContextScope)>,
 }
 
-/// An open span; records itself when closed (or dropped).
-#[derive(Debug)]
-pub struct SpanGuard {
-    tracer: Arc<Tracer>,
-    request_id: u64,
-    tier: &'static str,
-    start_ns: u64,
-    bridged: Option<BridgedSpan>,
-}
-
-impl SpanGuard {
-    /// Closes the span explicitly.
-    pub fn finish(self) {}
-}
-
-impl Drop for SpanGuard {
+impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        let end_ns = self.tracer.now_ns();
-        self.tracer.record(Span {
-            request_id: self.request_id,
-            tier: self.tier,
-            start_ns: self.start_ns,
-            end_ns,
-        });
-        if let Some(BridgedSpan { span, _scope }) = self.bridged.take() {
-            drop(_scope); // pop the context before closing the span
-            if let Some(telemetry) = &self.tracer.bridge {
-                span.finish(telemetry.spans());
-            }
+        self.hist.record(self.started.elapsed().as_nanos() as u64);
+        if let Some((span, scope)) = self.span.take() {
+            drop(scope); // pop the context before closing the span
+            span.finish(self.tracer.telemetry.spans());
         }
     }
 }
@@ -270,53 +113,43 @@ mod tests {
     use super::*;
 
     #[test]
-    fn spans_record_on_drop() {
-        let tracer = Tracer::new();
-        {
-            let _guard = tracer.start(1, "tier-a");
+    fn visits_record_on_drop() {
+        let tracer = Tracer::new(Telemetry::new());
+        for _ in 0..2 {
+            let _guard = tracer.start("tier-a");
         }
-        assert_eq!(tracer.len(), 1);
-        let span = &tracer.spans()[0];
-        assert_eq!(span.tier, "tier-a");
-        assert!(span.end_ns >= span.start_ns);
+        let summary = tracer.summary();
+        assert_eq!(summary.tiers.len(), 1);
+        let (tier, count, total, max) = &summary.tiers[0];
+        assert_eq!((tier.as_str(), *count), ("tier-a", 2));
+        assert!(total >= max);
     }
 
     #[test]
     fn summary_finds_bottleneck() {
-        let tracer = Tracer::new();
-        tracer.record(Span {
-            request_id: 1,
-            tier: "fast",
-            start_ns: 0,
-            end_ns: 10,
-        });
-        tracer.record(Span {
-            request_id: 1,
-            tier: "slow",
-            start_ns: 0,
-            end_ns: 1_000,
-        });
-        tracer.record(Span {
-            request_id: 2,
-            tier: "slow",
-            start_ns: 0,
-            end_ns: 2_000,
-        });
+        let telemetry = Telemetry::new();
+        let tracer = Tracer::new(Arc::clone(&telemetry));
+        let reg = telemetry.registry();
+        reg.histogram("app.tier.fast_ns").record(10);
+        reg.histogram("app.tier.slow_ns").record(1_000);
+        reg.histogram("app.tier.slow_ns").record(2_000);
+        reg.histogram("rpc.client.rtt_ns").record(9_000_000); // not a tier
         let summary = tracer.summary();
         assert_eq!(summary.bottleneck(), Some("slow"));
+        assert_eq!(summary.tiers.len(), 2);
         let slow = &summary.tiers[0];
         assert_eq!((slow.1, slow.2, slow.3), (2, 3_000, 2_000));
     }
 
     #[test]
     fn concurrent_recording() {
-        let tracer = Tracer::new();
+        let tracer = Tracer::new(Telemetry::new());
         let handles: Vec<_> = (0..4)
-            .map(|t| {
+            .map(|_| {
                 let tracer = Arc::clone(&tracer);
                 std::thread::spawn(move || {
-                    for i in 0..100 {
-                        let _g = tracer.start(t * 100 + i, "tier");
+                    for _ in 0..100 {
+                        let _g = tracer.start("tier");
                     }
                 })
             })
@@ -324,59 +157,25 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(tracer.len(), 400);
+        assert_eq!(tracer.summary().tiers[0].1, 400);
     }
 
     #[test]
     fn empty_summary() {
-        let tracer = Tracer::new();
-        assert!(tracer.is_empty());
+        let tracer = Tracer::new(Telemetry::new());
         assert_eq!(tracer.summary().bottleneck(), None);
     }
 
-    fn span(request_id: u64, end_ns: u64) -> Span {
-        Span {
-            request_id,
-            tier: "tier",
-            start_ns: 0,
-            end_ns,
-        }
-    }
-
     #[test]
-    fn bounded_buffer_drops_oldest_and_counts() {
-        let tracer = Tracer::with_capacity(3);
-        assert_eq!(tracer.capacity(), 3);
-        for i in 0..5 {
-            tracer.record(span(i, 10));
-        }
-        assert_eq!(tracer.len(), 3);
-        assert_eq!(tracer.dropped(), 2);
-        let ids: Vec<u64> = tracer.spans().iter().map(|s| s.request_id).collect();
-        assert_eq!(ids, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn clear_resets_buffer_and_dropped() {
-        let tracer = Tracer::with_capacity(1);
-        tracer.record(span(1, 10));
-        tracer.record(span(2, 10));
-        assert_eq!(tracer.dropped(), 1);
-        tracer.clear();
-        assert!(tracer.is_empty());
-        assert_eq!(tracer.dropped(), 0);
-    }
-
-    #[test]
-    fn bridged_tracer_emits_distributed_spans() {
+    fn visits_emit_distributed_spans_only_while_tracing() {
         let telemetry = Telemetry::new();
-        let tracer = Tracer::with_telemetry(Arc::clone(&telemetry));
-        // Collector disabled: the legacy buffer still records, the
+        let tracer = Tracer::new(Arc::clone(&telemetry));
+        // Collector disabled: the histogram still records, the
         // distributed collector stays empty.
         {
-            let _g = tracer.start(1, "tier-a");
+            let _g = tracer.start("tier-a");
         }
-        assert_eq!(tracer.len(), 1);
+        assert_eq!(tracer.summary().tiers[0].1, 1);
         assert!(telemetry.spans().is_empty());
 
         telemetry.enable_tracing();
@@ -386,11 +185,12 @@ mod tests {
             .unwrap();
         {
             let _scope = ContextScope::enter(parent.context());
-            let guard = tracer.start(2, "tier-b");
+            let guard = tracer.start("tier-b");
             // The tier visit scopes the thread context onto itself so
             // nested RPC issues parent correctly.
             assert_ne!(current_context(), Some(parent.context()));
             drop(guard);
+            assert_eq!(current_context(), Some(parent.context()));
         }
         let trace_id = parent.trace_id;
         let parent_id = parent.span_id;
@@ -401,24 +201,5 @@ mod tests {
         assert_eq!(tier.trace_id, trace_id);
         assert_eq!(tier.parent_span_id, Some(parent_id));
         assert_eq!(tier.kind, SpanKind::Internal);
-        // Legacy side keeps working unchanged.
-        assert_eq!(tracer.len(), 2);
-    }
-
-    #[test]
-    fn fold_into_registry_exports_per_tier_histograms() {
-        let tracer = Tracer::with_capacity(1);
-        tracer.record(span(1, 500));
-        tracer.record(span(2, 1_500)); // evicts span 1
-        let registry = dagger_telemetry::MetricsRegistry::default();
-        tracer.fold_into(&registry);
-        let snap = registry.snapshot();
-        assert_eq!(snap.histogram("app.tier.tier_ns").map(|s| s.count), Some(1));
-        assert_eq!(snap.counter("app.trace.dropped_spans"), Some(1));
-        // The fold drained the buffer: a second fold adds nothing.
-        tracer.fold_into(&registry);
-        let snap = registry.snapshot();
-        assert_eq!(snap.histogram("app.tier.tier_ns").map(|s| s.count), Some(1));
-        assert!(tracer.is_empty());
     }
 }

@@ -5,10 +5,11 @@
 //! UPI) is unavailable, so every quantitative experiment in the evaluation is
 //! regenerated with this simulator: a virtual-time event engine
 //! ([`engine::Sim`]), exact-FCFS queueing resources ([`resource`]),
-//! latency histograms ([`stats::Histogram`]), deterministic random numbers
-//! ([`rng::Rng`]) and workload distributions ([`dist`]), the calibrated
-//! CPU–NIC interface cost models of Fig. 10 ([`interconnect`]), and a timed
-//! end-to-end RPC fabric model ([`rpcsim`]) used by every benchmark harness.
+//! latency histograms (`dagger_telemetry::Histogram`), deterministic
+//! random numbers ([`rng::Rng`]) and workload distributions ([`dist`]), the
+//! calibrated CPU–NIC interface cost models of Fig. 10 ([`interconnect`]),
+//! and a timed end-to-end RPC fabric model ([`rpcsim`]) used by every
+//! benchmark harness.
 //!
 //! All simulations are deterministic under a fixed seed: the same inputs
 //! produce bit-identical outputs.
@@ -36,11 +37,9 @@ pub mod interconnect;
 pub mod resource;
 pub mod rng;
 pub mod rpcsim;
-pub mod stats;
 
 pub use engine::Sim;
 pub use rng::Rng;
-pub use stats::{Histogram, Summary};
 
 /// Nanoseconds, the unit of simulated time across the workspace.
 pub type Nanos = u64;

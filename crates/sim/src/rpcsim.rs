@@ -26,8 +26,8 @@ use crate::engine::Sim;
 use crate::interconnect::NicProfile;
 use crate::resource::{BatchAccumulator, FcfsResource};
 use crate::rng::Rng;
-use crate::stats::{Histogram, Summary};
 use crate::Nanos;
+use dagger_telemetry::{Histogram, Summary};
 
 /// Server-side request handler cost model (the "application" in front of
 /// the fabric: 0 for echo microbenchmarks, KVS op costs for Fig. 12).

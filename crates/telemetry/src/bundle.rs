@@ -11,8 +11,9 @@
 //!   breached latency objective's histogram, each resolved into its full
 //!   trace tree with critical-path attribution;
 //! * **Flight events** — the flight-recorder slice around the breach
-//!   tick: what the NIC engines, balancer, reliable layer, and fault
-//!   injector were doing when the tail formed.
+//!   tick, reaching back to the start of the slowest tail call: what the
+//!   NIC engines, balancer, reliable layer, and fault injector were doing
+//!   when the tail formed.
 //!
 //! Bundles are bounded (oldest dropped) and exported both in the v4 JSON
 //! snapshot (`bundles` section) and as human-readable text via
@@ -64,14 +65,19 @@ pub struct DiagnosisBundle {
     pub traces: Vec<BundleTrace>,
     /// Windowed-series snapshot as of the breach sample.
     pub series: SeriesSnapshot,
-    /// Flight-recorder slice around the breach tick.
+    /// Flight-recorder slice: breach tick ± one window, extended back to
+    /// the start of the earliest tail-exemplar call.
     pub events: Vec<FlightEvent>,
 }
 
 impl DiagnosisBundle {
     /// Freezes a bundle for one breach crossing. `spans` is the span
     /// collector's current retention; `radius` is the flight-slice
-    /// half-width in ticks (the hub passes the series window width).
+    /// half-width in ticks (the hub passes the series window width). The
+    /// slice starts early enough to cover the whole lifetime of every tail
+    /// call the bundle blames: on a slow host the fault that stalled a
+    /// call can lie more than one window before the sample that observed
+    /// the breach.
     pub(crate) fn capture(
         breach: &BreachCapture,
         registry: &MetricsRegistry,
@@ -110,6 +116,11 @@ impl DiagnosisBundle {
                 spans: tree.nodes.into_iter().map(|n| n.span).collect(),
             })
             .collect();
+        let from = exemplars
+            .iter()
+            .map(|ex| ex.tick.saturating_sub(flight.ticks_spanning(ex.value)))
+            .fold(breach.tick.saturating_sub(radius), u64::min);
+        let events = flight.slice(from, breach.tick.saturating_add(radius));
         DiagnosisBundle {
             slo: breach.spec.name.clone(),
             tick: breach.tick,
@@ -118,7 +129,7 @@ impl DiagnosisBundle {
             exemplars,
             traces,
             series,
-            events: flight.slice(breach.tick, radius),
+            events,
         }
     }
 
@@ -136,7 +147,7 @@ impl DiagnosisBundle {
             out.push_str(&format!("objective: latency <= {t}ns\n"));
         }
         out.push_str(&format!(
-            "flight events within ±window of the breach ({}):\n",
+            "flight events around the breach ({}):\n",
             self.events.len()
         ));
         // Runs of the same event kind from the same node (a retransmit
@@ -269,6 +280,31 @@ mod tests {
         assert!(text.contains("rtt_slo"));
         assert!(text.contains("partition"));
         assert!(text.contains(&format!("{:016x}", 0xBBu64)));
+    }
+
+    #[test]
+    fn slice_reaches_back_to_the_start_of_the_tail_call() {
+        // Slow host: the fault that stalled the call happened three windows
+        // before the sample that observed the breach (tick 100).
+        let radius = 10;
+        let reg = MetricsRegistry::new();
+        let flight = FlightRecorder::with_epoch(64, Instant::now(), Duration::from_millis(1));
+        flight.record_at(100 - 3 * radius, FlightEventKind::Partition, 0, 1, 2);
+        // The blamed call completed at tick 98 after 30.5 ms, so it began at
+        // tick 67: after this heal, before the partition.
+        flight.record_at(50, FlightEventKind::Heal, 0, 1, 2);
+        reg.histogram("rtt")
+            .record_traced(30_500_000, 0xBB, 0x2, 98);
+        let b = DiagnosisBundle::capture(
+            &breach(SloSpec::latency("rtt_slo", "rtt", 10_000, 0.99)),
+            &reg,
+            &[],
+            &flight,
+            SeriesSnapshot::default(),
+            radius,
+        );
+        let kinds: Vec<_> = b.events.iter().map(|e| (e.tick, e.kind)).collect();
+        assert_eq!(kinds, vec![(70, FlightEventKind::Partition)]);
     }
 
     #[test]

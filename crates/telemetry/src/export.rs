@@ -7,7 +7,7 @@
 //!
 //! ```json
 //! {
-//!   "version": 3,
+//!   "version": 4,
 //!   "counters": {"name": 0},
 //!   "gauges": {"name": 0},
 //!   "histograms": {"name": {"count": 0, "mean_ns": 0.0, "p50_ns": 0,
@@ -57,12 +57,10 @@
 //! }
 //! ```
 //!
-//! Each schema version is a strict superset of the previous one. v2 kept
-//! all v1 keys and appended the distributed-tracing `spans` /
-//! `dropped_spans`; v3 keeps all v2 keys and appends the windowed `series`
-//! section and the `slo` section; v4 keeps all v3 keys and appends the
-//! forensics sections — histogram `exemplars`, flight-recorder `events`,
-//! and SLO-breach diagnosis `bundles` (DESIGN.md §15). Keys inside
+//! This is the one current schema (`"version": 4`); key spelling and order
+//! are pinned by exact-string tests below and in `tests/telemetry.rs`.
+//! `exemplars`, `events` and `bundles` are the forensics sections
+//! (DESIGN.md §15). Keys inside
 //! `counters`/`gauges`/`histograms` (registry and series alike) are sorted
 //! by name; only observed events/stages appear in a trace's maps;
 //! `total_ns` is omitted until the round trip completes. Trace/span ids

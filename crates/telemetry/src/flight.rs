@@ -14,7 +14,7 @@
 //!
 //! ## Concurrency
 //!
-//! Unlike [`crate::TelemetryBus`] (single logical writer), the recorder is
+//! There is no single logical writer — the recorder is
 //! written from many threads: every engine worker, the balancer thread,
 //! whichever thread trips a fault, the sampling thread. Writers claim a
 //! slot with one `fetch_add` on `head` and publish it seqlock-style: the
@@ -46,8 +46,9 @@ pub enum FlightEventKind {
     /// The drain deadline expired and the switch was forced (`a` = old
     /// queue, `b` = new queue).
     ForcedRemap,
-    /// One reliable-transport tick retransmitted `a` unacked frames
-    /// (Go-Back-N recovery burst) on engine queue `b`.
+    /// Engine queue `a` retransmitted `b` unacked frames since its
+    /// previous burst event (at most one event per grid tick per queue, so
+    /// a blackholed peer cannot lap the ring).
     RetransmitBurst,
     /// The engine buffer pool's free list ran dry after warm-up: `a`
     /// fresh heap allocations since the last sampling pass.
@@ -253,13 +254,17 @@ impl FlightRecorder {
         out
     }
 
-    /// Retained events whose tick lies within `radius` of `center` — the
-    /// "what was the engine doing around the breach" slice a diagnosis
-    /// bundle freezes.
-    pub fn slice(&self, center: u64, radius: u64) -> Vec<FlightEvent> {
+    /// Grid ticks needed to cover `ns` nanoseconds (rounded up).
+    pub(crate) fn ticks_spanning(&self, ns: u64) -> u64 {
+        ns.div_ceil(self.resolution_ns)
+    }
+
+    /// Retained events whose tick lies in `from..=to` — the "what was the
+    /// engine doing around the breach" slice a diagnosis bundle freezes.
+    pub fn slice(&self, from: u64, to: u64) -> Vec<FlightEvent> {
         self.snapshot()
             .into_iter()
-            .filter(|e| e.tick.abs_diff(center) <= radius)
+            .filter(|e| (from..=to).contains(&e.tick))
             .collect()
     }
 }
@@ -312,12 +317,12 @@ mod tests {
     }
 
     #[test]
-    fn slice_filters_around_center() {
+    fn slice_filters_inclusive_range() {
         let r = recorder(32);
         for tick in [5u64, 90, 100, 105, 110, 400] {
             r.record_at(tick, FlightEventKind::Partition, 0, 1, 2);
         }
-        let near = r.slice(100, 10);
+        let near = r.slice(90, 110);
         let ticks: Vec<u64> = near.iter().map(|e| e.tick).collect();
         assert_eq!(ticks, vec![90, 100, 105, 110]);
     }

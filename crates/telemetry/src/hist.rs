@@ -367,6 +367,26 @@ mod tests {
         }
     }
 
+    /// Pins the exact quantile behaviour: the bucket layout (5 sub-bucket
+    /// bits, upper-edge reporting) must not drift, or every simulator
+    /// report changes silently.
+    #[test]
+    fn bucket_layout_pins_p50_p99() {
+        let mut h = Histogram::new();
+        for v in 1..=100_000u64 {
+            h.record(v);
+        }
+        assert_eq!(h.percentile(50.0), 50_175);
+        assert_eq!(h.percentile(99.0), 100_000);
+
+        let mut steps = Histogram::new();
+        for v in (1..=10u64).map(|i| i * 1000) {
+            steps.record(v);
+        }
+        assert_eq!(steps.percentile(50.0), 5_119);
+        assert_eq!(steps.percentile(99.0), 10_000);
+    }
+
     #[test]
     fn small_values_are_exact() {
         let mut h = Histogram::new();

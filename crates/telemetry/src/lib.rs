@@ -16,18 +16,15 @@
 //!   breakdown ([`STAGE_NAMES`]).
 //! * [`TelemetrySnapshot`] — exporters: human-readable text (`Display`)
 //!   and a stable versioned JSON document ([`TelemetrySnapshot::to_json`]).
-//! * [`Reporter`] — a periodic background flusher for benches and apps.
 //!
 //! The crate is intentionally dependency-free (std only) so it sits below
 //! every other crate, even `dagger-types`, without cycles.
 
 mod bundle;
-mod bus;
 mod export;
 mod flight;
 mod hist;
 mod registry;
-mod report;
 mod slo;
 mod span;
 mod timeseries;
@@ -35,14 +32,12 @@ mod trace;
 mod tree;
 
 pub use bundle::{BundleTrace, DiagnosisBundle, MAX_BUNDLES};
-pub use bus::{BusEvent, BusEventKind, BusReader, TelemetryBus, DEFAULT_BUS_CAPACITY};
 pub use export::TelemetrySnapshot;
 pub use flight::{
     FlightEvent, FlightEventKind, FlightRecorder, DEFAULT_FLIGHT_CAPACITY, FLIGHT_ALL_NODES,
 };
 pub use hist::{Exemplar, Histogram, Summary};
 pub use registry::{Counter, Gauge, HistogramHandle, MetricsRegistry, RegistrySnapshot};
-pub use report::Reporter;
 pub use slo::{SloEvent, SloEventKind, SloKind, SloReport, SloSnapshot, SloSpec};
 pub use span::{
     current_context, next_id, ContextScope, OpenSpan, Span, SpanCollector, SpanKind, TraceContext,
@@ -82,7 +77,6 @@ pub struct Telemetry {
     spans: SpanCollector,
     collectors: Mutex<BTreeMap<String, Collector>>,
     series: Mutex<timeseries::SeriesEngine>,
-    bus: Arc<TelemetryBus>,
     flight: Arc<FlightRecorder>,
     bundles: Mutex<BundleStore>,
 }
@@ -115,7 +109,6 @@ impl Telemetry {
             spans: SpanCollector::with_capacity_and_epoch(DEFAULT_SPAN_CAPACITY, epoch),
             collectors: Mutex::new(BTreeMap::new()),
             series: Mutex::new(timeseries::SeriesEngine::new(cfg, epoch)),
-            bus: TelemetryBus::new(DEFAULT_BUS_CAPACITY),
             flight: FlightRecorder::with_epoch(DEFAULT_FLIGHT_CAPACITY, epoch, resolution),
             bundles: Mutex::new(BundleStore::default()),
         })
@@ -184,11 +177,6 @@ impl Telemetry {
         }
     }
 
-    /// The telemetry bus carrying per-sample metric deltas.
-    pub fn bus(&self) -> &Arc<TelemetryBus> {
-        &self.bus
-    }
-
     /// The flight recorder: components drop structured engine events here
     /// (remaps, retransmit bursts, partitions, SLO crossings).
     pub fn flight(&self) -> &Arc<FlightRecorder> {
@@ -219,30 +207,25 @@ impl Telemetry {
             .dropped
     }
 
-    /// Subscribes a new reader cursor to the telemetry bus.
-    pub fn subscribe(&self) -> BusReader {
-        self.bus.subscribe()
-    }
-
     /// Declares an SLO; evaluated on every sampling pass, exported as
-    /// `slo.<name>.{burn_rate,budget_remaining}` gauges plus bus events on
-    /// burn-threshold crossings.
+    /// `slo.<name>.{burn_rate,budget_remaining}` gauges plus flight-recorder
+    /// events on burn-threshold crossings.
     pub fn register_slo(&self, spec: SloSpec) {
         self.series
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .register_slo(spec, &self.bus);
+            .register_slo(spec);
     }
 
     /// Runs collectors, then samples every registered metric into the
     /// series engine. Idempotent within one resolution tick, so concurrent
-    /// drivers (reporter, balancer, snapshots) collapse onto one grid.
+    /// drivers collapse onto one grid.
     /// Returns whether a sample was actually taken.
     pub fn sample_now(&self) -> bool {
         self.collect();
         let (sampled, fresh) = {
             let mut engine = self.series.lock().unwrap_or_else(PoisonError::into_inner);
-            let sampled = engine.sample(&self.registry, &self.bus, &self.flight, false);
+            let sampled = engine.sample(&self.registry, &self.flight, false);
             (sampled, self.capture_breaches(&mut engine))
         };
         self.store_bundles(fresh);
@@ -300,7 +283,7 @@ impl Telemetry {
         self.collect();
         let (series, slo, fresh) = {
             let mut engine = self.series.lock().unwrap_or_else(PoisonError::into_inner);
-            engine.sample(&self.registry, &self.bus, &self.flight, true);
+            engine.sample(&self.registry, &self.flight, true);
             let fresh = self.capture_breaches(&mut engine);
             let (series, slo) = engine.snapshot();
             (series, slo, fresh)

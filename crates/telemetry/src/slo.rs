@@ -15,13 +15,11 @@
 //!   clamped at 0, exported ppm-scaled as `slo.<name>.budget_remaining`.
 //!
 //! Crossings of the burn-rate threshold (≥ 1.0 entering breach, < 1.0
-//! recovering) append to a bounded event log and publish
-//! [`BusEventKind::SloBreach`]/[`SloRecover`](BusEventKind::SloRecover)
-//! events so in-process consumers can react without polling.
+//! recovering) append to a bounded event log and land on the flight
+//! recorder; a breach also queues a diagnosis-bundle capture.
 
 use std::collections::VecDeque;
 
-use crate::bus::{BusEventKind, TelemetryBus};
 use crate::flight::{FlightEventKind, FlightRecorder};
 
 /// Bound on the retained threshold-crossing event log; older events are
@@ -199,7 +197,6 @@ pub(crate) struct BreachCapture {
 #[derive(Debug)]
 struct SloState {
     spec: SloSpec,
-    bus_id: u32,
     cum_bad: u64,
     cum_total: u64,
     breached: bool,
@@ -223,11 +220,9 @@ pub(crate) struct SloTracker {
 impl SloTracker {
     /// Registers an objective. Duplicate names replace the old objective
     /// (cumulative budget resets).
-    pub(crate) fn register(&mut self, spec: SloSpec, bus: &TelemetryBus) {
-        let bus_id = bus.intern(&format!("slo.{}", spec.name));
+    pub(crate) fn register(&mut self, spec: SloSpec) {
         let state = SloState {
             spec,
-            bus_id,
             cum_bad: 0,
             cum_total: 0,
             breached: false,
@@ -254,7 +249,6 @@ impl SloTracker {
         &mut self,
         tick: u64,
         mut window_of: impl FnMut(&SloKind) -> SloWindow,
-        bus: &TelemetryBus,
         flight: &FlightRecorder,
         gauge_updates: &mut Vec<(String, u64)>,
     ) {
@@ -299,16 +293,7 @@ impl SloTracker {
                 };
                 if let Some(kind) = crossing {
                     state.breached = kind == SloEventKind::Breach;
-                    bus.publish(
-                        state.bus_id,
-                        match kind {
-                            SloEventKind::Breach => BusEventKind::SloBreach,
-                            SloEventKind::Recover => BusEventKind::SloRecover,
-                        },
-                        state.burn_milli,
-                        tick,
-                    );
-                    // The crossing also lands on the flight recorder (at
+                    // The crossing lands on the flight recorder (at
                     // the sample's own tick, not "now") so a bundle's
                     // event slice shows the breach inline with the engine
                     // events that caused it — and a breach queues a
@@ -374,29 +359,22 @@ impl SloTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bus::TelemetryBus;
     use std::time::{Duration, Instant};
 
     fn test_flight() -> std::sync::Arc<FlightRecorder> {
         FlightRecorder::with_epoch(64, Instant::now(), Duration::from_millis(1))
     }
 
-    fn eval(
-        tracker: &mut SloTracker,
-        tick: u64,
-        win: SloWindow,
-        bus: &TelemetryBus,
-    ) -> Vec<(String, u64)> {
+    fn eval(tracker: &mut SloTracker, tick: u64, win: SloWindow) -> Vec<(String, u64)> {
         let mut gauges = Vec::new();
-        tracker.evaluate(tick, |_| win, bus, &test_flight(), &mut gauges);
+        tracker.evaluate(tick, |_| win, &test_flight(), &mut gauges);
         gauges
     }
 
     #[test]
     fn burn_rate_is_error_over_budget() {
-        let bus = TelemetryBus::new(16);
         let mut t = SloTracker::default();
-        t.register(SloSpec::latency("rtt", "h", 1000, 0.99), &bus);
+        t.register(SloSpec::latency("rtt", "h", 1000, 0.99));
         // 5% bad with a 1% budget: burn = 5.0.
         let g = eval(
             &mut t,
@@ -407,7 +385,6 @@ mod tests {
                 sample_bad: 5,
                 sample_total: 100,
             },
-            &bus,
         );
         assert!(g.contains(&("slo.rtt.burn_rate".to_string(), 5000)));
         let snap = t.snapshot();
@@ -419,9 +396,8 @@ mod tests {
 
     #[test]
     fn budget_remaining_depletes_cumulatively() {
-        let bus = TelemetryBus::new(16);
         let mut t = SloTracker::default();
-        t.register(SloSpec::latency("rtt", "h", 1000, 0.99), &bus);
+        t.register(SloSpec::latency("rtt", "h", 1000, 0.99));
         // Exactly on budget: 1 bad per 100, budget 1% — remaining stays ~0
         // after exactly consuming it.
         eval(
@@ -433,7 +409,6 @@ mod tests {
                 sample_bad: 1,
                 sample_total: 100,
             },
-            &bus,
         );
         let snap = t.snapshot();
         assert_eq!(snap.objectives[0].budget_remaining_ppm, 0);
@@ -448,7 +423,6 @@ mod tests {
                 sample_bad: 0,
                 sample_total: 900,
             },
-            &bus,
         );
         let snap = t.snapshot();
         assert!(snap.objectives[0].budget_remaining_ppm > 800_000);
@@ -456,10 +430,8 @@ mod tests {
 
     #[test]
     fn breach_and_recover_log_crossings_once() {
-        let bus = TelemetryBus::new(16);
-        let mut r = bus.subscribe();
         let mut t = SloTracker::default();
-        t.register(SloSpec::availability("avail", "good", "total", 0.999), &bus);
+        t.register(SloSpec::availability("avail", "good", "total", 0.999));
         let bad = SloWindow {
             window_bad: 10,
             window_total: 100,
@@ -472,27 +444,21 @@ mod tests {
             sample_bad: 0,
             sample_total: 100,
         };
-        eval(&mut t, 1, bad, &bus);
-        eval(&mut t, 2, bad, &bus); // still breached: no second event
-        eval(&mut t, 3, good, &bus);
+        eval(&mut t, 1, bad);
+        eval(&mut t, 2, bad); // still breached: no second event
+        eval(&mut t, 3, good);
         let snap = t.snapshot();
         assert_eq!(snap.events.len(), 2);
         assert_eq!(snap.events[0].kind, SloEventKind::Breach);
         assert_eq!(snap.events[1].kind, SloEventKind::Recover);
         assert!(!snap.objectives[0].breached);
-        let mut out = Vec::new();
-        r.poll(&mut out);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].kind, BusEventKind::SloBreach);
-        assert_eq!(out[1].kind, BusEventKind::SloRecover);
     }
 
     #[test]
     fn empty_window_does_not_cross_thresholds() {
-        let bus = TelemetryBus::new(16);
         let mut t = SloTracker::default();
-        t.register(SloSpec::latency("rtt", "h", 1000, 0.99), &bus);
-        eval(&mut t, 1, SloWindow::default(), &bus);
+        t.register(SloSpec::latency("rtt", "h", 1000, 0.99));
+        eval(&mut t, 1, SloWindow::default());
         let snap = t.snapshot();
         assert_eq!(snap.objectives[0].burn_rate_milli, 0);
         assert_eq!(snap.objectives[0].budget_remaining_ppm, 1_000_000);
@@ -501,9 +467,8 @@ mod tests {
 
     #[test]
     fn reregistering_resets_budget() {
-        let bus = TelemetryBus::new(16);
         let mut t = SloTracker::default();
-        t.register(SloSpec::latency("rtt", "h", 1000, 0.99), &bus);
+        t.register(SloSpec::latency("rtt", "h", 1000, 0.99));
         eval(
             &mut t,
             1,
@@ -513,10 +478,9 @@ mod tests {
                 sample_bad: 50,
                 sample_total: 100,
             },
-            &bus,
         );
         assert_eq!(t.snapshot().objectives[0].budget_remaining_ppm, 0);
-        t.register(SloSpec::latency("rtt", "h", 1000, 0.99), &bus);
+        t.register(SloSpec::latency("rtt", "h", 1000, 0.99));
         assert_eq!(t.snapshot().objectives[0].budget_remaining_ppm, 1_000_000);
         assert_eq!(t.snapshot().objectives.len(), 1);
     }
@@ -529,10 +493,9 @@ mod tests {
 
     #[test]
     fn breach_queues_capture_and_flight_event_recover_does_not() {
-        let bus = TelemetryBus::new(16);
         let flight = test_flight();
         let mut t = SloTracker::default();
-        t.register(SloSpec::latency("rtt", "h", 1000, 0.99), &bus);
+        t.register(SloSpec::latency("rtt", "h", 1000, 0.99));
         let bad = SloWindow {
             window_bad: 10,
             window_total: 100,
@@ -546,9 +509,9 @@ mod tests {
             sample_total: 100,
         };
         let mut gauges = Vec::new();
-        t.evaluate(7, |_| bad, &bus, &flight, &mut gauges);
-        t.evaluate(8, |_| bad, &bus, &flight, &mut gauges); // sustained: no new capture
-        t.evaluate(9, |_| good, &bus, &flight, &mut gauges);
+        t.evaluate(7, |_| bad, &flight, &mut gauges);
+        t.evaluate(8, |_| bad, &flight, &mut gauges); // sustained: no new capture
+        t.evaluate(9, |_| good, &flight, &mut gauges);
         let captures = t.take_captures();
         assert_eq!(captures.len(), 1, "one breach, one capture");
         assert_eq!(captures[0].tick, 7);

@@ -18,6 +18,22 @@ for sec in $(grep -rhoE 'DESIGN\.md §[0-9]+' crates examples tests benches 2>/d
     || { echo "lint.sh: code references DESIGN.md §${sec} but DESIGN.md has no '## ${sec}.' heading" >&2; exit 1; }
 done
 
+echo "== doc paths (files named in README/DESIGN/EXPERIMENTS exist) =="
+# A script, a root-level JSON file (a backticked bare name), a crate source
+# file or a bench target named in prose must exist, so a deleted file
+# cannot live on in the docs.
+stale_paths=0
+for path in $(grep -ohE '(scripts/[A-Za-z0-9_.-]+\.sh|crates/[a-z_]+/[a-z]+/[A-Za-z0-9_]+\.rs|benches/[A-Za-z0-9_]+|`[A-Za-z0-9_.-]+\.json`)' \
+                README.md DESIGN.md EXPERIMENTS.md | tr -d '`' | sort -u); do
+  case "$path" in
+    benches/*) file="crates/bench/$path.rs" ;;
+    *) file="$path" ;;
+  esac
+  [ -e "$file" ] \
+    || { echo "lint.sh: docs name '$path' but $file does not exist" >&2; stale_paths=1; }
+done
+[ "$stale_paths" -eq 0 ] || exit 1
+
 echo "== fabric encapsulation (concrete backends stay behind the seam) =="
 # Library code must depend on the Fabric/FabricPort traits only: naming a
 # concrete backend couples the stack to one transport and breaks the

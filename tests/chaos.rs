@@ -21,7 +21,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dagger::idl::{dagger_message, dagger_service};
-use dagger::nic::{FaultPlan, FaultSnapshot, MemFabric, Nic};
+use dagger::nic::{Fabric, FaultPlan, FaultSnapshot, MemFabric, Nic};
 use dagger::rpc::{RpcClientPool, RpcThreadedServer};
 use dagger::telemetry::Telemetry;
 use dagger::types::{DaggerError, HardConfig, NodeAddr, Result};
@@ -222,6 +222,29 @@ fn run_chaos(
             Some(expect),
             "[{label} seed={seed}] telemetry gauge {gauge} diverges from fault_stats"
         );
+    }
+    // Same for every NIC's reliable-transport gauges, including the
+    // per-queue forms (these NICs run one queue, so q0 carries it all).
+    for nic in client_nics.iter().chain(server_nics.iter()) {
+        let r = nic.reliable_stats();
+        let snap = nic.telemetry().snapshot();
+        let addr = nic.addr().raw();
+        for (gauge, expect) in [
+            ("reliable.retransmissions", r.retransmissions),
+            ("reliable.out_of_order_drops", r.out_of_order_drops),
+            ("reliable.duplicate_drops", r.duplicate_drops),
+            ("reliable.wire_drops", r.wire_drops),
+            ("reliable.sacked", r.sacked),
+            ("reliable.wasted_retransmits", r.wasted_retransmits),
+            ("q0.reliable.sacked", r.sacked),
+            ("q0.reliable.wasted_retransmits", r.wasted_retransmits),
+        ] {
+            assert_eq!(
+                snap.registry.gauge(&format!("nic.{addr}.{gauge}")),
+                Some(expect),
+                "[{label} seed={seed}] nic.{addr}.{gauge} diverges from reliable_stats"
+            );
+        }
     }
     dump.armed = false;
     stats
@@ -433,8 +456,8 @@ fn chaos_replay_equivalence() {
 
     let run = |label: &str| -> (Vec<u8>, FaultSnapshot, ReliableStats, ReliableStats) {
         let fabric = MemFabric::with_faults(plan);
-        let pa = fabric.attach(NodeAddr(1)).unwrap();
-        let pb = fabric.attach(NodeAddr(2)).unwrap();
+        let pa = fabric.attach_queues(NodeAddr(1), 1).unwrap().remove(0);
+        let pb = fabric.attach_queues(NodeAddr(2), 1).unwrap().remove(0);
         let cfg = || ReliableConfig {
             retransmit_after_ticks: 4,
             window: 16,
@@ -544,8 +567,8 @@ fn chaos_selective_repeat_beats_go_back_n_5x() {
     let run = |mode: RecoveryMode| -> (Vec<u16>, ReliableStats, ReliableStats) {
         let label = format!("{mode:?}");
         let fabric = MemFabric::with_faults(plan);
-        let pa = fabric.attach(NodeAddr(1)).unwrap();
-        let pb = fabric.attach(NodeAddr(2)).unwrap();
+        let pa = fabric.attach_queues(NodeAddr(1), 1).unwrap().remove(0);
+        let pb = fabric.attach_queues(NodeAddr(2), 1).unwrap().remove(0);
         let cfg = ReliableConfig {
             retransmit_after_ticks: 4,
             window: 64,

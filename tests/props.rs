@@ -7,7 +7,8 @@ use dagger::nic::ring;
 use dagger::rpc::frag::{fragment, Reassembler, MAX_RPC_PAYLOAD};
 use dagger::rpc::{Wire, WireReader};
 use dagger::sim::dist::Zipf;
-use dagger::sim::{Histogram, Rng};
+use dagger::sim::Rng;
+use dagger::telemetry::Histogram;
 use dagger::types::{
     CacheLine, ConnectionId, FlowId, FnId, LbPolicy, NodeAddr, RpcHeader, RpcId, RpcKind,
     HEADER_BYTES,
@@ -317,7 +318,7 @@ proptest! {
     ) {
         use dagger::nic::reliable::{RecoveryMode, ReliableConfig, ReliableTransport};
         use dagger::nic::transport::Datagram;
-        use dagger::nic::{FaultPlan, MemFabric};
+        use dagger::nic::{Fabric, FaultPlan, MemFabric};
 
         let plan = FaultPlan::seeded(seed)
             .with_drop(drop)
@@ -326,8 +327,8 @@ proptest! {
             .with_corrupt(corrupt)
             .with_delay(delay, 8);
         let fabric = MemFabric::with_faults(plan);
-        let pa = fabric.attach(NodeAddr(1)).unwrap();
-        let pb = fabric.attach(NodeAddr(2)).unwrap();
+        let pa = fabric.attach_queues(NodeAddr(1), 1).unwrap().remove(0);
+        let pb = fabric.attach_queues(NodeAddr(2), 1).unwrap().remove(0);
         let cfg = ReliableConfig {
             retransmit_after_ticks: 4,
             window: 64,
@@ -685,7 +686,7 @@ proptest! {
         use std::sync::Arc;
         use std::sync::atomic::AtomicU64;
         use dagger::nic::engine::conn_route_tag;
-        use dagger::nic::MemFabric;
+        use dagger::nic::{Fabric, MemFabric};
 
         // The tag is a pure function of the connection id; the configured
         // LB policy must not perturb it.

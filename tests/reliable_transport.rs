@@ -16,7 +16,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use common::{reliable_cfg, Conf, ConformClient, ConformDispatch, ConformHandler};
-use dagger::nic::{MemFabric, Nic};
+use dagger::nic::{Fabric, MemFabric, Nic};
 use dagger::rpc::{RpcClientPool, RpcThreadedServer};
 use dagger::types::{DaggerError, HardConfig, NodeAddr, Result};
 
