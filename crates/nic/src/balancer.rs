@@ -270,7 +270,7 @@ mod tests {
                 "balancer never shed the hot queue"
             );
             for (q, qs) in queues.iter().enumerate() {
-                qs.add_rx_frames(if q == 1 { 900 } else { 30 });
+                qs.rx_frames.add(if q == 1 { 900 } else { 30 });
             }
             std::thread::sleep(Duration::from_millis(1));
         }
@@ -311,7 +311,7 @@ mod tests {
             queues.clone(),
             cfg,
         );
-        queues[1].add_rx_frames(10_000); // one skewed window, then silence
+        queues[1].rx_frames.add(10_000); // one skewed window, then silence
         std::thread::sleep(Duration::from_millis(40));
         bal.stop();
         assert_eq!(softregs.active_queue_mask(), 0, "mask must not move");

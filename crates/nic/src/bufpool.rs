@@ -11,13 +11,14 @@
 //! transport's retransmit window.
 //!
 //! The pool is owned by the engine thread and needs no locking; only the
-//! hit/miss statistics are shared (atomically) so the host can export them
-//! as `nic.<addr>.pool.*` telemetry gauges.
+//! hit/miss counter bank is shared so the host can export it as
+//! `nic.<addr>.pool.*` telemetry gauges.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dagger_types::CacheLine;
+
+use crate::bank::counter_bank;
 
 /// Default maximum number of buffers retained per free list.
 pub const DEFAULT_POOL_CAP: usize = 1024;
@@ -26,31 +27,18 @@ pub const DEFAULT_POOL_CAP: usize = 1024;
 /// jumbo datagram cannot pin memory forever.
 const MAX_POOLED_BYTES: usize = 64 * 1024;
 
-/// Shared hit/miss counters, exported as telemetry gauges.
-#[derive(Debug, Default)]
-pub struct BufPoolStats {
-    /// `get` calls satisfied from a free list.
-    pub hits: AtomicU64,
-    /// `get` calls that had to heap-allocate.
-    pub misses: AtomicU64,
-    /// Buffers returned to a free list.
-    pub recycled: AtomicU64,
-}
-
-impl BufPoolStats {
-    /// Current hit count.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Current miss count.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Current recycle count.
-    pub fn recycled(&self) -> u64 {
-        self.recycled.load(Ordering::Relaxed)
+counter_bank! {
+    /// Shared hit/miss counters, exported (summed over the NIC's workers)
+    /// as `nic.<addr>.pool.*`.
+    pub struct BufPoolStats =>
+    /// A plain-data snapshot of [`BufPoolStats`].
+    BufPoolSnapshot {
+        /// `get` calls satisfied from a free list.
+        hits,
+        /// `get` calls that had to heap-allocate.
+        misses,
+        /// Buffers returned to a free list.
+        recycled,
     }
 }
 
@@ -89,11 +77,11 @@ impl BufPool {
     pub fn get_bytes(&mut self) -> Vec<u8> {
         match self.bytes.pop() {
             Some(buf) => {
-                self.stats.hits.fetch_add(1, Ordering::Relaxed);
+                self.stats.hits.inc();
                 buf
             }
             None => {
-                self.stats.misses.fetch_add(1, Ordering::Relaxed);
+                self.stats.misses.inc();
                 Vec::new()
             }
         }
@@ -106,7 +94,7 @@ impl BufPool {
             return;
         }
         buf.clear();
-        self.stats.recycled.fetch_add(1, Ordering::Relaxed);
+        self.stats.recycled.inc();
         self.bytes.push(buf);
     }
 
@@ -114,11 +102,11 @@ impl BufPool {
     pub fn get_lines(&mut self) -> Vec<CacheLine> {
         match self.lines.pop() {
             Some(buf) => {
-                self.stats.hits.fetch_add(1, Ordering::Relaxed);
+                self.stats.hits.inc();
                 buf
             }
             None => {
-                self.stats.misses.fetch_add(1, Ordering::Relaxed);
+                self.stats.misses.inc();
                 Vec::new()
             }
         }
@@ -130,7 +118,7 @@ impl BufPool {
             return;
         }
         buf.clear();
-        self.stats.recycled.fetch_add(1, Ordering::Relaxed);
+        self.stats.recycled.inc();
         self.lines.push(buf);
     }
 
@@ -153,7 +141,7 @@ mod tests {
     fn bytes_recycle_and_keep_capacity() {
         let mut pool = BufPool::with_capacity(4);
         let mut buf = pool.get_bytes();
-        assert_eq!(pool.shared_stats().misses(), 1);
+        assert_eq!(pool.shared_stats().misses.get(), 1);
         buf.extend_from_slice(&[1, 2, 3, 4]);
         let cap = buf.capacity();
         pool.put_bytes(buf);
@@ -162,8 +150,8 @@ mod tests {
         let buf = pool.get_bytes();
         assert!(buf.is_empty(), "pooled buffer must come back cleared");
         assert!(buf.capacity() >= cap, "capacity must be retained");
-        assert_eq!(pool.shared_stats().hits(), 1);
-        assert_eq!(pool.shared_stats().recycled(), 1);
+        assert_eq!(pool.shared_stats().hits.get(), 1);
+        assert_eq!(pool.shared_stats().recycled.get(), 1);
     }
 
     #[test]
@@ -174,8 +162,8 @@ mod tests {
         pool.put_lines(v);
         let v = pool.get_lines();
         assert!(v.is_empty());
-        assert_eq!(pool.shared_stats().hits(), 1);
-        assert_eq!(pool.shared_stats().misses(), 1);
+        assert_eq!(pool.shared_stats().hits.get(), 1);
+        assert_eq!(pool.shared_stats().misses.get(), 1);
     }
 
     #[test]

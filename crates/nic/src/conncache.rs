@@ -21,6 +21,7 @@ use parking_lot::Mutex;
 
 use dagger_types::ConnectionId;
 
+use crate::bank::counter_bank;
 use crate::connmgr::{CmPort, ConnectionManager, ConnectionTuple};
 
 /// Trivial hasher for `u32` connection ids: the id is already well mixed
@@ -63,31 +64,18 @@ pub type U64Map<V> = HashMap<u64, V, BuildHasherDefault<U32IdentityHasher>>;
 
 type IdMap<V> = U32Map<V>;
 
-/// Shared hit/miss counters, exported as `nic.<addr>.conncache.*` gauges.
-#[derive(Debug, Default)]
-pub struct ConnCacheStats {
-    /// Lookups served without touching the manager's mutex.
-    pub hits: AtomicU64,
-    /// Lookups that had to lock the [`ConnectionManager`].
-    pub misses: AtomicU64,
-    /// Whole-cache invalidations triggered by generation changes.
-    pub invalidations: AtomicU64,
-}
-
-impl ConnCacheStats {
-    /// Current hit count.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Current miss count.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Current invalidation count.
-    pub fn invalidations(&self) -> u64 {
-        self.invalidations.load(Ordering::Relaxed)
+counter_bank! {
+    /// Shared hit/miss counters, exported (summed over the NIC's workers)
+    /// as `nic.<addr>.conncache.*` gauges.
+    pub struct ConnCacheStats =>
+    /// A plain-data snapshot of [`ConnCacheStats`].
+    ConnCacheSnapshot {
+        /// Lookups served without touching the manager's mutex.
+        hits,
+        /// Lookups that had to lock the [`ConnectionManager`].
+        misses,
+        /// Whole-cache invalidations triggered by generation changes.
+        invalidations,
     }
 }
 
@@ -128,7 +116,7 @@ impl ConnTupleCache {
                 // `clear` keeps the map's capacity: steady state stays
                 // allocation-free even across reconnect storms.
                 self.map.clear();
-                self.stats.invalidations.fetch_add(1, Ordering::Relaxed);
+                self.stats.invalidations.inc();
             }
         }
     }
@@ -144,10 +132,10 @@ impl ConnTupleCache {
     ) -> Option<ConnectionTuple> {
         self.revalidate();
         if let Some(&tuple) = self.map.get(&cid.raw()) {
-            self.stats.hits.fetch_add(1, Ordering::Relaxed);
+            self.stats.hits.inc();
             return Some(tuple);
         }
-        self.stats.misses.fetch_add(1, Ordering::Relaxed);
+        self.stats.misses.inc();
         let tuple = conn_mgr.lock().lookup(port, cid)?;
         self.map.insert(cid.raw(), tuple);
         Some(tuple)
@@ -196,8 +184,8 @@ mod tests {
             cache.lookup(ConnectionId(7), CmPort::Tx, &cm),
             Some(tuple(1, 10))
         );
-        assert_eq!(cache.shared_stats().hits(), 1);
-        assert_eq!(cache.shared_stats().misses(), 1);
+        assert_eq!(cache.shared_stats().hits.get(), 1);
+        assert_eq!(cache.shared_stats().misses.get(), 1);
         // Only the miss reached the manager's Tx port.
         assert_eq!(cm.lock().port_stats(CmPort::Tx), (1, 0));
     }
@@ -214,7 +202,7 @@ mod tests {
         // Close: the cached tuple must not survive the generation bump.
         cm.lock().close(ConnectionId(7)).unwrap();
         assert_eq!(cache.lookup(ConnectionId(7), CmPort::Tx, &cm), None);
-        assert_eq!(cache.shared_stats().invalidations(), 1);
+        assert_eq!(cache.shared_stats().invalidations.get(), 1);
 
         // Re-open with a *different* tuple: the cache must serve the new
         // one, never the stale pre-close value. (The map was already empty,
@@ -224,7 +212,7 @@ mod tests {
             cache.lookup(ConnectionId(7), CmPort::Rx, &cm),
             Some(tuple(9, 99))
         );
-        assert_eq!(cache.shared_stats().invalidations(), 1);
+        assert_eq!(cache.shared_stats().invalidations.get(), 1);
     }
 
     #[test]
@@ -241,12 +229,12 @@ mod tests {
             cache.lookup(ConnectionId(1), CmPort::Tx, &cm),
             Some(tuple(1, 10))
         );
-        assert_eq!(cache.shared_stats().misses(), 2);
+        assert_eq!(cache.shared_stats().misses.get(), 2);
         assert_eq!(
             cache.lookup(ConnectionId(1), CmPort::Tx, &cm),
             Some(tuple(1, 10))
         );
-        assert_eq!(cache.shared_stats().hits(), 1);
+        assert_eq!(cache.shared_stats().hits.get(), 1);
     }
 
     #[test]
@@ -254,7 +242,7 @@ mod tests {
         let (cm, mut cache) = setup();
         assert_eq!(cache.lookup(ConnectionId(42), CmPort::Rx, &cm), None);
         assert_eq!(cache.lookup(ConnectionId(42), CmPort::Rx, &cm), None);
-        assert_eq!(cache.shared_stats().misses(), 2);
+        assert_eq!(cache.shared_stats().misses.get(), 2);
         assert!(cache.is_empty());
     }
 }

@@ -258,6 +258,23 @@ pub struct ConnMgrSnapshot {
     pub cm_port: PortSnapshot,
 }
 
+impl ConnMgrSnapshot {
+    /// `(name, value)` of every exported statistic (`nic.<addr>.cm.*`) —
+    /// the same walk a counter bank's snapshot offers.
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> {
+        [
+            ("open_connections", self.open_connections),
+            ("total_opened", self.total_opened),
+            ("spills", self.spills),
+            ("tx_port_hits", self.tx_port.hits),
+            ("tx_port_misses", self.tx_port.misses),
+            ("rx_port_hits", self.rx_port.hits),
+            ("rx_port_misses", self.rx_port.misses),
+        ]
+        .into_iter()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

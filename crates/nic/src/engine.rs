@@ -6,10 +6,11 @@
 //! a private fabric port queue, and private copies of every datapath
 //! structure — buffer pool, connection-tuple cache, request buffer, flow
 //! FIFOs, scheduler, reliable-transport instance — so the hot path
-//! never shares mutable state between workers. Shared pieces are the
-//! all-atomic Packet Monitor, the Connection Manager mutex (reached only on
-//! tuple-cache misses), the soft register file, and the confirmed-set fed
-//! by control acknowledgements.
+//! never shares mutable state between workers, and every count lands in the
+//! worker's own [`QueueStats`] bank. Shared pieces are the Packet Monitor's
+//! per-flow banks, the Connection Manager mutex (reached only on tuple-cache
+//! misses), the soft register file, and the confirmed-set fed by control
+//! acknowledgements.
 //!
 //! Each loop iteration ("tick") a worker:
 //!
@@ -71,7 +72,7 @@ use crate::reqbuf::RequestBuffer;
 use crate::ring::{RingConsumer, RingProducer};
 use crate::sched::FlowScheduler;
 use crate::softreg::SoftRegisterFile;
-use crate::transport::{Datagram, Protocol, MAX_LINES_PER_DATAGRAM};
+use crate::transport::{wire_frames, Datagram, MAX_LINES_PER_DATAGRAM};
 use crate::wait::{EngineWaker, SpinWait};
 use crate::xfer::{XferConsumer, XferProducer};
 
@@ -189,12 +190,13 @@ pub(crate) struct EngineCore {
     pub rx_rings: Vec<Option<RingProducer>>,
     pub conn_mgr: Arc<Mutex<ConnectionManager>>,
     pub softregs: Arc<SoftRegisterFile>,
+    /// The NIC's Packet Monitor; the engine counts into its per-flow banks
+    /// (and into `qstats`, its own entry of the per-queue banks).
     pub monitor: Arc<PacketMonitor>,
     pub lb: LoadBalancer,
     pub reqbuf: RequestBuffer,
     pub fifos: FlowFifos,
     pub sched: FlowScheduler,
-    pub protocol: Protocol,
     pub arbiter: Option<ArbiterSlot>,
     pub stop: Arc<AtomicBool>,
     /// Host → engine control-frame outbox (connection setup/teardown),
@@ -250,7 +252,9 @@ pub(crate) struct EngineCore {
     /// Every worker's waker (self included), indexed by queue: a handoff
     /// push wakes the owning worker.
     pub peer_wakers: Vec<Arc<EngineWaker>>,
-    /// This worker's counter bank (`nic.<addr>.q<i>.*` gauges).
+    /// This worker's counter bank — `monitor.queues()[queue_id]`, the only
+    /// cell any engine count touches (`nic.<addr>.q<i>.*` gauges; the
+    /// whole-NIC `nic.<addr>.*` is the sum over workers).
     pub qstats: Arc<QueueStats>,
     /// Handoff ring producers toward each sibling worker, indexed by
     /// queue; `None` at this worker's own index.
@@ -293,8 +297,6 @@ pub(crate) struct EngineCore {
     /// [`FabricPort::send_many`] per round (doorbell amortization: the
     /// backend is poked once per round, not once per datagram).
     pub wire_out: Vec<(NodeAddr, u16, Vec<u8>)>,
-    /// Frame count of each staged datagram, parallel to `wire_out`.
-    pub wire_counts: Vec<u64>,
     /// The NIC-wide on-NIC offload stage (NIC-side serde + the hot-key
     /// response cache, DESIGN.md §18), shared by every worker. Consulted
     /// only when the `nic_serde` soft register is on and a spec is
@@ -427,9 +429,7 @@ impl EngineCore {
         // Handoffs that never fit their ring die with this worker; account
         // for them so shutdown cannot silently lose frames.
         let stranded: usize = self.xfer_backlog.iter().map(VecDeque::len).sum();
-        for _ in 0..stranded {
-            self.monitor.inc_rx_ring_drops();
-        }
+        self.qstats.rx_ring_drops.add(stranded as u64);
     }
 
     /// Parking is safe only when nothing tick-driven is outstanding: no
@@ -450,8 +450,9 @@ impl EngineCore {
                 .is_none_or(ReliableTransport::is_idle)
     }
 
-    /// Shutdown flush for the reliable transport: one final go-back-N pass
-    /// re-emits every already-sequenced unacked frame, then the datagrams
+    /// Shutdown flush for the reliable transport: one final retransmission
+    /// pass re-emits every already-sequenced frame the peer is not known to
+    /// hold (unacked and, under selective repeat, unsacked), then the datagrams
     /// deferred by window backpressure are force-sequenced onto the wire —
     /// in that order, so a live peer receives the complete in-order stream
     /// even though this engine will process no further acks.
@@ -477,10 +478,8 @@ impl EngineCore {
             let mut out = self.pool.get_bytes();
             rel.on_send_forced_encode_to(dgram, dst_queue, &mut out);
             if self.port.send_to(dst, dst_queue, out).is_ok() {
-                self.monitor.add_tx_frames(count);
-                self.monitor.inc_tx_datagrams();
-                self.qstats.add_tx_frames(count);
-                self.qstats.inc_tx_datagrams();
+                self.qstats.tx_frames.add(count);
+                self.qstats.tx_datagrams.inc();
             }
         }
         self.reliable = Some(rel);
@@ -526,16 +525,16 @@ impl EngineCore {
             }
             progress = true;
             self.window_frames += fetched as u64;
-            self.monitor.add_flow_tx_frames(flow, fetched as u64);
+            self.monitor.flows()[flow].tx_frames.add(fetched as u64);
             if self.direct_polling {
-                self.monitor.add_direct_polls(fetched as u64);
+                self.qstats.direct_polls.add(fetched as u64);
             } else {
-                self.monitor.add_cached_polls(fetched as u64);
+                self.qstats.cached_polls.add(fetched as u64);
             }
             for i in 0..fetched {
                 let line = self.tx_scratch[i];
                 let Ok(hdr) = RpcHeader::decode(line.header()) else {
-                    self.monitor.inc_unknown_connection_drops();
+                    self.qstats.unknown_connection_drops.inc();
                     continue;
                 };
                 if hdr.kind == RpcKind::Request && hdr.frame_idx == 0 {
@@ -562,7 +561,7 @@ impl EngineCore {
                     .conn_cache
                     .lookup(hdr.connection_id, CmPort::Tx, &self.conn_mgr);
                 let Some(tuple) = tuple else {
-                    self.monitor.inc_unknown_connection_drops();
+                    self.qstats.unknown_connection_drops.inc();
                     continue;
                 };
                 // RSS: the connection's tag pins it to one engine queue of
@@ -605,20 +604,14 @@ impl EngineCore {
             while self.stage[i].lines.len() > MAX_LINES_PER_DATAGRAM {
                 let mut head = self.pool.get_lines();
                 head.extend(self.stage[i].lines.drain(..MAX_LINES_PER_DATAGRAM));
-                let dgram = self
-                    .protocol
-                    .process_tx(Datagram::new(self.addr, dst, head));
-                self.send_datagram(dgram, dst_queue);
+                self.send_datagram(Datagram::new(self.addr, dst, head), dst_queue);
             }
             if self.stage[i].lines.is_empty() {
                 continue;
             }
             let fresh = self.pool.get_lines();
             let lines = std::mem::replace(&mut self.stage[i].lines, fresh);
-            let dgram = self
-                .protocol
-                .process_tx(Datagram::new(self.addr, dst, lines));
-            self.send_datagram(dgram, dst_queue);
+            self.send_datagram(Datagram::new(self.addr, dst, lines), dst_queue);
         }
         self.flush_wire();
         progress
@@ -660,9 +653,9 @@ impl EngineCore {
             .is_none_or(|rel| rel.channel_fully_acked(dst, pin.queue));
         if drained || tick.wrapping_sub(pin.agreed_at) >= REMAP_DRAIN_DEADLINE_TICKS {
             if drained {
-                self.qstats.inc_remaps();
+                self.qstats.remaps.inc();
             } else {
-                self.qstats.inc_forced_remaps();
+                self.qstats.forced_remaps.inc();
             }
             // Flight-recorder breadcrumb: which connection moved queues,
             // and whether the drain completed or the deadline forced it.
@@ -695,7 +688,7 @@ impl EngineCore {
     fn send_datagram(&mut self, dgram: Datagram, dst_queue: u16) {
         if let Some(rel) = &self.reliable {
             if !rel.window_available_to(dgram.dst, dst_queue) {
-                self.monitor.inc_tx_window_deferrals();
+                self.qstats.tx_window_deferrals.inc();
                 self.pending_out.push_back((dgram, dst_queue));
                 return;
             }
@@ -708,7 +701,7 @@ impl EngineCore {
                 if let Err(dgram) = rel.on_send_encode_to(dgram, dst_queue, &mut out) {
                     // Window raced shut between check and send; defer.
                     self.pool.put_bytes(out);
-                    self.monitor.inc_tx_window_deferrals();
+                    self.qstats.tx_window_deferrals.inc();
                     self.pending_out.push_back((dgram, dst_queue));
                     return;
                 }
@@ -723,31 +716,35 @@ impl EngineCore {
             }
         }
         // Stage for the round's single `send_many` submit; every round that
-        // can reach here ends with a `flush_wire` call.
+        // can reach here ends with a `flush_wire` call, which reads each
+        // datagram's frame count back off its encoded length.
+        debug_assert_eq!(wire_frames(&out), count);
         self.wire_out.push((dst, dst_queue, out));
-        self.wire_counts.push(count);
     }
 
     /// Submits every datagram the current round staged with one
     /// [`FabricPort::send_many`] call — the doorbell amortization of
-    /// §4.4.1. Counters are stamped per batch; datagrams the backend
-    /// rejected (unknown destination) are counted as drops.
+    /// §4.4.1. Counters are stamped per batch: accepted datagrams and their
+    /// frames count as transmitted; the ones the backend left behind
+    /// (unknown destination) count as drops, per frame like every other
+    /// drop site, and their buffers go back to the pool.
     fn flush_wire(&mut self) {
         if self.wire_out.is_empty() {
             return;
         }
-        let staged = self.wire_out.len();
-        let frames: u64 = self.wire_counts.iter().sum();
-        self.wire_counts.clear();
+        let frames_of = |wire: &[(NodeAddr, u16, Vec<u8>)]| -> u64 {
+            wire.iter().map(|(_, _, bytes)| wire_frames(bytes)).sum()
+        };
+        let staged = frames_of(&self.wire_out);
         let sent = self.port.send_many(&mut self.wire_out);
-        self.monitor.add_tx_frames(frames);
-        self.qstats.add_tx_frames(frames);
-        for _ in 0..sent {
-            self.monitor.inc_tx_datagrams();
-            self.qstats.inc_tx_datagrams();
-        }
-        for _ in sent..staged {
-            self.monitor.inc_unknown_connection_drops();
+        let rejected = frames_of(&self.wire_out);
+        self.qstats.tx_frames.add(staged - rejected);
+        self.qstats.tx_datagrams.add(sent as u64);
+        if !self.wire_out.is_empty() {
+            self.qstats.unknown_connection_drops.add(rejected);
+            for (_, _, bytes) in self.wire_out.drain(..) {
+                self.pool.put_bytes(bytes);
+            }
         }
     }
 
@@ -850,7 +847,12 @@ impl EngineCore {
             wire.push((view.dst(), view.dst_queue(), out));
         });
         if !wire.is_empty() {
-            let _ = self.port.send_many(&mut wire);
+            // Frames toward a detached peer stay unacked in the window;
+            // only their wire copies are recycled here.
+            self.port.send_many(&mut wire);
+            for (_, _, bytes) in wire.drain(..) {
+                pool.put_bytes(bytes);
+            }
         }
         self.wire_out = wire;
         if retransmits > 0 {
@@ -889,8 +891,9 @@ impl EngineCore {
                     Ok(opt) => opt, // None: ack, duplicate, or gap
                     Err(_) => {
                         // Undecodable off the wire (truncated or corrupted);
-                        // Go-Back-N treats it as loss and repairs.
-                        self.monitor.inc_wire_drops();
+                        // the sender's retransmit timer treats it as loss
+                        // and repairs.
+                        self.qstats.wire_drops.inc();
                         None
                     }
                 },
@@ -900,7 +903,7 @@ impl EngineCore {
                         Ok((src, dst)) => Some(Datagram { src, dst, lines }),
                         Err(_) => {
                             self.pool.put_lines(lines);
-                            self.monitor.inc_wire_drops();
+                            self.qstats.wire_drops.inc();
                             None
                         }
                     }
@@ -930,11 +933,8 @@ impl EngineCore {
     /// Steers one decoded, in-sequence datagram's frames into the RX path
     /// and recycles its line vector.
     fn absorb_datagram(&mut self, dgram: Datagram, tick: u64) {
-        let dgram = self.protocol.process_rx(dgram);
-        self.monitor.inc_rx_datagrams();
-        self.monitor.add_rx_frames(dgram.lines.len() as u64);
-        self.qstats.inc_rx_datagrams();
-        self.qstats.add_rx_frames(dgram.lines.len() as u64);
+        self.qstats.rx_datagrams.inc();
+        self.qstats.rx_frames.add(dgram.lines.len() as u64);
         for &line in &dgram.lines {
             self.rx_frame(line, tick);
         }
@@ -952,7 +952,7 @@ impl EngineCore {
                     break;
                 };
                 progress = true;
-                self.qstats.inc_handoff_in();
+                self.qstats.handoff_in.inc();
                 self.accept_frame(usize::from(flow), seq, line, tick);
             }
         }
@@ -975,7 +975,7 @@ impl EngineCore {
             }
             self.hold[flow].insert(seq, line);
             self.held_frames += 1;
-            self.qstats.inc_reorder_holds();
+            self.qstats.reorder_holds.inc();
             return;
         }
         self.stage_frame(flow, line, tick);
@@ -995,7 +995,7 @@ impl EngineCore {
                 self.fifos.push(flow, slot);
                 self.sched.on_stage(flow, tick);
             }
-            None => self.monitor.inc_reqbuf_backpressure(),
+            None => self.qstats.reqbuf_backpressure.inc(),
         }
     }
 
@@ -1030,7 +1030,7 @@ impl EngineCore {
             }
             if let Some((&seq, _)) = self.hold[flow].first_key_value() {
                 self.next_deliver[flow] = seq;
-                self.qstats.inc_reorder_flushes();
+                self.qstats.reorder_flushes.inc();
                 self.drain_holds(flow, tick);
                 progress = true;
             }
@@ -1050,7 +1050,7 @@ impl EngineCore {
                 let line = entry.remove();
                 self.held_frames -= 1;
                 self.next_deliver[flow] = seq + 1;
-                self.qstats.inc_reorder_flushes();
+                self.qstats.reorder_flushes.inc();
                 self.stage_frame(flow, line, tick);
             }
         }
@@ -1059,7 +1059,7 @@ impl EngineCore {
     /// Hands one steered frame to the worker owning `flow`, preserving
     /// arrival order behind any backlog toward the same worker.
     fn handoff(&mut self, owner: usize, flow: u16, seq: u64, line: CacheLine) {
-        self.qstats.inc_handoff_out();
+        self.qstats.handoff_out.inc();
         if self.xfer_backlog[owner].is_empty() {
             if let Some(ring) = self.xfer_out[owner].as_mut() {
                 if ring.try_push(flow, seq, line).is_ok() {
@@ -1073,7 +1073,7 @@ impl EngineCore {
 
     fn rx_frame(&mut self, line: CacheLine, tick: u64) {
         let Ok(hdr) = RpcHeader::decode(line.header()) else {
-            self.monitor.inc_unknown_connection_drops();
+            self.qstats.unknown_connection_drops.inc();
             return;
         };
         match hdr.fn_id.raw() {
@@ -1123,7 +1123,7 @@ impl EngineCore {
             .conn_cache
             .lookup(hdr.connection_id, CmPort::Rx, &self.conn_mgr);
         let Some(tuple) = tuple else {
-            self.monitor.inc_unknown_connection_drops();
+            self.qstats.unknown_connection_drops.inc();
             return;
         };
         // RX half of the on-NIC offload stage (DESIGN.md §18): with
@@ -1176,11 +1176,11 @@ impl EngineCore {
                 // serde table describes the request alone, and traced
                 // payloads carry a trace-context prelude it does not cover.
                 if hdr.traced || hdr.frame_count != 1 || !fo.req_table.validate(payload) {
-                    offload.stats().count_bypass();
+                    offload.stats().bypass.inc();
                     return false;
                 }
                 let Some(range) = fo.req_table.field_range(payload, key_field) else {
-                    offload.stats().count_bypass();
+                    offload.stats().bypass.inc();
                     return false;
                 };
                 let cap = self.softregs.offload_cache_entries() as usize;
@@ -1248,11 +1248,8 @@ impl EngineCore {
             line.payload_mut()[..chunk.len()].copy_from_slice(chunk);
             lines.push(line);
         }
-        let dgram = self
-            .protocol
-            .process_tx(Datagram::new(self.addr, dst, lines));
         let dst_queue = self.port.route(dst, conn_route_tag(req.connection_id));
-        self.send_datagram(dgram, dst_queue);
+        self.send_datagram(Datagram::new(self.addr, dst, lines), dst_queue);
     }
 
     /// Delivery: the flow scheduler picks formed batches and the CCI-P
@@ -1296,16 +1293,17 @@ impl EngineCore {
                     Some(ring) => ring.try_push(line).is_ok(),
                     None => false,
                 };
+                let bank = &self.monitor.flows()[flow];
                 if delivered {
-                    self.monitor.add_flow_rx_frames(flow, 1);
+                    bank.rx_frames.inc();
                     if let Some((cid, rid)) = traced {
                         self.telemetry
                             .tracer()
                             .record(cid, rid, RpcEvent::RxDeliver);
                     }
                 } else {
-                    self.monitor.inc_rx_ring_drops();
-                    self.monitor.inc_flow_rx_ring_drops(flow);
+                    self.qstats.rx_ring_drops.inc();
+                    bank.rx_ring_drops.inc();
                 }
             }
             self.sched.on_drain(flow, self.fifos.len(flow) == 0, tick);
@@ -1366,6 +1364,7 @@ mod tests {
         std::mem::forget(_ctrl_tx);
         let conn_cache = ConnTupleCache::new(generation);
         let waker = Arc::new(EngineWaker::new());
+        let monitor = Arc::new(PacketMonitor::new(1, 1));
         let core = EngineCore {
             addr,
             queue_id: 0,
@@ -1375,12 +1374,12 @@ mod tests {
             rx_rings: vec![Some(engine_tx)],
             conn_mgr,
             softregs,
-            monitor: Arc::new(PacketMonitor::with_flows(1)),
+            qstats: Arc::clone(&monitor.queues()[0]),
+            monitor,
             lb: LoadBalancer::new(LbPolicy::Uniform, (0, 32)),
             reqbuf: RequestBuffer::new(256),
             fifos: FlowFifos::new(1),
             sched: FlowScheduler::new(1, 4),
-            protocol: Protocol::default(),
             arbiter: None,
             stop: Arc::new(AtomicBool::new(false)),
             ctrl_rx,
@@ -1398,7 +1397,6 @@ mod tests {
             stage_idx: U64Map::default(),
             waker: Arc::clone(&waker),
             peer_wakers: vec![waker],
-            qstats: Arc::new(QueueStats::default()),
             xfer_out: vec![None],
             xfer_in: Vec::new(),
             xfer_backlog: vec![VecDeque::new()],
@@ -1411,7 +1409,6 @@ mod tests {
             route_pins: U64Map::default(),
             tx_scratch: Vec::new(),
             wire_out: Vec::new(),
-            wire_counts: Vec::new(),
             offload: Arc::new(OffloadState::new(1)),
         };
         (core, host_tx, host_rx)
@@ -1452,7 +1449,7 @@ mod tests {
             })
             .unwrap(),
         );
-        let monitor = Arc::new(PacketMonitor::with_flows(2));
+        let monitor = Arc::new(PacketMonitor::new(2, 2));
         let stop = Arc::new(AtomicBool::new(false));
         let confirmed = Arc::new(Mutex::new(HashSet::new()));
         let telemetry = Telemetry::new();
@@ -1493,7 +1490,6 @@ mod tests {
                     reqbuf: RequestBuffer::new(256),
                     fifos: FlowFifos::new(2),
                     sched: FlowScheduler::new(2, 4),
-                    protocol: Protocol::default(),
                     arbiter: None,
                     stop: Arc::clone(&stop),
                     ctrl_rx,
@@ -1511,7 +1507,7 @@ mod tests {
                     stage_idx: U64Map::default(),
                     waker: Arc::clone(&wakers[q]),
                     peer_wakers: wakers.clone(),
-                    qstats: Arc::new(QueueStats::default()),
+                    qstats: Arc::clone(&monitor.queues()[q]),
                     xfer_out: std::mem::take(&mut xfer_out[q]),
                     xfer_in: std::mem::take(&mut xfer_in[q]),
                     xfer_backlog: vec![VecDeque::new(), VecDeque::new()],
@@ -1524,7 +1520,6 @@ mod tests {
                     route_pins: U64Map::default(),
                     tx_scratch: Vec::new(),
                     wire_out: Vec::new(),
-                    wire_counts: Vec::new(),
                     offload: Arc::clone(&offload),
                 }
             })
@@ -1671,19 +1666,16 @@ mod tests {
         for t in 0..8 {
             cycle(&mut core, &mut host_tx, &mut host_rx, 16, t);
         }
-        let pool_stats = core.pool.shared_stats();
-        let cache_stats = core.conn_cache.shared_stats();
+        let pool_stats = core.pool.shared_stats().snapshot();
+        let cache_stats = core.conn_cache.shared_stats().snapshot();
         assert!(
-            pool_stats.hits() > pool_stats.misses(),
-            "pool should serve mostly recycled buffers after warm-up \
-             (hits {} misses {})",
-            pool_stats.hits(),
-            pool_stats.misses()
+            pool_stats.hits > pool_stats.misses,
+            "pool should serve mostly recycled buffers after warm-up ({pool_stats})"
         );
         // The first TX lookup misses and installs the tuple; the RX path
         // (same cid, same cache) and every later frame hit.
-        assert_eq!(cache_stats.misses(), 1);
-        assert!(cache_stats.hits() >= 100);
+        assert_eq!(cache_stats.misses, 1);
+        assert!(cache_stats.hits >= 100);
     }
 
     /// One hand-driven cycle of the 2-queue pair: the host pushes responses
@@ -1769,6 +1761,52 @@ mod tests {
         let inn = cores[other].qstats.snapshot().handoff_in;
         assert!(out > 0, "receiving worker never handed off");
         assert!(inn > 0, "owning worker never accepted a handoff");
+        // Every count lives in exactly one worker's bank, so the whole-NIC
+        // view is the field-wise sum of the queue snapshots.
+        let snap = cores[0].monitor.snapshot();
+        assert_eq!(snap.queues.len(), 2);
+        assert_eq!(snap.totals, snap.queues.iter().copied().sum());
+        assert_eq!(snap.tx_frames, 9 * 16);
+        assert_eq!(snap.tx_frames, snap.rx_frames);
+        assert_eq!(snap.handoff_out, snap.handoff_in);
+    }
+
+    /// A round toward a destination that is not attached: the backend
+    /// accepts nothing, so nothing counts as transmitted and every staged
+    /// frame counts as one drop.
+    #[test]
+    fn round_toward_detached_destination_counts_drops_per_frame_not_tx() {
+        let (mut core, mut host_tx, _host_rx) = loopback_core();
+        let detached = ConnectionTuple {
+            src_flow: FlowId(0),
+            dest_addr: NodeAddr(99),
+            lb: LbPolicy::Uniform,
+        };
+        core.conn_mgr
+            .lock()
+            .open(ConnectionId(2), detached)
+            .unwrap();
+        for i in 0..5 {
+            let mut line = data_frame(i);
+            let mut hdr = RpcHeader::decode(line.header()).unwrap();
+            hdr.connection_id = ConnectionId(2);
+            hdr.encode(line.header_mut());
+            host_tx.try_push(line).unwrap();
+        }
+        assert!(core.tx_round(0));
+        let s = core.qstats.snapshot();
+        assert_eq!(s.tx_frames, 0, "rejected frames counted as transmitted");
+        assert_eq!(s.tx_datagrams, 0);
+        assert_eq!(s.unknown_connection_drops, 5, "drops are per frame");
+        assert!(core.wire_out.is_empty(), "rejected buffers not recycled");
+        // A round toward the attached address counts as transmitted only.
+        for i in 0..3 {
+            host_tx.try_push(data_frame(i)).unwrap();
+        }
+        assert!(core.tx_round(1));
+        let s = core.qstats.snapshot();
+        assert_eq!((s.tx_frames, s.tx_datagrams), (3, 1));
+        assert_eq!(s.unknown_connection_drops, 5);
     }
 
     #[test]

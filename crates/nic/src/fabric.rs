@@ -12,9 +12,9 @@
 //! deterministically (splitmix64-seeded), either fabric-wide or per
 //! directed link, and can be swapped mid-run (soft-reconfiguration style)
 //! — as can link partitions ([`MemFabric::partition`] /
-//! [`MemFabric::heal`]). Every injected fault is counted in a lock-free
-//! [`FaultStats`] bank and exportable as `fabric.*` telemetry gauges via
-//! [`MemFabric::register_telemetry`].
+//! [`MemFabric::heal`]). Every injected fault is counted in the
+//! [`FaultStats`] counter bank and exportable as `fabric.*` telemetry gauges
+//! via [`MemFabric::register_telemetry`].
 //!
 //! # Determinism
 //!
@@ -38,6 +38,7 @@ use parking_lot::{Mutex, RwLock};
 use dagger_telemetry::{FlightEventKind, FlightRecorder, Telemetry, FLIGHT_ALL_NODES};
 use dagger_types::{DaggerError, NodeAddr, Result};
 
+use crate::bank::{counter_bank, GaugeNames};
 use crate::wait::EngineWaker;
 
 /// Frames a port queue preallocates room for: senders move buffers into the
@@ -79,15 +80,15 @@ impl PortQueue {
 ///
 /// Dagger's FPGA NIC swaps its physical attachment (PCIe, UDP, memory
 /// interconnect) beneath an unchanged RPC API; this trait is the software
-/// analogue of that seam. Everything above it — the Go-Back-N reliable
-/// layer, RSS steering, the elastic balancer, chaos harnesses — is written
+/// analogue of that seam. Everything above it — the reliable transport
+/// ([`crate::reliable`]), RSS steering, the elastic balancer, chaos harnesses — is written
 /// against `Fabric`/[`FabricPort`] only, so backends are interchangeable:
 ///
 /// * [`MemFabric`] — the in-process ToR switch with deterministic fault
 ///   injection ([`FaultPlan`]); faults remain a *decorator at this layer*.
 /// * [`crate::fabric_udp::UdpFabric`] — one `std::net::UdpSocket` per NIC;
 ///   loss/reorder/duplication are whatever the real network does, and the
-///   same GBN + checksum machinery above absorbs them.
+///   same retransmission + checksum machinery above absorbs them.
 ///
 /// # Contract
 ///
@@ -100,8 +101,8 @@ impl PortQueue {
 ///   registered via [`Fabric::set_queue_waker`] fire when traffic arrives
 ///   so parked engines ([`crate::wait::SpinWait`]) resume promptly.
 /// * **Loss/order**: backends MAY drop, reorder, duplicate, or corrupt
-///   frames (injected or real); callers needing reliability run the GBN
-///   layer. Backends SHOULD preserve per-`(sender, queue)` FIFO order in
+///   frames (injected or real); callers needing reliability run the
+///   reliable transport. Backends SHOULD preserve per-`(sender, queue)` FIFO order in
 ///   the fault-free case.
 /// * **Shutdown**: [`Fabric::quiesce`] flushes or discards in-flight
 ///   frames (held by fault injection, or still in a socket/pump) so that a
@@ -165,7 +166,8 @@ pub trait FabricPort: Send + Sync + std::fmt::Debug {
     ///
     /// Returns [`DaggerError::Fabric`] if `dst` is unknown to the backend.
     /// Transient wire-level loss is NOT an error: backends that cannot
-    /// confirm delivery report success and let the GBN layer recover.
+    /// confirm delivery report success and let the reliable transport
+    /// recover.
     fn send_to(&self, dst: NodeAddr, dst_queue: u16, bytes: Vec<u8>) -> Result<()>;
 
     /// Sends to `dst`'s queue 0.
@@ -177,25 +179,17 @@ pub trait FabricPort: Send + Sync + std::fmt::Debug {
         self.send_to(dst, 0, bytes)
     }
 
-    /// Ships a whole engine round's staged datagrams in one call, in order,
-    /// draining `frames` and returning how many the backend accepted
-    /// (frames toward destinations the backend does not know are dropped
-    /// and excluded from the count; transient wire loss still counts as
-    /// accepted, exactly like [`FabricPort::send_to`]).
+    /// Ships a whole engine round's staged datagrams in one call, in
+    /// order, returning how many the backend accepted. Accepted entries are
+    /// drained from `frames`; entries toward destinations the backend does
+    /// not know are *left in it* (in order), so the caller can account for
+    /// exactly what was rejected. Transient wire loss still counts as
+    /// accepted, exactly like [`FabricPort::send_to`].
     ///
-    /// The default simply loops `send_to`; backends override it to
-    /// amortize per-datagram costs — peer-table lookups, syscalls, receiver
-    /// wakeups — across the batch (the `sendmmsg` analogue of the paper's
-    /// §4.4.1 doorbell batching).
-    fn send_many(&self, frames: &mut Vec<(NodeAddr, u16, Vec<u8>)>) -> usize {
-        let mut sent = 0;
-        for (dst, dst_queue, bytes) in frames.drain(..) {
-            if self.send_to(dst, dst_queue, bytes).is_ok() {
-                sent += 1;
-            }
-        }
-        sent
-    }
+    /// Backends amortize per-datagram costs — peer-table lookups,
+    /// syscalls, receiver wakeups — across the batch (the `sendmmsg`
+    /// analogue of the paper's §4.4.1 doorbell batching).
+    fn send_many(&self, frames: &mut Vec<(NodeAddr, u16, Vec<u8>)>) -> usize;
 
     /// RSS route decision toward `dst`; see [`Fabric::route`].
     fn route(&self, dst: NodeAddr, tag: u64) -> u16;
@@ -344,36 +338,28 @@ impl FaultPlan {
     }
 }
 
-/// Lock-free injected-fault counters, shared between the switch and host
-/// observers (chaos harnesses, telemetry collectors).
-#[derive(Debug, Default)]
-pub struct FaultStats {
-    forwarded: AtomicU64,
-    dropped: AtomicU64,
-    reordered: AtomicU64,
-    duplicated: AtomicU64,
-    corrupted: AtomicU64,
-    delayed: AtomicU64,
-    partition_drops: AtomicU64,
-}
-
-/// A plain-data snapshot of [`FaultStats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FaultSnapshot {
-    /// Frames that entered the switch (before any fault decision).
-    pub forwarded: u64,
-    /// Frames dropped by loss injection.
-    pub dropped: u64,
-    /// Frames held back so later frames overtook them.
-    pub reordered: u64,
-    /// Frames delivered twice.
-    pub duplicated: u64,
-    /// Frames with one bit flipped.
-    pub corrupted: u64,
-    /// Frames held back without reordering intent.
-    pub delayed: u64,
-    /// Frames blackholed by an active partition.
-    pub partition_drops: u64,
+counter_bank! {
+    /// Injected-fault counters, shared between the switch and host
+    /// observers (chaos harnesses, telemetry collectors); exported as
+    /// `fabric.*` gauges.
+    pub struct FaultStats =>
+    /// A plain-data snapshot of [`FaultStats`].
+    FaultSnapshot {
+        /// Frames that entered the switch (before any fault decision).
+        forwarded,
+        /// Frames dropped by loss injection.
+        dropped,
+        /// Frames held back so later frames overtook them.
+        reordered,
+        /// Frames delivered twice.
+        duplicated,
+        /// Frames with one bit flipped.
+        corrupted,
+        /// Frames held back without reordering intent.
+        delayed,
+        /// Frames blackholed by an active partition.
+        partition_drops,
+    }
 }
 
 impl FaultSnapshot {
@@ -388,18 +374,20 @@ impl FaultSnapshot {
     }
 }
 
-impl FaultStats {
-    fn snapshot(&self) -> FaultSnapshot {
-        FaultSnapshot {
-            forwarded: self.forwarded.load(Ordering::Relaxed),
-            dropped: self.dropped.load(Ordering::Relaxed),
-            reordered: self.reordered.load(Ordering::Relaxed),
-            duplicated: self.duplicated.load(Ordering::Relaxed),
-            corrupted: self.corrupted.load(Ordering::Relaxed),
-            delayed: self.delayed.load(Ordering::Relaxed),
-            partition_drops: self.partition_drops.load(Ordering::Relaxed),
-        }
+/// The RSS pick every backend shares: queue `tag mod popcount`-th set bit of
+/// `mask` restricted to the `n` attached queues. Bits beyond `n` are
+/// ignored, and a mask selecting no queue falls back to "all active" so
+/// traffic is never stranded.
+pub(crate) fn rss_pick(n: usize, mask: u64, tag: u64) -> u16 {
+    if n <= 1 {
+        return 0;
     }
+    let all = if n >= 64 { u64::MAX } else { (1u64 << n) - 1 };
+    let mut m = if mask & all == 0 { all } else { mask & all };
+    for _ in 0..tag % u64::from(m.count_ones()) {
+        m &= m - 1;
+    }
+    m.trailing_zeros() as u16
 }
 
 /// A frame held back by reorder/delay injection, due at a fabric event.
@@ -619,7 +607,7 @@ impl MemFabric {
     /// Frames dropped by loss injection so far (excludes partition drops;
     /// see [`MemFabric::fault_stats`] for the full bank).
     pub fn dropped_frames(&self) -> u64 {
-        self.stats.dropped.load(Ordering::Relaxed)
+        self.stats.dropped.get()
     }
 
     /// Snapshot of every injected-fault counter.
@@ -633,15 +621,9 @@ impl MemFabric {
     pub fn register_telemetry(&self, telemetry: &Telemetry) {
         *self.flight.lock() = Some(Arc::clone(telemetry.flight()));
         let stats = Arc::clone(&self.stats);
+        let names = GaugeNames::new("fabric", FaultSnapshot::NAMES);
         telemetry.register_collector("fabric", move |reg| {
-            let s = stats.snapshot();
-            reg.set_gauge("fabric.forwarded", s.forwarded);
-            reg.set_gauge("fabric.dropped", s.dropped);
-            reg.set_gauge("fabric.reordered", s.reordered);
-            reg.set_gauge("fabric.duplicated", s.duplicated);
-            reg.set_gauge("fabric.corrupted", s.corrupted);
-            reg.set_gauge("fabric.delayed", s.delayed);
-            reg.set_gauge("fabric.partition_drops", s.partition_drops);
+            names.export(reg, stats.snapshot().iter());
         });
     }
 
@@ -658,22 +640,24 @@ impl MemFabric {
     /// Delivers `bytes` into `dst`'s per-queue port queue (no fault
     /// processing) and wakes the owning engine worker if it registered a
     /// waker. A queue index beyond the destination's count folds onto an
-    /// existing queue rather than losing the frame.
-    fn deliver(&self, dst: NodeAddr, queue: u16, bytes: Vec<u8>) -> Result<()> {
+    /// existing queue rather than losing the frame. A destination with no
+    /// switch-table entry gets the frame handed back as the error.
+    fn deliver(
+        &self,
+        dst: NodeAddr,
+        queue: u16,
+        bytes: Vec<u8>,
+    ) -> std::result::Result<(), Vec<u8>> {
         let table = self.table.read();
-        match table.ports.get(&dst) {
-            Some(entry) => {
-                let qi = (queue as usize) % entry.queues.len();
-                entry.queues[qi].push(bytes);
-                if let Some(Some(waker)) = entry.wakers.get(qi) {
-                    waker.wake();
-                }
-                Ok(())
-            }
-            None => Err(DaggerError::Fabric(format!(
-                "no switch-table entry for {dst}"
-            ))),
+        let Some(entry) = table.ports.get(&dst) else {
+            return Err(bytes);
+        };
+        let qi = (queue as usize) % entry.queues.len();
+        entry.queues[qi].push(bytes);
+        if let Some(Some(waker)) = entry.wakers.get(qi) {
+            waker.wake();
         }
+        Ok(())
     }
 
     /// Releases held frames that have come due. Best-effort: a held frame
@@ -705,15 +689,22 @@ impl MemFabric {
     /// per-directed-link `(src, dst)` stream exactly as before (the queue
     /// index consumes no randomness, so single-queue fault schedules replay
     /// identically under sharding), and every delivery — immediate,
-    /// duplicate, or held-and-released — lands on the chosen queue.
-    fn forward(&self, src: NodeAddr, dst: NodeAddr, queue: u16, mut bytes: Vec<u8>) -> Result<()> {
+    /// duplicate, or held-and-released — lands on the chosen queue. Fails,
+    /// handing the frame back, only when `dst` has no switch-table entry.
+    fn forward(
+        &self,
+        src: NodeAddr,
+        dst: NodeAddr,
+        queue: u16,
+        mut bytes: Vec<u8>,
+    ) -> std::result::Result<(), Vec<u8>> {
         // Fast path: no faults installed, nothing held, no partitions.
         let mut state = self.faults.lock();
-        self.stats.forwarded.fetch_add(1, Ordering::Relaxed);
+        self.stats.forwarded.inc();
         state.event += 1;
         if state.is_cut(src, dst) {
             // A partition blackholes silently, like a dead link.
-            self.stats.partition_drops.fetch_add(1, Ordering::Relaxed);
+            self.stats.partition_drops.inc();
             self.release_due(&mut state);
             return Ok(());
         }
@@ -740,21 +731,21 @@ impl MemFabric {
         let delayed = !reordered && hold_events > 0;
 
         if dropped {
-            self.stats.dropped.fetch_add(1, Ordering::Relaxed);
+            self.stats.dropped.inc();
             self.release_due(&mut state);
             return Ok(());
         }
         if duplicated {
-            self.stats.duplicated.fetch_add(1, Ordering::Relaxed);
+            self.stats.duplicated.inc();
         }
         if corrupted {
-            self.stats.corrupted.fetch_add(1, Ordering::Relaxed);
+            self.stats.corrupted.inc();
         }
         if reordered {
-            self.stats.reordered.fetch_add(1, Ordering::Relaxed);
+            self.stats.reordered.inc();
         }
         if delayed {
-            self.stats.delayed.fetch_add(1, Ordering::Relaxed);
+            self.stats.delayed.inc();
         }
 
         // The duplicate is a faithful immediate copy (taken before
@@ -853,36 +844,20 @@ impl Fabric for MemFabric {
     }
 
     /// Deterministic: the same `(dst queue count, active mask, tag)` always
-    /// yields the same queue, so a connection's frames stay queue-affine.
-    /// The active mask gates only *new* decisions — bits beyond the queue
-    /// count are ignored, and a mask selecting no queue falls back to "all
-    /// active" so traffic is never stranded. Unknown destinations route
-    /// to 0 (the send will fail with the switch-table error anyway).
+    /// yields the same queue (`rss_pick`), so a connection's frames stay
+    /// queue-affine; the active mask gates only *new* decisions. Unknown
+    /// destinations route to 0 (the send will fail with the switch-table
+    /// error anyway).
     fn route(&self, dst: NodeAddr, tag: u64) -> u16 {
         let table = self.table.read();
         let Some(entry) = table.ports.get(&dst) else {
             return 0;
         };
-        let n = entry.queues.len();
-        if n <= 1 {
-            return 0;
-        }
-        let all = if n >= 64 { u64::MAX } else { (1u64 << n) - 1 };
-        let mut mask = entry
+        let mask = entry
             .active_mask
             .as_ref()
-            .map_or(0, |m| m.load(Ordering::Relaxed))
-            & all;
-        if mask == 0 {
-            mask = all;
-        }
-        // Pick the k-th set bit of the mask, k = tag mod popcount.
-        let k = tag % u64::from(mask.count_ones());
-        let mut m = mask;
-        for _ in 0..k {
-            m &= m - 1;
-        }
-        m.trailing_zeros() as u16
+            .map_or(0, |m| m.load(Ordering::Relaxed));
+        rss_pick(entry.queues.len(), mask, tag)
     }
 
     /// Flushes every frame still held by reorder/delay injection into its
@@ -942,7 +917,24 @@ impl FabricPort for MemFabricPort {
     }
 
     fn send_to(&self, dst: NodeAddr, dst_queue: u16, bytes: Vec<u8>) -> Result<()> {
-        self.fabric.forward(self.addr, dst, dst_queue, bytes)
+        self.fabric
+            .forward(self.addr, dst, dst_queue, bytes)
+            .map_err(|_| DaggerError::Fabric(format!("no switch-table entry for {dst}")))
+    }
+
+    fn send_many(&self, frames: &mut Vec<(NodeAddr, u16, Vec<u8>)>) -> usize {
+        let staged = frames.len();
+        frames.retain_mut(|(dst, dst_queue, bytes)| {
+            let wire = std::mem::take(bytes);
+            match self.fabric.forward(self.addr, *dst, *dst_queue, wire) {
+                Ok(()) => false,
+                Err(back) => {
+                    *bytes = back;
+                    true
+                }
+            }
+        });
+        staged - frames.len()
     }
 
     fn route(&self, dst: NodeAddr, tag: u64) -> u16 {
@@ -1332,6 +1324,27 @@ mod tests {
         let _a = attach(&fabric, NodeAddr(1)).unwrap();
         assert_eq!(fabric.route(NodeAddr(1), 12345), 0);
         assert_eq!(fabric.route(NodeAddr(99), 12345), 0);
+        // Both backends make the same decision — `rss_pick` — for every
+        // `(queue count, active mask, tag)`, so a connection's queue does
+        // not depend on which fabric carries it.
+        let masks = [0, 0b1, 0b10, 0b101, 0b110, 0b1_0110, 0xF0, u64::MAX];
+        for n in 1..=5usize {
+            let (mem, udp) = (MemFabric::new(), crate::fabric_udp::UdpFabric::new());
+            let _mem_ports = mem.attach_queues(NodeAddr(2), n).unwrap();
+            let _udp_ports = udp.attach_queues(NodeAddr(2), n).unwrap();
+            let mask = Arc::new(AtomicU64::new(0));
+            mem.set_queue_mask(NodeAddr(2), Arc::clone(&mask));
+            udp.set_queue_mask(NodeAddr(2), Arc::clone(&mask));
+            for m in masks {
+                mask.store(m, Ordering::Relaxed);
+                for tag in (0..64u64).chain([u64::MAX, 0x9E37_79B9_7F4A_7C15]) {
+                    let q = mem.route(NodeAddr(2), tag);
+                    assert_eq!(q, udp.route(NodeAddr(2), tag), "n={n} m={m:#x}");
+                    assert_eq!(q, rss_pick(n, m, tag), "n={n} m={m:#x} tag={tag}");
+                    assert!(usize::from(q) < n);
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! The paper's NIC attaches to the physical network through an exchangeable
 //! PHY (§4.1); swapping the in-process ToR switch ([`MemFabric`]) for real
 //! sockets is the software analogue. Nothing above the seam changes: the
-//! Go-Back-N reliable layer, wire checksums, RSS steering, and the engine's
+//! reliable transport, wire checksums, RSS steering, and the engine's
 //! poll loops run unmodified — real loss, reordering, and duplication on
 //! the network are absorbed by the exact machinery the deterministic
 //! fault plans exercise in memory. Fault *injection* stays a
@@ -40,7 +40,7 @@
 //!   spreads by `tag % queues` without consulting the remote NIC's live
 //!   active-queue mask (that register lives in the other process). A
 //!   stale route is harmless: the receiver folds out-of-range queues and
-//!   GBN preserves per-flow delivery.
+//!   the reliable transport preserves per-flow delivery.
 //! * **Determinism**: real sockets lose and reorder on their own schedule.
 //!   Seeded chaos runs stay on [`MemFabric`]; the conformance suite proves
 //!   the two backends are behaviorally interchangeable above the seam.
@@ -56,7 +56,8 @@ use parking_lot::{Mutex, RwLock};
 
 use dagger_types::{DaggerError, NodeAddr, Result};
 
-use crate::fabric::{Fabric, FabricPort, MemFabric, PortQueue};
+use crate::bank::counter_bank;
+use crate::fabric::{rss_pick, Fabric, FabricPort, MemFabric, PortQueue};
 use crate::wait::EngineWaker;
 
 /// Encapsulation header length (see module docs).
@@ -118,12 +119,21 @@ struct UdpInner {
     /// Datagrams from a local sender that reached a local staging queue or
     /// were shed by the bounded stage — either way, no longer in flight.
     rx_local: AtomicU64,
-    /// Datagrams shed because a staging queue was full.
-    rx_overflow: AtomicU64,
-    /// Datagrams rejected by encapsulation validation.
-    rx_malformed: AtomicU64,
-    /// `send_to` calls the kernel refused (counted as wire loss).
-    tx_errors: AtomicU64,
+    stats: UdpStats,
+}
+
+counter_bank! {
+    /// What the UDP backend shed or lost on its own account.
+    pub struct UdpStats =>
+    /// A plain-data snapshot of [`UdpStats`].
+    UdpSnapshot {
+        /// `send_to` calls the kernel refused (counted as wire loss).
+        tx_errors,
+        /// Datagrams shed because a staging queue was full.
+        rx_overflow,
+        /// Datagrams rejected by encapsulation validation.
+        rx_malformed,
+    }
 }
 
 /// The UDP fabric: a [`Fabric`] whose frames travel as real datagrams.
@@ -174,19 +184,19 @@ impl UdpFabric {
     }
 
     /// Datagrams the kernel refused to send (treated as wire loss for the
-    /// GBN layer to recover).
+    /// reliable transport to recover).
     pub fn tx_errors(&self) -> u64 {
-        self.inner.tx_errors.load(Ordering::Relaxed)
+        self.inner.stats.tx_errors.get()
     }
 
     /// Datagrams shed because a staging queue was at capacity.
     pub fn rx_overflow(&self) -> u64 {
-        self.inner.rx_overflow.load(Ordering::Relaxed)
+        self.inner.stats.rx_overflow.get()
     }
 
     /// Datagrams rejected by encapsulation validation.
     pub fn rx_malformed(&self) -> u64 {
-        self.inner.rx_malformed.load(Ordering::Relaxed)
+        self.inner.stats.rx_malformed.get()
     }
 
     fn send_from(
@@ -235,12 +245,13 @@ impl UdpFabric {
         match socket.send_to(&pkt, peer.addr) {
             Ok(_) => Ok(()),
             Err(_) => {
-                // The wire ate it: GBN retransmits. Undo the in-flight
-                // accounting since the kernel never took the datagram.
+                // The wire ate it: the reliable layer retransmits. Undo the
+                // in-flight accounting since the kernel never took the
+                // datagram.
                 if dst_is_local {
                     self.inner.tx_local.fetch_sub(1, Ordering::Relaxed);
                 }
-                self.inner.tx_errors.fetch_add(1, Ordering::Relaxed);
+                self.inner.stats.tx_errors.inc();
                 Ok(())
             }
         }
@@ -262,21 +273,18 @@ impl UdpFabric {
             let locals = self.inner.locals.read();
             match locals.get(&src) {
                 Some(l) => Arc::clone(&l.socket),
-                None => {
-                    frames.clear();
-                    return 0;
-                }
+                None => return 0,
             }
         };
         let peers = self.inner.peers.read();
         let locals = self.inner.locals.read();
         let mut pkt: Vec<u8> = Vec::new();
-        let mut sent = 0;
-        for (dst, dst_queue, bytes) in frames.drain(..) {
-            let Some(peer) = peers.get(&dst) else {
-                // Unknown destination: dropped, excluded from the count —
+        let staged = frames.len();
+        frames.retain(|(dst, dst_queue, bytes)| {
+            let Some(peer) = peers.get(dst) else {
+                // Unknown destination: left for the caller to account —
                 // mirrors the per-datagram `send_to` error.
-                continue;
+                return true;
             };
             pkt.clear();
             pkt.reserve(UDP_HEADER + bytes.len());
@@ -285,8 +293,8 @@ impl UdpFabric {
             pkt.extend_from_slice(&dst_queue.to_le_bytes());
             pkt.extend_from_slice(&src.raw().to_le_bytes());
             pkt.extend_from_slice(&src_queue.to_le_bytes());
-            pkt.extend_from_slice(&bytes);
-            let dst_is_local = locals.contains_key(&dst);
+            pkt.extend_from_slice(bytes);
+            let dst_is_local = locals.contains_key(dst);
             if dst_is_local {
                 self.inner.tx_local.fetch_add(1, Ordering::Relaxed);
             }
@@ -295,11 +303,11 @@ impl UdpFabric {
                 if dst_is_local {
                     self.inner.tx_local.fetch_sub(1, Ordering::Relaxed);
                 }
-                self.inner.tx_errors.fetch_add(1, Ordering::Relaxed);
+                self.inner.stats.tx_errors.inc();
             }
-            sent += 1;
-        }
-        sent
+            false
+        });
+        staged - frames.len()
     }
 
     /// Detaches `node`: stops and joins its RX pump, closes the socket,
@@ -354,7 +362,7 @@ impl UdpFabric {
             let mut touched = 0u64;
             for (mut pkt, from) in staged.drain(..) {
                 if pkt.len() < UDP_HEADER || pkt[0] != UDP_MAGIC || pkt[1] != UDP_VERSION {
-                    inner.rx_malformed.fetch_add(1, Ordering::Relaxed);
+                    inner.stats.rx_malformed.inc();
                     continue;
                 }
                 let dst_queue = u16::from_le_bytes([pkt[2], pkt[3]]);
@@ -382,7 +390,7 @@ impl UdpFabric {
                     // Bounded staging: shed instead of growing without
                     // bound; the reliable layer retransmits and the queue
                     // drains meanwhile.
-                    inner.rx_overflow.fetch_add(1, Ordering::Relaxed);
+                    inner.stats.rx_overflow.inc();
                 } else {
                     // Strip the encapsulation in place: the staged bytes
                     // reuse the packet's own allocation.
@@ -523,25 +531,11 @@ impl Fabric for UdpFabric {
         // Local destinations get the full RSS decision including the live
         // active-queue mask — same algorithm as the in-memory switch.
         if let Some(local) = self.inner.locals.read().get(&dst) {
-            let n = local.queues.len();
-            if n <= 1 {
-                return 0;
-            }
-            let all = if n >= 64 { u64::MAX } else { (1u64 << n) - 1 };
-            let mut mask = local
+            let mask = local
                 .active_mask
                 .as_ref()
-                .map_or(0, |m| m.load(Ordering::Relaxed))
-                & all;
-            if mask == 0 {
-                mask = all;
-            }
-            let k = tag % u64::from(mask.count_ones());
-            let mut m = mask;
-            for _ in 0..k {
-                m &= m - 1;
-            }
-            return m.trailing_zeros() as u16;
+                .map_or(0, |m| m.load(Ordering::Relaxed));
+            return rss_pick(local.queues.len(), mask, tag);
         }
         // Remote destinations: spread by declared queue count; the remote
         // mask is not visible cross-process (see module docs).
@@ -690,6 +684,30 @@ mod tests {
         // Out-of-range queue folds, never lost.
         a[0].send_to(NodeAddr(2), 7, vec![42]).unwrap();
         assert_eq!(recv_within(&b[3], 2000), Some(vec![42]), "7 % 4 = 3");
+    }
+
+    /// `send_many` drains what it accepted and leaves what it rejected, on
+    /// both backends alike.
+    #[test]
+    fn send_many_leaves_rejected_frames_for_the_caller() {
+        let (mem, udp) = (MemFabric::new(), UdpFabric::new());
+        let mem_ports = mem.attach_queues(NodeAddr(1), 1).unwrap();
+        let udp_ports = attach(&udp, NodeAddr(1), 1);
+        for port in [&mem_ports[0], &udp_ports[0]] {
+            let mut frames = vec![
+                (NodeAddr(1), 0, vec![1]),
+                (NodeAddr(9), 0, vec![2, 2]),
+                (NodeAddr(1), 0, vec![3]),
+                (NodeAddr(8), 1, vec![4; 4]),
+            ];
+            assert_eq!(port.send_many(&mut frames), 2);
+            assert_eq!(
+                frames,
+                [(NodeAddr(9), 0, vec![2, 2]), (NodeAddr(8), 1, vec![4; 4])]
+            );
+            assert_eq!(recv_within(port, 2000), Some(vec![1]));
+            assert_eq!(recv_within(port, 2000), Some(vec![3]));
+        }
     }
 
     #[test]

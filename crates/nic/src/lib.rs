@@ -6,11 +6,12 @@
 //!
 //! * [`ring`] — lock-free cache-line SPSC rings with validity-flag polling,
 //!   the software half of the CCI-P coherent-memory interface (Fig. 8);
-//! * [`transport`] — the UDP/IP-like framing of the Transport unit plus the
-//!   (idle, §4.5) Protocol hook;
-//! * [`reliable`] — the §4.5 follow-up work, implemented: a Go-Back-N
-//!   reliable transport with piggybacked acknowledgements, paired with the
-//!   fabric's deterministic loss injection;
+//! * [`transport`] — the UDP/IP-like framing of the Transport unit;
+//! * [`reliable`] — the §4.5 follow-up work, implemented in the place of
+//!   the paper's idle Protocol unit: a sliding-window reliable transport
+//!   (selective repeat by default, Go-Back-N as the A/B baseline) with
+//!   piggybacked acknowledgements, paired with the fabric's deterministic
+//!   loss injection;
 //! * [`connmgr`] — the Connection Manager: a direct-mapped, three-banked
 //!   (1W3R) connection cache with host-memory spill (§4.2);
 //! * [`lb`] — the RX load balancers: uniform dynamic, static, and the
@@ -18,7 +19,8 @@
 //! * [`reqbuf`]/[`flow`]/[`sched`] — the request buffer + free-slot FIFO,
 //!   per-flow FIFOs of `slot_id` references, and the flow scheduler that
 //!   forms CCI-P delivery batches (Fig. 9B);
-//! * [`monitor`] — the Packet Monitor statistics unit;
+//! * [`monitor`] — the Packet Monitor statistics unit, and [`bank`] — the
+//!   one declaration form every counter bank in this crate uses;
 //! * [`offload`] — the on-NIC compute offload stage: NIC-side serde driven
 //!   by IDL-generated tables and the coherent hot-key response cache
 //!   (§5.6, DESIGN.md §18);
@@ -49,6 +51,7 @@
 
 pub mod arbiter;
 pub mod balancer;
+pub mod bank;
 pub mod bufpool;
 pub mod conncache;
 pub mod connmgr;

@@ -1,373 +1,86 @@
 //! The Packet Monitor: the NIC's statistics unit (Fig. 6).
 //!
-//! A bank of lock-free counters updated by the NIC engine on the data path
-//! and readable by the host at any time (the paper uses it for the request
-//! tracing of §5.7 and for the drop-rate criteria of §5.6).
+//! Lock-free counters updated by the NIC engine on the data path and
+//! readable by the host at any time (the paper uses it for the request
+//! tracing of §5.7 and for the drop-rate criteria of §5.6). Every datapath
+//! fact is counted once, in the counting worker's own [`QueueStats`] bank;
+//! the whole-NIC view is the field-wise sum over those banks, so it cannot
+//! disagree with the per-queue breakdown. DESIGN.md §10 tabulates every
+//! counter.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-/// Lock-free NIC statistics, shared between the engine thread and the host.
-///
-/// Besides the global counter bank, a monitor built with
-/// [`with_flows`](PacketMonitor::with_flows) carries a per-flow bank
-/// (TX/RX frame and RX-drop counts per flow id) so the telemetry layer can
-/// break the Fig. 6 counters down per ring pair.
-#[derive(Debug, Default)]
-pub struct PacketMonitor {
-    tx_frames: AtomicU64,
-    rx_frames: AtomicU64,
-    tx_datagrams: AtomicU64,
-    rx_datagrams: AtomicU64,
-    rx_ring_drops: AtomicU64,
-    unknown_connection_drops: AtomicU64,
-    wire_drops: AtomicU64,
-    reqbuf_backpressure: AtomicU64,
-    cached_polls: AtomicU64,
-    direct_polls: AtomicU64,
-    tx_window_deferrals: AtomicU64,
-    flows: Vec<FlowCounters>,
-    /// Per-queue banks of a sharded NIC, attached once at engine start so
-    /// whole-NIC snapshots carry the per-queue breakdown too.
-    queues: OnceLock<Vec<Arc<QueueStats>>>,
+use crate::bank::counter_bank;
+
+counter_bank! {
+    /// One engine worker's counter bank: incremented only by that worker
+    /// (no cross-queue contention), exported as `nic.<addr>.q<i>.*` gauges
+    /// and, summed over the workers, as the whole-NIC `nic.<addr>.*`.
+    pub struct QueueStats =>
+    /// A plain-data snapshot of one engine queue's counters (or, in
+    /// [`MonitorSnapshot::totals`], of their sum over the NIC).
+    QueueSnapshot {
+        /// Frames shipped to the network.
+        tx_frames,
+        /// Frames received from the network.
+        rx_frames,
+        /// Datagrams shipped.
+        tx_datagrams,
+        /// Datagrams received.
+        rx_datagrams,
+        /// Frames dropped because the destination RX ring was full (or, at
+        /// shutdown, stranded in a handoff backlog).
+        rx_ring_drops,
+        /// Frames dropped because the connection (or, on TX, its
+        /// destination) was unknown.
+        unknown_connection_drops,
+        /// Network payloads dropped as undecodable off the wire
+        /// (truncated, corrupted, or checksum-failed transport frames).
+        wire_drops,
+        /// Frames dropped because the request buffer was full.
+        reqbuf_backpressure,
+        /// Frames fetched while polling the NIC's local coherent cache
+        /// (low-load mode, §4.4.1).
+        cached_polls,
+        /// Frames fetched while polling the processor's LLC directly
+        /// (high-load mode, §4.4.1).
+        direct_polls,
+        /// Datagrams deferred (including re-deferred) by reliable-transport
+        /// window backpressure.
+        tx_window_deferrals,
+        /// Steered frames handed to another worker's flow.
+        handoff_out,
+        /// Steered frames accepted from other workers.
+        handoff_in,
+        /// Handed-off frames held back to restore per-flow arrival order.
+        reorder_holds,
+        /// Holds released past a gap by the stall valve (or shutdown flush).
+        reorder_flushes,
+        /// Connections switched to a new destination queue after a clean
+        /// channel drain (elastic RSS remap).
+        remaps,
+        /// Remap switches forced by the drain deadline with the old
+        /// channel still unacked.
+        forced_remaps,
+    }
 }
 
-/// Per-flow counter bank (one entry per ring pair).
-#[derive(Debug, Default)]
-struct FlowCounters {
-    tx_frames: AtomicU64,
-    rx_frames: AtomicU64,
-    rx_ring_drops: AtomicU64,
-}
-
-/// A plain-data snapshot of one flow's counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FlowSnapshot {
-    /// Frames the engine pulled from this flow's TX ring.
-    pub tx_frames: u64,
-    /// Frames delivered into this flow's RX ring.
-    pub rx_frames: u64,
-    /// Frames dropped because this flow's RX ring was full.
-    pub rx_ring_drops: u64,
-}
-
-/// A plain-data snapshot of every counter.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct MonitorSnapshot {
-    /// Frames sent to the network.
-    pub tx_frames: u64,
-    /// Frames received from the network.
-    pub rx_frames: u64,
-    /// Datagrams sent.
-    pub tx_datagrams: u64,
-    /// Datagrams received.
-    pub rx_datagrams: u64,
-    /// Frames dropped because the destination RX ring was full.
-    pub rx_ring_drops: u64,
-    /// Frames dropped because the connection was unknown.
-    pub unknown_connection_drops: u64,
-    /// Network payloads dropped as undecodable off the wire (truncated,
-    /// corrupted, or checksum-failed transport frames).
-    pub wire_drops: u64,
-    /// Times the request buffer asserted backpressure.
-    pub reqbuf_backpressure: u64,
-    /// Frames fetched while polling the NIC's local coherent cache
-    /// (low-load mode, §4.4.1).
-    pub cached_polls: u64,
-    /// Frames fetched while polling the processor's LLC directly
-    /// (high-load mode, §4.4.1).
-    pub direct_polls: u64,
-    /// Datagrams deferred (including re-deferred) by reliable-transport
-    /// window backpressure.
-    pub tx_window_deferrals: u64,
-    /// Per-queue counters of a sharded NIC (empty when no queue banks are
-    /// attached, e.g. a standalone monitor).
-    pub queues: Vec<QueueSnapshot>,
-}
-
-/// Per-engine-queue counter bank for a sharded NIC: one instance per
-/// worker thread, updated only by that worker (no cross-queue contention)
-/// and exported as `nic.<addr>.q<i>.*` telemetry gauges. The aggregate
-/// [`PacketMonitor`] stays the single source of truth for whole-NIC
-/// counts; these break the datapath down per queue.
-#[derive(Debug, Default)]
-pub struct QueueStats {
-    tx_frames: AtomicU64,
-    rx_frames: AtomicU64,
-    tx_datagrams: AtomicU64,
-    rx_datagrams: AtomicU64,
-    handoff_out: AtomicU64,
-    handoff_in: AtomicU64,
-    reorder_holds: AtomicU64,
-    reorder_flushes: AtomicU64,
-    remaps: AtomicU64,
-    forced_remaps: AtomicU64,
-}
-
-/// A plain-data snapshot of one engine queue's counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct QueueSnapshot {
-    /// Frames this worker pulled from its TX rings.
-    pub tx_frames: u64,
-    /// Frames this worker received off its fabric port queue.
-    pub rx_frames: u64,
-    /// Datagrams this worker shipped.
-    pub tx_datagrams: u64,
-    /// Datagrams this worker received.
-    pub rx_datagrams: u64,
-    /// Steered frames handed to another worker's flow.
-    pub handoff_out: u64,
-    /// Steered frames accepted from other workers.
-    pub handoff_in: u64,
-    /// Handed-off frames held back to restore per-flow arrival order.
-    pub reorder_holds: u64,
-    /// Holds released past a gap by the stall valve (or shutdown flush).
-    pub reorder_flushes: u64,
-    /// Connections this worker switched to a new destination queue after
-    /// a clean channel drain (elastic RSS remap).
-    pub remaps: u64,
-    /// Remap switches forced by the drain deadline with the old channel
-    /// still unacked.
-    pub forced_remaps: u64,
+counter_bank! {
+    /// Per-flow counter bank (one per ring pair), exported as
+    /// `nic.<addr>.flow.<i>.*`.
+    pub struct FlowStats =>
+    /// A plain-data snapshot of one flow's counters.
+    FlowSnapshot {
+        /// Frames the engine pulled from this flow's TX ring.
+        tx_frames,
+        /// Frames delivered into this flow's RX ring.
+        rx_frames,
+        /// Frames dropped because this flow's RX ring was full.
+        rx_ring_drops,
+    }
 }
 
 impl QueueSnapshot {
-    /// Per-field saturating difference `self - earlier`.
-    pub fn delta(&self, earlier: &QueueSnapshot) -> QueueSnapshot {
-        QueueSnapshot {
-            tx_frames: self.tx_frames.saturating_sub(earlier.tx_frames),
-            rx_frames: self.rx_frames.saturating_sub(earlier.rx_frames),
-            tx_datagrams: self.tx_datagrams.saturating_sub(earlier.tx_datagrams),
-            rx_datagrams: self.rx_datagrams.saturating_sub(earlier.rx_datagrams),
-            handoff_out: self.handoff_out.saturating_sub(earlier.handoff_out),
-            handoff_in: self.handoff_in.saturating_sub(earlier.handoff_in),
-            reorder_holds: self.reorder_holds.saturating_sub(earlier.reorder_holds),
-            reorder_flushes: self.reorder_flushes.saturating_sub(earlier.reorder_flushes),
-            remaps: self.remaps.saturating_sub(earlier.remaps),
-            forced_remaps: self.forced_remaps.saturating_sub(earlier.forced_remaps),
-        }
-    }
-}
-
-impl QueueStats {
-    /// Counts `n` frames pulled from this queue's TX rings.
-    pub fn add_tx_frames(&self, n: u64) {
-        self.tx_frames.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Counts `n` frames received off this queue's fabric port.
-    pub fn add_rx_frames(&self, n: u64) {
-        self.rx_frames.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Counts one datagram shipped by this queue.
-    pub fn inc_tx_datagrams(&self) {
-        self.tx_datagrams.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one datagram received by this queue.
-    pub fn inc_rx_datagrams(&self) {
-        self.rx_datagrams.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one frame handed off to another worker.
-    pub fn inc_handoff_out(&self) {
-        self.handoff_out.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one frame accepted from another worker.
-    pub fn inc_handoff_in(&self) {
-        self.handoff_in.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one frame held back (or re-held) waiting for an earlier
-    /// arrival during a cross-queue handoff.
-    pub fn inc_reorder_holds(&self) {
-        self.reorder_holds.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one hold released past its gap by the stall valve (the
-    /// missing predecessor was presumed lost) or by the shutdown flush.
-    pub fn inc_reorder_flushes(&self) {
-        self.reorder_flushes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one connection switched to a new destination queue after its
-    /// old channel drained cleanly.
-    pub fn inc_remaps(&self) {
-        self.remaps.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one remap switch forced by the drain deadline.
-    pub fn inc_forced_remaps(&self) {
-        self.forced_remaps.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Reads all of this queue's counters at once.
-    pub fn snapshot(&self) -> QueueSnapshot {
-        QueueSnapshot {
-            tx_frames: self.tx_frames.load(Ordering::Relaxed),
-            rx_frames: self.rx_frames.load(Ordering::Relaxed),
-            tx_datagrams: self.tx_datagrams.load(Ordering::Relaxed),
-            rx_datagrams: self.rx_datagrams.load(Ordering::Relaxed),
-            handoff_out: self.handoff_out.load(Ordering::Relaxed),
-            handoff_in: self.handoff_in.load(Ordering::Relaxed),
-            reorder_holds: self.reorder_holds.load(Ordering::Relaxed),
-            reorder_flushes: self.reorder_flushes.load(Ordering::Relaxed),
-            remaps: self.remaps.load(Ordering::Relaxed),
-            forced_remaps: self.forced_remaps.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl PacketMonitor {
-    /// Creates a zeroed monitor with no per-flow bank.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a zeroed monitor with a per-flow bank of `flows` entries.
-    pub fn with_flows(flows: usize) -> Self {
-        PacketMonitor {
-            flows: (0..flows).map(|_| FlowCounters::default()).collect(),
-            ..Self::default()
-        }
-    }
-
-    /// Number of per-flow counter entries (0 when built with `new`).
-    pub fn flow_count(&self) -> usize {
-        self.flows.len()
-    }
-
-    /// Attaches the sharded engine's per-queue counter banks so every
-    /// [`snapshot`](PacketMonitor::snapshot) carries the per-queue
-    /// breakdown. First attachment wins; later calls are ignored (the bank
-    /// set is fixed for the NIC's lifetime).
-    pub fn attach_queue_stats(&self, banks: Vec<Arc<QueueStats>>) {
-        let _ = self.queues.set(banks);
-    }
-
-    /// Reads every attached queue bank (empty when none are attached).
-    pub fn queue_snapshots(&self) -> Vec<QueueSnapshot> {
-        self.queues
-            .get()
-            .map(|banks| banks.iter().map(|b| b.snapshot()).collect())
-            .unwrap_or_default()
-    }
-
-    /// Counts `n` frames pulled from flow `flow`'s TX ring.
-    pub fn add_flow_tx_frames(&self, flow: usize, n: u64) {
-        if let Some(fc) = self.flows.get(flow) {
-            fc.tx_frames.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Counts `n` frames delivered into flow `flow`'s RX ring.
-    pub fn add_flow_rx_frames(&self, flow: usize, n: u64) {
-        if let Some(fc) = self.flows.get(flow) {
-            fc.rx_frames.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Counts one frame dropped at flow `flow`'s full RX ring.
-    pub fn inc_flow_rx_ring_drops(&self, flow: usize) {
-        if let Some(fc) = self.flows.get(flow) {
-            fc.rx_ring_drops.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Reads one flow's counters, or `None` if `flow` is out of range.
-    pub fn flow_snapshot(&self, flow: usize) -> Option<FlowSnapshot> {
-        self.flows.get(flow).map(|fc| FlowSnapshot {
-            tx_frames: fc.tx_frames.load(Ordering::Relaxed),
-            rx_frames: fc.rx_frames.load(Ordering::Relaxed),
-            rx_ring_drops: fc.rx_ring_drops.load(Ordering::Relaxed),
-        })
-    }
-
-    /// Reads every flow's counters.
-    pub fn flow_snapshots(&self) -> Vec<FlowSnapshot> {
-        (0..self.flows.len())
-            .filter_map(|i| self.flow_snapshot(i))
-            .collect()
-    }
-
-    /// Counts `n` transmitted frames.
-    pub fn add_tx_frames(&self, n: u64) {
-        self.tx_frames.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Counts `n` received frames.
-    pub fn add_rx_frames(&self, n: u64) {
-        self.rx_frames.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Counts one transmitted datagram.
-    pub fn inc_tx_datagrams(&self) {
-        self.tx_datagrams.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one received datagram.
-    pub fn inc_rx_datagrams(&self) {
-        self.rx_datagrams.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one frame dropped at a full RX ring.
-    pub fn inc_rx_ring_drops(&self) {
-        self.rx_ring_drops.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one frame dropped for an unknown connection.
-    pub fn inc_unknown_connection_drops(&self) {
-        self.unknown_connection_drops
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one undecodable network payload dropped off the wire.
-    pub fn inc_wire_drops(&self) {
-        self.wire_drops.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one request-buffer backpressure event.
-    pub fn inc_reqbuf_backpressure(&self) {
-        self.reqbuf_backpressure.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts frames fetched in cached-polling mode.
-    pub fn add_cached_polls(&self, n: u64) {
-        self.cached_polls.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Counts frames fetched in direct-LLC-polling mode.
-    pub fn add_direct_polls(&self, n: u64) {
-        self.direct_polls.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Counts one datagram deferral under reliable-window backpressure.
-    pub fn inc_tx_window_deferrals(&self) {
-        self.tx_window_deferrals.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Reads all counters at once.
-    pub fn snapshot(&self) -> MonitorSnapshot {
-        MonitorSnapshot {
-            tx_frames: self.tx_frames.load(Ordering::Relaxed),
-            rx_frames: self.rx_frames.load(Ordering::Relaxed),
-            tx_datagrams: self.tx_datagrams.load(Ordering::Relaxed),
-            rx_datagrams: self.rx_datagrams.load(Ordering::Relaxed),
-            rx_ring_drops: self.rx_ring_drops.load(Ordering::Relaxed),
-            unknown_connection_drops: self.unknown_connection_drops.load(Ordering::Relaxed),
-            wire_drops: self.wire_drops.load(Ordering::Relaxed),
-            reqbuf_backpressure: self.reqbuf_backpressure.load(Ordering::Relaxed),
-            cached_polls: self.cached_polls.load(Ordering::Relaxed),
-            direct_polls: self.direct_polls.load(Ordering::Relaxed),
-            tx_window_deferrals: self.tx_window_deferrals.load(Ordering::Relaxed),
-            queues: self.queue_snapshots(),
-        }
-    }
-}
-
-impl MonitorSnapshot {
     /// Total frames dropped for any reason.
     pub fn total_drops(&self) -> u64 {
         self.rx_ring_drops
@@ -375,86 +88,95 @@ impl MonitorSnapshot {
             + self.wire_drops
             + self.reqbuf_backpressure
     }
+}
 
-    /// Fraction of received frames that were dropped.
-    pub fn drop_rate(&self) -> f64 {
-        if self.rx_frames == 0 {
-            0.0
-        } else {
-            self.total_drops() as f64 / self.rx_frames as f64
+/// The NIC's statistics unit: one [`QueueStats`] bank per engine worker and
+/// one [`FlowStats`] bank per ring pair, shared between the engine threads
+/// and the host.
+#[derive(Debug)]
+pub struct PacketMonitor {
+    flows: Vec<FlowStats>,
+    queues: Vec<Arc<QueueStats>>,
+}
+
+/// A plain-data snapshot of the whole NIC: the per-queue banks and their
+/// field-wise sum. Dereferences to [`MonitorSnapshot::totals`], so
+/// `snapshot.tx_frames` reads the whole-NIC count.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct MonitorSnapshot {
+    /// Whole-NIC counters: the sum of `queues`.
+    pub totals: QueueSnapshot,
+    /// Per-queue counters, indexed by engine queue.
+    pub queues: Vec<QueueSnapshot>,
+}
+
+impl std::ops::Deref for MonitorSnapshot {
+    type Target = QueueSnapshot;
+
+    fn deref(&self) -> &QueueSnapshot {
+        &self.totals
+    }
+}
+
+impl PacketMonitor {
+    /// Creates a zeroed monitor for `flows` ring pairs and `queues` engine
+    /// workers.
+    pub fn new(flows: usize, queues: usize) -> Self {
+        // `resize_with`, not `map(..).collect()`: with a constant `flows`
+        // the latter crashes rustc 1.95's LLVM (SIGSEGV in codegen) at
+        // opt-level 2 under incremental compilation.
+        let mut flow_banks = Vec::new();
+        flow_banks.resize_with(flows, FlowStats::default);
+        PacketMonitor {
+            flows: flow_banks,
+            queues: (0..queues).map(|_| Arc::default()).collect(),
         }
     }
 
-    /// Per-field saturating difference `self - earlier`: the counter
-    /// activity between two snapshots of the same monitor. Saturates to
-    /// zero field-wise if `earlier` was in fact taken later.
-    pub fn delta(&self, earlier: &MonitorSnapshot) -> MonitorSnapshot {
+    /// The per-worker banks, indexed by engine queue.
+    pub fn queues(&self) -> &[Arc<QueueStats>] {
+        &self.queues
+    }
+
+    /// The per-flow banks, indexed by flow id.
+    pub fn flows(&self) -> &[FlowStats] {
+        &self.flows
+    }
+
+    /// Reads one flow's counters, or `None` if `flow` is out of range.
+    pub fn flow_snapshot(&self, flow: usize) -> Option<FlowSnapshot> {
+        self.flows.get(flow).map(FlowStats::snapshot)
+    }
+
+    /// Reads every queue bank and sums them into the whole-NIC view.
+    pub fn snapshot(&self) -> MonitorSnapshot {
+        let queues: Vec<_> = self.queues.iter().map(|q| q.snapshot()).collect();
         MonitorSnapshot {
-            tx_frames: self.tx_frames.saturating_sub(earlier.tx_frames),
-            rx_frames: self.rx_frames.saturating_sub(earlier.rx_frames),
-            tx_datagrams: self.tx_datagrams.saturating_sub(earlier.tx_datagrams),
-            rx_datagrams: self.rx_datagrams.saturating_sub(earlier.rx_datagrams),
-            rx_ring_drops: self.rx_ring_drops.saturating_sub(earlier.rx_ring_drops),
-            unknown_connection_drops: self
-                .unknown_connection_drops
-                .saturating_sub(earlier.unknown_connection_drops),
-            wire_drops: self.wire_drops.saturating_sub(earlier.wire_drops),
-            reqbuf_backpressure: self
-                .reqbuf_backpressure
-                .saturating_sub(earlier.reqbuf_backpressure),
-            cached_polls: self.cached_polls.saturating_sub(earlier.cached_polls),
-            direct_polls: self.direct_polls.saturating_sub(earlier.direct_polls),
-            tx_window_deferrals: self
-                .tx_window_deferrals
-                .saturating_sub(earlier.tx_window_deferrals),
-            queues: self
-                .queues
-                .iter()
-                .enumerate()
-                .map(|(i, q)| match earlier.queues.get(i) {
-                    Some(e) => q.delta(e),
-                    None => *q,
-                })
-                .collect(),
+            totals: queues.iter().copied().sum(),
+            queues,
+        }
+    }
+}
+
+impl MonitorSnapshot {
+    /// Per-field saturating difference `self - earlier` of two snapshots
+    /// of one monitor, whole-NIC and per queue.
+    pub fn delta(&self, earlier: &MonitorSnapshot) -> MonitorSnapshot {
+        let per_queue = self.queues.iter().zip(&earlier.queues);
+        MonitorSnapshot {
+            totals: self.totals.delta(&earlier.totals),
+            queues: per_queue.map(|(q, e)| q.delta(e)).collect(),
         }
     }
 }
 
 impl std::fmt::Display for MonitorSnapshot {
-    /// One-line human-readable dump, in Fig. 6 counter order.
+    /// One-line human-readable dump: the whole-NIC counters, then each
+    /// queue's in brackets.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "tx={}f/{}d rx={}f/{}d drops={} (ring={} unknown_conn={} wire={} reqbuf={}) \
-             polls(cached={} direct={}) deferrals={}",
-            self.tx_frames,
-            self.tx_datagrams,
-            self.rx_frames,
-            self.rx_datagrams,
-            self.total_drops(),
-            self.rx_ring_drops,
-            self.unknown_connection_drops,
-            self.wire_drops,
-            self.reqbuf_backpressure,
-            self.cached_polls,
-            self.direct_polls,
-            self.tx_window_deferrals
-        )?;
+        write!(f, "{}", self.totals)?;
         for (i, q) in self.queues.iter().enumerate() {
-            write!(
-                f,
-                " q{i}[tx={}f/{}d rx={}f/{}d ho={}/{} held={}/{} rm={}/{}]",
-                q.tx_frames,
-                q.tx_datagrams,
-                q.rx_frames,
-                q.rx_datagrams,
-                q.handoff_out,
-                q.handoff_in,
-                q.reorder_holds,
-                q.reorder_flushes,
-                q.remaps,
-                q.forced_remaps
-            )?;
+            write!(f, " q{i}[{q}]")?;
         }
         Ok(())
     }
@@ -465,168 +187,66 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate() {
-        let m = PacketMonitor::new();
-        m.add_tx_frames(3);
-        m.add_rx_frames(5);
-        m.inc_tx_datagrams();
-        m.inc_rx_datagrams();
-        m.inc_rx_ring_drops();
-        m.inc_unknown_connection_drops();
-        m.inc_wire_drops();
-        m.inc_reqbuf_backpressure();
+    fn whole_nic_snapshot_is_the_sum_of_the_queue_banks() {
+        let m = PacketMonitor::new(0, 2);
+        m.queues()[0].tx_frames.add(3);
+        m.queues()[0].handoff_out.inc();
+        m.queues()[1].tx_frames.add(4);
+        m.queues()[1].rx_ring_drops.inc();
+        m.queues()[1].wire_drops.inc();
         let s = m.snapshot();
-        assert_eq!(s.tx_frames, 3);
-        assert_eq!(s.rx_frames, 5);
-        assert_eq!(s.tx_datagrams, 1);
-        assert_eq!(s.rx_datagrams, 1);
-        assert_eq!(s.wire_drops, 1);
-        assert_eq!(s.total_drops(), 4);
-        assert!((s.drop_rate() - 0.8).abs() < 1e-9);
+        assert_eq!(s.queues.len(), 2);
+        assert_eq!(s.queues[0].tx_frames, 3);
+        assert_eq!(s.queues[1].tx_frames, 4);
+        assert_eq!(s.tx_frames, 7);
+        assert_eq!(s.handoff_out, 1);
+        assert_eq!(s.total_drops(), 2);
+        assert_eq!(s.totals, s.queues.iter().copied().sum());
     }
 
     #[test]
-    fn empty_monitor_has_zero_drop_rate() {
-        let s = PacketMonitor::new().snapshot();
-        assert_eq!(s.drop_rate(), 0.0);
-    }
-
-    #[test]
-    fn delta_is_saturating_per_field() {
-        let m = PacketMonitor::new();
-        m.add_tx_frames(10);
-        m.inc_rx_ring_drops();
+    fn delta_covers_totals_and_queues_and_saturates() {
+        let m = PacketMonitor::new(0, 2);
+        m.queues()[0].tx_frames.add(10);
         let earlier = m.snapshot();
-        m.add_tx_frames(5);
-        m.add_rx_frames(2);
-        let d = m.snapshot().delta(&earlier);
+        m.queues()[0].tx_frames.add(5);
+        m.queues()[1].reorder_holds.inc();
+        let later = m.snapshot();
+        let d = later.delta(&earlier);
         assert_eq!(d.tx_frames, 5);
-        assert_eq!(d.rx_frames, 2);
-        assert_eq!(d.rx_ring_drops, 0);
+        assert_eq!(d.queues[0].tx_frames, 5);
+        assert_eq!(d.queues[1].reorder_holds, 1);
         // Reversed order saturates to zero rather than wrapping.
-        let rev = earlier.delta(&m.snapshot());
-        assert_eq!(rev.tx_frames, 0);
-        assert_eq!(rev, MonitorSnapshot::default());
+        let rev = earlier.delta(&later);
+        assert_eq!(rev.totals, QueueSnapshot::default());
     }
 
     #[test]
-    fn display_is_one_line_and_mentions_drops() {
-        let m = PacketMonitor::new();
-        m.add_tx_frames(7);
-        m.inc_unknown_connection_drops();
+    fn display_is_one_line_with_a_section_per_queue() {
+        let m = PacketMonitor::new(0, 2);
+        m.queues()[0].tx_frames.add(7);
+        m.queues()[1].unknown_connection_drops.inc();
         let line = m.snapshot().to_string();
         assert!(!line.contains('\n'));
-        assert!(line.contains("tx=7f"));
-        assert!(line.contains("unknown_conn=1"));
-        assert!(line.contains("wire=0"));
+        assert!(line.starts_with("tx_frames=7 "), "{line}");
+        assert!(line.contains(" q0[tx_frames=7 "), "{line}");
+        assert!(line.contains("unknown_connection_drops=1"), "{line}");
+        assert!(line.contains(" q1["), "{line}");
     }
 
     #[test]
-    fn per_flow_counters_are_independent() {
-        let m = PacketMonitor::with_flows(4);
-        assert_eq!(m.flow_count(), 4);
-        m.add_flow_tx_frames(0, 3);
-        m.add_flow_rx_frames(1, 2);
-        m.inc_flow_rx_ring_drops(1);
+    fn per_flow_banks_are_independent() {
+        let m = PacketMonitor::new(4, 1);
+        m.flows()[0].tx_frames.add(3);
+        m.flows()[1].rx_frames.add(2);
+        m.flows()[1].rx_ring_drops.inc();
         let f0 = m.flow_snapshot(0).unwrap();
         let f1 = m.flow_snapshot(1).unwrap();
         assert_eq!(f0.tx_frames, 3);
         assert_eq!(f0.rx_frames, 0);
         assert_eq!(f1.rx_frames, 2);
         assert_eq!(f1.rx_ring_drops, 1);
-        assert_eq!(m.flow_snapshots().len(), 4);
-        // Out-of-range flows are ignored, not panics (monitor built with
-        // new() has no per-flow bank at all).
-        let plain = PacketMonitor::new();
-        plain.add_flow_tx_frames(9, 1);
-        assert_eq!(plain.flow_snapshot(9), None);
-        assert!(plain.flow_snapshots().is_empty());
-    }
-
-    #[test]
-    fn queue_stats_accumulate_independently() {
-        let q0 = QueueStats::default();
-        let q1 = QueueStats::default();
-        q0.add_tx_frames(3);
-        q0.inc_tx_datagrams();
-        q0.inc_handoff_out();
-        q1.add_rx_frames(2);
-        q1.inc_rx_datagrams();
-        q1.inc_handoff_in();
-        let s0 = q0.snapshot();
-        let s1 = q1.snapshot();
-        assert_eq!(s0.tx_frames, 3);
-        assert_eq!(s0.tx_datagrams, 1);
-        assert_eq!(s0.handoff_out, 1);
-        assert_eq!(s0.rx_frames, 0);
-        assert_eq!(s1.rx_frames, 2);
-        assert_eq!(s1.rx_datagrams, 1);
-        assert_eq!(s1.handoff_in, 1);
-        assert_eq!(s1.tx_frames, 0);
-    }
-
-    #[test]
-    fn snapshot_delta_and_display_carry_attached_queue_banks() {
-        let m = PacketMonitor::new();
-        let banks: Vec<Arc<QueueStats>> = (0..2).map(|_| Arc::new(QueueStats::default())).collect();
-        m.attach_queue_stats(banks.clone());
-        banks[0].add_tx_frames(4);
-        banks[1].add_rx_frames(9);
-        banks[1].inc_handoff_in();
-        let before = m.snapshot();
-        assert_eq!(before.queues.len(), 2);
-        assert_eq!(before.queues[0].tx_frames, 4);
-        assert_eq!(before.queues[1].rx_frames, 9);
-        banks[0].add_tx_frames(6);
-        banks[1].inc_reorder_holds();
-        let d = m.snapshot().delta(&before);
-        assert_eq!(d.queues[0].tx_frames, 6);
-        assert_eq!(d.queues[1].rx_frames, 0);
-        assert_eq!(d.queues[1].reorder_holds, 1);
-        let line = m.snapshot().to_string();
-        assert!(!line.contains('\n'));
-        assert!(line.contains("q0[tx=10f"), "{line}");
-        assert!(line.contains("q1["), "{line}");
-        assert!(line.contains("held=1"), "{line}");
-        // Re-attachment is ignored: the first bank set stays live.
-        m.attach_queue_stats(vec![Arc::new(QueueStats::default())]);
-        assert_eq!(m.snapshot().queues.len(), 2);
-        // A monitor without banks keeps the old single-line shape.
-        let plain = PacketMonitor::new().snapshot();
-        assert!(plain.queues.is_empty());
-        assert!(!plain.to_string().contains("q0["));
-    }
-
-    #[test]
-    fn delta_tolerates_mismatched_queue_counts() {
-        let m = PacketMonitor::new();
-        m.attach_queue_stats(vec![Arc::new(QueueStats::default())]);
-        m.queues.get().unwrap()[0].add_tx_frames(5);
-        // An earlier snapshot taken before banks were attached has no
-        // queue entries; the delta falls back to the raw later values.
-        let earlier = MonitorSnapshot::default();
-        let d = m.snapshot().delta(&earlier);
-        assert_eq!(d.queues.len(), 1);
-        assert_eq!(d.queues[0].tx_frames, 5);
-    }
-
-    #[test]
-    fn concurrent_updates_are_lossless() {
-        use std::sync::Arc;
-        let m = Arc::new(PacketMonitor::new());
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let m = Arc::clone(&m);
-                std::thread::spawn(move || {
-                    for _ in 0..10_000 {
-                        m.add_tx_frames(1);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(m.snapshot().tx_frames, 40_000);
+        assert_eq!(m.flows().len(), 4);
+        assert_eq!(m.flow_snapshot(9), None);
     }
 }

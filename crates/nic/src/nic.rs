@@ -30,7 +30,7 @@
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -44,14 +44,15 @@ use dagger_types::{
 
 use crate::arbiter::ArbiterSlot;
 use crate::balancer::QueueBalancer;
-use crate::bufpool::BufPool;
-use crate::conncache::ConnTupleCache;
-use crate::connmgr::{ConnectionManager, ConnectionTuple};
+use crate::bank::GaugeNames;
+use crate::bufpool::{BufPool, BufPoolSnapshot};
+use crate::conncache::{ConnCacheSnapshot, ConnTupleCache};
+use crate::connmgr::{ConnMgrSnapshot, ConnectionManager, ConnectionTuple};
 use crate::engine::{encode_ctrl_close, encode_ctrl_open, EngineCore};
 use crate::fabric::{Fabric, FabricPort};
 use crate::flow::FlowFifos;
 use crate::lb::LoadBalancer;
-use crate::monitor::{PacketMonitor, QueueStats};
+use crate::monitor::{FlowSnapshot, PacketMonitor, QueueSnapshot};
 use crate::offload::{OffloadSnapshot, OffloadState};
 use crate::reliable::{ReliableConfig, ReliableStats, ReliableTransport, SharedReliableStats};
 use crate::reqbuf::RequestBuffer;
@@ -95,6 +96,43 @@ pub struct HostFlow {
     pub rx: RingConsumer,
 }
 
+/// The gauge names of every counter bank one NIC exports (DESIGN.md §10).
+struct NicGaugeNames {
+    totals: GaugeNames,
+    per_queue: Vec<GaugeNames>,
+    per_flow: Vec<GaugeNames>,
+    pool: GaugeNames,
+    conncache: GaugeNames,
+    offload: GaugeNames,
+    cm: GaugeNames,
+    reliable: GaugeNames,
+    reliable_per_queue: Vec<GaugeNames>,
+}
+
+impl NicGaugeNames {
+    fn new(prefix: &str, queues: usize, flows: usize, reliable_queues: usize) -> Self {
+        let under = |sub: &str, names| GaugeNames::new(&format!("{prefix}.{sub}"), names);
+        let cm: Vec<_> = ConnMgrSnapshot::default().iter().map(|(n, _)| n).collect();
+        NicGaugeNames {
+            totals: GaugeNames::new(prefix, QueueSnapshot::NAMES),
+            per_queue: (0..queues)
+                .map(|q| under(&format!("q{q}"), QueueSnapshot::NAMES))
+                .collect(),
+            per_flow: (0..flows)
+                .map(|i| under(&format!("flow.{i}"), FlowSnapshot::NAMES))
+                .collect(),
+            pool: under("pool", BufPoolSnapshot::NAMES),
+            conncache: under("conncache", ConnCacheSnapshot::NAMES),
+            offload: under("offload", OffloadSnapshot::NAMES),
+            cm: under("cm", &cm),
+            reliable: under("reliable", ReliableStats::NAMES),
+            reliable_per_queue: (0..reliable_queues)
+                .map(|q| under(&format!("q{q}.reliable"), ReliableStats::NAMES))
+                .collect(),
+        }
+    }
+}
+
 /// A running Dagger NIC instance.
 pub struct Nic {
     addr: NodeAddr,
@@ -116,9 +154,7 @@ pub struct Nic {
     /// them; the control channel is shared, so any worker may be the one
     /// that must notice).
     wakers: Vec<Arc<EngineWaker>>,
-    /// Per-worker counter banks, exported as `nic.<addr>.q<i>.*`.
-    qstats: Vec<Arc<QueueStats>>,
-    /// Per-worker reliable-transport counter mirrors (empty when the NIC is
+    /// Per-worker reliable-transport counter banks (empty when the NIC is
     /// not reliable).
     reliable_stats: Vec<Arc<SharedReliableStats>>,
     /// The on-NIC compute offload stage (DESIGN.md §18), shared with every
@@ -209,7 +245,7 @@ impl Nic {
         // The soft active-queue mask gates new RSS routing decisions made
         // by *senders* toward this NIC.
         fabric.set_queue_mask(addr, softregs.active_queue_mask_handle());
-        let monitor = Arc::new(PacketMonitor::with_flows(cfg.num_flows));
+        let monitor = Arc::new(PacketMonitor::new(cfg.num_flows, nq));
         let conn_mgr = Arc::new(Mutex::new(ConnectionManager::new(cfg.conn_cache_entries)));
 
         // Engine wakeup latches, one per worker: host TX pushes on owned
@@ -275,7 +311,6 @@ impl Nic {
         // Build every worker first, collecting its stat handles for the
         // telemetry collector, then register the collector, then spawn.
         let mut cores = Vec::with_capacity(nq);
-        let mut qstats = Vec::with_capacity(nq);
         let mut pool_stats = Vec::with_capacity(nq);
         let mut conncache_stats = Vec::with_capacity(nq);
         let mut reliable_stats = Vec::new();
@@ -290,8 +325,6 @@ impl Nic {
             pool_stats.push(pool.shared_stats());
             let conn_cache = ConnTupleCache::new(conn_mgr.lock().generation_handle());
             conncache_stats.push(conn_cache.shared_stats());
-            let qs = Arc::new(QueueStats::default());
-            qstats.push(Arc::clone(&qs));
             cores.push(EngineCore {
                 addr,
                 queue_id: q as u16,
@@ -306,7 +339,6 @@ impl Nic {
                 reqbuf: RequestBuffer::new((cfg.rx_ring_capacity * cfg.num_flows).max(64)),
                 fifos: FlowFifos::new(cfg.num_flows),
                 sched: FlowScheduler::new(cfg.num_flows, SCHED_TIMEOUT_TICKS),
-                protocol: Default::default(),
                 arbiter: arbiter.take(),
                 stop: Arc::clone(&stop),
                 ctrl_rx: ctrl_rx.clone(),
@@ -324,7 +356,7 @@ impl Nic {
                 stage_idx: Default::default(),
                 waker: Arc::clone(&wakers[q]),
                 peer_wakers: wakers.clone(),
-                qstats: qs,
+                qstats: Arc::clone(&monitor.queues()[q]),
                 xfer_out: std::mem::take(&mut xfer_out[q]),
                 xfer_in: std::mem::take(&mut xfer_in[q]),
                 xfer_backlog: (0..nq).map(|_| Default::default()).collect(),
@@ -337,28 +369,28 @@ impl Nic {
                 route_pins: Default::default(),
                 tx_scratch: Vec::new(),
                 wire_out: Vec::new(),
-                wire_counts: Vec::new(),
                 offload: Arc::clone(&offload),
             });
         }
 
-        // Per-queue banks ride along in every whole-NIC monitor snapshot
-        // (delta/Display included), not just in the telemetry gauges.
-        monitor.attach_queue_stats(qstats.clone());
-
-        // Fold this NIC's counter banks (Packet Monitor global + per-flow +
-        // per-queue, Connection Manager, per-worker pools/caches/reliable
-        // transports) into the shared registry on every telemetry
-        // collection. The closure captures only the shared state Arcs, not
-        // the Nic, so there is no reference cycle.
+        // Fold this NIC's counter banks (Packet Monitor per-queue + their
+        // sum + per-flow, per-worker pools/caches/reliable transports, the
+        // offload stage, Connection Manager) into the shared registry on
+        // every telemetry collection: one walk per bank over prebuilt gauge
+        // names. The names are built by the first collection, not here —
+        // some hundred strings per NIC would be a tenth of the time it
+        // takes to start one. The closure captures only the shared state
+        // Arcs, not the Nic, so there is no reference cycle.
         {
             let monitor = Arc::clone(&monitor);
             let conn_mgr = Arc::clone(&conn_mgr);
-            let qstats = qstats.clone();
             let reliable_stats = reliable_stats.clone();
             let offload = Arc::clone(&offload);
             let prefix = format!("nic.{}", addr.raw());
-            let name = prefix.clone();
+            let (name, flows, reliable_queues) =
+                (prefix.clone(), cfg.num_flows, reliable_stats.len());
+            let gauges =
+                LazyLock::new(move || NicGaugeNames::new(&prefix, nq, flows, reliable_queues));
             let flight = Arc::clone(telemetry.flight());
             let addr_raw = addr.raw();
             // Previous collection's pooled-buffer miss total: a growing
@@ -367,116 +399,38 @@ impl Nic {
             let prev_misses = AtomicU64::new(0);
             telemetry.register_collector(&name, move |reg| {
                 let s = monitor.snapshot();
-                reg.set_gauge(&format!("{prefix}.tx_frames"), s.tx_frames);
-                reg.set_gauge(&format!("{prefix}.rx_frames"), s.rx_frames);
-                reg.set_gauge(&format!("{prefix}.tx_datagrams"), s.tx_datagrams);
-                reg.set_gauge(&format!("{prefix}.rx_datagrams"), s.rx_datagrams);
-                reg.set_gauge(&format!("{prefix}.rx_ring_drops"), s.rx_ring_drops);
-                reg.set_gauge(
-                    &format!("{prefix}.unknown_connection_drops"),
-                    s.unknown_connection_drops,
-                );
-                reg.set_gauge(&format!("{prefix}.wire_drops"), s.wire_drops);
-                reg.set_gauge(
-                    &format!("{prefix}.reqbuf_backpressure"),
-                    s.reqbuf_backpressure,
-                );
-                reg.set_gauge(&format!("{prefix}.cached_polls"), s.cached_polls);
-                reg.set_gauge(&format!("{prefix}.direct_polls"), s.direct_polls);
-                reg.set_gauge(
-                    &format!("{prefix}.tx_window_deferrals"),
-                    s.tx_window_deferrals,
-                );
-                let misses: u64 = pool_stats.iter().map(|p| p.misses()).sum();
-                let recycled: u64 = pool_stats.iter().map(|p| p.recycled()).sum();
-                reg.set_gauge(
-                    &format!("{prefix}.pool.hits"),
-                    pool_stats.iter().map(|p| p.hits()).sum(),
-                );
-                reg.set_gauge(&format!("{prefix}.pool.misses"), misses);
-                reg.set_gauge(&format!("{prefix}.pool.recycled"), recycled);
-                let prev = prev_misses.swap(misses, Ordering::Relaxed);
-                if misses > prev && recycled > 0 {
+                gauges.totals.export(reg, s.totals.iter());
+                for (names, q) in gauges.per_queue.iter().zip(&s.queues) {
+                    names.export(reg, q.iter());
+                }
+                for (names, f) in gauges.per_flow.iter().zip(monitor.flows()) {
+                    names.export(reg, f.snapshot().iter());
+                }
+                let p: BufPoolSnapshot = pool_stats.iter().map(|p| p.snapshot()).sum();
+                gauges.pool.export(reg, p.iter());
+                let prev = prev_misses.swap(p.misses, Ordering::Relaxed);
+                if p.misses > prev && p.recycled > 0 {
                     flight.record(
                         FlightEventKind::PoolExhausted,
                         addr_raw,
-                        misses - prev,
-                        misses,
+                        p.misses - prev,
+                        p.misses,
                     );
                 }
-                reg.set_gauge(
-                    &format!("{prefix}.conncache.hits"),
-                    conncache_stats.iter().map(|c| c.hits()).sum(),
-                );
-                reg.set_gauge(
-                    &format!("{prefix}.conncache.misses"),
-                    conncache_stats.iter().map(|c| c.misses()).sum(),
-                );
-                reg.set_gauge(
-                    &format!("{prefix}.conncache.invalidations"),
-                    conncache_stats.iter().map(|c| c.invalidations()).sum(),
-                );
-                for (q, qs) in qstats.iter().enumerate() {
-                    let qsnap = qs.snapshot();
-                    reg.set_gauge(&format!("{prefix}.q{q}.tx_frames"), qsnap.tx_frames);
-                    reg.set_gauge(&format!("{prefix}.q{q}.rx_frames"), qsnap.rx_frames);
-                    reg.set_gauge(&format!("{prefix}.q{q}.tx_datagrams"), qsnap.tx_datagrams);
-                    reg.set_gauge(&format!("{prefix}.q{q}.rx_datagrams"), qsnap.rx_datagrams);
-                    reg.set_gauge(&format!("{prefix}.q{q}.handoff_out"), qsnap.handoff_out);
-                    reg.set_gauge(&format!("{prefix}.q{q}.handoff_in"), qsnap.handoff_in);
-                    reg.set_gauge(&format!("{prefix}.q{q}.reorder_holds"), qsnap.reorder_holds);
-                    reg.set_gauge(
-                        &format!("{prefix}.q{q}.reorder_flushes"),
-                        qsnap.reorder_flushes,
-                    );
-                    reg.set_gauge(&format!("{prefix}.q{q}.remaps"), qsnap.remaps);
-                    reg.set_gauge(&format!("{prefix}.q{q}.forced_remaps"), qsnap.forced_remaps);
-                }
-                for (i, f) in monitor.flow_snapshots().iter().enumerate() {
-                    reg.set_gauge(&format!("{prefix}.flow.{i}.tx_frames"), f.tx_frames);
-                    reg.set_gauge(&format!("{prefix}.flow.{i}.rx_frames"), f.rx_frames);
-                    reg.set_gauge(&format!("{prefix}.flow.{i}.rx_ring_drops"), f.rx_ring_drops);
-                }
-                let o = offload.stats().snapshot();
-                reg.set_gauge(&format!("{prefix}.offload.hits"), o.hits);
-                reg.set_gauge(&format!("{prefix}.offload.misses"), o.misses);
-                reg.set_gauge(&format!("{prefix}.offload.fills"), o.fills);
-                reg.set_gauge(&format!("{prefix}.offload.invalidations"), o.invalidations);
-                reg.set_gauge(&format!("{prefix}.offload.evictions"), o.evictions);
-                reg.set_gauge(&format!("{prefix}.offload.stale_drops"), o.stale_drops);
-                reg.set_gauge(&format!("{prefix}.offload.bypass"), o.bypass);
-                let cm = conn_mgr.lock().snapshot();
-                reg.set_gauge(
-                    &format!("{prefix}.cm.open_connections"),
-                    cm.open_connections,
-                );
-                reg.set_gauge(&format!("{prefix}.cm.total_opened"), cm.total_opened);
-                reg.set_gauge(&format!("{prefix}.cm.spills"), cm.spills);
-                reg.set_gauge(&format!("{prefix}.cm.tx_port_hits"), cm.tx_port.hits);
-                reg.set_gauge(&format!("{prefix}.cm.tx_port_misses"), cm.tx_port.misses);
-                reg.set_gauge(&format!("{prefix}.cm.rx_port_hits"), cm.rx_port.hits);
-                reg.set_gauge(&format!("{prefix}.cm.rx_port_misses"), cm.rx_port.misses);
+                let c: ConnCacheSnapshot = conncache_stats.iter().map(|c| c.snapshot()).sum();
+                gauges.conncache.export(reg, c.iter());
+                gauges
+                    .offload
+                    .export(reg, offload.stats().snapshot().iter());
+                gauges.cm.export(reg, conn_mgr.lock().snapshot().iter());
                 if !reliable_stats.is_empty() {
                     let mut total = ReliableStats::default();
-                    for (q, rs) in reliable_stats.iter().enumerate() {
-                        let r = rs.snapshot();
-                        reg.set_gauge(&format!("{prefix}.q{q}.reliable.sacked"), r.sacked);
-                        reg.set_gauge(
-                            &format!("{prefix}.q{q}.reliable.wasted_retransmits"),
-                            r.wasted_retransmits,
-                        );
+                    for (names, bank) in gauges.reliable_per_queue.iter().zip(&reliable_stats) {
+                        let r = bank.snapshot();
+                        names.export(reg, r.iter());
                         total += r;
                     }
-                    for (name, v) in [
-                        ("retransmissions", total.retransmissions),
-                        ("out_of_order_drops", total.out_of_order_drops),
-                        ("duplicate_drops", total.duplicate_drops),
-                        ("wire_drops", total.wire_drops),
-                        ("sacked", total.sacked),
-                        ("wasted_retransmits", total.wasted_retransmits),
-                    ] {
-                        reg.set_gauge(&format!("{prefix}.reliable.{name}"), v);
-                    }
+                    gauges.reliable.export(reg, total.iter());
                 }
             });
         }
@@ -506,7 +460,6 @@ impl Nic {
             confirmed,
             telemetry,
             wakers,
-            qstats,
             reliable_stats,
             offload,
         }))
@@ -527,25 +480,16 @@ impl Nic {
         &self.softregs
     }
 
-    /// The packet monitor.
+    /// The packet monitor: per-queue and per-flow counter banks.
     pub fn monitor(&self) -> &Arc<PacketMonitor> {
         &self.monitor
-    }
-
-    /// Per-worker engine counters, indexed by queue.
-    pub fn queue_stats(&self) -> &[Arc<QueueStats>] {
-        &self.qstats
     }
 
     /// Reliable-transport counters summed over every engine queue (all
     /// zero on an unreliable NIC); also exported as
     /// `nic.<addr>.reliable.*` gauges.
     pub fn reliable_stats(&self) -> ReliableStats {
-        let mut total = ReliableStats::default();
-        for rs in &self.reliable_stats {
-            total += rs.snapshot();
-        }
-        total
+        self.reliable_stats.iter().map(|rs| rs.snapshot()).sum()
     }
 
     /// Installs the on-NIC offload spec: the IDL-generated serde and cache
@@ -578,7 +522,7 @@ impl Nic {
             Arc::clone(&self.telemetry),
             Arc::clone(&self.softregs),
             self.addr,
-            self.qstats.clone(),
+            self.monitor.queues().to_vec(),
             cfg,
         )
     }
@@ -950,7 +894,8 @@ mod tests {
         // All four server workers moved traffic (RSS spread) and the
         // per-queue banks reconcile with the monitor totals.
         let rx_per_q: Vec<u64> = server
-            .queue_stats()
+            .monitor()
+            .queues()
             .iter()
             .map(|q| q.snapshot().rx_frames)
             .collect();

@@ -51,6 +51,7 @@ use dagger_types::offload::OffloadSpec;
 use dagger_types::{ConnectionId, FnId, RpcId};
 use parking_lot::Mutex;
 
+use crate::bank::counter_bank;
 use crate::lb::fnv1a;
 
 /// Number of per-key generation counters. A power of two; collisions only
@@ -67,55 +68,27 @@ pub const PENDING_CAP: usize = 4096;
 /// host's business.
 pub const MAX_CACHED_BYTES: usize = 8 * dagger_types::FRAME_PAYLOAD_BYTES;
 
-/// Monotonic counters for the offload stage, one set per NIC.
-#[derive(Debug, Default)]
-pub struct OffloadStats {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    fills: AtomicU64,
-    invalidations: AtomicU64,
-    evictions: AtomicU64,
-    stale_drops: AtomicU64,
-    bypass: AtomicU64,
-}
-
-/// Point-in-time copy of [`OffloadStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct OffloadSnapshot {
-    /// Cacheable reads served from the NIC without waking the host.
-    pub hits: u64,
-    /// Cacheable reads that went to the host (includes stale drops).
-    pub misses: u64,
-    /// Responses latched into the cache on TX.
-    pub fills: u64,
-    /// Writes that invalidated a key (or the whole cache via the epoch).
-    pub invalidations: u64,
-    /// Entries evicted by the LRU capacity bound.
-    pub evictions: u64,
-    /// Lookups that found an entry whose generation had moved.
-    pub stale_drops: u64,
-    /// Offload-annotated requests the stage refused to classify (traced,
-    /// multi-frame reads, or undecodable lead frames).
-    pub bypass: u64,
-}
-
-impl OffloadStats {
-    /// Snapshots every counter.
-    pub fn snapshot(&self) -> OffloadSnapshot {
-        OffloadSnapshot {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            fills: self.fills.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            stale_drops: self.stale_drops.load(Ordering::Relaxed),
-            bypass: self.bypass.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Counts a request the stage saw but refused to classify.
-    pub fn count_bypass(&self) {
-        self.bypass.fetch_add(1, Ordering::Relaxed);
+counter_bank! {
+    /// Counters of the offload stage, one bank per NIC (the stage is shared
+    /// by every worker); exported as `nic.<addr>.offload.*`.
+    pub struct OffloadStats =>
+    /// Point-in-time copy of [`OffloadStats`].
+    OffloadSnapshot {
+        /// Cacheable reads served from the NIC without waking the host.
+        hits,
+        /// Cacheable reads that went to the host (includes stale drops).
+        misses,
+        /// Responses latched into the cache on TX.
+        fills,
+        /// Writes that invalidated a key (or the whole cache via the epoch).
+        invalidations,
+        /// Entries evicted by the LRU capacity bound.
+        evictions,
+        /// Lookups that found an entry whose generation had moved.
+        stale_drops,
+        /// Offload-annotated requests the stage refused to classify
+        /// (traced, multi-frame reads, or undecodable lead frames).
+        bypass,
     }
 }
 
@@ -283,21 +256,21 @@ impl OffloadState {
                     let stamp = cache.touch(hash);
                     cache.entries.get_mut(&hash).expect("just read").stamp = stamp;
                     drop(cache);
-                    self.stats.hits.fetch_add(1, Ordering::Relaxed);
+                    self.stats.hits.inc();
                     return Some(payload);
                 }
                 Some(e) if e.fn_id == fn_id && e.key == key => {
                     let stale_gen = e.gen;
                     cache.entries.remove(&hash);
                     drop(cache);
-                    self.stats.stale_drops.fetch_add(1, Ordering::Relaxed);
+                    self.stats.stale_drops.inc();
                     self.record(FlightEventKind::OffloadStale, fnv1a(key), stale_gen);
                 }
                 // Hash collision with a different key, or cold: miss.
                 Some(_) | None => {}
             }
         }
-        self.stats.misses.fetch_add(1, Ordering::Relaxed);
+        self.stats.misses.inc();
         if cap > 0 {
             let mut pending = self.pending.lock();
             if pending.len() < PENDING_CAP {
@@ -344,7 +317,7 @@ impl OffloadState {
                 None
             }
         };
-        self.stats.invalidations.fetch_add(1, Ordering::Relaxed);
+        self.stats.invalidations.inc();
         let mut pending = self.pending.lock();
         if pending.len() < PENDING_CAP
             && pending
@@ -484,9 +457,9 @@ impl OffloadState {
         );
         drop(cache);
         if evicted > 0 {
-            self.stats.evictions.fetch_add(evicted, Ordering::Relaxed);
+            self.stats.evictions.add(evicted);
         }
-        self.stats.fills.fetch_add(1, Ordering::Relaxed);
+        self.stats.fills.inc();
     }
 
     /// Total entries currently cached across all queues (test/monitor aid).

@@ -1,4 +1,4 @@
-//! Reliable transport — the Protocol unit's first real occupant.
+//! Reliable transport — the occupant of the paper's Protocol unit.
 //!
 //! The paper ships with an idle Protocol unit and names the follow-up:
 //! "we plan to extend Dagger with reliable transports and with RPC-specific
@@ -28,7 +28,9 @@
 //!
 //! The state machine is synchronous and engine-driven (`on_send`,
 //! `on_recv`, `on_tick`), matching how the hardware would run it; the
-//! engine enables it when [`dagger_types::HardConfig::reliable`] is set.
+//! engine enables it when [`dagger_types::HardConfig::reliable`] is set
+//! and otherwise ships [`Datagram`]s bare. Every protocol event is counted
+//! once, in the instance's [`SharedReliableStats`] bank (DESIGN.md §10).
 //!
 //! The layer is fabric-backend-oblivious: it sees only frame bytes moving
 //! through the [`crate::fabric::Fabric`] seam. Over the in-process switch
@@ -38,11 +40,11 @@
 //! with the same window, checksum, and retransmission machinery.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dagger_types::{CacheLine, DaggerError, NodeAddr, Result};
 
+use crate::bank::counter_bank;
 use crate::transport::{wire_checksum, Datagram};
 
 /// Frame type byte: payload-carrying data frame.
@@ -67,7 +69,7 @@ pub const SACK_SPAN: u64 = 64;
 /// u16 (data) or type byte + u64 + two u32 + sender queue u16 (ack) — both
 /// 19 bytes. The sender-queue field names the engine queue whose channel
 /// the sequence numbers belong to: under multi-queue sharding each
-/// directed (queue → queue) pairing is its own Go-Back-N session.
+/// directed (queue → queue) pairing is its own sliding-window session.
 const FRAME_PREFIX: usize = 19;
 /// Bytes of the FNV-1a integrity checksum each frame carries.
 const FRAME_CRC: usize = 4;
@@ -195,14 +197,6 @@ impl FrameView<'_> {
             FrameView::Data { dst_queue, .. }
             | FrameView::Ack { dst_queue, .. }
             | FrameView::Sack { dst_queue, .. } => *dst_queue,
-        }
-    }
-
-    /// Frames (cache lines) carried, for the packet monitor.
-    pub fn frame_count(&self) -> usize {
-        match self {
-            FrameView::Data { datagram, .. } => datagram.lines.len(),
-            FrameView::Ack { .. } | FrameView::Sack { .. } => 0,
         }
     }
 
@@ -503,10 +497,6 @@ struct PeerTx {
     /// (selective repeat skips them on timeout).
     unacked: VecDeque<(u64, Datagram, bool)>,
     ticks_since_progress: u64,
-    retransmissions: u64,
-    /// Frames acknowledged out-of-order via SACK bitmaps (each counted
-    /// once, at the unsacked → sacked transition).
-    sacked: u64,
 }
 
 #[derive(Debug, Default)]
@@ -519,70 +509,33 @@ struct PeerRx {
     /// sequence (all within `(expected, expected + SACK_SPAN]`). Ordered so
     /// SACK bitmaps and drain order are deterministic.
     ooo: BTreeMap<u64, Datagram>,
-    out_of_order_drops: u64,
-    duplicate_drops: u64,
-    /// Received data frames that carried no new information — duplicates
-    /// of delivered or buffered datagrams, and (under Go-Back-N) gap
-    /// discards: the receive-side measure of retransmission waste.
-    wasted_retransmits: u64,
 }
 
-/// Protocol statistics across all peers.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ReliableStats {
-    /// Datagrams retransmitted.
-    pub retransmissions: u64,
-    /// Out-of-order datagrams discarded on receive (under selective
-    /// repeat, only those beyond the SACK bitmap's reach).
-    pub out_of_order_drops: u64,
-    /// Duplicate datagrams suppressed on receive.
-    pub duplicate_drops: u64,
-    /// Frames rejected on receive as undecodable (truncated, unknown type,
-    /// or checksum mismatch from in-flight bit corruption).
-    pub wire_drops: u64,
-    /// Frames acknowledged out-of-order via SACK bitmaps (sender side).
-    pub sacked: u64,
-    /// Received data frames that added no new information (duplicates and
-    /// gap discards): what the peer's retransmissions wasted on the wire.
-    pub wasted_retransmits: u64,
-}
-
-impl std::ops::AddAssign for ReliableStats {
-    fn add_assign(&mut self, other: ReliableStats) {
-        self.retransmissions += other.retransmissions;
-        self.out_of_order_drops += other.out_of_order_drops;
-        self.duplicate_drops += other.duplicate_drops;
-        self.wire_drops += other.wire_drops;
-        self.sacked += other.sacked;
-        self.wasted_retransmits += other.wasted_retransmits;
-    }
-}
-
-/// A lock-free mirror of [`ReliableStats`], shared between the engine
-/// thread (which owns the [`ReliableTransport`]) and host-side telemetry
-/// collectors. Updated at every counting point, so host reads are always
-/// current without engine cooperation.
-#[derive(Debug, Default)]
-pub struct SharedReliableStats {
-    retransmissions: AtomicU64,
-    out_of_order_drops: AtomicU64,
-    duplicate_drops: AtomicU64,
-    wire_drops: AtomicU64,
-    sacked: AtomicU64,
-    wasted_retransmits: AtomicU64,
-}
-
-impl SharedReliableStats {
-    /// Reads the mirrored counters.
-    pub fn snapshot(&self) -> ReliableStats {
-        ReliableStats {
-            retransmissions: self.retransmissions.load(Ordering::Relaxed),
-            out_of_order_drops: self.out_of_order_drops.load(Ordering::Relaxed),
-            duplicate_drops: self.duplicate_drops.load(Ordering::Relaxed),
-            wire_drops: self.wire_drops.load(Ordering::Relaxed),
-            sacked: self.sacked.load(Ordering::Relaxed),
-            wasted_retransmits: self.wasted_retransmits.load(Ordering::Relaxed),
-        }
+counter_bank! {
+    /// One transport instance's counters across all its peers, shared
+    /// between the engine thread (which owns the [`ReliableTransport`] and
+    /// is the only writer) and host-side telemetry collectors; exported as
+    /// `nic.<addr>.q<i>.reliable.*` and, summed, `nic.<addr>.reliable.*`.
+    pub struct SharedReliableStats =>
+    /// Protocol statistics across all peers.
+    ReliableStats {
+        /// Datagrams retransmitted.
+        retransmissions,
+        /// Out-of-order datagrams discarded on receive (under selective
+        /// repeat, only those beyond the SACK bitmap's reach).
+        out_of_order_drops,
+        /// Duplicate datagrams suppressed on receive.
+        duplicate_drops,
+        /// Frames rejected on receive as undecodable (truncated, unknown
+        /// type, or checksum mismatch from in-flight bit corruption).
+        wire_drops,
+        /// Frames acknowledged out-of-order via SACK bitmaps, each counted
+        /// once at its unsacked → sacked transition (sender side).
+        sacked,
+        /// Received data frames that added no new information (duplicates
+        /// and, under Go-Back-N, gap discards): what the peer's
+        /// retransmissions wasted on the wire.
+        wasted_retransmits,
     }
 }
 
@@ -604,7 +557,6 @@ pub struct ReliableTransport {
     cfg: ReliableConfig,
     tx: HashMap<(NodeAddr, u16), PeerTx>,
     rx: HashMap<(NodeAddr, u16), PeerRx>,
-    wire_drops: u64,
     shared: Arc<SharedReliableStats>,
     /// Line vectors of datagrams retired from the window by acks, held for
     /// the engine to recycle into its [`crate::bufpool::BufPool`].
@@ -631,15 +583,14 @@ impl ReliableTransport {
             cfg,
             tx: HashMap::new(),
             rx: HashMap::new(),
-            wire_drops: 0,
             shared: Arc::new(SharedReliableStats::default()),
             retired: Vec::new(),
             ready: VecDeque::new(),
         }
     }
 
-    /// A cloneable handle onto the lock-free stats mirror, safe to read
-    /// from any thread while the engine drives this state machine.
+    /// A cloneable handle onto the counter bank, safe to read from any
+    /// thread while the engine drives this state machine.
     pub fn shared_stats(&self) -> Arc<SharedReliableStats> {
         Arc::clone(&self.shared)
     }
@@ -730,15 +681,9 @@ impl ReliableTransport {
         self.send_encode_inner(datagram, dst_queue, out, false)
     }
 
-    /// [`ReliableTransport::on_send_encode`] minus the window check: used
-    /// by the shutdown drain, where deferring is no longer an option and
-    /// the frame must reach the wire at least once.
-    pub fn on_send_forced_encode(&mut self, datagram: Datagram, out: &mut Vec<u8>) {
-        let _ = self.send_encode_inner(datagram, 0, out, true);
-    }
-
-    /// [`ReliableTransport::on_send_forced_encode`] on the channel to
-    /// `(dst, dst_queue)`.
+    /// [`ReliableTransport::on_send_encode_to`] minus the window check:
+    /// used by the shutdown drain, where deferring is no longer an option
+    /// and the frame must reach the wire at least once.
     pub fn on_send_forced_encode_to(
         &mut self,
         datagram: Datagram,
@@ -814,8 +759,7 @@ impl ReliableTransport {
                 if let Some(entry) = tx.unacked.get_mut(idx) {
                     if entry.0 == seq && !entry.2 {
                         entry.2 = true;
-                        tx.sacked += 1;
-                        shared.sacked.fetch_add(1, Ordering::Relaxed);
+                        shared.sacked.inc();
                     }
                 }
             }
@@ -847,8 +791,7 @@ impl ReliableTransport {
         let frame = match TransportFrame::decode(bytes) {
             Ok(frame) => frame,
             Err(e) => {
-                self.wire_drops += 1;
-                self.shared.wire_drops.fetch_add(1, Ordering::Relaxed);
+                self.shared.wire_drops.inc();
                 return Err(e);
             }
         };
@@ -896,31 +839,25 @@ impl ReliableTransport {
                     }
                     Ok(Some(datagram))
                 } else if seq < rx.expected {
-                    rx.duplicate_drops += 1;
-                    rx.wasted_retransmits += 1;
-                    shared.duplicate_drops.fetch_add(1, Ordering::Relaxed);
-                    shared.wasted_retransmits.fetch_add(1, Ordering::Relaxed);
+                    shared.duplicate_drops.inc();
+                    shared.wasted_retransmits.inc();
                     // ack_owed re-acks so the sender advances.
                     Ok(None)
                 } else if sr && seq - rx.expected <= SACK_SPAN {
                     // A gap, but within the SACK bitmap's reach: buffer the
                     // datagram and advertise it instead of discarding.
                     if rx.ooo.insert(seq, datagram).is_some() {
-                        rx.duplicate_drops += 1;
-                        rx.wasted_retransmits += 1;
-                        shared.duplicate_drops.fetch_add(1, Ordering::Relaxed);
-                        shared.wasted_retransmits.fetch_add(1, Ordering::Relaxed);
+                        shared.duplicate_drops.inc();
+                        shared.wasted_retransmits.inc();
                     }
                     Ok(None)
                 } else {
                     // A gap beyond repair here: under Go-Back-N every gap,
                     // under selective repeat only arrivals past the bitmap
                     // span. Discard and wait for retransmission.
-                    rx.out_of_order_drops += 1;
-                    shared.out_of_order_drops.fetch_add(1, Ordering::Relaxed);
+                    shared.out_of_order_drops.inc();
                     if !sr {
-                        rx.wasted_retransmits += 1;
-                        shared.wasted_retransmits.fetch_add(1, Ordering::Relaxed);
+                        shared.wasted_retransmits.inc();
                     }
                     Ok(None)
                 }
@@ -980,54 +917,7 @@ impl ReliableTransport {
                 }
             }
         }
-        // Retransmissions; the channel's cumulative ack is read directly
-        // from the rx map (no per-tick scratch map).
-        let sr = self.cfg.mode == RecoveryMode::SelectiveRepeat;
-        let rx_map = &self.rx;
-        for (&(peer, peer_queue), tx) in self.tx.iter_mut() {
-            if tx.unacked.is_empty() {
-                tx.ticks_since_progress = 0;
-                continue;
-            }
-            tx.ticks_since_progress += 1;
-            if tx.ticks_since_progress >= self.cfg.retransmit_after_ticks {
-                tx.ticks_since_progress = 0;
-                let ack = rx_map.get(&(peer, peer_queue)).map_or(0, |rx| rx.expected);
-                let mut emitted = false;
-                for &(seq, ref datagram, sacked) in &tx.unacked {
-                    if sr && sacked {
-                        continue; // the receiver already holds this one
-                    }
-                    emitted = true;
-                    tx.retransmissions += 1;
-                    self.shared.retransmissions.fetch_add(1, Ordering::Relaxed);
-                    emit(FrameView::Data {
-                        seq,
-                        ack,
-                        src_queue: local_queue,
-                        dst_queue: peer_queue,
-                        datagram,
-                    });
-                }
-                // Everything outstanding is sacked yet not cumulatively
-                // acked — the receiver's cumulative ack must have been
-                // lost. Probe with the head frame so the peer re-acks
-                // (its duplicate path sets ack_owed); never stall.
-                if !emitted {
-                    if let Some(&(seq, ref datagram, _)) = tx.unacked.front() {
-                        tx.retransmissions += 1;
-                        self.shared.retransmissions.fetch_add(1, Ordering::Relaxed);
-                        emit(FrameView::Data {
-                            seq,
-                            ack,
-                            src_queue: local_queue,
-                            dst_queue: peer_queue,
-                            datagram,
-                        });
-                    }
-                }
-            }
-        }
+        self.retransmit_channels(true, &mut emit);
     }
 
     /// Re-emits every unacknowledged (and, under selective repeat,
@@ -1035,25 +925,46 @@ impl ReliableTransport {
     /// shutdown drain's "one last retransmission pass", so window-deferred
     /// datagrams flushed right after keep their ordering at a live peer.
     pub fn retransmit_unacked_with(&mut self, mut emit: impl FnMut(FrameView<'_>)) {
+        self.retransmit_channels(false, &mut emit);
+    }
+
+    /// One retransmission pass over every channel with unacked datagrams,
+    /// re-emitting those the receiver is not known to hold (under selective
+    /// repeat, sacked entries are skipped). `timed` is the per-tick form:
+    /// a channel is repaired only once its retransmit timer expires, and a
+    /// window that is all sacked yet not cumulatively acked — the
+    /// receiver's cumulative ack must have been lost — still emits its head
+    /// frame as a probe so the peer re-acks (its duplicate path sets
+    /// `ack_owed`) and the channel never stalls. Each channel's cumulative
+    /// ack is read straight from the rx map (no per-pass scratch map).
+    fn retransmit_channels(&mut self, timed: bool, emit: &mut impl FnMut(FrameView<'_>)) {
         let sr = self.cfg.mode == RecoveryMode::SelectiveRepeat;
-        let local_queue = self.local_queue;
-        let rx_map = &self.rx;
         for (&(peer, peer_queue), tx) in self.tx.iter_mut() {
             if tx.unacked.is_empty() {
+                tx.ticks_since_progress = 0;
+                continue;
+            }
+            tx.ticks_since_progress += 1;
+            if timed && tx.ticks_since_progress < self.cfg.retransmit_after_ticks {
                 continue;
             }
             tx.ticks_since_progress = 0;
-            let ack = rx_map.get(&(peer, peer_queue)).map_or(0, |rx| rx.expected);
-            for &(seq, ref datagram, sacked) in &tx.unacked {
-                if sr && sacked {
-                    continue; // already delivered to the peer's buffer
-                }
-                tx.retransmissions += 1;
-                self.shared.retransmissions.fetch_add(1, Ordering::Relaxed);
+            let ack = self.rx.get(&(peer, peer_queue)).map_or(0, |rx| rx.expected);
+            let mut missing = tx
+                .unacked
+                .iter()
+                .filter(|(_, _, sacked)| !(sr && *sacked))
+                .peekable();
+            let probe = tx
+                .unacked
+                .front()
+                .filter(|_| timed && missing.peek().is_none());
+            for (seq, datagram, _) in missing.chain(probe) {
+                self.shared.retransmissions.inc();
                 emit(FrameView::Data {
-                    seq,
+                    seq: *seq,
                     ack,
-                    src_queue: local_queue,
+                    src_queue: self.local_queue,
                     dst_queue: peer_queue,
                     datagram,
                 });
@@ -1090,22 +1001,9 @@ impl ReliableTransport {
             && self.rx.values().all(|r| !r.ack_owed)
     }
 
-    /// Aggregated statistics.
+    /// Aggregated statistics: a snapshot of the counter bank.
     pub fn stats(&self) -> ReliableStats {
-        let mut s = ReliableStats {
-            wire_drops: self.wire_drops,
-            ..ReliableStats::default()
-        };
-        for tx in self.tx.values() {
-            s.retransmissions += tx.retransmissions;
-            s.sacked += tx.sacked;
-        }
-        for rx in self.rx.values() {
-            s.out_of_order_drops += rx.out_of_order_drops;
-            s.duplicate_drops += rx.duplicate_drops;
-            s.wasted_retransmits += rx.wasted_retransmits;
-        }
-        s
+        self.shared.snapshot()
     }
 }
 

@@ -11,9 +11,10 @@
 //! conformance test in `tests/transport_conformance.rs`).
 //!
 //! The paper's Protocol unit (congestion control, acknowledgements) is
-//! *idle* — "it simply forwards all packets" — and so is ours:
-//! [`Protocol::Forward`] is the only implemented behaviour, with the enum in
-//! place as the extension point the paper describes.
+//! *idle* — "it simply forwards all packets". Ours is either absent (an
+//! unreliable NIC ships datagrams exactly as framed here) or occupied by
+//! [`crate::reliable`], the sliding-window transport the paper names as
+//! follow-up work.
 
 use dagger_types::{CacheLine, DaggerError, NodeAddr, Result, CACHE_LINE_BYTES};
 
@@ -201,30 +202,12 @@ fn fnv1a_chunked(mut h: u64, bytes: &[u8]) -> u64 {
     fnv1a_scalar(h, chunks.remainder())
 }
 
-/// The RPC-optimized Protocol unit hook (§4.5). Currently only
-/// [`Protocol::Forward`] exists — exactly the paper's idle unit — but the
-/// enum marks where congestion control / reliable delivery would plug in.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Protocol {
-    /// Pass every frame through unchanged.
-    #[default]
-    Forward,
-}
-
-impl Protocol {
-    /// Applies the protocol to an outgoing datagram. `Forward` is identity.
-    pub fn process_tx(&self, dgram: Datagram) -> Datagram {
-        match self {
-            Protocol::Forward => dgram,
-        }
-    }
-
-    /// Applies the protocol to an incoming datagram. `Forward` is identity.
-    pub fn process_rx(&self, dgram: Datagram) -> Datagram {
-        match self {
-            Protocol::Forward => dgram,
-        }
-    }
+/// Cache-line frames carried by an encoded wire frame, read off its
+/// length: the datagram header plus the reliable transport's prefix and
+/// checksum total less than one cache line, so the quotient is exact for
+/// both framings (and 0 for a standalone ack).
+pub(crate) fn wire_frames(bytes: &[u8]) -> u64 {
+    (bytes.len() / CACHE_LINE_BYTES) as u64
 }
 
 #[cfg(test)]
@@ -361,10 +344,15 @@ mod tests {
     }
 
     #[test]
-    fn protocol_forward_is_identity() {
-        let d = Datagram::new(NodeAddr(3), NodeAddr(4), sample_lines(2));
-        let p = Protocol::default();
-        assert_eq!(p.process_tx(d.clone()), d);
-        assert_eq!(p.process_rx(d.clone()), d);
+    fn wire_frames_reads_the_line_count_off_both_framings() {
+        use crate::reliable::{ReliableConfig, ReliableTransport};
+        for n in [0, 1, 16, MAX_LINES_PER_DATAGRAM] {
+            let d = Datagram::new(NodeAddr(3), NodeAddr(4), sample_lines(n));
+            assert_eq!(wire_frames(&d.encode()), n as u64);
+            let mut rel = ReliableTransport::new(NodeAddr(3), ReliableConfig::default());
+            let mut out = Vec::new();
+            rel.on_send_encode(d, &mut out).unwrap();
+            assert_eq!(wire_frames(&out), n as u64);
+        }
     }
 }

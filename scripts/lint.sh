@@ -57,6 +57,17 @@ while IFS= read -r f; do
 done < <(find crates -path '*/src/*.rs' -type f)
 [ "$fabric_violations" -eq 0 ] || exit 1
 
+echo "== counter export (one collector walk, no per-name gauge lines) =="
+# NIC counters are declared once with `counter_bank!` and exported by
+# zipping a bank's prebuilt `GaugeNames` with its snapshot walk
+# (crates/nic/src/bank.rs, DESIGN.md §10). A `set_gauge(&format!(..))`
+# line anywhere else in the NIC is a counter spelled out by hand again —
+# and a string formatted on every collection.
+if grep -rnF 'set_gauge(&format!(' crates/nic/src --include='*.rs' | grep -v '^crates/nic/src/bank\.rs:'; then
+  echo "lint.sh: per-name gauge export in crates/nic/src; declare the counter in a counter_bank! and export it through GaugeNames" >&2
+  exit 1
+fi
+
 echo "== golden-frame coverage (every wire frame kind is byte-pinned) =="
 # Every frame-kind constant the reliable transport defines must have a
 # golden-frame test somewhere under tests/ carrying a literal

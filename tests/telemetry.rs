@@ -226,3 +226,104 @@ fn round_trip_populates_unified_telemetry() {
     client_nic.shutdown();
     server_nic.shutdown();
 }
+
+/// The golden list of every `nic.*` / `fabric.*` gauge the stack exported
+/// before the counter banks were unified, expanded for a 2-queue, 2-flow
+/// reliable NIC at address 1. Consumers (the perf ledger's
+/// `gauge("reliable.sacked")`-style reads, dashboards) address gauges by
+/// these exact names, so every one must still be present after a
+/// collection; new names may join, none may leave.
+#[test]
+fn every_gauge_name_of_the_golden_list_is_still_exported() {
+    const WHOLE_NIC: &[&str] = &[
+        "tx_frames",
+        "rx_frames",
+        "tx_datagrams",
+        "rx_datagrams",
+        "rx_ring_drops",
+        "unknown_connection_drops",
+        "wire_drops",
+        "reqbuf_backpressure",
+        "cached_polls",
+        "direct_polls",
+        "tx_window_deferrals",
+        "pool.hits",
+        "pool.misses",
+        "pool.recycled",
+        "conncache.hits",
+        "conncache.misses",
+        "conncache.invalidations",
+        "offload.hits",
+        "offload.misses",
+        "offload.fills",
+        "offload.invalidations",
+        "offload.evictions",
+        "offload.stale_drops",
+        "offload.bypass",
+        "cm.open_connections",
+        "cm.total_opened",
+        "cm.spills",
+        "cm.tx_port_hits",
+        "cm.tx_port_misses",
+        "cm.rx_port_hits",
+        "cm.rx_port_misses",
+        "reliable.retransmissions",
+        "reliable.out_of_order_drops",
+        "reliable.duplicate_drops",
+        "reliable.wire_drops",
+        "reliable.sacked",
+        "reliable.wasted_retransmits",
+    ];
+    const PER_QUEUE: &[&str] = &[
+        "tx_frames",
+        "rx_frames",
+        "tx_datagrams",
+        "rx_datagrams",
+        "handoff_out",
+        "handoff_in",
+        "reorder_holds",
+        "reorder_flushes",
+        "remaps",
+        "forced_remaps",
+        "reliable.sacked",
+        "reliable.wasted_retransmits",
+    ];
+    const PER_FLOW: &[&str] = &["tx_frames", "rx_frames", "rx_ring_drops"];
+    const FABRIC: &[&str] = &[
+        "forwarded",
+        "dropped",
+        "reordered",
+        "duplicated",
+        "corrupted",
+        "delayed",
+        "partition_drops",
+    ];
+
+    let telemetry = Telemetry::new();
+    let fabric = MemFabric::new();
+    fabric.register_telemetry(&telemetry);
+    let cfg = HardConfig::builder()
+        .num_flows(2)
+        .num_queues(2)
+        .reliable(true)
+        .build()
+        .unwrap();
+    let nic = Nic::start_with_telemetry(&fabric, NodeAddr(1), cfg, Arc::clone(&telemetry)).unwrap();
+
+    let mut golden: Vec<String> = Vec::new();
+    golden.extend(WHOLE_NIC.iter().map(|n| format!("nic.1.{n}")));
+    for i in 0..2 {
+        golden.extend(PER_QUEUE.iter().map(|n| format!("nic.1.q{i}.{n}")));
+        golden.extend(PER_FLOW.iter().map(|n| format!("nic.1.flow.{i}.{n}")));
+    }
+    golden.extend(FABRIC.iter().map(|n| format!("fabric.{n}")));
+
+    telemetry.collect();
+    let registry = telemetry.registry().snapshot();
+    let missing: Vec<&String> = golden
+        .iter()
+        .filter(|name| registry.gauge(name).is_none())
+        .collect();
+    assert!(missing.is_empty(), "gauges no longer exported: {missing:?}");
+    nic.shutdown();
+}
