@@ -305,6 +305,40 @@ pub(crate) struct EngineCore {
     pub offload: Arc<OffloadState>,
 }
 
+/// The handles every worker of one NIC shares. [`EngineCore::new`] clones
+/// out of it what a worker keeps.
+pub(crate) struct NicShared {
+    pub addr: NodeAddr,
+    pub conn_mgr: Arc<Mutex<ConnectionManager>>,
+    pub softregs: Arc<SoftRegisterFile>,
+    pub monitor: Arc<PacketMonitor>,
+    pub stop: Arc<AtomicBool>,
+    pub stop_barrier: Arc<AtomicUsize>,
+    pub ctrl_rx: Receiver<(NodeAddr, Datagram)>,
+    pub confirmed: Arc<Mutex<HashSet<u32>>>,
+    pub telemetry: Arc<Telemetry>,
+    /// Every worker's waker, indexed by queue (so its length is the
+    /// NIC's queue count).
+    pub wakers: Vec<Arc<EngineWaker>>,
+    /// One arrival counter per flow (so its length is the flow count).
+    pub flow_seq: Arc<Vec<AtomicU64>>,
+    pub offload: Arc<OffloadState>,
+    /// Request-buffer slots of each worker.
+    pub reqbuf_slots: usize,
+}
+
+/// The pieces only one worker holds.
+pub(crate) struct WorkerParts {
+    pub queue_id: u16,
+    pub port: Arc<dyn FabricPort>,
+    pub tx_rings: Vec<Option<RingConsumer>>,
+    pub rx_rings: Vec<Option<RingProducer>>,
+    pub xfer_out: Vec<Option<XferProducer>>,
+    pub xfer_in: Vec<XferConsumer>,
+    pub reliable: Option<ReliableTransport>,
+    pub arbiter: Option<ArbiterSlot>,
+}
+
 /// A connection's pinned destination queue on the sender side. When the
 /// RSS route moves (the balancer rewrote the active-queue mask), the pin
 /// holds the connection on its old channel until that channel is fully
@@ -317,6 +351,10 @@ pub(crate) struct RoutePin {
     /// [`REMAP_DRAIN_DEADLINE_TICKS`].
     pub agreed_at: u64,
 }
+
+/// Scheduler partial-batch timeout in engine ticks; small enough that
+/// latency in functional mode is not batch-bound.
+const SCHED_TIMEOUT_TICKS: u64 = 8;
 
 /// Ticks a diverged route pin may wait for its old channel to drain before
 /// the switch is forced (livelock bound under sustained loss; the
@@ -342,6 +380,62 @@ fn stage_key(dst: NodeAddr, dst_queue: u16) -> u64 {
 }
 
 impl EngineCore {
+    /// Builds the worker for `parts.queue_id`: the NIC-shared handles, the
+    /// worker's own rings, port and transport, and every piece of private
+    /// round state in its initial (empty) form — the one place an
+    /// `EngineCore` is put together.
+    pub(crate) fn new(shared: &NicShared, parts: WorkerParts) -> Self {
+        let q = usize::from(parts.queue_id);
+        let num_queues = shared.wakers.len();
+        let num_flows = shared.flow_seq.len();
+        EngineCore {
+            addr: shared.addr,
+            queue_id: parts.queue_id,
+            num_queues,
+            port: parts.port,
+            tx_rings: parts.tx_rings,
+            rx_rings: parts.rx_rings,
+            conn_mgr: Arc::clone(&shared.conn_mgr),
+            softregs: Arc::clone(&shared.softregs),
+            monitor: Arc::clone(&shared.monitor),
+            lb: LoadBalancer::new(LbPolicy::Uniform, (0, 32)),
+            reqbuf: RequestBuffer::new(shared.reqbuf_slots),
+            fifos: FlowFifos::new(num_flows),
+            sched: FlowScheduler::new(num_flows, SCHED_TIMEOUT_TICKS),
+            arbiter: parts.arbiter,
+            stop: Arc::clone(&shared.stop),
+            ctrl_rx: shared.ctrl_rx.clone(),
+            confirmed: Arc::clone(&shared.confirmed),
+            reliable: parts.reliable,
+            pending_out: VecDeque::new(),
+            window_frames: 0,
+            burst_tick: 0,
+            burst_frames: 0,
+            direct_polling: false,
+            telemetry: Arc::clone(&shared.telemetry),
+            pool: BufPool::default(),
+            conn_cache: ConnTupleCache::new(shared.conn_mgr.lock().generation_handle()),
+            stage: Vec::new(),
+            stage_idx: U64Map::default(),
+            waker: Arc::clone(&shared.wakers[q]),
+            peer_wakers: shared.wakers.clone(),
+            qstats: Arc::clone(&shared.monitor.queues()[q]),
+            xfer_out: parts.xfer_out,
+            xfer_in: parts.xfer_in,
+            xfer_backlog: (0..num_queues).map(|_| VecDeque::new()).collect(),
+            stop_barrier: Arc::clone(&shared.stop_barrier),
+            flow_seq: Arc::clone(&shared.flow_seq),
+            next_deliver: vec![0; num_flows],
+            hold: (0..num_flows).map(|_| BTreeMap::new()).collect(),
+            hold_since: vec![0; num_flows],
+            held_frames: 0,
+            route_pins: U64Map::default(),
+            tx_scratch: Vec::new(),
+            wire_out: Vec::new(),
+            offload: Arc::clone(&shared.offload),
+        }
+    }
+
     /// The engine worker body: loop until `stop`.
     pub(crate) fn run(mut self) {
         self.waker.register_current();
@@ -452,17 +546,16 @@ impl EngineCore {
 
     /// Shutdown flush for the reliable transport: one final retransmission
     /// pass re-emits every already-sequenced frame the peer is not known to
-    /// hold (unacked and, under selective repeat, unsacked), then the datagrams
-    /// deferred by window backpressure are force-sequenced onto the wire —
-    /// in that order, so a live peer receives the complete in-order stream
-    /// even though this engine will process no further acks.
+    /// hold (unacked and unsacked), then the datagrams deferred by window
+    /// backpressure are force-sequenced onto the wire — in that order, so a
+    /// live peer receives the complete in-order stream even though this
+    /// engine will process no further acks.
     fn drain_pending_on_stop(&mut self) {
         let Some(mut rel) = self.reliable.take() else {
-            // Window deferrals only exist under the reliable transport, but
-            // drain defensively all the same.
-            while let Some((dgram, dst_queue)) = self.pending_out.pop_front() {
-                self.send_datagram(dgram, dst_queue);
-            }
+            debug_assert!(
+                self.pending_out.is_empty(),
+                "only the reliable transport's window defers datagrams"
+            );
             return;
         };
         let pool = &mut self.pool;
@@ -686,20 +779,13 @@ impl EngineCore {
     /// the reliable transport when enabled. Window backpressure defers the
     /// datagram (with its queue) to a later round.
     fn send_datagram(&mut self, dgram: Datagram, dst_queue: u16) {
-        if let Some(rel) = &self.reliable {
-            if !rel.window_available_to(dgram.dst, dst_queue) {
-                self.qstats.tx_window_deferrals.inc();
-                self.pending_out.push_back((dgram, dst_queue));
-                return;
-            }
-        }
         let count = dgram.lines.len() as u64;
         let dst = dgram.dst;
         let mut out = self.pool.get_bytes();
         match &mut self.reliable {
             Some(rel) => {
                 if let Err(dgram) = rel.on_send_encode_to(dgram, dst_queue, &mut out) {
-                    // Window raced shut between check and send; defer.
+                    // The channel's window is full: defer.
                     self.pool.put_bytes(out);
                     self.qstats.tx_window_deferrals.inc();
                     self.pending_out.push_back((dgram, dst_queue));
@@ -915,8 +1001,8 @@ impl EngineCore {
             if let Some(dgram) = decoded {
                 self.absorb_datagram(dgram, tick);
             }
-            // Selective repeat may have released buffered successors when
-            // the arrival above filled a gap; deliver the whole run now.
+            // The transport may have released buffered successors when the
+            // arrival above filled a gap; deliver the whole run now.
             while let Some(dgram) = self
                 .reliable
                 .as_mut()
@@ -1323,21 +1409,12 @@ mod tests {
     use crate::xfer::xfer_ring;
     use dagger_types::{FnId, RpcId, SoftConfigSnapshot};
 
-    /// Builds an engine core wired back to itself: the single connection's
-    /// destination is the engine's own fabric address, so TX datagrams loop
-    /// straight into its RX queue and every pooled buffer circulates.
-    fn loopback_core() -> (
-        EngineCore,
-        crate::ring::RingProducer,
-        crate::ring::RingConsumer,
-    ) {
-        let fabric = MemFabric::new();
+    /// The NIC-shared handles of a hand-driven NIC at address 1 whose single
+    /// connection's destination is its own fabric address, so TX datagrams
+    /// loop straight into its RX side.
+    fn looped_shared(flows: usize, queues: usize) -> NicShared {
         let addr = NodeAddr(1);
-        let port = fabric.attach_queues(addr, 1).unwrap().remove(0);
-        let (host_tx, engine_rx) = ring(64);
-        let (engine_tx, host_rx) = ring(64);
         let conn_mgr = Arc::new(Mutex::new(ConnectionManager::new(16)));
-        let generation = conn_mgr.lock().generation_handle();
         conn_mgr
             .lock()
             .open(
@@ -1349,69 +1426,53 @@ mod tests {
                 },
             )
             .unwrap();
-        let softregs = Arc::new(
-            SoftRegisterFile::new(SoftConfigSnapshot {
-                batch_size: 16,
-                auto_batch: false,
-                active_flows: 1,
-                lb_policy: LbPolicy::Uniform,
-            })
-            .unwrap(),
-        );
+        let softregs = SoftRegisterFile::new(SoftConfigSnapshot {
+            batch_size: 16,
+            auto_batch: false,
+            active_flows: flows as u16,
+            lb_policy: LbPolicy::Uniform,
+        });
+        // These tests drive rounds by hand and never send control frames.
         let (_ctrl_tx, ctrl_rx) = crossbeam::channel::unbounded();
-        // The ctrl sender is dropped: these tests drive rounds by hand and
-        // never send control frames.
-        std::mem::forget(_ctrl_tx);
-        let conn_cache = ConnTupleCache::new(generation);
-        let waker = Arc::new(EngineWaker::new());
-        let monitor = Arc::new(PacketMonitor::new(1, 1));
-        let core = EngineCore {
+        NicShared {
             addr,
-            queue_id: 0,
-            num_queues: 1,
-            port,
-            tx_rings: vec![Some(engine_rx)],
-            rx_rings: vec![Some(engine_tx)],
             conn_mgr,
-            softregs,
-            qstats: Arc::clone(&monitor.queues()[0]),
-            monitor,
-            lb: LoadBalancer::new(LbPolicy::Uniform, (0, 32)),
-            reqbuf: RequestBuffer::new(256),
-            fifos: FlowFifos::new(1),
-            sched: FlowScheduler::new(1, 4),
-            arbiter: None,
+            softregs: Arc::new(softregs.unwrap()),
+            monitor: Arc::new(PacketMonitor::new(flows, queues)),
             stop: Arc::new(AtomicBool::new(false)),
+            stop_barrier: Arc::new(AtomicUsize::new(0)),
             ctrl_rx,
             confirmed: Arc::new(Mutex::new(HashSet::new())),
-            reliable: None,
-            pending_out: VecDeque::new(),
-            window_frames: 0,
-            burst_tick: 0,
-            burst_frames: 0,
-            direct_polling: false,
             telemetry: Telemetry::new(),
-            pool: BufPool::default(),
-            conn_cache,
-            stage: Vec::new(),
-            stage_idx: U64Map::default(),
-            waker: Arc::clone(&waker),
-            peer_wakers: vec![waker],
+            wakers: (0..queues).map(|_| Arc::new(EngineWaker::new())).collect(),
+            flow_seq: Arc::new((0..flows).map(|_| AtomicU64::new(0)).collect()),
+            offload: Arc::new(OffloadState::new(queues)),
+            reqbuf_slots: 256,
+        }
+    }
+
+    /// Builds an engine core wired back to itself, so every pooled buffer
+    /// circulates.
+    fn loopback_core() -> (
+        EngineCore,
+        crate::ring::RingProducer,
+        crate::ring::RingConsumer,
+    ) {
+        let shared = looped_shared(1, 1);
+        let fabric = MemFabric::new();
+        let (host_tx, engine_rx) = ring(64);
+        let (engine_tx, host_rx) = ring(64);
+        let parts = WorkerParts {
+            queue_id: 0,
+            port: fabric.attach_queues(shared.addr, 1).unwrap().remove(0),
+            tx_rings: vec![Some(engine_rx)],
+            rx_rings: vec![Some(engine_tx)],
             xfer_out: vec![None],
             xfer_in: Vec::new(),
-            xfer_backlog: vec![VecDeque::new()],
-            stop_barrier: Arc::new(AtomicUsize::new(0)),
-            flow_seq: Arc::new(vec![AtomicU64::new(0)]),
-            next_deliver: vec![0],
-            hold: vec![BTreeMap::new()],
-            hold_since: vec![0],
-            held_frames: 0,
-            route_pins: U64Map::default(),
-            tx_scratch: Vec::new(),
-            wire_out: Vec::new(),
-            offload: Arc::new(OffloadState::new(1)),
+            reliable: None,
+            arbiter: None,
         };
-        (core, host_tx, host_rx)
+        (EngineCore::new(&shared, parts), host_tx, host_rx)
     }
 
     /// Builds a 2-queue sharded NIC as two hand-driven [`EngineCore`]s on
@@ -1425,38 +1486,9 @@ mod tests {
         crate::ring::RingProducer,
         Vec<crate::ring::RingConsumer>,
     ) {
+        let shared = looped_shared(2, 2);
         let fabric = MemFabric::new();
-        let addr = NodeAddr(1);
-        let ports = fabric.attach_queues(addr, 2).unwrap();
-        let conn_mgr = Arc::new(Mutex::new(ConnectionManager::new(16)));
-        conn_mgr
-            .lock()
-            .open(
-                ConnectionId(1),
-                ConnectionTuple {
-                    src_flow: FlowId(0),
-                    dest_addr: addr,
-                    lb: LbPolicy::Uniform,
-                },
-            )
-            .unwrap();
-        let softregs = Arc::new(
-            SoftRegisterFile::new(SoftConfigSnapshot {
-                batch_size: 16,
-                auto_batch: false,
-                active_flows: 2,
-                lb_policy: LbPolicy::Uniform,
-            })
-            .unwrap(),
-        );
-        let monitor = Arc::new(PacketMonitor::new(2, 2));
-        let stop = Arc::new(AtomicBool::new(false));
-        let confirmed = Arc::new(Mutex::new(HashSet::new()));
-        let telemetry = Telemetry::new();
-        let stop_barrier = Arc::new(AtomicUsize::new(0));
-        let wakers: Vec<_> = (0..2).map(|_| Arc::new(EngineWaker::new())).collect();
-        let flow_seq = Arc::new((0..2).map(|_| AtomicU64::new(0)).collect::<Vec<_>>());
-        let offload = Arc::new(OffloadState::new(2));
+        let ports = fabric.attach_queues(shared.addr, 2).unwrap();
 
         let (host_tx, engine_rx) = ring(64);
         let (engine_tx0, host_rx0) = ring(64);
@@ -1474,54 +1506,17 @@ mod tests {
             .into_iter()
             .enumerate()
             .map(|(q, port)| {
-                let (_ctrl_tx, ctrl_rx) = crossbeam::channel::unbounded();
-                std::mem::forget(_ctrl_tx);
-                EngineCore {
-                    addr,
+                let parts = WorkerParts {
                     queue_id: q as u16,
-                    num_queues: 2,
                     port,
                     tx_rings: std::mem::take(&mut tx_rings[q]),
                     rx_rings: std::mem::take(&mut rx_rings[q]),
-                    conn_mgr: Arc::clone(&conn_mgr),
-                    softregs: Arc::clone(&softregs),
-                    monitor: Arc::clone(&monitor),
-                    lb: LoadBalancer::new(LbPolicy::Uniform, (0, 32)),
-                    reqbuf: RequestBuffer::new(256),
-                    fifos: FlowFifos::new(2),
-                    sched: FlowScheduler::new(2, 4),
-                    arbiter: None,
-                    stop: Arc::clone(&stop),
-                    ctrl_rx,
-                    confirmed: Arc::clone(&confirmed),
-                    reliable: None,
-                    pending_out: VecDeque::new(),
-                    window_frames: 0,
-                    burst_tick: 0,
-                    burst_frames: 0,
-                    direct_polling: false,
-                    telemetry: Arc::clone(&telemetry),
-                    pool: BufPool::default(),
-                    conn_cache: ConnTupleCache::new(conn_mgr.lock().generation_handle()),
-                    stage: Vec::new(),
-                    stage_idx: U64Map::default(),
-                    waker: Arc::clone(&wakers[q]),
-                    peer_wakers: wakers.clone(),
-                    qstats: Arc::clone(&monitor.queues()[q]),
                     xfer_out: std::mem::take(&mut xfer_out[q]),
                     xfer_in: std::mem::take(&mut xfer_in[q]),
-                    xfer_backlog: vec![VecDeque::new(), VecDeque::new()],
-                    stop_barrier: Arc::clone(&stop_barrier),
-                    flow_seq: Arc::clone(&flow_seq),
-                    next_deliver: vec![0, 0],
-                    hold: vec![BTreeMap::new(), BTreeMap::new()],
-                    hold_since: vec![0, 0],
-                    held_frames: 0,
-                    route_pins: U64Map::default(),
-                    tx_scratch: Vec::new(),
-                    wire_out: Vec::new(),
-                    offload: Arc::clone(&offload),
-                }
+                    reliable: None,
+                    arbiter: None,
+                };
+                EngineCore::new(&shared, parts)
             })
             .collect();
         (cores, host_tx, vec![host_rx0, host_rx1])
@@ -1616,6 +1611,44 @@ mod tests {
         );
     }
 
+    /// The reliable arm of the same loop: TX sequences into the window, RX
+    /// decodes each data frame into a vector the window retired, and the
+    /// transport tick acks — none of it may touch the heap once warm.
+    #[test]
+    fn reliable_steady_state_rounds_perform_zero_heap_allocations() {
+        use crate::reliable::ReliableConfig;
+        let (mut core, mut host_tx, mut host_rx) = loopback_core();
+        core.reliable = Some(ReliableTransport::new(core.addr, ReliableConfig::default()));
+        // One loopback cycle; returns the heap allocations of its TX round,
+        // RX round and transport tick (delivery is not under measurement).
+        let mut delivered = 0;
+        let mut round = |core: &mut EngineCore, tick: u64| {
+            for i in 0..16 {
+                host_tx.try_push(data_frame(i)).unwrap();
+            }
+            let (allocs, moved) =
+                alloc_counter::count_allocs(|| core.tx_round(tick) & core.rx_round(tick));
+            assert!(moved, "round {tick} shipped or received nothing");
+            core.deliver_round(tick, true, true);
+            let (tick_allocs, ()) = alloc_counter::count_allocs(|| core.reliable_tick());
+            while host_rx.try_pop().is_some() {
+                delivered += 1;
+            }
+            allocs + tick_allocs
+        };
+        for tick in 0..8 {
+            round(&mut core, tick);
+        }
+        let allocs = round(&mut core, 8);
+        assert_eq!(
+            allocs, 0,
+            "steady-state reliable round hit the allocator {allocs} time(s)"
+        );
+        assert_eq!(delivered, 9 * 16, "every frame came back around");
+        let stats = core.reliable.as_ref().unwrap().shared_stats().snapshot();
+        assert_eq!(stats.retransmissions + stats.wire_drops, 0);
+    }
+
     /// A peer that never acks (here: the loopback RX side is never
     /// drained) makes every retransmit timeout a burst. The flight ring
     /// must see at most one `RetransmitBurst` per grid tick, however fast
@@ -1647,7 +1680,13 @@ mod tests {
             .into_iter()
             .filter(|e| e.kind == FlightEventKind::RetransmitBurst)
             .collect();
-        let retransmissions = core.reliable.as_ref().unwrap().stats().retransmissions;
+        let retransmissions = core
+            .reliable
+            .as_ref()
+            .unwrap()
+            .shared_stats()
+            .snapshot()
+            .retransmissions;
         assert!(retransmissions >= ROUNDS / 2, "only {retransmissions}");
         assert!(
             bursts.len() as u64 <= ticks,

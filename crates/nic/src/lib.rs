@@ -8,10 +8,10 @@
 //!   the software half of the CCI-P coherent-memory interface (Fig. 8);
 //! * [`transport`] — the UDP/IP-like framing of the Transport unit;
 //! * [`reliable`] — the §4.5 follow-up work, implemented in the place of
-//!   the paper's idle Protocol unit: a sliding-window reliable transport
-//!   (selective repeat by default, Go-Back-N as the A/B baseline) with
-//!   piggybacked acknowledgements, paired with the fabric's deterministic
-//!   loss injection;
+//!   the paper's idle Protocol unit: a selective-repeat sliding-window
+//!   reliable transport with SACK bitmaps and piggybacked
+//!   acknowledgements, paired with the fabric's deterministic loss
+//!   injection;
 //! * [`connmgr`] — the Connection Manager: a direct-mapped, three-banked
 //!   (1W3R) connection cache with host-memory spill (§4.2);
 //! * [`lb`] — the RX load balancers: uniform dynamic, static, and the

@@ -45,27 +45,19 @@ use dagger_types::{
 use crate::arbiter::ArbiterSlot;
 use crate::balancer::QueueBalancer;
 use crate::bank::GaugeNames;
-use crate::bufpool::{BufPool, BufPoolSnapshot};
-use crate::conncache::{ConnCacheSnapshot, ConnTupleCache};
+use crate::bufpool::BufPoolSnapshot;
+use crate::conncache::ConnCacheSnapshot;
 use crate::connmgr::{ConnMgrSnapshot, ConnectionManager, ConnectionTuple};
-use crate::engine::{encode_ctrl_close, encode_ctrl_open, EngineCore};
+use crate::engine::{encode_ctrl_close, encode_ctrl_open, EngineCore, NicShared, WorkerParts};
 use crate::fabric::{Fabric, FabricPort};
-use crate::flow::FlowFifos;
-use crate::lb::LoadBalancer;
 use crate::monitor::{FlowSnapshot, PacketMonitor, QueueSnapshot};
 use crate::offload::{OffloadSnapshot, OffloadState};
 use crate::reliable::{ReliableConfig, ReliableStats, ReliableTransport, SharedReliableStats};
-use crate::reqbuf::RequestBuffer;
 use crate::ring::{ring, RingConsumer, RingProducer};
-use crate::sched::FlowScheduler;
 use crate::softreg::SoftRegisterFile;
 use crate::transport::Datagram;
 use crate::wait::{EngineWaker, SpinWait};
 use crate::xfer::{xfer_ring, XferConsumer, XferProducer};
-
-/// Scheduler partial-batch timeout in engine ticks; small enough that
-/// latency in functional mode is not batch-bound.
-const SCHED_TIMEOUT_TICKS: u64 = 8;
 
 /// Capacity of each cross-queue handoff ring (entries). Deep enough that
 /// the receiving worker only falls back to its backlog under sustained
@@ -310,6 +302,21 @@ impl Nic {
 
         // Build every worker first, collecting its stat handles for the
         // telemetry collector, then register the collector, then spawn.
+        let shared = NicShared {
+            addr,
+            conn_mgr: Arc::clone(&conn_mgr),
+            softregs: Arc::clone(&softregs),
+            monitor: Arc::clone(&monitor),
+            stop: Arc::clone(&stop),
+            stop_barrier,
+            ctrl_rx,
+            confirmed: Arc::clone(&confirmed),
+            telemetry: Arc::clone(&telemetry),
+            wakers: wakers.clone(),
+            flow_seq,
+            offload: Arc::clone(&offload),
+            reqbuf_slots: (cfg.rx_ring_capacity * cfg.num_flows).max(64),
+        };
         let mut cores = Vec::with_capacity(nq);
         let mut pool_stats = Vec::with_capacity(nq);
         let mut conncache_stats = Vec::with_capacity(nq);
@@ -321,56 +328,22 @@ impl Nic {
             if let Some(rel) = &reliable {
                 reliable_stats.push(rel.shared_stats());
             }
-            let pool = BufPool::default();
-            pool_stats.push(pool.shared_stats());
-            let conn_cache = ConnTupleCache::new(conn_mgr.lock().generation_handle());
-            conncache_stats.push(conn_cache.shared_stats());
-            cores.push(EngineCore {
-                addr,
-                queue_id: q as u16,
-                num_queues: nq,
-                port: Arc::clone(port),
-                tx_rings: std::mem::take(&mut tx_consumers[q]),
-                rx_rings: std::mem::take(&mut rx_producers[q]),
-                conn_mgr: Arc::clone(&conn_mgr),
-                softregs: Arc::clone(&softregs),
-                monitor: Arc::clone(&monitor),
-                lb: LoadBalancer::new(LbPolicy::Uniform, (0, 32)),
-                reqbuf: RequestBuffer::new((cfg.rx_ring_capacity * cfg.num_flows).max(64)),
-                fifos: FlowFifos::new(cfg.num_flows),
-                sched: FlowScheduler::new(cfg.num_flows, SCHED_TIMEOUT_TICKS),
-                arbiter: arbiter.take(),
-                stop: Arc::clone(&stop),
-                ctrl_rx: ctrl_rx.clone(),
-                confirmed: Arc::clone(&confirmed),
-                reliable,
-                pending_out: Default::default(),
-                window_frames: 0,
-                burst_tick: 0,
-                burst_frames: 0,
-                direct_polling: false,
-                telemetry: Arc::clone(&telemetry),
-                pool,
-                conn_cache,
-                stage: Vec::new(),
-                stage_idx: Default::default(),
-                waker: Arc::clone(&wakers[q]),
-                peer_wakers: wakers.clone(),
-                qstats: Arc::clone(&monitor.queues()[q]),
-                xfer_out: std::mem::take(&mut xfer_out[q]),
-                xfer_in: std::mem::take(&mut xfer_in[q]),
-                xfer_backlog: (0..nq).map(|_| Default::default()).collect(),
-                stop_barrier: Arc::clone(&stop_barrier),
-                flow_seq: Arc::clone(&flow_seq),
-                next_deliver: vec![0; cfg.num_flows],
-                hold: (0..cfg.num_flows).map(|_| Default::default()).collect(),
-                hold_since: vec![0; cfg.num_flows],
-                held_frames: 0,
-                route_pins: Default::default(),
-                tx_scratch: Vec::new(),
-                wire_out: Vec::new(),
-                offload: Arc::clone(&offload),
-            });
+            let core = EngineCore::new(
+                &shared,
+                WorkerParts {
+                    queue_id: q as u16,
+                    port: Arc::clone(port),
+                    tx_rings: std::mem::take(&mut tx_consumers[q]),
+                    rx_rings: std::mem::take(&mut rx_producers[q]),
+                    xfer_out: std::mem::take(&mut xfer_out[q]),
+                    xfer_in: std::mem::take(&mut xfer_in[q]),
+                    reliable,
+                    arbiter: arbiter.take(),
+                },
+            );
+            pool_stats.push(core.pool.shared_stats());
+            conncache_stats.push(core.conn_cache.shared_stats());
+            cores.push(core);
         }
 
         // Fold this NIC's counter banks (Packet Monitor per-queue + their

@@ -36,8 +36,7 @@ pub struct SoftRegisterFile {
     batch_limit: AtomicU8,
     /// A/B gate for the NIC-side serde path (the offload stage's
     /// per-frame table execution). Off by default: the host-serde
-    /// baseline is the control arm, like the GBN arm of the reliable
-    /// transport's version bit.
+    /// baseline is the control arm.
     nic_serde: AtomicBool,
     /// Per-queue capacity of the on-NIC hot-key response cache, in
     /// entries. 0 (the default) disables the cache entirely; like

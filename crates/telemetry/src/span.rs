@@ -24,7 +24,7 @@ pub const DEFAULT_SPAN_CAPACITY: usize = 65_536;
 ///
 /// Encoded as 16 little-endian bytes (`trace_id` then `span_id`) prepended
 /// to the request payload before fragmentation, so it survives
-/// fragmentation/reassembly, lossy fabrics, and Go-Back-N retransmits like
+/// fragmentation/reassembly, lossy fabrics, and retransmissions like
 /// any other payload byte. Presence is signalled out-of-band by the RPC
 /// header's `traced` bit; an untraced RPC carries no context bytes at all.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

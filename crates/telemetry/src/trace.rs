@@ -9,7 +9,7 @@
 //! (client queue / TX ring / fabric / engine / RX ring / handler).
 //!
 //! Stamps are *first-wins*: retransmitted or duplicated frames never move a
-//! timestamp once recorded, so Go-Back-N replays do not corrupt a trace.
+//! timestamp once recorded, so retransmissions do not corrupt a trace.
 //! The trace table is bounded (drop-oldest) so long soak runs cannot grow
 //! memory without bound, and tracing is disabled by default — a single
 //! relaxed atomic load on the hot path when off.

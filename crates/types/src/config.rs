@@ -86,10 +86,10 @@ pub struct HardConfig {
     pub conn_cache_entries: usize,
     /// CPU–NIC interface scheme.
     pub iface: IfaceKind,
-    /// Enable the reliable transport extension (Go-Back-N with piggybacked
-    /// acks) in the Protocol unit — the follow-up work §4.5 names. All NICs
-    /// sharing a fabric must agree on this setting (it changes the wire
-    /// format).
+    /// Enable the reliable transport extension (selective repeat with
+    /// piggybacked acks) in the Protocol unit — the follow-up work §4.5
+    /// names. All NICs sharing a fabric must agree on this setting (it
+    /// changes the wire format).
     pub reliable: bool,
     /// Number of engine queues (worker threads). Each queue owns a
     /// contiguous slice of the hardware flows plus its own fabric RX queue,
@@ -216,7 +216,7 @@ impl HardConfigBuilder {
         self
     }
 
-    /// Enables the reliable transport (Go-Back-N, §4.5 follow-up work).
+    /// Enables the reliable transport (§4.5 follow-up work).
     pub fn reliable(mut self, on: bool) -> Self {
         self.config.reliable = on;
         self

@@ -1,7 +1,7 @@
-//! The §4.5 follow-up work in action: the Go-Back-N reliable transport
-//! carrying RPCs across a fabric that drops a quarter of all frames, next
-//! to the stock (unreliable) stack losing calls under the same conditions —
-//! then a composed fault plan (drop + reorder + duplicate + corrupt +
+//! The §4.5 follow-up work in action: the selective-repeat reliable
+//! transport carrying RPCs across a fabric that drops a quarter of all
+//! frames, next to the stock (unreliable) stack losing calls under the same
+//! conditions — then a composed fault plan (drop + reorder + duplicate + corrupt +
 //! delay) that the reliable stack still rides out byte-for-byte.
 //!
 //! ```sh
@@ -94,7 +94,7 @@ fn run(label: &str, fabric: &MemFabric, reliable: bool, calls: u32) -> Result<()
 fn main() -> Result<()> {
     println!("25% frame loss, 40 multi-frame echo RPCs:\n");
     run(
-        "reliable (Go-Back-N)",
+        "reliable (selective repeat)",
         &MemFabric::with_loss(0.25, 1234),
         true,
         40,

@@ -2,7 +2,7 @@
 //! one process, a client NIC in another, RPCs crossing a real socket.
 //!
 //! Everything above the fabric seam — IDL stubs, the RPC layer, the NIC
-//! engines, the Go-Back-N reliable transport — is exactly the code the
+//! engines, the reliable transport — is exactly the code the
 //! in-memory examples run; only the fabric construction differs.
 //!
 //! ```sh

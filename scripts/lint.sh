@@ -34,6 +34,18 @@ for path in $(grep -ohE '(scripts/[A-Za-z0-9_.-]+\.sh|crates/[a-z_]+/[a-z]+/[A-Z
 done
 [ "$stale_paths" -eq 0 ] || exit 1
 
+echo "== deleted names stay deleted (one recovery machine, one frame type) =="
+# The reliable transport has one recovery state machine (selective repeat)
+# and one frame type (`FrameView`). The removed second protocol and the
+# removed owned frame enum must not come back through code, comments or
+# docs; CHANGES.md and ROADMAP.md (history) and crates/ledger (the
+# benchmark, frozen) are exempt.
+if grep -rnE 'Go-Back-N|GoBackN|\bGBN\b|RecoveryMode|TransportFrame' \
+     --exclude-dir=ledger crates examples tests README.md DESIGN.md EXPERIMENTS.md; then
+  echo "lint.sh: a deleted reliable-transport name is back (see above); the one protocol is selective repeat, the one frame type is FrameView" >&2
+  exit 1
+fi
+
 echo "== fabric encapsulation (concrete backends stay behind the seam) =="
 # Library code must depend on the Fabric/FabricPort traits only: naming a
 # concrete backend couples the stack to one transport and breaks the

@@ -4,11 +4,11 @@
 //! sockets ([`UdpFabric`]) without modification.
 //!
 //! The invariants a conforming backend must uphold (with the reliable
-//! Go-Back-N transport enabled above it):
+//! transport enabled above it):
 //!
 //! * **byte-exact exactly-once** — every RPC's response echoes its payload
 //!   byte for byte, matched to its caller, and the server handler fires
-//!   exactly once per call (GBN absorbs whatever the wire loses,
+//!   exactly once per call (the transport absorbs whatever the wire loses,
 //!   duplicates, or reorders);
 //! * **per-flow FIFO** — pipelined calls from one client are dispatched at
 //!   the server in issue order (the per-`(peer, queue)` sequence spaces of
@@ -16,6 +16,10 @@
 //! * **drained-telemetry reconciliation** — after all engines stop, the
 //!   exported `nic.*` gauges equal the packet monitors' own counters and
 //!   the fabric reports nothing in flight once quiesced.
+//!
+//! [`ReliablePair`] is the other shared piece: the single-threaded
+//! two-endpoint driver of the reliable-transport state machine that the
+//! chaos and property suites run their loss scenarios through.
 
 #![allow(dead_code)]
 
@@ -23,10 +27,12 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use dagger::idl::{dagger_message, dagger_service};
-use dagger::nic::{Fabric, Nic};
+use dagger::nic::reliable::{FrameView, ReliableConfig, ReliableStats, ReliableTransport};
+use dagger::nic::transport::Datagram;
+use dagger::nic::{Fabric, FabricPort, FaultPlan, MemFabric, Nic};
 use dagger::rpc::{RpcClientPool, RpcThreadedServer};
 use dagger::telemetry::Telemetry;
-use dagger::types::{HardConfig, NodeAddr, Result};
+use dagger::types::{CacheLine, DaggerError, HardConfig, NodeAddr, Result};
 
 dagger_message! {
     pub struct Conf {
@@ -69,7 +75,7 @@ pub fn body_for(client: u32, seq: u32) -> Vec<u8> {
 
 /// How many async calls a client keeps in flight at once. Deep enough that
 /// the per-flow FIFO check exercises real pipelining (several requests
-/// queued behind each other in the TX ring and the GBN window), shallow
+/// queued behind each other in the TX ring and the send window), shallow
 /// enough to stay clear of ring capacity.
 const PIPELINE_DEPTH: usize = 8;
 
@@ -182,7 +188,7 @@ pub fn run_conformance_batched(
     server_nic.shutdown();
 
     // Exactly-once at the handler: one dispatch per issued call, no
-    // duplicates surviving GBN, none lost.
+    // duplicates surviving the transport, none lost.
     let arrivals = arrivals.lock().unwrap();
     assert_eq!(
         arrivals.len(),
@@ -257,5 +263,166 @@ fn drain_window(label: &str, c: u32, window: &mut Vec<(u32, dagger::rpc::TypedCa
             body_for(c, seq),
             "[{label}] client {c} call {seq}: payload mangled"
         );
+    }
+}
+
+/// 1-line datagram payloads tagged `0..total` (little-endian u16).
+pub fn tagged_lines(total: u16) -> Vec<CacheLine> {
+    let line = |tag: u16| {
+        let mut raw = [0u8; 64];
+        raw[..2].copy_from_slice(&tag.to_le_bytes());
+        CacheLine::from_bytes(raw)
+    };
+    (0..total).map(line).collect()
+}
+
+/// The data frame `(seq, ack)` carrying `datagram` from sender queue 0.
+pub fn data_frame(seq: u64, ack: u64, datagram: &Datagram) -> FrameView<&Datagram> {
+    FrameView::Data {
+        seq,
+        ack,
+        src_queue: 0,
+        dst_queue: 0,
+        datagram,
+    }
+}
+
+/// The wire bytes of `frame`.
+pub fn encoded(frame: FrameView<&Datagram>) -> Vec<u8> {
+    let mut out = Vec::new();
+    frame.encode_into(&mut out);
+    out
+}
+
+/// `(seq, ack, src_queue, datagram)` of an encoded data frame, its datagram
+/// parsed the way `on_recv` parses it.
+pub fn decode_data(bytes: &[u8]) -> Result<(u64, u64, u16, Datagram)> {
+    match FrameView::decode(bytes)? {
+        FrameView::Data {
+            seq,
+            ack,
+            src_queue,
+            datagram,
+            ..
+        } => Ok((seq, ack, src_queue, Datagram::decode(datagram)?)),
+        other => Err(DaggerError::Wire(format!("not a data frame: {other:?}"))),
+    }
+}
+
+/// Two reliable-transport endpoints — sender A at address 1, receiver B at
+/// address 2 — over a [`MemFabric`], driven single-threaded through exactly
+/// the calls the engine makes: `on_send_encode_to`, `on_recv` +
+/// `next_ready`, `on_tick_with` + `encode_into`, `drain_retired`. Without
+/// threads the whole fault pipeline — drop, duplicate, corrupt, reorder,
+/// delay — is event-deterministic, so a seed fixes every counter.
+pub struct ReliablePair {
+    pub fabric: MemFabric,
+    pa: Arc<dyn FabricPort>,
+    pb: Arc<dyn FabricPort>,
+    pub a: ReliableTransport,
+    pub b: ReliableTransport,
+    /// Every line B delivered up the stack, in delivery order.
+    pub delivered: Vec<CacheLine>,
+    /// A's first transmissions to lose before they reach the fabric: entry
+    /// `i` decides the `i`-th datagram sent (absent entries pass).
+    pub lose: Vec<bool>,
+}
+
+impl ReliablePair {
+    pub fn new(plan: FaultPlan, cfg: ReliableConfig) -> Self {
+        let fabric = MemFabric::with_faults(plan);
+        let port = |addr| fabric.attach_queues(NodeAddr(addr), 1).unwrap().remove(0);
+        ReliablePair {
+            pa: port(1),
+            pb: port(2),
+            fabric,
+            a: ReliableTransport::new(NodeAddr(1), cfg),
+            b: ReliableTransport::new(NodeAddr(2), cfg),
+            delivered: Vec::new(),
+            lose: Vec::new(),
+        }
+    }
+
+    /// Ships `lines` from A to B, one datagram per line, offering at most
+    /// `burst` new datagrams per round to A's window, until B has delivered
+    /// them all and A has nothing left to repair; then releases what the
+    /// fabric still holds and absorbs the stragglers, so every counter is
+    /// final. One round is one deterministic sequence of events: send,
+    /// drain B (delivering), tick B (acks), drain A (acks), tick A
+    /// (retransmissions).
+    pub fn run(&mut self, label: &str, lines: &[CacheLine], burst: usize) {
+        let lose = std::mem::take(&mut self.lose);
+        let mut offered = lines
+            .iter()
+            .map(|&line| Datagram::new(NodeAddr(1), NodeAddr(2), vec![line]))
+            .zip(lose.into_iter().chain(std::iter::repeat(false)));
+        let mut deferred = None;
+        let mut rounds = 0u32;
+        while self.delivered.len() < lines.len() || !self.a.is_idle() {
+            rounds += 1;
+            assert!(
+                rounds < 400_000,
+                "[{label}] driver wedged at {}/{} deliveries",
+                self.delivered.len(),
+                lines.len()
+            );
+            for _ in 0..burst {
+                let Some((dgram, lost)) = deferred.take().or_else(|| offered.next()) else {
+                    break;
+                };
+                let mut out = Vec::new();
+                match self.a.on_send_encode_to(dgram, 0, &mut out) {
+                    Ok(()) if lost => {}
+                    Ok(()) => self.pa.send_to(NodeAddr(2), 0, out).unwrap(),
+                    Err(dgram) => {
+                        // Window full: retry next round, like `pending_out`.
+                        deferred = Some((dgram, lost));
+                        break;
+                    }
+                }
+            }
+            self.drain_b();
+            Self::tick(&mut self.b, &*self.pb);
+            self.drain_a();
+            Self::tick(&mut self.a, &*self.pa);
+        }
+        // Releasing held frames consumes no fault randomness.
+        self.fabric.quiesce();
+        self.drain_b();
+        self.drain_a();
+    }
+
+    /// The engine's RX round at B: every arrival, then its gap-fill run.
+    fn drain_b(&mut self) {
+        while let Some(bytes) = self.pb.try_recv() {
+            let first = self.b.on_recv(&bytes).ok().flatten();
+            let run = std::iter::from_fn(|| self.b.next_ready());
+            for dgram in first.into_iter().chain(run) {
+                self.delivered.extend(dgram.lines);
+            }
+        }
+    }
+
+    fn drain_a(&mut self) {
+        while let Some(bytes) = self.pa.try_recv() {
+            let _ = self.a.on_recv(&bytes);
+        }
+    }
+
+    /// The engine's transport tick: recycle, then ship what the timers emit.
+    fn tick(t: &mut ReliableTransport, port: &dyn FabricPort) {
+        t.drain_retired(drop);
+        t.on_tick_with(|frame| {
+            port.send_to(frame.dst(), frame.dst_queue(), encoded(frame))
+                .unwrap();
+        });
+    }
+
+    /// `(A's, B's)` transport counters.
+    pub fn stats(&self) -> (ReliableStats, ReliableStats) {
+        (
+            self.a.shared_stats().snapshot(),
+            self.b.shared_stats().snapshot(),
+        )
     }
 }

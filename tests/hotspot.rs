@@ -395,7 +395,7 @@ fn zipfian_hotspot_balancer_vs_static() {
 
 /// The same scenario under a heavier composed fault plan (drop + reorder +
 /// duplicate + corrupt + delay): the migration must hold ordering and
-/// exactly-once even while Go-Back-N is busy repairing the wire.
+/// exactly-once even while the transport is busy repairing the wire.
 #[test]
 fn hotspot_remap_survives_composed_faults() {
     let seed = env_seed().wrapping_add(1);

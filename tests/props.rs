@@ -3,7 +3,8 @@
 use proptest::prelude::*;
 
 use dagger::nic::connmgr::{CmPort, ConnectionManager, ConnectionTuple};
-use dagger::nic::ring;
+use dagger::nic::reliable::ReliableConfig;
+use dagger::nic::{ring, FaultPlan};
 use dagger::rpc::frag::{fragment, Reassembler, MAX_RPC_PAYLOAD};
 use dagger::rpc::{Wire, WireReader};
 use dagger::sim::dist::Zipf;
@@ -13,6 +14,9 @@ use dagger::types::{
     CacheLine, ConnectionId, FlowId, FnId, LbPolicy, NodeAddr, RpcHeader, RpcId, RpcKind,
     HEADER_BYTES,
 };
+
+mod common;
+use common::{data_frame, decode_data, encoded, tagged_lines, ReliablePair};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -242,65 +246,25 @@ proptest! {
         ack in any::<u64>(),
         garbage in prop::collection::vec(any::<u8>(), 0..64),
     ) {
-        use dagger::nic::reliable::TransportFrame;
         use dagger::nic::transport::Datagram;
-        let frame = TransportFrame::Data {
-            seq,
-            ack,
-            src_queue: 0,
-            datagram: Datagram::new(NodeAddr(1), NodeAddr(2), vec![CacheLine::zeroed()]),
-        };
-        prop_assert_eq!(TransportFrame::decode(&frame.encode()).unwrap(), frame);
-        let _ = TransportFrame::decode(&garbage);
+        let datagram = Datagram::new(NodeAddr(1), NodeAddr(2), vec![CacheLine::zeroed()]);
+        let bytes = encoded(data_frame(seq, ack, &datagram));
+        prop_assert_eq!(decode_data(&bytes).unwrap(), (seq, ack, 0, datagram));
+        let _ = decode_data(&garbage);
     }
 
-    /// A lossy link with Go-Back-N eventually delivers everything in order,
-    /// for any loss pattern.
+    /// A lossy link eventually delivers everything in order, for any loss
+    /// pattern on the first transmissions.
     #[test]
-    fn go_back_n_delivers_under_any_loss_pattern(
+    fn reliable_delivers_under_any_loss_pattern(
         drops in prop::collection::vec(any::<bool>(), 20),
     ) {
-        use dagger::nic::reliable::{RecoveryMode, ReliableConfig, ReliableTransport, TransportFrame};
-        use dagger::nic::transport::Datagram;
-        let cfg = ReliableConfig {
-            retransmit_after_ticks: 1,
-            window: 64,
-            mode: RecoveryMode::GoBackN,
-        };
-        let mut sender = ReliableTransport::new(NodeAddr(1), cfg);
-        let mut receiver = ReliableTransport::new(NodeAddr(2), cfg);
-        let mut delivered: Vec<u8> = Vec::new();
-        // Send 20 tagged datagrams; drop per the pattern.
-        for (i, &dropped) in drops.iter().enumerate() {
-            let mut line = CacheLine::zeroed();
-            line.as_bytes_mut()[20] = i as u8;
-            let frame = sender
-                .on_send(Datagram::new(NodeAddr(1), NodeAddr(2), vec![line]))
-                .unwrap();
-            if !dropped {
-                if let Some(d) = receiver.on_recv(&frame.encode()).unwrap() {
-                    delivered.push(d.lines[0].as_bytes()[20]);
-                }
-            }
-        }
-        // Tick both sides until the stream repairs (every tick may lose
-        // nothing further).
-        for _ in 0..64 {
-            for frame in receiver.on_tick() {
-                sender.on_recv(&frame.encode()).unwrap();
-            }
-            for frame in sender.on_tick() {
-                if let TransportFrame::Data { .. } = &frame {
-                    if let Some(d) = receiver.on_recv(&frame.encode()).unwrap() {
-                        delivered.push(d.lines[0].as_bytes()[20]);
-                    }
-                }
-            }
-            if sender.fully_acked() && delivered.len() == 20 {
-                break;
-            }
-        }
-        prop_assert_eq!(delivered, (0..20u8).collect::<Vec<_>>());
+        let lines = tagged_lines(20);
+        let cfg = ReliableConfig { retransmit_after_ticks: 1, window: 64 };
+        let mut pair = ReliablePair::new(FaultPlan::seeded(0), cfg);
+        pair.lose = drops;
+        pair.run("loss-pattern", &lines, usize::MAX);
+        prop_assert_eq!(pair.delivered, lines);
     }
 
     /// Exactly-once in-order delivery over a fabric running an arbitrary
@@ -316,72 +280,22 @@ proptest! {
         corrupt in 0.0f64..0.25,
         delay in 0.0f64..0.25,
     ) {
-        use dagger::nic::reliable::{RecoveryMode, ReliableConfig, ReliableTransport};
-        use dagger::nic::transport::Datagram;
-        use dagger::nic::{Fabric, FaultPlan, MemFabric};
-
         let plan = FaultPlan::seeded(seed)
             .with_drop(drop)
             .with_reorder(reorder, window)
             .with_duplicate(duplicate)
             .with_corrupt(corrupt)
             .with_delay(delay, 8);
-        let fabric = MemFabric::with_faults(plan);
-        let pa = fabric.attach_queues(NodeAddr(1), 1).unwrap().remove(0);
-        let pb = fabric.attach_queues(NodeAddr(2), 1).unwrap().remove(0);
-        let cfg = ReliableConfig {
-            retransmit_after_ticks: 4,
-            window: 64,
-            mode: RecoveryMode::SelectiveRepeat,
-        };
-        let mut a = ReliableTransport::new(NodeAddr(1), cfg);
-        let mut b = ReliableTransport::new(NodeAddr(2), cfg);
-
-        const N: u8 = 25;
-        let mut sent = 0u8;
-        let mut delivered: Vec<u8> = Vec::new();
-        for _round in 0..10_000 {
-            while sent < N && a.window_available(NodeAddr(2)) {
-                let mut line = CacheLine::zeroed();
-                line.as_bytes_mut()[20] = sent;
-                match a.on_send(Datagram::new(NodeAddr(1), NodeAddr(2), vec![line])) {
-                    Ok(frame) => {
-                        pa.send(NodeAddr(2), frame.encode()).unwrap();
-                        sent += 1;
-                    }
-                    Err(_) => break,
-                }
-            }
-            while let Some(bytes) = pb.try_recv() {
-                if let Ok(Some(d)) = b.on_recv(&bytes) {
-                    delivered.push(d.lines[0].as_bytes()[20]);
-                }
-                // Selective repeat releases gap-filled datagrams out of band.
-                while let Some(d) = b.next_ready() {
-                    delivered.push(d.lines[0].as_bytes()[20]);
-                }
-            }
-            while let Some(bytes) = pa.try_recv() {
-                let _ = a.on_recv(&bytes);
-            }
-            for f in b.on_tick() {
-                pb.send(NodeAddr(1), f.encode()).unwrap();
-            }
-            for f in a.on_tick() {
-                pa.send(NodeAddr(2), f.encode()).unwrap();
-            }
-            if delivered.len() == usize::from(N) && a.fully_acked() {
-                break;
-            }
-        }
+        let lines = tagged_lines(25);
+        let cfg = ReliableConfig { retransmit_after_ticks: 4, window: 64 };
+        let mut pair = ReliablePair::new(plan, cfg);
+        pair.run("faulty-fabric", &lines, usize::MAX);
         // Exactly-once, in order, nothing lost — despite the chaos.
-        prop_assert_eq!(delivered, (0..N).collect::<Vec<_>>());
-        prop_assert!(a.fully_acked());
+        prop_assert_eq!(&pair.delivered, &lines);
 
         // Stats reconcile with the injected faults.
-        let faults = fabric.fault_stats();
-        let sa = a.stats();
-        let sb = b.stats();
+        let faults = pair.fabric.fault_stats();
+        let (sa, sb) = pair.stats();
         // Only bit corruption makes frames undecodable.
         prop_assert!(sa.wire_drops + sb.wire_drops <= faults.corrupted);
         // Every discarded data frame is an extra arrival, and extra
@@ -492,29 +406,23 @@ proptest! {
         ack in any::<u64>(),
         bit_seed in any::<u64>(),
     ) {
-        use dagger::nic::reliable::TransportFrame;
         use dagger::nic::transport::Datagram;
         let mut line = CacheLine::zeroed();
         line.as_bytes_mut()[20] = 0x5A;
-        let frame = TransportFrame::Data {
-            seq,
-            ack,
-            src_queue: 0,
-            datagram: Datagram::new(NodeAddr(1), NodeAddr(2), vec![line]),
-        };
-        let mut bytes = frame.encode();
+        let datagram = Datagram::new(NodeAddr(1), NodeAddr(2), vec![line]);
+        let mut bytes = encoded(data_frame(seq, ack, &datagram));
         let bit = (bit_seed as usize) % (bytes.len() * 8);
         bytes[bit / 8] ^= 1 << (bit % 8);
-        match TransportFrame::decode(&bytes) {
+        match decode_data(&bytes) {
             Err(_) => {} // caught — the common case
-            Ok(decoded) => prop_assert_ne!(decoded, frame),
+            Ok(decoded) => prop_assert_ne!(decoded, (seq, ack, 0, datagram)),
         }
     }
 
     /// Distributed tracing: a traced RPC's wire context survives
-    /// fragmentation, an arbitrary loss pattern repaired by Go-Back-N
-    /// retransmission, and reassembly — and stripping it returns the
-    /// original payload byte for byte.
+    /// fragmentation, an arbitrary loss pattern repaired by the reliable
+    /// transport's retransmissions, and reassembly — and stripping it
+    /// returns the original payload byte for byte.
     #[test]
     fn trace_context_survives_loss_and_reassembly(
         payload in prop::collection::vec(any::<u8>(), 0..300),
@@ -522,8 +430,6 @@ proptest! {
         trace_id in any::<u64>(),
         span_id in any::<u64>(),
     ) {
-        use dagger::nic::reliable::{RecoveryMode, ReliableConfig, ReliableTransport, TransportFrame};
-        use dagger::nic::transport::Datagram;
         use dagger::rpc::frag::fragment_with_ctx;
         use dagger::telemetry::TraceContext;
 
@@ -539,45 +445,15 @@ proptest! {
         )
         .unwrap();
 
-        let cfg = ReliableConfig {
-            retransmit_after_ticks: 1,
-            window: 64,
-            mode: RecoveryMode::GoBackN,
-        };
-        let mut sender = ReliableTransport::new(NodeAddr(1), cfg);
-        let mut receiver = ReliableTransport::new(NodeAddr(2), cfg);
-        let mut arrived: Vec<CacheLine> = Vec::new();
-        for (i, line) in frames.iter().enumerate() {
-            let dropped = drops.get(i).copied().unwrap_or(false);
-            let frame = sender
-                .on_send(Datagram::new(NodeAddr(1), NodeAddr(2), vec![*line]))
-                .unwrap();
-            if !dropped {
-                if let Some(d) = receiver.on_recv(&frame.encode()).unwrap() {
-                    arrived.extend(d.lines);
-                }
-            }
-        }
-        for _ in 0..96 {
-            for f in receiver.on_tick() {
-                sender.on_recv(&f.encode()).unwrap();
-            }
-            for f in sender.on_tick() {
-                if let TransportFrame::Data { .. } = &f {
-                    if let Some(d) = receiver.on_recv(&f.encode()).unwrap() {
-                        arrived.extend(d.lines);
-                    }
-                }
-            }
-            if sender.fully_acked() && arrived.len() == frames.len() {
-                break;
-            }
-        }
-        prop_assert_eq!(arrived.len(), frames.len());
+        let cfg = ReliableConfig { retransmit_after_ticks: 1, window: 64 };
+        let mut pair = ReliablePair::new(FaultPlan::seeded(0), cfg);
+        pair.lose = drops;
+        pair.run("trace-context", &frames, usize::MAX);
+        prop_assert_eq!(pair.delivered.len(), frames.len());
 
         let mut reasm = Reassembler::new();
         let mut done = None;
-        for line in arrived {
+        for line in pair.delivered {
             done = reasm.push(line).unwrap();
         }
         let mut rpc = done.expect("reassembly completes after repair");
@@ -606,7 +482,6 @@ proptest! {
         seq in any::<u64>(),
         ack in any::<u64>(),
     ) {
-        use dagger::nic::reliable::TransportFrame;
         use dagger::nic::transport::Datagram;
 
         // One buffer reused across every encode, exactly as the engine's
@@ -635,12 +510,9 @@ proptest! {
 
             // The sequenced reliable wrapper must agree with itself the same
             // way (its CRC is patched in place over the reused buffer).
-            let frame = TransportFrame::Data { seq, ack, src_queue: 0, datagram: dgram };
-            let fresh_frame = frame.encode();
-            frame.encode_into(&mut reused_frame);
-            prop_assert_eq!(&fresh_frame, &reused_frame);
-            let frame_back = TransportFrame::decode(&reused_frame).unwrap();
-            prop_assert_eq!(frame_back, frame);
+            data_frame(seq, ack, &dgram).encode_into(&mut reused_frame);
+            prop_assert_eq!(&encoded(data_frame(seq, ack, &dgram)), &reused_frame);
+            prop_assert_eq!(decode_data(&reused_frame).unwrap(), (seq, ack, 0, dgram));
         }
     }
 }

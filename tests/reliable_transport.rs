@@ -1,4 +1,4 @@
-//! Failure-injection integration tests: the Go-Back-N reliable transport
+//! Failure-injection integration tests: the reliable transport
 //! (the §4.5 follow-up work) over a fabric that deterministically drops
 //! frames.
 //!
@@ -213,7 +213,7 @@ fn shutdown_flushes_window_deferred_datagrams() {
     // Healthy warm-up call so the connection is fully established.
     assert_eq!(client.echo(&probe(0, vec![])).unwrap().seq, 0);
 
-    // Cut the link: acks stop, so the Go-Back-N window fills and the engine
+    // Cut the link: acks stop, so the send window fills and the engine
     // starts deferring datagrams to `pending_out`.
     fabric.partition(NodeAddr(1), NodeAddr(2));
     const CALLS: u32 = 12;

@@ -228,7 +228,8 @@ fn golden_frame_bytes_identical_across_backends() {
 /// golden frame: FRAME_VERSION_BIT
 #[test]
 fn golden_reliable_frames_pin_layout_and_version_compat() {
-    use dagger::nic::reliable::TransportFrame;
+    use common::{decode_data, encoded};
+    use dagger::nic::reliable::FrameView;
     use dagger::nic::transport::{wire_checksum, Datagram};
 
     let patch_crc = |frame: &mut Vec<u8>| {
@@ -250,16 +251,17 @@ fn golden_reliable_frames_pin_layout_and_version_compat() {
     golden_data.extend_from_slice(&body);
     patch_crc(&mut golden_data);
 
-    let frame = TransportFrame::Data {
+    let frame = FrameView::Data {
         seq: 5,
         ack: 3,
         src_queue: 2,
-        datagram: datagram.clone(),
+        dst_queue: 0,
+        datagram: &datagram,
     };
-    assert_eq!(frame.encode(), golden_data, "data frame layout drifted");
+    assert_eq!(encoded(frame), golden_data, "data frame layout drifted");
     assert_eq!(
-        TransportFrame::decode(&golden_data).unwrap(),
-        frame,
+        decode_data(&golden_data).unwrap(),
+        (5, 3, 2, datagram.clone()),
         "version-0 data bytes no longer decode"
     );
 
@@ -273,16 +275,26 @@ fn golden_reliable_frames_pin_layout_and_version_compat() {
     golden_ack.extend_from_slice(&[0u8; 4]);
     patch_crc(&mut golden_ack);
 
-    let ack_frame = TransportFrame::Ack {
-        ack: 11,
-        src: NodeAddr(9),
-        dst: NodeAddr(7),
-        src_queue: 4,
-    };
-    assert_eq!(ack_frame.encode(), golden_ack, "ack frame layout drifted");
+    // An ack with an empty bitmap is a version-0 frame. (`dst_queue` is
+    // routing metadata: never on the wire, 0 after a decode.)
+    fn ack_frame<B>(bitmap: u64) -> FrameView<B> {
+        FrameView::Ack {
+            ack: 11,
+            bitmap,
+            src: NodeAddr(9),
+            dst: NodeAddr(7),
+            src_queue: 4,
+            dst_queue: 0,
+        }
+    }
     assert_eq!(
-        TransportFrame::decode(&golden_ack).unwrap(),
-        ack_frame,
+        encoded(ack_frame(0)),
+        golden_ack,
+        "ack frame layout drifted"
+    );
+    assert_eq!(
+        FrameView::decode(&golden_ack).unwrap(),
+        ack_frame(0),
         "version-0 ack bytes no longer decode"
     );
 
@@ -299,21 +311,14 @@ fn golden_reliable_frames_pin_layout_and_version_compat() {
     golden_sack.extend_from_slice(&bitmap.to_le_bytes());
     patch_crc(&mut golden_sack);
 
-    let sack_frame = TransportFrame::Sack {
-        ack: 11,
-        bitmap,
-        src: NodeAddr(9),
-        dst: NodeAddr(7),
-        src_queue: 4,
-    };
     assert_eq!(
-        sack_frame.encode(),
+        encoded(ack_frame(bitmap)),
         golden_sack,
         "sack frame layout drifted"
     );
     assert_eq!(
-        TransportFrame::decode(&golden_sack).unwrap(),
-        sack_frame,
+        FrameView::decode(&golden_sack).unwrap(),
+        ack_frame(bitmap),
         "sack bytes no longer decode"
     );
     assert_eq!(
@@ -328,7 +333,7 @@ fn golden_reliable_frames_pin_layout_and_version_compat() {
     future[0] = 0x80 | 3;
     patch_crc(&mut future);
     assert!(
-        TransportFrame::decode(&future).is_err(),
+        FrameView::decode(&future).is_err(),
         "unknown version-1 frame kind must be rejected, not guessed at"
     );
 }
