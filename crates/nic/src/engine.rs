@@ -12,7 +12,7 @@
 //! misses), the soft register file, and the confirmed-set fed by control
 //! acknowledgements.
 //!
-//! Each loop iteration ("tick") a worker:
+//! Each [`EngineCore::step`] (one "tick") a worker:
 //!
 //! 1. **TX FSM** — polls its own flows' TX rings (the CCI-P fetch, bounded
 //!    by the soft-configured batch size `B` per flow per tick), looks up
@@ -43,6 +43,11 @@
 //! takes a grant from the [`CcipArbiter`](crate::arbiter::CcipArbiter)
 //! before each bus round (Fig. 14); virtualization is single-queue (the
 //! arbiter models one physical CCI-P bus interface).
+//!
+//! A core does not own a thread. [`EngineCore::step`] is the one seam every
+//! driver goes through — the host thread waiting on one of the queue's
+//! flows, or the queue's fallback engine thread (`drive.rs`, DESIGN.md §12)
+//! — and the only caller of the round functions.
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -216,6 +221,11 @@ pub(crate) struct EngineCore {
     /// Datagrams deferred by reliable-transport window backpressure, with
     /// the destination queue their connection routed to.
     pub pending_out: VecDeque<(Datagram, u16)>,
+    /// Steps taken so far: the clock of every tick-counted timer (retransmit
+    /// timeout, scheduler timeout, hold stall valve, remap drain deadline).
+    pub tick: u64,
+    /// Delivery flushes partially formed batches (shutdown drain).
+    pub draining: bool,
     /// Frames fetched from TX rings in the current polling window.
     pub window_frames: u64,
     /// Grid tick of the last `RetransmitBurst` flight event. Bursts are
@@ -374,6 +384,18 @@ pub(crate) struct TxStage {
     pub lines: Vec<CacheLine>,
 }
 
+/// What one [`EngineCore::step`] found, i.e. what its driver may do next.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Progress {
+    /// At least one round moved a frame: step again.
+    Moved,
+    /// Nothing moved, but something tick-driven is outstanding (a retransmit
+    /// deadline, a deferred send, a partial batch, a hold): keep ticking.
+    Ticking,
+    /// Nothing moved and nothing is outstanding: the driver may park.
+    Idle,
+}
+
 /// Packs a staging-table key from destination address and queue.
 fn stage_key(dst: NodeAddr, dst_queue: u16) -> u64 {
     u64::from(dst.raw()) << 16 | u64::from(dst_queue)
@@ -408,6 +430,8 @@ impl EngineCore {
             confirmed: Arc::clone(&shared.confirmed),
             reliable: parts.reliable,
             pending_out: VecDeque::new(),
+            tick: 0,
+            draining: false,
             window_frames: 0,
             burst_tick: 0,
             burst_frames: 0,
@@ -436,89 +460,73 @@ impl EngineCore {
         }
     }
 
-    /// The engine worker body: loop until `stop`.
-    pub(crate) fn run(mut self) {
-        self.waker.register_current();
-        let mut idle = SpinWait::new();
-        let mut tick: u64 = 0;
-        loop {
-            if self.stop.load(Ordering::Acquire) {
-                self.shutdown_drain(tick);
-                return;
-            }
-            if let Some(slot) = &self.arbiter {
-                slot.acquire();
-            }
-            let mut progress = false;
-            progress |= self.flush_pending();
-            progress |= self.flush_backlog();
-            progress |= self.ctrl_round(tick);
-            progress |= self.tx_round(tick);
-            let rx_moved = self.rx_round(tick);
-            let inbox_moved = self.inbox_round(tick);
-            progress |= rx_moved | inbox_moved;
-            progress |= self.release_stalled(tick);
-            progress |= self.deliver_round(tick, false, !(rx_moved || inbox_moved));
-            self.reliable_tick();
-            if progress {
-                idle.reset();
-            } else if self.can_idle_park() {
-                // Nothing tick-driven is outstanding: escalate through
-                // spin → yield → park; producers wake us via the latch.
-                idle.wait_with(&self.waker);
-            } else {
-                // Timers (retransmit deadlines, arbiter rotation, deferred
-                // sends, handoff retries) still need ticks: stay in the
-                // non-parking phase of the same backoff instead of
-                // bypassing it.
-                idle.snooze();
-            }
-            tick = tick.wrapping_add(1);
-            // Polling-mode switch (§4.4.1): once per 1024-tick window,
-            // compare the TX fetch rate against the soft threshold. Above
-            // it, poll the processor's LLC directly (cached polling would
-            // steal line ownership from the busy CPU); below it, poll the
-            // NIC's local coherent cache and ride invalidations.
-            if tick.is_multiple_of(1024) {
-                let threshold = self.softregs.polling_threshold();
-                self.direct_polling = threshold != 0 && self.window_frames > u64::from(threshold);
-                self.window_frames = 0;
-            }
+    /// One engine tick: every round once, in the one order they run in.
+    /// Whoever holds the core drives it — a waiting host thread, the
+    /// fallback engine thread, the shutdown drain, a unit test.
+    pub(crate) fn step(&mut self) -> Progress {
+        if let Some(slot) = &self.arbiter {
+            slot.acquire();
+        }
+        let tick = self.tick;
+        let mut moved = self.flush_pending();
+        moved |= self.flush_backlog();
+        moved |= self.ctrl_round(tick);
+        moved |= self.tx_round(tick);
+        let rx_moved = self.rx_round(tick) | self.inbox_round(tick);
+        moved |= rx_moved;
+        moved |= self.release_stalled(tick);
+        moved |= self.deliver_round(tick, self.draining, !rx_moved);
+        self.reliable_tick();
+        self.tick = tick.wrapping_add(1);
+        // Polling-mode switch (§4.4.1): once per 1024-tick window, compare
+        // the TX fetch rate against the soft threshold. Above it, poll the
+        // processor's LLC directly (cached polling would steal line
+        // ownership from the busy CPU); below it, poll the NIC's local
+        // coherent cache and ride invalidations.
+        if self.tick.is_multiple_of(1024) {
+            let threshold = self.softregs.polling_threshold();
+            self.direct_polling = threshold != 0 && self.window_frames > u64::from(threshold);
+            self.window_frames = 0;
+        }
+        if moved {
+            Progress::Moved
+        } else if self.can_idle_park() {
+            Progress::Idle
+        } else {
+            Progress::Ticking
         }
     }
 
-    /// Two-phase shutdown. Phase 1 drains everything this worker can still
-    /// *originate* (control sends, host TX rings, deferred datagrams,
-    /// queued handoffs), then passes the barrier. Phase 2 keeps the RX side
-    /// live — port, handoff inboxes, delivery — until every sibling has
-    /// passed its own phase 1, so frames a sibling handed off (or sent over
-    /// the loopback fabric) at the last moment are not stranded in a ring
-    /// nobody drains. A final sweep then flushes what has already arrived.
-    fn shutdown_drain(&mut self, tick: u64) {
-        self.ctrl_round(tick);
-        while self.tx_round(tick) {}
-        self.flush_pending();
-        self.flush_backlog();
+    /// Steps until a step moves nothing.
+    fn step_until_quiet(&mut self) {
+        while self.step() == Progress::Moved {}
+    }
+
+    /// Two-phase shutdown, with delivery flushing partial batches
+    /// throughout. Phase 1 steps until this worker has nothing left to
+    /// *originate* (control sends, host TX rings, deferred datagrams, queued
+    /// handoffs), then passes the barrier. Phase 2 keeps stepping until
+    /// every sibling has passed its own phase 1, so frames a sibling handed
+    /// off (or sent over the loopback fabric) at the last moment are not
+    /// stranded in a ring nobody drains. A final sweep then flushes what
+    /// has already arrived.
+    pub(crate) fn shutdown_drain(&mut self) {
+        self.draining = true;
+        self.step_until_quiet();
         self.stop_barrier.fetch_add(1, Ordering::AcqRel);
         let mut idle = SpinWait::new();
         while self.stop_barrier.load(Ordering::Acquire) < self.num_queues {
-            let mut progress = self.rx_round(tick);
-            progress |= self.inbox_round(tick);
-            progress |= self.flush_backlog();
-            progress |= self.deliver_round(tick, true, true);
-            if progress {
+            if self.step() == Progress::Moved {
                 idle.reset();
             } else {
                 idle.snooze();
             }
         }
-        while self.rx_round(tick) {}
-        self.flush_backlog();
-        while self.inbox_round(tick) {}
+        self.step_until_quiet();
         // Frames still parked for ordering release now regardless of gaps:
         // their missing predecessors are not coming.
-        self.force_release_holds(tick);
-        self.deliver_round(tick, true, true);
+        self.force_release_holds();
+        self.step_until_quiet();
         self.drain_pending_on_stop();
         // Handoffs that never fit their ring die with this worker; account
         // for them so shutdown cannot silently lose frames.
@@ -835,22 +843,21 @@ impl EngineCore {
     }
 
     /// Retries datagrams deferred by window backpressure (they re-defer if
-    /// the window is still closed).
+    /// the window is still closed). Progress is a datagram that shipped,
+    /// not a retry: a closed window must not read as work.
     fn flush_pending(&mut self) -> bool {
-        if self.pending_out.is_empty() {
-            return false;
-        }
+        let deferred = self.pending_out.len();
         // One retry per deferred datagram (length sampled up front):
         // re-deferrals go to the back and wait for the next round, so the
         // loop terminates without draining into a scratch Vec.
-        for _ in 0..self.pending_out.len() {
+        for _ in 0..deferred {
             let Some((dgram, dst_queue)) = self.pending_out.pop_front() else {
                 break;
             };
             self.send_datagram(dgram, dst_queue);
         }
         self.flush_wire();
-        true
+        self.pending_out.len() < deferred
     }
 
     /// Retries handoffs that found their ring full, oldest first so
@@ -1126,10 +1133,11 @@ impl EngineCore {
 
     /// Shutdown: releases every held frame in stamp order regardless of
     /// gaps — missing predecessors are not coming.
-    fn force_release_holds(&mut self, tick: u64) {
+    fn force_release_holds(&mut self) {
         if self.held_frames == 0 {
             return;
         }
+        let tick = self.tick;
         for flow in 0..self.hold.len() {
             while let Some(entry) = self.hold[flow].first_entry() {
                 let seq = *entry.key();
@@ -1359,8 +1367,7 @@ impl EngineCore {
         };
         let mut progress = false;
         while let Some(flow) = self.sched.pick(&self.fifos, ready, tick) {
-            let slots = self.fifos.pop_batch(flow, batch.max(1));
-            for slot in slots {
+            for slot in self.fifos.pop_batch(flow, batch.max(1)) {
                 let line = self.reqbuf.take(slot);
                 // The extra header decode for the trace key is gated on the
                 // tracer so the untraced hot path stays decode-free here.
@@ -1564,93 +1571,109 @@ mod tests {
         line
     }
 
-    /// One full loopback cycle: host pushes `burst` frames, the TX round
-    /// ships them to the engine's own port, the RX round steers them into
-    /// the FIFOs, delivery writes the RX ring, and the "host" drains it.
+    /// A data frame on connection 2, which this opens toward `dst` — any
+    /// address other than the core's own.
+    fn frame_toward(core: &EngineCore, dst: NodeAddr, rpc: u32) -> CacheLine {
+        let tuple = ConnectionTuple {
+            src_flow: FlowId(0),
+            dest_addr: dst,
+            lb: LbPolicy::Uniform,
+        };
+        let _ = core.conn_mgr.lock().open(ConnectionId(2), tuple);
+        let mut line = data_frame(rpc);
+        let mut hdr = RpcHeader::decode(line.header()).unwrap();
+        hdr.connection_id = ConnectionId(2);
+        hdr.encode(line.header_mut());
+        line
+    }
+
+    /// One full loopback cycle: the host pushes `burst` frames and steps
+    /// the core until all of them came back around — TX ships them to the
+    /// engine's own port, RX steers them into the FIFOs, delivery writes
+    /// the RX ring (at once for a full batch, after the scheduler timeout
+    /// for a partial one) — and the "host" drains it.
     fn cycle(
         core: &mut EngineCore,
         host_tx: &mut crate::ring::RingProducer,
         host_rx: &mut crate::ring::RingConsumer,
         burst: u32,
-        tick: u64,
     ) {
         for i in 0..burst {
             host_tx.try_push(data_frame(i)).unwrap();
         }
-        core.tx_round(0);
-        core.rx_round(tick);
-        core.deliver_round(tick, true, true);
-        while host_rx.try_pop().is_some() {}
+        let mut back = 0;
+        for _ in 0..=SCHED_TIMEOUT_TICKS {
+            core.step();
+            while host_rx.try_pop().is_some() {
+                back += 1;
+            }
+        }
+        assert_eq!(back, burst, "frames lost in the loop");
     }
 
     #[test]
-    fn steady_state_tx_round_performs_zero_heap_allocations() {
+    fn steady_state_step_performs_zero_heap_allocations() {
         let (mut core, mut host_tx, mut host_rx) = loopback_core();
         // Warm-up: fill the buffer pool, size the staging table and the
         // connection cache, and let every recycled Vec reach its
         // steady-state capacity.
-        for t in 0..8 {
-            cycle(&mut core, &mut host_tx, &mut host_rx, 16, t);
+        for _ in 0..8 {
+            cycle(&mut core, &mut host_tx, &mut host_rx, 16);
         }
-        // Measured round: a full 16-frame TX burst must not touch the heap.
+        // Measured step: a full 16-frame burst through TX, the wire, RX and
+        // delivery must not touch the heap.
         for i in 0..16 {
             host_tx.try_push(data_frame(i)).unwrap();
         }
-        let (allocs, progressed) = alloc_counter::count_allocs(|| core.tx_round(0));
-        assert!(progressed, "tx_round saw no frames");
+        let (allocs, progress) = alloc_counter::count_allocs(|| core.step());
+        assert_eq!(progress, Progress::Moved, "step saw no frames");
         assert_eq!(
             allocs, 0,
-            "steady-state tx_round hit the allocator {allocs} time(s)"
+            "steady-state step hit the allocator {allocs} time(s)"
         );
-        // The frames made it to the wire (the engine's own RX queue).
-        let (rx_allocs, rx_progressed) = alloc_counter::count_allocs(|| core.rx_round(100));
-        assert!(rx_progressed, "loopback datagram never arrived");
-        assert_eq!(
-            rx_allocs, 0,
-            "steady-state rx_round hit the allocator {rx_allocs} time(s)"
-        );
+        // The frames made it around the loop (the engine's own RX queue).
+        let mut back = 0;
+        while host_rx.try_pop().is_some() {
+            back += 1;
+        }
+        assert_eq!(back, 16, "loopback burst never arrived");
     }
 
     /// The reliable arm of the same loop: TX sequences into the window, RX
     /// decodes each data frame into a vector the window retired, and the
     /// transport tick acks — none of it may touch the heap once warm.
     #[test]
-    fn reliable_steady_state_rounds_perform_zero_heap_allocations() {
+    fn reliable_steady_state_steps_perform_zero_heap_allocations() {
         use crate::reliable::ReliableConfig;
         let (mut core, mut host_tx, mut host_rx) = loopback_core();
         core.reliable = Some(ReliableTransport::new(core.addr, ReliableConfig::default()));
-        // One loopback cycle; returns the heap allocations of its TX round,
-        // RX round and transport tick (delivery is not under measurement).
+        // One loopback cycle; returns the heap allocations of its step.
         let mut delivered = 0;
-        let mut round = |core: &mut EngineCore, tick: u64| {
+        let mut round = |core: &mut EngineCore| {
             for i in 0..16 {
                 host_tx.try_push(data_frame(i)).unwrap();
             }
-            let (allocs, moved) =
-                alloc_counter::count_allocs(|| core.tx_round(tick) & core.rx_round(tick));
-            assert!(moved, "round {tick} shipped or received nothing");
-            core.deliver_round(tick, true, true);
-            let (tick_allocs, ()) = alloc_counter::count_allocs(|| core.reliable_tick());
+            let (allocs, progress) = alloc_counter::count_allocs(|| core.step());
+            assert_eq!(progress, Progress::Moved, "step shipped nothing");
             while host_rx.try_pop().is_some() {
                 delivered += 1;
             }
-            allocs + tick_allocs
+            allocs
         };
-        for tick in 0..8 {
-            round(&mut core, tick);
+        for _ in 0..8 {
+            round(&mut core);
         }
-        let allocs = round(&mut core, 8);
+        let allocs = round(&mut core);
         assert_eq!(
             allocs, 0,
-            "steady-state reliable round hit the allocator {allocs} time(s)"
+            "steady-state reliable step hit the allocator {allocs} time(s)"
         );
         assert_eq!(delivered, 9 * 16, "every frame came back around");
         let stats = core.reliable.as_ref().unwrap().shared_stats().snapshot();
         assert_eq!(stats.retransmissions + stats.wire_drops, 0);
     }
 
-    /// A peer that never acks (here: the loopback RX side is never
-    /// drained) makes every retransmit timeout a burst. The flight ring
+    /// A peer that never acks makes every retransmit timeout a burst. The flight ring
     /// must see at most one `RetransmitBurst` per grid tick, however fast
     /// the engine spins — one event per burst laps the ring within a
     /// 150 ms partition and evicts the partition event itself.
@@ -1665,14 +1688,23 @@ mod tests {
                 ..ReliableConfig::default()
             },
         ));
-        host_tx.try_push(data_frame(0)).unwrap();
-        assert!(core.tx_round(0));
+        // The blackhole: a second address that receives and never answers.
+        let sink = core
+            .port
+            .fabric()
+            .attach_queues(NodeAddr(9), 1)
+            .unwrap()
+            .remove(0);
+        host_tx
+            .try_push(frame_toward(&core, NodeAddr(9), 0))
+            .unwrap();
+        assert_eq!(core.step(), Progress::Moved);
         let flight = Arc::clone(core.telemetry.flight());
         let first_tick = flight.tick_now();
         const ROUNDS: u64 = 20_000;
         for _ in 0..ROUNDS {
-            core.reliable_tick();
-            while core.port.try_recv().is_some() {} // blackhole
+            core.step();
+            while sink.try_recv().is_some() {}
         }
         let ticks = flight.tick_now() - first_tick + 1;
         let bursts: Vec<_> = flight
@@ -1702,8 +1734,8 @@ mod tests {
     #[test]
     fn pool_and_conn_cache_report_steady_state_hits() {
         let (mut core, mut host_tx, mut host_rx) = loopback_core();
-        for t in 0..8 {
-            cycle(&mut core, &mut host_tx, &mut host_rx, 16, t);
+        for _ in 0..8 {
+            cycle(&mut core, &mut host_tx, &mut host_rx, 16);
         }
         let pool_stats = core.pool.shared_stats().snapshot();
         let cache_stats = core.conn_cache.shared_stats().snapshot();
@@ -1718,30 +1750,26 @@ mod tests {
     }
 
     /// One hand-driven cycle of the 2-queue pair: the host pushes responses
-    /// alternating between flow 0 and flow 1 on queue 0's TX, queue 0 ships
-    /// them, the RSS-routed receiving worker steers them (handing the
-    /// foreign flow's frames over the xfer ring), both workers deliver, and
-    /// the host drains both RX rings. Returns frames seen per flow.
+    /// alternating between flow 0 and flow 1 on queue 0's TX, then both
+    /// workers step until the scheduler timeout has flushed the partial
+    /// batches — queue 0 ships, the RSS-routed receiving worker steers
+    /// (handing the foreign flow's frames over the xfer ring), both deliver
+    /// — and the host drains both RX rings. Returns frames seen per flow.
     fn sharded_cycle(
         cores: &mut [EngineCore],
         host_tx: &mut crate::ring::RingProducer,
         host_rx: &mut [crate::ring::RingConsumer],
         burst: u32,
-        tick: u64,
     ) -> [u32; 2] {
         for i in 0..burst {
             host_tx.try_push(response_frame(i, (i % 2) as u16)).unwrap();
         }
-        cores[0].tx_round(0);
-        for core in cores.iter_mut() {
-            core.rx_round(tick);
-            core.flush_backlog();
+        for _ in 0..=SCHED_TIMEOUT_TICKS {
+            for core in cores.iter_mut() {
+                core.step();
+            }
         }
         let mut seen = [0u32; 2];
-        for core in cores.iter_mut() {
-            core.inbox_round(tick);
-            core.deliver_round(tick, true, true);
-        }
         for (flow, rx) in host_rx.iter_mut().enumerate() {
             while rx.try_pop().is_some() {
                 seen[flow] += 1;
@@ -1751,7 +1779,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_steady_state_rounds_perform_zero_heap_allocations() {
+    fn sharded_steady_state_steps_perform_zero_heap_allocations() {
         let (mut cores, mut host_tx, mut host_rx) = sharded_pair();
         // The receiving queue is fixed by the connection's route tag.
         let rx_q = usize::from(
@@ -1761,39 +1789,25 @@ mod tests {
         );
         let other = 1 - rx_q;
         let mut total = [0u32; 2];
-        for t in 0..8 {
-            let seen = sharded_cycle(&mut cores, &mut host_tx, &mut host_rx, 16, t);
+        for _ in 0..8 {
+            let seen = sharded_cycle(&mut cores, &mut host_tx, &mut host_rx, 16);
             total[0] += seen[0];
             total[1] += seen[1];
         }
         // Pinned steering alternating across 2 flows: both flows (and hence
         // both workers, one via the handoff ring) saw traffic.
-        assert!(total[0] > 0, "flow 0 starved");
-        assert!(total[1] > 0, "flow 1 starved");
+        assert_eq!(total, [64, 64], "a flow starved");
 
-        // Warmed: queue 0's TX round, the receiving queue's RX round
-        // (including its half of the handoffs), and the sibling's inbox
-        // drain must all stay off the heap.
-        for i in 0..16 {
-            host_tx.try_push(response_frame(i, (i % 2) as u16)).unwrap();
-        }
-        let (tx_allocs, tx_progress) = alloc_counter::count_allocs(|| cores[0].tx_round(0));
-        assert!(tx_progress, "sharded tx_round saw no frames");
+        // Warmed: a whole cycle — queue 0's TX, the receiving queue's RX
+        // (including its half of the handoffs), the sibling's inbox drain
+        // and both deliveries — must stay off the heap.
+        let (allocs, seen) = alloc_counter::count_allocs(|| {
+            sharded_cycle(&mut cores, &mut host_tx, &mut host_rx, 16)
+        });
+        assert_eq!(seen, [8, 8], "measured cycle lost frames");
         assert_eq!(
-            tx_allocs, 0,
-            "sharded steady-state tx_round hit the allocator {tx_allocs} time(s)"
-        );
-        let (rx_allocs, rx_progress) =
-            alloc_counter::count_allocs(|| cores[rx_q].rx_round(100) | cores[rx_q].flush_backlog());
-        assert!(rx_progress, "routed datagram never arrived at queue {rx_q}");
-        assert_eq!(
-            rx_allocs, 0,
-            "sharded steady-state rx_round hit the allocator {rx_allocs} time(s)"
-        );
-        let (inbox_allocs, _) = alloc_counter::count_allocs(|| cores[other].inbox_round(100));
-        assert_eq!(
-            inbox_allocs, 0,
-            "steady-state inbox_round hit the allocator {inbox_allocs} time(s)"
+            allocs, 0,
+            "sharded steady-state cycle hit the allocator {allocs} time(s)"
         );
         // The handoff actually happened across the measured cycles.
         let out = cores[rx_q].qstats.snapshot().handoff_out;
@@ -1816,23 +1830,12 @@ mod tests {
     #[test]
     fn round_toward_detached_destination_counts_drops_per_frame_not_tx() {
         let (mut core, mut host_tx, _host_rx) = loopback_core();
-        let detached = ConnectionTuple {
-            src_flow: FlowId(0),
-            dest_addr: NodeAddr(99),
-            lb: LbPolicy::Uniform,
-        };
-        core.conn_mgr
-            .lock()
-            .open(ConnectionId(2), detached)
-            .unwrap();
         for i in 0..5 {
-            let mut line = data_frame(i);
-            let mut hdr = RpcHeader::decode(line.header()).unwrap();
-            hdr.connection_id = ConnectionId(2);
-            hdr.encode(line.header_mut());
-            host_tx.try_push(line).unwrap();
+            host_tx
+                .try_push(frame_toward(&core, NodeAddr(99), i))
+                .unwrap();
         }
-        assert!(core.tx_round(0));
+        assert_eq!(core.step(), Progress::Moved);
         let s = core.qstats.snapshot();
         assert_eq!(s.tx_frames, 0, "rejected frames counted as transmitted");
         assert_eq!(s.tx_datagrams, 0);
@@ -1842,7 +1845,7 @@ mod tests {
         for i in 0..3 {
             host_tx.try_push(data_frame(i)).unwrap();
         }
-        assert!(core.tx_round(1));
+        assert_eq!(core.step(), Progress::Moved);
         let s = core.qstats.snapshot();
         assert_eq!((s.tx_frames, s.tx_datagrams), (3, 1));
         assert_eq!(s.unknown_connection_drops, 5);
@@ -1861,14 +1864,9 @@ mod tests {
                     .try_push(response_frame(rpc, (rpc % 2) as u16))
                     .unwrap();
             }
-            cores[0].tx_round(0);
-            for t in 0..2 {
-                let tick = u64::from(round) * 2 + t;
+            for _ in 0..=SCHED_TIMEOUT_TICKS {
                 for core in cores.iter_mut() {
-                    core.rx_round(tick);
-                    core.flush_backlog();
-                    core.inbox_round(tick);
-                    core.deliver_round(tick, true, true);
+                    core.step();
                 }
             }
             for (flow, rx) in host_rx.iter_mut().enumerate() {

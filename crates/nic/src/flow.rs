@@ -51,11 +51,12 @@ impl FlowFifos {
         self.fifos.iter().all(|f| f.is_empty())
     }
 
-    /// Pops up to `max` references from `flow`, in order.
-    pub fn pop_batch(&mut self, flow: usize, max: usize) -> Vec<SlotId> {
+    /// Pops up to `max` references from `flow`, in order (the delivery
+    /// round runs once per tick: it borrows, it does not allocate).
+    pub fn pop_batch(&mut self, flow: usize, max: usize) -> impl Iterator<Item = SlotId> + '_ {
         let fifo = &mut self.fifos[flow];
         let n = fifo.len().min(max);
-        fifo.drain(..n).collect()
+        fifo.drain(..n)
     }
 }
 
@@ -70,7 +71,7 @@ mod tests {
             f.push(0, SlotId(i));
         }
         assert_eq!(f.len(0), 5);
-        let batch = f.pop_batch(0, 3);
+        let batch: Vec<SlotId> = f.pop_batch(0, 3).collect();
         assert_eq!(batch, vec![SlotId(0), SlotId(1), SlotId(2)]);
         assert_eq!(f.len(0), 2);
     }
@@ -79,8 +80,7 @@ mod tests {
     fn pop_more_than_available() {
         let mut f = FlowFifos::new(1);
         f.push(0, SlotId(1));
-        let batch = f.pop_batch(0, 10);
-        assert_eq!(batch.len(), 1);
+        assert_eq!(f.pop_batch(0, 10).count(), 1);
         assert!(f.is_empty());
     }
 

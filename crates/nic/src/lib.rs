@@ -1,8 +1,9 @@
 //! Functional model of the Dagger FPGA NIC.
 //!
 //! This crate implements, block for block, the hardware architecture of
-//! Figs. 6, 8 and 9 of the paper as a software NIC that runs on a dedicated
-//! engine thread per NIC instance:
+//! Figs. 6, 8 and 9 of the paper as a software NIC whose engine is stepped
+//! by the host thread waiting on it, with one fallback thread per engine
+//! queue for when nobody is:
 //!
 //! * [`ring`] — lock-free cache-line SPSC rings with validity-flag polling,
 //!   the software half of the CCI-P coherent-memory interface (Fig. 8);
@@ -38,11 +39,13 @@
 //!   generation-stamped invalidation, the Host Coherent Cache analogue
 //!   (§4.4.1);
 //! * [`wait`] — the adaptive spin → yield → park backoff and the engine
-//!   wakeup latch;
+//!   wakeup latch with its drive lease;
+//! * [`drive`] — who steps an engine queue: the per-queue slot, the
+//!   host-side [`HostWait`] and the fallback engine thread;
 //! * [`xfer`] — cross-queue SPSC handoff rings moving steered frames from
 //!   the receiving engine worker to the flow-owning one;
-//! * [`engine`] — the NIC engine workers tying the RX/TX FSMs together,
-//!   sharded RSS-style across `num_queues` threads;
+//! * [`engine`] — the NIC engine workers tying the RX/TX FSMs together
+//!   behind one `step()`, sharded RSS-style across `num_queues` queues;
 //! * [`nic`] — the assembled, virtualizable [`nic::Nic`].
 //!
 //! The NIC is *functional*: it moves real bytes between real threads with
@@ -55,6 +58,7 @@ pub mod bank;
 pub mod bufpool;
 pub mod conncache;
 pub mod connmgr;
+pub mod drive;
 pub mod engine;
 pub mod fabric;
 pub mod fabric_udp;
@@ -76,6 +80,7 @@ pub use balancer::{BalancerConfig, QueueBalancer};
 pub use bufpool::{BufPool, BufPoolStats};
 pub use conncache::{ConnCacheStats, ConnTupleCache};
 pub use connmgr::{ConnectionManager, ConnectionTuple};
+pub use drive::{EngineHandle, HostWait};
 pub use fabric::{
     Fabric, FabricPort, FaultPlan, FaultSnapshot, FaultStats, MemFabric, MemFabricPort,
 };

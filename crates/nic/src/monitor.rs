@@ -13,9 +13,11 @@ use std::sync::Arc;
 use crate::bank::counter_bank;
 
 counter_bank! {
-    /// One engine worker's counter bank: incremented only by that worker
-    /// (no cross-queue contention), exported as `nic.<addr>.q<i>.*` gauges
-    /// and, summed over the workers, as the whole-NIC `nic.<addr>.*`.
+    /// One engine worker's counter bank: the datapath counts are
+    /// incremented only by whoever is stepping that worker (no cross-queue
+    /// contention), the `wakes_*` pair by the worker's producers; exported
+    /// as `nic.<addr>.q<i>.*` gauges and, summed over the workers, as the
+    /// whole-NIC `nic.<addr>.*`.
     pub struct QueueStats =>
     /// A plain-data snapshot of one engine queue's counters (or, in
     /// [`MonitorSnapshot::totals`], of their sum over the NIC).
@@ -62,6 +64,17 @@ counter_bank! {
         /// Remap switches forced by the drain deadline with the old
         /// channel still unacked.
         forced_remaps,
+        /// Engine steps that moved frames while driven by a host thread
+        /// waiting on one of this queue's flows.
+        host_steps,
+        /// Engine steps that moved frames while driven by the queue's own
+        /// (fallback) engine thread.
+        thread_steps,
+        /// Producer wakes that unparked the engine thread.
+        wakes_sent,
+        /// Producer wakes skipped because a host thread was polling the
+        /// queue.
+        wakes_skipped,
     }
 }
 

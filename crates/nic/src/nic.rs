@@ -2,9 +2,11 @@
 //!
 //! [`Nic::start`] attaches a NIC to a [`Fabric`] backend (the in-process
 //! switch, the UDP fabric, …) under a [`NodeAddr`],
-//! provisions the per-flow TX/RX cache-line rings (Fig. 7), and spawns
-//! `num_queues` engine worker threads (the multi-queue scaling knob of
-//! Fig. 11). Flows are partitioned contiguously across workers by
+//! provisions the per-flow TX/RX cache-line rings (Fig. 7), and builds
+//! `num_queues` engine workers (the multi-queue scaling knob of Fig. 11),
+//! each with a fallback thread; a host thread waiting on a flow drives the
+//! flow's worker itself (`drive.rs`). Flows are partitioned contiguously
+//! across workers by
 //! [`queue_of_flow`]; each worker polls only its own flows' TX rings and
 //! writes only its own flows' RX rings, receives on its own fabric port
 //! queue, and hands frames steered to a foreign flow to the owning worker
@@ -48,6 +50,7 @@ use crate::bank::GaugeNames;
 use crate::bufpool::BufPoolSnapshot;
 use crate::conncache::ConnCacheSnapshot;
 use crate::connmgr::{ConnMgrSnapshot, ConnectionManager, ConnectionTuple};
+use crate::drive::{EngineHandle, EngineSlot, HostWait};
 use crate::engine::{encode_ctrl_close, encode_ctrl_open, EngineCore, NicShared, WorkerParts};
 use crate::fabric::{Fabric, FabricPort};
 use crate::monitor::{FlowSnapshot, PacketMonitor, QueueSnapshot};
@@ -56,7 +59,7 @@ use crate::reliable::{ReliableConfig, ReliableStats, ReliableTransport, SharedRe
 use crate::ring::{ring, RingConsumer, RingProducer};
 use crate::softreg::SoftRegisterFile;
 use crate::transport::Datagram;
-use crate::wait::{EngineWaker, SpinWait};
+use crate::wait::EngineWaker;
 use crate::xfer::{xfer_ring, XferConsumer, XferProducer};
 
 /// Capacity of each cross-queue handoff ring (entries). Deep enough that
@@ -86,6 +89,9 @@ pub struct HostFlow {
     pub tx: RingProducer,
     /// NIC → host ring.
     pub rx: RingConsumer,
+    /// The engine queue that owns this flow: what the flow's host thread
+    /// steps while it waits.
+    pub engine: EngineHandle,
 }
 
 /// The gauge names of every counter bank one NIC exports (DESIGN.md §10).
@@ -146,6 +152,8 @@ pub struct Nic {
     /// them; the control channel is shared, so any worker may be the one
     /// that must notice).
     wakers: Vec<Arc<EngineWaker>>,
+    /// Per-worker host-side handles, as handed out with the flows.
+    engine_handles: Vec<EngineHandle>,
     /// Per-worker reliable-transport counter banks (empty when the NIC is
     /// not reliable).
     reliable_stats: Vec<Arc<SharedReliableStats>>,
@@ -243,12 +251,16 @@ impl Nic {
         // Engine wakeup latches, one per worker: host TX pushes on owned
         // flows, fabric deliveries to the worker's queue, sibling handoffs,
         // control sends, and shutdown all pull a worker out of its park.
-        let wakers: Vec<Arc<EngineWaker>> = (0..nq).map(|_| Arc::new(EngineWaker::new())).collect();
+        let wakers: Vec<Arc<EngineWaker>> = monitor
+            .queues()
+            .iter()
+            .map(|stats| Arc::new(EngineWaker::for_queue(Arc::clone(stats))))
+            .collect();
         for (q, w) in wakers.iter().enumerate() {
             fabric.set_queue_waker(addr, q as u16, Arc::clone(w));
         }
 
-        let mut host_flows = Vec::with_capacity(cfg.num_flows);
+        let mut host_rings = Vec::with_capacity(cfg.num_flows);
         // Globally indexed ring vectors per worker: `Some` at owned flows.
         let mut tx_consumers: Vec<Vec<Option<RingConsumer>>> = (0..nq)
             .map(|_| (0..cfg.num_flows).map(|_| None).collect())
@@ -261,11 +273,7 @@ impl Nic {
             let (mut tx_p, tx_c) = ring(cfg.tx_ring_capacity);
             tx_p.set_waker(Arc::clone(&wakers[owner]));
             let (rx_p, rx_c) = ring(cfg.rx_ring_capacity);
-            host_flows.push(HostFlow {
-                flow: FlowId(i as u16),
-                tx: tx_p,
-                rx: rx_c,
-            });
+            host_rings.push((tx_p, rx_c));
             tx_consumers[owner][i] = Some(tx_c);
             rx_producers[owner][i] = Some(rx_p);
         }
@@ -408,15 +416,37 @@ impl Nic {
             });
         }
 
-        let mut engines = Vec::with_capacity(nq);
+        // A virtual NIC stays thread-driven: its engine takes a strict
+        // round-robin bus grant before every step, and a host thread
+        // descheduled while holding the slot would stall every tenant
+        // behind it (DESIGN.md §12).
+        let host_driven = cores.iter().all(|core| core.arbiter.is_none());
+        let mut threads = Vec::with_capacity(nq);
+        let mut handles = Vec::with_capacity(nq);
         for core in cores {
             let q = core.queue_id;
+            let slot = EngineSlot::new(core);
+            handles.push(if host_driven {
+                EngineHandle::attached(Arc::clone(&slot))
+            } else {
+                EngineHandle::detached()
+            });
             let handle = std::thread::Builder::new()
                 .name(format!("dagger-nic-{}-q{q}", addr.raw()))
-                .spawn(move || core.run())
+                .spawn(move || slot.run())
                 .map_err(|e| DaggerError::Fabric(format!("failed to spawn engine: {e}")))?;
-            engines.push(handle);
+            threads.push(handle);
         }
+        let host_flows = host_rings
+            .into_iter()
+            .enumerate()
+            .map(|(i, (tx, rx))| HostFlow {
+                flow: FlowId(i as u16),
+                tx,
+                rx,
+                engine: handles[queue_of_flow(i, cfg.num_flows, nq)].clone(),
+            })
+            .collect();
 
         Ok(Arc::new(Nic {
             addr,
@@ -428,11 +458,12 @@ impl Nic {
             unclaimed: Mutex::new(host_flows),
             next_conn: AtomicU32::new(1),
             stop,
-            engines: Mutex::new(engines),
+            engines: Mutex::new(threads),
             ctrl_tx,
             confirmed,
             telemetry,
             wakers,
+            engine_handles: handles,
             reliable_stats,
             offload,
         }))
@@ -600,7 +631,10 @@ impl Nic {
         )?;
         // Announce via the engines' shared control outbox (ordered with
         // data, covered by the reliable transport when enabled) and wait
-        // for the remote's acknowledgement, retrying the announcement.
+        // for the remote's acknowledgement, retrying the announcement. The
+        // caller is the flow's host thread, so it drives the flow's queue
+        // while it waits.
+        let mut wait = HostWait::new(self.engine_of(src_flow));
         for _attempt in 0..40 {
             let ctrl = encode_ctrl_open(cid, self.addr, src_flow, lb);
             let dgram = Datagram::new(self.addr, remote, vec![ctrl]);
@@ -609,12 +643,11 @@ impl Nic {
                 .map_err(|_| DaggerError::Closed)?;
             self.wake_all();
             let deadline = Instant::now() + Duration::from_millis(50);
-            let mut backoff = SpinWait::new();
             while Instant::now() < deadline {
                 if self.confirmed.lock().contains(&cid.raw()) {
                     return Ok(cid);
                 }
-                backoff.wait();
+                wait.idle();
             }
         }
         let _ = self.conn_mgr.lock().close(cid);
@@ -640,7 +673,22 @@ impl Nic {
         // Best-effort: the remote may already be gone.
         let _ = self.ctrl_tx.send((tuple.dest_addr, dgram));
         self.wake_all();
+        // Like the open, the close is issued by the flow's host thread: one
+        // step of the flow's queue puts the frame on the wire now, instead
+        // of leaving it for the engine thread to find once the caller's
+        // lease has lapsed.
+        self.engine_of(tuple.src_flow).step();
         Ok(())
+    }
+
+    /// The host-side handle on the queue that owns `flow`.
+    fn engine_of(&self, flow: FlowId) -> &EngineHandle {
+        let owner = queue_of_flow(
+            usize::from(flow.raw()),
+            self.cfg.num_flows,
+            self.cfg.num_queues,
+        );
+        &self.engine_handles[owner]
     }
 
     /// `true` once the NIC's Connection Manager knows `cid` (used to wait
@@ -665,9 +713,12 @@ impl Nic {
     /// sibling has done the same).
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::Release);
-        // Workers may be parked in their idle backoff; kick them so the
-        // stop flag is seen immediately rather than after the park timeout.
-        self.wake_all();
+        // Workers may be parked idle or standing by behind a host thread's
+        // lease: hand every queue back to its thread now, so the stop flag
+        // is seen at once rather than after the park timeout.
+        for w in &self.wakers {
+            w.hand_back();
+        }
         // "Rings empty" does not mean "fabric drained": frames can still be
         // held by fault injection or sitting in a socket buffer. Quiesce
         // the fabric while the workers' phase-2 RX sweep is still live, so

@@ -108,10 +108,10 @@ mod tests {
             staged(&mut fifos, &mut sched, flow, 4, 0);
         }
         let a = sched.pick(&fifos, 4, 1).unwrap();
-        fifos.pop_batch(a, 4);
+        fifos.pop_batch(a, 4).for_each(drop);
         sched.on_drain(a, fifos.len(a) == 0, 1);
         let b = sched.pick(&fifos, 4, 1).unwrap();
-        fifos.pop_batch(b, 4);
+        fifos.pop_batch(b, 4).for_each(drop);
         sched.on_drain(b, fifos.len(b) == 0, 1);
         let c = sched.pick(&fifos, 4, 1).unwrap();
         assert_eq!(

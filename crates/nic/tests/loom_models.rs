@@ -7,9 +7,10 @@
 //!
 //! Each test re-expresses one protocol from the NIC crate — the SPSC ring's
 //! validity-flag handshake (`ring.rs`), `BufPool` get/put with shared atomic
-//! stats (`bufpool.rs`), and the `EngineWaker` park/unpark token dance
-//! (`wait.rs`) — as a small state machine whose transitions are exactly the
-//! protocol's atomic operations. A DFS explorer then enumerates **every**
+//! stats (`bufpool.rs`), the `EngineWaker` park/unpark token dance
+//! (`wait.rs`), and the drive lease that decides whether a host thread or
+//! the engine thread steps a queue (`drive.rs`) — as a small state machine
+//! whose transitions are exactly the protocol's atomic operations. A DFS explorer then enumerates **every**
 //! thread interleaving (under sequential consistency; the real code's
 //! acquire/release pairs are at least that strong on the paths modelled
 //! here), checking an invariant after every step and an acceptance predicate
@@ -758,4 +759,298 @@ fn batched_ring_rounds_with_one_doorbell_per_batch_are_fifo_and_lossless() {
     );
     assert!(stats.terminals >= 1);
     assert!(stats.nodes > 100, "explored only {} nodes", stats.nodes);
+}
+
+// ---------------------------------------------------------------------------
+// Model 5: who drives the engine — slot try-lock × drive lease × stand-by
+// park × producer wake (`drive.rs` + `wait.rs`).
+// ---------------------------------------------------------------------------
+//
+// A host thread waiting on a flow steps the flow's engine queue itself:
+// `renew_lease`, `try_lock` the slot, `step`, unlock — a bounded number of
+// times, after which it walks away without telling anyone (reply taken,
+// handler entered). A producer publishes one frame and calls
+// `EngineWaker::wake`, which is *skipped* while the lease is set. The
+// queue's engine thread loops: look at the lease (`take_lease` clears it);
+// if it was set, stand by (a timed park that raises no flag); otherwise
+// `try_lock`, `step`, and flag-park when nothing moved. Both parks are
+// timed, so — as in model 3 — a sleeping thread may always take its
+// timeout step; what the model checks is how often it has to:
+//
+// * `step()` is mutually exclusive (the try-lock is the only way in);
+// * the frame is consumed exactly once on every schedule;
+// * once the host has walked away, a frame it left behind waits for at
+//   most **two** park timeouts of the thread — one look clears the stale
+//   lease, the next finds it lapsed (the two-look bound of
+//   `wait.rs`), whatever the thread was doing when the host left.
+//
+// The seeded twin is a look that reads the lease without clearing it: the
+// thread then stands by behind a host that is gone for good.
+
+/// Steps the host takes before it walks away.
+const LEASE_HOST_ROUNDS: u8 = 2;
+
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+struct LeaseState {
+    /// A frame sits in the queue (pushed, not yet consumed by a step).
+    frame: bool,
+    consumed: u8,
+    /// `EngineWaker::host_driven`.
+    lease: bool,
+    /// `EngineWaker::parked`.
+    parked: bool,
+    token: bool,
+    /// Engine thread inside its flag-raising `park_timeout`.
+    asleep: bool,
+    /// The slot's try-lock.
+    locked: bool,
+    /// Threads currently inside `step()`.
+    in_step: u8,
+    /// The stepping thread's result register between step and unlock.
+    moved: bool,
+    host_rounds: u8,
+    host_gone: bool,
+    producer_done: bool,
+    /// Park timeouts the thread sat through with the frame pending, the
+    /// host gone and no wake on its way.
+    waited: u8,
+}
+
+fn lease_initial() -> LeaseState {
+    LeaseState {
+        frame: false,
+        consumed: 0,
+        lease: false,
+        parked: false,
+        token: false,
+        asleep: false,
+        locked: false,
+        in_step: 0,
+        moved: false,
+        host_rounds: 0,
+        host_gone: false,
+        producer_done: false,
+        waited: 0,
+    }
+}
+
+/// Producer: publish the frame, then `EngineWaker::wake` — skipped under a
+/// live lease, otherwise the flag swap and (if it was up) the unpark.
+fn lease_producer(s: &mut LeaseState, pc: u32) -> Option<u32> {
+    match pc {
+        0 => {
+            s.frame = true;
+            Some(1)
+        }
+        1 => {
+            if s.lease {
+                s.producer_done = true;
+                return None; // skipped: the consumer is polling
+            }
+            let was = s.parked;
+            s.parked = false;
+            if was {
+                Some(2)
+            } else {
+                s.producer_done = true;
+                None
+            }
+        }
+        _ => {
+            if s.asleep {
+                s.asleep = false;
+            } else {
+                s.token = true;
+            }
+            s.producer_done = true;
+            None
+        }
+    }
+}
+
+/// `step()` under the slot: consume the frame if there is one.
+fn lease_step(s: &mut LeaseState) {
+    s.moved = s.frame;
+    if s.frame {
+        s.frame = false;
+        s.consumed += 1;
+    }
+}
+
+/// Host: `HostWait::idle` a bounded number of times — renew the lease,
+/// try the slot, step, release — then walk away.
+fn lease_host(s: &mut LeaseState, pc: u32) -> Option<u32> {
+    match pc {
+        0 => {
+            s.lease = true;
+            Some(1)
+        }
+        1 => {
+            if s.locked {
+                Some(4) // slot taken: back off, never block
+            } else {
+                s.locked = true;
+                s.in_step += 1;
+                Some(2)
+            }
+        }
+        2 => {
+            lease_step(s);
+            Some(3)
+        }
+        3 => {
+            s.in_step -= 1;
+            s.locked = false;
+            Some(4)
+        }
+        _ => {
+            s.host_rounds += 1;
+            if s.host_rounds < LEASE_HOST_ROUNDS {
+                Some(0)
+            } else {
+                s.host_gone = true;
+                None
+            }
+        }
+    }
+}
+
+/// One park timeout of the thread: counts against the bound when nobody
+/// else is going to attend the frame.
+fn lease_timeout(s: &mut LeaseState) {
+    if s.frame && s.host_gone && s.producer_done {
+        s.waited += 1;
+    }
+}
+
+/// Engine thread (`EngineSlot::run`); `clearing` is the real look, `false`
+/// the seeded bug.
+fn lease_engine_with(s: &mut LeaseState, pc: u32, clearing: bool) -> Option<u32> {
+    match pc {
+        // The look. Done once the frame has been consumed by anyone.
+        0 => {
+            if s.consumed == 1 && s.producer_done {
+                return None;
+            }
+            if s.lease {
+                if clearing {
+                    s.lease = false;
+                }
+                Some(1)
+            } else {
+                Some(2)
+            }
+        }
+        // Stand-by: a timed park without the flag.
+        1 => {
+            lease_timeout(s);
+            Some(0)
+        }
+        2 => {
+            if s.locked {
+                Some(0) // a host holds the slot this instant: snooze
+            } else {
+                s.locked = true;
+                s.in_step += 1;
+                Some(3)
+            }
+        }
+        3 => {
+            lease_step(s);
+            Some(4)
+        }
+        4 => {
+            s.in_step -= 1;
+            s.locked = false;
+            if s.moved {
+                Some(0)
+            } else {
+                Some(5)
+            }
+        }
+        // `EngineWaker::park`: flag up, park, flag down.
+        5 => {
+            s.parked = true;
+            Some(6)
+        }
+        6 => {
+            if s.token {
+                s.token = false;
+                Some(8)
+            } else {
+                s.asleep = true;
+                Some(7)
+            }
+        }
+        7 => {
+            // Woken by unpark (asleep already cleared) or by the timeout.
+            if s.asleep {
+                s.asleep = false;
+                lease_timeout(s);
+            }
+            Some(8)
+        }
+        _ => {
+            s.parked = false;
+            Some(0)
+        }
+    }
+}
+
+fn lease_engine(s: &mut LeaseState, pc: u32) -> Option<u32> {
+    lease_engine_with(s, pc, true)
+}
+
+fn lease_engine_never_clearing(s: &mut LeaseState, pc: u32) -> Option<u32> {
+    lease_engine_with(s, pc, false)
+}
+
+fn lease_invariant(s: &LeaseState) {
+    assert!(
+        s.in_step <= 1,
+        "invariant violated: two drivers inside step() at once: {s:?}"
+    );
+    assert!(
+        s.consumed <= 1,
+        "invariant violated: frame consumed twice: {s:?}"
+    );
+    assert!(
+        s.waited <= 2,
+        "invariant violated: frame left behind a departed host sat through {} park timeouts: {s:?}",
+        s.waited
+    );
+}
+
+fn lease_accept(s: &LeaseState) {
+    assert!(
+        s.consumed == 1 && !s.frame,
+        "invariant violated: terminal state stranded the frame: {s:?}"
+    );
+    assert!(
+        !s.locked && s.in_step == 0 && !s.asleep,
+        "invariant violated: terminal state holds the slot or sleeps: {s:?}"
+    );
+}
+
+#[test]
+fn drive_lease_hands_the_queue_back_within_two_looks_under_all_interleavings() {
+    let stats = explore(
+        lease_initial(),
+        &[lease_producer, lease_host, lease_engine],
+        lease_invariant,
+        lease_accept,
+    );
+    assert!(stats.terminals >= 1);
+    assert!(stats.nodes > 200, "explored only {} nodes", stats.nodes);
+}
+
+#[test]
+#[should_panic(expected = "invariant violated")]
+fn drive_lease_checker_has_teeth() {
+    explore(
+        lease_initial(),
+        &[lease_producer, lease_host, lease_engine_never_clearing],
+        lease_invariant,
+        lease_accept,
+    );
 }

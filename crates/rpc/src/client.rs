@@ -229,8 +229,7 @@ impl PendingCall {
     ///
     /// Returns the remote handler's error if the call failed.
     pub fn try_complete(&self) -> Result<Option<Vec<u8>>> {
-        self.endpoint.poll_once();
-        match self.endpoint.try_take(self.cid, self.rpc_id) {
+        match self.endpoint.poll_for(self.cid, self.rpc_id) {
             Some(rpc) => {
                 self.record_rtt(self.finish_span());
                 decode_response(&rpc.payload).map(Some)

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use dagger_nic::SpinWait;
+use dagger_nic::HostWait;
 use dagger_telemetry::Counter;
 use dagger_types::{ConnectionId, DaggerError, Result, RpcId};
 
@@ -89,7 +89,8 @@ impl CompletionQueue {
     }
 
     /// Polls until `n` completions have been observed (callbacks count) or
-    /// the timeout elapses; returns the non-callback completions.
+    /// the timeout elapses, driving the flow's engine queue between empty
+    /// polls; returns the non-callback completions.
     ///
     /// # Errors
     ///
@@ -100,13 +101,13 @@ impl CompletionQueue {
         let deadline = Instant::now() + timeout;
         let mut seen = 0;
         let mut out = Vec::new();
-        let mut backoff = SpinWait::new();
+        let mut wait = HostWait::new(self.endpoint.engine());
         while seen < n {
             let before_callbacks = self.callbacks.lock().len();
             let batch = self.poll();
             let fired = before_callbacks - self.callbacks.lock().len();
             if batch.len() + fired > 0 {
-                backoff.reset();
+                wait.reset();
             }
             seen += batch.len() + fired;
             out.extend(batch);
@@ -116,7 +117,7 @@ impl CompletionQueue {
             if Instant::now() >= deadline {
                 return Err(DaggerError::Timeout);
             }
-            backoff.wait();
+            wait.idle();
         }
         Ok(out)
     }

@@ -12,8 +12,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use dagger_nic::HostFlow;
-use dagger_nic::{RingConsumer, RingProducer, SpinWait};
+use dagger_nic::{EngineHandle, HostFlow, HostWait, RingConsumer, RingProducer};
 use dagger_telemetry::{RpcEvent, Telemetry};
 use dagger_types::{
     CacheLine, ConnectionId, DaggerError, FlowId, Result, RpcHeader, RpcId, RpcKind,
@@ -53,6 +52,8 @@ pub struct FlowEndpoint {
     flow: FlowId,
     tx: Mutex<RingProducer>,
     rx: Mutex<RxState>,
+    /// The engine queue that owns this flow; every wait here drives it.
+    engine: EngineHandle,
     telemetry: Option<Arc<Telemetry>>,
 }
 
@@ -83,8 +84,14 @@ impl FlowEndpoint {
                 late_drops: 0,
                 offload_served: 0,
             }),
+            engine: flow.engine,
             telemetry,
         }
+    }
+
+    /// The engine queue that owns this flow (what a waiter on it drives).
+    pub fn engine(&self) -> &EngineHandle {
+        &self.engine
     }
 
     /// The hardware flow id.
@@ -97,8 +104,8 @@ impl FlowEndpoint {
         self.telemetry.as_ref()
     }
 
-    /// Writes an RPC's frames into the TX ring, retrying (with yields) on a
-    /// full ring until `deadline`.
+    /// Writes an RPC's frames into the TX ring; on a full ring, steps the
+    /// flow's engine (which drains it) and backs off, until `deadline`.
     ///
     /// # Errors
     ///
@@ -107,19 +114,19 @@ impl FlowEndpoint {
     pub fn send_frames(&self, frames: &[CacheLine], deadline: Instant) -> Result<()> {
         let mut tx = self.tx.lock();
         self.stamp_tx_enqueue(frames);
-        let mut backoff = SpinWait::new();
+        let mut wait = HostWait::new(&self.engine);
         for frame in frames {
             loop {
                 match tx.try_push(*frame) {
                     Ok(()) => {
-                        backoff.reset();
+                        wait.reset();
                         break;
                     }
                     Err(DaggerError::RingFull) => {
                         if Instant::now() >= deadline {
                             return Err(DaggerError::Timeout);
                         }
-                        backoff.wait();
+                        wait.idle();
                     }
                     Err(e) => return Err(e),
                 }
@@ -190,6 +197,20 @@ impl FlowEndpoint {
         self.rx.lock().ready.remove(&(cid.raw(), rpc_id.raw()))
     }
 
+    /// Non-blocking completion check for one call: drains the RX ring, and
+    /// if the response is not there yet gives the flow's engine one step
+    /// before looking again.
+    pub fn poll_for(&self, cid: ConnectionId, rpc_id: RpcId) -> Option<CompleteRpc> {
+        self.poll_once();
+        self.try_take(cid, rpc_id).or_else(|| {
+            if !self.engine.step() {
+                return None;
+            }
+            self.poll_once();
+            self.try_take(cid, rpc_id)
+        })
+    }
+
     /// Takes every buffered response belonging to `cid` (the completion
     /// queue's drain).
     pub fn take_all_for(&self, cid: ConnectionId) -> Vec<CompleteRpc> {
@@ -209,7 +230,8 @@ impl FlowEndpoint {
     }
 
     /// Polls until the response for `(cid, rpc_id)` arrives or `timeout`
-    /// elapses.
+    /// elapses, driving the flow's engine queue between polls. A response
+    /// already buffered is returned without stepping.
     ///
     /// # Errors
     ///
@@ -222,7 +244,7 @@ impl FlowEndpoint {
         timeout: Duration,
     ) -> Result<CompleteRpc> {
         let deadline = Instant::now() + timeout;
-        let mut backoff = SpinWait::new();
+        let mut wait = HostWait::new(&self.engine);
         loop {
             self.poll_once();
             if let Some(rpc) = self.try_take(cid, rpc_id) {
@@ -231,7 +253,7 @@ impl FlowEndpoint {
             if Instant::now() >= deadline {
                 return Err(DaggerError::Timeout);
             }
-            backoff.wait();
+            wait.idle();
         }
     }
 
@@ -293,6 +315,7 @@ mod tests {
             flow: FlowId(0),
             tx: tx_p,
             rx: rx_c,
+            engine: EngineHandle::detached(),
         };
         (FlowEndpoint::new(flow), tx_c, rx_p)
     }
@@ -380,6 +403,7 @@ mod tests {
             flow: FlowId(0),
             tx: tx_p,
             rx: rx_c,
+            engine: EngineHandle::detached(),
         };
         let telemetry = Telemetry::new();
         telemetry.tracer().enable();

@@ -12,6 +12,12 @@
 //!   back through the flow's (now shared, hence locked) TX ring. Higher
 //!   base latency, much higher throughput for long RPCs — the mechanism
 //!   behind Table 4's 17× gap.
+//!
+//! A dispatch thread that finds its RX ring empty drives the NIC queue that
+//! owns its flow (`dagger_nic::HostWait`) before it backs off. Handlers
+//! never run with the engine held, so a nested call on the same NIC can
+//! step it; a handler that runs long lets the queue's lease lapse and the
+//! NIC's own thread takes over.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -22,7 +28,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
-use dagger_nic::{HostFlow, Nic, RingProducer};
+use dagger_nic::{EngineHandle, HostFlow, HostWait, Nic, RingProducer, SpinWait};
 use dagger_telemetry::{
     ContextScope, Counter, HistogramHandle, RpcEvent, SpanKind, Telemetry, TraceContext,
 };
@@ -55,7 +61,14 @@ struct WorkItem {
     /// Trace context stripped from the request's wire prelude, when the
     /// caller traced this RPC.
     ctx: Option<TraceContext>,
-    tx: Arc<Mutex<RingProducer>>,
+    tx: Arc<FlowTx>,
+}
+
+/// The response side of one dispatch flow, shared with the worker pool:
+/// the (hence locked) TX ring and the engine queue that drains it.
+struct FlowTx {
+    ring: Mutex<RingProducer>,
+    engine: EngineHandle,
 }
 
 /// Everything a handler invocation needs beyond the request itself, shared
@@ -255,7 +268,10 @@ impl RpcThreadedServer {
                     let thread = RpcServerThread {
                         flow: host_flow.flow,
                         rx: host_flow.rx,
-                        tx: Arc::new(Mutex::new(host_flow.tx)),
+                        tx: Arc::new(FlowTx {
+                            ring: Mutex::new(host_flow.tx),
+                            engine: host_flow.engine,
+                        }),
                         reassembler: Reassembler::new(),
                         threading,
                         work_tx,
@@ -307,11 +323,12 @@ impl RpcThreadedServer {
     /// Returns [`DaggerError::Timeout`] on deadline.
     pub fn wait_handled(&self, n: u64, timeout: Duration) -> Result<()> {
         let deadline = Instant::now() + timeout;
+        let mut backoff = SpinWait::new();
         while self.handled.load(Ordering::Relaxed) < n {
             if Instant::now() >= deadline {
                 return Err(DaggerError::Timeout);
             }
-            std::thread::yield_now();
+            backoff.wait();
         }
         Ok(())
     }
@@ -327,7 +344,7 @@ impl Drop for RpcThreadedServer {
 pub struct RpcServerThread {
     flow: FlowId,
     rx: dagger_nic::RingConsumer,
-    tx: Arc<Mutex<RingProducer>>,
+    tx: Arc<FlowTx>,
     reassembler: Reassembler,
     threading: ThreadingModel,
     work_tx: Sender<WorkItem>,
@@ -336,11 +353,14 @@ pub struct RpcServerThread {
 
 impl RpcServerThread {
     fn run(mut self) {
+        let mut wait = HostWait::new(&self.tx.engine);
         loop {
             if self.ctx.stop.load(Ordering::Acquire) {
                 return;
             }
             let mut progress = false;
+            // Requests already in the ring are handled back to back, without
+            // stepping in between: their responses leave as one batch.
             while let Some(line) = self.rx.try_pop() {
                 progress = true;
                 match self.reassembler.push(line) {
@@ -361,8 +381,10 @@ impl RpcServerThread {
                     Ok(_) | Err(_) => {}
                 }
             }
-            if !progress {
-                std::thread::yield_now();
+            if progress {
+                wait.reset();
+            } else {
+                wait.idle();
             }
         }
     }
@@ -475,18 +497,15 @@ fn dispatch_one(ctx: &DispatchCtx, item: &WorkItem) {
         }
         return;
     };
-    let mut producer = item.tx.lock();
+    let mut producer = item.tx.ring.lock();
+    let mut wait = HostWait::new(&item.tx.engine);
     for frame in frames {
-        loop {
-            match producer.try_push(frame) {
-                Ok(()) => break,
-                Err(_) => {
-                    if ctx.stop.load(Ordering::Acquire) {
-                        return;
-                    }
-                    std::thread::yield_now();
-                }
+        while producer.try_push(frame).is_err() {
+            if ctx.stop.load(Ordering::Acquire) {
+                return;
             }
+            // Stepping the flow's engine is what drains its TX ring.
+            wait.idle();
         }
     }
     drop(producer);

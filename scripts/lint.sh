@@ -80,6 +80,45 @@ if grep -rnF 'set_gauge(&format!(' crates/nic/src --include='*.rs' | grep -v '^c
   exit 1
 fi
 
+echo "== one back-off policy (no bare yield/sleep on the host or engine path) =="
+# Every wait in the RPC runtime and in the engine's drivers goes through
+# `SpinWait` / `HostWait` (crates/nic/src/wait.rs, drive.rs): step the
+# engine, back off, nap once idle. A bare `yield_now()` never escalates — an
+# idle server spun a core forever that way — and a bare `sleep(` hides a
+# latency floor. Unit-test modules and comments are exempt.
+backoff_violations=0
+for f in crates/rpc/src/*.rs crates/nic/src/engine.rs crates/nic/src/nic.rs crates/nic/src/drive.rs; do
+  hits=$(awk '/#\[cfg\(test\)\]/{exit} !/^[[:space:]]*\/\//' "$f" \
+           | grep -nE 'yield_now\(\)|sleep\(' || true)
+  if [ -n "$hits" ]; then
+    echo "lint.sh: $f backs off by hand; use SpinWait/HostWait (crates/nic/src/wait.rs):" >&2
+    echo "$hits" >&2
+    backoff_violations=1
+  fi
+done
+[ "$backoff_violations" -eq 0 ] || exit 1
+
+echo "== one round sequence (EngineCore::step is the only caller of the rounds) =="
+# The order the engine's rounds run in lives in `EngineCore::step` and
+# nowhere else: each round is private to engine.rs and called exactly once
+# outside its unit tests, so reordering rounds is one edit and every driver
+# (host thread, engine thread, shutdown drain) runs the same tick.
+for round in flush_pending flush_backlog ctrl_round tx_round rx_round inbox_round \
+             release_stalled deliver_round reliable_tick; do
+  if grep -nE "pub(\([a-z]+\))? fn ${round}\b" crates/nic/src/engine.rs; then
+    echo "lint.sh: engine round ${round} is exported; only EngineCore::step may call it" >&2
+    exit 1
+  fi
+  if grep -nE "\b${round}\(" crates/nic/src --include='*.rs' -r | grep -v '^crates/nic/src/engine\.rs:'; then
+    echo "lint.sh: engine round ${round} is named outside engine.rs; drive the engine through EngineCore::step" >&2
+    exit 1
+  fi
+  calls=$(awk '/#\[cfg\(test\)\]/{exit} !/^[[:space:]]*\/\//' crates/nic/src/engine.rs \
+            | grep -cE "self\.${round}\(" || true)
+  [ "$calls" -eq 1 ] \
+    || { echo "lint.sh: engine round ${round} has ${calls} call sites in engine.rs; EngineCore::step must be the only one" >&2; exit 1; }
+done
+
 echo "== golden-frame coverage (every wire frame kind is byte-pinned) =="
 # Every frame-kind constant the reliable transport defines must have a
 # golden-frame test somewhere under tests/ carrying a literal

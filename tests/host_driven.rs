@@ -1,0 +1,140 @@
+//! Who drives the engine (DESIGN.md §12): a host thread waiting on a flow
+//! steps the flow's NIC queue itself, and the queue's own thread is the
+//! fallback for everybody who does not.
+
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use dagger::nic::{MemFabric, Nic, QueueSnapshot};
+use dagger::rpc::{
+    RpcClientPool, RpcService, RpcThreadedServer, ServiceDescriptor, ThreadingModel,
+};
+use dagger::types::{FnId, HardConfig, NodeAddr, Result};
+
+const SERVER: NodeAddr = NodeAddr(1);
+const CLIENT: NodeAddr = NodeAddr(2);
+
+/// Echoes its argument after `delay` of handler time.
+struct Echo {
+    delay: Duration,
+}
+
+impl RpcService for Echo {
+    fn descriptor(&self) -> ServiceDescriptor {
+        ServiceDescriptor::new("echo", vec![FnId(1)])
+    }
+
+    fn dispatch(&self, _fn_id: FnId, payload: &[u8]) -> Result<Vec<u8>> {
+        if !self.delay.is_zero() {
+            // Handler time, not a synchronization device: the test below
+            // measures that the stack adds (almost) nothing on top of it.
+            std::thread::sleep(self.delay);
+        }
+        Ok(payload.to_vec())
+    }
+}
+
+struct Pair {
+    server_nic: Arc<Nic>,
+    client_nic: Arc<Nic>,
+    server: RpcThreadedServer,
+    pool: RpcClientPool,
+}
+
+fn pair(threading: ThreadingModel, delay: Duration) -> Pair {
+    let fabric = MemFabric::new();
+    let server_nic = Nic::start(&fabric, SERVER, HardConfig::default()).unwrap();
+    let client_nic = Nic::start(&fabric, CLIENT, HardConfig::default()).unwrap();
+    let mut server = RpcThreadedServer::with_threading(Arc::clone(&server_nic), 1, threading);
+    server.register_service(Arc::new(Echo { delay })).unwrap();
+    server.start().unwrap();
+    let pool = RpcClientPool::connect(Arc::clone(&client_nic), SERVER, 1).unwrap();
+    Pair {
+        server_nic,
+        client_nic,
+        server,
+        pool,
+    }
+}
+
+impl Pair {
+    fn queue0(&self) -> [QueueSnapshot; 2] {
+        [&self.server_nic, &self.client_nic].map(|nic| nic.monitor().snapshot().queues[0])
+    }
+
+    fn teardown(mut self) {
+        self.server.stop();
+        drop(self.pool);
+        self.client_nic.shutdown();
+        self.server_nic.shutdown();
+    }
+}
+
+/// The steady state of a synchronous caller: both queues are stepped by the
+/// threads that wait on them, and no producer ever pays for a wake.
+///
+/// `wakes_sent == 0` is a statement about the protocol, but a wake *is*
+/// sent if the OS keeps the client off the CPU for the milliseconds it
+/// takes the lease to lapse and the engine thread to park — on a loaded
+/// one-core box that happens. So the window is retried: wakes on the path
+/// would spoil every window, a descheduling spoils one.
+#[test]
+fn sync_echoes_are_host_driven_and_wake_free() {
+    const ECHOES: u32 = 10_000;
+    let p = pair(ThreadingModel::Dispatch, Duration::ZERO);
+    let client = p.pool.client(0).unwrap();
+    let echo = |i: u32| {
+        let reply = client.call_sync(FnId(1), &i.to_le_bytes()).unwrap();
+        assert_eq!(reply, i.to_le_bytes());
+    };
+    (0..1_000).for_each(echo);
+    let mut spoiled = Vec::new();
+    for _window in 0..5 {
+        let before = p.queue0();
+        (0..ECHOES).for_each(echo);
+        let delta = [0, 1].map(|i| p.queue0()[i].delta(&before[i]));
+        for d in &delta {
+            let steps = d.host_steps + d.thread_steps;
+            assert!(steps >= u64::from(ECHOES), "too few steps: {d}");
+            assert!(
+                d.host_steps * 10 >= steps * 9,
+                "host threads took under 90 % of the progress-making steps: {d}"
+            );
+            assert!(d.wakes_skipped > 0, "no wake was ever skipped: {d}");
+        }
+        if delta.iter().all(|d| d.wakes_sent == 0) {
+            drop(client);
+            p.teardown();
+            return;
+        }
+        spoiled.push(delta.map(|d| d.wakes_sent));
+    }
+    panic!("wakes were sent in every window (server, client): {spoiled:?}");
+}
+
+/// The fallback for a server whose handlers take long: in the worker model
+/// the dispatch thread keeps polling (and driving) its queue while a worker
+/// runs the handler, so each call costs its handler time plus well under
+/// the park bound.
+#[test]
+fn worker_model_with_slow_handler_stays_live() {
+    const HANDLER: Duration = Duration::from_millis(5);
+    const CALLS: u32 = 20;
+    let p = pair(ThreadingModel::Worker { workers: 1 }, HANDLER);
+    let client = p.pool.client(0).unwrap();
+    client.call_sync(FnId(1), b"warm").unwrap();
+    let start = Instant::now();
+    for i in 0..CALLS {
+        let reply = client.call_sync(FnId(1), &i.to_le_bytes()).unwrap();
+        assert_eq!(reply, i.to_le_bytes());
+    }
+    let per_call = start.elapsed() / CALLS;
+    // Sleep overshoot on a busy box dwarfs the stack's share; the bound
+    // only has to tell "handler time" from "handler time plus a stall".
+    assert!(
+        per_call < HANDLER * 3,
+        "a 5 ms handler cost {per_call:?} per call"
+    );
+    drop(client);
+    p.teardown();
+}

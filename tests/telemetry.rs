@@ -228,7 +228,8 @@ fn round_trip_populates_unified_telemetry() {
 }
 
 /// The golden list of every `nic.*` / `fabric.*` gauge the stack exported
-/// before the counter banks were unified, expanded for a 2-queue, 2-flow
+/// before the counter banks were unified (plus the per-queue driver
+/// counters that joined since), expanded for a 2-queue, 2-flow
 /// reliable NIC at address 1. Consumers (the perf ledger's
 /// `gauge("reliable.sacked")`-style reads, dashboards) address gauges by
 /// these exact names, so every one must still be present after a
@@ -285,6 +286,10 @@ fn every_gauge_name_of_the_golden_list_is_still_exported() {
         "reorder_flushes",
         "remaps",
         "forced_remaps",
+        "host_steps",
+        "thread_steps",
+        "wakes_sent",
+        "wakes_skipped",
         "reliable.sacked",
         "reliable.wasted_retransmits",
     ];
