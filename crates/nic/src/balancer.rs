@@ -19,10 +19,10 @@
 //! measurement noise cannot flap the mask.
 //!
 //! The mask the controller writes reaches senders through the
-//! [`crate::fabric::Fabric`] seam (`set_queue_mask`): the in-process
-//! switch consults it live on every route, while the UDP backend applies
-//! it to locally-attached destinations only — a remote sender spreads by
-//! declared queue count and the receiver folds, so a mask rewrite narrows
+//! [`crate::fabric::Fabric`] seam (`set_queue_mask`): the switch consults
+//! it live on every route toward a node in its own table, over any wire.
+//! A sender in another process (UDP) cannot see it — it spreads by
+//! declared queue count and the receiver folds — so a mask rewrite narrows
 //! in-process traffic immediately and cross-process traffic behaviorally
 //! (frames still land, on fewer distinct staging queues).
 

@@ -199,7 +199,7 @@ mod tests {
         use crate::bufpool::BufPoolSnapshot;
         use crate::conncache::ConnCacheSnapshot;
         use crate::connmgr::ConnMgrSnapshot;
-        use crate::fabric::FaultSnapshot;
+        use crate::fabric_faults::FaultSnapshot;
         use crate::fabric_udp::UdpSnapshot;
         use crate::monitor::{FlowSnapshot, QueueSnapshot};
         use crate::offload::OffloadSnapshot;

@@ -11,12 +11,19 @@
 //! lines in Figure 6"): on a conflict the evicted tuple spills to backing
 //! memory and can be faulted back in with a miss penalty counted by the
 //! [`PacketMonitor`](crate::monitor::PacketMonitor)-style counters here.
+//!
+//! Connection setup crosses the wire as three single-line control frames —
+//! open, open-ack, close — whose codec lives here too; the engine only
+//! dispatches on their function ids.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dagger_types::{ConnectionId, DaggerError, FlowId, LbPolicy, NodeAddr, Result};
+use dagger_types::{
+    CacheLine, ConnectionId, DaggerError, FlowId, FnId, LbPolicy, NodeAddr, Result, RpcHeader,
+    RpcId, RpcKind,
+};
 
 /// The value stored per connection: the routing credentials of §4.2.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -28,6 +35,65 @@ pub struct ConnectionTuple {
     pub dest_addr: NodeAddr,
     /// Load-balancing scheme requested for this connection's requests.
     pub lb: LbPolicy,
+}
+
+/// Function id marking a connection-open control frame.
+pub const CTRL_OPEN_FN: u16 = 0xFFFF;
+/// Function id marking a connection-close control frame.
+pub const CTRL_CLOSE_FN: u16 = 0xFFFE;
+/// Function id acknowledging a connection-open control frame.
+pub const CTRL_OPEN_ACK_FN: u16 = 0xFFFD;
+
+/// A control frame: one request line about `cid` whose function id names
+/// its kind.
+fn ctrl_frame(cid: ConnectionId, fn_id: u16, src_flow: FlowId, payload: &[u8]) -> CacheLine {
+    let mut line = CacheLine::zeroed();
+    let hdr = RpcHeader {
+        connection_id: cid,
+        rpc_id: RpcId(0),
+        fn_id: FnId(fn_id),
+        src_flow,
+        kind: RpcKind::Request,
+        frame_idx: 0,
+        frame_count: 1,
+        frame_payload_len: payload.len() as u8,
+        traced: false,
+        offloaded: false,
+    };
+    hdr.encode(line.header_mut());
+    line.payload_mut()[..payload.len()].copy_from_slice(payload);
+    line
+}
+
+/// The control frame announcing connection `cid` to the remote NIC.
+/// `tuple` is what the remote installs: the opener's address and flow (where
+/// responses go) and the load balancer it asks for.
+pub fn ctrl_open(cid: ConnectionId, tuple: ConnectionTuple) -> CacheLine {
+    let mut payload = [0u8; 7];
+    payload[0..4].copy_from_slice(&tuple.dest_addr.raw().to_le_bytes());
+    payload[4..6].copy_from_slice(&tuple.src_flow.raw().to_le_bytes());
+    payload[6] = tuple.lb.to_wire();
+    ctrl_frame(cid, CTRL_OPEN_FN, tuple.src_flow, &payload)
+}
+
+/// The tuple a [`ctrl_open`] frame carries.
+pub fn decode_ctrl_open(line: &CacheLine) -> ConnectionTuple {
+    let p = line.payload();
+    ConnectionTuple {
+        dest_addr: NodeAddr(u32::from_le_bytes([p[0], p[1], p[2], p[3]])),
+        src_flow: FlowId(u16::from_le_bytes([p[4], p[5]])),
+        lb: LbPolicy::from_wire(p[6]),
+    }
+}
+
+/// The control frame acknowledging a connection open.
+pub fn ctrl_open_ack(cid: ConnectionId) -> CacheLine {
+    ctrl_frame(cid, CTRL_OPEN_ACK_FN, FlowId(0), &[])
+}
+
+/// The control frame closing a connection on the remote NIC.
+pub fn ctrl_close(cid: ConnectionId) -> CacheLine {
+    ctrl_frame(cid, CTRL_CLOSE_FN, FlowId(0), &[])
 }
 
 /// Identifies which of the three concurrent hardware readers performs a

@@ -59,13 +59,16 @@ use parking_lot::Mutex;
 use dagger_telemetry::{FlightEventKind, RpcEvent, Telemetry};
 use dagger_types::offload::CacheClass;
 use dagger_types::{
-    CacheLine, ConnectionId, FlowId, LbPolicy, NodeAddr, RpcHeader, RpcKind, FRAME_PAYLOAD_BYTES,
+    CacheLine, ConnectionId, LbPolicy, NodeAddr, RpcHeader, RpcKind, FRAME_PAYLOAD_BYTES,
 };
 
 use crate::arbiter::ArbiterSlot;
 use crate::bufpool::BufPool;
 use crate::conncache::{ConnTupleCache, U64Map};
-use crate::connmgr::{CmPort, ConnectionManager, ConnectionTuple};
+use crate::connmgr::{
+    ctrl_open_ack, decode_ctrl_open, CmPort, ConnectionManager, CTRL_CLOSE_FN, CTRL_OPEN_ACK_FN,
+    CTRL_OPEN_FN,
+};
 use crate::fabric::FabricPort;
 use crate::flow::FlowFifos;
 use crate::lb::{fnv1a, LoadBalancer};
@@ -81,100 +84,11 @@ use crate::transport::{wire_frames, Datagram, MAX_LINES_PER_DATAGRAM};
 use crate::wait::{EngineWaker, SpinWait};
 use crate::xfer::{XferConsumer, XferProducer};
 
-/// Function id marking a connection-open control frame.
-pub const CTRL_OPEN_FN: u16 = 0xFFFF;
-/// Function id marking a connection-close control frame.
-pub const CTRL_CLOSE_FN: u16 = 0xFFFE;
-/// Function id acknowledging a connection-open control frame.
-pub const CTRL_OPEN_ACK_FN: u16 = 0xFFFD;
-
 /// The RSS route tag of a connection: every frame of `cid` carries the same
 /// tag, so [`crate::fabric::Fabric::route`] pins the connection to one
 /// engine queue of the destination NIC (per-flow FIFO order depends on it).
 pub fn conn_route_tag(cid: ConnectionId) -> u64 {
     fnv1a(&cid.raw().to_le_bytes())
-}
-
-/// Builds the control frame announcing a new connection to the remote NIC.
-pub fn encode_ctrl_open(
-    cid: ConnectionId,
-    client_addr: NodeAddr,
-    src_flow: FlowId,
-    lb: LbPolicy,
-) -> CacheLine {
-    let mut line = CacheLine::zeroed();
-    let hdr = RpcHeader {
-        connection_id: cid,
-        rpc_id: dagger_types::RpcId(0),
-        fn_id: dagger_types::FnId(CTRL_OPEN_FN),
-        src_flow,
-        kind: dagger_types::RpcKind::Request,
-        frame_idx: 0,
-        frame_count: 1,
-        frame_payload_len: 7,
-        traced: false,
-        offloaded: false,
-    };
-    hdr.encode(line.header_mut());
-    let payload = line.payload_mut();
-    payload[0..4].copy_from_slice(&client_addr.raw().to_le_bytes());
-    payload[4..6].copy_from_slice(&src_flow.raw().to_le_bytes());
-    payload[6] = match lb {
-        LbPolicy::Uniform => 0,
-        LbPolicy::Static => 1,
-        LbPolicy::ObjectLevel => 2,
-    };
-    line
-}
-
-/// Builds the control frame closing a connection on the remote NIC.
-pub fn encode_ctrl_close(cid: ConnectionId) -> CacheLine {
-    let mut line = CacheLine::zeroed();
-    let hdr = RpcHeader {
-        connection_id: cid,
-        rpc_id: dagger_types::RpcId(0),
-        fn_id: dagger_types::FnId(CTRL_CLOSE_FN),
-        src_flow: FlowId(0),
-        kind: dagger_types::RpcKind::Request,
-        frame_idx: 0,
-        frame_count: 1,
-        frame_payload_len: 0,
-        traced: false,
-        offloaded: false,
-    };
-    hdr.encode(line.header_mut());
-    line
-}
-
-/// Builds the control frame acknowledging a connection open.
-pub fn encode_ctrl_open_ack(cid: ConnectionId) -> CacheLine {
-    let mut line = CacheLine::zeroed();
-    let hdr = RpcHeader {
-        connection_id: cid,
-        rpc_id: dagger_types::RpcId(0),
-        fn_id: dagger_types::FnId(CTRL_OPEN_ACK_FN),
-        src_flow: FlowId(0),
-        kind: dagger_types::RpcKind::Request,
-        frame_idx: 0,
-        frame_count: 1,
-        frame_payload_len: 0,
-        traced: false,
-        offloaded: false,
-    };
-    hdr.encode(line.header_mut());
-    line
-}
-
-fn decode_ctrl_open(line: &CacheLine) -> (NodeAddr, FlowId, LbPolicy) {
-    let p = line.payload();
-    let addr = NodeAddr(u32::from_le_bytes(p[0..4].try_into().unwrap()));
-    let flow = FlowId(u16::from_le_bytes(p[4..6].try_into().unwrap()));
-    let lb = match p[6] {
-        1 => LbPolicy::Static,
-        2 => LbPolicy::ObjectLevel,
-        _ => LbPolicy::Uniform,
-    };
-    (addr, flow, lb)
 }
 
 /// Everything one engine worker owns or shares. A single-queue NIC has
@@ -1172,12 +1086,8 @@ impl EngineCore {
         };
         match hdr.fn_id.raw() {
             CTRL_OPEN_FN => {
-                let (addr, flow, lb) = decode_ctrl_open(&line);
-                let tuple = ConnectionTuple {
-                    src_flow: flow,
-                    dest_addr: addr,
-                    lb,
-                };
+                let tuple = decode_ctrl_open(&line);
+                let addr = tuple.dest_addr;
                 // Re-opening (e.g. a retried control frame) is idempotent.
                 {
                     let mut cm = self.conn_mgr.lock();
@@ -1186,7 +1096,7 @@ impl EngineCore {
                 }
                 // Acknowledge the open so the initiator's blocking setup
                 // completes (and survives fabric loss via retries).
-                let ack = encode_ctrl_open_ack(hdr.connection_id);
+                let ack = ctrl_open_ack(hdr.connection_id);
                 let mut lines = self.pool.get_lines();
                 lines.push(ack);
                 let dgram = Datagram::new(self.addr, addr, lines);
@@ -1410,11 +1320,12 @@ impl EngineCore {
 mod tests {
     use super::*;
     use crate::alloc_counter;
+    use crate::connmgr::ConnectionTuple;
     use crate::fabric::{Fabric, MemFabric};
     use crate::ring::ring;
     use crate::softreg::SoftRegisterFile;
     use crate::xfer::xfer_ring;
-    use dagger_types::{FnId, RpcId, SoftConfigSnapshot};
+    use dagger_types::{FlowId, FnId, RpcId, SoftConfigSnapshot};
 
     /// The NIC-shared handles of a hand-driven NIC at address 1 whose single
     /// connection's destination is its own fabric address, so TX datagrams

@@ -1,16 +1,13 @@
-//! UDP backend of the [`Fabric`] seam: one `std::net::UdpSocket` per NIC,
-//! so two [`crate::nic::Nic`]s run in separate processes or hosts over
+//! The UDP [`Wire`]: one `std::net::UdpSocket` per attached NIC, so two
+//! [`crate::nic::Nic`]s run in separate processes or hosts over
 //! loopback/LAN.
 //!
 //! The paper's NIC attaches to the physical network through an exchangeable
-//! PHY (§4.1); swapping the in-process ToR switch ([`MemFabric`]) for real
-//! sockets is the software analogue. Nothing above the seam changes: the
-//! reliable transport, wire checksums, RSS steering, and the engine's
-//! poll loops run unmodified — real loss, reordering, and duplication on
-//! the network are absorbed by the exact machinery the deterministic
-//! fault plans exercise in memory. Fault *injection* stays a
-//! [`MemFabric`]-level decorator: this backend injects nothing, the
-//! network is the chaos.
+//! PHY (§4.1); swapping the in-memory wire for real sockets beneath the
+//! same [`Switch`] is the software analogue. Ports, queues, wakers, RSS
+//! routing and fault injection are the switch's and do not change; the
+//! reliable transport above absorbs real loss, reordering and duplication
+//! with the machinery the injected faults exercise.
 //!
 //! # Wire encapsulation
 //!
@@ -29,6 +26,10 @@
 //! 10      ...   frame payload
 //! ```
 //!
+//! The header is written by [`Wire::carry`] and nowhere else. Injected
+//! faults apply *above* it: a corrupted bit is a bit of the frame payload,
+//! never of the header, and a held frame is encapsulated when released.
+//!
 //! The `src_node` field doubles as peer discovery: a receiver learns the
 //! sender's socket address from the first datagram it sees, so only the
 //! initial connection direction needs static [`UdpFabric::set_peer`]
@@ -37,13 +38,13 @@
 //! # What this backend does NOT give you
 //!
 //! * **Active-mask propagation**: RSS routing toward a *remote* node
-//!   spreads by `tag % queues` without consulting the remote NIC's live
-//!   active-queue mask (that register lives in the other process). A
-//!   stale route is harmless: the receiver folds out-of-range queues and
-//!   the reliable transport preserves per-flow delivery.
-//! * **Determinism**: real sockets lose and reorder on their own schedule.
-//!   Seeded chaos runs stay on [`MemFabric`]; the conformance suite proves
-//!   the two backends are behaviorally interchangeable above the seam.
+//!   spreads by `tag % queues` without the remote NIC's live active-queue
+//!   mask (that register lives in the other process). A stale route is
+//!   harmless: the receiver folds out-of-range queues and the reliable
+//!   transport preserves per-flow delivery.
+//! * **Cross-process fault state**: each process's switch has its own
+//!   fault layer, governing the frames *its* ports send. Decisions replay
+//!   per seed as in memory; real sockets add loss on their own schedule.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, UdpSocket};
@@ -57,8 +58,8 @@ use parking_lot::{Mutex, RwLock};
 use dagger_types::{DaggerError, NodeAddr, Result};
 
 use crate::bank::counter_bank;
-use crate::fabric::{rss_pick, Fabric, FabricPort, MemFabric, PortQueue};
-use crate::wait::{EngineWaker, SpinWait};
+use crate::fabric::{Carried, Frame, NodeTable, Switch, Wire};
+use crate::wait::SpinWait;
 
 /// Encapsulation header length (see module docs).
 const UDP_HEADER: usize = 10;
@@ -76,11 +77,10 @@ const RX_STAGE_CAP: usize = 1024;
 /// How long the RX pump sleeps in the kernel before re-checking its stop
 /// flag.
 const PUMP_POLL: Duration = Duration::from_millis(5);
-/// Datagrams one pump pass absorbs before waking receivers: the RX half of
-/// the batched datapath — a burst that arrived together is staged together
-/// and each touched queue is woken once, not once per frame.
+/// Datagrams one pump pass absorbs before delivering them as one burst
+/// ([`NodeTable::deliver_burst`]).
 const RX_BATCH: usize = 32;
-/// Upper bound a [`Fabric::quiesce`] waits for locally-destined datagrams
+/// Upper bound a [`Wire::settle`] waits for locally-destined datagrams
 /// still sitting in kernel buffers to reach their staging queues.
 const QUIESCE_DEADLINE: Duration = Duration::from_millis(250);
 
@@ -93,31 +93,33 @@ struct PeerEntry {
     queues: usize,
 }
 
-/// A NIC attached to *this* fabric instance: its socket, staging queues,
-/// wakers, and the RX pump thread that feeds them.
+/// The endpoint of a NIC attached to *this* instance: its socket, and the
+/// flag that stops the RX pump delivering from it into the node table.
 #[derive(Debug)]
-struct LocalNode {
-    socket: Arc<UdpSocket>,
-    queues: Vec<Arc<PortQueue>>,
-    wakers: Vec<Option<Arc<EngineWaker>>>,
-    active_mask: Option<Arc<AtomicU64>>,
-    stop: Arc<AtomicBool>,
-    pump: Option<JoinHandle<()>>,
+struct Endpoint {
+    socket: UdpSocket,
+    stop: AtomicBool,
 }
 
+type Local = (Arc<Endpoint>, JoinHandle<()>);
+
 #[derive(Debug, Default)]
-struct UdpInner {
+struct UdpShared {
+    /// The switch's node table; the pumps deliver into it.
+    nodes: Arc<NodeTable>,
     /// NodeAddr → socket address of every known NIC, local or remote.
     peers: RwLock<HashMap<NodeAddr, PeerEntry>>,
-    /// NICs attached to this instance (usually one per process).
-    locals: RwLock<HashMap<NodeAddr, LocalNode>>,
+    /// Endpoints of the NICs attached to this instance (usually one per
+    /// process), each with its pump thread.
+    endpoints: RwLock<HashMap<NodeAddr, Local>>,
     /// Bind addresses requested before attach (default 127.0.0.1:0).
     binds: Mutex<HashMap<NodeAddr, SocketAddr>>,
     /// Datagrams sent whose destination NIC is attached to this instance
-    /// (the only in-flight population we can observe land).
+    /// (the only in-flight population we can observe land). Only grows.
     tx_local: AtomicU64,
-    /// Datagrams from a local sender that reached a local staging queue or
-    /// were shed by the bounded stage — either way, no longer in flight.
+    /// Datagrams from a local sender no longer in flight: staged, shed by
+    /// the bounded stage, refused by the kernel or written off. Moved only
+    /// by [`UdpShared::credit`].
     rx_local: AtomicU64,
     stats: UdpStats,
 }
@@ -133,10 +135,16 @@ counter_bank! {
         rx_overflow,
         /// Datagrams rejected by encapsulation validation.
         rx_malformed,
+        /// Datagrams a [`Wire::settle`] gave up waiting for at its bound.
+        rx_written_off,
     }
 }
 
-/// The UDP fabric: a [`Fabric`] whose frames travel as real datagrams.
+/// The UDP wire; see the module docs.
+#[derive(Debug)]
+pub struct UdpWire(Arc<UdpShared>);
+
+/// The UDP fabric: the [`Switch`] with frames travelling as datagrams.
 ///
 /// Construction is two-phase, mirroring a static switching table: bind
 /// and peer addresses are configured first ([`UdpFabric::bind_addr`],
@@ -144,218 +152,226 @@ counter_bank! {
 /// `UdpFabric` can host several NICs (loopback self-configuration is
 /// automatic); across processes each side holds its own instance and
 /// names the other via `set_peer`.
-#[derive(Clone, Debug, Default)]
-pub struct UdpFabric {
-    inner: Arc<UdpInner>,
-}
+pub type UdpFabric = Switch<UdpWire>;
 
-impl UdpFabric {
-    /// Creates a fabric with an empty peer table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
+impl Switch<UdpWire> {
     /// Requests a specific bind address for `node`'s socket (default
     /// `127.0.0.1:0`). Call before attaching.
     pub fn bind_addr(&self, node: NodeAddr, addr: SocketAddr) {
-        self.inner.binds.lock().insert(node, addr);
+        self.shared.wire.0.binds.lock().insert(node, addr);
     }
 
     /// Declares where `node` lives and how many engine queues it serves —
     /// the static switching-table entry for a peer in another process.
     pub fn set_peer(&self, node: NodeAddr, addr: SocketAddr, queues: usize) {
-        self.inner.peers.write().insert(
-            node,
-            PeerEntry {
-                addr,
-                queues: queues.max(1),
-            },
-        );
+        let queues = queues.max(1);
+        let peer = PeerEntry { addr, queues };
+        self.shared.wire.0.peers.write().insert(node, peer);
     }
 
     /// The socket address `node` actually bound (None if not attached
     /// here). Two-process examples print this so the peer can be told.
     pub fn local_addr(&self, node: NodeAddr) -> Option<SocketAddr> {
-        self.inner
-            .locals
-            .read()
-            .get(&node)
-            .and_then(|l| l.socket.local_addr().ok())
+        let endpoints = self.shared.wire.0.endpoints.read();
+        endpoints.get(&node)?.0.socket.local_addr().ok()
     }
 
     /// Datagrams the kernel refused to send (treated as wire loss for the
     /// reliable transport to recover).
     pub fn tx_errors(&self) -> u64 {
-        self.inner.stats.tx_errors.get()
+        self.shared.wire.0.stats.tx_errors.get()
     }
 
     /// Datagrams shed because a staging queue was at capacity.
     pub fn rx_overflow(&self) -> u64 {
-        self.inner.stats.rx_overflow.get()
+        self.shared.wire.0.stats.rx_overflow.get()
     }
 
     /// Datagrams rejected by encapsulation validation.
     pub fn rx_malformed(&self) -> u64 {
-        self.inner.stats.rx_malformed.get()
+        self.shared.wire.0.stats.rx_malformed.get()
     }
 
-    fn send_from(
-        &self,
-        src: NodeAddr,
-        src_queue: u16,
-        dst: NodeAddr,
-        dst_queue: u16,
-        bytes: &[u8],
-    ) -> Result<()> {
-        let peer = {
-            let peers = self.inner.peers.read();
-            match peers.get(&dst) {
-                Some(p) => *p,
-                None => {
-                    return Err(DaggerError::Fabric(format!(
-                        "no peer-table entry for {dst}"
-                    )))
-                }
-            }
+    /// Datagrams a `quiesce` stopped waiting for at its bound.
+    pub fn rx_written_off(&self) -> u64 {
+        self.shared.wire.0.stats.rx_written_off.get()
+    }
+}
+
+impl Wire for UdpWire {
+    fn new(nodes: Arc<NodeTable>) -> Self {
+        UdpWire(Arc::new(UdpShared {
+            nodes,
+            ..UdpShared::default()
+        }))
+    }
+
+    /// Encapsulates `frame` and hands it to the kernel from the source
+    /// node's socket. No peer-table entry for the destination, or a source
+    /// that is not attached here, hands the frame back.
+    fn carry(&self, frame: Frame) -> Carried {
+        let shared = &*self.0;
+        let peer = shared.peers.read().get(&frame.dst).copied();
+        let endpoints = shared.endpoints.read();
+        let (Some(peer), Some((from, _))) = (peer, endpoints.get(&frame.src)) else {
+            return Err(frame.bytes);
         };
-        let socket = {
-            let locals = self.inner.locals.read();
-            match locals.get(&src) {
-                Some(l) => Arc::clone(&l.socket),
-                None => {
-                    return Err(DaggerError::Fabric(format!(
-                        "source {src} is not attached to this fabric"
-                    )))
-                }
-            }
-        };
-        let mut pkt = Vec::with_capacity(UDP_HEADER + bytes.len());
-        pkt.push(UDP_MAGIC);
-        pkt.push(UDP_VERSION);
-        pkt.extend_from_slice(&dst_queue.to_le_bytes());
-        pkt.extend_from_slice(&src.raw().to_le_bytes());
-        pkt.extend_from_slice(&src_queue.to_le_bytes());
-        pkt.extend_from_slice(bytes);
+        let mut pkt = Vec::with_capacity(UDP_HEADER + frame.bytes.len());
+        pkt.extend_from_slice(&[UDP_MAGIC, UDP_VERSION]);
+        pkt.extend_from_slice(&frame.dst_queue.to_le_bytes());
+        pkt.extend_from_slice(&frame.src.raw().to_le_bytes());
+        pkt.extend_from_slice(&frame.src_queue.to_le_bytes());
+        pkt.extend_from_slice(&frame.bytes);
         // Count before the syscall: once handed to the kernel the datagram
         // is in flight until a local pump accounts for it.
-        let dst_is_local = self.inner.locals.read().contains_key(&dst);
+        let dst_is_local = endpoints.contains_key(&frame.dst);
         if dst_is_local {
-            self.inner.tx_local.fetch_add(1, Ordering::Relaxed);
+            shared.tx_local.fetch_add(1, Ordering::Relaxed);
         }
-        match socket.send_to(&pkt, peer.addr) {
-            Ok(_) => Ok(()),
-            Err(_) => {
-                // The wire ate it: the reliable layer retransmits. Undo the
-                // in-flight accounting since the kernel never took the
-                // datagram.
-                if dst_is_local {
-                    self.inner.tx_local.fetch_sub(1, Ordering::Relaxed);
-                }
-                self.inner.stats.tx_errors.inc();
-                Ok(())
-            }
+        if from.socket.send_to(&pkt, peer.addr).is_err() {
+            // The wire ate it: the reliable layer retransmits. The kernel
+            // never took the datagram, so it is not in flight either.
+            shared.credit(u64::from(dst_is_local));
+            shared.stats.tx_errors.inc();
         }
+        Ok(())
     }
 
-    /// Batched variant of [`UdpFabric::send_from`] behind
-    /// [`FabricPort::send_many`]: the peer table and local-socket locks are
-    /// taken once per engine round instead of once per datagram, and the
-    /// encapsulation buffer is reused across the batch (the `sendmmsg`
-    /// analogue — std has no scatter submit, so the syscalls remain, but
-    /// every per-datagram bookkeeping cost is paid once).
-    fn send_batch_from(
-        &self,
-        src: NodeAddr,
-        src_queue: u16,
-        frames: &mut Vec<(NodeAddr, u16, Vec<u8>)>,
-    ) -> usize {
-        let socket = {
-            let locals = self.inner.locals.read();
-            match locals.get(&src) {
-                Some(l) => Arc::clone(&l.socket),
-                None => return 0,
-            }
-        };
-        let peers = self.inner.peers.read();
-        let locals = self.inner.locals.read();
-        let mut pkt: Vec<u8> = Vec::new();
-        let staged = frames.len();
-        frames.retain(|(dst, dst_queue, bytes)| {
-            let Some(peer) = peers.get(dst) else {
-                // Unknown destination: left for the caller to account —
-                // mirrors the per-datagram `send_to` error.
-                return true;
-            };
-            pkt.clear();
-            pkt.reserve(UDP_HEADER + bytes.len());
-            pkt.push(UDP_MAGIC);
-            pkt.push(UDP_VERSION);
-            pkt.extend_from_slice(&dst_queue.to_le_bytes());
-            pkt.extend_from_slice(&src.raw().to_le_bytes());
-            pkt.extend_from_slice(&src_queue.to_le_bytes());
-            pkt.extend_from_slice(bytes);
-            let dst_is_local = locals.contains_key(dst);
-            if dst_is_local {
-                self.inner.tx_local.fetch_add(1, Ordering::Relaxed);
-            }
-            if socket.send_to(&pkt, peer.addr).is_err() {
-                // The wire ate it: the reliable layer retransmits.
-                if dst_is_local {
-                    self.inner.tx_local.fetch_sub(1, Ordering::Relaxed);
-                }
-                self.inner.stats.tx_errors.inc();
-            }
-            false
-        });
-        staged - frames.len()
+    /// Binds `node`'s socket and starts its RX pump.
+    fn attach(&self, node: NodeAddr, queues: usize) -> Result<()> {
+        let requested = self.0.binds.lock().get(&node).copied();
+        let bind = requested.unwrap_or_else(|| SocketAddr::from(([127, 0, 0, 1], 0)));
+        let fail = |e: std::io::Error| DaggerError::Fabric(format!("{node} at {bind}: {e}"));
+        let socket = UdpSocket::bind(bind).map_err(fail)?;
+        socket.set_read_timeout(Some(PUMP_POLL)).map_err(fail)?;
+        let addr = socket.local_addr().map_err(fail)?;
+        let stop = AtomicBool::new(false);
+        let endpoint = Arc::new(Endpoint { socket, stop });
+        let (shared, ep) = (Arc::clone(&self.0), Arc::clone(&endpoint));
+        let pump = std::thread::Builder::new()
+            .name(format!("dagger-udp-{}", node.raw()))
+            .spawn(move || shared.pump(node, &ep))
+            .map_err(fail)?;
+        self.0.endpoints.write().insert(node, (endpoint, pump));
+        // Loopback self-entry: NICs sharing this instance reach us with no
+        // static configuration, exactly like the in-memory switch table.
+        let peer = PeerEntry { addr, queues };
+        self.0.peers.write().insert(node, peer);
+        Ok(())
     }
 
-    /// Detaches `node`: stops and joins its RX pump, closes the socket,
-    /// and removes its peer-table self-entry.
+    /// Stops and joins `node`'s RX pump, closes the socket, and removes its
+    /// peer-table self-entry.
     fn detach(&self, node: NodeAddr) {
-        let local = self.inner.locals.write().remove(&node);
-        if let Some(mut local) = local {
-            local.stop.store(true, Ordering::Release);
-            // The pump sleeps in `recv_from`: an empty datagram to its own
-            // socket gets it to the stop flag now rather than a read
-            // timeout (5 ms, rounded up to the kernel's tick) from now.
-            if let Ok(own) = local.socket.local_addr() {
-                let _ = local.socket.send_to(&[], own);
-            }
-            if let Some(pump) = local.pump.take() {
-                let _ = pump.join();
-            }
+        let Some((endpoint, pump)) = self.0.endpoints.write().remove(&node) else {
+            return;
+        };
+        endpoint.stop.store(true, Ordering::Release);
+        // The pump sleeps in `recv_from`: an empty datagram to its own
+        // socket gets it to the stop flag now rather than a read
+        // timeout (5 ms, rounded up to the kernel's tick) from now.
+        if let Ok(own) = endpoint.socket.local_addr() {
+            let _ = endpoint.socket.send_to(&[], own);
         }
-        self.inner.peers.write().remove(&node);
+        let _ = pump.join();
+        self.0.peers.write().remove(&node);
     }
 
-    /// The RX pump: drains the socket into per-queue staging, learns peer
-    /// addresses from encapsulation headers, and wakes parked engines.
+    fn remote_queues(&self, addr: NodeAddr) -> usize {
+        self.0.peers.read().get(&addr).map_or(0, |p| p.queues)
+    }
+
+    /// Datagrams addressed to local NICs may still sit in kernel buffers;
+    /// waits (bounded) for the pumps to account for them so a stopping
+    /// engine's final ring drain sees everything. Backed off like every
+    /// other wait: a datagram sent microseconds ago only needs the pump to
+    /// get the CPU, which a yield gives it.
+    ///
+    /// A datagram still missing at the deadline is written off and counted
+    /// (`rx_written_off`), or `in_flight` would never read 0 again and
+    /// every later quiesce would wait out the deadline for it. Usually the
+    /// kernel dropped it (`RcvbufErrors`: a full socket buffer under a
+    /// starved pump; the reliable layer repairs that); one that was only
+    /// late is still delivered, and `UdpShared::credit` books it once.
+    fn settle(&self) {
+        let deadline = Instant::now() + QUIESCE_DEADLINE;
+        let mut backoff = SpinWait::new();
+        while self.in_flight() > 0 {
+            if Instant::now() >= deadline {
+                let lost = self.0.credit(u64::MAX);
+                self.0.stats.rx_written_off.add(lost);
+                return;
+            }
+            backoff.wait();
+        }
+    }
+
+    fn in_flight(&self) -> usize {
+        let tx = self.0.tx_local.load(Ordering::Relaxed);
+        let rx = self.0.rx_local.load(Ordering::Relaxed);
+        tx.saturating_sub(rx) as usize
+    }
+}
+
+impl UdpShared {
+    /// Books up to `n` datagrams as landed and returns how many it booked.
+    /// `tx_local` only grows and `rx_local` never passes it: a datagram
+    /// [`Wire::settle`] wrote off may still turn up at a pump, and booked
+    /// twice it would hide a later one from `in_flight` for good.
+    fn credit(&self, n: u64) -> u64 {
+        let sent = self.tx_local.load(Ordering::Relaxed);
+        let book = |rx: u64| Some(rx + n.min(sent.saturating_sub(rx)));
+        let rx = &self.rx_local;
+        let before = rx.fetch_update(Ordering::Relaxed, Ordering::Relaxed, book);
+        n.min(sent.saturating_sub(before.unwrap_or(sent)))
+    }
+
+    /// Validates and strips one datagram's encapsulation, learning the
+    /// sender's socket address so replies need no static entry. Returns the
+    /// destination queue, the frame, and whether the sender is attached to
+    /// this instance (its datagram was counted in flight).
+    fn decap(&self, pkt: &[u8], addr: SocketAddr) -> Option<(u16, Vec<u8>, bool)> {
+        if pkt.len() < UDP_HEADER || pkt[0] != UDP_MAGIC || pkt[1] != UDP_VERSION {
+            self.stats.rx_malformed.inc();
+            return None;
+        }
+        let dst_queue = u16::from_le_bytes([pkt[2], pkt[3]]);
+        let src_node = NodeAddr(u32::from_le_bytes([pkt[4], pkt[5], pkt[6], pkt[7]]));
+        let known = self.peers.read().contains_key(&src_node);
+        if !known {
+            let learned = PeerEntry { addr, queues: 1 };
+            self.peers.write().entry(src_node).or_insert(learned);
+        }
+        let src_is_local = self.endpoints.read().contains_key(&src_node);
+        Some((dst_queue, pkt[UDP_HEADER..].to_vec(), src_is_local))
+    }
+
+    /// The RX pump: drains `node`'s socket into its node-table entry.
     ///
     /// Receives are batched: the first read blocks (bounded by the socket
     /// timeout), the pump yields once, then whatever else already sits in
     /// the kernel buffer is drained nonblocking up to [`RX_BATCH`], and
-    /// each queue the burst touched is woken exactly once at the end — the
-    /// receive half of the doorbell amortization.
-    fn pump(inner: &Arc<UdpInner>, node: NodeAddr, socket: &UdpSocket, stop: &AtomicBool) {
+    /// the burst is delivered with one wake per touched queue.
+    fn pump(&self, node: NodeAddr, endpoint: &Endpoint) {
+        let Endpoint { socket, stop } = endpoint;
         let mut buf = vec![0u8; MAX_UDP_FRAME];
-        let mut staged: Vec<(Vec<u8>, SocketAddr)> = Vec::with_capacity(RX_BATCH);
+        let mut burst: Vec<(u16, Vec<u8>)> = Vec::with_capacity(RX_BATCH);
         while !stop.load(Ordering::Acquire) {
-            let (len, from) = match socket.recv_from(&mut buf) {
-                Ok(ok) => ok,
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    continue;
-                }
-                Err(_) => continue,
+            // A read timeout or a socket error alike: re-check the flag.
+            let Ok((len, from)) = socket.recv_from(&mut buf) else {
+                continue;
             };
             if stop.load(Ordering::Acquire) {
                 return; // `detach`'s wake-up datagram, or traffic racing it
             }
-            staged.clear();
-            staged.push((buf[..len].to_vec(), from));
+            let mut from_local = 0u64;
+            let mut stage = |pkt: &[u8], from: SocketAddr| {
+                if let Some((queue, frame, src_is_local)) = self.decap(pkt, from) {
+                    burst.push((queue, frame));
+                    from_local += u64::from(src_is_local);
+                }
+            };
+            stage(&buf[..len], from);
             // The kernel woke us on the first datagram of what is usually a
             // burst, and with sender and pump on one core that wake preempts
             // the sender mid-burst: without this yield a host-driven sender
@@ -365,291 +381,30 @@ impl UdpFabric {
             // then drain the lot in one pass.
             std::thread::yield_now();
             if socket.set_nonblocking(true).is_ok() {
-                while staged.len() < RX_BATCH {
+                for _ in 1..RX_BATCH {
                     match socket.recv_from(&mut buf) {
-                        Ok((len, from)) => staged.push((buf[..len].to_vec(), from)),
+                        Ok((len, from)) => stage(&buf[..len], from),
                         Err(_) => break,
                     }
                 }
                 // The read timeout set at attach survives the toggle.
                 let _ = socket.set_nonblocking(false);
             }
-            // Queues this burst staged frames into (bit `min(q, 63)`; the
-            // fold can only over-wake, and wakes are idempotent).
-            let mut touched = 0u64;
-            for (mut pkt, from) in staged.drain(..) {
-                if pkt.len() < UDP_HEADER || pkt[0] != UDP_MAGIC || pkt[1] != UDP_VERSION {
-                    inner.stats.rx_malformed.inc();
-                    continue;
-                }
-                let dst_queue = u16::from_le_bytes([pkt[2], pkt[3]]);
-                let src_node = NodeAddr(u32::from_le_bytes([pkt[4], pkt[5], pkt[6], pkt[7]]));
-                // Learn the sender's address so replies need no static
-                // entry.
-                {
-                    let peers = inner.peers.read();
-                    let known = peers.contains_key(&src_node);
-                    drop(peers);
-                    if !known {
-                        inner.peers.write().entry(src_node).or_insert(PeerEntry {
-                            addr: from,
-                            queues: 1,
-                        });
-                    }
-                }
-                let src_is_local = inner.locals.read().contains_key(&src_node);
-                let locals = inner.locals.read();
-                let Some(local) = locals.get(&node) else {
-                    return; // detached mid-poll
-                };
-                let qi = (dst_queue as usize) % local.queues.len();
-                if local.queues[qi].len() >= RX_STAGE_CAP {
-                    // Bounded staging: shed instead of growing without
-                    // bound; the reliable layer retransmits and the queue
-                    // drains meanwhile.
-                    inner.stats.rx_overflow.inc();
-                } else {
-                    // Strip the encapsulation in place: the staged bytes
-                    // reuse the packet's own allocation.
-                    pkt.drain(..UDP_HEADER);
-                    local.queues[qi].push(pkt);
-                    touched |= 1u64 << qi.min(63) as u32;
-                }
-                drop(locals);
-                if src_is_local {
-                    inner.rx_local.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            if touched != 0 {
-                let locals = inner.locals.read();
-                if let Some(local) = locals.get(&node) {
-                    for (qi, waker) in local.wakers.iter().enumerate() {
-                        if touched & (1u64 << qi.min(63) as u32) != 0 {
-                            if let Some(waker) = waker {
-                                waker.wake();
-                            }
-                        }
-                    }
-                }
-            }
+            let shed = self
+                .nodes
+                .deliver_burst(node, burst.drain(..), RX_STAGE_CAP);
+            self.stats.rx_overflow.add(shed);
+            // Staged or shed, the burst is no longer in flight.
+            self.credit(from_local);
         }
     }
-}
-
-impl Fabric for UdpFabric {
-    fn attach_queues(&self, addr: NodeAddr, num_queues: usize) -> Result<Vec<Arc<dyn FabricPort>>> {
-        let n = num_queues.max(1);
-        let bind = self
-            .inner
-            .binds
-            .lock()
-            .get(&addr)
-            .copied()
-            .unwrap_or_else(|| "127.0.0.1:0".parse().expect("loopback literal parses"));
-        {
-            let locals = self.inner.locals.read();
-            if locals.contains_key(&addr) {
-                return Err(DaggerError::Fabric(format!(
-                    "address {addr} already attached"
-                )));
-            }
-        }
-        let socket = UdpSocket::bind(bind)
-            .map_err(|e| DaggerError::Fabric(format!("bind {bind} for {addr}: {e}")))?;
-        socket
-            .set_read_timeout(Some(PUMP_POLL))
-            .map_err(|e| DaggerError::Fabric(format!("set_read_timeout: {e}")))?;
-        let local_addr = socket
-            .local_addr()
-            .map_err(|e| DaggerError::Fabric(format!("local_addr: {e}")))?;
-        let socket = Arc::new(socket);
-        let queues: Vec<_> = (0..n).map(|_| Arc::new(PortQueue::new())).collect();
-        let stop = Arc::new(AtomicBool::new(false));
-        let pump = {
-            let inner = Arc::clone(&self.inner);
-            let socket = Arc::clone(&socket);
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name(format!("dagger-udp-{}", addr.raw()))
-                .spawn(move || UdpFabric::pump(&inner, addr, &socket, &stop))
-                .map_err(|e| DaggerError::Fabric(format!("spawn rx pump: {e}")))?
-        };
-        {
-            let mut locals = self.inner.locals.write();
-            if locals.contains_key(&addr) {
-                stop.store(true, Ordering::Release);
-                let _ = pump.join();
-                return Err(DaggerError::Fabric(format!(
-                    "address {addr} already attached"
-                )));
-            }
-            locals.insert(
-                addr,
-                LocalNode {
-                    socket: Arc::clone(&socket),
-                    queues: queues.clone(),
-                    wakers: vec![None; n],
-                    active_mask: None,
-                    stop,
-                    pump: Some(pump),
-                },
-            );
-        }
-        // Loopback self-entry: NICs sharing this instance reach us with no
-        // static configuration, exactly like the in-memory switch table.
-        self.inner.peers.write().insert(
-            addr,
-            PeerEntry {
-                addr: local_addr,
-                queues: n,
-            },
-        );
-        let guard = Arc::new(UdpPortGuard {
-            addr,
-            fabric: self.clone(),
-        });
-        Ok(queues
-            .into_iter()
-            .enumerate()
-            .map(|(i, rx)| {
-                Arc::new(UdpFabricPort {
-                    addr,
-                    queue: i as u16,
-                    fabric: self.clone(),
-                    rx,
-                    _guard: Arc::clone(&guard),
-                }) as Arc<dyn FabricPort>
-            })
-            .collect())
-    }
-
-    fn set_queue_waker(&self, addr: NodeAddr, queue: u16, waker: Arc<EngineWaker>) {
-        if let Some(local) = self.inner.locals.write().get_mut(&addr) {
-            if let Some(slot) = local.wakers.get_mut(queue as usize) {
-                *slot = Some(waker);
-            }
-        }
-    }
-
-    fn set_queue_mask(&self, addr: NodeAddr, mask: Arc<AtomicU64>) {
-        if let Some(local) = self.inner.locals.write().get_mut(&addr) {
-            local.active_mask = Some(mask);
-        }
-    }
-
-    fn queue_count(&self, addr: NodeAddr) -> usize {
-        if let Some(local) = self.inner.locals.read().get(&addr) {
-            return local.queues.len();
-        }
-        self.inner.peers.read().get(&addr).map_or(0, |p| p.queues)
-    }
-
-    fn route(&self, dst: NodeAddr, tag: u64) -> u16 {
-        // Local destinations get the full RSS decision including the live
-        // active-queue mask — same algorithm as the in-memory switch.
-        if let Some(local) = self.inner.locals.read().get(&dst) {
-            let mask = local
-                .active_mask
-                .as_ref()
-                .map_or(0, |m| m.load(Ordering::Relaxed));
-            return rss_pick(local.queues.len(), mask, tag);
-        }
-        // Remote destinations: spread by declared queue count; the remote
-        // mask is not visible cross-process (see module docs).
-        let n = self.inner.peers.read().get(&dst).map_or(1, |p| p.queues);
-        if n <= 1 {
-            0
-        } else {
-            (tag % n as u64) as u16
-        }
-    }
-
-    fn quiesce(&self) {
-        // Datagrams addressed to local NICs may still sit in kernel
-        // buffers; wait (bounded) for the pumps to account for them so a
-        // stopping engine's final ring drain sees everything.
-        // Backed off like every other wait: a datagram sent microseconds
-        // ago only needs the pump to get the CPU, which a yield gives it; a
-        // flat 1 ms sleep here made every teardown that caught one in
-        // flight an idle millisecond.
-        let deadline = Instant::now() + QUIESCE_DEADLINE;
-        let mut backoff = SpinWait::new();
-        while self.in_flight() > 0 && Instant::now() < deadline {
-            backoff.wait();
-        }
-    }
-
-    fn in_flight(&self) -> usize {
-        let tx = self.inner.tx_local.load(Ordering::Relaxed);
-        let rx = self.inner.rx_local.load(Ordering::Relaxed);
-        tx.saturating_sub(rx) as usize
-    }
-}
-
-/// Detaches the address (stopping its RX pump) when the last port of an
-/// attachment drops.
-#[derive(Debug)]
-struct UdpPortGuard {
-    addr: NodeAddr,
-    fabric: UdpFabric,
-}
-
-impl Drop for UdpPortGuard {
-    fn drop(&mut self) {
-        self.fabric.detach(self.addr);
-    }
-}
-
-/// One engine queue's attachment point on the UDP fabric.
-#[derive(Debug)]
-pub struct UdpFabricPort {
-    addr: NodeAddr,
-    queue: u16,
-    fabric: UdpFabric,
-    rx: Arc<PortQueue>,
-    _guard: Arc<UdpPortGuard>,
-}
-
-impl FabricPort for UdpFabricPort {
-    fn addr(&self) -> NodeAddr {
-        self.addr
-    }
-
-    fn queue(&self) -> u16 {
-        self.queue
-    }
-
-    fn send_to(&self, dst: NodeAddr, dst_queue: u16, bytes: Vec<u8>) -> Result<()> {
-        self.fabric
-            .send_from(self.addr, self.queue, dst, dst_queue, &bytes)
-    }
-
-    fn send_many(&self, frames: &mut Vec<(NodeAddr, u16, Vec<u8>)>) -> usize {
-        self.fabric.send_batch_from(self.addr, self.queue, frames)
-    }
-
-    fn route(&self, dst: NodeAddr, tag: u64) -> u16 {
-        Fabric::route(&self.fabric, dst, tag)
-    }
-
-    fn try_recv(&self) -> Option<Vec<u8>> {
-        self.rx.pop()
-    }
-
-    fn fabric(&self) -> &dyn Fabric {
-        &self.fabric
-    }
-}
-
-/// Compile-time proof both backends erase to the same object types.
-#[allow(dead_code)]
-fn _assert_object_safe<'a>(mem: &'a MemFabric, udp: &'a UdpFabric) -> [&'a dyn Fabric; 2] {
-    [mem, udp]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fabric::{Fabric, FabricPort, MemFabric};
+    use crate::wait::EngineWaker;
 
     fn attach(fabric: &UdpFabric, addr: NodeAddr, queues: usize) -> Vec<Arc<dyn FabricPort>> {
         Fabric::attach_queues(fabric, addr, queues).unwrap()
@@ -778,6 +533,60 @@ mod tests {
         }
         fabric.quiesce();
         assert_eq!(fabric.in_flight(), 0, "all datagrams accounted for");
+    }
+
+    /// Counts `n` datagrams onto the wire that no pump will ever see.
+    fn lose_in_kernel(fabric: &UdpFabric, n: u64) {
+        let tx_local = &fabric.shared.wire.0.tx_local;
+        tx_local.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Datagrams the kernel dropped never reach a pump: quiesce waits its
+    /// bound for them once, writes them off where it shows, and does not
+    /// wait again.
+    #[test]
+    fn quiesce_writes_off_what_the_kernel_dropped() {
+        let fabric = UdpFabric::new();
+        let _a = attach(&fabric, NodeAddr(1), 1);
+        lose_in_kernel(&fabric, 3);
+        assert_eq!(fabric.in_flight(), 3);
+        assert_eq!(fabric.rx_written_off(), 0);
+        fabric.quiesce();
+        assert_eq!(fabric.in_flight(), 0, "lost datagrams written off");
+        assert_eq!(fabric.rx_written_off(), 3, "and counted");
+        let again = Instant::now();
+        fabric.quiesce();
+        assert!(
+            again.elapsed() < QUIESCE_DEADLINE / 2,
+            "waited for them twice"
+        );
+        assert_eq!(fabric.rx_written_off(), 3);
+    }
+
+    /// A written-off datagram was not lost after all and reaches the pump
+    /// late: it is delivered, not booked a second time, and what is sent
+    /// afterwards still reads as in flight until it lands.
+    #[test]
+    fn late_arrival_of_a_written_off_datagram_is_not_booked_twice() {
+        let fabric = UdpFabric::new();
+        let _a = attach(&fabric, NodeAddr(1), 1);
+        let b = attach(&fabric, NodeAddr(2), 1);
+        // One datagram from node 1 goes missing and is written off ...
+        lose_in_kernel(&fabric, 1);
+        fabric.quiesce();
+        assert_eq!((fabric.in_flight(), fabric.rx_written_off()), (0, 1));
+        // ... and then turns up at node 2's socket.
+        let mut late = vec![UDP_MAGIC, UDP_VERSION, 0, 0];
+        late.extend_from_slice(&NodeAddr(1).raw().to_le_bytes());
+        late.extend_from_slice(&[0, 0, 0xAA]);
+        let straggler = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let to = fabric.local_addr(NodeAddr(2)).unwrap();
+        straggler.send_to(&late, to).unwrap();
+        assert_eq!(recv_within(&b[0], 2000), Some(vec![0xAA]));
+        // Detaching joins the pump, so its books on that burst are closed.
+        drop(b);
+        lose_in_kernel(&fabric, 1);
+        assert_eq!(fabric.in_flight(), 1, "the straggler was booked twice");
     }
 
     #[test]

@@ -28,11 +28,12 @@
 //! * [`softreg`] — the Soft-Reconfiguration Unit register file (§4.1);
 //! * [`arbiter`] — the fair round-robin CCI-P bus arbiter used when several
 //!   virtual NICs share one FPGA (Fig. 14);
-//! * [`fabric`] — the [`fabric::Fabric`] transport seam plus the
-//!   in-process Ethernet fabric with an L2 ToR switch (the loopback
-//!   methodology of §5.1);
-//! * [`fabric_udp`] — the UDP backend of the seam: one socket per NIC, so
-//!   two NICs run in separate processes or hosts over loopback/LAN;
+//! * [`fabric`] — the [`fabric::Fabric`] transport seam, the one L2 ToR
+//!   switch behind it, the [`fabric::Wire`] seam beneath the switch, and
+//!   the in-memory wire (the loopback methodology of §5.1);
+//! * [`fabric_faults`] — the seeded fault layer between switch and wire;
+//! * [`fabric_udp`] — the UDP wire: one socket per NIC, so two NICs run in
+//!   separate processes or hosts over loopback/LAN;
 //! * [`bufpool`] — free lists of wire buffers and line vectors keeping the
 //!   steady-state datapath allocation-free (§4.4);
 //! * [`conncache`] — the engine-private connection-tuple cache with
@@ -61,6 +62,7 @@ pub mod connmgr;
 pub mod drive;
 pub mod engine;
 pub mod fabric;
+pub mod fabric_faults;
 pub mod fabric_udp;
 pub mod flow;
 pub mod lb;
@@ -81,9 +83,8 @@ pub use bufpool::{BufPool, BufPoolStats};
 pub use conncache::{ConnCacheStats, ConnTupleCache};
 pub use connmgr::{ConnectionManager, ConnectionTuple};
 pub use drive::{EngineHandle, HostWait};
-pub use fabric::{
-    Fabric, FabricPort, FaultPlan, FaultSnapshot, FaultStats, MemFabric, MemFabricPort,
-};
+pub use fabric::{Fabric, FabricPort, MemFabric};
+pub use fabric_faults::{FaultPlan, FaultSnapshot, FaultStats};
 pub use fabric_udp::UdpFabric;
 pub use monitor::{FlowSnapshot, MonitorSnapshot, PacketMonitor, QueueSnapshot, QueueStats};
 pub use nic::{queue_of_flow, HostFlow, Nic};

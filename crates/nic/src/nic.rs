@@ -49,9 +49,9 @@ use crate::balancer::QueueBalancer;
 use crate::bank::GaugeNames;
 use crate::bufpool::BufPoolSnapshot;
 use crate::conncache::ConnCacheSnapshot;
-use crate::connmgr::{ConnMgrSnapshot, ConnectionManager, ConnectionTuple};
+use crate::connmgr::{ctrl_close, ctrl_open, ConnMgrSnapshot, ConnectionManager, ConnectionTuple};
 use crate::drive::{EngineHandle, EngineSlot, HostWait};
-use crate::engine::{encode_ctrl_close, encode_ctrl_open, EngineCore, NicShared, WorkerParts};
+use crate::engine::{EngineCore, NicShared, WorkerParts};
 use crate::fabric::{Fabric, FabricPort};
 use crate::monitor::{FlowSnapshot, PacketMonitor, QueueSnapshot};
 use crate::offload::{OffloadSnapshot, OffloadState};
@@ -621,14 +621,17 @@ impl Nic {
         lb: LbPolicy,
     ) -> Result<ConnectionId> {
         let cid = self.allocate_connection_id()?;
-        self.conn_mgr.lock().open(
-            cid,
-            ConnectionTuple {
-                src_flow,
-                dest_addr: remote,
-                lb,
-            },
-        )?;
+        let tuple = ConnectionTuple {
+            src_flow,
+            dest_addr: remote,
+            lb,
+        };
+        self.conn_mgr.lock().open(cid, tuple)?;
+        // What the remote installs: the same tuple pointing back at us.
+        let reverse = ConnectionTuple {
+            dest_addr: self.addr,
+            ..tuple
+        };
         // Announce via the engines' shared control outbox (ordered with
         // data, covered by the reliable transport when enabled) and wait
         // for the remote's acknowledgement, retrying the announcement. The
@@ -636,7 +639,7 @@ impl Nic {
         // while it waits.
         let mut wait = HostWait::new(self.engine_of(src_flow));
         for _attempt in 0..40 {
-            let ctrl = encode_ctrl_open(cid, self.addr, src_flow, lb);
+            let ctrl = ctrl_open(cid, reverse);
             let dgram = Datagram::new(self.addr, remote, vec![ctrl]);
             self.ctrl_tx
                 .send((remote, dgram))
@@ -668,7 +671,7 @@ impl Nic {
             .ok_or(DaggerError::UnknownConnection(cid.raw()))?;
         self.conn_mgr.lock().close(cid)?;
         self.confirmed.lock().remove(&cid.raw());
-        let ctrl = encode_ctrl_close(cid);
+        let ctrl = ctrl_close(cid);
         let dgram = Datagram::new(self.addr, tuple.dest_addr, vec![ctrl]);
         // Best-effort: the remote may already be gone.
         let _ = self.ctrl_tx.send((tuple.dest_addr, dgram));

@@ -30,10 +30,10 @@
 //! instance's [`SharedReliableStats`] bank (DESIGN.md §10).
 //!
 //! The layer is fabric-backend-oblivious: it sees only frame bytes moving
-//! through the [`crate::fabric::Fabric`] seam. Over the in-process switch
-//! it repairs *injected* faults (seeded, deterministic — the chaos
-//! replay-equivalence test pins identical retransmit counters across
-//! runs); over the UDP backend it repairs whatever the real network does,
+//! through the [`crate::fabric::Fabric`] seam. It repairs what the fault
+//! layer injects ([`crate::fabric_faults`]: seeded, the same decisions over
+//! every wire; the chaos replay-equivalence test pins identical retransmit
+//! counters across runs) and, over UDP, whatever the real network adds,
 //! with the same window, checksum, and retransmission machinery.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};

@@ -46,22 +46,6 @@ pub struct SoftRegisterFile {
     offload_cache_entries: AtomicU32,
 }
 
-fn lb_to_u8(p: LbPolicy) -> u8 {
-    match p {
-        LbPolicy::Uniform => 0,
-        LbPolicy::Static => 1,
-        LbPolicy::ObjectLevel => 2,
-    }
-}
-
-fn lb_from_u8(v: u8) -> LbPolicy {
-    match v {
-        1 => LbPolicy::Static,
-        2 => LbPolicy::ObjectLevel,
-        _ => LbPolicy::Uniform,
-    }
-}
-
 impl SoftRegisterFile {
     /// Creates a register file from an initial snapshot.
     ///
@@ -74,7 +58,7 @@ impl SoftRegisterFile {
             batch_size: AtomicU8::new(initial.batch_size),
             auto_batch: AtomicBool::new(initial.auto_batch),
             active_flows: AtomicU16::new(initial.active_flows),
-            lb_policy: AtomicU8::new(lb_to_u8(initial.lb_policy)),
+            lb_policy: AtomicU8::new(initial.lb_policy.to_wire()),
             polling_threshold: AtomicU32::new(4096),
             active_queue_mask: Arc::new(AtomicU64::new(0)),
             batch_limit: AtomicU8::new(MAX_BATCH),
@@ -142,12 +126,12 @@ impl SoftRegisterFile {
 
     /// Current RX load-balancer policy.
     pub fn lb_policy(&self) -> LbPolicy {
-        lb_from_u8(self.lb_policy.load(Ordering::Relaxed))
+        LbPolicy::from_wire(self.lb_policy.load(Ordering::Relaxed))
     }
 
     /// Selects the RX load-balancer policy.
     pub fn set_lb_policy(&self, p: LbPolicy) {
-        self.lb_policy.store(lb_to_u8(p), Ordering::Relaxed);
+        self.lb_policy.store(p.to_wire(), Ordering::Relaxed);
     }
 
     /// RX-rate threshold (frames per engine window) for switching from

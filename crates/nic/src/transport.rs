@@ -6,9 +6,9 @@
 //! between two NICs; [`Datagram::encode`]/[`Datagram::decode`] give it a
 //! deterministic byte format so the fabric moves plain bytes, like a wire.
 //! The encoding is a property of this layer, not of the fabric backend:
-//! the same bytes cross the in-process switch and real UDP sockets
-//! unmodified (see the [`crate::fabric::Fabric`] seam and the golden-frame
-//! conformance test in `tests/transport_conformance.rs`).
+//! the same bytes cross the in-memory wire and real UDP sockets unmodified
+//! (see the [`crate::fabric::Wire`] seam beneath the switch and the
+//! golden-frame conformance test in `tests/transport_conformance.rs`).
 //!
 //! The paper's Protocol unit (congestion control, acknowledgements) is
 //! *idle* — "it simply forwards all packets". Ours is either absent (an

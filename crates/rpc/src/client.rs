@@ -100,7 +100,7 @@ impl RpcClient {
             .tracer()
             .record(self.cid.raw(), rpc_id.raw(), RpcEvent::ClientSend);
         let mut span = self.telemetry.spans().start(
-            format!("rpc.fn{}", fn_id.raw()),
+            || format!("rpc.fn{}", fn_id.raw()),
             SpanKind::Client,
             current_context(),
         );
@@ -324,5 +324,45 @@ impl<T: crate::wire::Wire> TypedCall<T> {
     pub fn wait(self) -> Result<T> {
         let bytes = self.inner.wait()?;
         T::from_wire(&bytes)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::alloc_counter::count_allocs;
+    use dagger_nic::MemFabric;
+    use dagger_types::{HardConfig, NodeAddr};
+
+    /// With tracing off a call pays for its frames and nothing else: no span
+    /// name is formatted, no context encoded.
+    #[test]
+    fn untraced_issue_allocates_only_its_frame_vector() {
+        let fabric = MemFabric::new();
+        let nic = Nic::start(&fabric, NodeAddr(1), HardConfig::default()).unwrap();
+        let endpoint = Arc::new(FlowEndpoint::with_telemetry(
+            nic.take_flow().unwrap(),
+            Arc::clone(nic.telemetry()),
+        ));
+        // No such connection is open: the engine drops the frames, which is
+        // all the same to `issue`.
+        let client = RpcClient::new(Arc::clone(&nic), endpoint, ConnectionId(1));
+        client.issue(FnId(7), b"warm").unwrap();
+        let (allocs, issued) = count_allocs(|| client.issue(FnId(7), &[0xA5; 32]));
+        assert!(
+            issued.unwrap().1.is_none(),
+            "a span opened with tracing off"
+        );
+        assert_eq!(
+            allocs, 1,
+            "an untraced issue allocates its frame vector only"
+        );
+
+        nic.telemetry().enable_tracing();
+        let (allocs, issued) = count_allocs(|| client.issue(FnId(7), &[0xA5; 32]));
+        let span = issued.unwrap().1.expect("tracing is on");
+        assert_eq!(span.name, "rpc.fn7");
+        assert!(allocs > 1, "a traced issue also builds its span name");
+        nic.shutdown();
     }
 }

@@ -73,3 +73,59 @@ pub use pool::RpcClientPool;
 pub use server::{RpcThreadedServer, ThreadingModel, SERVER_HANDLER_HISTOGRAM};
 pub use service::{RpcService, ServiceDescriptor};
 pub use wire::{Wire, WireReader};
+
+#[cfg(test)]
+/// Heap-allocation counter for this crate's unit tests (the pattern of
+/// `dagger-nic`'s zero-allocation tests): the system allocator, counting
+/// allocations on threads that opt in.
+pub(crate) mod alloc_counter {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    thread_local! {
+        static COUNTING: Cell<bool> = const { Cell::new(false) };
+        static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Counts heap allocations (not frees) on opted-in threads.
+    pub struct CountingAlloc;
+
+    // SAFETY: defers to `System` for every allocation; only bookkeeping is
+    // added, and `try_with` tolerates TLS teardown during thread exit.
+    unsafe impl GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            let _ = COUNTING.try_with(|on| {
+                if on.get() {
+                    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+                }
+            });
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            unsafe { System.dealloc(ptr, layout) }
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            let _ = COUNTING.try_with(|on| {
+                if on.get() {
+                    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+                }
+            });
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+    }
+
+    #[global_allocator]
+    static GLOBAL: CountingAlloc = CountingAlloc;
+
+    /// Runs `f` with allocation counting enabled on this thread and returns
+    /// `(allocations, result)`.
+    pub fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
+        ALLOCS.with(|n| n.set(0));
+        COUNTING.with(|on| on.set(true));
+        let result = f();
+        COUNTING.with(|on| on.set(false));
+        (ALLOCS.with(|n| n.get()), result)
+    }
+}

@@ -443,10 +443,12 @@ fn dispatch_one(ctx: &DispatchCtx, item: &WorkItem) {
     // wire context. Untraced requests stay span-free: no names, no clock
     // reads, nothing.
     let mut span = item.ctx.and_then(|parent| {
-        let name = service.map_or_else(
-            || format!("fn{}", item.fn_id.raw()),
-            |s| s.descriptor().name().to_string(),
-        );
+        let name = || {
+            service.map_or_else(
+                || format!("fn{}", item.fn_id.raw()),
+                |s| s.descriptor().name().to_string(),
+            )
+        };
         ctx.telemetry
             .spans()
             .start(name, SpanKind::Server, Some(parent))

@@ -555,10 +555,10 @@ impl FlightApp {
         flight: u32,
         bags: u8,
     ) -> Result<CheckInResponse> {
-        let mut span = self
-            .telemetry
-            .spans()
-            .start("passenger_journey", SpanKind::Internal, None);
+        let mut span =
+            self.telemetry
+                .spans()
+                .start(|| "passenger_journey", SpanKind::Internal, None);
         if let Some(s) = span.as_mut() {
             s.node = Some(self.addrs.passenger_fe.raw() as u16);
         }

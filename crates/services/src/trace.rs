@@ -53,7 +53,7 @@ impl Tracer {
         let span = self
             .telemetry
             .spans()
-            .start(tier, SpanKind::Internal, current_context())
+            .start(|| tier, SpanKind::Internal, current_context())
             .map(|span| {
                 let scope = ContextScope::enter(span.context());
                 (span, scope)
@@ -181,7 +181,7 @@ mod tests {
         telemetry.enable_tracing();
         let parent = telemetry
             .spans()
-            .start("root", SpanKind::Internal, None)
+            .start(|| "root", SpanKind::Internal, None)
             .unwrap();
         {
             let _scope = ContextScope::enter(parent.context());

@@ -56,8 +56,7 @@ pub enum FlightEventKind {
     /// The fault injector cut connectivity (`a`/`b` = node pair, or
     /// `a` = node and `b` = [`FLIGHT_ALL_NODES`] for a node blackhole).
     Partition,
-    /// The fault injector restored connectivity (same `a`/`b` coding;
-    /// `a` = `b` = [`FLIGHT_ALL_NODES`] for `heal_all`).
+    /// The fault injector restored connectivity (same `a`/`b` coding).
     Heal,
     /// The balancer shed a hot queue from the RSS mask (`a` = queue).
     QueueShed,

@@ -261,10 +261,12 @@ impl SpanCollector {
 
     /// Opens a span under `parent` (a fresh root trace when `None`).
     /// Returns `None` while disabled, so every caller naturally gates its
-    /// context-encoding work on tracing being on.
-    pub fn start(
+    /// context-encoding work on tracing being on — and `name` is only
+    /// called once a span is really opened, so an untraced caller never
+    /// formats or allocates one.
+    pub fn start<N: Into<String>>(
         &self,
-        name: impl Into<String>,
+        name: impl FnOnce() -> N,
         kind: SpanKind,
         parent: Option<TraceContext>,
     ) -> Option<OpenSpan> {
@@ -279,7 +281,7 @@ impl SpanCollector {
             trace_id,
             span_id: next_id(),
             parent_span_id,
-            name: name.into(),
+            name: name().into(),
             kind,
             node: None,
             start_ns: self.now_ns(),
@@ -413,22 +415,30 @@ mod tests {
     }
 
     #[test]
-    fn disabled_collector_opens_nothing() {
+    fn disabled_collector_opens_nothing_and_never_builds_the_name() {
         let c = SpanCollector::new();
-        assert!(c.start("x", SpanKind::Client, None).is_none());
+        let built = std::cell::Cell::new(0);
+        let name = || {
+            built.set(built.get() + 1);
+            format!("x{}", built.get())
+        };
+        assert!(c.start(name, SpanKind::Client, None).is_none());
+        assert_eq!(built.get(), 0, "a disabled collector built a span name");
         c.enable();
-        assert!(c.start("x", SpanKind::Client, None).is_some());
+        let span = c.start(name, SpanKind::Client, None).unwrap();
+        assert_eq!((built.get(), span.name.as_str()), (1, "x1"));
         c.disable();
-        assert!(c.start("x", SpanKind::Client, None).is_none());
+        assert!(c.start(name, SpanKind::Client, None).is_none());
+        assert_eq!(built.get(), 1);
     }
 
     #[test]
     fn root_and_child_linkage() {
         let c = SpanCollector::new();
         c.enable();
-        let root = c.start("root", SpanKind::Internal, None).unwrap();
+        let root = c.start(|| "root", SpanKind::Internal, None).unwrap();
         let child = c
-            .start("child", SpanKind::Client, Some(root.context()))
+            .start(|| "child", SpanKind::Client, Some(root.context()))
             .unwrap();
         assert_eq!(child.trace_id, root.trace_id);
         assert_eq!(child.parent_span_id, Some(root.span_id));
@@ -445,7 +455,7 @@ mod tests {
         let c = SpanCollector::with_capacity_and_epoch(2, Instant::now());
         c.enable();
         for i in 0..4u64 {
-            let mut s = c.start("s", SpanKind::Internal, None).unwrap();
+            let mut s = c.start(|| "s", SpanKind::Internal, None).unwrap();
             s.span_id = 100 + i;
             s.finish_at(&c, 1);
         }
@@ -484,7 +494,7 @@ mod tests {
     fn finish_clamps_backwards_clock() {
         let c = SpanCollector::new();
         c.enable();
-        let mut s = c.start("s", SpanKind::Internal, None).unwrap();
+        let mut s = c.start(|| "s", SpanKind::Internal, None).unwrap();
         s.start_ns = 100;
         s.finish_at(&c, 50);
         assert_eq!(c.spans()[0].end_ns, 100);

@@ -66,6 +66,27 @@ pub enum LbPolicy {
     ObjectLevel,
 }
 
+impl LbPolicy {
+    /// The policy's one-byte form, as the connection-open control frame and
+    /// the `lb_policy` soft register carry it.
+    pub fn to_wire(self) -> u8 {
+        match self {
+            LbPolicy::Uniform => 0,
+            LbPolicy::Static => 1,
+            LbPolicy::ObjectLevel => 2,
+        }
+    }
+
+    /// Decodes [`LbPolicy::to_wire`]; an unknown byte reads as `Uniform`.
+    pub fn from_wire(v: u8) -> Self {
+        match v {
+            1 => LbPolicy::Static,
+            2 => LbPolicy::ObjectLevel,
+            _ => LbPolicy::Uniform,
+        }
+    }
+}
+
 /// Synthesis-time ("hard") configuration of one NIC instance.
 ///
 /// Construct via [`HardConfig::builder`]; [`HardConfig::validate`] enforces

@@ -28,7 +28,7 @@ use dagger::telemetry::Telemetry;
 use dagger::types::{DaggerError, HardConfig, NodeAddr, Result};
 
 mod common;
-use common::{tagged_lines, ReliablePair};
+use common::{env_seed, tagged_lines, ReliablePair};
 
 dagger_message! {
     pub struct Blob {
@@ -62,15 +62,6 @@ fn body_for(client: usize, seq: u32) -> Vec<u8> {
     (0..100u32)
         .map(|i| (i.wrapping_mul(31) ^ seq.wrapping_mul(7) ^ client as u32) as u8)
         .collect()
-}
-
-/// The rotating chaos seed: `RUST_SEED` from the environment (CI passes the
-/// run id), or a fixed default for plain local runs.
-fn env_seed() -> u64 {
-    std::env::var("RUST_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xC0FFEE)
 }
 
 /// Scope guard: when a chaos invariant panics, dump the full telemetry

@@ -62,6 +62,15 @@ impl ConformHandler for RecordingEcho {
     }
 }
 
+/// The rotating chaos seed: `RUST_SEED` from the environment (CI pins 1, 7
+/// and 42 and passes the run id), or a fixed default for plain local runs.
+pub fn env_seed() -> u64 {
+    std::env::var("RUST_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0xC0FFEE)
+}
+
 pub fn reliable_cfg() -> HardConfig {
     HardConfig::builder().reliable(true).build().unwrap()
 }

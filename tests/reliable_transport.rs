@@ -2,13 +2,13 @@
 //! (the §4.5 follow-up work) over a fabric that deterministically drops
 //! frames.
 //!
-//! These scenarios are [`MemFabric`]-specific on purpose — loss rates,
-//! partitions, and heal timing are scripted through the fault-injection
-//! decorator, which real-socket backends do not carry. The
-//! backend-portable invariants (exactly-once, per-flow FIFO, telemetry
-//! reconciliation) live in `tests/transport_conformance.rs`, built on the
-//! same shared harness (`tests/common/mod.rs`) this file draws its
-//! service definition from.
+//! These scenarios run over [`MemFabric`] on purpose: loss rates,
+//! partitions, and heal timing are scripted through the switch's fault
+//! layer, and only the in-memory wire adds no loss or timing of its own.
+//! The backend-portable invariants (exactly-once, per-flow FIFO, telemetry
+//! reconciliation, and the same fault layer over UDP) live in
+//! `tests/transport_conformance.rs`, built on the same shared harness
+//! (`tests/common/mod.rs`) this file draws its service definition from.
 
 mod common;
 

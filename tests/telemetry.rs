@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dagger::idl::{dagger_message, dagger_service};
-use dagger::nic::{MemFabric, Nic};
+use dagger::nic::{MemFabric, Nic, UdpFabric};
 use dagger::rpc::{RpcClientPool, RpcThreadedServer};
 use dagger::telemetry::{SloSpec, Telemetry, STAGE_NAMES};
 use dagger::types::{HardConfig, NodeAddr, Result};
@@ -331,4 +331,16 @@ fn every_gauge_name_of_the_golden_list_is_still_exported() {
         .collect();
     assert!(missing.is_empty(), "gauges no longer exported: {missing:?}");
     nic.shutdown();
+
+    // The fault layer is the switch's, not the wire's: the UDP fabric
+    // exports the same `fabric.*` names through the same code.
+    let telemetry = Telemetry::new();
+    UdpFabric::new().register_telemetry(&telemetry);
+    telemetry.collect();
+    let registry = telemetry.registry().snapshot();
+    let missing: Vec<&&str> = FABRIC
+        .iter()
+        .filter(|n| registry.gauge(&format!("fabric.{n}")).is_none())
+        .collect();
+    assert!(missing.is_empty(), "UdpFabric does not export: {missing:?}");
 }

@@ -4,19 +4,21 @@
 //! invariants are proved for the in-process switch ([`MemFabric`]) and for
 //! real UDP sockets over loopback ([`UdpFabric`]): byte-exact exactly-once
 //! delivery, per-flow FIFO dispatch, drained-telemetry reconciliation, and
-//! a backend-independent wire format (the golden-frame test). See
-//! `tests/common/mod.rs` for the shared harness.
+//! a backend-independent wire format (the golden-frame test). The fault
+//! layer sits above the wire, so the suite has a chaos column too: the same
+//! seeded plan on both backends, and a partition healed mid-run over UDP.
+//! See `tests/common/mod.rs` for the shared harness.
 
 mod common;
 
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use common::{body_for, reliable_cfg, Conf, ConformClient, ConformDispatch, RecordingEcho};
 use dagger::kvs::server::{KvGetRequest, KvSetRequest, KvStoreClient, KvStoreDispatch};
 use dagger::kvs::{Memcached, MemcachedPort};
-use dagger::nic::{Fabric, MemFabric, Nic, UdpFabric};
+use dagger::nic::{Fabric, FabricPort, FaultPlan, MemFabric, Nic, UdpFabric};
 use dagger::rpc::{RpcClientPool, RpcThreadedServer};
 use dagger::types::{CacheLine, NodeAddr, CACHE_LINE_BYTES};
 
@@ -48,6 +50,110 @@ fn mem_fabric_conformance_batched() {
 #[test]
 fn udp_fabric_conformance_batched() {
     common::run_conformance_batched("udp-batch8", &UdpFabric::new(), CLIENTS, CALLS, 8);
+}
+
+/// The composed plan of the chaos column, seeded by `RUST_SEED` so a
+/// failure replays from the seed in its label.
+fn chaos_plan() -> (u64, FaultPlan) {
+    let seed = common::env_seed();
+    let plan = FaultPlan::seeded(seed)
+        .with_drop(0.1)
+        .with_duplicate(0.1)
+        .with_reorder(0.1, 6)
+        .with_corrupt(0.05);
+    (seed, plan)
+}
+
+/// The conformance invariants under injected chaos: the reliable transport
+/// must absorb a composed drop + duplicate + reorder + corrupt plan on the
+/// in-process switch …
+#[test]
+fn mem_fabric_conformance_chaos() {
+    let (seed, plan) = chaos_plan();
+    let fabric = MemFabric::with_faults(plan);
+    common::run_conformance(&format!("mem-chaos seed={seed}"), &fabric, CLIENTS, CALLS);
+    assert!(fabric.fault_stats().total_injected() > 0, "seed={seed}");
+}
+
+/// … and the very same plan over real sockets, where it composes with
+/// whatever the loopback does on its own.
+#[test]
+fn udp_fabric_conformance_chaos() {
+    let (seed, plan) = chaos_plan();
+    let fabric = UdpFabric::with_faults(plan);
+    common::run_conformance(&format!("udp-chaos seed={seed}"), &fabric, CLIENTS, CALLS);
+    assert!(fabric.fault_stats().total_injected() > 0, "seed={seed}");
+}
+
+/// A partition installed and healed mid-run on the UDP backend: the server
+/// is cut off once traffic flows, stays cut until retransmissions have been
+/// blackholed, and every call still completes exactly once after the heal.
+#[test]
+fn udp_fabric_conformance_partition_heal() {
+    let fabric = UdpFabric::new();
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let wait_until = |cond: &dyn Fn() -> bool| {
+                while !cond() && !done.load(Ordering::Acquire) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            };
+            wait_until(&|| fabric.fault_stats().forwarded >= 50);
+            fabric.partition_node(NodeAddr(1));
+            wait_until(&|| fabric.fault_stats().partition_drops >= 10);
+            fabric.heal_node(NodeAddr(1));
+        });
+        common::run_conformance("udp-partition-heal", &fabric, CLIENTS, CALLS);
+        done.store(true, Ordering::Release);
+    });
+    let stats = fabric.fault_stats();
+    assert!(stats.partition_drops >= 10, "never partitioned: {stats:?}");
+    assert!(!fabric.partitioned(), "the partition was healed");
+}
+
+/// Port-level determinism across backends: fault decisions are drawn above
+/// the wire, so one plan and one sequence of frames A → B give the same
+/// decision counts and the same multiset of delivered payloads — corrupted
+/// bit positions included — whether the frames cross memory or sockets.
+#[test]
+fn fault_decisions_identical_across_backends() {
+    // Few enough that the receiving socket's kernel buffer holds them all
+    // even if the pump never gets the CPU: real loss would be a difference
+    // the plan did not make.
+    const FRAMES: u32 = 120;
+    let plan = FaultPlan::seeded(77)
+        .with_drop(0.15)
+        .with_duplicate(0.15)
+        .with_reorder(0.2, 4)
+        .with_corrupt(0.1)
+        .with_delay(0.1, 8);
+    fn attach(fabric: &dyn Fabric, addr: u32) -> Arc<dyn FabricPort> {
+        fabric.attach_queues(NodeAddr(addr), 1).unwrap().remove(0)
+    }
+    let run = |fabric: &dyn Fabric| -> Vec<Vec<u8>> {
+        let (a, b) = (attach(fabric, 1), attach(fabric, 2));
+        for i in 0..FRAMES {
+            let frame = [i.to_le_bytes(), (!i).to_le_bytes()].concat();
+            a.send(NodeAddr(2), frame).unwrap();
+        }
+        // Flushes what reorder/delay still holds, then waits out the wire.
+        fabric.quiesce();
+        assert_eq!(fabric.in_flight(), 0);
+        let mut delivered: Vec<_> = std::iter::from_fn(|| b.try_recv()).collect();
+        delivered.sort_unstable();
+        delivered
+    };
+    let (mem, udp) = (MemFabric::with_faults(plan), UdpFabric::with_faults(plan));
+    let (over_mem, over_udp) = (run(&mem), run(&udp));
+    let stats = mem.fault_stats();
+    assert_eq!(stats, udp.fault_stats(), "decision counts differ");
+    assert_eq!(
+        over_mem.len() as u64,
+        u64::from(FRAMES) - stats.dropped + stats.duplicated
+    );
+    assert!(stats.corrupted > 0 && stats.reordered > 0 && stats.delayed > 0);
+    assert_eq!(over_mem, over_udp, "delivered payloads differ");
 }
 
 /// Runs the deterministic KVS GET/SET mix against an offload-armed server
@@ -335,6 +441,63 @@ fn golden_reliable_frames_pin_layout_and_version_compat() {
     assert!(
         FrameView::decode(&future).is_err(),
         "unknown version-1 frame kind must be rejected, not guessed at"
+    );
+}
+
+/// Pins the three connection-setup control frames byte for byte. They cross
+/// process boundaries (`examples/udp_pair.rs`), so a server built from one
+/// commit must read the opens of a client built from another.
+///
+/// golden frame: CTRL_OPEN_FN
+/// golden frame: CTRL_OPEN_ACK_FN
+/// golden frame: CTRL_CLOSE_FN
+#[test]
+fn golden_control_frames_pin_layout() {
+    use dagger::nic::connmgr::{ctrl_close, ctrl_open, ctrl_open_ack, decode_ctrl_open};
+    use dagger::nic::ConnectionTuple;
+    use dagger::types::{ConnectionId, FlowId, LbPolicy};
+
+    // Header: cid, rpc id 0, fn id, src flow, kind = request, frame 0 of 1,
+    // payload length; the rest of the line is the payload, zero-padded.
+    let golden = |fn_id: u16, src_flow: u16, payload: &[u8]| {
+        let mut line = [0u8; CACHE_LINE_BYTES];
+        line[0..4].copy_from_slice(&0x0007_002Au32.to_le_bytes());
+        line[8..10].copy_from_slice(&fn_id.to_le_bytes());
+        line[10..12].copy_from_slice(&src_flow.to_le_bytes());
+        line[12..16].copy_from_slice(&[1, 0, 1, payload.len() as u8]);
+        line[16..16 + payload.len()].copy_from_slice(payload);
+        line
+    };
+    let cid = ConnectionId(0x0007_002A);
+    let tuple = ConnectionTuple {
+        src_flow: FlowId(3),
+        dest_addr: NodeAddr(0x0102_0304),
+        lb: LbPolicy::ObjectLevel,
+    };
+
+    // Open: the opener's address (LE), its flow (LE), the balancer byte.
+    let open = ctrl_open(cid, tuple);
+    assert_eq!(
+        open.as_bytes(),
+        &golden(0xFFFF, 3, &[4, 3, 2, 1, 3, 0, 2]),
+        "control open layout drifted"
+    );
+    assert_eq!(decode_ctrl_open(&open), tuple);
+    for (lb, byte) in [(LbPolicy::Uniform, 0), (LbPolicy::Static, 1)] {
+        let line = ctrl_open(cid, ConnectionTuple { lb, ..tuple });
+        assert_eq!(line.as_bytes()[22], byte, "{lb:?} wire byte drifted");
+        assert_eq!(decode_ctrl_open(&line).lb, lb);
+    }
+
+    assert_eq!(
+        ctrl_open_ack(cid).as_bytes(),
+        &golden(0xFFFD, 0, &[]),
+        "control open-ack layout drifted"
+    );
+    assert_eq!(
+        ctrl_close(cid).as_bytes(),
+        &golden(0xFFFE, 0, &[]),
+        "control close layout drifted"
     );
 }
 
