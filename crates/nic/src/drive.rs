@@ -23,6 +23,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
@@ -30,6 +31,16 @@ use crate::bank::Counter;
 use crate::engine::{EngineCore, Progress};
 use crate::monitor::QueueStats;
 use crate::wait::{EngineWaker, SpinWait};
+
+/// How long a drive lease outlives the last look that found it renewed. In
+/// its spin and yield phases the engine thread looks every few nanoseconds,
+/// far more often than a polling host renews (once per wait iteration, never
+/// inside a step or a handler), so "not renewed since the previous look"
+/// means "lapsed" only once this long has passed. Without it the thread
+/// steps behind a live host, every such step that moves a frame resets its
+/// back-off, and two spinning threads fight over the queue for good (seen
+/// on a two-core host: 2.5 × the echo RTT, 40–80 % `thread_steps`).
+const LEASE_GRACE: Duration = Duration::from_micros(50);
 
 /// One engine queue as its drivers see it: the core behind a try-lock, the
 /// queue's wake latch and drive lease, and its counter bank.
@@ -77,6 +88,7 @@ impl EngineSlot {
     pub(crate) fn run(&self) {
         self.waker.register_current();
         let mut idle = SpinWait::new();
+        let mut lease_seen: Option<Instant> = None;
         loop {
             if self.stop.load(Ordering::Acquire) {
                 let core = self.core.lock().take();
@@ -86,7 +98,12 @@ impl EngineSlot {
                 return;
             }
             if self.waker.take_lease() {
+                lease_seen = Some(Instant::now());
                 idle.wait_standby(&self.waker);
+                continue;
+            }
+            if lease_seen.is_some_and(|seen| seen.elapsed() < LEASE_GRACE) {
+                idle.snooze();
                 continue;
             }
             match self.try_step(&self.stats.thread_steps) {

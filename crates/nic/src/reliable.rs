@@ -18,7 +18,10 @@
 //!   keyed by sequence, bounded by a window, marks the entries a SACK
 //!   advertises, and after a timeout measured in engine ticks retransmits
 //!   only the frames the receiver actually misses — a single drop costs a
-//!   single retransmission.
+//!   single retransmission;
+//! * every frame is sealed with CRC32C ([`wire_checksum`]) on encode and
+//!   verified before anything else on decode, so a corrupted frame is a
+//!   lost frame — one seal path, one verify path, one checksum.
 //!
 //! The state machine is synchronous and engine-driven —
 //! [`ReliableTransport::on_send_encode_to`] per outgoing datagram,
@@ -44,19 +47,26 @@ use dagger_types::{CacheLine, DaggerError, NodeAddr, Result};
 use crate::bank::counter_bank;
 use crate::transport::{wire_checksum, Datagram};
 
+/// Checksum-version bit in the frame-type byte: the frame is sealed with
+/// CRC32C ([`wire_checksum`]). The checksum is part of the frame format, so
+/// every frame kind of this build carries the bit and the decoder accepts
+/// no other: a frame sealed with the earlier FNV-1a checksum (type bytes
+/// `0x01`, `0x02`, `0x82`) is an unknown type here — rejected before its
+/// checksum is even looked at, counted in `wire_drops`, and repaired like
+/// any other loss by the sender's timer.
+const FRAME_CRC32C_BIT: u8 = 0x40;
 /// Frame type byte: payload-carrying data frame.
-const FRAME_DATA: u8 = 1;
+const FRAME_DATA: u8 = FRAME_CRC32C_BIT | 1;
 /// Frame type byte: standalone cumulative acknowledgement.
-const FRAME_ACK: u8 = 2;
-/// Version bit in the frame-type byte. Version-0 frames (data, ack) keep
-/// their original byte values, so a pre-SACK decoder sees exactly the
-/// bytes it always did; version-1 frame kinds set this bit, and a
-/// version-0 decoder rejects them cleanly as an unknown type (loss, which
-/// the retransmit timer absorbs) rather than misparsing them.
+const FRAME_ACK: u8 = FRAME_CRC32C_BIT | 2;
+/// Version bit in the frame-type byte, set by frame kinds added after the
+/// first wire format: a decoder that predates such a kind rejects it
+/// cleanly as an unknown type (loss, which the retransmit timer absorbs)
+/// rather than misparsing it. [`FRAME_CRC32C_BIT`] is the same device.
 const FRAME_VERSION_BIT: u8 = 0x80;
 /// Frame type byte: selective acknowledgement — cumulative ack plus a
-/// [`SACK_SPAN`]-bit bitmap of datagrams received beyond it. A version-1
-/// frame kind (see [`FRAME_VERSION_BIT`]).
+/// [`SACK_SPAN`]-bit bitmap of datagrams received beyond it (see
+/// [`FRAME_VERSION_BIT`]).
 const FRAME_SACK: u8 = FRAME_VERSION_BIT | FRAME_ACK;
 /// Width of the SACK bitmap: bit `i` set means sequence `ack + 1 + i` has
 /// been received and buffered. The receiver buffers at most this far past
@@ -68,7 +78,7 @@ pub const SACK_SPAN: u64 = 64;
 /// the sequence numbers belong to: under multi-queue sharding each
 /// directed (queue → queue) pairing is its own sliding-window session.
 const FRAME_PREFIX: usize = 19;
-/// Bytes of the FNV-1a integrity checksum each frame carries.
+/// Bytes of the CRC32C integrity checksum each frame carries.
 const FRAME_CRC: usize = 4;
 /// Minimum frame size: prefix + checksum.
 const FRAME_MIN: usize = FRAME_PREFIX + FRAME_CRC;
@@ -118,7 +128,7 @@ fn encode_ack_into(ack: u64, src: NodeAddr, dst: NodeAddr, src_queue: u16, out: 
 }
 
 /// Encodes a selective-ack frame into `out`: the ack layout with the
-/// version-1 SACK type byte, then the 8-byte received-bitmap as the body
+/// SACK type byte, then the 8-byte received-bitmap as the body
 /// (covered by the checksum like any body).
 fn encode_sack_into(
     ack: u64,
@@ -162,8 +172,8 @@ pub enum FrameView<B> {
     },
     /// A standalone acknowledgement (acks are not themselves sequenced):
     /// the cumulative ack plus a [`SACK_SPAN`]-bit received-bitmap. With an
-    /// empty bitmap it travels as a version-0 ack frame, otherwise as a
-    /// version-1 selective-ack frame.
+    /// empty bitmap it travels as a plain ack frame, otherwise as a
+    /// selective-ack frame.
     Ack {
         /// The receiver has everything below this sequence.
         ack: u64,
@@ -236,9 +246,9 @@ impl<'a> FrameView<&'a [u8]> {
     /// # Errors
     ///
     /// Returns [`DaggerError::Wire`] on truncated input, an unknown frame
-    /// type, a checksum mismatch (bit corruption in flight), or a malformed
-    /// ack/sack body. Never panics: any fabric-mangled byte string maps to
-    /// `Err`.
+    /// type (a frame of an older wire format included), a checksum
+    /// mismatch (bit corruption in flight), or a malformed ack/sack body.
+    /// Never panics: any fabric-mangled byte string maps to `Err`.
     pub fn decode(bytes: &'a [u8]) -> Result<Self> {
         let Some(&kind) = bytes.first() else {
             return Err(DaggerError::Wire("empty frame".to_string()));
@@ -720,8 +730,7 @@ impl ReliableTransport {
 
 /// Builds the SACK bitmap for a receive direction: bit `i` set means
 /// `expected + 1 + i` is buffered. Empty (0) when nothing is buffered —
-/// the ack then travels as a plain cumulative ack, which keeps the wire
-/// format version-0 whenever there is nothing to advertise.
+/// the ack then travels as a plain cumulative ack, eight bytes shorter.
 fn sack_bitmap(rx: &PeerRx) -> u64 {
     let mut bitmap = 0u64;
     for &seq in rx.ooo.keys() {
@@ -836,7 +845,7 @@ mod tests {
             other => panic!("expected a data frame, got {other:?}"),
         }
         let ack = encoded(ack_frame(99, 0));
-        assert_eq!(ack[0], FRAME_ACK, "an empty bitmap stays version 0");
+        assert_eq!(ack[0], FRAME_ACK, "an empty bitmap travels as a plain ack");
         assert_eq!(FrameView::decode(&ack).unwrap(), ack_frame(99, 0));
         let sack = encoded(ack_frame(17, 0b1011));
         assert_eq!(sack[0], FRAME_SACK);
@@ -867,17 +876,31 @@ mod tests {
     #[test]
     fn checksum_rejects_bit_flips() {
         let (mut a, mut b) = pair(64);
-        let good = send(&mut a, dgram(1, 2, 5));
-        assert!(FrameView::decode(&good).is_ok());
-        // Flip one bit at a spread of positions: every variant must be
-        // rejected, none may panic.
-        for pos in [0, 1, 8, 16, 17, 20, 21, good.len() - 1] {
-            let mut bad = good.clone();
-            bad[pos] ^= 0x10;
-            assert!(
-                FrameView::decode(&bad).is_err(),
-                "bit flip at byte {pos} must be caught"
-            );
+        let mut lines = vec![CacheLine::zeroed(); 16];
+        for (i, line) in lines.iter_mut().enumerate() {
+            line.as_bytes_mut().fill(i as u8 ^ 0x5A);
+        }
+        let good = send(&mut a, Datagram::new(NodeAddr(1), NodeAddr(2), lines));
+        // Every single-bit flip of a full data frame, an ack and a sack is
+        // rejected — CRC32C guarantees it (the type byte sits under the
+        // checksum too, so a flip into another known kind fails as well),
+        // and one flipped bit is exactly what the fault layer's `corrupt`
+        // does to a frame.
+        for frame in [
+            good.clone(),
+            encoded(ack_frame(99, 0)),
+            encoded(ack_frame(17, 0b1011)),
+        ] {
+            assert!(FrameView::decode(&frame).is_ok());
+            for bit in 0..frame.len() * 8 {
+                let mut bad = frame.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                assert!(
+                    FrameView::decode(&bad).is_err(),
+                    "flip of bit {bit} in a {}-byte frame must be caught",
+                    frame.len()
+                );
+            }
         }
         // Truncations at every length are rejected, never panic — also
         // inside the datagram, behind a checksum that matches.
@@ -885,8 +908,7 @@ mod tests {
             assert!(FrameView::decode(&good[..len]).is_err());
         }
         let mut short = good[..good.len() - 1].to_vec();
-        let crc = wire_checksum(&[&short[..FRAME_PREFIX], &short[FRAME_MIN..]]);
-        short[FRAME_PREFIX..FRAME_MIN].copy_from_slice(&crc.to_le_bytes());
+        seal(&mut short);
         assert!(b.on_recv(&short).is_err(), "malformed datagram body");
         assert_eq!(stats(&b).wire_drops, 1);
     }

@@ -138,68 +138,81 @@ impl Datagram {
     }
 }
 
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+/// CRC32C (Castagnoli) in its reflected form: the polynomial iSCSI, SCTP and
+/// RoCE NICs implement, and the one `crc32` instructions compute.
+const CRC32C_POLY: u32 = 0x82F6_3B78;
 
-/// Streaming FNV-1a-64 folded to 32 bits, computed over `parts` as if
-/// concatenated. Guards reliable-transport frames against fabric bit
-/// corruption: the checksum rides each frame and a mismatch on decode
-/// surfaces as [`DaggerError::Wire`], turning corruption into loss — which
-/// the retransmission machinery already repairs.
+/// `CRC32C_TABLE[b]` is the CRC register after shifting byte `b` through
+/// it, evaluated at compile time.
+const CRC32C_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut crc = byte as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC32C_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        table[byte] = crc;
+        byte += 1;
+    }
+    table
+};
+
+/// Streaming CRC32C (Castagnoli polynomial, reflected, init and final xor
+/// `0xFFFF_FFFF` — RFC 3720 §B.4) over `parts` as if concatenated. Guards
+/// reliable-transport frames against fabric bit corruption: the checksum
+/// rides each frame and a mismatch on decode surfaces as
+/// [`DaggerError::Wire`], turning corruption into loss — which the
+/// retransmission machinery already repairs. A CRC detects *every*
+/// single-bit error and every burst of up to 32 bits, which is exactly
+/// what the fault layer's `corrupt` injects.
 ///
-/// The hot path is [`fnv1a_chunked`]: an 8-lane unrolled pass that loads
-/// one 64-bit word per iteration and evaluates the same sequential
-/// recurrence lane by lane, so the digest is byte-identical to the scalar
-/// definition (`wire_checksum_scalar`, kept as the reference and the tail
-/// fallback). The property test below pins the byte identity.
+/// The platform picks the arm, never an option: the SSE4.2 `crc32`
+/// instruction where the CPU has it (eight bytes per instruction), the
+/// byte-wise table loop everywhere else. Both compute the same function;
+/// the table loop is the reference the unit tests hold the other to.
 pub fn wire_checksum(parts: &[&[u8]]) -> u32 {
-    let mut h = FNV_OFFSET;
-    for part in parts {
-        h = fnv1a_chunked(h, part);
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("sse4.2") {
+        // SAFETY: the CPU reports SSE4.2, the one requirement of
+        // `crc32c_sse42`.
+        return !parts
+            .iter()
+            .fold(!0, |crc, part| unsafe { crc32c_sse42(crc, part) });
     }
-    (h ^ (h >> 32)) as u32
+    !parts.iter().fold(!0, |crc, part| crc32c_table(crc, part))
 }
 
-/// Scalar FNV-1a-64 reference: the original byte-at-a-time recurrence.
-/// The wire format is defined by THIS function; the chunked pass must
-/// match it bit for bit on every input.
-pub fn wire_checksum_scalar(parts: &[&[u8]]) -> u32 {
-    let mut h = FNV_OFFSET;
-    for part in parts {
-        h = fnv1a_scalar(h, part);
-    }
-    (h ^ (h >> 32)) as u32
+/// Portable arm and reference: one table lookup per byte.
+fn crc32c_table(crc: u32, bytes: &[u8]) -> u32 {
+    bytes.iter().fold(crc, |crc, &b| {
+        CRC32C_TABLE[usize::from(crc as u8 ^ b)] ^ (crc >> 8)
+    })
 }
 
-#[inline]
-fn fnv1a_scalar(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
+/// Hardware arm: the `crc32` instruction over 64-bit words, then over the
+/// tail's bytes.
+///
+/// # Safety
+///
+/// The CPU must support SSE4.2 (`is_x86_feature_detected!("sse4.2")`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse4.2")]
+unsafe fn crc32c_sse42(crc: u32, bytes: &[u8]) -> u32 {
+    use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
+    let mut words = bytes.chunks_exact(8);
+    let mut crc = u64::from(crc);
+    for word in &mut words {
+        let word = u64::from_le_bytes(word.try_into().expect("chunks_exact(8)"));
+        crc = _mm_crc32_u64(crc, word);
     }
-    h
-}
-
-/// 8-lane unrolled FNV-1a-64 over one part. Each iteration performs a
-/// single unaligned 64-bit load and then applies the xor-multiply
-/// recurrence to each byte lane of the word; the compiler keeps the word
-/// in a register, eliminating the per-byte bounds checks and loads of the
-/// scalar loop. Tails shorter than 8 bytes fall back to the scalar pass.
-#[inline]
-fn fnv1a_chunked(mut h: u64, bytes: &[u8]) -> u64 {
-    let mut chunks = bytes.chunks_exact(8);
-    for chunk in &mut chunks {
-        let w = u64::from_le_bytes(chunk.try_into().expect("chunks_exact(8)"));
-        h = (h ^ (w & 0xFF)).wrapping_mul(FNV_PRIME);
-        h = (h ^ ((w >> 8) & 0xFF)).wrapping_mul(FNV_PRIME);
-        h = (h ^ ((w >> 16) & 0xFF)).wrapping_mul(FNV_PRIME);
-        h = (h ^ ((w >> 24) & 0xFF)).wrapping_mul(FNV_PRIME);
-        h = (h ^ ((w >> 32) & 0xFF)).wrapping_mul(FNV_PRIME);
-        h = (h ^ ((w >> 40) & 0xFF)).wrapping_mul(FNV_PRIME);
-        h = (h ^ ((w >> 48) & 0xFF)).wrapping_mul(FNV_PRIME);
-        h = (h ^ (w >> 56)).wrapping_mul(FNV_PRIME);
-    }
-    fnv1a_scalar(h, chunks.remainder())
+    // The instruction zero-extends its 32-bit result.
+    words
+        .remainder()
+        .iter()
+        .fold(crc as u32, |crc, &b| _mm_crc32_u8(crc, b))
 }
 
 /// Cache-line frames carried by an encoded wire frame, read off its
@@ -305,14 +318,53 @@ mod tests {
         assert_ne!(whole, wire_checksum(&[b"hello worl"]));
     }
 
-    /// Byte-identity property test: the 8-lane chunked pass must equal the
-    /// scalar reference on every input length, alignment, and part split —
-    /// the checksum is on the wire, so any divergence is a protocol break.
+    /// The table arm, streamed over `parts` like [`wire_checksum`].
+    fn table_checksum(parts: &[&[u8]]) -> u32 {
+        !parts.iter().fold(!0, |crc, part| crc32c_table(crc, part))
+    }
+
+    /// The hardware arm, or `None` (with a note) where the host lacks it.
+    fn hardware_checksum(parts: &[&[u8]]) -> Option<u32> {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("sse4.2") {
+            // SAFETY: SSE4.2 was just detected.
+            return Some(
+                !parts
+                    .iter()
+                    .fold(!0, |crc, part| unsafe { crc32c_sse42(crc, part) }),
+            );
+        }
+        None
+    }
+
+    /// RFC 3720 §B.4: the checksum on the wire is CRC32C, on either arm.
+    #[test]
+    fn wire_checksum_rfc3720_known_answers() {
+        let ascending: Vec<u8> = (0..32).collect();
+        let cases: [(&[u8], u32); 4] = [
+            (b"123456789", 0xE306_9283),
+            (&[0x00; 32], 0x8A91_36AA),
+            (&[0xFF; 32], 0x62A8_AB43),
+            (&ascending, 0x46DD_794E),
+        ];
+        if hardware_checksum(&[]).is_none() {
+            println!("no SSE4.2 on this host: hardware arm not exercised");
+        }
+        for (input, crc) in cases {
+            assert_eq!(wire_checksum(&[input]), crc);
+            assert_eq!(table_checksum(&[input]), crc);
+            assert_eq!(hardware_checksum(&[input]).unwrap_or(crc), crc);
+        }
+    }
+
+    /// Byte-identity sweep: hardware arm == table arm == streaming over
+    /// parts, on every input length, alignment and part split — the
+    /// checksum is on the wire, so any divergence is a protocol break.
     /// Inputs come from a seeded xorshift generator so the sweep is
-    /// deterministic yet covers lengths well past the unroll width,
+    /// deterministic yet covers lengths well past the word width,
     /// including all tail residues 0..8 and splits that land mid-word.
     #[test]
-    fn wire_checksum_chunked_matches_scalar() {
+    fn wire_checksum_arms_agree_on_every_length_and_split() {
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = move || {
             state ^= state << 13;
@@ -320,27 +372,32 @@ mod tests {
             state ^= state << 17;
             state
         };
+        if hardware_checksum(&[]).is_none() {
+            println!("no SSE4.2 on this host: sweep pins the table arm only");
+        }
+        let check = |parts: &[&[u8]], expect: u32, what: &str| {
+            assert_eq!(wire_checksum(parts), expect, "wire_checksum {what}");
+            assert_eq!(table_checksum(parts), expect, "table arm {what}");
+            assert_eq!(
+                hardware_checksum(parts).unwrap_or(expect),
+                expect,
+                "hardware arm {what}"
+            );
+        };
         for len in 0..200usize {
             let data: Vec<u8> = (0..len).map(|_| next() as u8).collect();
-            assert_eq!(
-                wire_checksum(&[&data]),
-                wire_checksum_scalar(&[&data]),
-                "chunked != scalar at len {len}"
-            );
-            // Every split point: the streaming recurrence must carry state
-            // across part boundaries exactly as the scalar does.
+            let whole = table_checksum(&[&data]);
+            check(&[&data], whole, &format!("at len {len}"));
+            // Every split point: the register must carry across part
+            // boundaries exactly as it does across bytes.
             for split in 0..=len {
                 let (a, b) = data.split_at(split);
-                assert_eq!(
-                    wire_checksum(&[a, b]),
-                    wire_checksum_scalar(&[&data]),
-                    "chunked split at {split}/{len} diverged"
-                );
+                check(&[a, b], whole, &format!("split at {split}/{len}"));
             }
         }
         // Longer bursts (datagram-sized: 256 lines × 64 B) for good measure.
         let big: Vec<u8> = (0..16 * 1024).map(|_| next() as u8).collect();
-        assert_eq!(wire_checksum(&[&big]), wire_checksum_scalar(&[&big]));
+        check(&[&big], table_checksum(&[&big]), "on a 16 KiB burst");
     }
 
     #[test]

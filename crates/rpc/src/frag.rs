@@ -8,8 +8,17 @@
 //! of interleaving between different RPCs (the NIC guarantees all frames of
 //! one RPC reach the same ring, so reordering *within* an RPC cannot occur,
 //! but we handle it anyway for robustness).
+//!
+//! Reassembly is one memory pass: a half-assembled RPC is one buffer of
+//! `frame_count × 48` bytes allocated at its first fragment, each fragment
+//! is copied once to `frame_idx × 48`, and completion hands the buffer over
+//! — one allocation and one map probe per frame, whatever the frame count.
+//! That placement is why every fragment but the last must be full (which
+//! [`fragment_with_ctx`] and the NIC's offload path guarantee); a short one
+//! is a [`DaggerError::Wire`] error. Pending memory is bounded by the
+//! pending limit times [`MAX_RPC_PAYLOAD`].
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 use dagger_telemetry::TraceContext;
 use dagger_types::{
@@ -150,11 +159,21 @@ pub fn fragment_with_ctx(
     Ok(frames)
 }
 
+/// One half-assembled RPC: a single payload buffer sized for every
+/// fragment, filled in place as fragments arrive.
 #[derive(Debug)]
 struct Partial {
     header: RpcHeader,
-    chunks: Vec<Option<Vec<u8>>>,
-    received: usize,
+    /// `frame_count × FRAME_PAYLOAD_BYTES` bytes, allocated at the first
+    /// fragment; fragment `i` lands at `i × FRAME_PAYLOAD_BYTES`. At most
+    /// [`MAX_RPC_PAYLOAD`] bytes, whatever a frame header claims.
+    payload: Vec<u8>,
+    /// Bit `i` set: fragment `i` has arrived (a duplicate changes nothing).
+    seen: [u64; 4],
+    received: u8,
+    /// Payload bytes of the last fragment, once it has arrived: completion
+    /// truncates the buffer to `(frame_count - 1) × 48 + last_len`.
+    last_len: usize,
     /// Arrival ordinal of this RPC's first frame; the eviction policy
     /// drops the oldest partial when the pending bound is hit.
     first_arrival: u64,
@@ -168,7 +187,8 @@ pub const DEFAULT_PENDING_LIMIT: usize = 1024;
 /// Receive-side reassembly of multi-frame RPCs.
 ///
 /// Pending state is bounded: at most `limit` RPCs can be half-assembled at
-/// once, and starting one more evicts the *oldest* partial (counted in
+/// once — at most `limit × MAX_RPC_PAYLOAD` bytes of payload buffers — and
+/// starting one more evicts the *oldest* partial (counted in
 /// [`Reassembler::evictions`]). On a faulty fabric a lost frame would
 /// otherwise strand its siblings here forever; eviction turns that leak
 /// into a drop the reliable layer's retransmission repairs.
@@ -221,23 +241,38 @@ impl Reassembler {
     }
 
     /// Feeds one received frame. Returns `Some(rpc)` when this frame
-    /// completes an RPC.
+    /// completes an RPC. Fragments may arrive in any order; a duplicate is
+    /// ignored.
     ///
     /// # Errors
     ///
-    /// Returns [`DaggerError::Wire`] if the frame header fails to parse or
-    /// is inconsistent with earlier frames of the same RPC.
+    /// Returns [`DaggerError::Wire`] if the frame header fails to parse, is
+    /// inconsistent with earlier frames of the same RPC, or belongs to a
+    /// fragment other than the last that is not full
+    /// ([`FRAME_PAYLOAD_BYTES`]): a fragment's place in the payload is its
+    /// index, so only the last one may be short. Either inconsistency also
+    /// discards what was assembled of that RPC.
     pub fn push(&mut self, line: CacheLine) -> Result<Option<CompleteRpc>> {
         let hdr = RpcHeader::decode(line.header())?;
-        let chunk = line.payload()[..usize::from(hdr.frame_payload_len)].to_vec();
+        let chunk = &line.payload()[..usize::from(hdr.frame_payload_len)];
         if hdr.frame_count == 1 {
             return Ok(Some(CompleteRpc {
                 header: hdr,
-                payload: chunk,
+                payload: chunk.to_vec(),
             }));
         }
         let key: RpcKey = (hdr.connection_id.raw(), hdr.rpc_id.raw(), hdr.kind as u8);
-        if !self.partial.contains_key(&key) && self.partial.len() >= self.limit {
+        if !hdr.is_last_frame() && chunk.len() != FRAME_PAYLOAD_BYTES {
+            self.partial.remove(&key);
+            return Err(DaggerError::Wire(format!(
+                "short fragment {} of {} for rpc {}: {} bytes",
+                hdr.frame_idx,
+                hdr.frame_count,
+                hdr.rpc_id,
+                chunk.len()
+            )));
+        }
+        if self.partial.len() >= self.limit && !self.partial.contains_key(&key) {
             // Bound pending state: evict the oldest half-assembled RPC.
             if let Some(oldest) = self
                 .partial
@@ -250,39 +285,47 @@ impl Reassembler {
             }
         }
         self.arrivals += 1;
-        let first_arrival = self.arrivals;
-        let partial = self.partial.entry(key).or_insert_with(|| Partial {
-            header: hdr,
-            chunks: (0..hdr.frame_count).map(|_| None).collect(),
-            received: 0,
-            first_arrival,
-        });
+        let mut slot = match self.partial.entry(key) {
+            Entry::Occupied(slot) => slot,
+            Entry::Vacant(slot) => slot.insert_entry(Partial {
+                header: hdr,
+                payload: vec![0; usize::from(hdr.frame_count) * FRAME_PAYLOAD_BYTES],
+                seen: [0; 4],
+                received: 0,
+                last_len: 0,
+                first_arrival: self.arrivals,
+            }),
+        };
+        let partial = slot.get_mut();
         if partial.header.frame_count != hdr.frame_count || partial.header.fn_id != hdr.fn_id {
-            let got = hdr.frame_count;
-            let expect = partial.header.frame_count;
-            self.partial.remove(&key);
+            let expect = slot.remove().header.frame_count;
             return Err(DaggerError::Wire(format!(
-                "inconsistent frames for rpc {}: frame_count {got} vs {expect}",
-                hdr.rpc_id
+                "inconsistent frames for rpc {}: frame_count {} vs {expect}",
+                hdr.rpc_id, hdr.frame_count
             )));
         }
         let idx = usize::from(hdr.frame_idx);
-        if partial.chunks[idx].is_none() {
-            partial.chunks[idx] = Some(chunk);
+        let (word, bit) = (idx / 64, 1u64 << (idx % 64));
+        if partial.seen[word] & bit == 0 {
+            partial.seen[word] |= bit;
             partial.received += 1;
-        }
-        if partial.received == usize::from(hdr.frame_count) {
-            let done = self.partial.remove(&key).expect("just inserted");
-            let mut payload =
-                Vec::with_capacity(FRAME_PAYLOAD_BYTES * usize::from(hdr.frame_count));
-            for c in done.chunks {
-                payload.extend_from_slice(&c.expect("all chunks received"));
+            partial.payload[idx * FRAME_PAYLOAD_BYTES..][..chunk.len()].copy_from_slice(chunk);
+            if hdr.is_last_frame() {
+                partial.last_len = chunk.len();
             }
-            let mut header = done.header;
-            header.frame_idx = 0;
-            return Ok(Some(CompleteRpc { header, payload }));
         }
-        Ok(None)
+        if partial.received < hdr.frame_count {
+            return Ok(None);
+        }
+        let Partial {
+            mut header,
+            mut payload,
+            last_len,
+            ..
+        } = slot.remove();
+        payload.truncate(payload.len() - FRAME_PAYLOAD_BYTES + last_len);
+        header.frame_idx = 0;
+        Ok(Some(CompleteRpc { header, payload }))
     }
 }
 
@@ -408,6 +451,56 @@ mod tests {
         r.push(frames[1]).unwrap();
         let done = r.push(frames[2]).unwrap().unwrap();
         assert_eq!(done.payload, payload);
+    }
+
+    /// The last fragment carries the length: arriving first, and again,
+    /// it neither completes the RPC early nor moves the end.
+    #[test]
+    fn duplicate_last_frame_first_neither_completes_nor_resizes() {
+        let payload: Vec<u8> = (0..100).collect();
+        let frames = frames_for(&payload);
+        let mut r = Reassembler::new();
+        assert!(r.push(frames[2]).unwrap().is_none());
+        assert!(r.push(frames[2]).unwrap().is_none(), "2 of 3 distinct");
+        assert!(r.push(frames[0]).unwrap().is_none());
+        assert!(r.push(frames[2]).unwrap().is_none());
+        assert_eq!(r.push(frames[1]).unwrap().unwrap().payload, payload);
+        assert_eq!(r.pending(), 0);
+    }
+
+    /// A fragment's place in the payload is its index, so only the last
+    /// may be short: anything else is a wire error, and what was assembled
+    /// of that RPC goes with it.
+    #[test]
+    fn short_non_final_fragment_is_a_wire_error() {
+        let frames = frames_for(&[7u8; 120]);
+        let mut short = frames[1];
+        let mut hdr = RpcHeader::decode(short.header()).unwrap();
+        hdr.frame_payload_len = 47;
+        hdr.encode(short.header_mut());
+        let mut r = Reassembler::new();
+        assert!(r.push(frames[0]).unwrap().is_none());
+        assert!(matches!(r.push(short), Err(DaggerError::Wire(_))));
+        assert_eq!(r.pending(), 0, "the partial is cleared");
+        // As the first fragment to arrive it opens nothing either.
+        assert!(matches!(r.push(short), Err(DaggerError::Wire(_))));
+        assert_eq!(r.pending(), 0);
+    }
+
+    /// One buffer per RPC: in steady state (the map has its capacity) a
+    /// 43-frame RPC is reassembled with exactly one allocation — the
+    /// payload it hands back.
+    #[test]
+    fn multi_frame_reassembly_allocates_once() {
+        let payload: Vec<u8> = (0..2048).map(|i| i as u8).collect();
+        let frames = frames_for(&payload);
+        assert_eq!(frames.len(), 43);
+        let mut r = Reassembler::new();
+        let feed = |r: &mut Reassembler| frames.iter().find_map(|f| r.push(*f).unwrap());
+        assert_eq!(feed(&mut r).unwrap().payload, payload);
+        let (allocs, done) = crate::alloc_counter::count_allocs(|| feed(&mut r));
+        assert_eq!(done.unwrap().payload, payload);
+        assert_eq!(allocs, 1, "one payload buffer, nothing per fragment");
     }
 
     #[test]
@@ -567,6 +660,10 @@ mod tests {
         assert!(r.push(frames[1]).unwrap().is_none());
         assert!(r.push(frames[2]).unwrap().is_none());
         assert!(r.pending() <= 2);
+        // Memory follows the count: one buffer per partial, none larger
+        // than the largest RPC.
+        let held: usize = r.partial.values().map(|p| p.payload.capacity()).sum();
+        assert!(held <= 2 * MAX_RPC_PAYLOAD, "{held} bytes pending");
     }
 
     #[test]

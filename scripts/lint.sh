@@ -34,7 +34,7 @@ for path in $(grep -ohE '(scripts/[A-Za-z0-9_.-]+\.sh|crates/[a-z_]+/[a-z]+/[A-Z
 done
 [ "$stale_paths" -eq 0 ] || exit 1
 
-echo "== deleted names stay deleted (one recovery machine, one frame type) =="
+echo "== deleted names stay deleted (one recovery machine, one frame type, one checksum) =="
 # The reliable transport has one recovery state machine (selective repeat)
 # and one frame type (`FrameView`). The removed second protocol and the
 # removed owned frame enum must not come back through code, comments or
@@ -45,6 +45,36 @@ if grep -rnE 'Go-Back-N|GoBackN|\bGBN\b|RecoveryMode|TransportFrame' \
   echo "lint.sh: a deleted reliable-transport name is back (see above); the one protocol is selective repeat, the one frame type is FrameView" >&2
   exit 1
 fi
+
+# The wire checksum is CRC32C and nothing else: the FNV-1a pass it replaced
+# (and the scalar twin kept beside it) must not come back. `lb::fnv1a`, the
+# balancer's key hash, is a different function and stays.
+if grep -rnE 'fnv1a_chunked|fnv1a_scalar|wire_checksum_scalar|FNV_OFFSET|FNV_PRIME' \
+     --exclude-dir=ledger crates examples tests README.md DESIGN.md EXPERIMENTS.md; then
+  echo "lint.sh: a deleted checksum name is back (see above); the one wire checksum is transport::wire_checksum (CRC32C)" >&2
+  exit 1
+fi
+
+echo "== one checksum (one seal path, one verify path, one caller of the CRC arms) =="
+# `wire_checksum` picks the hardware or the table arm by platform; nothing
+# else may call either (both are private to transport.rs), and the reliable
+# transport reaches it from exactly two places: `seal` and the decoder.
+checksum_body=$(awk '/^pub fn wire_checksum\(/{on=1} on{print} on&&/^}/{exit}' crates/nic/src/transport.rs)
+transport_code=$(awk '/#\[cfg\(test\)\]/{exit} !/^[[:space:]]*\/\//' crates/nic/src/transport.rs)
+for arm in crc32c_table crc32c_sse42; do
+  if printf '%s\n' "$transport_code" | grep -nE "pub(\([a-z]+\))? (unsafe )?fn ${arm}\b"; then
+    echo "lint.sh: CRC arm ${arm} is exported; only wire_checksum may call it" >&2
+    exit 1
+  fi
+  inside=$(printf '%s\n' "$checksum_body" | grep -cE "\b${arm}\(" || true)
+  named=$(printf '%s\n' "$transport_code" | grep -cE "\b${arm}\(" || true)
+  { [ "$inside" -eq 1 ] && [ "$named" -eq 2 ]; } \
+    || { echo "lint.sh: CRC arm ${arm} is called ${inside} times in wire_checksum and named ${named} times in transport.rs (want 1 call + its definition)" >&2; exit 1; }
+done
+seals=$(awk '/#\[cfg\(test\)\]/{exit} !/^[[:space:]]*\/\//' crates/nic/src/reliable.rs \
+          | grep -cE '\bwire_checksum\(' || true)
+[ "$seals" -eq 2 ] \
+  || { echo "lint.sh: reliable.rs calls wire_checksum at ${seals} sites; one seal and one verify path" >&2; exit 1; }
 
 echo "== fabric encapsulation (concrete backends stay behind the seam) =="
 # Library code must depend on the Fabric/FabricPort traits only: naming the

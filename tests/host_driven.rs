@@ -1,23 +1,20 @@
 //! Who drives the engine (DESIGN.md §12): a host thread waiting on a flow
 //! steps the flow's NIC queue itself, and the queue's own thread is the
-//! fallback for everybody who does not.
+//! fallback for everybody who does not. Alone in its file — hence alone in
+//! its process — because it measures who took the steps: a neighbouring
+//! test's spinning dispatch thread (`tests/worker_liveness.rs` lived here
+//! once) takes the CPU from the host thread for a whole window.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use dagger::nic::{MemFabric, Nic, QueueSnapshot};
-use dagger::rpc::{
-    RpcClientPool, RpcService, RpcThreadedServer, ServiceDescriptor, ThreadingModel,
-};
+use dagger::rpc::{RpcClientPool, RpcService, RpcThreadedServer, ServiceDescriptor};
 use dagger::types::{FnId, HardConfig, NodeAddr, Result};
 
 const SERVER: NodeAddr = NodeAddr(1);
 const CLIENT: NodeAddr = NodeAddr(2);
 
-/// Echoes its argument after `delay` of handler time.
-struct Echo {
-    delay: Duration,
-}
+struct Echo;
 
 impl RpcService for Echo {
     fn descriptor(&self) -> ServiceDescriptor {
@@ -25,11 +22,6 @@ impl RpcService for Echo {
     }
 
     fn dispatch(&self, _fn_id: FnId, payload: &[u8]) -> Result<Vec<u8>> {
-        if !self.delay.is_zero() {
-            // Handler time, not a synchronization device: the test below
-            // measures that the stack adds (almost) nothing on top of it.
-            std::thread::sleep(self.delay);
-        }
         Ok(payload.to_vec())
     }
 }
@@ -41,12 +33,12 @@ struct Pair {
     pool: RpcClientPool,
 }
 
-fn pair(threading: ThreadingModel, delay: Duration) -> Pair {
+fn pair() -> Pair {
     let fabric = MemFabric::new();
     let server_nic = Nic::start(&fabric, SERVER, HardConfig::default()).unwrap();
     let client_nic = Nic::start(&fabric, CLIENT, HardConfig::default()).unwrap();
-    let mut server = RpcThreadedServer::with_threading(Arc::clone(&server_nic), 1, threading);
-    server.register_service(Arc::new(Echo { delay })).unwrap();
+    let mut server = RpcThreadedServer::new(Arc::clone(&server_nic), 1);
+    server.register_service(Arc::new(Echo)).unwrap();
     server.start().unwrap();
     let pool = RpcClientPool::connect(Arc::clone(&client_nic), SERVER, 1).unwrap();
     Pair {
@@ -81,7 +73,7 @@ impl Pair {
 #[test]
 fn sync_echoes_are_host_driven_and_wake_free() {
     const ECHOES: u32 = 10_000;
-    let p = pair(ThreadingModel::Dispatch, Duration::ZERO);
+    let p = pair();
     let client = p.pool.client(0).unwrap();
     let echo = |i: u32| {
         let reply = client.call_sync(FnId(1), &i.to_le_bytes()).unwrap();
@@ -110,31 +102,4 @@ fn sync_echoes_are_host_driven_and_wake_free() {
         spoiled.push(delta.map(|d| d.wakes_sent));
     }
     panic!("wakes were sent in every window (server, client): {spoiled:?}");
-}
-
-/// The fallback for a server whose handlers take long: in the worker model
-/// the dispatch thread keeps polling (and driving) its queue while a worker
-/// runs the handler, so each call costs its handler time plus well under
-/// the park bound.
-#[test]
-fn worker_model_with_slow_handler_stays_live() {
-    const HANDLER: Duration = Duration::from_millis(5);
-    const CALLS: u32 = 20;
-    let p = pair(ThreadingModel::Worker { workers: 1 }, HANDLER);
-    let client = p.pool.client(0).unwrap();
-    client.call_sync(FnId(1), b"warm").unwrap();
-    let start = Instant::now();
-    for i in 0..CALLS {
-        let reply = client.call_sync(FnId(1), &i.to_le_bytes()).unwrap();
-        assert_eq!(reply, i.to_le_bytes());
-    }
-    let per_call = start.elapsed() / CALLS;
-    // Sleep overshoot on a busy box dwarfs the stack's share; the bound
-    // only has to tell "handler time" from "handler time plus a stall".
-    assert!(
-        per_call < HANDLER * 3,
-        "a 5 ms handler cost {per_call:?} per call"
-    );
-    drop(client);
-    p.teardown();
 }

@@ -319,12 +319,15 @@ fn golden_frame_bytes_identical_across_backends() {
     }
 }
 
-/// Pins the reliable layer's frame wire layouts byte for byte, and proves
-/// the version-bit compatibility story: version-0 frame kinds (data, ack)
-/// keep the exact bytes a pre-SACK encoder produced, and the version-1
-/// SACK kind is the ack layout plus a bitmap body under a type byte with
-/// the version bit set — so an old decoder rejects it cleanly as an
-/// unknown type instead of misparsing it.
+/// Pins the reliable layer's frame wire layouts byte for byte — checksum
+/// included: its four bytes are literals computed outside this code base
+/// (CRC32C per RFC 3720), so neither the layout nor the algorithm on the
+/// wire can change without this test noticing. Then the version story,
+/// told the strict way round: every frame kind carries the CRC32C version
+/// bit, and a frame with one of the earlier type bytes (`0x01`, `0x02`,
+/// `0x82` — sealed with the FNV-1a checksum this one replaced) is an
+/// unknown type: `Err` from the decoder, a `wire_drops` at a NIC, never a
+/// misparse.
 ///
 /// Every wire frame kind is pinned here (the lint gate requires a marker
 /// per `FRAME_*` constant):
@@ -332,30 +335,24 @@ fn golden_frame_bytes_identical_across_backends() {
 /// golden frame: FRAME_ACK
 /// golden frame: FRAME_SACK
 /// golden frame: FRAME_VERSION_BIT
+/// golden frame: FRAME_CRC32C_BIT
 #[test]
 fn golden_reliable_frames_pin_layout_and_version_compat() {
     use common::{decode_data, encoded};
     use dagger::nic::reliable::FrameView;
-    use dagger::nic::transport::{wire_checksum, Datagram};
+    use dagger::nic::transport::Datagram;
 
-    let patch_crc = |frame: &mut Vec<u8>| {
-        let crc = wire_checksum(&[&frame[..19], &frame[23..]]);
-        frame[19..23].copy_from_slice(&crc.to_le_bytes());
-    };
-
-    // --- Data frame (version 0, type 1): unchanged from the pre-SACK
-    // wire format, so frames from an old sender still decode.
+    // --- Data frame: CRC32C bit | type 1 = 0x41.
     let line = CacheLine::from_bytes([0xA5u8; CACHE_LINE_BYTES]);
     let datagram = Datagram::new(NodeAddr(7), NodeAddr(9), vec![line]);
     let mut body = Vec::new();
     datagram.encode_into(&mut body);
-    let mut golden_data = vec![1u8]; // type byte: data
+    let mut golden_data = vec![0x41u8]; // type byte: data
     golden_data.extend_from_slice(&5u64.to_le_bytes()); // seq
     golden_data.extend_from_slice(&3u64.to_le_bytes()); // piggybacked ack
     golden_data.extend_from_slice(&2u16.to_le_bytes()); // src_queue
-    golden_data.extend_from_slice(&[0u8; 4]); // crc placeholder
+    golden_data.extend_from_slice(&[0x6B, 0x73, 0xA6, 0x3A]); // CRC32C of prefix + body
     golden_data.extend_from_slice(&body);
-    patch_crc(&mut golden_data);
 
     let frame = FrameView::Data {
         seq: 5,
@@ -364,25 +361,23 @@ fn golden_reliable_frames_pin_layout_and_version_compat() {
         dst_queue: 0,
         datagram: &datagram,
     };
-    assert_eq!(encoded(frame), golden_data, "data frame layout drifted");
+    assert_eq!(encoded(frame), golden_data, "data frame bytes drifted");
     assert_eq!(
         decode_data(&golden_data).unwrap(),
         (5, 3, 2, datagram.clone()),
-        "version-0 data bytes no longer decode"
+        "golden data bytes no longer decode"
     );
 
-    // --- Ack frame (version 0, type 2): also byte-identical to the
-    // pre-SACK format.
-    let mut golden_ack = vec![2u8]; // type byte: ack
+    // --- Ack frame: CRC32C bit | type 2 = 0x42, no body.
+    let mut golden_ack = vec![0x42u8]; // type byte: ack
     golden_ack.extend_from_slice(&11u64.to_le_bytes()); // cumulative ack
     golden_ack.extend_from_slice(&9u32.to_le_bytes()); // src
     golden_ack.extend_from_slice(&7u32.to_le_bytes()); // dst
     golden_ack.extend_from_slice(&4u16.to_le_bytes()); // src_queue
-    golden_ack.extend_from_slice(&[0u8; 4]);
-    patch_crc(&mut golden_ack);
+    golden_ack.extend_from_slice(&[0xD3, 0xFC, 0xE2, 0x2D]); // CRC32C of the prefix
 
-    // An ack with an empty bitmap is a version-0 frame. (`dst_queue` is
-    // routing metadata: never on the wire, 0 after a decode.)
+    // An ack with an empty bitmap is a plain ack. (`dst_queue` is routing
+    // metadata: never on the wire, 0 after a decode.)
     fn ack_frame<B>(bitmap: u64) -> FrameView<B> {
         FrameView::Ack {
             ack: 11,
@@ -393,55 +388,84 @@ fn golden_reliable_frames_pin_layout_and_version_compat() {
             dst_queue: 0,
         }
     }
-    assert_eq!(
-        encoded(ack_frame(0)),
-        golden_ack,
-        "ack frame layout drifted"
-    );
+    assert_eq!(encoded(ack_frame(0)), golden_ack, "ack frame bytes drifted");
     assert_eq!(
         FrameView::decode(&golden_ack).unwrap(),
         ack_frame(0),
-        "version-0 ack bytes no longer decode"
+        "golden ack bytes no longer decode"
     );
 
-    // --- SACK frame (version 1, type 0x80 | 2 = 0x82): the ack prefix
-    // layout plus an 8-byte received-bitmap body. Bit i set means sequence
-    // ack + 1 + i is buffered at the receiver.
+    // --- SACK frame: version bit | CRC32C bit | type 2 = 0xC2: the ack
+    // prefix layout plus an 8-byte received-bitmap body. Bit i set means
+    // sequence ack + 1 + i is buffered at the receiver.
     let bitmap: u64 = 0b1011; // seqs 12, 13, 15 received past ack 11
-    let mut golden_sack = vec![0x82u8]; // version bit | ack type
+    let mut golden_sack = vec![0xC2u8];
     golden_sack.extend_from_slice(&11u64.to_le_bytes());
     golden_sack.extend_from_slice(&9u32.to_le_bytes());
     golden_sack.extend_from_slice(&7u32.to_le_bytes());
     golden_sack.extend_from_slice(&4u16.to_le_bytes());
-    golden_sack.extend_from_slice(&[0u8; 4]);
+    golden_sack.extend_from_slice(&[0x73, 0xE6, 0xBE, 0x7F]); // CRC32C of prefix + bitmap
     golden_sack.extend_from_slice(&bitmap.to_le_bytes());
-    patch_crc(&mut golden_sack);
 
     assert_eq!(
         encoded(ack_frame(bitmap)),
         golden_sack,
-        "sack frame layout drifted"
+        "sack frame bytes drifted"
     );
     assert_eq!(
         FrameView::decode(&golden_sack).unwrap(),
         ack_frame(bitmap),
-        "sack bytes no longer decode"
-    );
-    assert_eq!(
-        golden_sack[0] & 0x80,
-        0x80,
-        "sack must carry the version bit so version-0 decoders reject it"
+        "golden sack bytes no longer decode"
     );
 
-    // An unknown version-1 type is rejected as a wire error (treated as
-    // loss), never misparsed — the forward-compatibility contract.
+    // An unknown kind is rejected as a wire error (treated as loss) even
+    // behind a checksum that matches, never misparsed — the
+    // forward-compatibility contract.
     let mut future = golden_sack.clone();
-    future[0] = 0x80 | 3;
-    patch_crc(&mut future);
+    future[0] = 0xC0 | 3;
+    future[19..23].copy_from_slice(&[0xD3, 0x74, 0x80, 0x21]); // its CRC32C
     assert!(
         FrameView::decode(&future).is_err(),
-        "unknown version-1 frame kind must be rejected, not guessed at"
+        "unknown frame kind must be rejected, not guessed at"
     );
+
+    // --- The same three frames as the previous wire format carried them:
+    // type bytes without the CRC32C bit, sealed with FNV-1a (the checksum
+    // bytes are that build's). The decoder knows no such kinds.
+    let old_format = |golden: &[u8], fnv: [u8; 4]| {
+        let mut old = golden.to_vec();
+        old[0] &= !0x40;
+        old[19..23].copy_from_slice(&fnv);
+        old
+    };
+    let old_frames = [
+        old_format(&golden_data, [0x1B, 0x24, 0x8C, 0x13]),
+        old_format(&golden_ack, [0xA8, 0xC4, 0xC7, 0x4F]),
+        old_format(&golden_sack, [0x5C, 0x67, 0x16, 0x62]),
+    ];
+    assert_eq!(old_frames.each_ref().map(|f| f[0]), [0x01, 0x02, 0x82]);
+    for old in &old_frames {
+        assert!(
+            FrameView::decode(old).is_err(),
+            "a frame of type {:#04x} must be rejected, not guessed at",
+            old[0]
+        );
+    }
+    // At a NIC each of them is loss, counted.
+    let fabric = MemFabric::new();
+    let nic = Nic::start(&fabric, NodeAddr(9), reliable_cfg()).unwrap();
+    let old_peer = fabric.attach_queues(NodeAddr(7), 1).unwrap();
+    for old in &old_frames {
+        old_peer[0].send(NodeAddr(9), old.clone()).unwrap();
+    }
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while nic.reliable_stats().wire_drops < 3 {
+        assert!(Instant::now() < deadline, "old frames were never counted");
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    assert_eq!(nic.reliable_stats().wire_drops, 3);
+    assert_eq!(nic.monitor().snapshot().totals.wire_drops, 3);
+    nic.shutdown();
 }
 
 /// Pins the three connection-setup control frames byte for byte. They cross
