@@ -92,12 +92,6 @@ impl WorkloadSpec {
         self
     }
 
-    /// Overrides the Zipf skew (the paper also tests 0.9999).
-    pub fn with_skew(mut self, skew: f64) -> Self {
-        self.zipf_skew = skew;
-        self
-    }
-
     /// Scales the key count down (functional tests cannot hold 200 M keys).
     pub fn with_keys(mut self, keys: u64) -> Self {
         self.keys = keys;

@@ -292,7 +292,6 @@ mod tests {
         let snap = telemetry.snapshot();
         assert_eq!(snap.registry.counter("nic.9.balancer.remaps"), Some(1));
         assert_eq!(snap.registry.counter("nic.9.balancer.restores"), Some(1));
-        assert_eq!(snap.series.samples, 1, "only the snapshot above sampled");
     }
 
     #[test]

@@ -126,11 +126,6 @@ impl BufPool {
     pub fn pooled_bytes(&self) -> usize {
         self.bytes.len()
     }
-
-    /// Number of pooled line vectors.
-    pub fn pooled_lines(&self) -> usize {
-        self.lines.len()
-    }
 }
 
 #[cfg(test)]

@@ -713,7 +713,9 @@ impl Nic {
 
     /// Stops the engine workers, draining in-flight frames first (each
     /// worker drains its TX side, then keeps its RX side live until every
-    /// sibling has done the same).
+    /// sibling has done the same), then folds the final counts into the
+    /// telemetry registry and unregisters this NIC's collector. A second
+    /// call (e.g. from `Drop`) does nothing.
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::Release);
         // Workers may be parked idle or standing by behind a host thread's
@@ -730,9 +732,22 @@ impl Nic {
         if let Some(port) = self._ports.first() {
             port.fabric().quiesce();
         }
-        for handle in self.engines.lock().drain(..) {
+        let engines: Vec<_> = self.engines.lock().drain(..).collect();
+        if engines.is_empty() {
+            // Already shut down. The collector name may belong to a NIC
+            // restarted under this address since: leave it alone.
+            return;
+        }
+        for handle in engines {
             let _ = handle.join();
         }
+        // One last collection, so what the final drain counted (stranded
+        // `rx_ring_drops`, say) is in the registry; then the collector
+        // goes, or a hub that outlives this NIC would walk its dead banks
+        // on every pass and pin them for good.
+        self.telemetry.collect();
+        self.telemetry
+            .remove_collector(&format!("nic.{}", self.addr.raw()));
     }
 }
 
@@ -1015,6 +1030,64 @@ mod tests {
         );
         client.shutdown();
         server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_exports_final_counts_and_unregisters_the_collector() {
+        let telemetry = Telemetry::new();
+        let start = |fabric: &MemFabric, addr| {
+            Nic::start_with_telemetry(
+                fabric,
+                NodeAddr(addr),
+                HardConfig::default(),
+                Arc::clone(&telemetry),
+            )
+            .unwrap()
+        };
+        let lists = |name: &str| format!("{telemetry:?}").contains(&format!("{name:?}"));
+        let fabric = MemFabric::new();
+        let client = start(&fabric, 1);
+        let server = start(&fabric, 2);
+        let mut cflow = client.take_flow().unwrap();
+        let mut sflow = server.take_flow().unwrap();
+        let cid = client
+            .open_connection(NodeAddr(2), cflow.flow, LbPolicy::Uniform)
+            .unwrap();
+        assert!(wait_for(|| server.knows_connection(cid)));
+        cflow
+            .tx
+            .try_push(frame(cid, 3, RpcKind::Request, cflow.flow.raw(), 0x5A))
+            .unwrap();
+        assert!(wait_for(|| sflow.rx.try_pop().is_some()));
+        assert!(lists("nic.1") && lists("nic.2"));
+
+        // Nothing has collected yet: the gauges below can only come from
+        // the collection `shutdown` itself runs after its joins.
+        client.shutdown();
+        let sent = client.monitor().snapshot().tx_frames;
+        assert!(sent >= 1);
+        let gauge = |name: &str| telemetry.registry().snapshot().gauge(name);
+        assert_eq!(gauge("nic.1.tx_frames"), Some(sent));
+        assert!(!lists("nic.1"), "{telemetry:?}");
+        assert!(lists("nic.2"), "{telemetry:?}");
+        // Later passes no longer walk the dead NIC's banks: its gauges
+        // hold their final values.
+        telemetry.registry().set_gauge("nic.1.tx_frames", 999);
+        telemetry.collect();
+        assert_eq!(gauge("nic.1.tx_frames"), Some(999));
+
+        // A NIC restarted under the same address on the same hub exports
+        // fresh counts, and the old NIC's `Drop` (a second `shutdown`)
+        // must not take the new NIC's collector with it.
+        let restarted = start(&MemFabric::new(), 1);
+        drop(cflow);
+        drop(client);
+        assert!(lists("nic.1"), "{telemetry:?}");
+        telemetry.collect();
+        assert_eq!(gauge("nic.1.tx_frames"), Some(0));
+        restarted.shutdown();
+        server.shutdown();
+        assert!(!lists("nic.1") && !lists("nic.2"), "{telemetry:?}");
     }
 
     #[test]

@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
-use dagger_nic::{EngineHandle, HostFlow, HostWait, Nic, RingProducer, SpinWait};
+use dagger_nic::{EngineHandle, HostFlow, HostWait, Nic, RingProducer};
 use dagger_telemetry::{
     ContextScope, Counter, HistogramHandle, RpcEvent, SpanKind, Telemetry, TraceContext,
 };
@@ -302,35 +302,12 @@ impl RpcThreadedServer {
         self.running = false;
     }
 
-    /// `true` while dispatch threads are live.
-    pub fn is_running(&self) -> bool {
-        self.running
-    }
-
     /// Aggregate request statistics.
     pub fn stats(&self) -> ServerStats {
         ServerStats {
             handled: self.handled.load(Ordering::Relaxed),
             handler_errors: self.errors.load(Ordering::Relaxed),
         }
-    }
-
-    /// Blocks until at least `n` requests have been handled or `timeout`
-    /// elapses (test/benchmark helper).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DaggerError::Timeout`] on deadline.
-    pub fn wait_handled(&self, n: u64, timeout: Duration) -> Result<()> {
-        let deadline = Instant::now() + timeout;
-        let mut backoff = SpinWait::new();
-        while self.handled.load(Ordering::Relaxed) < n {
-            if Instant::now() >= deadline {
-                return Err(DaggerError::Timeout);
-            }
-            backoff.wait();
-        }
-        Ok(())
     }
 }
 

@@ -4,9 +4,9 @@
 //! telemetry hub captures a [`DiagnosisBundle`] — a self-contained join of
 //! the three observability planes at the breach tick (DESIGN.md §15):
 //!
-//! * **Series** — the full windowed-series snapshot (rates, EWMAs,
-//!   windowed quantiles) as of the breach sample, i.e. the burn-rate
-//!   window of every series in the registry;
+//! * **Window counts** — the breached objective's own bad and total
+//!   events in its rolling window as of the breach pass, i.e. the two
+//!   numbers the burn rate was computed from;
 //! * **Exemplars → trace trees** — the tail-bucket exemplars of the
 //!   breached latency objective's histogram, each resolved into its full
 //!   trace tree with critical-path attribution;
@@ -15,16 +15,15 @@
 //!   NIC engines, balancer, reliable layer, and fault injector were doing
 //!   when the tail formed.
 //!
-//! Bundles are bounded (oldest dropped) and exported both in the v4 JSON
+//! Bundles are bounded (oldest dropped) and exported both in the v5 JSON
 //! snapshot (`bundles` section) and as human-readable text via
 //! [`DiagnosisBundle::render`] (used by `examples/diagnose.rs`).
 
 use crate::flight::{FlightEvent, FlightRecorder};
 use crate::hist::Exemplar;
 use crate::registry::MetricsRegistry;
-use crate::slo::{BreachCapture, SloKind};
+use crate::slo::{BreachCapture, SloKind, WINDOW_TICKS};
 use crate::span::Span;
-use crate::timeseries::SeriesSnapshot;
 use crate::tree::{assemble, CriticalSegment};
 
 /// Maximum bundles retained by the hub; older bundles are dropped (and
@@ -34,7 +33,6 @@ pub const MAX_BUNDLES: usize = 4;
 /// One exemplar trace resolved into its tree, with the critical path
 /// pre-computed at capture time so the bundle stays self-contained.
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct BundleTrace {
     /// Trace id shared by every span below.
     pub trace_id: u64,
@@ -48,11 +46,10 @@ pub struct BundleTrace {
 
 /// The frozen forensic record of one SLO breach.
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct DiagnosisBundle {
     /// Breached objective's name.
     pub slo: String,
-    /// Sampling-grid tick of the breach crossing.
+    /// Grid tick of the breach crossing.
     pub tick: u64,
     /// Burn rate at the crossing, milli-scaled.
     pub burn_milli: u64,
@@ -63,8 +60,10 @@ pub struct DiagnosisBundle {
     pub exemplars: Vec<Exemplar>,
     /// Exemplar traces resolved into trees with critical paths.
     pub traces: Vec<BundleTrace>,
-    /// Windowed-series snapshot as of the breach sample.
-    pub series: SeriesSnapshot,
+    /// Bad events in the objective's rolling window at the crossing.
+    pub window_bad: u64,
+    /// All events in the objective's rolling window at the crossing.
+    pub window_total: u64,
     /// Flight-recorder slice: breach tick ± one window, extended back to
     /// the start of the earliest tail-exemplar call.
     pub events: Vec<FlightEvent>,
@@ -72,19 +71,16 @@ pub struct DiagnosisBundle {
 
 impl DiagnosisBundle {
     /// Freezes a bundle for one breach crossing. `spans` is the span
-    /// collector's current retention; `radius` is the flight-slice
-    /// half-width in ticks (the hub passes the series window width). The
-    /// slice starts early enough to cover the whole lifetime of every tail
-    /// call the bundle blames: on a slow host the fault that stalled a
-    /// call can lie more than one window before the sample that observed
-    /// the breach.
+    /// collector's current retention. The flight slice reaches one SLO
+    /// window either side of the breach tick, and starts early enough to
+    /// cover the whole lifetime of every tail call the bundle blames: on a
+    /// slow host the fault that stalled a call can lie more than one
+    /// window before the pass that observed the breach.
     pub(crate) fn capture(
         breach: &BreachCapture,
         registry: &MetricsRegistry,
         spans: &[Span],
         flight: &FlightRecorder,
-        series: SeriesSnapshot,
-        radius: u64,
     ) -> DiagnosisBundle {
         let (threshold_ns, exemplars) = match &breach.spec.kind {
             SloKind::Latency {
@@ -118,9 +114,12 @@ impl DiagnosisBundle {
             .collect();
         let from = exemplars
             .iter()
-            .map(|ex| ex.tick.saturating_sub(flight.ticks_spanning(ex.value)))
-            .fold(breach.tick.saturating_sub(radius), u64::min);
-        let events = flight.slice(from, breach.tick.saturating_add(radius));
+            .map(|ex| {
+                ex.tick
+                    .saturating_sub(FlightRecorder::ticks_spanning(ex.value))
+            })
+            .fold(breach.tick.saturating_sub(WINDOW_TICKS), u64::min);
+        let events = flight.slice(from, breach.tick.saturating_add(WINDOW_TICKS));
         DiagnosisBundle {
             slo: breach.spec.name.clone(),
             tick: breach.tick,
@@ -128,7 +127,8 @@ impl DiagnosisBundle {
             threshold_ns,
             exemplars,
             traces,
-            series,
+            window_bad: breach.window_bad,
+            window_total: breach.window_total,
             events,
         }
     }
@@ -218,16 +218,21 @@ impl DiagnosisBundle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flight::FlightEventKind;
+    use crate::flight::{FlightEventKind, TICK_NS};
     use crate::slo::SloSpec;
     use crate::span::SpanKind;
-    use std::time::{Duration, Instant};
+    use std::time::Instant;
+
+    /// Breach tick: far enough from 0 for the slice's left edge to matter.
+    const AT: u64 = 5 * WINDOW_TICKS;
 
     fn breach(spec: SloSpec) -> BreachCapture {
         BreachCapture {
             spec,
-            tick: 100,
+            tick: AT,
             burn_milli: 2500,
+            window_bad: 1,
+            window_total: 40,
         }
     }
 
@@ -246,14 +251,15 @@ mod tests {
     }
 
     #[test]
-    fn capture_joins_exemplars_events_and_series() {
+    fn capture_joins_exemplars_events_and_window_counts() {
         let reg = MetricsRegistry::new();
         let h = reg.histogram("rtt");
-        h.record_traced(100, 0xAA, 0x1, 90); // fast: below threshold
-        h.record_traced(5_000_000, 0xBB, 0x2, 99); // tail
-        let flight = FlightRecorder::with_epoch(64, Instant::now(), Duration::from_millis(1));
-        flight.record_at(95, FlightEventKind::Partition, 0, 1, 2);
-        flight.record_at(5000, FlightEventKind::Heal, 0, 1, 2); // outside radius
+        h.record_traced(100, 0xAA, 0x1, AT - 10); // fast: below threshold
+        h.record_traced(5_000_000, 0xBB, 0x2, AT - 1); // tail
+        let flight = FlightRecorder::with_epoch(64, Instant::now());
+        flight.record_at(AT - 5, FlightEventKind::Partition, 0, 1, 2);
+        // One tick outside the window either side of the breach.
+        flight.record_at(AT + WINDOW_TICKS + 1, FlightEventKind::Heal, 0, 1, 2);
         let spans = vec![
             span(0xBB, 0x2, None, 10, 900),
             span(0xBB, 0x3, Some(0x2), 20, 800),
@@ -264,11 +270,10 @@ mod tests {
             &reg,
             &spans,
             &flight,
-            SeriesSnapshot::default(),
-            1024,
         );
         assert_eq!(b.slo, "rtt_slo");
         assert_eq!(b.threshold_ns, Some(10_000));
+        assert_eq!((b.window_bad, b.window_total), (1, 40));
         assert_eq!(b.exemplars.len(), 1);
         assert_eq!(b.exemplars[0].trace_id, 0xBB);
         assert_eq!(b.traces.len(), 1);
@@ -285,45 +290,43 @@ mod tests {
     #[test]
     fn slice_reaches_back_to_the_start_of_the_tail_call() {
         // Slow host: the fault that stalled the call happened three windows
-        // before the sample that observed the breach (tick 100).
-        let radius = 10;
+        // before the pass that observed the breach.
+        let cut = AT - 3 * WINDOW_TICKS;
         let reg = MetricsRegistry::new();
-        let flight = FlightRecorder::with_epoch(64, Instant::now(), Duration::from_millis(1));
-        flight.record_at(100 - 3 * radius, FlightEventKind::Partition, 0, 1, 2);
-        // The blamed call completed at tick 98 after 30.5 ms, so it began at
-        // tick 67: after this heal, before the partition.
-        flight.record_at(50, FlightEventKind::Heal, 0, 1, 2);
+        let flight = FlightRecorder::with_epoch(64, Instant::now());
+        flight.record_at(cut, FlightEventKind::Partition, 0, 1, 2);
+        // The blamed call completed two ticks before the breach after
+        // running for three windows and a bit, so it began a few ticks
+        // ahead of the partition: after this heal.
+        flight.record_at(cut - 10, FlightEventKind::Heal, 0, 1, 2);
+        let call_ns = (3 * WINDOW_TICKS + 1) * TICK_NS + TICK_NS / 2;
         reg.histogram("rtt")
-            .record_traced(30_500_000, 0xBB, 0x2, 98);
+            .record_traced(call_ns, 0xBB, 0x2, AT - 2);
         let b = DiagnosisBundle::capture(
             &breach(SloSpec::latency("rtt_slo", "rtt", 10_000, 0.99)),
             &reg,
             &[],
             &flight,
-            SeriesSnapshot::default(),
-            radius,
         );
         let kinds: Vec<_> = b.events.iter().map(|e| (e.tick, e.kind)).collect();
-        assert_eq!(kinds, vec![(70, FlightEventKind::Partition)]);
+        assert_eq!(kinds, vec![(cut, FlightEventKind::Partition)]);
     }
 
     #[test]
     fn availability_breach_captures_events_only() {
         let reg = MetricsRegistry::new();
-        let flight = FlightRecorder::with_epoch(64, Instant::now(), Duration::from_millis(1));
-        flight.record_at(100, FlightEventKind::SloBreach, 0, 2000, 0);
+        let flight = FlightRecorder::with_epoch(64, Instant::now());
+        flight.record_at(AT, FlightEventKind::SloBreach, 0, 2000, 0);
         let b = DiagnosisBundle::capture(
             &breach(SloSpec::availability("ok", "good", "total", 0.999)),
             &reg,
             &[],
             &flight,
-            SeriesSnapshot::default(),
-            10,
         );
         assert_eq!(b.threshold_ns, None);
         assert!(b.exemplars.is_empty());
         assert!(b.traces.is_empty());
         assert_eq!(b.events.len(), 1);
-        assert!(b.render().contains("breached at tick 100"));
+        assert!(b.render().contains(&format!("breached at tick {AT}")));
     }
 }

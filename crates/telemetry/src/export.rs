@@ -7,7 +7,7 @@
 //!
 //! ```json
 //! {
-//!   "version": 4,
+//!   "version": 5,
 //!   "counters": {"name": 0},
 //!   "gauges": {"name": 0},
 //!   "histograms": {"name": {"count": 0, "mean_ns": 0.0, "p50_ns": 0,
@@ -25,14 +25,6 @@
 //!              "start_ns": 0, "end_ns": 0, "duration_ns": 0,
 //!              "connection_id": 0, "rpc_id": 0}],
 //!   "dropped_spans": 0,
-//!   "series": {"resolution_us": 1000, "samples": 0,
-//!              "counters": {"name": {"total": 0, "window_delta": 0,
-//!                                    "rate_per_sec": 0.0,
-//!                                    "ewma_per_sec": 0.0}},
-//!              "gauges": {"name": {"last": 0, "window_max": 0,
-//!                                  "window_mean": 0.0, "ewma": 0.0}},
-//!              "histograms": {"name": {"count": 0, "p50_ns": 0,
-//!                                      "p90_ns": 0, "p99_ns": 0}}},
 //!   "slo": {"objectives": [{"name": "rtt", "target_ppm": 999000,
 //!                           "burn_rate_milli": 0,
 //!                           "budget_remaining_ppm": 1000000,
@@ -48,21 +40,23 @@
 //!                           "a": 0, "b": 0}],
 //!              "dropped": 0},
 //!   "bundles": {"entries": [{"slo": "rtt", "tick": 0, "burn_milli": 0,
-//!                            "threshold_ns": 0, "exemplars": [],
+//!                            "threshold_ns": 0, "window_bad": 0,
+//!                            "window_total": 0, "exemplars": [],
 //!                            "traces": [{"trace_id": "0000000000000001",
 //!                                        "duration_ns": 0, "spans": [],
 //!                                        "critical_path": []}],
-//!                            "series": {}, "events": []}],
+//!                            "events": []}],
 //!               "dropped": 0}
 //! }
 //! ```
 //!
-//! This is the one current schema (`"version": 4`); key spelling and order
-//! are pinned by exact-string tests below and in `tests/telemetry.rs`.
-//! `exemplars`, `events` and `bundles` are the forensics sections
-//! (DESIGN.md §15). Keys inside
-//! `counters`/`gauges`/`histograms` (registry and series alike) are sorted
-//! by name; only observed events/stages appear in a trace's maps;
+//! This is the one current schema (`"version": 5`: version 4 less its
+//! `series` section and the bundles' `series` member, plus each bundle's
+//! `window_bad`/`window_total`); key spelling and order are pinned by
+//! exact-string tests below and in `tests/telemetry.rs`. `exemplars`,
+//! `events` and `bundles` are the forensics sections (DESIGN.md §15). Keys
+//! inside `counters`/`gauges`/`histograms` are sorted by name; only
+//! observed events/stages appear in a trace's maps;
 //! `total_ns` is omitted until the round trip completes. Trace/span ids
 //! are 16-digit hex strings (u64 values routinely exceed JSON's
 //! exact-integer range); `parent_span_id`, `node`, and the
@@ -76,13 +70,11 @@ use crate::hist::Exemplar;
 use crate::registry::RegistrySnapshot;
 use crate::slo::{SloEventKind, SloReport};
 use crate::span::Span;
-use crate::timeseries::SeriesSnapshot;
 use crate::trace::{RpcEvent, RpcTrace, STAGE_NAMES};
 
 /// A point-in-time snapshot of the whole telemetry layer: every registry
 /// metric plus every retained RPC trace and distributed-tracing span.
 #[derive(Clone, Debug, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct TelemetrySnapshot {
     /// Snapshot of the metrics registry.
     pub registry: RegistrySnapshot,
@@ -94,8 +86,6 @@ pub struct TelemetrySnapshot {
     pub spans: Vec<Span>,
     /// Spans evicted by the collector's capacity bound.
     pub dropped_spans: u64,
-    /// Windowed time-series stats (rates, EWMAs, windowed quantiles).
-    pub series: SeriesSnapshot,
     /// SLO objectives, budgets, and threshold-crossing events.
     pub slo: SloReport,
     /// Per-histogram exemplars (most recent traced sample per bucket),
@@ -139,7 +129,7 @@ fn json_f64(v: f64) -> String {
 
 impl TelemetrySnapshot {
     /// Schema version emitted in the JSON output.
-    pub const JSON_VERSION: u32 = 4;
+    pub const JSON_VERSION: u32 = 5;
 
     /// Serializes the snapshot to the stable JSON schema described in the
     /// module docs. Single line, no trailing newline.
@@ -206,9 +196,6 @@ impl TelemetrySnapshot {
 
         out.push_str(&format!(",\"dropped_spans\":{}", self.dropped_spans));
 
-        out.push_str(",\"series\":");
-        out.push_str(&series_json(&self.series));
-
         out.push_str(",\"slo\":{\"objectives\":[");
         for (i, o) in self.slo.objectives.iter().enumerate() {
             if i > 0 {
@@ -246,7 +233,7 @@ impl TelemetrySnapshot {
             self.slo.dropped_events
         ));
 
-        // v4 forensics sections: exemplars, flight events, bundles.
+        // Forensics sections: exemplars, flight events, bundles.
         out.push_str(",\"exemplars\":{");
         for (i, (name, exs)) in self.exemplars.iter().enumerate() {
             if i > 0 {
@@ -285,59 +272,6 @@ impl TelemetrySnapshot {
     }
 }
 
-fn series_json(series: &SeriesSnapshot) -> String {
-    let mut out = format!(
-        "{{\"resolution_us\":{},\"samples\":{}",
-        series.resolution_us, series.samples
-    );
-    out.push_str(",\"counters\":{");
-    for (i, (name, s)) in series.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\"{}\":{{\"total\":{},\"window_delta\":{},\"rate_per_sec\":{},\"ewma_per_sec\":{}}}",
-            json_escape(name),
-            s.total,
-            s.window_delta,
-            json_f64(s.rate_per_sec),
-            json_f64(s.ewma_per_sec)
-        ));
-    }
-    out.push('}');
-    out.push_str(",\"gauges\":{");
-    for (i, (name, s)) in series.gauges.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\"{}\":{{\"last\":{},\"window_max\":{},\"window_mean\":{},\"ewma\":{}}}",
-            json_escape(name),
-            s.last,
-            s.window_max,
-            json_f64(s.window_mean),
-            json_f64(s.ewma)
-        ));
-    }
-    out.push('}');
-    out.push_str(",\"histograms\":{");
-    for (i, (name, s)) in series.histograms.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\"{}\":{{\"count\":{},\"p50_ns\":{},\"p90_ns\":{},\"p99_ns\":{}}}",
-            json_escape(name),
-            s.count,
-            s.p50_ns,
-            s.p90_ns,
-            s.p99_ns
-        ));
-    }
-    out.push_str("}}");
-    out
-}
-
 fn exemplar_json(ex: &Exemplar) -> String {
     format!(
         "{{\"trace_id\":\"{:016x}\",\"span_id\":\"{:016x}\",\"value_ns\":{},\"tick\":{}}}",
@@ -366,7 +300,10 @@ fn bundle_json(b: &DiagnosisBundle) -> String {
     if let Some(t) = b.threshold_ns {
         out.push_str(&format!(",\"threshold_ns\":{t}"));
     }
-    out.push_str(",\"exemplars\":[");
+    out.push_str(&format!(
+        ",\"window_bad\":{},\"window_total\":{},\"exemplars\":[",
+        b.window_bad, b.window_total
+    ));
     for (i, ex) in b.exemplars.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -409,9 +346,7 @@ fn bundle_json(b: &DiagnosisBundle) -> String {
         }
         out.push_str("]}");
     }
-    out.push_str("],\"series\":");
-    out.push_str(&series_json(&b.series));
-    out.push_str(",\"events\":[");
+    out.push_str("],\"events\":[");
     for (i, ev) in b.events.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -538,20 +473,6 @@ impl fmt::Display for TelemetrySnapshot {
                 writeln!(f)?;
             }
         }
-        if !self.series.histograms.is_empty() {
-            writeln!(
-                f,
-                "windowed quantiles ({}us grid):",
-                self.series.resolution_us
-            )?;
-            for (name, w) in &self.series.histograms {
-                writeln!(
-                    f,
-                    "  {name}: n={} p50={}ns p99={}ns",
-                    w.count, w.p50_ns, w.p99_ns
-                )?;
-            }
-        }
         if !self.slo.objectives.is_empty() {
             writeln!(f, "slo:")?;
             for o in &self.slo.objectives {
@@ -650,7 +571,6 @@ mod tests {
                 rpc: Some((65536, 1)),
             }],
             dropped_spans: 3,
-            series: SeriesSnapshot::default(),
             slo: SloReport::default(),
             exemplars: Vec::new(),
             events: Vec::new(),
@@ -663,7 +583,7 @@ mod tests {
     #[test]
     fn json_contains_all_sections() {
         let json = sample_snapshot().to_json();
-        assert!(json.starts_with("{\"version\":4"));
+        assert!(json.starts_with("{\"version\":5"));
         assert!(json.contains("\"nic.0.tx_frames\":7"));
         assert!(json.contains("\"nic.0.flows\":4"));
         assert!(json.contains("\"p99_ns\""));
@@ -683,18 +603,15 @@ mod tests {
         assert!(json.contains("\"node\":2"), "{json}");
         assert!(json.contains("\"duration_ns\":2800"), "{json}");
         assert!(json.contains("\"connection_id\":65536,\"rpc_id\":1"));
-        // v3 appends the series and slo sections after dropped_spans; v4
-        // appends exemplars, flight events, and bundles after slo.
+        // The slo section follows dropped_spans; exemplars, flight events
+        // and bundles follow slo. No series section since version 5.
         let ds = json.find("\"dropped_spans\":3").expect("dropped_spans");
-        let se = json.find("\"series\":{").expect("series");
+        assert!(!json.contains("\"series\""), "{json}");
         let sl = json.find("\"slo\":{").expect("slo");
         let ex = json.find("\"exemplars\":{").expect("exemplars");
         let ev = json.find("\"events\":{\"entries\":[").expect("events");
         let bu = json.find("\"bundles\":{\"entries\":[").expect("bundles");
-        assert!(
-            ds < se && se < sl && sl < ex && ex < ev && ev < bu,
-            "{json}"
-        );
+        assert!(ds < sl && sl < ex && ex < ev && ev < bu, "{json}");
     }
 
     #[test]
@@ -713,10 +630,8 @@ mod tests {
         let json = TelemetrySnapshot::default().to_json();
         assert_eq!(
             json,
-            "{\"version\":4,\"counters\":{},\"gauges\":{},\"histograms\":{},\
+            "{\"version\":5,\"counters\":{},\"gauges\":{},\"histograms\":{},\
              \"traces\":[],\"dropped_traces\":0,\"spans\":[],\"dropped_spans\":0,\
-             \"series\":{\"resolution_us\":0,\"samples\":0,\"counters\":{},\
-             \"gauges\":{},\"histograms\":{}},\
              \"slo\":{\"objectives\":[],\"events\":[],\"dropped_events\":0},\
              \"exemplars\":{},\"events\":{\"entries\":[],\"dropped\":0},\
              \"bundles\":{\"entries\":[],\"dropped\":0}}"
@@ -724,28 +639,8 @@ mod tests {
     }
 
     #[test]
-    fn json_emits_series_and_slo_payloads() {
+    fn json_emits_slo_payloads() {
         let mut snap = sample_snapshot();
-        snap.series.resolution_us = 1000;
-        snap.series.samples = 42;
-        snap.series.counters.push((
-            "nic.0.tx_frames".to_string(),
-            crate::timeseries::CounterStat {
-                total: 7,
-                window_delta: 7,
-                rate_per_sec: 700.0,
-                ewma_per_sec: 650.5,
-            },
-        ));
-        snap.series.histograms.push((
-            "rpc.client.rtt_ns".to_string(),
-            crate::timeseries::WindowSummary {
-                count: 3,
-                p50_ns: 2047,
-                p90_ns: 3071,
-                p99_ns: 3071,
-            },
-        ));
         snap.slo.objectives.push(crate::slo::SloSnapshot {
             name: "rtt".to_string(),
             target_ppm: 999_000,
@@ -762,17 +657,14 @@ mod tests {
             burn_milli: 1500,
         });
         let json = snap.to_json();
-        assert!(json.contains("\"rate_per_sec\":700"), "{json}");
-        assert!(json.contains("\"ewma_per_sec\":650.5"), "{json}");
-        assert!(
-            json.contains("\"rpc.client.rtt_ns\":{\"count\":3,\"p50_ns\":2047"),
-            "{json}"
-        );
         assert!(
             json.contains("\"name\":\"rtt\",\"target_ppm\":999000,\"burn_rate_milli\":1500"),
             "{json}"
         );
-        assert!(json.contains("\"breached\":true"), "{json}");
+        assert!(
+            json.contains("\"breached\":true,\"window_bad\":3,\"window_total\":2000}"),
+            "{json}"
+        );
         assert!(
             json.contains("\"kind\":\"breach\",\"burn_milli\":1500"),
             "{json}"
@@ -807,6 +699,8 @@ mod tests {
             tick: 17,
             burn_milli: 2500,
             threshold_ns: Some(1_000_000),
+            window_bad: 1,
+            window_total: 6,
             exemplars: vec![ex],
             traces: vec![BundleTrace {
                 trace_id: 0xabc,
@@ -821,7 +715,6 @@ mod tests {
                     end_ns: 2900,
                 }],
             }],
-            series: SeriesSnapshot::default(),
             events: vec![ev],
         });
         snap.dropped_bundles = 1;
@@ -841,14 +734,20 @@ mod tests {
             "{json}"
         );
         assert!(
-            json.contains("\"bundles\":{\"entries\":[{\"slo\":\"client_rtt\",\"tick\":17,\"burn_milli\":2500,\"threshold_ns\":1000000"),
+            json.contains("\"bundles\":{\"entries\":[{\"slo\":\"client_rtt\",\"tick\":17,\"burn_milli\":2500,\"threshold_ns\":1000000,\"window_bad\":1,\"window_total\":6,\"exemplars\":[{"),
             "{json}"
         );
         assert!(
             json.contains("\"critical_path\":[{\"span_id\":\"0000000000000def\",\"name\":\"rpc.fn1\",\"kind\":\"client\",\"node\":2,\"start_ns\":100,\"end_ns\":2900}]"),
             "{json}"
         );
-        assert!(json.ends_with("\"dropped\":1}}"), "{json}");
+        assert!(
+            json.ends_with(
+                "\"end_ns\":2900}]}],\"events\":[{\"tick\":16,\"kind\":\"partition\",\
+                 \"node\":1,\"a\":1,\"b\":2}]}],\"dropped\":1}}"
+            ),
+            "{json}"
+        );
         let text = snap.to_string();
         assert!(text.contains("flight events (2 dropped):"), "{text}");
         assert!(text.contains("client_rtt @tick 17 burn=2.50x"), "{text}");

@@ -7,16 +7,17 @@
 //! balancer, reliable layer, fault injector, and SLO tracker each drop a
 //! fixed-size [`FlightEvent`] into a shared ring when something
 //! operationally interesting happens — a route remap, a retransmit burst,
-//! a partition, a breach. Events are stamped with the **sampling-grid
-//! tick** (the same grid the series engine and exemplars use), so a
-//! recorder slice lines up column-for-column with series windows and
-//! exemplar ticks.
+//! a partition, a breach. The recorder owns the telemetry layer's one time
+//! grid: 1 ms ticks (`TICK_NS`) counted from the hub's clock epoch. Events,
+//! exemplars and SLO evaluation passes are all stamped with that tick, so
+//! a recorder slice lines up column-for-column with an objective's window
+//! and with exemplar ticks.
 //!
 //! ## Concurrency
 //!
 //! There is no single logical writer — the recorder is
 //! written from many threads: every engine worker, the balancer thread,
-//! whichever thread trips a fault, the sampling thread. Writers claim a
+//! whichever thread trips a fault or runs an SLO pass. Writers claim a
 //! slot with one `fetch_add` on `head` and publish it seqlock-style: the
 //! slot's `seq` is first zeroed (invalidating any stale content), the
 //! payload is stored relaxed, then `seq` is set to `index + 1` with
@@ -30,7 +31,10 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
+
+/// Width of one grid tick in nanoseconds: 1 ms.
+pub(crate) const TICK_NS: u64 = 1_000_000;
 
 /// Default ring capacity (slots). At a typical event rate of tens per
 /// second this retains minutes of history.
@@ -38,7 +42,6 @@ pub const DEFAULT_FLIGHT_CAPACITY: usize = 4096;
 
 /// What happened. The discriminant is stored on the ring as a `u64`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FlightEventKind {
     /// A connection's pinned route drained cleanly and switched queues
     /// (`a` = old queue, `b` = new queue).
@@ -51,7 +54,7 @@ pub enum FlightEventKind {
     /// a blackholed peer cannot lap the ring).
     RetransmitBurst,
     /// The engine buffer pool's free list ran dry after warm-up: `a`
-    /// fresh heap allocations since the last sampling pass.
+    /// fresh heap allocations since the last collector pass.
     PoolExhausted,
     /// The fault injector cut connectivity (`a`/`b` = node pair, or
     /// `a` = node and `b` = [`FLIGHT_ALL_NODES`] for a node blackhole).
@@ -129,9 +132,8 @@ impl FlightEventKind {
 
 /// One structured engine event, as read back from the ring.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FlightEvent {
-    /// Sampling-grid tick at emission (same grid as the series engine).
+    /// Grid tick at emission (the grid SLO passes and exemplars share).
     pub tick: u64,
     /// Event class.
     pub kind: FlightEventKind,
@@ -161,41 +163,36 @@ pub struct FlightRecorder {
     /// Total events ever claimed; slot for event `n` is `n & mask`, and
     /// its published seq is `n + 1`.
     head: AtomicU64,
-    /// Shared clock epoch (same one the series engine / tracer use) so
-    /// event ticks line up with series windows.
+    /// Shared clock epoch (same one the tracer and span collector use).
     epoch: Instant,
-    resolution_ns: u64,
 }
 
 impl FlightRecorder {
     /// Creates a recorder with `capacity` slots (rounded up to a power of
-    /// two, min 2) stamping ticks of `resolution` from `epoch`.
-    pub(crate) fn with_epoch(capacity: usize, epoch: Instant, resolution: Duration) -> Arc<Self> {
+    /// two, min 2) stamping ticks of `TICK_NS` from `epoch`.
+    pub(crate) fn with_epoch(capacity: usize, epoch: Instant) -> Arc<Self> {
         let cap = capacity.max(2).next_power_of_two();
-        let resolution_ns = (resolution.as_nanos() as u64).max(1);
         let slots = (0..cap).map(|_| Slot::default()).collect();
         Arc::new(FlightRecorder {
             slots,
             head: AtomicU64::new(0),
             epoch,
-            resolution_ns,
         })
     }
 
-    /// The current sampling-grid tick (cheap: one `Instant::now()`, no
-    /// locks). The same value the series engine would assign a sample
-    /// taken right now.
+    /// The current grid tick (cheap: one `Instant::now()`, no locks). The
+    /// same value an SLO evaluation pass run right now is stamped with.
     pub fn tick_now(&self) -> u64 {
-        (self.epoch.elapsed().as_nanos() as u64) / self.resolution_ns
+        self.epoch.elapsed().as_nanos() as u64 / TICK_NS
     }
 
-    /// Records one event, stamped with the current sampling-grid tick.
+    /// Records one event, stamped with the current grid tick.
     pub fn record(&self, kind: FlightEventKind, node: u32, a: u64, b: u64) {
         self.record_at(self.tick_now(), kind, node, a, b);
     }
 
     /// Records one event at an explicit tick (the SLO tracker uses the
-    /// tick of the sample that crossed the threshold, not "now").
+    /// tick of the pass that crossed the threshold, not "now").
     pub fn record_at(&self, tick: u64, kind: FlightEventKind, node: u32, a: u64, b: u64) {
         let n = self.head.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(n as usize) & (self.slots.len() - 1)];
@@ -254,8 +251,8 @@ impl FlightRecorder {
     }
 
     /// Grid ticks needed to cover `ns` nanoseconds (rounded up).
-    pub(crate) fn ticks_spanning(&self, ns: u64) -> u64 {
-        ns.div_ceil(self.resolution_ns)
+    pub(crate) fn ticks_spanning(ns: u64) -> u64 {
+        ns.div_ceil(TICK_NS)
     }
 
     /// Retained events whose tick lies in `from..=to` — the "what was the
@@ -282,7 +279,7 @@ mod tests {
     use super::*;
 
     fn recorder(cap: usize) -> Arc<FlightRecorder> {
-        FlightRecorder::with_epoch(cap, Instant::now(), Duration::from_millis(1))
+        FlightRecorder::with_epoch(cap, Instant::now())
     }
 
     #[test]
@@ -362,10 +359,11 @@ mod tests {
     }
 
     #[test]
-    fn tick_now_advances_on_fine_grids() {
-        let r = FlightRecorder::with_epoch(8, Instant::now(), Duration::from_nanos(100));
+    fn tick_now_advances_with_the_clock() {
+        let r = recorder(8);
         let a = r.tick_now();
-        std::thread::sleep(Duration::from_micros(50));
-        assert!(r.tick_now() > a);
+        std::thread::sleep(std::time::Duration::from_nanos(2 * TICK_NS));
+        assert!(r.tick_now() >= a + 2);
+        assert_eq!(FlightRecorder::ticks_spanning(TICK_NS + 1), 2);
     }
 }

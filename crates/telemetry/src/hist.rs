@@ -17,8 +17,7 @@ const SUB_BITS: u32 = 5;
 const SUB_BUCKETS: usize = 1 << SUB_BITS; // 32
 const GROUPS: usize = 64 - SUB_BITS as usize + 1;
 
-/// Total bucket count shared by [`Histogram`] and the windowed quantile
-/// sketch in `timeseries` (which diffs raw bucket counts).
+/// Total bucket count of a [`Histogram`].
 pub(crate) const NUM_BUCKETS: usize = GROUPS * SUB_BUCKETS;
 
 /// A Prometheus-style exemplar: the most recent traced sample that landed
@@ -27,7 +26,6 @@ pub(crate) const NUM_BUCKETS: usize = GROUPS * SUB_BUCKETS;
 /// request — the join point between metrics and distributed traces
 /// (DESIGN.md §15).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Exemplar {
     /// Trace the sample belonged to.
     pub trace_id: u64,
@@ -35,8 +33,8 @@ pub struct Exemplar {
     pub span_id: u64,
     /// The recorded value, in the histogram's unit (nanoseconds here).
     pub value: u64,
-    /// Sampling-grid tick at record time, aligning the exemplar with the
-    /// series windows and flight-recorder events of the same moment.
+    /// Grid tick at record time, aligning the exemplar with the SLO window
+    /// and the flight-recorder events of the same moment.
     pub tick: u64,
 }
 
@@ -249,9 +247,9 @@ impl Histogram {
         }
     }
 
-    /// Raw per-bucket counts, indexed by [`Histogram::bucket_index`]. The
-    /// windowed sketch diffs these against a remembered baseline to derive
-    /// quantiles over a time window without re-recording samples.
+    /// Raw per-bucket counts, indexed by [`Histogram::bucket_index`]. A
+    /// latency SLO sums the buckets above its threshold's to count the bad
+    /// samples without re-recording anything.
     pub(crate) fn bucket_counts(&self) -> &[u64] {
         &self.counts
     }
@@ -278,7 +276,6 @@ impl Default for Histogram {
 
 /// Plain-data percentile summary of a [`Histogram`].
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Summary {
     /// Number of samples.
     pub count: u64,

@@ -14,10 +14,19 @@
 //!   `(connection_id, rpc_id)`: client send → TX ring → engine → fabric →
 //!   RX ring → dispatch → handler → response, yielding a six-stage latency
 //!   breakdown ([`STAGE_NAMES`]).
+//! * [`SloSpec`] — declared latency/availability objectives. Each reads
+//!   its own good and total event counts from the registry into a rolling
+//!   window; a burn-rate breach freezes a [`DiagnosisBundle`] joining the
+//!   tail's exemplar traces with the [`FlightRecorder`]'s engine events.
 //! * [`TelemetrySnapshot`] — exporters: human-readable text (`Display`)
 //!   and a stable versioned JSON document ([`TelemetrySnapshot::to_json`]).
 //!
-//! The crate is intentionally dependency-free (std only) so it sits below
+//! Nothing samples on its own: [`Telemetry::sample_now`] is the one pass
+//! (collectors → SLO evaluation → bundle capture), driven by whoever wants
+//! fresh numbers, on the one time grid the flight recorder owns
+//! ([`Telemetry::tick_now`], 1 ms ticks).
+//!
+//! The crate is dependency-free (std only, no features) so it sits below
 //! every other crate, even `dagger-types`, without cycles.
 
 mod bundle;
@@ -27,7 +36,6 @@ mod hist;
 mod registry;
 mod slo;
 mod span;
-mod timeseries;
 mod trace;
 mod tree;
 
@@ -43,7 +51,6 @@ pub use span::{
     current_context, next_id, ContextScope, OpenSpan, Span, SpanCollector, SpanKind, TraceContext,
     DEFAULT_SPAN_CAPACITY,
 };
-pub use timeseries::{CounterStat, GaugeStat, SeriesConfig, SeriesSnapshot, WindowSummary};
 pub use trace::{
     RpcEvent, RpcTrace, RpcTracer, StageBreakdown, DEFAULT_TRACE_CAPACITY, EVENT_COUNT, STAGE_NAMES,
 };
@@ -76,7 +83,7 @@ pub struct Telemetry {
     tracer: RpcTracer,
     spans: SpanCollector,
     collectors: Mutex<BTreeMap<String, Collector>>,
-    series: Mutex<timeseries::SeriesEngine>,
+    slos: Mutex<slo::SloTracker>,
     flight: Arc<FlightRecorder>,
     bundles: Mutex<BundleStore>,
 }
@@ -90,26 +97,18 @@ struct BundleStore {
 
 impl Telemetry {
     /// Creates a fresh telemetry hub (tracing disabled by default). The
-    /// stage tracer and the span collector share one clock epoch, so stage
-    /// stamps land inside their owning spans on a common timeline.
+    /// stage tracer, the span collector and the flight recorder share one
+    /// clock epoch, so stage stamps land inside their owning spans and
+    /// grid ticks line up with both on a common timeline.
     pub fn new() -> Arc<Self> {
-        Self::with_series_config(SeriesConfig::default())
-    }
-
-    /// Creates a telemetry hub with a custom series-engine grid (sampling
-    /// resolution, ring depth, quantile window shape).
-    pub fn with_series_config(cfg: SeriesConfig) -> Arc<Self> {
         let epoch = Instant::now();
-        // The recorder clamps its resolution exactly like the series
-        // engine, so flight-event ticks and sample ticks share one grid.
-        let resolution = cfg.resolution.max(std::time::Duration::from_micros(10));
         Arc::new(Telemetry {
             registry: MetricsRegistry::new(),
             tracer: RpcTracer::with_capacity_and_epoch(DEFAULT_TRACE_CAPACITY, epoch),
             spans: SpanCollector::with_capacity_and_epoch(DEFAULT_SPAN_CAPACITY, epoch),
             collectors: Mutex::new(BTreeMap::new()),
-            series: Mutex::new(timeseries::SeriesEngine::new(cfg, epoch)),
-            flight: FlightRecorder::with_epoch(DEFAULT_FLIGHT_CAPACITY, epoch, resolution),
+            slos: Mutex::new(slo::SloTracker::default()),
+            flight: FlightRecorder::with_epoch(DEFAULT_FLIGHT_CAPACITY, epoch),
             bundles: Mutex::new(BundleStore::default()),
         })
     }
@@ -183,8 +182,8 @@ impl Telemetry {
         &self.flight
     }
 
-    /// The current sampling-grid tick — cheap (no locks), for stamping
-    /// exemplars so they align with series windows and flight events.
+    /// The current grid tick — cheap (no locks), for stamping exemplars so
+    /// they align with SLO windows and flight events.
     pub fn tick_now(&self) -> u64 {
         self.flight.tick_now()
     }
@@ -207,88 +206,65 @@ impl Telemetry {
             .dropped
     }
 
-    /// Declares an SLO; evaluated on every sampling pass, exported as
-    /// `slo.<name>.{burn_rate,budget_remaining}` gauges plus flight-recorder
-    /// events on burn-threshold crossings.
+    /// Declares an SLO; evaluated on every [`sample_now`](Telemetry::sample_now)
+    /// pass, exported as `slo.<name>.{burn_rate,budget_remaining}` gauges
+    /// plus flight-recorder events on burn-threshold crossings.
     pub fn register_slo(&self, spec: SloSpec) {
-        self.series
+        self.slos
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .register_slo(spec);
+            .register(spec);
     }
 
-    /// Runs collectors, then samples every registered metric into the
-    /// series engine. Idempotent within one resolution tick, so concurrent
-    /// drivers collapse onto one grid.
-    /// Returns whether a sample was actually taken.
+    /// The one pass: runs collectors, evaluates every declared SLO against
+    /// what the registry now holds, and freezes a diagnosis bundle for each
+    /// objective that crossed into breach. Idempotent within one grid tick,
+    /// so concurrent drivers collapse onto one grid.
+    /// Returns whether the SLOs were actually evaluated.
     pub fn sample_now(&self) -> bool {
-        self.collect();
-        let (sampled, fresh) = {
-            let mut engine = self.series.lock().unwrap_or_else(PoisonError::into_inner);
-            let sampled = engine.sample(&self.registry, &self.flight, false);
-            (sampled, self.capture_breaches(&mut engine))
-        };
-        self.store_bundles(fresh);
-        sampled
+        self.pass(false)
     }
 
-    /// Freezes a diagnosis bundle for every breach the engine observed
-    /// since the last drain. Runs under the series mutex (it needs the
-    /// engine's windowed snapshot as of the breach sample); the exemplar,
-    /// span, and flight reads are lock-free.
-    fn capture_breaches(&self, engine: &mut timeseries::SeriesEngine) -> Vec<DiagnosisBundle> {
-        let breaches = engine.take_breaches();
-        if breaches.is_empty() {
-            return Vec::new();
-        }
-        let radius = engine.window_ticks_cfg();
-        let (series, _) = engine.snapshot();
-        let spans = self.spans.spans();
-        breaches
-            .iter()
-            .map(|b| {
-                DiagnosisBundle::capture(
+    fn pass(&self, force: bool) -> bool {
+        self.collect();
+        let breaches = {
+            let mut slos = self.slos.lock().unwrap_or_else(PoisonError::into_inner);
+            // The tick is read under the mutex, so passes see it in order.
+            slos.evaluate(self.flight.tick_now(), force, &self.registry, &self.flight)
+        };
+        // Outside the tracker's mutex: a capture carries its objective's
+        // window counts, and the exemplar, span and flight reads take no
+        // lock an evaluation pass holds.
+        if let Some(breaches) = breaches.as_deref().filter(|b| !b.is_empty()) {
+            let spans = self.spans.spans();
+            let mut store = self.bundles.lock().unwrap_or_else(PoisonError::into_inner);
+            for b in breaches {
+                if store.bundles.len() >= MAX_BUNDLES {
+                    store.bundles.remove(0);
+                    store.dropped += 1;
+                }
+                store.bundles.push(DiagnosisBundle::capture(
                     b,
                     &self.registry,
                     &spans,
                     &self.flight,
-                    series.clone(),
-                    radius,
-                )
-            })
-            .collect()
-    }
-
-    /// Appends captured bundles under the retention bound.
-    fn store_bundles(&self, fresh: Vec<DiagnosisBundle>) {
-        if fresh.is_empty() {
-            return;
-        }
-        let mut store = self.bundles.lock().unwrap_or_else(PoisonError::into_inner);
-        for b in fresh {
-            if store.bundles.len() >= MAX_BUNDLES {
-                store.bundles.remove(0);
-                store.dropped += 1;
+                ));
             }
-            store.bundles.push(b);
         }
+        breaches.is_some()
     }
 
-    /// Collects, force-samples the series engine (so the tail of the
-    /// current window is never lost), then snapshots the registry, the
-    /// windowed series, the SLO state, all retained traces and spans, the
-    /// histogram exemplars, the flight-recorder events, and any captured
-    /// diagnosis bundles.
+    /// Runs a forced pass (so whatever was recorded since the last one is
+    /// in the SLO windows, exactly once), then snapshots the registry, the
+    /// SLO state, all retained traces and spans, the histogram exemplars,
+    /// the flight-recorder events, and any captured diagnosis bundles.
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        self.collect();
-        let (series, slo, fresh) = {
-            let mut engine = self.series.lock().unwrap_or_else(PoisonError::into_inner);
-            engine.sample(&self.registry, &self.flight, true);
-            let fresh = self.capture_breaches(&mut engine);
-            let (series, slo) = engine.snapshot();
-            (series, slo, fresh)
-        };
-        self.store_bundles(fresh);
+        self.pass(true);
+        let slo = self
+            .slos
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .snapshot();
         let mut exemplars = Vec::new();
         self.registry.visit_histograms(|name, handle| {
             let ex = handle.with_histogram(|h| h.exemplars());
@@ -306,7 +282,6 @@ impl Telemetry {
             dropped_traces: self.tracer.dropped(),
             spans: self.spans.spans(),
             dropped_spans: self.spans.dropped(),
-            series,
             slo,
             exemplars,
             events: self.flight.snapshot(),
@@ -377,6 +352,46 @@ mod tests {
         let json = snap.to_json();
         assert!(json.contains("\"rpcs\":1"));
         assert!(json.contains("\"client_send\""));
+    }
+
+    #[test]
+    fn snapshot_forces_a_pass_that_neither_loses_nor_double_counts() {
+        let t = Telemetry::new();
+        t.register_slo(SloSpec::latency("rtt", "lat", 1_000, 0.5));
+        let h = t.registry().histogram("lat");
+        h.record(100);
+        t.sample_now();
+        // Recorded after the grid point's pass (same tick or not): the
+        // forced pass of `snapshot()` folds it, and only it.
+        h.record(200);
+        let obj = &t.snapshot().slo.objectives[0];
+        assert_eq!((obj.window_bad, obj.window_total), (0, 2));
+        let obj = &t.snapshot().slo.objectives[0];
+        assert_eq!((obj.window_bad, obj.window_total), (0, 2));
+    }
+
+    #[test]
+    fn a_breaching_pass_freezes_one_bundle_with_the_window_counts() {
+        let t = Telemetry::new();
+        t.register_slo(SloSpec::latency("rtt", "lat", 1_000, 0.9));
+        let h = t.registry().histogram("lat");
+        h.record_n(100, 3);
+        h.record_traced(5_000_000, 0xBB, 0x2, t.tick_now());
+        assert!(t.bundles().is_empty());
+        t.snapshot();
+        // Still breached on later passes: no second bundle.
+        let snap = t.snapshot();
+        assert_eq!(snap.bundles.len(), 1);
+        let b = &snap.bundles[0];
+        assert_eq!((b.window_bad, b.window_total), (1, 4));
+        assert_eq!(b.burn_milli, 2500);
+        assert_eq!(b.exemplars.len(), 1);
+        assert_eq!(b.exemplars[0].trace_id, 0xBB);
+        assert!(b
+            .events
+            .iter()
+            .any(|e| e.kind == FlightEventKind::SloBreach && e.tick == b.tick));
+        assert_eq!(snap.registry.gauge("slo.rtt.burn_rate"), Some(2500));
     }
 
     #[test]

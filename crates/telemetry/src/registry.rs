@@ -109,8 +109,8 @@ impl HistogramHandle {
             .summary()
     }
 
-    /// Runs `f` against the inner histogram under its lock. The series
-    /// engine uses this to diff raw bucket counts without cloning.
+    /// Runs `f` against the inner histogram under its lock (SLO objectives
+    /// read raw bucket counts this way, without cloning).
     pub(crate) fn with_histogram<R>(&self, f: impl FnOnce(&Histogram) -> R) -> R {
         f(&self.0.lock().unwrap_or_else(PoisonError::into_inner))
     }
@@ -190,37 +190,6 @@ impl MetricsRegistry {
         self.gauge(name).set(v);
     }
 
-    /// Convenience: adds `n` to the counter `name`.
-    pub fn add_counter(&self, name: &str, n: u64) {
-        self.counter(name).add(n);
-    }
-
-    /// Visits every registered counter as `(name, current_value)`, in name
-    /// order. Used by the series engine's sampling pass.
-    pub(crate) fn visit_counters(&self, mut f: impl FnMut(&str, u64)) {
-        for (name, c) in self
-            .counters
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-        {
-            f(name, c.get());
-        }
-    }
-
-    /// Visits every registered gauge as `(name, current_value)`, in name
-    /// order.
-    pub(crate) fn visit_gauges(&self, mut f: impl FnMut(&str, u64)) {
-        for (name, g) in self
-            .gauges
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-        {
-            f(name, g.get());
-        }
-    }
-
     /// Visits every registered histogram handle, in name order.
     pub(crate) fn visit_histograms(&self, mut f: impl FnMut(&str, &HistogramHandle)) {
         for (name, h) in self
@@ -268,7 +237,6 @@ impl MetricsRegistry {
 
 /// Plain-data snapshot of a [`MetricsRegistry`], sorted by metric name.
 #[derive(Clone, Debug, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct RegistrySnapshot {
     /// `(name, value)` for every counter.
     pub counters: Vec<(String, u64)>,

@@ -62,7 +62,6 @@ impl TraceContext {
 
 /// What role a span plays in an RPC exchange, OpenTelemetry-style.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub enum SpanKind {
     /// Covers one outbound RPC from issue to response: wire + remote work.
     Client,
@@ -86,7 +85,6 @@ impl SpanKind {
 
 /// One finished span of a distributed trace.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct Span {
     /// The trace this span belongs to.
     pub trace_id: u64,

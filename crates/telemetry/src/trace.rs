@@ -30,7 +30,6 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
 /// six-stage breakdown named in [`STAGE_NAMES`]; the last two events close
 /// the response path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub enum RpcEvent {
     /// Client serialized the request and is about to enqueue frames.
     ClientSend = 0,
@@ -96,7 +95,6 @@ pub const STAGE_NAMES: [&str; 6] = [
 
 /// One RPC's recorded timestamps, relative to the tracer epoch.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct RpcTrace {
     /// Raw connection id the RPC ran on.
     pub connection_id: u32,
@@ -145,7 +143,6 @@ impl RpcTrace {
 
 /// Per-stage latency breakdown derived from an [`RpcTrace`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct StageBreakdown {
     /// Latency of each request-path stage (see [`STAGE_NAMES`]); `None`
     /// when either bounding event is missing.

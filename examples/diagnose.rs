@@ -3,7 +3,7 @@
 //! breach freezes a diagnosis bundle — burn-rate window, tail-bucket
 //! exemplars resolved into trace trees with critical-path attribution,
 //! and the flight-recorder slice around the breach tick — which this
-//! example prints both human-readably and as the v4 JSON export.
+//! example prints both human-readably and as the v5 JSON export.
 //!
 //! ```sh
 //! cargo run --release --example diagnose
@@ -94,7 +94,7 @@ fn main() -> Result<()> {
         print!("{}", bundle.render());
     }
 
-    // The same bundles ride the v4 JSON snapshot for offline tooling.
+    // The same bundles ride the v5 JSON snapshot for offline tooling.
     let snap = telemetry.snapshot();
     println!("\n== JSON export ({} bytes) ==", snap.to_json().len());
     println!(

@@ -34,7 +34,7 @@ for path in $(grep -ohE '(scripts/[A-Za-z0-9_.-]+\.sh|crates/[a-z_]+/[a-z]+/[A-Z
 done
 [ "$stale_paths" -eq 0 ] || exit 1
 
-echo "== deleted names stay deleted (one recovery machine, one frame type, one checksum) =="
+echo "== deleted names stay deleted (one recovery machine, one frame type, one checksum, no series engine) =="
 # The reliable transport has one recovery state machine (selective repeat)
 # and one frame type (`FrameView`). The removed second protocol and the
 # removed owned frame enum must not come back through code, comments or
@@ -52,6 +52,20 @@ fi
 if grep -rnE 'fnv1a_chunked|fnv1a_scalar|wire_checksum_scalar|FNV_OFFSET|FNV_PRIME' \
      --exclude-dir=ledger crates examples tests README.md DESIGN.md EXPERIMENTS.md; then
   echo "lint.sh: a deleted checksum name is back (see above); the one wire checksum is transport::wire_checksum (CRC32C)" >&2
+  exit 1
+fi
+
+# The generic series engine is gone: SLO objectives read their own good
+# and total counts (crates/telemetry/src/slo.rs) and nothing else keeps
+# windowed history. Its types, its config and the telemetry crate's unused
+# `serde` feature must not come back.
+if grep -rnE 'SeriesEngine|SeriesConfig|SeriesSnapshot|WindowSummary|CounterStat|GaugeStat|with_series_config' \
+     --exclude-dir=ledger crates examples tests README.md DESIGN.md EXPERIMENTS.md; then
+  echo "lint.sh: a deleted series-engine name is back (see above); an SLO reads its own two numbers, nothing samples the whole registry" >&2
+  exit 1
+fi
+if grep -rnF 'feature = "serde"' crates/telemetry; then
+  echo "lint.sh: dagger-telemetry has no serde feature (nothing ever enabled it); the JSON exporter is hand-rolled" >&2
   exit 1
 fi
 

@@ -65,7 +65,7 @@ fn body_for(client: usize, seq: u32) -> Vec<u8> {
 }
 
 /// Scope guard: when a chaos invariant panics, dump the full telemetry
-/// snapshot — v4 JSON with flight-recorder events and any SLO diagnosis
+/// snapshot — v5 JSON with flight-recorder events and any SLO diagnosis
 /// bundles — to `target/chaos-diagnosis/` so CI can upload it as a
 /// failure-forensics artifact (see the chaos job in ci.yml).
 struct DiagnosisDump {

@@ -186,11 +186,11 @@ fn partition_breach_produces_attributing_bundle() {
         trace.critical_path
     );
 
-    // Schema v4 round trip: the bundle is in the JSON export and every
-    // pre-v4 key is still spelled exactly as before.
+    // Schema v5 round trip: the bundle is in the JSON export and every
+    // pre-v4 key that v5 keeps is still spelled exactly as before.
     let snap = telemetry.snapshot();
     let json = snap.to_json();
-    assert!(json.starts_with("{\"version\":4"), "{json}");
+    assert!(json.starts_with("{\"version\":5"), "{json}");
     assert!(
         json.contains("\"bundles\":{\"entries\":[{\"slo\":\"client_rtt\""),
         "{json}"
@@ -204,7 +204,7 @@ fn partition_breach_produces_attributing_bundle() {
         "\"dropped_traces\":",
         "\"spans\":[",
         "\"dropped_spans\":",
-        "\"series\":{\"resolution_us\":",
+        "\"threshold_ns\":50000000,\"window_bad\":",
         "\"slo\":{\"objectives\":[",
         "\"dropped_events\":",
     ] {

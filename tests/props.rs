@@ -584,52 +584,6 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The windowed quantile sketch (which diffs raw bucket counts into a
-    /// ring of sub-windows) must agree with a plain `telemetry::Histogram`
-    /// fed the same values: both use the same log-linear buckets, so any
-    /// quantile may differ by at most one bucket width (the sketch reports
-    /// the unclamped upper bucket edge, the histogram clamps to the
-    /// observed min/max).
-    #[test]
-    fn windowed_sketch_quantiles_match_histogram(
-        values in prop::collection::vec(0u64..(1u64 << 40), 1..200),
-    ) {
-        use dagger::telemetry::{Histogram as TelHistogram, Telemetry};
-
-        // Width of the log-linear bucket containing `v`: the first 32
-        // values get unit buckets, after that each power-of-two group is
-        // split into 32 sub-buckets.
-        fn bucket_width(v: u64) -> u64 {
-            if v < 32 { 1 } else { 1u64 << (63 - u64::from(v.leading_zeros()) - 5) }
-        }
-
-        let telemetry = Telemetry::new();
-        let handle = telemetry.registry().histogram("prop.sketch_ns");
-        let mut model = TelHistogram::new();
-        for &v in &values {
-            handle.record(v);
-            model.record(v);
-        }
-        // `snapshot()` force-samples the series engine, folding every
-        // recorded value's bucket delta into the newest sub-window.
-        let snap = telemetry.snapshot();
-        let win = snap.series.histogram("prop.sketch_ns").expect("windowed summary");
-        prop_assert_eq!(win.count, values.len() as u64);
-
-        for (p, got) in [(50.0, win.p50_ns), (90.0, win.p90_ns), (99.0, win.p99_ns)] {
-            let want = model.percentile(p);
-            let tol = bucket_width(got.max(want));
-            prop_assert!(
-                got.abs_diff(want) <= tol,
-                "p{p}: sketch {got} vs histogram {want} (tolerance {tol})"
-            );
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // On-NIC offload stage (DESIGN.md §18): NIC-side serde tables and the
 // hot-key response cache's coherence protocol.

@@ -121,8 +121,8 @@ fn round_trip_populates_unified_telemetry() {
 
     // The registry snapshot carries the NIC collectors' gauges, the client
     // RTT histogram, and the server handler histogram. `snapshot()` also
-    // force-samples the series engine, so the windowed views below include
-    // the RPC that just completed.
+    // forces an SLO evaluation pass, so the objective below has seen the
+    // RPC that just completed.
     let snap = telemetry.snapshot();
     assert!(snap.registry.gauge("nic.2.tx_frames").unwrap() > 0);
     assert!(snap.registry.gauge("nic.1.rx_frames").unwrap() > 0);
@@ -134,17 +134,8 @@ fn round_trip_populates_unified_telemetry() {
     assert_eq!(handler.count, 1);
     assert_eq!(snap.registry.counter("rpc.server.requests"), Some(1));
 
-    // The windowed series engine saw the RTT sample: its snapshot carries
-    // a windowed quantile summary for the client RTT histogram.
-    let win = snap
-        .series
-        .histogram("rpc.client.rtt_ns")
-        .expect("windowed rtt summary");
-    assert!(win.count >= 1, "windowed rtt count {}", win.count);
-    assert!(win.p99_ns > 0, "windowed rtt p99 {}", win.p99_ns);
-
-    // The SLO declared up front was evaluated: one good RPC, no breach,
-    // full budget, and the burn-rate/budget gauges are published.
+    // The SLO declared up front was evaluated: one good RPC in its window,
+    // no breach, full budget, and the burn-rate/budget gauges are published.
     let obj = snap
         .slo
         .objectives
@@ -152,6 +143,7 @@ fn round_trip_populates_unified_telemetry() {
         .find(|o| o.name == "client_rtt")
         .expect("client_rtt objective");
     assert!(!obj.breached, "a 5s threshold must not breach: {obj:?}");
+    assert_eq!((obj.window_bad, obj.window_total), (0, 1), "{obj:?}");
     assert_eq!(obj.budget_remaining_ppm, 1_000_000, "{obj:?}");
     assert_eq!(snap.registry.gauge("slo.client_rtt.burn_rate"), Some(0));
     assert_eq!(
@@ -178,11 +170,12 @@ fn round_trip_populates_unified_telemetry() {
     );
 
     // The JSON export names every stage and the percentile fields. Schema
-    // v4 appends the `exemplars`/`events`/`bundles` sections; every
-    // v1/v2/v3 key must remain, spelled exactly as before, so existing
-    // consumers keep parsing.
+    // v5 is v4 less its `series` section; every other v1–v4 key must
+    // remain, spelled exactly as before, so existing consumers keep
+    // parsing.
     let json = snap.to_json();
-    assert!(json.starts_with("{\"version\":4"), "{json}");
+    assert!(json.starts_with("{\"version\":5"), "{json}");
+    assert!(!json.contains("\"series\""), "{json}");
     for v1_key in [
         "\"counters\":",
         "\"gauges\":",
@@ -195,9 +188,6 @@ fn round_trip_populates_unified_telemetry() {
     assert!(json.contains("\"spans\":["), "{json}");
     assert!(json.contains("\"dropped_spans\":"), "{json}");
     for v3_key in [
-        "\"series\":{",
-        "\"resolution_us\":",
-        "\"rate_per_sec\":",
         "\"slo\":{",
         "\"objectives\":[",
         "\"burn_rate_milli\":",
