@@ -13,12 +13,14 @@
 //! [`PacketMonitor`](crate::monitor::PacketMonitor)-style counters here.
 //!
 //! Connection setup crosses the wire as three single-line control frames —
-//! open, open-ack, close — whose codec lives here too; the engine only
-//! dispatches on their function ids.
+//! open, open-ack, close — whose codec lives here too, and so does what a
+//! received one does ([`rx_control`]); the engine only ships the ack.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+use parking_lot::Mutex;
 
 use dagger_types::{
     CacheLine, ConnectionId, DaggerError, FlowId, FnId, LbPolicy, NodeAddr, Result, RpcHeader,
@@ -94,6 +96,55 @@ pub fn ctrl_open_ack(cid: ConnectionId) -> CacheLine {
 /// The control frame closing a connection on the remote NIC.
 pub fn ctrl_close(cid: ConnectionId) -> CacheLine {
     ctrl_frame(cid, CTRL_CLOSE_FN, FlowId(0), &[])
+}
+
+/// What a received frame asks of the engine after [`rx_control`].
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Control {
+    /// Not a control frame: steer it as data.
+    Data,
+    /// A control frame, fully handled.
+    Done,
+    /// An open, installed: ship `line` (its ack) back to `to`.
+    Ack { to: NodeAddr, line: CacheLine },
+}
+
+/// Handles one received frame if it is a control frame: an open
+/// (re)installs the connection and asks for its ack, an open-ack confirms
+/// the connection in `confirmed`, a close removes it.
+pub(crate) fn rx_control(
+    hdr: &RpcHeader,
+    line: &CacheLine,
+    cm: &Mutex<ConnectionManager>,
+    confirmed: &Mutex<HashSet<u32>>,
+) -> Control {
+    let cid = hdr.connection_id;
+    match hdr.fn_id.raw() {
+        CTRL_OPEN_FN => {
+            let tuple = decode_ctrl_open(line);
+            // Re-opening (e.g. a retried control frame) is idempotent.
+            {
+                let mut cm = cm.lock();
+                let _ = cm.close(cid);
+                let _ = cm.open(cid, tuple);
+            }
+            // The ack completes the initiator's blocking setup (and
+            // survives fabric loss via its retries).
+            Control::Ack {
+                to: tuple.dest_addr,
+                line: ctrl_open_ack(cid),
+            }
+        }
+        CTRL_OPEN_ACK_FN => {
+            confirmed.lock().insert(cid.raw());
+            Control::Done
+        }
+        CTRL_CLOSE_FN => {
+            let _ = cm.lock().close(cid);
+            Control::Done
+        }
+        _ => Control::Data,
+    }
 }
 
 /// Identifies which of the three concurrent hardware readers performs a
@@ -454,6 +505,36 @@ mod tests {
         assert_eq!(cm.generation(), g1, "failed close must not bump it");
         cm.close(ConnectionId(1)).unwrap();
         assert!(cm.generation() > g1, "close must bump the generation");
+    }
+
+    #[test]
+    fn rx_control_opens_acks_confirms_and_closes() {
+        let cm = Mutex::new(ConnectionManager::new(8));
+        let confirmed = Mutex::new(HashSet::new());
+        let rx = |line: CacheLine| {
+            let hdr = RpcHeader::decode(line.header()).unwrap();
+            rx_control(&hdr, &line, &cm, &confirmed)
+        };
+        let cid = ConnectionId(3);
+        let open = ctrl_open(cid, tuple(2, 40));
+        let ack = Control::Ack {
+            to: NodeAddr(40),
+            line: ctrl_open_ack(cid),
+        };
+        assert_eq!(rx(open), ack);
+        // A retried open is idempotent and acked again.
+        assert_eq!(rx(open), ack);
+        assert_eq!(cm.lock().lookup(CmPort::Cm, cid), Some(tuple(2, 40)));
+        assert_eq!(rx(ctrl_open_ack(cid)), Control::Done);
+        assert!(confirmed.lock().contains(&3));
+        assert_eq!(rx(ctrl_close(cid)), Control::Done);
+        assert!(!cm.lock().contains(cid));
+        // Anything else is data.
+        let mut data = ctrl_close(cid);
+        let mut hdr = RpcHeader::decode(data.header()).unwrap();
+        hdr.fn_id = FnId(1);
+        hdr.encode(data.header_mut());
+        assert_eq!(rx(data), Control::Data);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! Fig. 11, applied to the functional datapath). Each worker owns one
 //! [`EngineCore`]: a contiguous partition of the flows (their TX/RX rings),
 //! a private fabric port queue, and private copies of every datapath
-//! structure — buffer pool, connection-tuple cache, request buffer, flow
-//! FIFOs, scheduler, reliable-transport instance — so the hot path
+//! structure — buffer pool, connection-tuple cache, RX stage
+//! ([`crate::stage`]), reliable-transport instance — so the hot path
 //! never shares mutable state between workers, and every count lands in the
 //! worker's own [`QueueStats`] bank. Shared pieces are the Packet Monitor's
 //! per-flow banks, the Connection Manager mutex (reached only on tuple-cache
@@ -19,12 +19,14 @@
 //!    each frame's connection for destination credentials, RSS-routes the
 //!    connection to one of the destination NIC's queues, groups frames by
 //!    `(destination, queue)`, and ships them as transport datagrams.
-//! 2. **RX FSM** — drains its fabric port queue, decodes datagrams, handles
-//!    control frames (connection open/close) against the shared Connection
-//!    Manager, steers data frames through the load balancer, and either
-//!    stages them locally (flows this worker owns) or hands them to the
-//!    owning worker over an SPSC [`crate::xfer`] ring; the flow scheduler
-//!    then delivers formed batches into the per-flow RX rings.
+//! 2. **RX FSM** — drains its fabric port queue, decodes datagrams, hands
+//!    control frames to the Connection Manager ([`crate::connmgr`]) and
+//!    request lead frames to the offload stage ([`crate::offload`]) — each
+//!    decides, the engine ships whatever reply lines come back — steers
+//!    data frames through the load balancer, and either stages them in its
+//!    RX stage (flows this worker owns) or hands them to the owning worker
+//!    over an SPSC [`crate::xfer`] ring; the RX stage then delivers formed
+//!    batches into the per-flow RX rings.
 //!
 //! Steering stays *queue-affine*: a connection's route tag is a hash of its
 //! id, so all frames of one connection land on one receiving queue, and all
@@ -36,8 +38,11 @@
 //! sender pins each connection to its old channel until that channel is
 //! fully acked (so nothing is in flight when it switches), and the receiver
 //! stamps every data frame with a per-flow arrival sequence at steer time,
-//! releasing frames to delivery in stamp order — frames that legitimately
-//! cross receive queues mid-remap still deliver in arrival order.
+//! and the owner's RX stage releases frames to delivery in stamp order —
+//! frames that legitimately cross receive queues mid-remap still deliver in
+//! arrival order. Every frame the engine originates for a connection
+//! (data, control, open-acks, offload hits) takes its destination queue
+//! from [`EngineCore::pin_route`].
 //!
 //! When the NIC shares the physical bus with other virtual NICs, the engine
 //! takes a grant from the [`CcipArbiter`](crate::arbiter::CcipArbiter)
@@ -49,7 +54,7 @@
 //! flows, or the queue's fallback engine thread (`drive.rs`, DESIGN.md §12)
 //! — and the only caller of the round functions.
 
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -57,29 +62,21 @@ use crossbeam::channel::Receiver;
 use parking_lot::Mutex;
 
 use dagger_telemetry::{FlightEventKind, RpcEvent, Telemetry};
-use dagger_types::offload::CacheClass;
-use dagger_types::{
-    CacheLine, ConnectionId, LbPolicy, NodeAddr, RpcHeader, RpcKind, FRAME_PAYLOAD_BYTES,
-};
+use dagger_types::{CacheLine, ConnectionId, LbPolicy, NodeAddr, RpcHeader, RpcKind};
 
 use crate::arbiter::ArbiterSlot;
 use crate::bufpool::BufPool;
 use crate::conncache::{ConnTupleCache, U64Map};
-use crate::connmgr::{
-    ctrl_open_ack, decode_ctrl_open, CmPort, ConnectionManager, CTRL_CLOSE_FN, CTRL_OPEN_ACK_FN,
-    CTRL_OPEN_FN,
-};
+use crate::connmgr::{rx_control, CmPort, ConnectionManager, Control};
 use crate::fabric::FabricPort;
-use crate::flow::FlowFifos;
 use crate::lb::{fnv1a, LoadBalancer};
 use crate::monitor::{PacketMonitor, QueueStats};
 use crate::nic::queue_of_flow;
 use crate::offload::OffloadState;
 use crate::reliable::{FrameView, ReliableTransport};
-use crate::reqbuf::RequestBuffer;
 use crate::ring::{RingConsumer, RingProducer};
-use crate::sched::FlowScheduler;
 use crate::softreg::SoftRegisterFile;
+use crate::stage::RxStage;
 use crate::transport::{wire_frames, Datagram, MAX_LINES_PER_DATAGRAM};
 use crate::wait::{EngineWaker, SpinWait};
 use crate::xfer::{XferConsumer, XferProducer};
@@ -113,9 +110,9 @@ pub(crate) struct EngineCore {
     /// (and into `qstats`, its own entry of the per-queue banks).
     pub monitor: Arc<PacketMonitor>,
     pub lb: LoadBalancer,
-    pub reqbuf: RequestBuffer,
-    pub fifos: FlowFifos,
-    pub sched: FlowScheduler,
+    /// Per-flow ordering, staging and delivery batching of the flows this
+    /// worker owns.
+    pub rx_stage: RxStage,
     pub arbiter: Option<ArbiterSlot>,
     pub stop: Arc<AtomicBool>,
     /// Host → engine control-frame outbox (connection setup/teardown),
@@ -194,23 +191,11 @@ pub(crate) struct EngineCore {
     pub stop_barrier: Arc<AtomicUsize>,
     /// NIC-wide per-flow arrival sequence counters, shared by every worker
     /// of this NIC. The steering worker stamps each data frame at steer
-    /// time (`rx_frame`), and the owning worker releases frames to delivery
-    /// in stamp order — so per-flow order survives an elastic RSS remap
-    /// that moves a flow's traffic across receive queues mid-stream.
+    /// time (`rx_frame`), and the owning worker's RX stage releases frames
+    /// to delivery in stamp order — so per-flow order survives an elastic
+    /// RSS remap that moves a flow's traffic across receive queues
+    /// mid-stream.
     pub flow_seq: Arc<Vec<AtomicU64>>,
-    /// Next arrival sequence to deliver, per flow (global indexing; only
-    /// this worker's owned flows ever advance).
-    pub next_deliver: Vec<u64>,
-    /// Out-of-order arrivals parked until their gap fills, per owned flow.
-    /// Empty in steady state: entries appear only while a remap (or a
-    /// forced switch under loss) has the same flow's frames in flight on
-    /// two receive paths at once.
-    pub hold: Vec<BTreeMap<u64, CacheLine>>,
-    /// Tick when the current oldest hold of each flow was parked (drives
-    /// the stall valve).
-    pub hold_since: Vec<u64>,
-    /// Total held frames across all flows (fast zero check per tick).
-    pub held_frames: usize,
     /// Sender side of the remap protocol: per-connection pinned destination
     /// queue plus drain state (see [`EngineCore::pin_route`]).
     pub route_pins: U64Map<RoutePin>,
@@ -247,7 +232,8 @@ pub(crate) struct NicShared {
     /// One arrival counter per flow (so its length is the flow count).
     pub flow_seq: Arc<Vec<AtomicU64>>,
     pub offload: Arc<OffloadState>,
-    /// Request-buffer slots of each worker.
+    /// Lines each worker's RX stage may hold staged for delivery (the
+    /// request buffer's size in the hardware).
     pub reqbuf_slots: usize,
 }
 
@@ -276,18 +262,10 @@ pub(crate) struct RoutePin {
     pub agreed_at: u64,
 }
 
-/// Scheduler partial-batch timeout in engine ticks; small enough that
-/// latency in functional mode is not batch-bound.
-const SCHED_TIMEOUT_TICKS: u64 = 8;
-
 /// Ticks a diverged route pin may wait for its old channel to drain before
 /// the switch is forced (livelock bound under sustained loss; the
-/// receiver's hold queue and stall valve absorb the overlap).
+/// receiver's holds and stall valve absorb the overlap).
 pub(crate) const REMAP_DRAIN_DEADLINE_TICKS: u64 = 4096;
-
-/// Ticks an out-of-order hold may wait for its gap to fill before the
-/// owner presumes the missing arrival lost and releases past it.
-pub(crate) const HOLD_STALL_TICKS: u64 = 2048;
 
 /// One `(destination, queue)`'s staged lines for the current TX round. The
 /// `lines` vector circulates: stage → datagram → (wire or retransmit
@@ -323,7 +301,7 @@ impl EngineCore {
     pub(crate) fn new(shared: &NicShared, parts: WorkerParts) -> Self {
         let q = usize::from(parts.queue_id);
         let num_queues = shared.wakers.len();
-        let num_flows = shared.flow_seq.len();
+        let qstats = Arc::clone(&shared.monitor.queues()[q]);
         EngineCore {
             addr: shared.addr,
             queue_id: parts.queue_id,
@@ -335,9 +313,11 @@ impl EngineCore {
             softregs: Arc::clone(&shared.softregs),
             monitor: Arc::clone(&shared.monitor),
             lb: LoadBalancer::new(LbPolicy::Uniform, (0, 32)),
-            reqbuf: RequestBuffer::new(shared.reqbuf_slots),
-            fifos: FlowFifos::new(num_flows),
-            sched: FlowScheduler::new(num_flows, SCHED_TIMEOUT_TICKS),
+            rx_stage: RxStage::new(
+                shared.flow_seq.len(),
+                shared.reqbuf_slots,
+                Arc::clone(&qstats),
+            ),
             arbiter: parts.arbiter,
             stop: Arc::clone(&shared.stop),
             ctrl_rx: shared.ctrl_rx.clone(),
@@ -357,16 +337,12 @@ impl EngineCore {
             stage_idx: U64Map::default(),
             waker: Arc::clone(&shared.wakers[q]),
             peer_wakers: shared.wakers.clone(),
-            qstats: Arc::clone(&shared.monitor.queues()[q]),
+            qstats,
             xfer_out: parts.xfer_out,
             xfer_in: parts.xfer_in,
             xfer_backlog: (0..num_queues).map(|_| VecDeque::new()).collect(),
             stop_barrier: Arc::clone(&shared.stop_barrier),
             flow_seq: Arc::clone(&shared.flow_seq),
-            next_deliver: vec![0; num_flows],
-            hold: (0..num_flows).map(|_| BTreeMap::new()).collect(),
-            hold_since: vec![0; num_flows],
-            held_frames: 0,
             route_pins: U64Map::default(),
             tx_scratch: Vec::new(),
             wire_out: Vec::new(),
@@ -439,7 +415,7 @@ impl EngineCore {
         self.step_until_quiet();
         // Frames still parked for ordering release now regardless of gaps:
         // their missing predecessors are not coming.
-        self.force_release_holds();
+        self.rx_stage.release_all(self.tick);
         self.step_until_quiet();
         self.drain_pending_on_stop();
         // Handoffs that never fit their ring die with this worker; account
@@ -450,15 +426,14 @@ impl EngineCore {
 
     /// Parking is safe only when nothing tick-driven is outstanding: no
     /// arbiter rotation to keep granting, no window-deferred datagrams, no
-    /// staged FIFO slots awaiting delivery, no out-of-order holds waiting
-    /// on the stall valve, no handoffs waiting for ring space, and the
-    /// reliable transport has neither unacked frames, owed acks, nor
-    /// retired buffers to recycle.
+    /// staged lines awaiting delivery, no out-of-order holds waiting on the
+    /// stall valve, no handoffs waiting for ring space, and the reliable
+    /// transport has neither unacked frames, owed acks, nor retired
+    /// buffers to recycle.
     fn can_idle_park(&self) -> bool {
         self.arbiter.is_none()
             && self.pending_out.is_empty()
-            && self.fifos.is_empty()
-            && self.held_frames == 0
+            && self.rx_stage.is_idle()
             && self.xfer_backlog.iter().all(VecDeque::is_empty)
             && self
                 .reliable
@@ -559,19 +534,13 @@ impl EngineCore {
                         RpcEvent::EnginePickup,
                     );
                 }
-                if hdr.kind == RpcKind::Response && self.softregs.nic_serde() {
-                    // TX half of the offload stage: host responses leaving
-                    // the NIC complete read fills and the second
-                    // invalidation bump of writes (DESIGN.md §18).
-                    self.offload.on_response_tx(
-                        hdr.connection_id,
-                        hdr.rpc_id,
-                        hdr.frame_idx,
-                        hdr.frame_count,
-                        &line.payload()[..usize::from(hdr.frame_payload_len)],
-                        self.softregs.offload_cache_entries() as usize,
-                    );
-                }
+                // TX half of the offload stage (DESIGN.md §18).
+                self.offload.tx_response(
+                    &hdr,
+                    &line,
+                    self.softregs.nic_serde(),
+                    self.softregs.offload_cache_entries() as usize,
+                );
                 let tuple = self
                     .conn_cache
                     .lookup(hdr.connection_id, CmPort::Tx, &self.conn_mgr);
@@ -641,8 +610,12 @@ impl EngineCore {
     /// every datagram sent there has been acked: at that point all old
     /// frames have been received — and arrival-stamped — by the remote NIC,
     /// so the switch cannot reorder the flow. A tick deadline bounds the
-    /// drain under sustained loss; the receiver's hold queue and stall
-    /// valve absorb whatever overlap a forced switch lets through.
+    /// drain under sustained loss; the receiver's holds and stall valve
+    /// absorb whatever overlap a forced switch lets through.
+    ///
+    /// The one routing decision: every frame this engine originates for a
+    /// connection — data, control, open-acks, offload hits — takes its
+    /// destination queue from here.
     fn pin_route(&mut self, cid: ConnectionId, dst: NodeAddr, tick: u64) -> u16 {
         let fresh = self.port.route(dst, conn_route_tag(cid));
         let key = u64::from(cid.raw());
@@ -883,8 +856,8 @@ impl EngineCore {
     }
 
     /// RX FSM: drain this worker's fabric port queue, handle control
-    /// frames, steer data frames into the request buffer + flow FIFOs
-    /// (owned flows) or toward the owning worker (handoff).
+    /// frames, steer data frames into the RX stage (owned flows) or toward
+    /// the owning worker (handoff).
     fn rx_round(&mut self, tick: u64) -> bool {
         let mut progress = false;
         // Bound the number of datagrams per round to keep the loop fair.
@@ -932,7 +905,7 @@ impl EngineCore {
                 self.absorb_datagram(dgram, tick);
             }
         }
-        // Control acknowledgements staged by `rx_frame` ship here.
+        // Replies staged by `rx_frame` (open-acks, offload hits) ship here.
         self.flush_wire();
         progress
     }
@@ -960,108 +933,17 @@ impl EngineCore {
                 };
                 progress = true;
                 self.qstats.handoff_in.inc();
-                self.accept_frame(usize::from(flow), seq, line, tick);
+                self.rx_stage.accept(usize::from(flow), seq, line, tick);
             }
         }
         progress
     }
 
-    /// Accepts one steered frame for an owned flow, releasing to the
-    /// request buffer + FIFO in arrival-stamp order.
-    ///
-    /// In steady state `seq` always equals the flow's `next_deliver` (one
-    /// receive path, FIFO handoff rings) and this is a straight stage.
-    /// During a remap the same flow's frames can reach the owner via two
-    /// paths at once — its own port queue and a sibling's handoff ring —
-    /// so later stamps park in the hold queue until the gap fills (or the
-    /// stall valve gives up on a lost predecessor).
-    fn accept_frame(&mut self, flow: usize, seq: u64, line: CacheLine, tick: u64) {
-        if seq > self.next_deliver[flow] {
-            if self.hold[flow].is_empty() {
-                self.hold_since[flow] = tick;
-            }
-            self.hold[flow].insert(seq, line);
-            self.held_frames += 1;
-            self.qstats.reorder_holds.inc();
-            return;
-        }
-        self.stage_frame(flow, line, tick);
-        if seq == self.next_deliver[flow] {
-            self.next_deliver[flow] = seq + 1;
-            self.drain_holds(flow, tick);
-        }
-        // seq < next_deliver cannot happen with unique fetch_add stamps
-        // (the stall valve only ever skips *missing* stamps forward); the
-        // frame was staged above regardless, so nothing is lost even then.
-    }
-
-    /// Stages one in-order frame into the request buffer + FIFO.
-    fn stage_frame(&mut self, flow: usize, line: CacheLine, tick: u64) {
-        match self.reqbuf.alloc(line) {
-            Some(slot) => {
-                self.fifos.push(flow, slot);
-                self.sched.on_stage(flow, tick);
-            }
-            None => self.qstats.reqbuf_backpressure.inc(),
-        }
-    }
-
-    /// Releases consecutive held frames now that `next_deliver` advanced.
-    fn drain_holds(&mut self, flow: usize, tick: u64) {
-        while let Some(entry) = self.hold[flow].first_entry() {
-            if *entry.key() != self.next_deliver[flow] {
-                break;
-            }
-            let line = entry.remove();
-            self.held_frames -= 1;
-            self.next_deliver[flow] += 1;
-            self.hold_since[flow] = tick;
-            self.stage_frame(flow, line, tick);
-        }
-    }
-
-    /// The stall valve: a hold whose gap has not filled within
-    /// [`HOLD_STALL_TICKS`] presumes its missing predecessors lost (e.g.
-    /// dropped on the old path of a forced remap switch) and releases past
-    /// them, so a lost frame costs latency, never liveness.
+    /// The stall valve round: holds whose gap has not filled within
+    /// [`crate::stage::HOLD_STALL_TICKS`] release past it
+    /// ([`RxStage::release_overdue`]).
     fn release_stalled(&mut self, tick: u64) -> bool {
-        if self.held_frames == 0 {
-            return false;
-        }
-        let mut progress = false;
-        for flow in 0..self.hold.len() {
-            if self.hold[flow].is_empty()
-                || tick.wrapping_sub(self.hold_since[flow]) < HOLD_STALL_TICKS
-            {
-                continue;
-            }
-            if let Some((&seq, _)) = self.hold[flow].first_key_value() {
-                self.next_deliver[flow] = seq;
-                self.qstats.reorder_flushes.inc();
-                self.drain_holds(flow, tick);
-                progress = true;
-            }
-        }
-        progress
-    }
-
-    /// Shutdown: releases every held frame in stamp order regardless of
-    /// gaps — missing predecessors are not coming.
-    fn force_release_holds(&mut self) {
-        if self.held_frames == 0 {
-            return;
-        }
-        let tick = self.tick;
-        for flow in 0..self.hold.len() {
-            while let Some(entry) = self.hold[flow].first_entry() {
-                let seq = *entry.key();
-                let line = entry.remove();
-                self.held_frames -= 1;
-                self.next_deliver[flow] = seq + 1;
-                self.qstats.reorder_flushes.inc();
-                self.stage_frame(flow, line, tick);
-            }
-        }
+        self.rx_stage.release_overdue(tick)
     }
 
     /// Hands one steered frame to the worker owning `flow`, preserving
@@ -1079,43 +961,32 @@ impl EngineCore {
         self.xfer_backlog[owner].push_back((flow, seq, line));
     }
 
+    /// Ships `lines` (a reply this engine originates) toward `dst` on the
+    /// queue [`EngineCore::pin_route`] picks for `cid`.
+    fn reply(&mut self, cid: ConnectionId, dst: NodeAddr, lines: Vec<CacheLine>, tick: u64) {
+        let dst_queue = self.pin_route(cid, dst, tick);
+        self.send_datagram(Datagram::new(self.addr, dst, lines), dst_queue);
+    }
+
+    /// One received frame: decode, control, trace stamp, tuple lookup,
+    /// offload, steer, stamp, then local staging or hand-off.
     fn rx_frame(&mut self, line: CacheLine, tick: u64) {
         let Ok(hdr) = RpcHeader::decode(line.header()) else {
             self.qstats.unknown_connection_drops.inc();
             return;
         };
-        match hdr.fn_id.raw() {
-            CTRL_OPEN_FN => {
-                let tuple = decode_ctrl_open(&line);
-                let addr = tuple.dest_addr;
-                // Re-opening (e.g. a retried control frame) is idempotent.
-                {
-                    let mut cm = self.conn_mgr.lock();
-                    let _ = cm.close(hdr.connection_id);
-                    let _ = cm.open(hdr.connection_id, tuple);
-                }
-                // Acknowledge the open so the initiator's blocking setup
-                // completes (and survives fabric loss via retries).
-                let ack = ctrl_open_ack(hdr.connection_id);
+        match rx_control(&hdr, &line, &self.conn_mgr, &self.confirmed) {
+            Control::Data => {}
+            Control::Done => return,
+            Control::Ack { to, line: ack } => {
                 let mut lines = self.pool.get_lines();
                 lines.push(ack);
-                let dgram = Datagram::new(self.addr, addr, lines);
-                let dst_queue = self.port.route(addr, conn_route_tag(hdr.connection_id));
-                self.send_datagram(dgram, dst_queue);
+                self.reply(hdr.connection_id, to, lines, tick);
                 return;
             }
-            CTRL_OPEN_ACK_FN => {
-                self.confirmed.lock().insert(hdr.connection_id.raw());
-                return;
-            }
-            CTRL_CLOSE_FN => {
-                let _ = self.conn_mgr.lock().close(hdr.connection_id);
-                return;
-            }
-            _ => {}
         }
-        // Data frame confirmed (ctrl frames returned above): stamp the
-        // fabric-arrival trace event for first request frames.
+        // Data frame: stamp the fabric-arrival trace event for first
+        // request frames.
         if hdr.kind == RpcKind::Request && hdr.frame_idx == 0 {
             self.telemetry.tracer().record(
                 hdr.connection_id.raw(),
@@ -1130,12 +1001,18 @@ impl EngineCore {
             self.qstats.unknown_connection_drops.inc();
             return;
         };
-        // RX half of the on-NIC offload stage (DESIGN.md §18): with
-        // NIC-side serde on, annotated request lead frames are decoded here
-        // with the IDL-generated tables. A cacheable read that hits is
-        // answered from this queue's response cache — the frame never
-        // reaches a host core; a write invalidates before steering on.
-        if hdr.kind == RpcKind::Request && self.offload_rx(&hdr, &line, tuple.dest_addr) {
+        // RX half of the on-NIC offload stage (DESIGN.md §18): a cacheable
+        // read that hits comes back as its response lines — the frame never
+        // reaches a host core; everything else steers on.
+        if let Some(hit) = self.offload.rx_request(
+            &hdr,
+            &line,
+            usize::from(self.queue_id),
+            self.softregs.nic_serde(),
+            self.softregs.offload_cache_entries() as usize,
+            &mut self.pool,
+        ) {
+            self.reply(hdr.connection_id, tuple.dest_addr, hit, tick);
             return;
         }
         // Soft-reconfigurable policy selection.
@@ -1155,108 +1032,13 @@ impl EngineCore {
         // paths observe one total order per flow.
         let seq = self.flow_seq[flow].fetch_add(1, Ordering::Relaxed);
         if owner == usize::from(self.queue_id) {
-            self.accept_frame(flow, seq, line, tick);
+            self.rx_stage.accept(flow, seq, line, tick);
         } else {
             self.handoff(owner, flow as u16, seq, line);
         }
     }
 
-    /// Classifies one request lead frame against the installed offload
-    /// spec. Returns `true` only when the frame was fully served from the
-    /// response cache — the caller must then drop it instead of steering it
-    /// to the host.
-    fn offload_rx(&mut self, hdr: &RpcHeader, line: &CacheLine, reply_to: NodeAddr) -> bool {
-        if hdr.frame_idx != 0 || !self.softregs.nic_serde() {
-            return false;
-        }
-        let offload = Arc::clone(&self.offload);
-        let Some(fo) = offload.spec().and_then(|s| s.get(hdr.fn_id)) else {
-            return false;
-        };
-        let payload = &line.payload()[..usize::from(hdr.frame_payload_len)];
-        match fo.class {
-            CacheClass::Read { key_field } => {
-                // Only untraced single-frame reads are classified: the
-                // serde table describes the request alone, and traced
-                // payloads carry a trace-context prelude it does not cover.
-                if hdr.traced || hdr.frame_count != 1 || !fo.req_table.validate(payload) {
-                    offload.stats().bypass.inc();
-                    return false;
-                }
-                let Some(range) = fo.req_table.field_range(payload, key_field) else {
-                    offload.stats().bypass.inc();
-                    return false;
-                };
-                let cap = self.softregs.offload_cache_entries() as usize;
-                if cap == 0 {
-                    // Cache disabled: pure host path, no miss accounting.
-                    return false;
-                }
-                let queue = usize::from(self.queue_id);
-                match offload.on_read_rx(
-                    queue,
-                    hdr.fn_id,
-                    hdr.connection_id,
-                    hdr.rpc_id,
-                    &payload[range],
-                    cap,
-                ) {
-                    Some(cached) => {
-                        self.send_offload_hit(hdr, reply_to, &cached);
-                        true
-                    }
-                    None => false,
-                }
-            }
-            CacheClass::Write { key_field } => {
-                // Writes invalidate and continue to the host. The key is
-                // extracted when the lead frame holds it whole; otherwise
-                // (or under tracing's payload prelude) the conservative
-                // whole-cache epoch flush applies.
-                let key = if hdr.traced {
-                    None
-                } else {
-                    fo.req_table
-                        .field_range(payload, key_field)
-                        .map(|r| &payload[r])
-                };
-                offload.on_write_rx(hdr.connection_id, hdr.rpc_id, key);
-                false
-            }
-        }
-    }
-
-    /// Synthesizes and ships the response frames of a cache hit. The header
-    /// mirrors the request's identifiers (so the client's reassembler and
-    /// completion matching work unchanged); the `offloaded` kind bit marks
-    /// the response as NIC-served for endpoint accounting.
-    fn send_offload_hit(&mut self, req: &RpcHeader, dst: NodeAddr, payload: &[u8]) {
-        debug_assert!(!payload.is_empty(), "cached payloads carry a status byte");
-        let frame_count = payload.len().div_ceil(FRAME_PAYLOAD_BYTES);
-        let mut lines = self.pool.get_lines();
-        for (idx, chunk) in payload.chunks(FRAME_PAYLOAD_BYTES).enumerate() {
-            let hdr = RpcHeader {
-                connection_id: req.connection_id,
-                rpc_id: req.rpc_id,
-                fn_id: req.fn_id,
-                src_flow: req.src_flow,
-                kind: RpcKind::Response,
-                frame_idx: idx as u8,
-                frame_count: frame_count as u8,
-                frame_payload_len: chunk.len() as u8,
-                traced: false,
-                offloaded: true,
-            };
-            let mut line = CacheLine::zeroed();
-            hdr.encode(line.header_mut());
-            line.payload_mut()[..chunk.len()].copy_from_slice(chunk);
-            lines.push(line);
-        }
-        let dst_queue = self.port.route(dst, conn_route_tag(req.connection_id));
-        self.send_datagram(Datagram::new(self.addr, dst, lines), dst_queue);
-    }
-
-    /// Delivery: the flow scheduler picks formed batches and the CCI-P
+    /// Delivery: the RX stage picks formed batches and the CCI-P
     /// transmitter writes them into the RX rings. `drain_all` (shutdown)
     /// flushes partially formed batches too. `rx_quiet` says the RX and
     /// inbox rounds of this tick moved nothing: with the `auto_batch` soft
@@ -1275,44 +1057,35 @@ impl EngineCore {
         } else {
             batch
         };
-        let mut progress = false;
-        while let Some(flow) = self.sched.pick(&self.fifos, ready, tick) {
-            for slot in self.fifos.pop_batch(flow, batch.max(1)) {
-                let line = self.reqbuf.take(slot);
-                // The extra header decode for the trace key is gated on the
-                // tracer so the untraced hot path stays decode-free here.
-                let traced = if self.telemetry.tracer().is_enabled() {
-                    RpcHeader::decode(line.header())
-                        .ok()
-                        .filter(|h| h.kind == RpcKind::Request && h.frame_idx == 0)
-                        .map(|h| (h.connection_id.raw(), h.rpc_id.raw()))
-                } else {
-                    None
-                };
-                // Only owned flows are ever staged here; a missing ring is
-                // a steering bug surfaced as a counted drop, never a silent
-                // loss.
-                let delivered = match self.rx_rings[flow].as_mut() {
-                    Some(ring) => ring.try_push(line).is_ok(),
-                    None => false,
-                };
-                let bank = &self.monitor.flows()[flow];
-                if delivered {
-                    bank.rx_frames.inc();
-                    if let Some((cid, rid)) = traced {
-                        self.telemetry
-                            .tracer()
-                            .record(cid, rid, RpcEvent::RxDeliver);
-                    }
-                } else {
-                    self.qstats.rx_ring_drops.inc();
-                    bank.rx_ring_drops.inc();
+        let tracer = self.telemetry.tracer();
+        self.rx_stage.drain_ready(ready, batch, tick, |flow, line| {
+            // The extra header decode for the trace key is gated on the
+            // tracer so the untraced hot path stays decode-free here.
+            let traced = if tracer.is_enabled() {
+                RpcHeader::decode(line.header())
+                    .ok()
+                    .filter(|h| h.kind == RpcKind::Request && h.frame_idx == 0)
+                    .map(|h| (h.connection_id.raw(), h.rpc_id.raw()))
+            } else {
+                None
+            };
+            // Only owned flows are ever staged here; a missing ring is a
+            // steering bug surfaced as a counted drop, never a silent loss.
+            let delivered = match self.rx_rings[flow].as_mut() {
+                Some(ring) => ring.try_push(line).is_ok(),
+                None => false,
+            };
+            let bank = &self.monitor.flows()[flow];
+            if delivered {
+                bank.rx_frames.inc();
+                if let Some((cid, rid)) = traced {
+                    tracer.record(cid, rid, RpcEvent::RxDeliver);
                 }
+            } else {
+                self.qstats.rx_ring_drops.inc();
+                bank.rx_ring_drops.inc();
             }
-            self.sched.on_drain(flow, self.fifos.len(flow) == 0, tick);
-            progress = true;
-        }
-        progress
+        })
     }
 }
 
@@ -1324,6 +1097,7 @@ mod tests {
     use crate::fabric::{Fabric, MemFabric};
     use crate::ring::ring;
     use crate::softreg::SoftRegisterFile;
+    use crate::stage::SCHED_TIMEOUT_TICKS;
     use crate::xfer::xfer_ring;
     use dagger_types::{FlowId, FnId, RpcId, SoftConfigSnapshot};
 

@@ -14,17 +14,20 @@
 //!   acknowledgements, paired with the fabric's deterministic loss
 //!   injection;
 //! * [`connmgr`] — the Connection Manager: a direct-mapped, three-banked
-//!   (1W3R) connection cache with host-memory spill (§4.2);
+//!   (1W3R) connection cache with host-memory spill (§4.2), and the
+//!   connection-setup control frames it handles on RX;
 //! * [`lb`] — the RX load balancers: uniform dynamic, static, and the
 //!   object-level key-hash balancer used for MICA tiers (§5.7);
-//! * [`reqbuf`]/[`flow`]/[`sched`] — the request buffer + free-slot FIFO,
-//!   per-flow FIFOs of `slot_id` references, and the flow scheduler that
-//!   forms CCI-P delivery batches (Fig. 9B);
+//! * [`stage`] — the RX stage: one record per flow holding its arrival
+//!   order (out-of-order holds and the stall valve), its staged lines under
+//!   the request buffer's bound, and the flow scheduler's batch-or-timeout
+//!   rule that forms CCI-P delivery batches (Fig. 9);
 //! * [`monitor`] — the Packet Monitor statistics unit, and [`bank`] — the
 //!   one declaration form every counter bank in this crate uses;
 //! * [`offload`] — the on-NIC compute offload stage: NIC-side serde driven
 //!   by IDL-generated tables and the coherent hot-key response cache
-//!   (§5.6, DESIGN.md §18);
+//!   (§5.6, DESIGN.md §18), which classifies request lead frames and builds
+//!   the responses of cache hits itself;
 //! * [`softreg`] — the Soft-Reconfiguration Unit register file (§4.1);
 //! * [`arbiter`] — the fair round-robin CCI-P bus arbiter used when several
 //!   virtual NICs share one FPGA (Fig. 14);
@@ -64,16 +67,14 @@ pub mod engine;
 pub mod fabric;
 pub mod fabric_faults;
 pub mod fabric_udp;
-pub mod flow;
 pub mod lb;
 pub mod monitor;
 pub mod nic;
 pub mod offload;
 pub mod reliable;
-pub mod reqbuf;
 pub mod ring;
-pub mod sched;
 pub mod softreg;
+pub mod stage;
 pub mod transport;
 pub mod wait;
 pub mod xfer;

@@ -39,7 +39,8 @@ counter_bank! {
         /// Network payloads dropped as undecodable off the wire
         /// (truncated, corrupted, or checksum-failed transport frames).
         wire_drops,
-        /// Frames dropped because the request buffer was full.
+        /// Frames dropped because the RX stage was at its staging bound (the
+        /// request buffer's size; the name is the hardware's).
         reqbuf_backpressure,
         /// Frames fetched while polling the NIC's local coherent cache
         /// (low-load mode, §4.4.1).
@@ -54,9 +55,11 @@ counter_bank! {
         handoff_out,
         /// Steered frames accepted from other workers.
         handoff_in,
-        /// Handed-off frames held back to restore per-flow arrival order.
+        /// Frames held back because they overtook an earlier arrival of their
+        /// flow (usually a local frame overtaking a handoff).
         reorder_holds,
-        /// Holds released past a gap by the stall valve (or shutdown flush).
+        /// Holds released past a gap by the stall valve (or shutdown flush),
+        /// and late frames the valve had already released past.
         reorder_flushes,
         /// Connections switched to a new destination queue after a clean
         /// channel drain (elastic RSS remap).

@@ -5,15 +5,20 @@
 //! installed, the engine consults this module on both sides of the
 //! datapath:
 //!
-//! - **RX** ([`OffloadState::on_read_rx`] / [`OffloadState::on_write_rx`]):
-//!   the lead frame of a request whose `fn_id` carries a cache annotation is
-//!   decoded *on the NIC* with the function's zero-copy serde table. A
-//!   cacheable read that hits serves the stored response bytes straight from
-//!   the RX path — the server core never wakes. A write invalidates the key
-//!   before the store ever sees it.
-//! - **TX** ([`OffloadState::on_response_tx`]): response frames leaving the
-//!   NIC fill the cache (reads) or complete the invalidation protocol
-//!   (writes).
+//! - **RX** ([`OffloadState::rx_request`], over
+//!   [`OffloadState::on_read_rx`] / [`OffloadState::on_write_rx`]): the lead
+//!   frame of a request whose `fn_id` carries a cache annotation is decoded
+//!   *on the NIC* with the function's zero-copy serde table. A cacheable read
+//!   that hits is answered with response lines built here from the stored
+//!   bytes — the engine only ships them, and the server core never wakes. A
+//!   write invalidates the key before the store ever sees it.
+//! - **TX** ([`OffloadState::tx_response`], over
+//!   [`OffloadState::on_response_tx`]): response frames leaving the NIC fill
+//!   the cache (reads) or complete the invalidation protocol (writes).
+//!
+//! The engine hands both entry points the frame and the values of the
+//! `nic_serde` and `offload_cache_entries` soft registers; the gate, the
+//! spec lookup, the bypass rules and key extraction all live here.
 //!
 //! # Coherence: the double-bump protocol
 //!
@@ -47,11 +52,12 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use dagger_telemetry::{FlightEventKind, FlightRecorder, FLIGHT_ALL_NODES};
-use dagger_types::offload::OffloadSpec;
-use dagger_types::{ConnectionId, FnId, RpcId};
+use dagger_types::offload::{CacheClass, OffloadSpec};
+use dagger_types::{CacheLine, ConnectionId, FnId, RpcHeader, RpcId, RpcKind, FRAME_PAYLOAD_BYTES};
 use parking_lot::Mutex;
 
 use crate::bank::counter_bank;
+use crate::bufpool::BufPool;
 use crate::lb::fnv1a;
 
 /// Number of per-key generation counters. A power of two; collisions only
@@ -93,7 +99,8 @@ counter_bank! {
 }
 
 /// A cached response: the exact status-prefixed payload bytes the host
-/// produced, plus the coherence stamps under which they were latched.
+/// produced, plus the coherence stamps under which they were latched. A
+/// read's fill obligation accumulates one of these as its response leaves.
 #[derive(Debug)]
 struct Entry {
     fn_id: FnId,
@@ -144,18 +151,14 @@ impl ResponseCache {
 /// response can be matched on TX.
 #[derive(Debug)]
 enum Pending {
-    /// A cacheable read that missed: accumulate its response frames and
-    /// fill the cache if no write intervened.
+    /// A cacheable read that missed: accumulate its response frames into
+    /// `entry.payload` and fill the cache if no write intervened.
     Read {
         queue: usize,
-        fn_id: FnId,
-        key: Vec<u8>,
         hash: u64,
         slot: usize,
-        gen: u64,
-        epoch: u64,
-        buf: Vec<u8>,
         next_frame: u8,
+        entry: Entry,
     },
     /// A write awaiting its acknowledgment: the TX-side (second) bump.
     Write { slot: Option<usize> },
@@ -184,6 +187,31 @@ fn entry_hash(fn_id: FnId, key: &[u8]) -> u64 {
 
 fn gen_slot(key: &[u8]) -> usize {
     fnv1a(key) as usize & (GEN_SLOTS - 1)
+}
+
+/// Appends the response frames of a cache hit on `req` to `lines`. The
+/// header mirrors the request's identifiers (so the client's reassembler and
+/// completion matching work unchanged); the `offloaded` bit marks the
+/// response as NIC-served for endpoint accounting.
+fn hit_lines(req: &RpcHeader, payload: &[u8], mut lines: Vec<CacheLine>) -> Vec<CacheLine> {
+    debug_assert!(!payload.is_empty(), "cached payloads carry a status byte");
+    let frame_count = payload.len().div_ceil(FRAME_PAYLOAD_BYTES);
+    for (idx, chunk) in payload.chunks(FRAME_PAYLOAD_BYTES).enumerate() {
+        let hdr = RpcHeader {
+            kind: RpcKind::Response,
+            frame_idx: idx as u8,
+            frame_count: frame_count as u8,
+            frame_payload_len: chunk.len() as u8,
+            traced: false,
+            offloaded: true,
+            ..*req
+        };
+        let mut line = CacheLine::zeroed();
+        hdr.encode(line.header_mut());
+        line.payload_mut()[..chunk.len()].copy_from_slice(chunk);
+        lines.push(line);
+    }
+    lines
 }
 
 impl OffloadState {
@@ -226,6 +254,78 @@ impl OffloadState {
     fn record(&self, kind: FlightEventKind, a: u64, b: u64) {
         if let Some((flight, node)) = self.flight.get() {
             flight.record(kind, *node, a, b);
+        }
+    }
+
+    /// The RX entry point: one received frame on `queue`, with the values of
+    /// the `nic_serde` and `offload_cache_entries` (`cap`) soft registers.
+    /// Returns the response lines of a read served from `queue`'s cache
+    /// (drawn from `pool`); the request then goes no further. `None` sends
+    /// the frame on to the host — invalidated first, if it is a write.
+    ///
+    /// Only request lead frames of annotated functions are classified. The
+    /// key is extracted when the lead frame holds it whole and untraced (a
+    /// traced payload starts with a trace-context prelude the serde table
+    /// does not cover); a write without one flushes the whole cache through
+    /// the epoch. A read is looked up only if it is single-frame, its body
+    /// validates and it yields a key (the table describes the request
+    /// alone); any other read counts `bypass`.
+    pub(crate) fn rx_request(
+        &self,
+        hdr: &RpcHeader,
+        line: &CacheLine,
+        queue: usize,
+        nic_serde: bool,
+        cap: usize,
+        pool: &mut BufPool,
+    ) -> Option<Vec<CacheLine>> {
+        if !nic_serde || hdr.kind != RpcKind::Request || hdr.frame_idx != 0 {
+            return None;
+        }
+        let fo = self.spec()?.get(hdr.fn_id)?;
+        let payload = &line.payload()[..usize::from(hdr.frame_payload_len)];
+        let range = if hdr.traced {
+            None
+        } else {
+            fo.req_table.field_range(payload, fo.class.key_field())
+        };
+        let key = range.map(|r| &payload[r]);
+        if let CacheClass::Write { .. } = fo.class {
+            self.on_write_rx(hdr.connection_id, hdr.rpc_id, key);
+            return None;
+        }
+        let Some(key) = key.filter(|_| hdr.frame_count == 1 && fo.req_table.validate(payload))
+        else {
+            self.stats.bypass.inc();
+            return None;
+        };
+        if cap == 0 {
+            // Cache disabled: pure host path, no miss accounting.
+            return None;
+        }
+        let cached = self.on_read_rx(queue, hdr.fn_id, hdr.connection_id, hdr.rpc_id, key, cap)?;
+        Some(hit_lines(hdr, &cached, pool.get_lines()))
+    }
+
+    /// The TX entry point: one frame leaving the NIC. With `nic_serde` on, a
+    /// response completes its read's fill or its write's second bump
+    /// ([`Self::on_response_tx`]).
+    pub(crate) fn tx_response(
+        &self,
+        hdr: &RpcHeader,
+        line: &CacheLine,
+        nic_serde: bool,
+        cap: usize,
+    ) {
+        if nic_serde && hdr.kind == RpcKind::Response {
+            self.on_response_tx(
+                hdr.connection_id,
+                hdr.rpc_id,
+                hdr.frame_idx,
+                hdr.frame_count,
+                &line.payload()[..usize::from(hdr.frame_payload_len)],
+                cap,
+            );
         }
     }
 
@@ -279,14 +379,17 @@ impl OffloadState {
                         (cid, rpc_id),
                         Pending::Read {
                             queue,
-                            fn_id,
-                            key: key.to_vec(),
                             hash,
                             slot,
-                            gen,
-                            epoch,
-                            buf: Vec::new(),
                             next_frame: 0,
+                            entry: Entry {
+                                fn_id,
+                                key: key.to_vec(),
+                                payload: Vec::new(),
+                                gen,
+                                epoch,
+                                stamp: 0,
+                            },
                         },
                     )
                     .is_none();
@@ -369,8 +472,9 @@ impl OffloadState {
                 }
             }
             Pending::Read {
-                buf, next_frame, ..
+                entry, next_frame, ..
             } => {
+                let buf = &mut entry.payload;
                 if frame_idx != *next_frame || buf.len() + chunk.len() > MAX_CACHED_BYTES {
                     // Out-of-order retransmit or oversized response: give up
                     // on this fill (the host still answers the client).
@@ -383,13 +487,9 @@ impl OffloadState {
                 if last {
                     let Some(Pending::Read {
                         queue,
-                        fn_id,
-                        key,
                         hash,
                         slot,
-                        gen,
-                        epoch,
-                        buf,
+                        entry,
                         ..
                     }) = pending.remove(&(cid, rpc_id))
                     else {
@@ -397,26 +497,15 @@ impl OffloadState {
                     };
                     self.pending_hint.fetch_sub(1, Ordering::Relaxed);
                     drop(pending);
-                    self.fill(queue, fn_id, key, hash, slot, gen, epoch, buf, cap);
+                    self.fill(queue, hash, slot, entry, cap);
                 }
             }
         }
     }
 
     /// Latches a completed read response, unless a write raced it.
-    #[allow(clippy::too_many_arguments)]
-    fn fill(
-        &self,
-        queue: usize,
-        fn_id: FnId,
-        key: Vec<u8>,
-        hash: u64,
-        slot: usize,
-        gen: u64,
-        epoch: u64,
-        payload: Vec<u8>,
-        cap: usize,
-    ) {
+    fn fill(&self, queue: usize, hash: u64, slot: usize, mut entry: Entry, cap: usize) {
+        let payload = &entry.payload;
         if cap == 0 {
             return;
         }
@@ -429,32 +518,22 @@ impl OffloadState {
         let valid = self
             .spec
             .get()
-            .and_then(|s| s.get(fn_id))
+            .and_then(|s| s.get(entry.fn_id))
             .is_some_and(|f| f.resp_table.validate(&payload[1..]));
         if !valid {
             return;
         }
         // The double-bump race check: if either counter moved since the
         // read arrived, a write bracketed this response — drop the fill.
-        if self.gens[slot].load(Ordering::Acquire) != gen
-            || self.epoch.load(Ordering::Acquire) != epoch
+        if self.gens[slot].load(Ordering::Acquire) != entry.gen
+            || self.epoch.load(Ordering::Acquire) != entry.epoch
         {
             return;
         }
         let mut cache = self.queues[queue].lock();
         let evicted = cache.make_room(cap);
-        let stamp = cache.touch(hash);
-        cache.entries.insert(
-            hash,
-            Entry {
-                fn_id,
-                key,
-                payload,
-                gen,
-                epoch,
-                stamp,
-            },
-        );
+        entry.stamp = cache.touch(hash);
+        cache.entries.insert(hash, entry);
         drop(cache);
         if evicted > 0 {
             self.stats.evictions.add(evicted);
@@ -641,5 +720,89 @@ mod tests {
         s.on_response_tx(cid, RpcId(1), 0, 1, &ok_response(b"v"), 0);
         assert_eq!(s.cached_entries(), 0);
         assert_eq!(s.stats().snapshot().fills, 0);
+    }
+
+    /// A single-frame request lead frame for `fn_id` whose body is the
+    /// length-prefixed `fields`.
+    fn request(fn_id: u16, rpc: u32, fields: &[&[u8]]) -> (RpcHeader, CacheLine) {
+        let mut body = Vec::new();
+        for f in fields {
+            body.extend_from_slice(&(f.len() as u32).to_le_bytes());
+            body.extend_from_slice(f);
+        }
+        let hdr = RpcHeader {
+            connection_id: ConnectionId(7),
+            rpc_id: RpcId(rpc),
+            fn_id: FnId(fn_id),
+            src_flow: dagger_types::FlowId(3),
+            kind: RpcKind::Request,
+            frame_idx: 0,
+            frame_count: 1,
+            frame_payload_len: body.len() as u8,
+            traced: false,
+            offloaded: false,
+        };
+        let mut line = CacheLine::zeroed();
+        hdr.encode(line.header_mut());
+        line.payload_mut()[..body.len()].copy_from_slice(&body);
+        (hdr, line)
+    }
+
+    #[test]
+    fn rx_request_serves_hits_as_offloaded_response_lines() {
+        let s = state();
+        let mut pool = BufPool::default();
+        let (miss, line) = request(1, 1, &[b"k"]);
+        assert!(s.rx_request(&miss, &line, 0, true, 8, &mut pool).is_none());
+        // 66 bytes: two frames.
+        let resp = ok_response(&[0xCD; 60]);
+        s.on_response_tx(miss.connection_id, miss.rpc_id, 0, 1, &resp, 8);
+        let (req, line) = request(1, 2, &[b"k"]);
+        assert!(
+            s.rx_request(&req, &line, 0, false, 8, &mut pool).is_none(),
+            "nic_serde off: nothing is classified"
+        );
+        let lines = s.rx_request(&req, &line, 0, true, 8, &mut pool).unwrap();
+        assert_eq!(lines.len(), 2);
+        let mut body = Vec::new();
+        for (i, l) in lines.iter().enumerate() {
+            let h = RpcHeader::decode(l.header()).unwrap();
+            assert_eq!(
+                (h.kind, h.frame_idx, h.frame_count),
+                (RpcKind::Response, i as u8, 2)
+            );
+            assert!(h.offloaded && !h.traced);
+            assert_eq!(
+                (h.connection_id, h.rpc_id, h.fn_id, h.src_flow),
+                (req.connection_id, req.rpc_id, req.fn_id, req.src_flow)
+            );
+            body.extend_from_slice(&l.payload()[..usize::from(h.frame_payload_len)]);
+        }
+        assert_eq!(body, resp);
+        assert_eq!(s.stats().snapshot().hits, 1);
+    }
+
+    #[test]
+    fn rx_request_bypasses_what_it_cannot_classify() {
+        let s = state();
+        let mut pool = BufPool::default();
+        let mut rx = |tweak: fn(&mut RpcHeader), fn_id: u16, fields: &[&[u8]], cap: usize| {
+            let (mut hdr, line) = request(fn_id, 1, fields);
+            tweak(&mut hdr);
+            s.rx_request(&hdr, &line, 0, true, cap, &mut pool)
+        };
+        assert!(rx(|h| h.traced = true, 1, &[b"k"], 8).is_none());
+        assert!(rx(|h| h.frame_count = 2, 1, &[b"k"], 8).is_none());
+        assert!(rx(|h| h.frame_payload_len -= 1, 1, &[b"k"], 8).is_none());
+        assert_eq!(s.stats().snapshot().bypass, 3);
+        // Cache off: classified, but no miss is counted.
+        assert!(rx(|_| {}, 1, &[b"k"], 0).is_none());
+        // A write invalidates and goes on to the host; an unannotated
+        // function and a non-lead frame are not looked at.
+        assert!(rx(|_| {}, 2, &[b"k", b"v"], 8).is_none());
+        assert!(rx(|_| {}, 9, &[b"k"], 8).is_none());
+        assert!(rx(|h| h.frame_idx = 1, 2, &[b"k", b"v"], 8).is_none());
+        let snap = s.stats().snapshot();
+        assert_eq!((snap.bypass, snap.misses, snap.invalidations), (3, 0, 1));
     }
 }
