@@ -14,11 +14,11 @@
 //!
 //! Each [`EngineCore::step`] (one "tick") a worker:
 //!
-//! 1. **TX FSM** — polls its own flows' TX rings (the CCI-P fetch, bounded
-//!    by the soft-configured batch size `B` per flow per tick), looks up
-//!    each frame's connection for destination credentials, RSS-routes the
-//!    connection to one of the destination NIC's queues, groups frames by
-//!    `(destination, queue)`, and ships them as transport datagrams.
+//! 1. **TX FSM** — drains its own flows' TX rings (the CCI-P fetch, `B`
+//!    lines per read), looks up each run of a connection's frames once for
+//!    destination credentials, RSS-routes the connection to one of the
+//!    destination NIC's queues, groups frames by `(destination, queue)`,
+//!    and ships each group as one transport datagram.
 //! 2. **RX FSM** — drains its fabric port queue, decodes datagrams, hands
 //!    control frames to the Connection Manager ([`crate::connmgr`]) and
 //!    request lead frames to the offload stage ([`crate::offload`]) — each
@@ -270,6 +270,7 @@ pub(crate) const REMAP_DRAIN_DEADLINE_TICKS: u64 = 4096;
 /// One `(destination, queue)`'s staged lines for the current TX round. The
 /// `lines` vector circulates: stage → datagram → (wire or retransmit
 /// window) → pool → stage.
+#[derive(Default)]
 pub(crate) struct TxStage {
     pub dst: NodeAddr,
     pub dst_queue: u16,
@@ -484,32 +485,31 @@ impl EngineCore {
         }
     }
 
-    /// TX FSM: fetch up to `B` frames from each owned flow's TX ring and
-    /// ship them grouped by `(destination, destination queue)`.
+    /// TX FSM: drain each owned flow's TX ring, `B` lines per ring read,
+    /// and ship what the round read as one datagram per `(destination,
+    /// destination queue)`.
     fn tx_round(&mut self, tick: u64) -> bool {
         let batch = self.softregs.batch_size() as usize;
-        // Every provisioned flow has a live TX FSM; the active-flow register
-        // only narrows RX request steering (client flows beyond it still
-        // transmit). This worker polls only the flows it owns (`Some`).
-        let n = self.tx_rings.len();
-        // Persistent staging table: the map and every entry's line vector
-        // are cleared (capacity kept) from the previous round, so grouping
-        // by destination is a hash probe + push — no per-round allocation
-        // and no O(destinations) linear scan per frame.
+        // Persistent staging table, cleared with capacity kept: grouping by
+        // destination is a hash probe + push, never an allocation.
         self.stage_idx.clear();
         for st in &mut self.stage {
             st.lines.clear();
         }
-        let mut used = 0usize;
         let mut progress = false;
-        for flow in 0..n {
-            // One batch pop per flow per tick: the whole burst is fetched
-            // in a single ring pass, then staged frame by frame.
-            self.tx_scratch.clear();
-            let fetched = match self.tx_rings[flow].as_mut() {
-                Some(ring) => ring.try_pop_batch(&mut self.tx_scratch, batch),
-                None => 0,
+        // Every provisioned flow transmits (the active-flow register only
+        // narrows RX steering); this worker polls the flows it owns.
+        for flow in 0..self.tx_rings.len() {
+            let Some(ring) = self.tx_rings[flow].as_mut() else {
+                continue;
             };
+            // Read `B` lines at a time until the ring runs dry or a full
+            // datagram is in hand: a message leaves as one datagram.
+            self.tx_scratch.clear();
+            while ring.try_pop_batch(&mut self.tx_scratch, batch) == batch
+                && self.tx_scratch.len() < MAX_LINES_PER_DATAGRAM
+            {}
+            let fetched = self.tx_scratch.len();
             if fetched == 0 {
                 continue;
             }
@@ -521,6 +521,9 @@ impl EngineCore {
             } else {
                 self.qstats.cached_polls.add(fetched as u64);
             }
+            // The previous frame's connection and stage: a run of one
+            // connection's frames is classified once.
+            let mut last: Option<(ConnectionId, usize)> = None;
             for i in 0..fetched {
                 let line = self.tx_scratch[i];
                 let Ok(hdr) = RpcHeader::decode(line.header()) else {
@@ -541,39 +544,18 @@ impl EngineCore {
                     self.softregs.nic_serde(),
                     self.softregs.offload_cache_entries() as usize,
                 );
-                let tuple = self
-                    .conn_cache
-                    .lookup(hdr.connection_id, CmPort::Tx, &self.conn_mgr);
-                let Some(tuple) = tuple else {
-                    self.qstats.unknown_connection_drops.inc();
-                    continue;
-                };
-                // RSS: the connection's tag pins it to one engine queue of
-                // the destination (new decisions honor the active mask);
-                // the pin layer holds a remapped connection on its old
-                // channel until that channel drains.
-                let dst_queue = self.pin_route(hdr.connection_id, tuple.dest_addr, tick);
-                let key = stage_key(tuple.dest_addr, dst_queue);
-                let idx = match self.stage_idx.get(&key) {
-                    Some(&i) => i,
-                    None => {
-                        if used == self.stage.len() {
-                            // First-ever round touching this many
-                            // `(dst, queue)` pairs: grow the table (a
-                            // one-time cost per peer set).
-                            let lines = self.pool.get_lines();
-                            self.stage.push(TxStage {
-                                dst: tuple.dest_addr,
-                                dst_queue,
-                                lines,
-                            });
-                        } else {
-                            self.stage[used].dst = tuple.dest_addr;
-                            self.stage[used].dst_queue = dst_queue;
-                        }
-                        self.stage_idx.insert(key, used);
-                        used += 1;
-                        used - 1
+                let cid = hdr.connection_id;
+                let idx = match last {
+                    Some((prev, idx)) if prev == cid => idx,
+                    _ => {
+                        let Some(tuple) = self.conn_cache.lookup(cid, CmPort::Tx, &self.conn_mgr)
+                        else {
+                            self.qstats.unknown_connection_drops.inc();
+                            continue;
+                        };
+                        let idx = self.stage_for(cid, tuple.dest_addr, tick);
+                        last = Some((cid, idx));
+                        idx
                     }
                 };
                 self.stage[idx].lines.push(line);
@@ -581,9 +563,8 @@ impl EngineCore {
         }
         // Ship each destination's stage, moving the staged vector into the
         // datagram and backfilling the slot from the pool.
-        for i in 0..used {
-            let dst = self.stage[i].dst;
-            let dst_queue = self.stage[i].dst_queue;
+        for i in 0..self.stage_idx.len() {
+            let TxStage { dst, dst_queue, .. } = self.stage[i];
             // Oversized stages (rare) peel full datagrams into pooled heads.
             while self.stage[i].lines.len() > MAX_LINES_PER_DATAGRAM {
                 let mut head = self.pool.get_lines();
@@ -593,12 +574,27 @@ impl EngineCore {
             if self.stage[i].lines.is_empty() {
                 continue;
             }
-            let fresh = self.pool.get_lines();
-            let lines = std::mem::replace(&mut self.stage[i].lines, fresh);
+            let lines = std::mem::replace(&mut self.stage[i].lines, self.pool.get_lines());
             self.send_datagram(Datagram::new(self.addr, dst, lines), dst_queue);
         }
         self.flush_wire();
         progress
+    }
+
+    /// This round's stage for `cid`'s frames toward `dst`: the pin layer
+    /// picks the queue ([`EngineCore::pin_route`]), and the round's first
+    /// frame toward a `(dst, queue)` claims the next table entry (the table
+    /// grows only the first time a round touches that many pairs).
+    fn stage_for(&mut self, cid: ConnectionId, dst: NodeAddr, tick: u64) -> usize {
+        let dst_queue = self.pin_route(cid, dst, tick);
+        let next = self.stage_idx.len();
+        let key = stage_key(dst, dst_queue);
+        let i = *self.stage_idx.entry(key).or_insert(next);
+        if i == self.stage.len() {
+            self.stage.push(TxStage::default());
+        }
+        (self.stage[i].dst, self.stage[i].dst_queue) = (dst, dst_queue);
+        i
     }
 
     /// Resolves the destination queue for one connection through the route
@@ -918,7 +914,10 @@ impl EngineCore {
         for &line in &dgram.lines {
             self.rx_frame(line, tick);
         }
-        self.pool.put_lines(dgram.lines);
+        match &mut self.reliable {
+            Some(rel) => rel.recycle_rx_lines(dgram.lines),
+            None => self.pool.put_lines(dgram.lines),
+        }
     }
 
     /// Drains the handoff inboxes: frames siblings received off the fabric
@@ -1256,6 +1255,21 @@ mod tests {
         line
     }
 
+    /// `line` with its header rewritten by `edit`.
+    fn restamped(mut line: CacheLine, edit: impl FnOnce(&mut RpcHeader)) -> CacheLine {
+        let mut hdr = RpcHeader::decode(line.header()).unwrap();
+        edit(&mut hdr);
+        hdr.encode(line.header_mut());
+        line
+    }
+
+    /// Frame `idx` of a `count`-frame response `rpc` on connection 1.
+    fn message_frame(rpc: u32, idx: u8, count: u8) -> CacheLine {
+        restamped(data_frame(rpc), |h| {
+            (h.frame_idx, h.frame_count) = (idx, count)
+        })
+    }
+
     /// A data frame on connection 2, which this opens toward `dst` — any
     /// address other than the core's own.
     fn frame_toward(core: &EngineCore, dst: NodeAddr, rpc: u32) -> CacheLine {
@@ -1265,15 +1279,32 @@ mod tests {
             lb: LbPolicy::Uniform,
         };
         let _ = core.conn_mgr.lock().open(ConnectionId(2), tuple);
-        let mut line = data_frame(rpc);
-        let mut hdr = RpcHeader::decode(line.header()).unwrap();
-        hdr.connection_id = ConnectionId(2);
-        hdr.encode(line.header_mut());
-        line
+        restamped(data_frame(rpc), |h| h.connection_id = ConnectionId(2))
     }
 
-    /// One full loopback cycle: the host pushes `burst` frames and steps
-    /// the core until all of them came back around — TX ships them to the
+    /// The rpc ids of `lines`, in order.
+    fn rpc_ids(lines: &[CacheLine]) -> Vec<u32> {
+        lines
+            .iter()
+            .map(|l| RpcHeader::decode(l.header()).unwrap().rpc_id.raw())
+            .collect()
+    }
+
+    /// Steps `core` through one scheduler timeout, collecting every line
+    /// delivered to `host_rx`.
+    fn step_out(core: &mut EngineCore, host_rx: &mut crate::ring::RingConsumer) -> Vec<CacheLine> {
+        let mut back = Vec::new();
+        for _ in 0..=SCHED_TIMEOUT_TICKS {
+            core.step();
+            while let Some(line) = host_rx.try_pop() {
+                back.push(line);
+            }
+        }
+        back
+    }
+
+    /// One full loopback cycle: the host pushes `frames` and steps the
+    /// core until all of them came back around — TX ships them to the
     /// engine's own port, RX steers them into the FIFOs, delivery writes
     /// the RX ring (at once for a full batch, after the scheduler timeout
     /// for a partial one) — and the "host" drains it.
@@ -1281,10 +1312,12 @@ mod tests {
         core: &mut EngineCore,
         host_tx: &mut crate::ring::RingProducer,
         host_rx: &mut crate::ring::RingConsumer,
-        burst: u32,
+        frames: impl IntoIterator<Item = CacheLine>,
     ) {
-        for i in 0..burst {
-            host_tx.try_push(data_frame(i)).unwrap();
+        let mut burst = 0;
+        for line in frames {
+            host_tx.try_push(line).unwrap();
+            burst += 1;
         }
         let mut back = 0;
         for _ in 0..=SCHED_TIMEOUT_TICKS {
@@ -1303,7 +1336,12 @@ mod tests {
         // connection cache, and let every recycled Vec reach its
         // steady-state capacity.
         for _ in 0..8 {
-            cycle(&mut core, &mut host_tx, &mut host_rx, 16);
+            cycle(
+                &mut core,
+                &mut host_tx,
+                &mut host_rx,
+                (0..16).map(data_frame),
+            );
         }
         // Measured step: a full 16-frame burst through TX, the wire, RX and
         // delivery must not touch the heap.
@@ -1356,6 +1394,111 @@ mod tests {
         assert_eq!(delivered, 9 * 16, "every frame came back around");
         let stats = core.reliable.as_ref().unwrap().shared_stats().snapshot();
         assert_eq!(stats.retransmissions + stats.wire_drops, 0);
+    }
+
+    /// The reliable loop with a 43-line message per cycle: the ring drain,
+    /// the remembered connection decision and the one large datagram stay
+    /// off the heap once warm.
+    #[test]
+    fn reliable_multi_frame_cycles_perform_zero_heap_allocations() {
+        use crate::reliable::ReliableConfig;
+        let (mut core, mut host_tx, mut host_rx) = loopback_core();
+        core.reliable = Some(ReliableTransport::new(core.addr, ReliableConfig::default()));
+        let message = |rpc| (0..43).map(move |idx| message_frame(rpc, idx, 43));
+        for rpc in 0..8 {
+            cycle(&mut core, &mut host_tx, &mut host_rx, message(rpc));
+        }
+        let before = core.qstats.snapshot().tx_datagrams;
+        let (allocs, ()) = alloc_counter::count_allocs(|| {
+            cycle(&mut core, &mut host_tx, &mut host_rx, message(8));
+        });
+        assert_eq!(
+            allocs, 0,
+            "steady-state multi-frame cycle hit the allocator {allocs} time(s)"
+        );
+        let sent = core.qstats.snapshot().tx_datagrams - before;
+        assert_eq!(sent, 1, "the message left as {sent} datagrams");
+        let stats = core.reliable.as_ref().unwrap().shared_stats().snapshot();
+        assert_eq!(stats.retransmissions + stats.wire_drops, 0);
+    }
+
+    /// At `batch_size` 16 a 43-line message leaves in one step as one
+    /// datagram (a round reads the ring until it runs dry), and arrives
+    /// whole and in order.
+    #[test]
+    fn a_43_line_message_leaves_in_one_step_as_one_datagram() {
+        let (mut core, mut host_tx, mut host_rx) = loopback_core();
+        assert_eq!(core.softregs.batch_size(), 16);
+        for idx in 0..43 {
+            host_tx.try_push(message_frame(0, idx, 43)).unwrap();
+        }
+        assert_eq!(core.step(), Progress::Moved);
+        let s = core.qstats.snapshot();
+        assert_eq!((s.tx_frames, s.tx_datagrams), (43, 1));
+        assert_eq!((s.rx_frames, s.rx_datagrams), (43, 1));
+        let back = step_out(&mut core, &mut host_rx);
+        let idx: Vec<u8> = back
+            .iter()
+            .map(|l| RpcHeader::decode(l.header()).unwrap().frame_idx)
+            .collect();
+        assert_eq!(idx, (0..43).collect::<Vec<u8>>());
+    }
+
+    /// Two connections toward different destinations, interleaved in runs
+    /// in one flow's ring, each leave as their own datagram with their
+    /// frames in ring order: the remembered decision belongs to one
+    /// connection, never to whatever frame came before.
+    #[test]
+    fn interleaved_connections_land_in_their_own_datagrams_in_order() {
+        let (mut core, mut host_tx, mut host_rx) = loopback_core();
+        let sink = core
+            .port
+            .fabric()
+            .attach_queues(NodeAddr(9), 1)
+            .unwrap()
+            .remove(0);
+        // Runs alternate connection 1 (looped back) and connection 2
+        // (toward the sink).
+        let mut sent = [Vec::new(), Vec::new()];
+        let mut rpc = 0;
+        for (run, len) in [3, 1, 2, 3, 1, 1, 2, 3].into_iter().enumerate() {
+            for _ in 0..len {
+                let line = match run % 2 {
+                    0 => data_frame(rpc),
+                    _ => frame_toward(&core, NodeAddr(9), rpc),
+                };
+                host_tx.try_push(line).unwrap();
+                sent[run % 2].push(rpc);
+                rpc += 1;
+            }
+        }
+        assert_eq!(core.step(), Progress::Moved);
+        let s = core.qstats.snapshot();
+        assert_eq!((s.tx_frames, s.tx_datagrams), (16, 2));
+        let bytes = sink.try_recv().expect("connection 2 sent nothing");
+        assert!(sink.try_recv().is_none(), "connection 2 split in two");
+        assert_eq!(rpc_ids(&Datagram::decode(&bytes).unwrap().lines), sent[1]);
+        let back = step_out(&mut core, &mut host_rx);
+        assert_eq!(rpc_ids(&back), sent[0]);
+    }
+
+    /// Frames of a connection nobody opened count one drop each, in a run
+    /// too: a failed lookup is never remembered.
+    #[test]
+    fn unknown_connection_frames_count_one_drop_each() {
+        let (mut core, mut host_tx, _host_rx) = loopback_core();
+        let known = [false, false, true, false, true, false, false, false];
+        for (rpc, known) in (0..).zip(known) {
+            let line = match known {
+                true => data_frame(rpc),
+                false => restamped(data_frame(rpc), |h| h.connection_id = ConnectionId(77)),
+            };
+            host_tx.try_push(line).unwrap();
+        }
+        assert_eq!(core.step(), Progress::Moved);
+        let s = core.qstats.snapshot();
+        assert_eq!(s.unknown_connection_drops, 6);
+        assert_eq!((s.tx_frames, s.tx_datagrams), (2, 1));
     }
 
     /// A peer that never acks makes every retransmit timeout a burst. The flight ring
@@ -1420,7 +1563,12 @@ mod tests {
     fn pool_and_conn_cache_report_steady_state_hits() {
         let (mut core, mut host_tx, mut host_rx) = loopback_core();
         for _ in 0..8 {
-            cycle(&mut core, &mut host_tx, &mut host_rx, 16);
+            cycle(
+                &mut core,
+                &mut host_tx,
+                &mut host_rx,
+                (0..16).map(data_frame),
+            );
         }
         let pool_stats = core.pool.shared_stats().snapshot();
         let cache_stats = core.conn_cache.shared_stats().snapshot();

@@ -87,14 +87,10 @@ impl LoadBalancer {
             return FlowId((u64::from(hdr.src_flow.raw()) % total_flows as u64) as u16);
         }
         if hdr.frame_count > 1 {
-            let h = fnv1a(
-                &[
-                    hdr.connection_id.raw().to_le_bytes(),
-                    hdr.rpc_id.raw().to_le_bytes(),
-                ]
-                .concat(),
-            );
-            return FlowId((h % n) as u16);
+            // The 8-byte `(connection, rpc)` key, little-endian, on the
+            // stack: every frame of the request hashes it.
+            let key = u64::from(hdr.connection_id.raw()) | u64::from(hdr.rpc_id.raw()) << 32;
+            return FlowId((fnv1a(&key.to_le_bytes()) % n) as u16);
         }
         match self.policy {
             LbPolicy::Uniform => {
@@ -230,6 +226,38 @@ mod tests {
         let f2 = lb.steer(&hdr, &[2; 8], 4, 4, None);
         assert_eq!(f0, f1);
         assert_eq!(f1, f2);
+    }
+
+    /// The multi-frame key is the connection id's four little-endian bytes
+    /// followed by the rpc id's: the flow a request steers to does not
+    /// depend on how the key is built.
+    #[test]
+    fn multiframe_key_is_connection_then_rpc_le_bytes() {
+        let mut lb = LoadBalancer::new(LbPolicy::Uniform, (0, 8));
+        for (cid, rpc) in [(7, 42), (1, 0), (0xDEAD_BEEF, 0x0102_0304)] {
+            let mut key = Vec::new();
+            key.extend_from_slice(&u32::to_le_bytes(cid));
+            key.extend_from_slice(&u32::to_le_bytes(rpc));
+            let want = FlowId((fnv1a(&key) % 13) as u16);
+            assert_eq!(lb.steer(&req(cid, rpc, 3), &[0; 8], 13, 13, None), want);
+        }
+    }
+
+    /// Steering every frame of a 43-frame request (a 2 KiB echo) touches no
+    /// heap: the key is hashed from the stack.
+    #[test]
+    fn steering_a_multiframe_request_performs_zero_heap_allocations() {
+        let mut lb = LoadBalancer::new(LbPolicy::Uniform, (0, 8));
+        let mut hdr = req(7, 42, 43);
+        let first = lb.steer(&hdr, &[0; 48], 4, 4, None);
+        let (allocs, same) = crate::alloc_counter::count_allocs(|| {
+            (0..43u8).all(|idx| {
+                hdr.frame_idx = idx;
+                lb.steer(&hdr, &[idx; 48], 4, 4, None) == first
+            })
+        });
+        assert!(same, "frames of one request steered apart");
+        assert_eq!(allocs, 0, "steering hit the allocator {allocs} time(s)");
     }
 
     #[test]

@@ -389,9 +389,9 @@ pub struct ReliableTransport {
     retired: Vec<Vec<CacheLine>>,
     /// The vector the next data frame's lines decode into. A datagram that
     /// is kept (delivered or buffered) takes it along and a retired vector
-    /// steps in, so with traffic in both directions the RX path reuses what
-    /// the TX window releases and never allocates; a discarded frame
-    /// (duplicate, out of reach) leaves it in place.
+    /// steps in — or, with none retired, the delivered vector once the
+    /// caller recycles it — so the RX path never allocates once warm; a
+    /// discarded frame (duplicate, out of reach) leaves it in place.
     rx_lines: Vec<CacheLine>,
     /// Datagrams released by a gap fill beyond the one `on_recv` returns:
     /// when an in-order arrival unblocks buffered successors, they queue
@@ -608,6 +608,19 @@ impl ReliableTransport {
             shared.out_of_order_drops.inc();
         }
         Ok(None)
+    }
+
+    /// Takes back the line vector of a datagram `on_recv` or `next_ready`
+    /// returned. It becomes the next decode target when the kept datagram
+    /// found no retired vector to leave in its place (acks that arrive on
+    /// their own, one-way traffic), so no decode allocates a fresh vector
+    /// while one circulates; otherwise it joins the retired vectors.
+    pub fn recycle_rx_lines(&mut self, lines: Vec<CacheLine>) {
+        if self.rx_lines.capacity() == 0 {
+            self.rx_lines = lines;
+        } else if self.retired.len() < RETIRED_CAP {
+            self.retired.push(lines);
+        }
     }
 
     /// Takes the next datagram released by a gap fill, in sequence order.
@@ -1001,6 +1014,28 @@ mod tests {
         let reply2 = send(&mut b, dgram(2, 1, 2));
         let d = a.on_recv(&reply2).unwrap().expect("in order");
         assert_eq!(d.lines.as_ptr(), sent, "decoded into the retired vector");
+    }
+
+    /// One-way traffic retires nothing on the receiving side, so every kept
+    /// datagram leaves the decode target empty; the recycled vector of the
+    /// previous datagram steps in, and the next decode reuses it.
+    #[test]
+    fn recycled_rx_vector_is_the_next_decode_target() {
+        let (mut a, mut b) = pair(64);
+        let first = send(&mut a, dgram(1, 2, 0));
+        let d = b.on_recv(&first).unwrap().expect("in order");
+        let used = d.lines.as_ptr();
+        b.recycle_rx_lines(d.lines);
+        for tag in 1..4u8 {
+            let frame = send(&mut a, dgram(1, 2, tag));
+            let d = b.on_recv(&frame).unwrap().expect("in order");
+            assert_eq!(d.lines.as_ptr(), used, "datagram {tag} decoded elsewhere");
+            assert_eq!(d.lines[0].as_bytes()[20], tag);
+            b.recycle_rx_lines(d.lines);
+        }
+        let mut surplus = 0;
+        b.drain_retired(|_| surplus += 1);
+        assert_eq!(surplus, 0, "nothing retired, nothing surplus");
     }
 
     #[test]

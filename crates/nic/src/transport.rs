@@ -22,8 +22,9 @@ use dagger_types::{CacheLine, DaggerError, NodeAddr, Result, CACHE_LINE_BYTES};
 const MAGIC: [u8; 4] = *b"DGGR";
 /// Encoded header size: magic + src + dst + line count.
 const DGRAM_HEADER: usize = 4 + 4 + 4 + 2;
-/// Maximum lines per datagram (one CCI-P delivery batch is ≤ 16; transport
-/// batches across flows stay well below this).
+/// Maximum lines per datagram. An engine TX round ships everything it read
+/// toward one destination queue as one datagram, up to this many lines
+/// (16 KiB of lines; DESIGN.md §17 has the MTU note).
 pub const MAX_LINES_PER_DATAGRAM: usize = 256;
 
 /// A network datagram: a batch of cache-line RPC frames between two NICs.

@@ -92,6 +92,19 @@ routes=$(awk '/#\[cfg\(test\)\]/{exit} !/^[[:space:]]*\/\//' crates/nic/src/engi
 [ "$routes" -eq 1 ] \
   || { echo "lint.sh: engine.rs calls port.route( at ${routes} sites outside its tests; route every originated frame through pin_route" >&2; exit 1; }
 
+echo "== the steering path does not allocate (lb.rs) =="
+# The load balancer runs once per received frame, every frame of a
+# multi-frame request included; its keys are hashed from the stack
+# (`lb.rs::steering_a_multiframe_request_performs_zero_heap_allocations`).
+# No allocating constructor may come back outside its unit tests.
+lb_allocs=$(awk '/#\[cfg\(test\)\]/{exit} !/^[[:space:]]*\/\//' crates/nic/src/lb.rs \
+              | grep -nE '\.concat\(\)|\.to_vec\(\)|\bvec!|\bformat!' || true)
+if [ -n "$lb_allocs" ]; then
+  echo "lint.sh: crates/nic/src/lb.rs allocates on the steering path; hash a stack array instead:" >&2
+  echo "$lb_allocs" >&2
+  exit 1
+fi
+
 echo "== one checksum (one seal path, one verify path, one caller of the CRC arms) =="
 # `wire_checksum` picks the hardware or the table arm by platform; nothing
 # else may call either (both are private to transport.rs), and the reliable

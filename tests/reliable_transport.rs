@@ -214,25 +214,38 @@ fn shutdown_flushes_window_deferred_datagrams() {
     assert_eq!(client.echo(&probe(0, vec![])).unwrap().seq, 0);
 
     // Cut the link: acks stop, so the send window fills and the engine
-    // starts deferring datagrams to `pending_out`.
+    // starts deferring datagrams to `pending_out`. A round ships everything
+    // it read from a flow as one datagram, so the calls go one at a time —
+    // each waits for its own datagram to leave — until more datagrams are
+    // unacked than the window (256) holds.
     fabric.partition(NodeAddr(1), NodeAddr(2));
-    const CALLS: u32 = 12;
     let mut pending = Vec::new();
-    for seq in 1..=CALLS {
-        pending.push(
-            client
-                .echo_async(&probe(seq, vec![seq as u8; 4096]))
-                .expect("async issue writes the TX ring even when partitioned"),
-        );
-    }
     let deadline = Instant::now() + Duration::from_secs(10);
     while client_nic.monitor().snapshot().tx_window_deferrals == 0 {
-        assert!(
-            Instant::now() < deadline,
-            "window never filled: no TX deferrals recorded"
+        let shipped = client_nic.monitor().snapshot().tx_datagrams;
+        let seq = pending.len() as u32 + 1;
+        pending.push(
+            client
+                .echo_async(&probe(seq, vec![seq as u8; 8]))
+                .expect("async issue writes the TX ring even when partitioned"),
         );
-        std::thread::sleep(Duration::from_millis(5));
+        loop {
+            let now = client_nic.monitor().snapshot();
+            if now.tx_datagrams > shipped || now.tx_window_deferrals > 0 {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "window never filled: no TX deferrals after {seq} calls"
+            );
+            std::thread::sleep(Duration::from_micros(50));
+        }
     }
+    let calls = pending.len() as u32;
+    assert!(
+        calls > 256,
+        "deferred after only {calls} one-frame datagrams"
+    );
 
     // Heal and shut the client NIC down immediately — before ack round-trips
     // can reopen the window, and before dropping the client (whose Drop
@@ -249,7 +262,7 @@ fn shutdown_flushes_window_deferred_datagrams() {
 
     // Every probe (warm-up + all deferred calls) reaches the server even
     // though the client engine is gone.
-    let total = 1 + CALLS;
+    let total = 1 + calls;
     let deadline = Instant::now() + Duration::from_secs(20);
     while served.load(Ordering::SeqCst) < total {
         assert!(
