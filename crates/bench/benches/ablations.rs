@@ -93,7 +93,7 @@ fn ablate_lb() {
         let mut lb = LoadBalancer::new(policy, (4, 12)); // key after the u32 len prefix
         let mut counts = [0u64; 4];
         let mut affinity_violations = 0u64;
-        let mut seen: std::collections::HashMap<u64, u16> = std::collections::HashMap::new();
+        let mut seen: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
         for i in 0..100_000u32 {
             let key_id = zipf.sample(&mut rng);
             let mut payload = Vec::new();
@@ -111,14 +111,14 @@ fn ablate_lb() {
                 traced: false,
                 offloaded: false,
             };
-            let flow = lb.steer(&hdr, &payload, 4, 4, Some(FlowId(0)));
-            counts[flow.raw() as usize] += 1;
+            let flow = lb.steer(&hdr, &payload, 4, Some(FlowId(0)));
+            counts[flow] += 1;
             if let Some(&prev) = seen.get(&key_id) {
-                if prev != flow.raw() {
+                if prev != flow {
                     affinity_violations += 1;
                 }
             }
-            seen.insert(key_id, flow.raw());
+            seen.insert(key_id, flow);
         }
         let max = *counts.iter().max().unwrap() as f64;
         let min = *counts.iter().min().unwrap() as f64;

@@ -124,7 +124,7 @@ fn bench_lb(c: &mut Criterion) {
     };
     let payload = [7u8; 16];
     c.bench_function("lb_object_level_steer", |b| {
-        b.iter(|| black_box(lb.steer(&hdr, black_box(&payload), 8, 8, None)))
+        b.iter(|| black_box(lb.steer(&hdr, black_box(&payload), 8, None)))
     });
 }
 

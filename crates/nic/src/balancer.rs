@@ -8,10 +8,10 @@
 //! (a hotspot: many connections hashing onto one queue), the controller
 //! rewrites the `queue.mask` soft register to exclude the hot queue —
 //! senders' fresh RSS routes then spread those connections over the
-//! remaining queues, migrating each connection through the engine's
-//! drain-and-handoff step (see [`crate::engine`] module docs) so per-flow
-//! order and exactly-once delivery survive the move. Once traffic quiets,
-//! the full mask is restored.
+//! remaining queues. Each sender moves a connection once none of its
+//! requests awaits a response (see [`crate::engine`] module docs), so
+//! per-connection order and exactly-once delivery survive the move. Once
+//! traffic quiets, the full mask is restored.
 //!
 //! The control loop is deliberately conservative: a skew must *sustain*
 //! for several consecutive observation windows before the mask changes,

@@ -121,7 +121,7 @@ impl EngineSlot {
 }
 
 /// A host thread's handle on the engine queue that owns its flow
-/// (`queue_of_flow(flow)`). Detached handles drive nothing: flows of
+/// (`queue_of_flow(flow, num_queues)`). Detached handles drive nothing: flows of
 /// arbiter-slotted virtual NICs, and ring pairs built by hand in tests.
 #[derive(Clone)]
 pub struct EngineHandle(Option<Arc<EngineSlot>>);

@@ -2,47 +2,45 @@
 //!
 //! A NIC runs `num_queues` engine workers (the multi-queue scaling of
 //! Fig. 11, applied to the functional datapath). Each worker owns one
-//! [`EngineCore`]: a contiguous partition of the flows (their TX/RX rings),
-//! a private fabric port queue, and private copies of every datapath
-//! structure — buffer pool, connection-tuple cache, RX stage
-//! ([`crate::stage`]), reliable-transport instance — so the hot path
-//! never shares mutable state between workers, and every count lands in the
-//! worker's own [`QueueStats`] bank. Shared pieces are the Packet Monitor's
-//! per-flow banks, the Connection Manager mutex (reached only on tuple-cache
-//! misses), the soft register file, and the confirmed-set fed by control
-//! acknowledgements.
+//! [`EngineCore`]: a stripe of the flows (their TX/RX rings, see
+//! [`queue_of_flow`]), a private fabric port queue, and private copies of
+//! every datapath structure — buffer pool, connection-tuple cache, load
+//! balancer, RX stage ([`crate::stage`]), reliable-transport instance — so
+//! the hot path never shares mutable state between workers, and every count
+//! lands in the worker's own [`QueueStats`] bank. Shared pieces are the
+//! Packet Monitor's per-flow banks, the Connection Manager mutex (reached
+//! only on tuple-cache misses), the soft register file, and the
+//! confirmed-set fed by control acknowledgements.
 //!
 //! Each [`EngineCore::step`] (one "tick") a worker:
 //!
 //! 1. **TX FSM** — drains its own flows' TX rings (the CCI-P fetch, `B`
 //!    lines per read), looks up each run of a connection's frames once for
-//!    destination credentials, RSS-routes the connection to one of the
-//!    destination NIC's queues, groups frames by `(destination, queue)`,
-//!    and ships each group as one transport datagram.
+//!    destination credentials, routes the run to one of the destination
+//!    NIC's queues ([`EngineCore::pin_route`]), groups frames by
+//!    `(destination, queue)`, and ships each group as one transport
+//!    datagram.
 //! 2. **RX FSM** — drains its fabric port queue, decodes datagrams, hands
 //!    control frames to the Connection Manager ([`crate::connmgr`]) and
 //!    request lead frames to the offload stage ([`crate::offload`]) — each
 //!    decides, the engine ships whatever reply lines come back — steers
-//!    data frames through the load balancer, and either stages them in its
-//!    RX stage (flows this worker owns) or hands them to the owning worker
-//!    over an SPSC [`crate::xfer`] ring; the RX stage then delivers formed
-//!    batches into the per-flow RX rings.
+//!    data frames to one of the flows this worker owns and stages them in
+//!    its RX stage, which then delivers formed batches into the per-flow RX
+//!    rings.
 //!
-//! Steering stays *queue-affine*: a connection's route tag is a hash of its
-//! id, so all frames of one connection land on one receiving queue, and all
-//! frames steered to one flow traverse at most one handoff ring — per-flow
-//! FIFO order survives the sharding.
+//! A frame never changes worker after the fabric (DESIGN.md §13). A
+//! response is routed by its sender to the queue that owns the flow it
+//! answers, so the worker that issued a request receives its response. A
+//! request lands on the queue its connection's RSS route picks, and that
+//! queue's balancer steers it among the active flows the queue owns. A
+//! frame the receiving worker cannot own — a response for another
+//! worker's flow (a peer that routed by a wrong queue count), a request on
+//! a queue owning no active flow — is a counted `rx_ring_drops`.
 //!
-//! The affinity is *elastic*: when the balancer rewrites the active-queue
-//! mask, connections migrate to their new queue via drain-and-handoff. The
-//! sender pins each connection to its old channel until that channel is
-//! fully acked (so nothing is in flight when it switches), and the receiver
-//! stamps every data frame with a per-flow arrival sequence at steer time,
-//! and the owner's RX stage releases frames to delivery in stamp order —
-//! frames that legitimately cross receive queues mid-remap still deliver in
-//! arrival order. Every frame the engine originates for a connection
-//! (data, control, open-acks, offload hits) takes its destination queue
-//! from [`EngineCore::pin_route`].
+//! RSS routes are *elastic*: when the balancer rewrites the active-queue
+//! mask, a connection follows its new route once none of its requests
+//! awaits a response ([`RoutePin`]), so a handler sees one connection's
+//! requests in issue order across the move.
 //!
 //! When the NIC shares the physical bus with other virtual NICs, the engine
 //! takes a grant from the [`CcipArbiter`](crate::arbiter::CcipArbiter)
@@ -55,14 +53,14 @@
 //! — and the only caller of the round functions.
 
 use std::collections::{HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crossbeam::channel::Receiver;
 use parking_lot::Mutex;
 
 use dagger_telemetry::{FlightEventKind, RpcEvent, Telemetry};
-use dagger_types::{CacheLine, ConnectionId, LbPolicy, NodeAddr, RpcHeader, RpcKind};
+use dagger_types::{CacheLine, ConnectionId, FlowId, LbPolicy, NodeAddr, RpcHeader, RpcKind};
 
 use crate::arbiter::ArbiterSlot;
 use crate::bufpool::BufPool;
@@ -79,11 +77,10 @@ use crate::softreg::SoftRegisterFile;
 use crate::stage::RxStage;
 use crate::transport::{wire_frames, Datagram, MAX_LINES_PER_DATAGRAM};
 use crate::wait::{EngineWaker, SpinWait};
-use crate::xfer::{XferConsumer, XferProducer};
 
-/// The RSS route tag of a connection: every frame of `cid` carries the same
-/// tag, so [`crate::fabric::Fabric::route`] pins the connection to one
-/// engine queue of the destination NIC (per-flow FIFO order depends on it).
+/// The RSS route tag of a connection: every request of `cid` carries the
+/// same tag, so [`crate::fabric::Fabric::route`] pins the connection to one
+/// engine queue of the destination NIC (per-connection order depends on it).
 pub fn conn_route_tag(cid: ConnectionId) -> u64 {
     fnv1a(&cid.raw().to_le_bytes())
 }
@@ -109,9 +106,10 @@ pub(crate) struct EngineCore {
     /// The NIC's Packet Monitor; the engine counts into its per-flow banks
     /// (and into `qstats`, its own entry of the per-queue banks).
     pub monitor: Arc<PacketMonitor>,
+    /// Steers requests among the active flows this worker owns.
     pub lb: LoadBalancer,
-    /// Per-flow ordering, staging and delivery batching of the flows this
-    /// worker owns.
+    /// Per-flow staging and delivery batching of the flows this worker
+    /// owns.
     pub rx_stage: RxStage,
     pub arbiter: Option<ArbiterSlot>,
     pub stop: Arc<AtomicBool>,
@@ -133,7 +131,7 @@ pub(crate) struct EngineCore {
     /// the destination queue their connection routed to.
     pub pending_out: VecDeque<(Datagram, u16)>,
     /// Steps taken so far: the clock of every tick-counted timer (retransmit
-    /// timeout, scheduler timeout, hold stall valve, remap drain deadline).
+    /// timeout, scheduler timeout).
     pub tick: u64,
     /// Delivery flushes partially formed batches (shutdown drain).
     pub draining: bool,
@@ -167,37 +165,18 @@ pub(crate) struct EngineCore {
     /// (cleared, not dropped).
     pub stage_idx: U64Map<usize>,
     /// Wakeup latch: producers (fabric delivery to this queue, host TX
-    /// pushes on owned flows, control sends, shutdown, sibling handoffs)
-    /// wake this worker out of its idle park.
+    /// pushes on owned flows, control sends, shutdown) wake this worker out
+    /// of its idle park.
     pub waker: Arc<EngineWaker>,
-    /// Every worker's waker (self included), indexed by queue: a handoff
-    /// push wakes the owning worker.
-    pub peer_wakers: Vec<Arc<EngineWaker>>,
     /// This worker's counter bank — `monitor.queues()[queue_id]`, the only
     /// cell any engine count touches (`nic.<addr>.q<i>.*` gauges; the
     /// whole-NIC `nic.<addr>.*` is the sum over workers).
     pub qstats: Arc<QueueStats>,
-    /// Handoff ring producers toward each sibling worker, indexed by
-    /// queue; `None` at this worker's own index.
-    pub xfer_out: Vec<Option<XferProducer>>,
-    /// Handoff ring consumers from every sibling worker.
-    pub xfer_in: Vec<XferConsumer>,
-    /// Per-destination-queue overflow for handoffs that found their ring
-    /// full; retried each tick ahead of new handoffs so per-flow order is
-    /// kept.
-    pub xfer_backlog: Vec<VecDeque<(u16, u64, CacheLine)>>,
     /// Shutdown rendezvous: a worker increments it once it has drained its
     /// own TX side, and keeps its RX side live until every sibling has.
     pub stop_barrier: Arc<AtomicUsize>,
-    /// NIC-wide per-flow arrival sequence counters, shared by every worker
-    /// of this NIC. The steering worker stamps each data frame at steer
-    /// time (`rx_frame`), and the owning worker's RX stage releases frames
-    /// to delivery in stamp order — so per-flow order survives an elastic
-    /// RSS remap that moves a flow's traffic across receive queues
-    /// mid-stream.
-    pub flow_seq: Arc<Vec<AtomicU64>>,
-    /// Sender side of the remap protocol: per-connection pinned destination
-    /// queue plus drain state (see [`EngineCore::pin_route`]).
+    /// Per-connection pinned destination queue and requests in flight there
+    /// (see [`EngineCore::pin_route`]).
     pub route_pins: U64Map<RoutePin>,
     /// Per-flow TX fetch scratch: the batch-pop target of `tx_round`.
     /// Persistent so the steady-state round never allocates.
@@ -229,8 +208,6 @@ pub(crate) struct NicShared {
     /// Every worker's waker, indexed by queue (so its length is the
     /// NIC's queue count).
     pub wakers: Vec<Arc<EngineWaker>>,
-    /// One arrival counter per flow (so its length is the flow count).
-    pub flow_seq: Arc<Vec<AtomicU64>>,
     pub offload: Arc<OffloadState>,
     /// Lines each worker's RX stage may hold staged for delivery (the
     /// request buffer's size in the hardware).
@@ -243,29 +220,21 @@ pub(crate) struct WorkerParts {
     pub port: Arc<dyn FabricPort>,
     pub tx_rings: Vec<Option<RingConsumer>>,
     pub rx_rings: Vec<Option<RingProducer>>,
-    pub xfer_out: Vec<Option<XferProducer>>,
-    pub xfer_in: Vec<XferConsumer>,
     pub reliable: Option<ReliableTransport>,
     pub arbiter: Option<ArbiterSlot>,
 }
 
 /// A connection's pinned destination queue on the sender side. When the
 /// RSS route moves (the balancer rewrote the active-queue mask), the pin
-/// holds the connection on its old channel until that channel is fully
-/// acked — the drain step of drain-and-handoff.
+/// holds the connection on its old queue until none of its requests awaits
+/// a response: the responses come back to this worker (it owns the
+/// requests' flow), so the count is exact and needs no shared state.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct RoutePin {
     pub queue: u16,
-    /// Tick when the fresh route last agreed with the pin; once they
-    /// diverge this ages, bounding the drain via
-    /// [`REMAP_DRAIN_DEADLINE_TICKS`].
-    pub agreed_at: u64,
+    /// Request lead frames sent and not yet answered.
+    pub in_flight: u32,
 }
-
-/// Ticks a diverged route pin may wait for its old channel to drain before
-/// the switch is forced (livelock bound under sustained loss; the
-/// receiver's holds and stall valve absorb the overlap).
-pub(crate) const REMAP_DRAIN_DEADLINE_TICKS: u64 = 4096;
 
 /// One `(destination, queue)`'s staged lines for the current TX round. The
 /// `lines` vector circulates: stage → datagram → (wire or retransmit
@@ -283,7 +252,7 @@ pub(crate) enum Progress {
     /// At least one round moved a frame: step again.
     Moved,
     /// Nothing moved, but something tick-driven is outstanding (a retransmit
-    /// deadline, a deferred send, a partial batch, a hold): keep ticking.
+    /// deadline, a deferred send, a partial batch): keep ticking.
     Ticking,
     /// Nothing moved and nothing is outstanding: the driver may park.
     Idle,
@@ -315,7 +284,7 @@ impl EngineCore {
             monitor: Arc::clone(&shared.monitor),
             lb: LoadBalancer::new(LbPolicy::Uniform, (0, 32)),
             rx_stage: RxStage::new(
-                shared.flow_seq.len(),
+                shared.monitor.flows().len(),
                 shared.reqbuf_slots,
                 Arc::clone(&qstats),
             ),
@@ -337,13 +306,8 @@ impl EngineCore {
             stage: Vec::new(),
             stage_idx: U64Map::default(),
             waker: Arc::clone(&shared.wakers[q]),
-            peer_wakers: shared.wakers.clone(),
             qstats,
-            xfer_out: parts.xfer_out,
-            xfer_in: parts.xfer_in,
-            xfer_backlog: (0..num_queues).map(|_| VecDeque::new()).collect(),
             stop_barrier: Arc::clone(&shared.stop_barrier),
-            flow_seq: Arc::clone(&shared.flow_seq),
             route_pins: U64Map::default(),
             tx_scratch: Vec::new(),
             wire_out: Vec::new(),
@@ -360,12 +324,10 @@ impl EngineCore {
         }
         let tick = self.tick;
         let mut moved = self.flush_pending();
-        moved |= self.flush_backlog();
-        moved |= self.ctrl_round(tick);
-        moved |= self.tx_round(tick);
-        let rx_moved = self.rx_round(tick) | self.inbox_round(tick);
+        moved |= self.ctrl_round();
+        moved |= self.tx_round();
+        let rx_moved = self.rx_round(tick);
         moved |= rx_moved;
-        moved |= self.release_stalled(tick);
         moved |= self.deliver_round(tick, self.draining, !rx_moved);
         self.reliable_tick();
         self.tick = tick.wrapping_add(1);
@@ -395,12 +357,11 @@ impl EngineCore {
 
     /// Two-phase shutdown, with delivery flushing partial batches
     /// throughout. Phase 1 steps until this worker has nothing left to
-    /// *originate* (control sends, host TX rings, deferred datagrams, queued
-    /// handoffs), then passes the barrier. Phase 2 keeps stepping until
-    /// every sibling has passed its own phase 1, so frames a sibling handed
-    /// off (or sent over the loopback fabric) at the last moment are not
-    /// stranded in a ring nobody drains. A final sweep then flushes what
-    /// has already arrived.
+    /// *originate* (control sends, host TX rings, deferred datagrams), then
+    /// passes the barrier. Phase 2 keeps stepping until every sibling has
+    /// passed its own phase 1, so frames a sibling sent this queue over the
+    /// fabric at the last moment are not stranded in a port nobody drains.
+    /// A final sweep then flushes what has already arrived.
     pub(crate) fn shutdown_drain(&mut self) {
         self.draining = true;
         self.step_until_quiet();
@@ -414,28 +375,17 @@ impl EngineCore {
             }
         }
         self.step_until_quiet();
-        // Frames still parked for ordering release now regardless of gaps:
-        // their missing predecessors are not coming.
-        self.rx_stage.release_all(self.tick);
-        self.step_until_quiet();
         self.drain_pending_on_stop();
-        // Handoffs that never fit their ring die with this worker; account
-        // for them so shutdown cannot silently lose frames.
-        let stranded: usize = self.xfer_backlog.iter().map(VecDeque::len).sum();
-        self.qstats.rx_ring_drops.add(stranded as u64);
     }
 
     /// Parking is safe only when nothing tick-driven is outstanding: no
     /// arbiter rotation to keep granting, no window-deferred datagrams, no
-    /// staged lines awaiting delivery, no out-of-order holds waiting on the
-    /// stall valve, no handoffs waiting for ring space, and the reliable
-    /// transport has neither unacked frames, owed acks, nor retired
-    /// buffers to recycle.
+    /// staged lines awaiting delivery, and the reliable transport has
+    /// neither unacked frames, owed acks, nor retired buffers to recycle.
     fn can_idle_park(&self) -> bool {
         self.arbiter.is_none()
             && self.pending_out.is_empty()
             && self.rx_stage.is_idle()
-            && self.xfer_backlog.iter().all(VecDeque::is_empty)
             && self
                 .reliable
                 .as_ref()
@@ -488,7 +438,7 @@ impl EngineCore {
     /// TX FSM: drain each owned flow's TX ring, `B` lines per ring read,
     /// and ship what the round read as one datagram per `(destination,
     /// destination queue)`.
-    fn tx_round(&mut self, tick: u64) -> bool {
+    fn tx_round(&mut self) -> bool {
         let batch = self.softregs.batch_size() as usize;
         // Persistent staging table, cleared with capacity kept: grouping by
         // destination is a hash probe + push, never an allocation.
@@ -521,16 +471,18 @@ impl EngineCore {
             } else {
                 self.qstats.cached_polls.add(fetched as u64);
             }
-            // The previous frame's connection and stage: a run of one
-            // connection's frames is classified once.
-            let mut last: Option<(ConnectionId, usize)> = None;
+            // The previous frame's route inputs and stage: a run of frames
+            // that route alike — one connection's requests, or its
+            // responses to one flow (`pin_route`) — is classified once.
+            let mut last: Option<((ConnectionId, Option<FlowId>), usize)> = None;
             for i in 0..fetched {
                 let line = self.tx_scratch[i];
                 let Ok(hdr) = RpcHeader::decode(line.header()) else {
                     self.qstats.unknown_connection_drops.inc();
                     continue;
                 };
-                if hdr.kind == RpcKind::Request && hdr.frame_idx == 0 {
+                let lead_request = hdr.kind == RpcKind::Request && hdr.frame_idx == 0;
+                if lead_request {
                     self.telemetry.tracer().record(
                         hdr.connection_id.raw(),
                         hdr.rpc_id.raw(),
@@ -545,19 +497,25 @@ impl EngineCore {
                     self.softregs.offload_cache_entries() as usize,
                 );
                 let cid = hdr.connection_id;
+                let class = (cid, (hdr.kind == RpcKind::Response).then_some(hdr.src_flow));
                 let idx = match last {
-                    Some((prev, idx)) if prev == cid => idx,
+                    Some((prev, idx)) if prev == class => idx,
                     _ => {
                         let Some(tuple) = self.conn_cache.lookup(cid, CmPort::Tx, &self.conn_mgr)
                         else {
                             self.qstats.unknown_connection_drops.inc();
                             continue;
                         };
-                        let idx = self.stage_for(cid, tuple.dest_addr, tick);
-                        last = Some((cid, idx));
+                        let idx = self.stage_for(&hdr, tuple.dest_addr);
+                        last = Some((class, idx));
                         idx
                     }
                 };
+                if lead_request {
+                    self.route_pins
+                        .entry(u64::from(cid.raw()))
+                        .and_modify(|pin| pin.in_flight = pin.in_flight.saturating_add(1));
+                }
                 self.stage[idx].lines.push(line);
             }
         }
@@ -581,12 +539,12 @@ impl EngineCore {
         progress
     }
 
-    /// This round's stage for `cid`'s frames toward `dst`: the pin layer
-    /// picks the queue ([`EngineCore::pin_route`]), and the round's first
+    /// This round's stage for `hdr`'s frame toward `dst`:
+    /// [`EngineCore::pin_route`] picks the queue, and the round's first
     /// frame toward a `(dst, queue)` claims the next table entry (the table
     /// grows only the first time a round touches that many pairs).
-    fn stage_for(&mut self, cid: ConnectionId, dst: NodeAddr, tick: u64) -> usize {
-        let dst_queue = self.pin_route(cid, dst, tick);
+    fn stage_for(&mut self, hdr: &RpcHeader, dst: NodeAddr) -> usize {
+        let dst_queue = self.pin_route(hdr, dst);
         let next = self.stage_idx.len();
         let key = stage_key(dst, dst_queue);
         let i = *self.stage_idx.entry(key).or_insert(next);
@@ -597,73 +555,42 @@ impl EngineCore {
         i
     }
 
-    /// Resolves the destination queue for one connection through the route
-    /// pin layer — the sender half of drain-and-handoff.
+    /// The destination queue of `hdr`'s frame toward `dst` — the one
+    /// routing decision: every frame this engine originates (data, control,
+    /// open-acks, offload hits) takes its queue from here.
     ///
-    /// Steady state this is the plain RSS route. When the fresh route
-    /// diverges from the pinned queue (the balancer rewrote the active
-    /// mask), the connection keeps transmitting on its *old* channel until
-    /// every datagram sent there has been acked: at that point all old
-    /// frames have been received — and arrival-stamped — by the remote NIC,
-    /// so the switch cannot reorder the flow. A tick deadline bounds the
-    /// drain under sustained loss; the receiver's holds and stall valve
-    /// absorb whatever overlap a forced switch lets through.
-    ///
-    /// The one routing decision: every frame this engine originates for a
-    /// connection — data, control, open-acks, offload hits — takes its
-    /// destination queue from here.
-    fn pin_route(&mut self, cid: ConnectionId, dst: NodeAddr, tick: u64) -> u16 {
-        let fresh = self.port.route(dst, conn_route_tag(cid));
-        let key = u64::from(cid.raw());
-        let Some(pin) = self.route_pins.get(&key).copied() else {
-            self.route_pins.insert(
-                key,
-                RoutePin {
-                    queue: fresh,
-                    agreed_at: tick,
-                },
-            );
-            return fresh;
-        };
-        if pin.queue == fresh {
-            if let Some(p) = self.route_pins.get_mut(&key) {
-                p.agreed_at = tick;
-            }
-            return fresh;
+    /// A response goes to the queue that owns the flow it answers
+    /// (`src_flow`, striped over the destination's queue count): the worker
+    /// that issued the request receives it. Everything else follows its
+    /// connection's RSS route, pinned: when the route moves, the connection
+    /// stays on its old queue until none of its requests awaits a response,
+    /// then switches (`remaps`). The active mask never applies to responses.
+    fn pin_route(&mut self, hdr: &RpcHeader, dst: NodeAddr) -> u16 {
+        if hdr.kind == RpcKind::Response {
+            let queues = self.port.fabric().queue_count(dst);
+            return queue_of_flow(usize::from(hdr.src_flow.raw()), queues) as u16;
         }
-        let drained = self
-            .reliable
-            .as_ref()
-            .is_none_or(|rel| rel.channel_fully_acked(dst, pin.queue));
-        if drained || tick.wrapping_sub(pin.agreed_at) >= REMAP_DRAIN_DEADLINE_TICKS {
-            if drained {
-                self.qstats.remaps.inc();
-            } else {
-                self.qstats.forced_remaps.inc();
-            }
-            // Flight-recorder breadcrumb: which connection moved queues,
-            // and whether the drain completed or the deadline forced it.
+        let fresh = self.port.route(dst, conn_route_tag(hdr.connection_id));
+        let pin = self
+            .route_pins
+            .entry(u64::from(hdr.connection_id.raw()))
+            .or_insert(RoutePin {
+                queue: fresh,
+                in_flight: 0,
+            });
+        if pin.queue != fresh && pin.in_flight == 0 {
+            let old = std::mem::replace(&mut pin.queue, fresh);
+            self.qstats.remaps.inc();
+            // Flight-recorder breadcrumb: which queues the connection left
+            // and joined.
             self.telemetry.flight().record(
-                if drained {
-                    FlightEventKind::Remap
-                } else {
-                    FlightEventKind::ForcedRemap
-                },
+                FlightEventKind::Remap,
                 self.addr.raw(),
-                u64::from(pin.queue),
+                u64::from(old),
                 u64::from(fresh),
             );
-            self.route_pins.insert(
-                key,
-                RoutePin {
-                    queue: fresh,
-                    agreed_at: tick,
-                },
-            );
-            fresh
-        } else {
-            pin.queue
         }
+        pin.queue
     }
 
     /// Ships one datagram toward `dst_queue` of its destination, through
@@ -743,42 +670,10 @@ impl EngineCore {
         self.pending_out.len() < deferred
     }
 
-    /// Retries handoffs that found their ring full, oldest first so
-    /// per-flow order is kept ahead of any new handoff.
-    fn flush_backlog(&mut self) -> bool {
-        let mut progress = false;
-        for owner in 0..self.xfer_backlog.len() {
-            if self.xfer_backlog[owner].is_empty() {
-                continue;
-            }
-            let Some(ring) = self.xfer_out[owner].as_mut() else {
-                self.xfer_backlog[owner].clear();
-                continue;
-            };
-            let mut pushed = false;
-            while let Some((flow, seq, line)) = self.xfer_backlog[owner].pop_front() {
-                match ring.try_push(flow, seq, line) {
-                    Ok(()) => {
-                        progress = true;
-                        pushed = true;
-                    }
-                    Err(_) => {
-                        self.xfer_backlog[owner].push_front((flow, seq, line));
-                        break;
-                    }
-                }
-            }
-            if pushed {
-                self.peer_wakers[owner].wake();
-            }
-        }
-        progress
-    }
-
     /// Drains the host's control outbox. Each control datagram is routed
-    /// like data: its connection's tag picks the destination queue, so an
-    /// open/close and the connection's data frames share a channel.
-    fn ctrl_round(&mut self, tick: u64) -> bool {
+    /// like data: its connection's pin picks the destination queue, so an
+    /// open/close and the connection's requests share a channel.
+    fn ctrl_round(&mut self) -> bool {
         let mut progress = false;
         for _ in 0..16 {
             let Ok((dst, dgram)) = self.ctrl_rx.try_recv() else {
@@ -789,7 +684,7 @@ impl EngineCore {
                 .lines
                 .first()
                 .and_then(|l| RpcHeader::decode(l.header()).ok())
-                .map_or(0, |h| self.pin_route(h.connection_id, dst, tick));
+                .map_or(0, |h| self.pin_route(&h, dst));
             self.send_datagram(dgram, dst_queue);
         }
         self.flush_wire();
@@ -852,8 +747,7 @@ impl EngineCore {
     }
 
     /// RX FSM: drain this worker's fabric port queue, handle control
-    /// frames, steer data frames into the RX stage (owned flows) or toward
-    /// the owning worker (handoff).
+    /// frames, steer data frames into the RX stage.
     fn rx_round(&mut self, tick: u64) -> bool {
         let mut progress = false;
         // Bound the number of datagrams per round to keep the loop fair.
@@ -920,55 +814,18 @@ impl EngineCore {
         }
     }
 
-    /// Drains the handoff inboxes: frames siblings received off the fabric
-    /// and steered to flows this worker owns.
-    fn inbox_round(&mut self, tick: u64) -> bool {
-        let mut progress = false;
-        for i in 0..self.xfer_in.len() {
-            // Bounded like the port drain, for fairness across inboxes.
-            for _ in 0..64 {
-                let Some((flow, seq, line)) = self.xfer_in[i].try_pop() else {
-                    break;
-                };
-                progress = true;
-                self.qstats.handoff_in.inc();
-                self.rx_stage.accept(usize::from(flow), seq, line, tick);
-            }
-        }
-        progress
-    }
-
-    /// The stall valve round: holds whose gap has not filled within
-    /// [`crate::stage::HOLD_STALL_TICKS`] release past it
-    /// ([`RxStage::release_overdue`]).
-    fn release_stalled(&mut self, tick: u64) -> bool {
-        self.rx_stage.release_overdue(tick)
-    }
-
-    /// Hands one steered frame to the worker owning `flow`, preserving
-    /// arrival order behind any backlog toward the same worker.
-    fn handoff(&mut self, owner: usize, flow: u16, seq: u64, line: CacheLine) {
-        self.qstats.handoff_out.inc();
-        if self.xfer_backlog[owner].is_empty() {
-            if let Some(ring) = self.xfer_out[owner].as_mut() {
-                if ring.try_push(flow, seq, line).is_ok() {
-                    self.peer_wakers[owner].wake();
-                    return;
-                }
-            }
-        }
-        self.xfer_backlog[owner].push_back((flow, seq, line));
-    }
-
     /// Ships `lines` (a reply this engine originates) toward `dst` on the
-    /// queue [`EngineCore::pin_route`] picks for `cid`.
-    fn reply(&mut self, cid: ConnectionId, dst: NodeAddr, lines: Vec<CacheLine>, tick: u64) {
-        let dst_queue = self.pin_route(cid, dst, tick);
+    /// queue [`EngineCore::pin_route`] picks for its first frame.
+    fn reply(&mut self, dst: NodeAddr, lines: Vec<CacheLine>) {
+        let dst_queue = match lines.first().map(|l| RpcHeader::decode(l.header())) {
+            Some(Ok(hdr)) => self.pin_route(&hdr, dst),
+            _ => 0,
+        };
         self.send_datagram(Datagram::new(self.addr, dst, lines), dst_queue);
     }
 
     /// One received frame: decode, control, trace stamp, tuple lookup,
-    /// offload, steer, stamp, then local staging or hand-off.
+    /// offload, steer, stage.
     fn rx_frame(&mut self, line: CacheLine, tick: u64) {
         let Ok(hdr) = RpcHeader::decode(line.header()) else {
             self.qstats.unknown_connection_drops.inc();
@@ -980,7 +837,7 @@ impl EngineCore {
             Control::Ack { to, line: ack } => {
                 let mut lines = self.pool.get_lines();
                 lines.push(ack);
-                self.reply(hdr.connection_id, to, lines, tick);
+                self.reply(to, lines);
                 return;
             }
         }
@@ -1011,36 +868,68 @@ impl EngineCore {
             self.softregs.offload_cache_entries() as usize,
             &mut self.pool,
         ) {
-            self.reply(hdr.connection_id, tuple.dest_addr, hit, tick);
+            self.reply(tuple.dest_addr, hit);
             return;
         }
+        let Some(flow) = self.steer(&hdr, line.payload(), tuple.lb, tuple.src_flow) else {
+            // A frame this worker cannot own: counted, never passed on.
+            self.qstats.rx_ring_drops.inc();
+            return;
+        };
+        debug_assert_eq!(
+            queue_of_flow(flow, self.num_queues),
+            usize::from(self.queue_id),
+            "flow {flow} staged by a worker that does not own it"
+        );
+        self.rx_stage.stage(flow, line, tick);
+    }
+
+    /// The flow a data frame belongs to, among the flows this worker owns,
+    /// or `None` when it owns no fitting flow.
+    ///
+    /// A response returns to the flow that issued its request; its sender
+    /// routed it to that flow's owner, and its lead frame settles one
+    /// request of the connection's [`RoutePin`]. A request is steered by
+    /// this worker's balancer among the active flows it owns — `q`, `q +
+    /// num_queues`, … below `active_flows` — with the connection's policy
+    /// (or the soft register's, for Uniform connections).
+    fn steer(
+        &mut self,
+        hdr: &RpcHeader,
+        payload: &[u8],
+        policy: LbPolicy,
+        static_flow: FlowId,
+    ) -> Option<usize> {
+        let (q, nq) = (usize::from(self.queue_id), self.num_queues);
+        if hdr.kind == RpcKind::Response {
+            let flow = usize::from(hdr.src_flow.raw()) % self.rx_rings.len();
+            if queue_of_flow(flow, nq) != q {
+                return None;
+            }
+            if hdr.frame_idx == 0 {
+                if let Some(pin) = self.route_pins.get_mut(&u64::from(hdr.connection_id.raw())) {
+                    pin.in_flight = pin.in_flight.saturating_sub(1);
+                }
+            }
+            return Some(flow);
+        }
+        let slots = self.active_flows().saturating_sub(q).div_ceil(nq);
+        if slots == 0 {
+            return None;
+        }
         // Soft-reconfigurable policy selection.
-        self.lb.set_policy(match tuple.lb {
+        self.lb.set_policy(match policy {
             LbPolicy::Uniform => self.softregs.lb_policy(),
             pinned => pinned,
         });
-        let n = self.active_flows();
-        let total = self.rx_rings.len();
-        let flow = self
-            .lb
-            .steer(&hdr, line.payload(), n, total, Some(tuple.src_flow))
-            .raw() as usize;
-        let owner = queue_of_flow(flow, total, self.num_queues);
-        // Arrival stamp: the NIC-wide per-flow sequence fixes this frame's
-        // delivery position *here*, before the local/handoff fork, so both
-        // paths observe one total order per flow.
-        let seq = self.flow_seq[flow].fetch_add(1, Ordering::Relaxed);
-        if owner == usize::from(self.queue_id) {
-            self.rx_stage.accept(flow, seq, line, tick);
-        } else {
-            self.handoff(owner, flow as u16, seq, line);
-        }
+        let slot = self.lb.steer(hdr, payload, slots, Some(static_flow));
+        Some(q + slot * nq)
     }
 
     /// Delivery: the RX stage picks formed batches and the CCI-P
     /// transmitter writes them into the RX rings. `drain_all` (shutdown)
-    /// flushes partially formed batches too. `rx_quiet` says the RX and
-    /// inbox rounds of this tick moved nothing: with the `auto_batch` soft
+    /// flushes partially formed batches too. `rx_quiet` says the RX round
+    /// of this tick moved nothing: with the `auto_batch` soft
     /// register on, a quiet tick ships partial batches immediately —
     /// under load frames keep arriving and full batches form on their
     /// own, so waiting out the scheduler timeout only buys latency, not
@@ -1097,8 +986,7 @@ mod tests {
     use crate::ring::ring;
     use crate::softreg::SoftRegisterFile;
     use crate::stage::SCHED_TIMEOUT_TICKS;
-    use crate::xfer::xfer_ring;
-    use dagger_types::{FlowId, FnId, RpcId, SoftConfigSnapshot};
+    use dagger_types::{FnId, RpcId, SoftConfigSnapshot};
 
     /// The NIC-shared handles of a hand-driven NIC at address 1 whose single
     /// connection's destination is its own fabric address, so TX datagrams
@@ -1136,7 +1024,6 @@ mod tests {
             confirmed: Arc::new(Mutex::new(HashSet::new())),
             telemetry: Telemetry::new(),
             wakers: (0..queues).map(|_| Arc::new(EngineWaker::new())).collect(),
-            flow_seq: Arc::new((0..flows).map(|_| AtomicU64::new(0)).collect()),
             offload: Arc::new(OffloadState::new(queues)),
             reqbuf_slots: 256,
         }
@@ -1158,8 +1045,6 @@ mod tests {
             port: fabric.attach_queues(shared.addr, 1).unwrap().remove(0),
             tx_rings: vec![Some(engine_rx)],
             rx_rings: vec![Some(engine_tx)],
-            xfer_out: vec![None],
-            xfer_in: Vec::new(),
             reliable: None,
             arbiter: None,
         };
@@ -1168,30 +1053,25 @@ mod tests {
 
     /// Builds a 2-queue sharded NIC as two hand-driven [`EngineCore`]s on
     /// one fabric address: flow 0 belongs to queue 0, flow 1 to queue 1.
-    /// The single connection loops back to the NIC's own address, so worker
-    /// 0's TX datagrams land on the RSS-routed queue, and steering across
-    /// both flows exercises both the local staging path and the cross-queue
-    /// handoff ring.
+    /// The single connection loops back to the NIC's own address, so each
+    /// worker's TX datagrams land on the queue each frame routes to.
+    /// Returns the cores and the host ends of both flows' TX and RX rings.
     fn sharded_pair() -> (
         Vec<EngineCore>,
-        crate::ring::RingProducer,
+        Vec<crate::ring::RingProducer>,
         Vec<crate::ring::RingConsumer>,
     ) {
         let shared = looped_shared(2, 2);
         let fabric = MemFabric::new();
         let ports = fabric.attach_queues(shared.addr, 2).unwrap();
 
-        let (host_tx, engine_rx) = ring(64);
+        let (host_tx0, engine_rx0) = ring(64);
+        let (host_tx1, engine_rx1) = ring(64);
         let (engine_tx0, host_rx0) = ring(64);
         let (engine_tx1, host_rx1) = ring(64);
-        // One handoff ring per ordered worker pair.
-        let (p01, c01) = xfer_ring(64);
-        let (p10, c10) = xfer_ring(64);
 
-        let mut tx_rings = [vec![Some(engine_rx), None], vec![None, None]];
+        let mut tx_rings = [vec![Some(engine_rx0), None], vec![None, Some(engine_rx1)]];
         let mut rx_rings = [vec![Some(engine_tx0), None], vec![None, Some(engine_tx1)]];
-        let mut xfer_out = [vec![None, Some(p01)], vec![Some(p10), None]];
-        let mut xfer_in = [vec![c10], vec![c01]];
 
         let cores = ports
             .into_iter()
@@ -1202,15 +1082,13 @@ mod tests {
                     port,
                     tx_rings: std::mem::take(&mut tx_rings[q]),
                     rx_rings: std::mem::take(&mut rx_rings[q]),
-                    xfer_out: std::mem::take(&mut xfer_out[q]),
-                    xfer_in: std::mem::take(&mut xfer_in[q]),
                     reliable: None,
                     arbiter: None,
                 };
                 EngineCore::new(&shared, parts)
             })
             .collect();
-        (cores, host_tx, vec![host_rx0, host_rx1])
+        (cores, vec![host_tx0, host_tx1], vec![host_rx0, host_rx1])
     }
 
     /// A data frame on connection 1. `Response` kind pins steering to
@@ -1582,20 +1460,23 @@ mod tests {
         assert!(cache_stats.hits >= 100);
     }
 
-    /// One hand-driven cycle of the 2-queue pair: the host pushes responses
-    /// alternating between flow 0 and flow 1 on queue 0's TX, then both
-    /// workers step until the scheduler timeout has flushed the partial
-    /// batches — queue 0 ships, the RSS-routed receiving worker steers
-    /// (handing the foreign flow's frames over the xfer ring), both deliver
-    /// — and the host drains both RX rings. Returns frames seen per flow.
+    /// One hand-driven cycle of the 2-queue pair: the host pushes `burst`
+    /// responses alternating between flow 0 and flow 1 on every TX ring in
+    /// `host_tx`, then both workers step until the scheduler timeout has
+    /// flushed the partial batches — each worker ships each response to the
+    /// queue owning the flow it answers, and stages and delivers its own
+    /// flow's frames — and the host drains both RX rings. Returns frames
+    /// seen per flow.
     fn sharded_cycle(
         cores: &mut [EngineCore],
-        host_tx: &mut crate::ring::RingProducer,
+        host_tx: &mut [crate::ring::RingProducer],
         host_rx: &mut [crate::ring::RingConsumer],
         burst: u32,
     ) -> [u32; 2] {
-        for i in 0..burst {
-            host_tx.try_push(response_frame(i, (i % 2) as u16)).unwrap();
+        for tx in host_tx.iter_mut() {
+            for i in 0..burst {
+                tx.try_push(response_frame(i, (i % 2) as u16)).unwrap();
+            }
         }
         for _ in 0..=SCHED_TIMEOUT_TICKS {
             for core in cores.iter_mut() {
@@ -1611,50 +1492,47 @@ mod tests {
         seen
     }
 
+    /// No frame changed worker: each queue received exactly the frames of
+    /// the flow it owns, and none was dropped.
+    fn assert_owner_routed(cores: &[EngineCore], per_flow: u64) {
+        for (q, core) in cores.iter().enumerate() {
+            let s = core.qstats.snapshot();
+            assert_eq!(s.rx_frames, per_flow, "queue {q} received a foreign frame");
+            assert_eq!(s.rx_ring_drops, 0, "queue {q} dropped a frame");
+        }
+    }
+
     #[test]
     fn sharded_steady_state_steps_perform_zero_heap_allocations() {
         let (mut cores, mut host_tx, mut host_rx) = sharded_pair();
-        // The receiving queue is fixed by the connection's route tag.
-        let rx_q = usize::from(
-            cores[0]
-                .port
-                .route(NodeAddr(1), conn_route_tag(ConnectionId(1))),
-        );
-        let other = 1 - rx_q;
         let mut total = [0u32; 2];
         for _ in 0..8 {
             let seen = sharded_cycle(&mut cores, &mut host_tx, &mut host_rx, 16);
             total[0] += seen[0];
             total[1] += seen[1];
         }
-        // Pinned steering alternating across 2 flows: both flows (and hence
-        // both workers, one via the handoff ring) saw traffic.
-        assert_eq!(total, [64, 64], "a flow starved");
+        // Both workers answer both flows: each ships one datagram to itself
+        // and one to its sibling per cycle, so both pools stay balanced.
+        assert_eq!(total, [128, 128], "a flow starved");
 
-        // Warmed: a whole cycle — queue 0's TX, the receiving queue's RX
-        // (including its half of the handoffs), the sibling's inbox drain
-        // and both deliveries — must stay off the heap.
+        // Warmed: a whole cycle — both workers' TX, RX and delivery — must
+        // stay off the heap.
         let (allocs, seen) = alloc_counter::count_allocs(|| {
             sharded_cycle(&mut cores, &mut host_tx, &mut host_rx, 16)
         });
-        assert_eq!(seen, [8, 8], "measured cycle lost frames");
+        assert_eq!(seen, [16, 16], "measured cycle lost frames");
         assert_eq!(
             allocs, 0,
             "sharded steady-state cycle hit the allocator {allocs} time(s)"
         );
-        // The handoff actually happened across the measured cycles.
-        let out = cores[rx_q].qstats.snapshot().handoff_out;
-        let inn = cores[other].qstats.snapshot().handoff_in;
-        assert!(out > 0, "receiving worker never handed off");
-        assert!(inn > 0, "owning worker never accepted a handoff");
+        assert_owner_routed(&cores, 9 * 16);
         // Every count lives in exactly one worker's bank, so the whole-NIC
         // view is the field-wise sum of the queue snapshots.
         let snap = cores[0].monitor.snapshot();
         assert_eq!(snap.queues.len(), 2);
         assert_eq!(snap.totals, snap.queues.iter().copied().sum());
-        assert_eq!(snap.tx_frames, 9 * 16);
+        assert_eq!(snap.tx_frames, 9 * 32);
         assert_eq!(snap.tx_frames, snap.rx_frames);
-        assert_eq!(snap.handoff_out, snap.handoff_in);
     }
 
     /// A round toward a destination that is not attached: the backend
@@ -1685,15 +1563,16 @@ mod tests {
     }
 
     #[test]
-    fn sharded_handoff_preserves_per_flow_fifo_order() {
+    fn sharded_owner_routing_preserves_per_flow_fifo_order() {
         let (mut cores, mut host_tx, mut host_rx) = sharded_pair();
-        // Responses pin to src_flow; send interleaved flow-0/flow-1 frames
-        // so each flow's subsequence is strictly increasing in rpc id.
+        // Responses return to src_flow; send interleaved flow-0/flow-1
+        // frames so each flow's subsequence is strictly increasing in rpc
+        // id.
         let mut got: [Vec<u32>; 2] = [Vec::new(), Vec::new()];
         for round in 0..32u32 {
             for i in 0..8u32 {
                 let rpc = round * 8 + i;
-                host_tx
+                host_tx[0]
                     .try_push(response_frame(rpc, (rpc % 2) as u16))
                     .unwrap();
             }
@@ -1720,5 +1599,126 @@ mod tests {
                 "flow {flow} saw another flow's frames"
             );
         }
+        assert_owner_routed(&cores, 128);
+    }
+
+    /// Ships `lines` as one datagram into queue `queue` of the pair's NIC.
+    fn inject(cores: &[EngineCore], queue: u16, lines: Vec<CacheLine>) {
+        let bytes = Datagram::new(NodeAddr(1), NodeAddr(1), lines).encode();
+        cores[0].port.send_to(NodeAddr(1), queue, bytes).unwrap();
+    }
+
+    /// A request is steered among the active flows its receiving queue
+    /// owns; a queue that owns none counts it as a drop and passes it to
+    /// nobody.
+    #[test]
+    fn request_on_a_queue_owning_no_active_flow_is_a_counted_drop() {
+        let (mut cores, _host_tx, mut host_rx) = sharded_pair();
+        let request = |rpc| restamped(data_frame(rpc), |h| h.kind = RpcKind::Request);
+        // Both flows active: queue 1's request lands on flow 1, its own.
+        inject(&cores, 1, vec![request(0)]);
+        assert_eq!(rpc_ids(&step_out(&mut cores[1], &mut host_rx[1])), [0]);
+        // Only flow 0 active (one dispatch thread): queue 1 owns no active
+        // flow, so the request is dropped and counted.
+        cores[1].softregs.set_active_flows(1);
+        inject(&cores, 1, vec![request(1)]);
+        let delivered = [
+            step_out(&mut cores[1], &mut host_rx[1]),
+            step_out(&mut cores[0], &mut host_rx[0]),
+        ];
+        assert!(delivered.iter().all(Vec::is_empty), "{delivered:?}");
+        assert_eq!(cores[1].qstats.snapshot().rx_ring_drops, 1);
+        assert_eq!(cores[0].qstats.snapshot().rx_frames, 0);
+    }
+
+    /// A response that reaches a queue not owning the flow it answers (a
+    /// peer routed it by a wrong queue count) is a counted drop, never a
+    /// push into the owner's ring.
+    #[test]
+    fn response_for_a_foreign_flow_is_a_counted_drop() {
+        let (mut cores, _host_tx, mut host_rx) = sharded_pair();
+        inject(&cores, 1, vec![response_frame(0, 0), response_frame(1, 1)]);
+        assert_eq!(rpc_ids(&step_out(&mut cores[1], &mut host_rx[1])), [1]);
+        assert!(step_out(&mut cores[0], &mut host_rx[0]).is_empty());
+        assert_eq!(cores[1].qstats.snapshot().rx_ring_drops, 1);
+    }
+
+    /// Elastic RSS: a Static connection with requests in flight stays on
+    /// its old queue after the destination's mask sheds it, and moves only
+    /// once every request has been answered.
+    #[test]
+    fn remap_waits_until_in_flight_requests_complete() {
+        use std::sync::atomic::AtomicU64;
+        let (mut core, mut host_tx, mut host_rx) = loopback_core();
+        let dst = NodeAddr(9);
+        let fabric = core.port.fabric();
+        let sinks = fabric.attach_queues(dst, 2).unwrap();
+        let mask = Arc::new(AtomicU64::new(0));
+        fabric.set_queue_mask(dst, Arc::clone(&mask));
+        let cid = ConnectionId(3);
+        let tuple = ConnectionTuple {
+            src_flow: FlowId(0),
+            dest_addr: dst,
+            lb: LbPolicy::Static,
+        };
+        core.conn_mgr.lock().open(cid, tuple).unwrap();
+        let on_cid = |line, kind| {
+            restamped(line, |h| {
+                (h.connection_id, h.kind) = (cid, kind);
+            })
+        };
+        let old = usize::from(core.port.route(dst, conn_route_tag(cid)));
+        // Sends requests `rpcs` and returns the queue that received them.
+        let mut send = |core: &mut EngineCore, rpcs: std::ops::Range<u32>| {
+            let want: Vec<u32> = rpcs.clone().collect();
+            for rpc in rpcs {
+                host_tx
+                    .try_push(on_cid(data_frame(rpc), RpcKind::Request))
+                    .unwrap();
+            }
+            core.step();
+            let got: Vec<(usize, Vec<u32>)> = (0..2)
+                .filter_map(|q| {
+                    let bytes = sinks[q].try_recv()?;
+                    Some((q, rpc_ids(&Datagram::decode(&bytes).unwrap().lines)))
+                })
+                .collect();
+            assert_eq!(got.len(), 1, "requests split across queues: {got:?}");
+            assert_eq!(got[0].1, want);
+            got[0].0
+        };
+        // Answers requests `rpcs` from the destination's queue 0.
+        let mut answer = |core: &mut EngineCore, rpcs: std::ops::Range<u32>| {
+            let lines = rpcs
+                .map(|rpc| on_cid(data_frame(rpc), RpcKind::Response))
+                .collect();
+            let bytes = Datagram::new(dst, core.addr, lines).encode();
+            sinks[0].send_to(core.addr, 0, bytes).unwrap();
+            step_out(core, &mut host_rx);
+        };
+
+        assert_eq!(send(&mut core, 0..3), old);
+        // The balancer sheds the connection's queue.
+        mask.store(1 << (1 - old), Ordering::Relaxed);
+        assert_eq!(
+            send(&mut core, 3..4),
+            old,
+            "moved with 3 requests in flight"
+        );
+        answer(&mut core, 0..3);
+        assert_eq!(send(&mut core, 4..5), old, "moved with request 3 in flight");
+        assert_eq!(core.qstats.snapshot().remaps, 0);
+        answer(&mut core, 3..5);
+        assert_eq!(send(&mut core, 5..6), 1 - old, "quiescent, yet not moved");
+        assert_eq!(core.qstats.snapshot().remaps, 1);
+        let remaps: Vec<_> = core
+            .telemetry
+            .flight()
+            .snapshot()
+            .into_iter()
+            .filter(|e| e.kind == FlightEventKind::Remap)
+            .map(|e| (e.a, e.b))
+            .collect();
+        assert_eq!(remaps, [(old as u64, (1 - old) as u64)]);
     }
 }

@@ -162,7 +162,10 @@ impl Switch<UdpWire> {
     }
 
     /// Declares where `node` lives and how many engine queues it serves —
-    /// the static switching-table entry for a peer in another process.
+    /// the static switching-table entry for a peer in another process. A
+    /// multi-queue NIC must be declared with its real queue count: responses
+    /// are routed to the queue owning the flow they answer, and a peer
+    /// learned from its traffic alone counts as single-queue.
     pub fn set_peer(&self, node: NodeAddr, addr: SocketAddr, queues: usize) {
         let queues = queues.max(1);
         let peer = PeerEntry { addr, queues };

@@ -1,6 +1,6 @@
 //! RX-path load balancers (§4.4.2, §5.7).
 //!
-//! The Load Balancer distributes incoming RPCs across the NIC's flow FIFOs.
+//! The Load Balancer distributes incoming requests across flow FIFOs.
 //! Dagger ships two generic schemes — *dynamic uniform steering*
 //! (round-robin) and *static balancing* (requests follow the flow recorded
 //! in the connection tuple) — and "leaves room for application-specific
@@ -9,11 +9,15 @@
 //! for the same key land on the same partition/flow (§5.7). All three are
 //! implemented here.
 //!
-//! Invariant regardless of policy: responses always steer to the
-//! `src_flow` carried in the header, and all frames of one multi-frame RPC
-//! steer identically (software reassembly requires it, §4.7).
+//! The paper's NIC runs one balancer over all of its flows. Here each
+//! engine worker runs its own over the active flows it owns (DESIGN.md
+//! §13), so a balancer picks one of `slots` local positions and the engine
+//! maps the position to a flow; Object-Level key affinity is therefore per
+//! receiving queue. Responses are not balanced: they return to the flow
+//! that issued the request. All frames of one multi-frame RPC steer
+//! identically (software reassembly requires it, §4.7).
 
-use dagger_types::{FlowId, LbPolicy, RpcHeader, RpcKind};
+use dagger_types::{FlowId, LbPolicy, RpcHeader};
 
 /// FNV-1a, the key hash the object-level balancer applies on the FPGA.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
@@ -56,51 +60,42 @@ impl LoadBalancer {
         self.policy = policy;
     }
 
-    /// Picks the destination flow for an incoming frame.
+    /// Picks one of `slots` positions (`0..slots`) for an incoming request
+    /// frame.
     ///
-    /// * Responses always return to `hdr.src_flow` — the issuing flow — and
-    ///   may target *any* hardware flow (`total_flows`), since client flows
-    ///   are not necessarily within the server-active request range.
     /// * Multi-frame requests steer by `(connection, rpc)` hash so every
     ///   frame of an RPC reaches the same ring.
-    /// * Single-frame requests follow the configured policy, over the
-    ///   `active_flows` currently served by dispatch threads.
+    /// * Single-frame requests follow the configured policy: Uniform
+    ///   round-robins, Static follows `static_flow` (else `hdr.src_flow`),
+    ///   Object-Level hashes the key.
     ///
     /// # Panics
     ///
-    /// Panics if `active_flows` or `total_flows` is zero.
+    /// Panics if `slots` is zero.
     pub fn steer(
         &mut self,
         hdr: &RpcHeader,
         payload: &[u8],
-        active_flows: usize,
-        total_flows: usize,
+        slots: usize,
         static_flow: Option<FlowId>,
-    ) -> FlowId {
-        assert!(active_flows > 0, "at least one active flow required");
-        assert!(
-            total_flows >= active_flows,
-            "total flows below active flows"
-        );
-        let n = active_flows as u64;
-        if hdr.kind == RpcKind::Response {
-            return FlowId((u64::from(hdr.src_flow.raw()) % total_flows as u64) as u16);
-        }
+    ) -> usize {
+        assert!(slots > 0, "at least one slot required");
+        let n = slots as u64;
         if hdr.frame_count > 1 {
             // The 8-byte `(connection, rpc)` key, little-endian, on the
             // stack: every frame of the request hashes it.
             let key = u64::from(hdr.connection_id.raw()) | u64::from(hdr.rpc_id.raw()) << 32;
-            return FlowId((fnv1a(&key.to_le_bytes()) % n) as u16);
+            return (fnv1a(&key.to_le_bytes()) % n) as usize;
         }
         match self.policy {
             LbPolicy::Uniform => {
-                let flow = (self.rr_next % active_flows) as u16;
+                let slot = self.rr_next % slots;
                 self.rr_next = self.rr_next.wrapping_add(1);
-                FlowId(flow)
+                slot
             }
             LbPolicy::Static => {
                 let pinned = static_flow.unwrap_or(hdr.src_flow);
-                FlowId((u64::from(pinned.raw()) % n) as u16)
+                (u64::from(pinned.raw()) % n) as usize
             }
             LbPolicy::ObjectLevel => {
                 // A traced RPC's payload starts with the 16-byte trace
@@ -119,7 +114,7 @@ impl LoadBalancer {
                 } else {
                     &payload[skip.min(payload.len())..]
                 };
-                FlowId((fnv1a(key) % n) as u16)
+                (fnv1a(key) % n) as usize
             }
         }
     }
@@ -128,7 +123,7 @@ impl LoadBalancer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dagger_types::{ConnectionId, FnId, RpcId};
+    use dagger_types::{ConnectionId, FnId, RpcId, RpcKind};
 
     fn req(cid: u32, rpc: u32, frames: u8) -> RpcHeader {
         RpcHeader {
@@ -148,29 +143,21 @@ mod tests {
     #[test]
     fn uniform_round_robins() {
         let mut lb = LoadBalancer::new(LbPolicy::Uniform, (0, 8));
-        let flows: Vec<u16> = (0..8)
-            .map(|i| lb.steer(&req(1, i, 1), &[0; 8], 4, 4, None).raw())
+        let flows: Vec<usize> = (0..8)
+            .map(|i| lb.steer(&req(1, i, 1), &[0; 8], 4, None))
             .collect();
         assert_eq!(flows, vec![0, 1, 2, 3, 0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn responses_always_go_to_src_flow() {
-        let mut lb = LoadBalancer::new(LbPolicy::Uniform, (0, 8));
-        let mut hdr = req(1, 1, 1);
-        hdr.kind = RpcKind::Response;
-        hdr.src_flow = FlowId(3);
-        for _ in 0..5 {
-            assert_eq!(lb.steer(&hdr, &[0; 8], 4, 4, None), FlowId(3));
-        }
     }
 
     #[test]
     fn static_policy_uses_connection_flow() {
         let mut lb = LoadBalancer::new(LbPolicy::Static, (0, 8));
         let hdr = req(1, 1, 1);
-        assert_eq!(lb.steer(&hdr, &[0; 8], 4, 4, Some(FlowId(1))), FlowId(1));
-        assert_eq!(lb.steer(&hdr, &[0; 8], 4, 4, Some(FlowId(1))), FlowId(1));
+        assert_eq!(lb.steer(&hdr, &[0; 8], 4, Some(FlowId(1))), 1);
+        assert_eq!(lb.steer(&hdr, &[0; 8], 4, Some(FlowId(1))), 1);
+        // Without a tuple flow the header's `src_flow` pins, folded onto
+        // the slots.
+        assert_eq!(lb.steer(&hdr, &[0; 8], 2, None), 0);
     }
 
     #[test]
@@ -178,9 +165,9 @@ mod tests {
         let mut lb = LoadBalancer::new(LbPolicy::ObjectLevel, (0, 8));
         let key_a = *b"k1______";
         let key_b = *b"k2______";
-        let fa1 = lb.steer(&req(1, 1, 1), &key_a, 4, 4, None);
-        let fa2 = lb.steer(&req(1, 2, 1), &key_a, 4, 4, None);
-        let fb = lb.steer(&req(1, 3, 1), &key_b, 4, 4, None);
+        let fa1 = lb.steer(&req(1, 1, 1), &key_a, 4, None);
+        let fa2 = lb.steer(&req(1, 2, 1), &key_a, 4, None);
+        let fb = lb.steer(&req(1, 3, 1), &key_b, 4, None);
         assert_eq!(fa1, fa2, "same key must pin to the same partition");
         // Different keys *may* collide, but these two don't under FNV.
         assert_ne!(fa1, fb);
@@ -192,8 +179,8 @@ mod tests {
         let mut seen = [false; 4];
         for k in 0..64u64 {
             let key = k.to_le_bytes();
-            let f = lb.steer(&req(1, k as u32, 1), &key, 4, 4, None);
-            seen[f.raw() as usize] = true;
+            let f = lb.steer(&req(1, k as u32, 1), &key, 4, None);
+            seen[f] = true;
         }
         assert!(seen.iter().all(|&s| s), "keys should cover all partitions");
     }
@@ -202,13 +189,13 @@ mod tests {
     fn object_level_skips_trace_prelude() {
         let mut lb = LoadBalancer::new(LbPolicy::ObjectLevel, (0, 8));
         let key = *b"hotkey__";
-        let untraced = lb.steer(&req(1, 1, 1), &key, 4, 4, None);
+        let untraced = lb.steer(&req(1, 1, 1), &key, 4, None);
         // Same key behind a 16-byte trace-context prelude.
         let mut traced_payload = vec![0xEE; 16];
         traced_payload.extend_from_slice(&key);
         let mut hdr = req(1, 2, 1);
         hdr.traced = true;
-        let traced = lb.steer(&hdr, &traced_payload, 4, 4, None);
+        let traced = lb.steer(&hdr, &traced_payload, 4, None);
         assert_eq!(
             untraced, traced,
             "tracing must not move keys between partitions"
@@ -219,11 +206,11 @@ mod tests {
     fn multiframe_frames_steer_identically() {
         let mut lb = LoadBalancer::new(LbPolicy::Uniform, (0, 8));
         let mut hdr = req(7, 42, 3);
-        let f0 = lb.steer(&hdr, &[0; 8], 4, 4, None);
+        let f0 = lb.steer(&hdr, &[0; 8], 4, None);
         hdr.frame_idx = 1;
-        let f1 = lb.steer(&hdr, &[1; 8], 4, 4, None);
+        let f1 = lb.steer(&hdr, &[1; 8], 4, None);
         hdr.frame_idx = 2;
-        let f2 = lb.steer(&hdr, &[2; 8], 4, 4, None);
+        let f2 = lb.steer(&hdr, &[2; 8], 4, None);
         assert_eq!(f0, f1);
         assert_eq!(f1, f2);
     }
@@ -238,8 +225,8 @@ mod tests {
             let mut key = Vec::new();
             key.extend_from_slice(&u32::to_le_bytes(cid));
             key.extend_from_slice(&u32::to_le_bytes(rpc));
-            let want = FlowId((fnv1a(&key) % 13) as u16);
-            assert_eq!(lb.steer(&req(cid, rpc, 3), &[0; 8], 13, 13, None), want);
+            let want = (fnv1a(&key) % 13) as usize;
+            assert_eq!(lb.steer(&req(cid, rpc, 3), &[0; 8], 13, None), want);
         }
     }
 
@@ -249,25 +236,15 @@ mod tests {
     fn steering_a_multiframe_request_performs_zero_heap_allocations() {
         let mut lb = LoadBalancer::new(LbPolicy::Uniform, (0, 8));
         let mut hdr = req(7, 42, 43);
-        let first = lb.steer(&hdr, &[0; 48], 4, 4, None);
+        let first = lb.steer(&hdr, &[0; 48], 4, None);
         let (allocs, same) = crate::alloc_counter::count_allocs(|| {
             (0..43u8).all(|idx| {
                 hdr.frame_idx = idx;
-                lb.steer(&hdr, &[idx; 48], 4, 4, None) == first
+                lb.steer(&hdr, &[idx; 48], 4, None) == first
             })
         });
         assert!(same, "frames of one request steered apart");
         assert_eq!(allocs, 0, "steering hit the allocator {allocs} time(s)");
-    }
-
-    #[test]
-    fn src_flow_out_of_range_clamps() {
-        let mut lb = LoadBalancer::new(LbPolicy::Uniform, (0, 8));
-        let mut hdr = req(1, 1, 1);
-        hdr.kind = RpcKind::Response;
-        hdr.src_flow = FlowId(9);
-        let f = lb.steer(&hdr, &[0; 8], 4, 4, None);
-        assert!(f.raw() < 4);
     }
 
     #[test]

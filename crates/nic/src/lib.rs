@@ -18,10 +18,9 @@
 //!   connection-setup control frames it handles on RX;
 //! * [`lb`] — the RX load balancers: uniform dynamic, static, and the
 //!   object-level key-hash balancer used for MICA tiers (§5.7);
-//! * [`stage`] — the RX stage: one record per flow holding its arrival
-//!   order (out-of-order holds and the stall valve), its staged lines under
-//!   the request buffer's bound, and the flow scheduler's batch-or-timeout
-//!   rule that forms CCI-P delivery batches (Fig. 9);
+//! * [`stage`] — the RX stage: one record per flow holding its staged
+//!   lines under the request buffer's bound, and the flow scheduler's
+//!   batch-or-timeout rule that forms CCI-P delivery batches (Fig. 9);
 //! * [`monitor`] — the Packet Monitor statistics unit, and [`bank`] — the
 //!   one declaration form every counter bank in this crate uses;
 //! * [`offload`] — the on-NIC compute offload stage: NIC-side serde driven
@@ -46,10 +45,9 @@
 //!   wakeup latch with its drive lease;
 //! * [`drive`] — who steps an engine queue: the per-queue slot, the
 //!   host-side [`HostWait`] and the fallback engine thread;
-//! * [`xfer`] — cross-queue SPSC handoff rings moving steered frames from
-//!   the receiving engine worker to the flow-owning one;
 //! * [`engine`] — the NIC engine workers tying the RX/TX FSMs together
-//!   behind one `step()`, sharded RSS-style across `num_queues` queues;
+//!   behind one `step()`, sharded RSS-style across `num_queues` queues,
+//!   each receiving exactly the frames of the flows it owns;
 //! * [`nic`] — the assembled, virtualizable [`nic::Nic`].
 //!
 //! The NIC is *functional*: it moves real bytes between real threads with
@@ -77,7 +75,6 @@ pub mod softreg;
 pub mod stage;
 pub mod transport;
 pub mod wait;
-pub mod xfer;
 
 pub use balancer::{BalancerConfig, QueueBalancer};
 pub use bufpool::{BufPool, BufPoolStats};

@@ -30,8 +30,10 @@ counter_bank! {
         tx_datagrams,
         /// Datagrams received.
         rx_datagrams,
-        /// Frames dropped because the destination RX ring was full (or, at
-        /// shutdown, stranded in a handoff backlog).
+        /// Frames dropped because the destination RX ring was full, or
+        /// because this worker owns no flow that fits them (a response for
+        /// another worker's flow, a request on a queue owning no active
+        /// flow).
         rx_ring_drops,
         /// Frames dropped because the connection (or, on TX, its
         /// destination) was unknown.
@@ -51,22 +53,9 @@ counter_bank! {
         /// Datagrams deferred (including re-deferred) by reliable-transport
         /// window backpressure.
         tx_window_deferrals,
-        /// Steered frames handed to another worker's flow.
-        handoff_out,
-        /// Steered frames accepted from other workers.
-        handoff_in,
-        /// Frames held back because they overtook an earlier arrival of their
-        /// flow (usually a local frame overtaking a handoff).
-        reorder_holds,
-        /// Holds released past a gap by the stall valve (or shutdown flush),
-        /// and late frames the valve had already released past.
-        reorder_flushes,
-        /// Connections switched to a new destination queue after a clean
-        /// channel drain (elastic RSS remap).
+        /// Connections switched to a new destination queue once none of
+        /// their requests awaited a response (elastic RSS remap).
         remaps,
-        /// Remap switches forced by the drain deadline with the old
-        /// channel still unacked.
-        forced_remaps,
         /// Engine steps that moved frames while driven by a host thread
         /// waiting on one of this queue's flows.
         host_steps,
@@ -206,7 +195,7 @@ mod tests {
     fn whole_nic_snapshot_is_the_sum_of_the_queue_banks() {
         let m = PacketMonitor::new(0, 2);
         m.queues()[0].tx_frames.add(3);
-        m.queues()[0].handoff_out.inc();
+        m.queues()[0].remaps.inc();
         m.queues()[1].tx_frames.add(4);
         m.queues()[1].rx_ring_drops.inc();
         m.queues()[1].wire_drops.inc();
@@ -215,7 +204,7 @@ mod tests {
         assert_eq!(s.queues[0].tx_frames, 3);
         assert_eq!(s.queues[1].tx_frames, 4);
         assert_eq!(s.tx_frames, 7);
-        assert_eq!(s.handoff_out, 1);
+        assert_eq!(s.remaps, 1);
         assert_eq!(s.total_drops(), 2);
         assert_eq!(s.totals, s.queues.iter().copied().sum());
     }
@@ -226,12 +215,12 @@ mod tests {
         m.queues()[0].tx_frames.add(10);
         let earlier = m.snapshot();
         m.queues()[0].tx_frames.add(5);
-        m.queues()[1].reorder_holds.inc();
+        m.queues()[1].remaps.inc();
         let later = m.snapshot();
         let d = later.delta(&earlier);
         assert_eq!(d.tx_frames, 5);
         assert_eq!(d.queues[0].tx_frames, 5);
-        assert_eq!(d.queues[1].reorder_holds, 1);
+        assert_eq!(d.queues[1].remaps, 1);
         // Reversed order saturates to zero rather than wrapping.
         let rev = earlier.delta(&later);
         assert_eq!(rev.totals, QueueSnapshot::default());

@@ -5,12 +5,12 @@
 //! provisions the per-flow TX/RX cache-line rings (Fig. 7), and builds
 //! `num_queues` engine workers (the multi-queue scaling knob of Fig. 11),
 //! each with a fallback thread; a host thread waiting on a flow drives the
-//! flow's worker itself (`drive.rs`). Flows are partitioned contiguously
-//! across workers by
-//! [`queue_of_flow`]; each worker polls only its own flows' TX rings and
-//! writes only its own flows' RX rings, receives on its own fabric port
-//! queue, and hands frames steered to a foreign flow to the owning worker
-//! over an SPSC [`crate::xfer`] ring. The soft register file's
+//! flow's worker itself (`drive.rs`). Flows are striped across workers by
+//! [`queue_of_flow`]; each worker polls only its own flows' TX rings,
+//! receives on its own fabric port queue, and writes only its own flows' RX
+//! rings — a response is routed to the queue that owns the flow it answers
+//! and a request is steered among the receiving queue's own flows, so a
+//! frame never changes worker (DESIGN.md §13). The soft register file's
 //! active-queue mask gates *new* RSS routing decisions at runtime without
 //! re-synthesis.
 //!
@@ -60,23 +60,14 @@ use crate::ring::{ring, RingConsumer, RingProducer};
 use crate::softreg::SoftRegisterFile;
 use crate::transport::Datagram;
 use crate::wait::EngineWaker;
-use crate::xfer::{xfer_ring, XferConsumer, XferProducer};
 
-/// Capacity of each cross-queue handoff ring (entries). Deep enough that
-/// the receiving worker only falls back to its backlog under sustained
-/// imbalance; shallow enough to bound stranded frames at shutdown.
-const XFER_RING_CAPACITY: usize = 1024;
-
-/// The engine worker owning `flow`: flows are partitioned contiguously,
-/// `num_flows / num_queues` apiece (the first `num_flows % num_queues`
-/// partitions absorb the remainder). The mapping is total — every valid
-/// flow has exactly one owner — and monotone, so a worker's flows are one
-/// contiguous range.
-pub fn queue_of_flow(flow: usize, num_flows: usize, num_queues: usize) -> usize {
-    if num_flows == 0 || num_queues <= 1 {
-        return 0;
-    }
-    (flow.min(num_flows - 1) * num_queues) / num_flows
+/// The engine worker owning `flow`: flows are striped, `flow %
+/// num_queues`. Every flow has exactly one owner, the first `num_queues`
+/// flows cover every queue, and a sender needs only the destination's queue
+/// count to find the owner of the flow a response answers. No queues
+/// (an unknown destination) maps to queue 0.
+pub fn queue_of_flow(flow: usize, num_queues: usize) -> usize {
+    flow % num_queues.max(1)
 }
 
 /// One hardware flow's host-side endpoints: the TX ring the host writes
@@ -249,8 +240,8 @@ impl Nic {
         let conn_mgr = Arc::new(Mutex::new(ConnectionManager::new(cfg.conn_cache_entries)));
 
         // Engine wakeup latches, one per worker: host TX pushes on owned
-        // flows, fabric deliveries to the worker's queue, sibling handoffs,
-        // control sends, and shutdown all pull a worker out of its park.
+        // flows, fabric deliveries to the worker's queue, control sends,
+        // and shutdown all pull a worker out of its park.
         let wakers: Vec<Arc<EngineWaker>> = monitor
             .queues()
             .iter()
@@ -269,7 +260,7 @@ impl Nic {
             .map(|_| (0..cfg.num_flows).map(|_| None).collect())
             .collect();
         for i in 0..cfg.num_flows {
-            let owner = queue_of_flow(i, cfg.num_flows, nq);
+            let owner = queue_of_flow(i, nq);
             let (mut tx_p, tx_c) = ring(cfg.tx_ring_capacity);
             tx_p.set_waker(Arc::clone(&wakers[owner]));
             let (rx_p, rx_c) = ring(cfg.rx_ring_capacity);
@@ -278,29 +269,10 @@ impl Nic {
             rx_producers[owner][i] = Some(rx_p);
         }
 
-        // Handoff ring matrix: one SPSC ring per ordered worker pair.
-        let mut xfer_out: Vec<Vec<Option<XferProducer>>> =
-            (0..nq).map(|_| (0..nq).map(|_| None).collect()).collect();
-        let mut xfer_in: Vec<Vec<XferConsumer>> = (0..nq).map(|_| Vec::new()).collect();
-        for (j, out_row) in xfer_out.iter_mut().enumerate() {
-            for k in 0..nq {
-                if j == k {
-                    continue;
-                }
-                let (p, c) = xfer_ring(XFER_RING_CAPACITY);
-                out_row[k] = Some(p);
-                xfer_in[k].push(c);
-            }
-        }
-
         let stop = Arc::new(AtomicBool::new(false));
         let stop_barrier = Arc::new(AtomicUsize::new(0));
         let (ctrl_tx, ctrl_rx) = unbounded();
         let confirmed = Arc::new(Mutex::new(HashSet::new()));
-        // NIC-wide per-flow arrival sequence counters: stamped by whichever
-        // worker steers a frame, consumed in order by the flow's owner.
-        let flow_seq: Arc<Vec<AtomicU64>> =
-            Arc::new((0..cfg.num_flows).map(|_| AtomicU64::new(0)).collect());
 
         // The offload stage is NIC-wide: per-queue caches inside, shared
         // generation counters across workers, wired to the flight recorder
@@ -321,7 +293,6 @@ impl Nic {
             confirmed: Arc::clone(&confirmed),
             telemetry: Arc::clone(&telemetry),
             wakers: wakers.clone(),
-            flow_seq,
             offload: Arc::clone(&offload),
             reqbuf_slots: (cfg.rx_ring_capacity * cfg.num_flows).max(64),
         };
@@ -343,8 +314,6 @@ impl Nic {
                     port: Arc::clone(port),
                     tx_rings: std::mem::take(&mut tx_consumers[q]),
                     rx_rings: std::mem::take(&mut rx_producers[q]),
-                    xfer_out: std::mem::take(&mut xfer_out[q]),
-                    xfer_in: std::mem::take(&mut xfer_in[q]),
                     reliable,
                     arbiter: arbiter.take(),
                 },
@@ -444,7 +413,7 @@ impl Nic {
                 flow: FlowId(i as u16),
                 tx,
                 rx,
-                engine: handles[queue_of_flow(i, cfg.num_flows, nq)].clone(),
+                engine: handles[queue_of_flow(i, nq)].clone(),
             })
             .collect();
 
@@ -565,13 +534,9 @@ impl Nic {
             )));
         }
         let mut flows = self.unclaimed.lock();
-        let pos = flows.iter().position(|f| {
-            queue_of_flow(
-                usize::from(f.flow.raw()),
-                self.cfg.num_flows,
-                self.cfg.num_queues,
-            ) == queue
-        });
+        let pos = flows
+            .iter()
+            .position(|f| queue_of_flow(usize::from(f.flow.raw()), self.cfg.num_queues) == queue);
         match pos {
             Some(i) => Ok(flows.remove(i)),
             None => Err(DaggerError::Config(format!(
@@ -686,12 +651,7 @@ impl Nic {
 
     /// The host-side handle on the queue that owns `flow`.
     fn engine_of(&self, flow: FlowId) -> &EngineHandle {
-        let owner = queue_of_flow(
-            usize::from(flow.raw()),
-            self.cfg.num_flows,
-            self.cfg.num_queues,
-        );
-        &self.engine_handles[owner]
+        &self.engine_handles[queue_of_flow(usize::from(flow.raw()), self.cfg.num_queues)]
     }
 
     /// `true` once the NIC's Connection Manager knows `cid` (used to wait
@@ -793,26 +753,18 @@ mod tests {
     }
 
     #[test]
-    fn queue_of_flow_partitions_contiguously_and_totally() {
-        // 1 queue: everything maps to 0.
+    fn queue_of_flow_stripes_flows_across_queues() {
+        // 1 queue (or none): everything maps to 0.
         for f in 0..8 {
-            assert_eq!(queue_of_flow(f, 8, 1), 0);
+            assert_eq!(queue_of_flow(f, 1), 0);
+            assert_eq!(queue_of_flow(f, 0), 0);
         }
-        // Even split.
-        assert_eq!(queue_of_flow(0, 8, 4), 0);
-        assert_eq!(queue_of_flow(1, 8, 4), 0);
-        assert_eq!(queue_of_flow(2, 8, 4), 1);
-        assert_eq!(queue_of_flow(7, 8, 4), 3);
-        // Uneven split stays monotone and total, and every queue gets at
-        // least one flow when num_flows >= num_queues.
+        let owners: Vec<usize> = (0..8).map(|f| queue_of_flow(f, 4)).collect();
+        assert_eq!(owners, [0, 1, 2, 3, 0, 1, 2, 3]);
+        // Any flow count at least the queue count covers every queue.
         for (flows, queues) in [(7usize, 3usize), (5, 4), (16, 3), (9, 2)] {
-            let owners: Vec<usize> = (0..flows)
-                .map(|f| queue_of_flow(f, flows, queues))
-                .collect();
-            assert!(owners.windows(2).all(|w| w[0] <= w[1]), "not monotone");
-            assert!(owners.iter().all(|&o| o < queues), "owner out of range");
             for q in 0..queues {
-                assert!(owners.contains(&q), "queue {q} owns no flow ({owners:?})");
+                assert!((0..flows).any(|f| queue_of_flow(f, queues) == q));
             }
         }
     }
@@ -878,7 +830,7 @@ mod tests {
     }
 
     #[test]
-    fn multi_queue_end_to_end_with_handoff_counters() {
+    fn multi_queue_end_to_end_stays_on_the_owning_queues() {
         let cfg = HardConfig::builder()
             .num_flows(4)
             .num_queues(4)
@@ -893,7 +845,7 @@ mod tests {
             .map(|q| client.take_flow_on_queue(q).unwrap())
             .collect();
         for (q, f) in cflows.iter().enumerate() {
-            assert_eq!(queue_of_flow(usize::from(f.flow.raw()), 4, 4), q);
+            assert_eq!(queue_of_flow(usize::from(f.flow.raw()), 4), q);
         }
         let mut sflows: Vec<HostFlow> = (0..4).map(|_| server.take_flow().unwrap()).collect();
 
@@ -947,6 +899,8 @@ mod tests {
         );
         let q_total: u64 = rx_per_q.iter().sum();
         assert_eq!(q_total, server.monitor().snapshot().rx_frames);
+        // Every request found an owned flow on the queue it reached.
+        assert_eq!(server.monitor().snapshot().rx_ring_drops, 0);
 
         client.shutdown();
         server.shutdown();

@@ -716,18 +716,6 @@ impl ReliableTransport {
         self.tx.values().all(|t| t.unacked.is_empty())
     }
 
-    /// `true` when the single `(peer, queue)` channel has no unacked
-    /// datagrams in flight (or was never used). The elastic RSS remap
-    /// uses this as its drain barrier: a connection may switch to a new
-    /// destination queue only once its old channel is fully acknowledged,
-    /// so every frame sent on the old path has already been steered (and
-    /// arrival-stamped) by the receiver.
-    pub fn channel_fully_acked(&self, peer: NodeAddr, queue: u16) -> bool {
-        self.tx
-            .get(&(peer, queue))
-            .is_none_or(|t| t.unacked.is_empty())
-    }
-
     /// `true` when ticks are currently pure timer noise: nothing unacked,
     /// no ack owed, nothing retired, no released datagrams waiting. The
     /// engine may park only then. (Buffered out-of-order datagrams alone
@@ -1069,8 +1057,6 @@ mod tests {
             let frame = send_to(&mut a, dgram(1, dst, 0), queue);
             assert_eq!(data_header(&frame), (0, 0, 2), "channel ({dst}, {queue})");
         }
-        assert!(a.channel_fully_acked(NodeAddr(2), 1), "never used");
-        assert!(!a.channel_fully_acked(NodeAddr(2), 3));
     }
 
     #[test]

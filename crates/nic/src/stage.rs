@@ -1,16 +1,17 @@
 //! The RX stage: everything between steering a frame to a flow and writing
 //! it into that flow's RX ring (Fig. 9) — one record per flow holding its
-//! arrival order, its staged lines and its batching clock.
+//! staged lines and its batching clock.
 //!
 //! The hardware keeps staged frames in one request buffer and moves only
 //! `slot_id`s through the per-flow FIFOs, an FPGA area trick against wide
 //! muxes. In software a frame is one 64-byte value, so each flow queues its
 //! lines by value — the queue grows on use and keeps its capacity; nothing
 //! is built up front — and one occupancy count enforces the request
-//! buffer's bound. Out-of-order holds are bounded in time by the stall
-//! valve, not in size, and are not charged to that bound (DESIGN.md §13).
+//! buffer's bound. A flow's frames reach its stage from one receive queue
+//! only, in arrival order (DESIGN.md §13), so staging order is delivery
+//! order.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use dagger_types::CacheLine;
@@ -21,30 +22,17 @@ use crate::monitor::QueueStats;
 /// latency in functional mode is not batch-bound.
 pub(crate) const SCHED_TIMEOUT_TICKS: u64 = 8;
 
-/// Ticks an out-of-order hold may wait for its gap to fill before the
-/// owner presumes the missing arrival lost and releases past it.
-pub(crate) const HOLD_STALL_TICKS: u64 = 2048;
-
 /// One flow's receive state.
 #[derive(Debug, Default)]
 struct FlowStage {
-    /// Next arrival stamp to release.
-    next: u64,
-    /// Out-of-order arrivals parked until their gap fills, by stamp. Empty
-    /// in steady state: entries appear only while a remap (or a forced
-    /// switch under loss) has the flow's frames on two receive paths.
-    held: BTreeMap<u64, CacheLine>,
-    /// Tick the current oldest hold was parked, or the flow last released
-    /// a held frame (drives the stall valve).
-    hold_since: u64,
-    /// Released lines awaiting delivery, in order.
+    /// Staged lines awaiting delivery, in arrival order.
     staged: VecDeque<CacheLine>,
     /// Tick the oldest line of `staged` was staged (or the flow last
     /// partially drained); meaningful only while `staged` is non-empty.
     oldest: u64,
 }
 
-/// The per-flow staging, ordering and batching state of one engine worker.
+/// The per-flow staging and batching state of one engine worker.
 #[derive(Debug)]
 pub(crate) struct RxStage {
     /// Indexed by global flow id; only the worker's owned flows are used.
@@ -53,8 +41,6 @@ pub(crate) struct RxStage {
     staged: usize,
     /// The staging bound (`NicShared::reqbuf_slots`).
     bound: usize,
-    /// Frames held across all flows.
-    held: usize,
     /// Where the next round-robin pick starts.
     cursor: usize,
     /// The worker's counter bank.
@@ -70,112 +56,19 @@ impl RxStage {
             flows,
             staged: 0,
             bound,
-            held: 0,
             cursor: 0,
             stats,
         }
     }
 
-    /// `true` when nothing is staged or held, so no delivery and no stall
-    /// valve is pending.
+    /// `true` when nothing is staged, so no delivery is pending.
     pub(crate) fn is_idle(&self) -> bool {
-        self.staged == 0 && self.held == 0
+        self.staged == 0
     }
 
-    /// Accepts one steered frame for `flow` carrying arrival stamp `seq`.
-    ///
-    /// In steady state `seq` is always the flow's next stamp (one receive
-    /// path, FIFO handoff rings) and this is a straight stage. During a remap
-    /// the flow's frames can reach the owner over two paths at once, so a
-    /// later stamp is held until its gap fills. A stamp *behind* the next one
-    /// is a frame the stall valve gave up on that was late rather than lost —
-    /// e.g. a handoff parked behind a full xfer ring for longer than
-    /// [`HOLD_STALL_TICKS`]: it is staged behind its successors and counted
-    /// in `reorder_flushes` with the valve release that overtook it.
-    pub(crate) fn accept(&mut self, flow: usize, seq: u64, line: CacheLine, tick: u64) {
-        let f = &mut self.flows[flow];
-        if seq > f.next {
-            if f.held.is_empty() {
-                f.hold_since = tick;
-            }
-            f.held.insert(seq, line);
-            self.held += 1;
-            self.stats.reorder_holds.inc();
-            return;
-        }
-        let in_order = seq == f.next;
-        if in_order {
-            f.next = seq + 1;
-        } else {
-            self.stats.reorder_flushes.inc();
-        }
-        self.stage(flow, line, tick);
-        if in_order {
-            self.release(flow, tick, false);
-        }
-    }
-
-    /// The stall valve: every flow whose oldest hold has waited
-    /// [`HOLD_STALL_TICKS`] presumes its missing predecessors lost (e.g.
-    /// dropped on the old path of a forced remap switch) and releases past
-    /// them — one `reorder_flushes` count — so a lost frame costs latency,
-    /// never liveness.
-    pub(crate) fn release_overdue(&mut self, tick: u64) -> bool {
-        if self.held == 0 {
-            return false;
-        }
-        let mut progress = false;
-        for flow in 0..self.flows.len() {
-            let f = &mut self.flows[flow];
-            let Some(&first) = f.held.keys().next() else {
-                continue;
-            };
-            if tick.wrapping_sub(f.hold_since) < HOLD_STALL_TICKS {
-                continue;
-            }
-            f.next = first;
-            self.stats.reorder_flushes.inc();
-            self.release(flow, tick, false);
-            progress = true;
-        }
-        progress
-    }
-
-    /// Shutdown: releases every held frame in stamp order regardless of
-    /// gaps — missing predecessors are not coming.
-    pub(crate) fn release_all(&mut self, tick: u64) {
-        for flow in 0..self.flows.len() {
-            self.release(flow, tick, true);
-        }
-    }
-
-    /// The one hold-release loop: stages `flow`'s held frames in stamp order
-    /// while they are consecutive — or, with `past_gaps` (shutdown), all of
-    /// them, each counted in `reorder_flushes`.
-    fn release(&mut self, flow: usize, tick: u64, past_gaps: bool) {
-        loop {
-            let f = &mut self.flows[flow];
-            let Some(entry) = f.held.first_entry() else {
-                return;
-            };
-            let seq = *entry.key();
-            if seq != f.next && !past_gaps {
-                return;
-            }
-            let line = entry.remove();
-            f.next = seq + 1;
-            f.hold_since = tick;
-            self.held -= 1;
-            if past_gaps {
-                self.stats.reorder_flushes.inc();
-            }
-            self.stage(flow, line, tick);
-        }
-    }
-
-    /// Stages one released line, or refuses it at the bound (the hardware
-    /// asserts backpressure on the input controller there).
-    fn stage(&mut self, flow: usize, line: CacheLine, tick: u64) {
+    /// Stages one steered line on `flow`, or refuses it at the bound (the
+    /// hardware asserts backpressure on the input controller there).
+    pub(crate) fn stage(&mut self, flow: usize, line: CacheLine, tick: u64) {
         if self.staged == self.bound {
             self.stats.reqbuf_backpressure.inc();
             return;
@@ -252,12 +145,10 @@ mod tests {
         RxStage::new(flows, bound, Arc::new(QueueStats::default()))
     }
 
-    /// Stages `bytes` on `flow` in order (stamps continue from the flow's
-    /// next one).
+    /// Stages `bytes` on `flow` in order.
     fn push(st: &mut RxStage, flow: usize, bytes: &[u8], tick: u64) {
         for &b in bytes {
-            let seq = st.flows[flow].next;
-            st.accept(flow, seq, line(b), tick);
+            st.stage(flow, line(b), tick);
         }
     }
 
@@ -310,7 +201,7 @@ mod tests {
     #[should_panic]
     fn out_of_range_flow_panics() {
         let mut st = stage(1, 64);
-        st.accept(3, 0, line(0), 0);
+        st.stage(3, line(0), 0);
     }
 
     #[test]
@@ -373,69 +264,6 @@ mod tests {
     }
 
     #[test]
-    fn hold_waits_for_its_gap_then_releases_in_order() {
-        let mut st = stage(1, 64);
-        st.accept(0, 2, line(2), 0);
-        st.accept(0, 1, line(1), 1);
-        assert_eq!(st.held, 2);
-        assert!(drain(&mut st, 1, 16, 2).is_empty(), "a hold shipped early");
-        assert!(!st.is_idle(), "holds keep the stage ticking");
-        st.accept(0, 0, line(0), 3);
-        assert_eq!(bytes(&drain(&mut st, 1, 16, 3)), vec![0, 1, 2]);
-        assert_eq!(st.flows[0].next, 3);
-        let s = st.stats.snapshot();
-        assert_eq!((s.reorder_holds, s.reorder_flushes), (2, 0));
-    }
-
-    #[test]
-    fn valve_releases_past_a_missing_stamp_at_exactly_hold_stall_ticks() {
-        let mut st = stage(1, 64);
-        st.accept(0, 1, line(1), 10);
-        st.accept(0, 2, line(2), 11);
-        assert!(!st.release_overdue(10 + HOLD_STALL_TICKS - 1));
-        assert!(drain(&mut st, 1, 16, 10 + HOLD_STALL_TICKS - 1).is_empty());
-        assert!(st.release_overdue(10 + HOLD_STALL_TICKS));
-        let tick = 10 + HOLD_STALL_TICKS;
-        assert_eq!(bytes(&drain(&mut st, 1, 16, tick)), vec![1, 2]);
-        assert_eq!(st.flows[0].next, 3);
-        // One valve release, however many frames it let through.
-        assert_eq!(st.stats.snapshot().reorder_flushes, 1);
-        assert!(st.is_idle());
-    }
-
-    #[test]
-    fn valve_stops_at_a_second_gap_and_restarts_its_clock() {
-        let mut st = stage(1, 64);
-        st.accept(0, 1, line(1), 0);
-        st.accept(0, 3, line(3), 0);
-        assert!(st.release_overdue(HOLD_STALL_TICKS));
-        assert_eq!(bytes(&drain(&mut st, 1, 16, HOLD_STALL_TICKS)), vec![1]);
-        // Stamp 2 gets a full stall window of its own.
-        assert!(!st.release_overdue(2 * HOLD_STALL_TICKS - 1));
-        assert!(st.release_overdue(2 * HOLD_STALL_TICKS));
-        assert_eq!(bytes(&drain(&mut st, 1, 16, 2 * HOLD_STALL_TICKS)), vec![3]);
-        assert_eq!(st.stats.snapshot().reorder_flushes, 2);
-    }
-
-    #[test]
-    fn shutdown_releases_holds_in_stamp_order() {
-        let mut st = stage(2, 64);
-        st.accept(0, 5, line(5), 0);
-        st.accept(0, 2, line(2), 0);
-        st.accept(1, 4, line(14), 0);
-        st.accept(0, 3, line(3), 0);
-        st.release_all(1);
-        assert_eq!(st.held, 0);
-        assert_eq!(
-            drain(&mut st, 1, 16, 1),
-            vec![(0, 2), (0, 3), (0, 5), (1, 14)]
-        );
-        assert_eq!(st.flows[0].next, 6);
-        // Shutdown counts every frame it releases past a gap.
-        assert_eq!(st.stats.snapshot().reorder_flushes, 4);
-    }
-
-    #[test]
     fn bound_refuses_frames_and_counts_them_and_delivery_frees_room() {
         let mut st = stage(2, 2);
         push(&mut st, 0, &[1], 0);
@@ -446,27 +274,5 @@ mod tests {
         push(&mut st, 1, &[4], 1);
         assert_eq!(drain(&mut st, 1, 16, 1), vec![(1, 4)]);
         assert_eq!(st.stats.snapshot().reqbuf_backpressure, 1);
-        // Holds are not charged to the bound.
-        let mut st = stage(1, 1);
-        st.accept(0, 1, line(1), 0);
-        st.accept(0, 2, line(2), 0);
-        assert_eq!((st.held, st.staged), (2, 0));
-    }
-
-    #[test]
-    fn late_frame_after_the_valve_is_staged_and_counted() {
-        let mut st = stage(1, 64);
-        st.accept(0, 1, line(1), 0);
-        assert!(st.release_overdue(HOLD_STALL_TICKS));
-        // Stamp 0 was late, not lost: it still reaches the host, behind its
-        // successor, and the reorder is counted.
-        st.accept(0, 0, line(0), HOLD_STALL_TICKS + 1);
-        let s = st.stats.snapshot();
-        assert_eq!((s.reorder_holds, s.reorder_flushes), (1, 2));
-        assert_eq!(
-            bytes(&drain(&mut st, 1, 16, HOLD_STALL_TICKS + 1)),
-            vec![1, 0]
-        );
-        assert_eq!(st.flows[0].next, 2, "a late frame does not move the stamp");
     }
 }

@@ -47,7 +47,7 @@ use crate::monitor::QueueStats;
 /// Rounds of `spin_loop` hinting before yielding — on hosts with more than
 /// one core. Spinning only pays when another core can produce the awaited
 /// work mid-spin; on a single-core host the producer cannot run until the
-/// waiter yields, so every spin round just delays the handoff and the spin
+/// waiter yields, so every spin round just delays the producer and the spin
 /// phase is skipped entirely (see [`spin_rounds`]).
 const SPIN_ROUNDS: u32 = 16;
 
@@ -83,7 +83,7 @@ const STANDBY_MAX: Duration = Duration::from_millis(8);
 /// Wake latch and drive lease of one engine queue.
 ///
 /// The queue's engine thread parks through [`EngineWaker::park`]; producers
-/// (host TX-ring pushes, fabric delivery, sibling handoffs, control sends)
+/// (host TX-ring pushes, fabric delivery, control sends)
 /// call [`EngineWaker::wake`]. The `parked` flag makes `wake` nearly free
 /// when the thread is running (two atomic loads, no syscall). A wake that
 /// races a park either lands the unpark token (the park returns

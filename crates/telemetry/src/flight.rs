@@ -43,12 +43,9 @@ pub const DEFAULT_FLIGHT_CAPACITY: usize = 4096;
 /// What happened. The discriminant is stored on the ring as a `u64`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FlightEventKind {
-    /// A connection's pinned route drained cleanly and switched queues
-    /// (`a` = old queue, `b` = new queue).
+    /// A connection with no request awaiting a response followed its
+    /// moved RSS route (`a` = old queue, `b` = new queue).
     Remap,
-    /// The drain deadline expired and the switch was forced (`a` = old
-    /// queue, `b` = new queue).
-    ForcedRemap,
     /// Engine queue `a` retransmitted `b` unacked frames since its
     /// previous burst event (at most one event per grid tick per queue, so
     /// a blackholed peer cannot lap the ring).
@@ -88,9 +85,8 @@ pub const FLIGHT_ALL_NODES: u64 = u64::MAX;
 impl FlightEventKind {
     // New kinds append at the end: discriminants are positional and must
     // stay stable for already-recorded rings.
-    const ALL: [FlightEventKind; 12] = [
+    const ALL: [FlightEventKind; 11] = [
         FlightEventKind::Remap,
-        FlightEventKind::ForcedRemap,
         FlightEventKind::RetransmitBurst,
         FlightEventKind::PoolExhausted,
         FlightEventKind::Partition,
@@ -107,7 +103,6 @@ impl FlightEventKind {
     pub fn name(self) -> &'static str {
         match self {
             FlightEventKind::Remap => "remap",
-            FlightEventKind::ForcedRemap => "forced_remap",
             FlightEventKind::RetransmitBurst => "retransmit_burst",
             FlightEventKind::PoolExhausted => "pool_exhausted",
             FlightEventKind::Partition => "partition",

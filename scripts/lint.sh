@@ -34,7 +34,7 @@ for path in $(grep -ohE '(scripts/[A-Za-z0-9_.-]+\.sh|crates/[a-z_]+/[a-z]+/[A-Z
 done
 [ "$stale_paths" -eq 0 ] || exit 1
 
-echo "== deleted names stay deleted (one recovery machine, one frame type, one checksum, no series engine, no slot table) =="
+echo "== deleted names stay deleted (one recovery machine, one frame type, one checksum, no series engine, no slot table, no hand-off rings) =="
 # The reliable transport has one recovery state machine (selective repeat)
 # and one frame type (`FrameView`). The removed second protocol and the
 # removed owned frame enum must not come back through code, comments or
@@ -75,6 +75,15 @@ fi
 if grep -rnE 'RequestBuffer|FlowFifos|FlowScheduler|SlotId' \
      --exclude-dir=ledger crates examples tests README.md DESIGN.md EXPERIMENTS.md; then
   echo "lint.sh: a deleted RX-staging name is back (see above); a flow's staged lines, holds and batching clock live in one RxStage record" >&2
+  exit 1
+fi
+
+# A frame never changes worker after the fabric: senders route to the queue
+# that owns a frame's flow and receivers steer within their own flows
+# (DESIGN.md §13). The cross-worker hand-off rings, the NIC-wide arrival
+# stamps and the hold stall valve that kept order across them are gone.
+if grep -rnE 'xfer|flow_seq|HOLD_STALL' crates/nic/src; then
+  echo "lint.sh: a cross-worker hand-off name is back in crates/nic/src (see above); route frames to their flow's owner instead" >&2
   exit 1
 fi
 
@@ -174,11 +183,12 @@ echo "== file-size ratchet (no nic source file over 800 lines before its tests) 
 # ROADMAP item 4's acceptance line, made mechanical: lines before a file's
 # first #[cfg(test)] (the perf ledger's `rust_lines_non_test` rule).
 # engine.rs is grandfathered at its size once the RX stage, the offload
-# decision and control handling moved out (PR 25), and may only shrink.
+# decision and control handling moved out and the cross-worker hand-off was
+# deleted, and may only shrink.
 while IFS= read -r f; do
   lines=$(awk '/#\[cfg\(test\)\]/{exit} {n++} END{print n+0}' "$f")
   case "$f" in
-    crates/nic/src/engine.rs) cap=1091 ;;
+    crates/nic/src/engine.rs) cap=979 ;;
     *) cap=800 ;;
   esac
   [ "$lines" -le "$cap" ] \
@@ -219,8 +229,7 @@ echo "== one round sequence (EngineCore::step is the only caller of the rounds) 
 # nowhere else: each round is private to engine.rs and called exactly once
 # outside its unit tests, so reordering rounds is one edit and every driver
 # (host thread, engine thread, shutdown drain) runs the same tick.
-for round in flush_pending flush_backlog ctrl_round tx_round rx_round inbox_round \
-             release_stalled deliver_round reliable_tick; do
+for round in flush_pending ctrl_round tx_round rx_round deliver_round reliable_tick; do
   if grep -nE "pub(\([a-z]+\))? fn ${round}\b" crates/nic/src/engine.rs; then
     echo "lint.sh: engine round ${round} is exported; only EngineCore::step may call it" >&2
     exit 1

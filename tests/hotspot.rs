@@ -6,8 +6,8 @@
 //! tail over the rest. With the balancer running on the server NIC, the
 //! loop must observe the per-queue `rx_frames` skew, shed the hot queue
 //! from the `queue.mask` soft register at least once, and the migration
-//! (sender drain-and-handoff + receiver arrival-seq release) must keep
-//! every invariant the static-steering run has:
+//! (a sender moves a connection once none of its requests awaits a
+//! response) must keep every invariant the static-steering run has:
 //!
 //! * byte-exact, exactly-once responses matched to their callers;
 //! * per-flow FIFO order at every dispatch thread (Static LB, single-frame
@@ -149,7 +149,6 @@ struct RunOutcome {
     calls: u64,
     balancer_remaps: u64,
     sender_remaps: u64,
-    reorder_flushes: u64,
 }
 
 /// One full scenario run. The Zipfian skew is constructed from the RSS
@@ -256,12 +255,14 @@ fn run_hotspot(label: &str, seed: u64, with_balancer: bool) -> RunOutcome {
 
     if with_balancer {
         // The controller's shed decision races the burst above: on a fast
-        // run the traffic can finish before (or just as) the mask changes,
-        // and a sender only re-pins a connection when it processes a tx
-        // frame *after* the route diverged. So keep the hotspot alive in
-        // waves until the controller has shed, then keep driving until at
-        // least one sender actually migrates (clean drain or forced) —
-        // this is the path the scenario exists to exercise.
+        // run the traffic can finish before (or just as) the mask changes.
+        // And a sender re-pins a connection only when it sends a request
+        // *after* the route diverged while none of the connection's
+        // requests awaits a response — with an 8-deep window that is the
+        // first call of a wave. So keep the hotspot alive in waves until
+        // the controller has shed, then keep driving until at least one
+        // sender actually migrates — the path the scenario exists to
+        // exercise.
         let deadline = Instant::now() + Duration::from_secs(30);
         let mut next_seq = calls_for.clone();
         let wave = |next_seq: &mut Vec<u32>, total_calls: &mut u64| {
@@ -281,7 +282,7 @@ fn run_hotspot(label: &str, seed: u64, with_balancer: bool) -> RunOutcome {
             );
             wave(&mut next_seq, &mut total_calls);
         }
-        while live_gauge_sum(100, "remaps") + live_gauge_sum(100, "forced_remaps") == 0 {
+        while live_gauge_sum(100, "remaps") == 0 {
             assert!(
                 Instant::now() < deadline,
                 "[{label} seed={seed}] mask changed but no sender re-pinned"
@@ -325,9 +326,8 @@ fn run_hotspot(label: &str, seed: u64, with_balancer: bool) -> RunOutcome {
         calls: total_calls,
         balancer_remaps: snap.registry.counter("nic.1.balancer.remaps").unwrap_or(0),
         // The sender side of the migration runs on the *client* NIC: its
-        // workers re-pin connections once the old channel drains.
-        sender_remaps: gauge_sum(100, "remaps") + gauge_sum(100, "forced_remaps"),
-        reorder_flushes: gauge_sum(1, "reorder_flushes"),
+        // workers re-pin connections once their requests are answered.
+        sender_remaps: gauge_sum(100, "remaps"),
     }
 }
 
@@ -363,12 +363,8 @@ fn zipfian_hotspot_balancer_vs_static() {
     let (mut ts, mut tb) = (tput(&static_run), tput(&balanced));
     eprintln!(
         "seed={seed}: static {ts:.0} rpc/s in {:?}, balanced {tb:.0} rpc/s in {:?} \
-         (controller remaps={}, sender remaps={}, reorder flushes={})",
-        static_run.elapsed,
-        balanced.elapsed,
-        balanced.balancer_remaps,
-        balanced.sender_remaps,
-        balanced.reorder_flushes
+         (controller remaps={}, sender remaps={})",
+        static_run.elapsed, balanced.elapsed, balanced.balancer_remaps, balanced.sender_remaps
     );
     // The invariant of record is correctness across the migration; the
     // throughput check guards against the remap machinery itself becoming

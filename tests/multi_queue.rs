@@ -6,10 +6,10 @@
 //!
 //! * every completed RPC echoes its payload byte-exactly, exactly once,
 //!   matched to its caller (no lost / duplicated / cross-wired responses);
-//! * per-flow FIFO order survives the cross-queue handoff: with
-//!   [`LbPolicy::Static`] a connection's requests reach its dispatch thread
-//!   strictly in issue order, even while an 8-deep async window keeps many
-//!   in flight and the fault plan drops/reorders/duplicates frames;
+//! * per-flow FIFO order survives the sharding: with [`LbPolicy::Static`] a
+//!   connection's requests reach its dispatch thread strictly in issue
+//!   order, even while an 8-deep async window keeps many in flight and the
+//!   fault plan drops/reorders/duplicates frames;
 //! * telemetry reconciles: the per-queue `nic.<addr>.q<i>.rx_frames`
 //!   gauges sum exactly to the NIC-global counter, traffic spreads across
 //!   more than one queue, and the `fabric.*` gauges match the harness's
@@ -49,7 +49,7 @@ dagger_service! {
 /// Echo handler that records per-client arrival order. With a static LB
 /// pinning each connection to one dispatch flow, "seq strictly increasing
 /// per client" is exactly the per-flow FIFO guarantee the sharded engine
-/// must preserve across the RSS steer and cross-queue handoff.
+/// must preserve across the RSS route and the receiving queue's steer.
 struct OrderedEcho {
     next: Mutex<HashMap<u32, u32>>,
     violations: Arc<Mutex<Vec<String>>>,

@@ -46,7 +46,10 @@ fn start_server(
     nic.softregs().set_nic_serde(true);
     nic.softregs().set_offload_cache_entries(cache_entries);
     let store = Arc::new(Memcached::new(1 << 22, 8));
-    let mut server = RpcThreadedServer::new(Arc::clone(&nic), 1);
+    // One dispatch thread per engine queue: a request is steered among the
+    // active flows of the queue that receives it.
+    let threads = nic.config().num_queues;
+    let mut server = RpcThreadedServer::new(Arc::clone(&nic), threads);
     server
         .register_service(Arc::new(KvStoreDispatch::new(MemcachedPort::new(
             Arc::clone(&store),

@@ -520,26 +520,23 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Multi-queue sharding: `queue_of_flow` is total, monotone, and covers
-    /// every queue when there are at least as many flows — the contiguous
-    /// partition the engine workers rely on to claim ring ownership.
+    /// Multi-queue sharding: `queue_of_flow` stripes flows across queues —
+    /// total, periodic in the queue count, and covering every queue when
+    /// there are at least as many flows. A sender relies on the stripe to
+    /// find the owner of the flow a response answers from the destination's
+    /// queue count alone.
     #[test]
     fn queue_of_flow_partitions_flows(nf in 1usize..64, nq in 1usize..64) {
         use dagger::nic::queue_of_flow;
-        let mut last = 0;
         let mut seen = std::collections::HashSet::new();
         for flow in 0..nf {
-            let q = queue_of_flow(flow, nf, nq);
+            let q = queue_of_flow(flow, nq);
             prop_assert!(q < nq);
-            prop_assert!(q >= last, "partition must be monotone in the flow id");
-            last = q;
+            prop_assert_eq!(q, flow % nq, "ownership must be striped");
+            prop_assert_eq!(queue_of_flow(flow + nq, nq), q, "stripe must repeat");
             seen.insert(q);
         }
-        if nq > 1 {
-            prop_assert_eq!(seen.len(), nq.min(nf), "every queue must own some flow");
-        }
-        // Out-of-range flow ids clamp into the last partition, never panic.
-        prop_assert_eq!(queue_of_flow(nf + 100, nf, nq), queue_of_flow(nf - 1, nf, nq));
+        prop_assert_eq!(seen.len(), nq.min(nf), "every queue must own some flow");
     }
 
     /// RSS steering is deterministic and queue-affine for any connection

@@ -270,12 +270,7 @@ fn every_gauge_name_of_the_golden_list_is_still_exported() {
         "rx_frames",
         "tx_datagrams",
         "rx_datagrams",
-        "handoff_out",
-        "handoff_in",
-        "reorder_holds",
-        "reorder_flushes",
         "remaps",
-        "forced_remaps",
         "host_steps",
         "thread_steps",
         "wakes_sent",
