@@ -228,7 +228,9 @@ pub(crate) struct WorkerParts {
 /// RSS route moves (the balancer rewrote the active-queue mask), the pin
 /// holds the connection on its old queue until none of its requests awaits
 /// a response: the responses come back to this worker (it owns the
-/// requests' flow), so the count is exact and needs no shared state.
+/// requests' flow), so the count is exact and needs no shared state. A
+/// request that is never answered holds the pin for good (DESIGN.md §14
+/// lists how that happens).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct RoutePin {
     pub queue: u16,
@@ -473,8 +475,11 @@ impl EngineCore {
             }
             // The previous frame's route inputs and stage: a run of frames
             // that route alike — one connection's requests, or its
-            // responses to one flow (`pin_route`) — is classified once.
+            // responses to one flow (`pin_route`) — is classified once, and
+            // its lead requests join the connection's pin once, when the
+            // run ends.
             let mut last: Option<((ConnectionId, Option<FlowId>), usize)> = None;
+            let mut leads = 0;
             for i in 0..fetched {
                 let line = self.tx_scratch[i];
                 let Ok(hdr) = RpcHeader::decode(line.header()) else {
@@ -501,6 +506,9 @@ impl EngineCore {
                 let idx = match last {
                     Some((prev, idx)) if prev == class => idx,
                     _ => {
+                        // Settled before `pin_route` reads the count.
+                        let leads = std::mem::take(&mut leads);
+                        self.pin_requests(last.map(|((cid, _), _)| cid), leads);
                         let Some(tuple) = self.conn_cache.lookup(cid, CmPort::Tx, &self.conn_mgr)
                         else {
                             self.qstats.unknown_connection_drops.inc();
@@ -511,13 +519,10 @@ impl EngineCore {
                         idx
                     }
                 };
-                if lead_request {
-                    self.route_pins
-                        .entry(u64::from(cid.raw()))
-                        .and_modify(|pin| pin.in_flight = pin.in_flight.saturating_add(1));
-                }
+                leads += u32::from(lead_request);
                 self.stage[idx].lines.push(line);
             }
+            self.pin_requests(last.map(|((cid, _), _)| cid), leads);
         }
         // Ship each destination's stage, moving the staged vector into the
         // datagram and backfilling the slot from the pool.
@@ -591,6 +596,17 @@ impl EngineCore {
             );
         }
         pin.queue
+    }
+
+    /// Adds `leads` requests sent on `cid` (the connection of a TX run that
+    /// just ended) to its pin's count.
+    fn pin_requests(&mut self, cid: Option<ConnectionId>, leads: u32) {
+        let Some(cid) = cid.filter(|_| leads > 0) else {
+            return;
+        };
+        if let Some(pin) = self.route_pins.get_mut(&u64::from(cid.raw())) {
+            pin.in_flight = pin.in_flight.saturating_add(leads);
+        }
     }
 
     /// Ships one datagram toward `dst_queue` of its destination, through
@@ -876,6 +892,13 @@ impl EngineCore {
             self.qstats.rx_ring_drops.inc();
             return;
         };
+        // A response's lead frame settles one request of its connection's
+        // pin: this worker sent that request.
+        if hdr.kind == RpcKind::Response && hdr.frame_idx == 0 {
+            if let Some(pin) = self.route_pins.get_mut(&u64::from(hdr.connection_id.raw())) {
+                pin.in_flight = pin.in_flight.saturating_sub(1);
+            }
+        }
         debug_assert_eq!(
             queue_of_flow(flow, self.num_queues),
             usize::from(self.queue_id),
@@ -887,12 +910,14 @@ impl EngineCore {
     /// The flow a data frame belongs to, among the flows this worker owns,
     /// or `None` when it owns no fitting flow.
     ///
-    /// A response returns to the flow that issued its request; its sender
-    /// routed it to that flow's owner, and its lead frame settles one
-    /// request of the connection's [`RoutePin`]. A request is steered by
-    /// this worker's balancer among the active flows it owns — `q`, `q +
-    /// num_queues`, … below `active_flows` — with the connection's policy
-    /// (or the soft register's, for Uniform connections).
+    /// A response returns to the flow that issued its request. Its sender
+    /// routed it to queue `src_flow % num_queues` (`pin_route`), so that is
+    /// the owner test; a `src_flow` beyond this NIC's flows folds onto the
+    /// flows that queue owns (`q`, `q + num_queues`, …), which leaves every
+    /// in-range flow itself. A request is steered by this worker's balancer
+    /// among the active flows it owns — the same stripe, below
+    /// `active_flows` — with the connection's policy (or the soft
+    /// register's, for Uniform connections).
     fn steer(
         &mut self,
         hdr: &RpcHeader,
@@ -902,16 +927,10 @@ impl EngineCore {
     ) -> Option<usize> {
         let (q, nq) = (usize::from(self.queue_id), self.num_queues);
         if hdr.kind == RpcKind::Response {
-            let flow = usize::from(hdr.src_flow.raw()) % self.rx_rings.len();
-            if queue_of_flow(flow, nq) != q {
-                return None;
-            }
-            if hdr.frame_idx == 0 {
-                if let Some(pin) = self.route_pins.get_mut(&u64::from(hdr.connection_id.raw())) {
-                    pin.in_flight = pin.in_flight.saturating_sub(1);
-                }
-            }
-            return Some(flow);
+            let src = usize::from(hdr.src_flow.raw());
+            // Never zero: the config gives every queue at least one flow.
+            let owned = self.rx_rings.len().saturating_sub(q).div_ceil(nq);
+            return (queue_of_flow(src, nq) == q).then(|| q + (src / nq % owned) * nq);
         }
         let slots = self.active_flows().saturating_sub(q).div_ceil(nq);
         if slots == 0 {
@@ -987,6 +1006,7 @@ mod tests {
     use crate::softreg::SoftRegisterFile;
     use crate::stage::SCHED_TIMEOUT_TICKS;
     use dagger_types::{FnId, RpcId, SoftConfigSnapshot};
+    use std::sync::atomic::AtomicU64;
 
     /// The NIC-shared handles of a hand-driven NIC at address 1 whose single
     /// connection's destination is its own fabric address, so TX datagrams
@@ -1051,27 +1071,38 @@ mod tests {
         (EngineCore::new(&shared, parts), host_tx, host_rx)
     }
 
-    /// Builds a 2-queue sharded NIC as two hand-driven [`EngineCore`]s on
-    /// one fabric address: flow 0 belongs to queue 0, flow 1 to queue 1.
-    /// The single connection loops back to the NIC's own address, so each
-    /// worker's TX datagrams land on the queue each frame routes to.
-    /// Returns the cores and the host ends of both flows' TX and RX rings.
-    fn sharded_pair() -> (
+    /// Builds a 2-queue sharded NIC with `flows` flows as two hand-driven
+    /// [`EngineCore`]s on one fabric address: queue `q` owns flows `q`,
+    /// `q + 2`, …. The single connection loops back to the NIC's own
+    /// address, so each worker's TX datagrams land on the queue each frame
+    /// routes to. Returns the cores and the host ends of every flow's TX
+    /// and RX rings.
+    fn sharded_pair(
+        flows: usize,
+    ) -> (
         Vec<EngineCore>,
         Vec<crate::ring::RingProducer>,
         Vec<crate::ring::RingConsumer>,
     ) {
-        let shared = looped_shared(2, 2);
+        let shared = looped_shared(flows, 2);
         let fabric = MemFabric::new();
         let ports = fabric.attach_queues(shared.addr, 2).unwrap();
 
-        let (host_tx0, engine_rx0) = ring(64);
-        let (host_tx1, engine_rx1) = ring(64);
-        let (engine_tx0, host_rx0) = ring(64);
-        let (engine_tx1, host_rx1) = ring(64);
-
-        let mut tx_rings = [vec![Some(engine_rx0), None], vec![None, Some(engine_rx1)]];
-        let mut rx_rings = [vec![Some(engine_tx0), None], vec![None, Some(engine_tx1)]];
+        let (mut host_tx, mut host_rx) = (Vec::new(), Vec::new());
+        let mut tx_rings = [Vec::new(), Vec::new()];
+        let mut rx_rings = [Vec::new(), Vec::new()];
+        for flow in 0..flows {
+            let (h_tx, e_rx) = ring(64);
+            let (e_tx, h_rx) = ring(64);
+            host_tx.push(h_tx);
+            host_rx.push(h_rx);
+            let (mut e_rx, mut e_tx) = (Some(e_rx), Some(e_tx));
+            for q in 0..2 {
+                let owner = queue_of_flow(flow, 2) == q;
+                tx_rings[q].push(if owner { e_rx.take() } else { None });
+                rx_rings[q].push(if owner { e_tx.take() } else { None });
+            }
+        }
 
         let cores = ports
             .into_iter()
@@ -1088,7 +1119,7 @@ mod tests {
                 EngineCore::new(&shared, parts)
             })
             .collect();
-        (cores, vec![host_tx0, host_tx1], vec![host_rx0, host_rx1])
+        (cores, host_tx, host_rx)
     }
 
     /// A data frame on connection 1. `Response` kind pins steering to
@@ -1504,7 +1535,7 @@ mod tests {
 
     #[test]
     fn sharded_steady_state_steps_perform_zero_heap_allocations() {
-        let (mut cores, mut host_tx, mut host_rx) = sharded_pair();
+        let (mut cores, mut host_tx, mut host_rx) = sharded_pair(2);
         let mut total = [0u32; 2];
         for _ in 0..8 {
             let seen = sharded_cycle(&mut cores, &mut host_tx, &mut host_rx, 16);
@@ -1564,7 +1595,7 @@ mod tests {
 
     #[test]
     fn sharded_owner_routing_preserves_per_flow_fifo_order() {
-        let (mut cores, mut host_tx, mut host_rx) = sharded_pair();
+        let (mut cores, mut host_tx, mut host_rx) = sharded_pair(2);
         // Responses return to src_flow; send interleaved flow-0/flow-1
         // frames so each flow's subsequence is strictly increasing in rpc
         // id.
@@ -1613,7 +1644,7 @@ mod tests {
     /// nobody.
     #[test]
     fn request_on_a_queue_owning_no_active_flow_is_a_counted_drop() {
-        let (mut cores, _host_tx, mut host_rx) = sharded_pair();
+        let (mut cores, _host_tx, mut host_rx) = sharded_pair(2);
         let request = |rpc| restamped(data_frame(rpc), |h| h.kind = RpcKind::Request);
         // Both flows active: queue 1's request lands on flow 1, its own.
         inject(&cores, 1, vec![request(0)]);
@@ -1636,20 +1667,65 @@ mod tests {
     /// push into the owner's ring.
     #[test]
     fn response_for_a_foreign_flow_is_a_counted_drop() {
-        let (mut cores, _host_tx, mut host_rx) = sharded_pair();
+        let (mut cores, _host_tx, mut host_rx) = sharded_pair(2);
         inject(&cores, 1, vec![response_frame(0, 0), response_frame(1, 1)]);
         assert_eq!(rpc_ids(&step_out(&mut cores[1], &mut host_rx[1])), [1]);
         assert!(step_out(&mut cores[0], &mut host_rx[0]).is_empty());
         assert_eq!(cores[1].qstats.snapshot().rx_ring_drops, 1);
     }
 
-    /// Elastic RSS: a Static connection with requests in flight stays on
-    /// its old queue after the destination's mask sheds it, and moves only
-    /// once every request has been answered.
+    /// Responses return to the flow that issued their request whatever the
+    /// balancing policy: the sending worker routes each to the queue owning
+    /// its `src_flow`, and that queue delivers it on that flow.
     #[test]
-    fn remap_waits_until_in_flight_requests_complete() {
-        use std::sync::atomic::AtomicU64;
-        let (mut core, mut host_tx, mut host_rx) = loopback_core();
+    fn responses_go_to_their_src_flow_under_every_policy() {
+        let (mut cores, mut host_tx, mut host_rx) = sharded_pair(4);
+        for policy in [LbPolicy::Uniform, LbPolicy::Static, LbPolicy::ObjectLevel] {
+            cores[0].softregs.set_lb_policy(policy);
+            for rpc in 0..5 {
+                host_tx[0].try_push(response_frame(rpc, 3)).unwrap();
+            }
+            cores[0].step();
+            assert_eq!(
+                rpc_ids(&step_out(&mut cores[1], &mut host_rx[3])),
+                [0, 1, 2, 3, 4],
+                "{policy:?}"
+            );
+        }
+        for (q, core) in cores.iter().enumerate() {
+            assert_eq!(core.qstats.snapshot().rx_ring_drops, 0, "queue {q}");
+        }
+    }
+
+    /// A `src_flow` beyond the receiver's flows (on the wire, anything goes)
+    /// is routed by the sender to `src_flow % queues` and folded by that
+    /// queue onto a flow it owns — delivered, not dropped, no panic — even
+    /// where the flow count is not a multiple of the queue count.
+    #[test]
+    fn out_of_range_src_flow_folds_onto_the_receiving_queues_flows() {
+        // Three flows on two queues: queue 0 owns flows 0 and 2, queue 1
+        // owns flow 1.
+        let (mut cores, mut host_tx, mut host_rx) = sharded_pair(3);
+        for (rpc, src_flow) in [(0, 5), (1, 4), (2, 6), (3, 9)] {
+            host_tx[0].try_push(response_frame(rpc, src_flow)).unwrap();
+        }
+        cores[0].step();
+        let got: Vec<Vec<u32>> = [(0, 0), (1, 1), (0, 2)]
+            .into_iter()
+            .map(|(q, flow)| rpc_ids(&step_out(&mut cores[q], &mut host_rx[flow])))
+            .collect();
+        // 5 → queue 1 → flow 1; 4 → queue 0, slot 0 → flow 0;
+        // 6 → queue 0, slot 1 → flow 2; 9 → queue 1 → flow 1.
+        assert_eq!(got, [vec![1], vec![0, 3], vec![2]]);
+        for (q, core) in cores.iter().enumerate() {
+            assert_eq!(core.qstats.snapshot().rx_ring_drops, 0, "queue {q}");
+        }
+    }
+
+    /// A Static connection (`ConnectionId(3)`) from `core` toward a
+    /// 2-queue destination whose active mask the caller holds: the
+    /// destination's ports, the mask and the connection.
+    fn remap_rig(core: &EngineCore) -> (Vec<Arc<dyn FabricPort>>, Arc<AtomicU64>, ConnectionId) {
         let dst = NodeAddr(9);
         let fabric = core.port.fabric();
         let sinks = fabric.attach_queues(dst, 2).unwrap();
@@ -1662,54 +1738,88 @@ mod tests {
             lb: LbPolicy::Static,
         };
         core.conn_mgr.lock().open(cid, tuple).unwrap();
-        let on_cid = |line, kind| {
-            restamped(line, |h| {
-                (h.connection_id, h.kind) = (cid, kind);
-            })
-        };
-        let old = usize::from(core.port.route(dst, conn_route_tag(cid)));
-        // Sends requests `rpcs` and returns the queue that received them.
-        let mut send = |core: &mut EngineCore, rpcs: std::ops::Range<u32>| {
-            let want: Vec<u32> = rpcs.clone().collect();
-            for rpc in rpcs {
-                host_tx
-                    .try_push(on_cid(data_frame(rpc), RpcKind::Request))
-                    .unwrap();
-            }
-            core.step();
-            let got: Vec<(usize, Vec<u32>)> = (0..2)
-                .filter_map(|q| {
-                    let bytes = sinks[q].try_recv()?;
-                    Some((q, rpc_ids(&Datagram::decode(&bytes).unwrap().lines)))
-                })
-                .collect();
-            assert_eq!(got.len(), 1, "requests split across queues: {got:?}");
-            assert_eq!(got[0].1, want);
-            got[0].0
-        };
-        // Answers requests `rpcs` from the destination's queue 0.
-        let mut answer = |core: &mut EngineCore, rpcs: std::ops::Range<u32>| {
-            let lines = rpcs
-                .map(|rpc| on_cid(data_frame(rpc), RpcKind::Response))
-                .collect();
-            let bytes = Datagram::new(dst, core.addr, lines).encode();
-            sinks[0].send_to(core.addr, 0, bytes).unwrap();
-            step_out(core, &mut host_rx);
-        };
+        (sinks, mask, cid)
+    }
 
-        assert_eq!(send(&mut core, 0..3), old);
+    /// Frame `rpc` of kind `kind` on `cid`.
+    fn on_conn(cid: ConnectionId, rpc: u32, kind: RpcKind) -> CacheLine {
+        restamped(data_frame(rpc), |h| (h.connection_id, h.kind) = (cid, kind))
+    }
+
+    /// Sends requests `rpcs` on `cid` in one round and returns the
+    /// destination queue that received them (all of them, in order).
+    fn send_requests(
+        core: &mut EngineCore,
+        host_tx: &mut crate::ring::RingProducer,
+        sinks: &[Arc<dyn FabricPort>],
+        cid: ConnectionId,
+        rpcs: std::ops::Range<u32>,
+    ) -> usize {
+        let want: Vec<u32> = rpcs.clone().collect();
+        for rpc in rpcs {
+            host_tx
+                .try_push(on_conn(cid, rpc, RpcKind::Request))
+                .unwrap();
+        }
+        core.step();
+        let got: Vec<(usize, Vec<u32>)> = (0..2)
+            .filter_map(|q| {
+                let bytes = sinks[q].try_recv()?;
+                Some((q, rpc_ids(&Datagram::decode(&bytes).unwrap().lines)))
+            })
+            .collect();
+        assert_eq!(got.len(), 1, "requests split across queues: {got:?}");
+        assert_eq!(got[0].1, want);
+        got[0].0
+    }
+
+    /// Answers requests `rpcs` on `cid` from the destination's queue 0.
+    fn answer_requests(
+        core: &mut EngineCore,
+        host_rx: &mut crate::ring::RingConsumer,
+        sinks: &[Arc<dyn FabricPort>],
+        cid: ConnectionId,
+        rpcs: std::ops::Range<u32>,
+    ) {
+        let lines = rpcs
+            .map(|rpc| on_conn(cid, rpc, RpcKind::Response))
+            .collect();
+        let bytes = Datagram::new(NodeAddr(9), core.addr, lines).encode();
+        sinks[0].send_to(core.addr, 0, bytes).unwrap();
+        step_out(core, host_rx);
+    }
+
+    /// Elastic RSS: a Static connection with requests in flight stays on
+    /// its old queue after the destination's mask sheds it, and moves only
+    /// once every request has been answered.
+    #[test]
+    fn remap_waits_until_in_flight_requests_complete() {
+        let (mut core, mut host_tx, mut host_rx) = loopback_core();
+        let (sinks, mask, cid) = remap_rig(&core);
+        let old = usize::from(core.port.route(NodeAddr(9), conn_route_tag(cid)));
+        let (tx, rx) = (&mut host_tx, &mut host_rx);
+
+        assert_eq!(send_requests(&mut core, tx, &sinks, cid, 0..3), old);
         // The balancer sheds the connection's queue.
         mask.store(1 << (1 - old), Ordering::Relaxed);
         assert_eq!(
-            send(&mut core, 3..4),
+            send_requests(&mut core, tx, &sinks, cid, 3..4),
             old,
             "moved with 3 requests in flight"
         );
-        answer(&mut core, 0..3);
-        assert_eq!(send(&mut core, 4..5), old, "moved with request 3 in flight");
+        answer_requests(&mut core, rx, &sinks, cid, 0..3);
+        assert_eq!(
+            send_requests(&mut core, tx, &sinks, cid, 4..5),
+            old,
+            "moved with request 3 in flight"
+        );
         assert_eq!(core.qstats.snapshot().remaps, 0);
-        answer(&mut core, 3..5);
-        assert_eq!(send(&mut core, 5..6), 1 - old, "quiescent, yet not moved");
+        answer_requests(&mut core, rx, &sinks, cid, 3..5);
+        assert_eq!(
+            send_requests(&mut core, tx, &sinks, cid, 5..6),
+            1 - old,
+            "quiescent, yet not moved"
+        );
         assert_eq!(core.qstats.snapshot().remaps, 1);
         let remaps: Vec<_> = core
             .telemetry
@@ -1720,5 +1830,56 @@ mod tests {
             .map(|e| (e.a, e.b))
             .collect();
         assert_eq!(remaps, [(old as u64, (1 - old) as u64)]);
+    }
+
+    /// The other side of remapping at quiescence: a request that is never
+    /// answered (the server dropped it, or the fabric lost it without the
+    /// reliable transport) keeps its connection on the queue the balancer
+    /// shed for good. No remap is counted; the pin's count shows the
+    /// request as still in flight.
+    #[test]
+    fn an_unanswered_request_pins_its_connection_for_good() {
+        let (mut core, mut host_tx, mut host_rx) = loopback_core();
+        let (sinks, mask, cid) = remap_rig(&core);
+        let (tx, rx) = (&mut host_tx, &mut host_rx);
+        let old = send_requests(&mut core, tx, &sinks, cid, 0..2);
+        mask.store(1 << (1 - old), Ordering::Relaxed);
+        // Request 1 is never answered.
+        answer_requests(&mut core, rx, &sinks, cid, 0..1);
+        for rpc in 2..10 {
+            assert_eq!(send_requests(&mut core, tx, &sinks, cid, rpc..rpc + 1), old);
+            answer_requests(&mut core, rx, &sinks, cid, rpc..rpc + 1);
+        }
+        assert_eq!(core.qstats.snapshot().remaps, 0);
+        assert_eq!(core.route_pins[&u64::from(cid.raw())].in_flight, 1);
+    }
+
+    /// A TX round whose frames interleave two connections counts each
+    /// connection's lead requests on its own pin, and responses on none.
+    #[test]
+    fn interleaved_requests_count_on_their_own_connections_pins() {
+        let (mut core, mut host_tx, _host_rx) = loopback_core();
+        let (_sinks, _mask, a) = remap_rig(&core);
+        let b = ConnectionId(4);
+        let tuple = ConnectionTuple {
+            src_flow: FlowId(0),
+            dest_addr: NodeAddr(9),
+            lb: LbPolicy::Static,
+        };
+        core.conn_mgr.lock().open(b, tuple).unwrap();
+        let frames = [
+            on_conn(a, 0, RpcKind::Request),
+            on_conn(a, 1, RpcKind::Request),
+            on_conn(b, 2, RpcKind::Request),
+            on_conn(a, 3, RpcKind::Response),
+            on_conn(a, 4, RpcKind::Request),
+            restamped(on_conn(a, 4, RpcKind::Request), |h| h.frame_idx = 1),
+        ];
+        for line in frames {
+            host_tx.try_push(line).unwrap();
+        }
+        core.step();
+        let in_flight = |cid: ConnectionId| core.route_pins[&u64::from(cid.raw())].in_flight;
+        assert_eq!((in_flight(a), in_flight(b)), (3, 1));
     }
 }

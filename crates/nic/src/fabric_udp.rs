@@ -165,7 +165,11 @@ impl Switch<UdpWire> {
     /// the static switching-table entry for a peer in another process. A
     /// multi-queue NIC must be declared with its real queue count: responses
     /// are routed to the queue owning the flow they answer, and a peer
-    /// learned from its traffic alone counts as single-queue.
+    /// learned from its traffic alone counts as single-queue. Declared too
+    /// low, the peer drops every response for a flow of another queue
+    /// (`rx_ring_drops`), and each such request keeps its connection from
+    /// ever following a remap; so do requests the peer's server drops
+    /// (`rx_ring_drops`, `reqbuf_backpressure`; DESIGN.md §14).
     pub fn set_peer(&self, node: NodeAddr, addr: SocketAddr, queues: usize) {
         let queues = queues.max(1);
         let peer = PeerEntry { addr, queues };

@@ -221,7 +221,8 @@ impl RpcThreadedServer {
     ///
     /// # Errors
     ///
-    /// Returns an error if already running, no services are registered, or
+    /// Returns an error if already running, no services are registered, the
+    /// server has fewer dispatch threads than the NIC has engine queues, or
     /// the NIC has too few unclaimed flows.
     pub fn start(&mut self) -> Result<()> {
         if self.running {
@@ -229,6 +230,16 @@ impl RpcThreadedServer {
         }
         if self.services.is_empty() {
             return Err(DaggerError::Config("no services registered".to_string()));
+        }
+        // Each engine queue steers the requests it receives among the
+        // active flows it owns (`flow % num_queues`); a queue owning none
+        // would drop every request RSS sends it.
+        let queues = self.nic.config().num_queues;
+        if self.num_threads < queues {
+            return Err(DaggerError::Config(format!(
+                "{} dispatch thread(s) for {queues} engine queues: every queue needs one",
+                self.num_threads
+            )));
         }
         let (work_tx, work_rx) = unbounded::<WorkItem>();
         let ctx = Arc::new(DispatchCtx::new(

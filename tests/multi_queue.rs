@@ -427,3 +427,40 @@ fn multi_queue_partition_heal() {
         "[{label} seed={seed}] partition_drops gauge diverges"
     );
 }
+
+/// Each engine queue steers requests only among the active flows it owns,
+/// so a server with fewer dispatch threads than queues would leave a queue
+/// owning no active flow, and every request RSS sent there would be
+/// dropped after the transport acknowledged it. `start` refuses that
+/// configuration, claims nothing, and accepts one thread per queue.
+#[test]
+fn a_server_with_fewer_threads_than_queues_is_refused() {
+    let fabric = MemFabric::new();
+    // Two flows: the second server gets them only if the refused one
+    // claimed none.
+    let cfg = HardConfig::builder()
+        .num_flows(2)
+        .num_queues(2)
+        .build()
+        .unwrap();
+    let nic = Nic::start(&fabric, NodeAddr(1), cfg).unwrap();
+    let echo = || {
+        Arc::new(MqDispatch::new(OrderedEcho {
+            next: Mutex::new(HashMap::new()),
+            violations: Arc::new(Mutex::new(Vec::new())),
+        }))
+    };
+    let mut server = RpcThreadedServer::new(Arc::clone(&nic), 1);
+    server.register_service(echo()).unwrap();
+    match server.start() {
+        Err(DaggerError::Config(msg)) => assert!(msg.contains("2 engine queues"), "{msg}"),
+        other => panic!("1 thread on 2 queues started: {other:?}"),
+    }
+    drop(server);
+
+    let mut server = RpcThreadedServer::new(Arc::clone(&nic), 2);
+    server.register_service(echo()).unwrap();
+    server.start().unwrap();
+    server.stop();
+    nic.shutdown();
+}
