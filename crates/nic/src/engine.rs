@@ -5,12 +5,12 @@
 //! [`EngineCore`]: a stripe of the flows (their TX/RX rings, see
 //! [`queue_of_flow`]), a private fabric port queue, and private copies of
 //! every datapath structure — buffer pool, connection-tuple cache, load
-//! balancer, RX stage ([`crate::stage`]), reliable-transport instance — so
-//! the hot path never shares mutable state between workers, and every count
-//! lands in the worker's own [`QueueStats`] bank. Shared pieces are the
-//! Packet Monitor's per-flow banks, the Connection Manager mutex (reached
-//! only on tuple-cache misses), the soft register file, and the
-//! confirmed-set fed by control acknowledgements.
+//! balancer, reliable-transport instance — so the hot path never shares
+//! mutable state between workers, and every count lands in the worker's
+//! own [`QueueStats`] bank. Shared pieces are the Packet Monitor's per-flow
+//! banks, the Connection Manager mutex (reached only on tuple-cache
+//! misses), the soft register file, and the confirmed-set fed by control
+//! acknowledgements.
 //!
 //! Each [`EngineCore::step`] (one "tick") a worker:
 //!
@@ -24,9 +24,8 @@
 //!    control frames to the Connection Manager ([`crate::connmgr`]) and
 //!    request lead frames to the offload stage ([`crate::offload`]) — each
 //!    decides, the engine ships whatever reply lines come back — steers
-//!    data frames to one of the flows this worker owns and stages them in
-//!    its RX stage, which then delivers formed batches into the per-flow RX
-//!    rings.
+//!    each data frame to one of the flows this worker owns and writes it
+//!    straight into that flow's RX ring (a full ring is a counted drop).
 //!
 //! A frame never changes worker after the fabric (DESIGN.md §13). A
 //! response is routed by its sender to the queue that owns the flow it
@@ -74,7 +73,6 @@ use crate::offload::OffloadState;
 use crate::reliable::{FrameView, ReliableTransport};
 use crate::ring::{RingConsumer, RingProducer};
 use crate::softreg::SoftRegisterFile;
-use crate::stage::RxStage;
 use crate::transport::{wire_frames, Datagram, MAX_LINES_PER_DATAGRAM};
 use crate::wait::{EngineWaker, SpinWait};
 
@@ -108,9 +106,6 @@ pub(crate) struct EngineCore {
     pub monitor: Arc<PacketMonitor>,
     /// Steers requests among the active flows this worker owns.
     pub lb: LoadBalancer,
-    /// Per-flow staging and delivery batching of the flows this worker
-    /// owns.
-    pub rx_stage: RxStage,
     pub arbiter: Option<ArbiterSlot>,
     pub stop: Arc<AtomicBool>,
     /// Host → engine control-frame outbox (connection setup/teardown),
@@ -130,11 +125,8 @@ pub(crate) struct EngineCore {
     /// Datagrams deferred by reliable-transport window backpressure, with
     /// the destination queue their connection routed to.
     pub pending_out: VecDeque<(Datagram, u16)>,
-    /// Steps taken so far: the clock of every tick-counted timer (retransmit
-    /// timeout, scheduler timeout).
+    /// Steps taken so far: the clock of the polling-mode window.
     pub tick: u64,
-    /// Delivery flushes partially formed batches (shutdown drain).
-    pub draining: bool,
     /// Frames fetched from TX rings in the current polling window.
     pub window_frames: u64,
     /// Grid tick of the last `RetransmitBurst` flight event. Bursts are
@@ -209,9 +201,6 @@ pub(crate) struct NicShared {
     /// NIC's queue count).
     pub wakers: Vec<Arc<EngineWaker>>,
     pub offload: Arc<OffloadState>,
-    /// Lines each worker's RX stage may hold staged for delivery (the
-    /// request buffer's size in the hardware).
-    pub reqbuf_slots: usize,
 }
 
 /// The pieces only one worker holds.
@@ -254,7 +243,7 @@ pub(crate) enum Progress {
     /// At least one round moved a frame: step again.
     Moved,
     /// Nothing moved, but something tick-driven is outstanding (a retransmit
-    /// deadline, a deferred send, a partial batch): keep ticking.
+    /// deadline, a deferred send, an arbiter rotation): keep ticking.
     Ticking,
     /// Nothing moved and nothing is outstanding: the driver may park.
     Idle,
@@ -285,11 +274,6 @@ impl EngineCore {
             softregs: Arc::clone(&shared.softregs),
             monitor: Arc::clone(&shared.monitor),
             lb: LoadBalancer::new(LbPolicy::Uniform, (0, 32)),
-            rx_stage: RxStage::new(
-                shared.monitor.flows().len(),
-                shared.reqbuf_slots,
-                Arc::clone(&qstats),
-            ),
             arbiter: parts.arbiter,
             stop: Arc::clone(&shared.stop),
             ctrl_rx: shared.ctrl_rx.clone(),
@@ -297,7 +281,6 @@ impl EngineCore {
             reliable: parts.reliable,
             pending_out: VecDeque::new(),
             tick: 0,
-            draining: false,
             window_frames: 0,
             burst_tick: 0,
             burst_frames: 0,
@@ -324,15 +307,12 @@ impl EngineCore {
         if let Some(slot) = &self.arbiter {
             slot.acquire();
         }
-        let tick = self.tick;
         let mut moved = self.flush_pending();
         moved |= self.ctrl_round();
         moved |= self.tx_round();
-        let rx_moved = self.rx_round(tick);
-        moved |= rx_moved;
-        moved |= self.deliver_round(tick, self.draining, !rx_moved);
+        moved |= self.rx_round();
         self.reliable_tick();
-        self.tick = tick.wrapping_add(1);
+        self.tick = self.tick.wrapping_add(1);
         // Polling-mode switch (§4.4.1): once per 1024-tick window, compare
         // the TX fetch rate against the soft threshold. Above it, poll the
         // processor's LLC directly (cached polling would steal line
@@ -357,15 +337,13 @@ impl EngineCore {
         while self.step() == Progress::Moved {}
     }
 
-    /// Two-phase shutdown, with delivery flushing partial batches
-    /// throughout. Phase 1 steps until this worker has nothing left to
+    /// Two-phase shutdown. Phase 1 steps until this worker has nothing left to
     /// *originate* (control sends, host TX rings, deferred datagrams), then
     /// passes the barrier. Phase 2 keeps stepping until every sibling has
     /// passed its own phase 1, so frames a sibling sent this queue over the
     /// fabric at the last moment are not stranded in a port nobody drains.
     /// A final sweep then flushes what has already arrived.
     pub(crate) fn shutdown_drain(&mut self) {
-        self.draining = true;
         self.step_until_quiet();
         self.stop_barrier.fetch_add(1, Ordering::AcqRel);
         let mut idle = SpinWait::new();
@@ -381,13 +359,12 @@ impl EngineCore {
     }
 
     /// Parking is safe only when nothing tick-driven is outstanding: no
-    /// arbiter rotation to keep granting, no window-deferred datagrams, no
-    /// staged lines awaiting delivery, and the reliable transport has
-    /// neither unacked frames, owed acks, nor retired buffers to recycle.
+    /// arbiter rotation to keep granting, no window-deferred datagrams, and
+    /// the reliable transport has neither unacked frames, owed acks, nor
+    /// retired buffers to recycle.
     fn can_idle_park(&self) -> bool {
         self.arbiter.is_none()
             && self.pending_out.is_empty()
-            && self.rx_stage.is_idle()
             && self
                 .reliable
                 .as_ref()
@@ -763,8 +740,8 @@ impl EngineCore {
     }
 
     /// RX FSM: drain this worker's fabric port queue, handle control
-    /// frames, steer data frames into the RX stage.
-    fn rx_round(&mut self, tick: u64) -> bool {
+    /// frames, steer data frames into their flows' RX rings.
+    fn rx_round(&mut self) -> bool {
         let mut progress = false;
         // Bound the number of datagrams per round to keep the loop fair.
         for _ in 0..64 {
@@ -799,7 +776,7 @@ impl EngineCore {
             // engine's own TX side (and future RX decodes) reuse it.
             self.pool.put_bytes(bytes);
             if let Some(dgram) = decoded {
-                self.absorb_datagram(dgram, tick);
+                self.absorb_datagram(dgram);
             }
             // The transport may have released buffered successors when the
             // arrival above filled a gap; deliver the whole run now.
@@ -808,7 +785,7 @@ impl EngineCore {
                 .as_mut()
                 .and_then(ReliableTransport::next_ready)
             {
-                self.absorb_datagram(dgram, tick);
+                self.absorb_datagram(dgram);
             }
         }
         // Replies staged by `rx_frame` (open-acks, offload hits) ship here.
@@ -818,11 +795,11 @@ impl EngineCore {
 
     /// Steers one decoded, in-sequence datagram's frames into the RX path
     /// and recycles its line vector.
-    fn absorb_datagram(&mut self, dgram: Datagram, tick: u64) {
+    fn absorb_datagram(&mut self, dgram: Datagram) {
         self.qstats.rx_datagrams.inc();
         self.qstats.rx_frames.add(dgram.lines.len() as u64);
         for &line in &dgram.lines {
-            self.rx_frame(line, tick);
+            self.rx_frame(line);
         }
         match &mut self.reliable {
             Some(rel) => rel.recycle_rx_lines(dgram.lines),
@@ -841,8 +818,8 @@ impl EngineCore {
     }
 
     /// One received frame: decode, control, trace stamp, tuple lookup,
-    /// offload, steer, stage.
-    fn rx_frame(&mut self, line: CacheLine, tick: u64) {
+    /// offload, steer, deliver.
+    fn rx_frame(&mut self, line: CacheLine) {
         let Ok(hdr) = RpcHeader::decode(line.header()) else {
             self.qstats.unknown_connection_drops.inc();
             return;
@@ -902,9 +879,28 @@ impl EngineCore {
         debug_assert_eq!(
             queue_of_flow(flow, self.num_queues),
             usize::from(self.queue_id),
-            "flow {flow} staged by a worker that does not own it"
+            "flow {flow} delivered by a worker that does not own it"
         );
-        self.rx_stage.stage(flow, line, tick);
+        // The CCI-P write into the flow's RX ring. `steer` only picks owned
+        // flows; a missing ring would be a steering bug, counted like a
+        // full one rather than lost silently.
+        let delivered = self.rx_rings[flow]
+            .as_mut()
+            .is_some_and(|ring| ring.try_push(line).is_ok());
+        let bank = &self.monitor.flows()[flow];
+        if delivered {
+            bank.rx_frames.inc();
+            if hdr.kind == RpcKind::Request && hdr.frame_idx == 0 {
+                self.telemetry.tracer().record(
+                    hdr.connection_id.raw(),
+                    hdr.rpc_id.raw(),
+                    RpcEvent::RxDeliver,
+                );
+            }
+        } else {
+            self.qstats.rx_ring_drops.inc();
+            bank.rx_ring_drops.inc();
+        }
     }
 
     /// The flow a data frame belongs to, among the flows this worker owns,
@@ -944,56 +940,6 @@ impl EngineCore {
         let slot = self.lb.steer(hdr, payload, slots, Some(static_flow));
         Some(q + slot * nq)
     }
-
-    /// Delivery: the RX stage picks formed batches and the CCI-P
-    /// transmitter writes them into the RX rings. `drain_all` (shutdown)
-    /// flushes partially formed batches too. `rx_quiet` says the RX round
-    /// of this tick moved nothing: with the `auto_batch` soft
-    /// register on, a quiet tick ships partial batches immediately —
-    /// under load frames keep arriving and full batches form on their
-    /// own, so waiting out the scheduler timeout only buys latency, not
-    /// batching (§4.4.1 adaptive batching).
-    fn deliver_round(&mut self, tick: u64, drain_all: bool, rx_quiet: bool) -> bool {
-        let batch = if drain_all {
-            1
-        } else {
-            self.softregs.batch_size() as usize
-        };
-        let ready = if drain_all || (rx_quiet && self.softregs.auto_batch()) {
-            1
-        } else {
-            batch
-        };
-        let tracer = self.telemetry.tracer();
-        self.rx_stage.drain_ready(ready, batch, tick, |flow, line| {
-            // The extra header decode for the trace key is gated on the
-            // tracer so the untraced hot path stays decode-free here.
-            let traced = if tracer.is_enabled() {
-                RpcHeader::decode(line.header())
-                    .ok()
-                    .filter(|h| h.kind == RpcKind::Request && h.frame_idx == 0)
-                    .map(|h| (h.connection_id.raw(), h.rpc_id.raw()))
-            } else {
-                None
-            };
-            // Only owned flows are ever staged here; a missing ring is a
-            // steering bug surfaced as a counted drop, never a silent loss.
-            let delivered = match self.rx_rings[flow].as_mut() {
-                Some(ring) => ring.try_push(line).is_ok(),
-                None => false,
-            };
-            let bank = &self.monitor.flows()[flow];
-            if delivered {
-                bank.rx_frames.inc();
-                if let Some((cid, rid)) = traced {
-                    tracer.record(cid, rid, RpcEvent::RxDeliver);
-                }
-            } else {
-                self.qstats.rx_ring_drops.inc();
-                bank.rx_ring_drops.inc();
-            }
-        })
-    }
 }
 
 #[cfg(test)]
@@ -1004,7 +950,6 @@ mod tests {
     use crate::fabric::{Fabric, MemFabric};
     use crate::ring::ring;
     use crate::softreg::SoftRegisterFile;
-    use crate::stage::SCHED_TIMEOUT_TICKS;
     use dagger_types::{FnId, RpcId, SoftConfigSnapshot};
     use std::sync::atomic::AtomicU64;
 
@@ -1027,7 +972,6 @@ mod tests {
             .unwrap();
         let softregs = SoftRegisterFile::new(SoftConfigSnapshot {
             batch_size: 16,
-            auto_batch: false,
             active_flows: flows as u16,
             lb_policy: LbPolicy::Uniform,
         });
@@ -1045,7 +989,6 @@ mod tests {
             telemetry: Telemetry::new(),
             wakers: (0..queues).map(|_| Arc::new(EngineWaker::new())).collect(),
             offload: Arc::new(OffloadState::new(queues)),
-            reqbuf_slots: 256,
         }
     }
 
@@ -1056,10 +999,23 @@ mod tests {
         crate::ring::RingProducer,
         crate::ring::RingConsumer,
     ) {
+        loopback_core_with(64, 64)
+    }
+
+    /// [`loopback_core`] with a TX ring of `tx_cap` and an RX ring of
+    /// `rx_cap` lines.
+    fn loopback_core_with(
+        tx_cap: usize,
+        rx_cap: usize,
+    ) -> (
+        EngineCore,
+        crate::ring::RingProducer,
+        crate::ring::RingConsumer,
+    ) {
         let shared = looped_shared(1, 1);
         let fabric = MemFabric::new();
-        let (host_tx, engine_rx) = ring(64);
-        let (engine_tx, host_rx) = ring(64);
+        let (host_tx, engine_rx) = ring(tx_cap);
+        let (engine_tx, host_rx) = ring(rx_cap);
         let parts = WorkerParts {
             queue_id: 0,
             port: fabric.attach_queues(shared.addr, 1).unwrap().remove(0),
@@ -1199,24 +1155,21 @@ mod tests {
             .collect()
     }
 
-    /// Steps `core` through one scheduler timeout, collecting every line
-    /// delivered to `host_rx`.
-    fn step_out(core: &mut EngineCore, host_rx: &mut crate::ring::RingConsumer) -> Vec<CacheLine> {
-        let mut back = Vec::new();
-        for _ in 0..=SCHED_TIMEOUT_TICKS {
-            core.step();
-            while let Some(line) = host_rx.try_pop() {
-                back.push(line);
-            }
-        }
-        back
+    /// Every line waiting in `host_rx`, in ring order.
+    fn drain(host_rx: &mut crate::ring::RingConsumer) -> Vec<CacheLine> {
+        std::iter::from_fn(|| host_rx.try_pop()).collect()
     }
 
-    /// One full loopback cycle: the host pushes `frames` and steps the
-    /// core until all of them came back around — TX ships them to the
-    /// engine's own port, RX steers them into the FIFOs, delivery writes
-    /// the RX ring (at once for a full batch, after the scheduler timeout
-    /// for a partial one) — and the "host" drains it.
+    /// Steps `core` once and collects every line delivered to `host_rx`:
+    /// a frame reaches its RX ring in the step that receives it.
+    fn step_out(core: &mut EngineCore, host_rx: &mut crate::ring::RingConsumer) -> Vec<CacheLine> {
+        core.step();
+        drain(host_rx)
+    }
+
+    /// One full loopback cycle in one step: the host pushes `frames`, TX
+    /// ships them to the engine's own port, RX steers each into the RX
+    /// ring, and the "host" drains it.
     fn cycle(
         core: &mut EngineCore,
         host_tx: &mut crate::ring::RingProducer,
@@ -1228,12 +1181,10 @@ mod tests {
             host_tx.try_push(line).unwrap();
             burst += 1;
         }
+        core.step();
         let mut back = 0;
-        for _ in 0..=SCHED_TIMEOUT_TICKS {
-            core.step();
-            while host_rx.try_pop().is_some() {
-                back += 1;
-            }
+        while host_rx.try_pop().is_some() {
+            back += 1;
         }
         assert_eq!(back, burst, "frames lost in the loop");
     }
@@ -1351,6 +1302,97 @@ mod tests {
             .map(|l| RpcHeader::decode(l.header()).unwrap().frame_idx)
             .collect();
         assert_eq!(idx, (0..43).collect::<Vec<u8>>());
+    }
+
+    /// A lone frame is written into its RX ring by the step that receives
+    /// it: nothing waits for a batch to form, so the next step finds
+    /// nothing outstanding.
+    #[test]
+    fn a_lone_frame_reaches_its_rx_ring_in_the_step_that_receives_it() {
+        let (mut core, _host_tx, mut host_rx) = loopback_core();
+        assert_eq!(core.softregs.batch_size(), 16);
+        inject(std::slice::from_ref(&core), 0, vec![data_frame(7)]);
+        let back = step_out(&mut core, &mut host_rx);
+        assert_eq!(rpc_ids(&back), [7]);
+        assert_eq!(core.step(), Progress::Idle);
+    }
+
+    /// A 43-line message arriving as one datagram reaches its RX ring
+    /// whole and in order in the step that receives it, at `batch_size` 16.
+    #[test]
+    fn a_43_line_message_is_delivered_in_the_step_that_receives_it() {
+        let (mut core, _host_tx, mut host_rx) = loopback_core();
+        assert_eq!(core.softregs.batch_size(), 16);
+        let message = (0..43).map(|idx| message_frame(0, idx, 43)).collect();
+        inject(std::slice::from_ref(&core), 0, message);
+        let idx: Vec<u8> = step_out(&mut core, &mut host_rx)
+            .iter()
+            .map(|l| RpcHeader::decode(l.header()).unwrap().frame_idx)
+            .collect();
+        assert_eq!(idx, (0..43).collect::<Vec<u8>>());
+        assert_eq!(core.monitor.flows()[0].snapshot().rx_frames, 43);
+    }
+
+    /// On a 4-line RX ring the host has not drained, a 6-frame burst
+    /// delivers its first 4 frames in order and counts the other 2 as
+    /// `rx_ring_drops` on the queue's bank and on the flow's; a warmed
+    /// overflowing step stays off the heap.
+    #[test]
+    fn a_full_rx_ring_counts_its_overflow_on_both_banks_without_allocating() {
+        let (mut core, mut host_tx, mut host_rx) = loopback_core_with(64, 4);
+        // One 6-frame burst, numbered from `first`; returns the heap
+        // allocations of its step.
+        let mut burst = |core: &mut EngineCore, first: u32| {
+            for rpc in first..first + 6 {
+                host_tx.try_push(data_frame(rpc)).unwrap();
+            }
+            let (allocs, progress) = alloc_counter::count_allocs(|| core.step());
+            assert_eq!(progress, Progress::Moved, "step saw no frames");
+            allocs
+        };
+        let drops = |core: &EngineCore| {
+            let flow = core.monitor.flows()[0].snapshot();
+            (core.qstats.snapshot().rx_ring_drops, flow.rx_ring_drops)
+        };
+        burst(&mut core, 0);
+        assert_eq!(rpc_ids(&drain(&mut host_rx)), [0, 1, 2, 3]);
+        assert_eq!(drops(&core), (2, 2));
+        for round in 1..8 {
+            burst(&mut core, round * 6);
+            drain(&mut host_rx);
+        }
+        let allocs = burst(&mut core, 48);
+        assert_eq!(
+            allocs, 0,
+            "overflowing step hit the allocator {allocs} time(s)"
+        );
+        assert_eq!(rpc_ids(&drain(&mut host_rx)), [48, 49, 50, 51]);
+        assert_eq!(drops(&core), (18, 18));
+        assert_eq!(core.monitor.flows()[0].snapshot().rx_frames, 36);
+    }
+
+    /// A 16-frame burst at `batch_size` 16 through 2-line TX and RX rings
+    /// arrives whole and in order, two frames a step: a ring read takes
+    /// what is there and delivery writes one line at a time, so a batch
+    /// size wider than the rings needs no clamp.
+    #[test]
+    fn a_16_frame_burst_through_2_slot_rings_arrives_whole() {
+        let (mut core, mut host_tx, mut host_rx) = loopback_core_with(2, 2);
+        assert_eq!(core.softregs.batch_size(), 16);
+        let mut pending = (0..16).map(data_frame).peekable();
+        let mut back = Vec::new();
+        for step in 1..=8 {
+            while pending
+                .peek()
+                .is_some_and(|&line| host_tx.try_push(line).is_ok())
+            {
+                pending.next();
+            }
+            back.extend(step_out(&mut core, &mut host_rx));
+            assert_eq!(back.len(), 2 * step, "step {step} moved too little");
+        }
+        assert_eq!(rpc_ids(&back), (0..16).collect::<Vec<u32>>());
+        assert_eq!(core.qstats.snapshot().rx_ring_drops, 0);
     }
 
     /// Two connections toward different destinations, interleaved in runs
@@ -1493,11 +1535,11 @@ mod tests {
 
     /// One hand-driven cycle of the 2-queue pair: the host pushes `burst`
     /// responses alternating between flow 0 and flow 1 on every TX ring in
-    /// `host_tx`, then both workers step until the scheduler timeout has
-    /// flushed the partial batches — each worker ships each response to the
-    /// queue owning the flow it answers, and stages and delivers its own
-    /// flow's frames — and the host drains both RX rings. Returns frames
-    /// seen per flow.
+    /// `host_tx`, then both workers step twice — each worker ships each
+    /// response to the queue owning the flow it answers and delivers its
+    /// own flow's frames; the second step lets queue 0 receive what
+    /// queue 1 shipped after queue 0's first step — and the host drains
+    /// both RX rings. Returns frames seen per flow.
     fn sharded_cycle(
         cores: &mut [EngineCore],
         host_tx: &mut [crate::ring::RingProducer],
@@ -1509,7 +1551,7 @@ mod tests {
                 tx.try_push(response_frame(i, (i % 2) as u16)).unwrap();
             }
         }
-        for _ in 0..=SCHED_TIMEOUT_TICKS {
+        for _ in 0..2 {
             for core in cores.iter_mut() {
                 core.step();
             }
@@ -1607,10 +1649,10 @@ mod tests {
                     .try_push(response_frame(rpc, (rpc % 2) as u16))
                     .unwrap();
             }
-            for _ in 0..=SCHED_TIMEOUT_TICKS {
-                for core in cores.iter_mut() {
-                    core.step();
-                }
+            // Queue 0's step ships both flows' frames and delivers flow
+            // 0's; queue 1's step, right after, delivers flow 1's.
+            for core in cores.iter_mut() {
+                core.step();
             }
             for (flow, rx) in host_rx.iter_mut().enumerate() {
                 while let Some(line) = rx.try_pop() {

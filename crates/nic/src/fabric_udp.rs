@@ -169,7 +169,7 @@ impl Switch<UdpWire> {
     /// low, the peer drops every response for a flow of another queue
     /// (`rx_ring_drops`), and each such request keeps its connection from
     /// ever following a remap; so do requests the peer's server drops
-    /// (`rx_ring_drops`, `reqbuf_backpressure`; DESIGN.md §14).
+    /// (`rx_ring_drops`; DESIGN.md §14).
     pub fn set_peer(&self, node: NodeAddr, addr: SocketAddr, queues: usize) {
         let queues = queues.max(1);
         let peer = PeerEntry { addr, queues };

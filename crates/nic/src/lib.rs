@@ -18,9 +18,6 @@
 //!   connection-setup control frames it handles on RX;
 //! * [`lb`] — the RX load balancers: uniform dynamic, static, and the
 //!   object-level key-hash balancer used for MICA tiers (§5.7);
-//! * [`stage`] — the RX stage: one record per flow holding its staged
-//!   lines under the request buffer's bound, and the flow scheduler's
-//!   batch-or-timeout rule that forms CCI-P delivery batches (Fig. 9);
 //! * [`monitor`] — the Packet Monitor statistics unit, and [`bank`] — the
 //!   one declaration form every counter bank in this crate uses;
 //! * [`offload`] — the on-NIC compute offload stage: NIC-side serde driven
@@ -47,7 +44,8 @@
 //!   host-side [`HostWait`] and the fallback engine thread;
 //! * [`engine`] — the NIC engine workers tying the RX/TX FSMs together
 //!   behind one `step()`, sharded RSS-style across `num_queues` queues,
-//!   each receiving exactly the frames of the flows it owns;
+//!   each receiving exactly the frames of the flows it owns and writing
+//!   each one into its flow's RX ring in the step that receives it;
 //! * [`nic`] — the assembled, virtualizable [`nic::Nic`].
 //!
 //! The NIC is *functional*: it moves real bytes between real threads with
@@ -72,7 +70,6 @@ pub mod offload;
 pub mod reliable;
 pub mod ring;
 pub mod softreg;
-pub mod stage;
 pub mod transport;
 pub mod wait;
 

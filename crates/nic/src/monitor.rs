@@ -41,8 +41,9 @@ counter_bank! {
         /// Network payloads dropped as undecodable off the wire
         /// (truncated, corrupted, or checksum-failed transport frames).
         wire_drops,
-        /// Frames dropped because the RX stage was at its staging bound (the
-        /// request buffer's size; the name is the hardware's).
+        /// Always 0: received frames go straight into their RX ring, so
+        /// nothing is staged against the hardware request buffer's bound.
+        /// Kept because the perf ledger reads it.
         reqbuf_backpressure,
         /// Frames fetched while polling the NIC's local coherent cache
         /// (low-load mode, §4.4.1).

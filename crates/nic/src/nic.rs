@@ -230,9 +230,6 @@ impl Nic {
         let nq = cfg.num_queues;
         let ports: Vec<Arc<dyn FabricPort>> = fabric.attach_queues(addr, nq)?;
         let softregs = Arc::new(SoftRegisterFile::default());
-        // Batch-size writes clamp to what the host rings can actually hold;
-        // an oversized soft register can no longer stall a full ring round.
-        softregs.set_batch_limit(cfg.tx_ring_capacity.min(cfg.rx_ring_capacity));
         // The soft active-queue mask gates new RSS routing decisions made
         // by *senders* toward this NIC.
         fabric.set_queue_mask(addr, softregs.active_queue_mask_handle());
@@ -294,7 +291,6 @@ impl Nic {
             telemetry: Arc::clone(&telemetry),
             wakers: wakers.clone(),
             offload: Arc::clone(&offload),
-            reqbuf_slots: (cfg.rx_ring_capacity * cfg.num_flows).max(64),
         };
         let mut cores = Vec::with_capacity(nq);
         let mut pool_stats = Vec::with_capacity(nq);

@@ -3,8 +3,11 @@
 //! Fine-grained runtime control flows through "soft register files
 //! accessible by the host CPU via PCIe MMIOs". This module is that register
 //! file: lock-free atomics the host writes and the NIC engine reads every
-//! loop iteration — CCI-P batch size, auto-batching, number of active
-//! flows, and the RX load-balancer selection.
+//! loop iteration — the CCI-P batch size (lines per TX ring read), number
+//! of active flows, and the RX load-balancer selection. There is no
+//! auto-batching register: received frames never wait for a batch, so
+//! [`SoftRegisterFile::set_auto_batch`] is a no-op kept only for callers
+//! that still make the call (DESIGN.md §17).
 
 use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -16,7 +19,6 @@ use dagger_types::{DaggerError, LbPolicy, Result, SoftConfigSnapshot};
 #[derive(Debug)]
 pub struct SoftRegisterFile {
     batch_size: AtomicU8,
-    auto_batch: AtomicBool,
     active_flows: AtomicU16,
     lb_policy: AtomicU8,
     /// RX frames per engine window above which the NIC switches from
@@ -29,11 +31,6 @@ pub struct SoftRegisterFile {
     /// masked-off queues keep draining already-routed traffic so no frames
     /// are stranded by a reconfiguration.
     active_queue_mask: Arc<AtomicU64>,
-    /// Upper bound `set_batch_size` clamps to: the smallest host ring
-    /// capacity of the NIC this file steers, installed at NIC start. A
-    /// batch wider than a ring can hold would let a full ring round stall
-    /// waiting for a batch that can never form.
-    batch_limit: AtomicU8,
     /// A/B gate for the NIC-side serde path (the offload stage's
     /// per-frame table execution). Off by default: the host-serde
     /// baseline is the control arm.
@@ -56,24 +53,22 @@ impl SoftRegisterFile {
         initial.validate()?;
         Ok(SoftRegisterFile {
             batch_size: AtomicU8::new(initial.batch_size),
-            auto_batch: AtomicBool::new(initial.auto_batch),
             active_flows: AtomicU16::new(initial.active_flows),
             lb_policy: AtomicU8::new(initial.lb_policy.to_wire()),
             polling_threshold: AtomicU32::new(4096),
             active_queue_mask: Arc::new(AtomicU64::new(0)),
-            batch_limit: AtomicU8::new(MAX_BATCH),
             nic_serde: AtomicBool::new(false),
             offload_cache_entries: AtomicU32::new(0),
         })
     }
 
-    /// Current CCI-P batch size.
+    /// Current CCI-P batch size: the lines the engine asks of a TX ring per
+    /// read (a read takes fewer when fewer are there).
     pub fn batch_size(&self) -> u8 {
         self.batch_size.load(Ordering::Relaxed)
     }
 
-    /// Sets the CCI-P batch size, clamped at set time to the installed
-    /// ring-capacity limit (see [`SoftRegisterFile::set_batch_limit`]).
+    /// Sets the CCI-P batch size.
     ///
     /// # Errors
     ///
@@ -84,35 +79,13 @@ impl SoftRegisterFile {
                 "batch_size {b} outside 1..={MAX_BATCH}"
             )));
         }
-        let b = b.min(self.batch_limit.load(Ordering::Relaxed));
         self.batch_size.store(b, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Installs the ring-capacity clamp for batch-size writes (the NIC
-    /// passes its smallest host ring at start). Values fold into
-    /// `1..=`[`MAX_BATCH`]; a live batch size above the new limit is
-    /// clamped immediately, so an oversized register written before the
-    /// hard configuration was known cannot deadlock a full ring round.
-    pub fn set_batch_limit(&self, limit: usize) {
-        let limit = limit.clamp(1, usize::from(MAX_BATCH)) as u8;
-        self.batch_limit.store(limit, Ordering::Relaxed);
-        let _ = self
-            .batch_size
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| {
-                (b > limit).then_some(limit)
-            });
-    }
-
-    /// Whether auto-batching is enabled.
-    pub fn auto_batch(&self) -> bool {
-        self.auto_batch.load(Ordering::Relaxed)
-    }
-
-    /// Enables/disables auto-batching.
-    pub fn set_auto_batch(&self, on: bool) {
-        self.auto_batch.store(on, Ordering::Relaxed);
-    }
+    /// Does nothing: nothing waits for a batch to form, so there is no
+    /// auto-batching to switch (see the module docs).
+    pub fn set_auto_batch(&self, _on: bool) {}
 
     /// Number of active flows (0 means "all hard-configured flows").
     pub fn active_flows(&self) -> u16 {
@@ -193,7 +166,6 @@ impl SoftRegisterFile {
     pub fn snapshot(&self) -> SoftConfigSnapshot {
         SoftConfigSnapshot {
             batch_size: self.batch_size(),
-            auto_batch: self.auto_batch(),
             active_flows: self.active_flows(),
             lb_policy: self.lb_policy(),
         }
@@ -208,7 +180,6 @@ impl SoftRegisterFile {
     pub fn apply(&self, snap: SoftConfigSnapshot) -> Result<()> {
         snap.validate()?;
         self.set_batch_size(snap.batch_size)?;
-        self.set_auto_batch(snap.auto_batch);
         self.set_active_flows(snap.active_flows);
         self.set_lb_policy(snap.lb_policy);
         Ok(())
@@ -230,7 +201,6 @@ mod tests {
         let regs = SoftRegisterFile::default();
         let snap = SoftConfigSnapshot {
             batch_size: 4,
-            auto_batch: true,
             active_flows: 2,
             lb_policy: LbPolicy::ObjectLevel,
         };
@@ -251,29 +221,11 @@ mod tests {
         let regs = SoftRegisterFile::default();
         let bad = SoftConfigSnapshot {
             batch_size: 0,
-            auto_batch: true,
             active_flows: 7,
             lb_policy: LbPolicy::Static,
         };
         assert!(regs.apply(bad).is_err());
         assert_eq!(regs.snapshot(), SoftConfigSnapshot::default());
-    }
-
-    #[test]
-    fn batch_size_clamps_to_ring_capacity_limit() {
-        let regs = SoftRegisterFile::default();
-        regs.set_batch_size(MAX_BATCH).unwrap();
-        regs.set_batch_limit(4);
-        assert_eq!(regs.batch_size(), 4, "live value clamps when limit lands");
-        regs.set_batch_size(MAX_BATCH).unwrap();
-        assert_eq!(regs.batch_size(), 4, "oversized writes clamp at set time");
-        regs.set_batch_size(2).unwrap();
-        assert_eq!(regs.batch_size(), 2, "in-range writes pass through");
-        assert!(regs.set_batch_size(0).is_err(), "zero still rejected");
-        // Limits wider than the register range fold back to MAX_BATCH.
-        regs.set_batch_limit(1024);
-        regs.set_batch_size(MAX_BATCH).unwrap();
-        assert_eq!(regs.batch_size(), MAX_BATCH);
     }
 
     #[test]

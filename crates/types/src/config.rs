@@ -112,8 +112,9 @@ pub struct HardConfig {
     /// names. All NICs sharing a fabric must agree on this setting (it
     /// changes the wire format).
     pub reliable: bool,
-    /// Number of engine queues (worker threads). Each queue owns a
-    /// contiguous slice of the hardware flows plus its own fabric RX queue,
+    /// Number of engine queues (worker threads). Each queue owns a stripe
+    /// of the hardware flows (flow `f` belongs to queue `f % num_queues`)
+    /// plus its own fabric RX queue,
     /// buffer pool, and reliable-transport channels — the functional
     /// equivalent of per-thread RX/TX queues in eRPC/FaSST. Must satisfy
     /// `1 <= num_queues <= num_flows` and `num_queues <= 64` (the
@@ -268,9 +269,6 @@ impl HardConfigBuilder {
 pub struct SoftConfigSnapshot {
     /// CCI-P transfer batch size `B` (Fig. 10/11). 1..=16.
     pub batch_size: u8,
-    /// When `true`, the NIC adjusts `batch_size` dynamically with load so
-    /// batching's throughput gain does not cost latency at low load (§5.4).
-    pub auto_batch: bool,
     /// Number of currently active flows (≤ hard `num_flows`).
     pub active_flows: u16,
     /// RX load-balancer selection.
@@ -281,7 +279,6 @@ impl Default for SoftConfigSnapshot {
     fn default() -> Self {
         SoftConfigSnapshot {
             batch_size: 1,
-            auto_batch: false,
             active_flows: 0, // 0 = all hard flows active
             lb_policy: LbPolicy::Uniform,
         }

@@ -89,7 +89,6 @@ fn snapshot_apply_runtime() {
     let client = ReconfClient::new(pool.client(0).unwrap());
     let snap = SoftConfigSnapshot {
         batch_size: 8,
-        auto_batch: true,
         active_flows: 1,
         lb_policy: LbPolicy::Uniform,
     };
