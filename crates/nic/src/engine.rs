@@ -14,12 +14,12 @@
 //!
 //! Each [`EngineCore::step`] (one "tick") a worker:
 //!
-//! 1. **TX FSM** — drains its own flows' TX rings (the CCI-P fetch, `B`
-//!    lines per read), looks up each run of a connection's frames once for
-//!    destination credentials, routes the run to one of the destination
-//!    NIC's queues ([`EngineCore::pin_route`]), groups frames by
-//!    `(destination, queue)`, and ships each group as one transport
-//!    datagram.
+//! 1. **TX FSM** — drains its own flows' TX rings (the CCI-P fetch: one
+//!    read takes what the ring holds, up to a datagram), looks up each run
+//!    of a connection's frames once for destination credentials, routes
+//!    the run to one of the destination NIC's queues
+//!    ([`EngineCore::pin_route`]), groups frames by `(destination, queue)`,
+//!    and ships each group as one transport datagram.
 //! 2. **RX FSM** — drains its fabric port queue, decodes datagrams, hands
 //!    control frames to the Connection Manager ([`crate::connmgr`]) and
 //!    request lead frames to the offload stage ([`crate::offload`]) — each
@@ -125,10 +125,6 @@ pub(crate) struct EngineCore {
     /// Datagrams deferred by reliable-transport window backpressure, with
     /// the destination queue their connection routed to.
     pub pending_out: VecDeque<(Datagram, u16)>,
-    /// Steps taken so far: the clock of the polling-mode window.
-    pub tick: u64,
-    /// Frames fetched from TX rings in the current polling window.
-    pub window_frames: u64,
     /// Grid tick of the last `RetransmitBurst` flight event. Bursts are
     /// coalesced to one event per tick: a blackholed peer makes every
     /// retransmit timeout a burst — thousands per second from a spinning
@@ -137,9 +133,6 @@ pub(crate) struct EngineCore {
     pub burst_tick: u64,
     /// Frames retransmitted since that event.
     pub burst_frames: u64,
-    /// `true` while the engine polls the LLC directly instead of through
-    /// its local coherent cache (the high-load mode of §4.4.1).
-    pub direct_polling: bool,
     /// Telemetry hub shared with the host side; the engine stamps the
     /// pickup / receive / deliver trace events of the request path.
     pub telemetry: Arc<Telemetry>,
@@ -280,11 +273,8 @@ impl EngineCore {
             confirmed: Arc::clone(&shared.confirmed),
             reliable: parts.reliable,
             pending_out: VecDeque::new(),
-            tick: 0,
-            window_frames: 0,
             burst_tick: 0,
             burst_frames: 0,
-            direct_polling: false,
             telemetry: Arc::clone(&shared.telemetry),
             pool: BufPool::default(),
             conn_cache: ConnTupleCache::new(shared.conn_mgr.lock().generation_handle()),
@@ -312,17 +302,6 @@ impl EngineCore {
         moved |= self.tx_round();
         moved |= self.rx_round();
         self.reliable_tick();
-        self.tick = self.tick.wrapping_add(1);
-        // Polling-mode switch (§4.4.1): once per 1024-tick window, compare
-        // the TX fetch rate against the soft threshold. Above it, poll the
-        // processor's LLC directly (cached polling would steal line
-        // ownership from the busy CPU); below it, poll the NIC's local
-        // coherent cache and ride invalidations.
-        if self.tick.is_multiple_of(1024) {
-            let threshold = self.softregs.polling_threshold();
-            self.direct_polling = threshold != 0 && self.window_frames > u64::from(threshold);
-            self.window_frames = 0;
-        }
         if moved {
             Progress::Moved
         } else if self.can_idle_park() {
@@ -414,11 +393,10 @@ impl EngineCore {
         }
     }
 
-    /// TX FSM: drain each owned flow's TX ring, `B` lines per ring read,
-    /// and ship what the round read as one datagram per `(destination,
-    /// destination queue)`.
+    /// TX FSM: read each owned flow's TX ring once, taking what it holds up
+    /// to a datagram, and ship what the round read as one datagram per
+    /// `(destination, destination queue)`.
     fn tx_round(&mut self) -> bool {
-        let batch = self.softregs.batch_size() as usize;
         // Persistent staging table, cleared with capacity kept: grouping by
         // destination is a hash probe + push, never an allocation.
         self.stage_idx.clear();
@@ -432,24 +410,15 @@ impl EngineCore {
             let Some(ring) = self.tx_rings[flow].as_mut() else {
                 continue;
             };
-            // Read `B` lines at a time until the ring runs dry or a full
-            // datagram is in hand: a message leaves as one datagram.
+            // One read takes what the ring holds, up to a full datagram: a
+            // message leaves as one datagram.
             self.tx_scratch.clear();
-            while ring.try_pop_batch(&mut self.tx_scratch, batch) == batch
-                && self.tx_scratch.len() < MAX_LINES_PER_DATAGRAM
-            {}
-            let fetched = self.tx_scratch.len();
+            let fetched = ring.try_pop_batch(&mut self.tx_scratch, MAX_LINES_PER_DATAGRAM);
             if fetched == 0 {
                 continue;
             }
             progress = true;
-            self.window_frames += fetched as u64;
             self.monitor.flows()[flow].tx_frames.add(fetched as u64);
-            if self.direct_polling {
-                self.qstats.direct_polls.add(fetched as u64);
-            } else {
-                self.qstats.cached_polls.add(fetched as u64);
-            }
             // The previous frame's route inputs and stage: a run of frames
             // that route alike — one connection's requests, or its
             // responses to one flow (`pin_route`) — is classified once, and
@@ -505,7 +474,8 @@ impl EngineCore {
         // datagram and backfilling the slot from the pool.
         for i in 0..self.stage_idx.len() {
             let TxStage { dst, dst_queue, .. } = self.stage[i];
-            // Oversized stages (rare) peel full datagrams into pooled heads.
+            // A stage that several flows filled past a datagram peels full
+            // datagrams into pooled heads.
             while self.stage[i].lines.len() > MAX_LINES_PER_DATAGRAM {
                 let mut head = self.pool.get_lines();
                 head.extend(self.stage[i].lines.drain(..MAX_LINES_PER_DATAGRAM));
@@ -950,7 +920,7 @@ mod tests {
     use crate::fabric::{Fabric, MemFabric};
     use crate::ring::ring;
     use crate::softreg::SoftRegisterFile;
-    use dagger_types::{FnId, RpcId, SoftConfigSnapshot};
+    use dagger_types::{FnId, RpcId};
     use std::sync::atomic::AtomicU64;
 
     /// The NIC-shared handles of a hand-driven NIC at address 1 whose single
@@ -970,17 +940,14 @@ mod tests {
                 },
             )
             .unwrap();
-        let softregs = SoftRegisterFile::new(SoftConfigSnapshot {
-            batch_size: 16,
-            active_flows: flows as u16,
-            lb_policy: LbPolicy::Uniform,
-        });
+        let softregs = SoftRegisterFile::default();
+        softregs.set_active_flows(flows as u16);
         // These tests drive rounds by hand and never send control frames.
         let (_ctrl_tx, ctrl_rx) = crossbeam::channel::unbounded();
         NicShared {
             addr,
             conn_mgr,
-            softregs: Arc::new(softregs.unwrap()),
+            softregs: Arc::new(softregs),
             monitor: Arc::new(PacketMonitor::new(flows, queues)),
             stop: Arc::new(AtomicBool::new(false)),
             stop_barrier: Arc::new(AtomicUsize::new(0)),
@@ -1012,15 +979,39 @@ mod tests {
         crate::ring::RingProducer,
         crate::ring::RingConsumer,
     ) {
-        let shared = looped_shared(1, 1);
+        let (core, mut host_tx, mut host_rx) = one_queue_core(1, tx_cap, rx_cap);
+        (core, host_tx.remove(0), host_rx.remove(0))
+    }
+
+    /// A looped single-queue core owning `flows` flows, each with a TX ring
+    /// of `tx_cap` and an RX ring of `rx_cap` lines. Returns the core and
+    /// the host ends of every flow's rings.
+    fn one_queue_core(
+        flows: usize,
+        tx_cap: usize,
+        rx_cap: usize,
+    ) -> (
+        EngineCore,
+        Vec<crate::ring::RingProducer>,
+        Vec<crate::ring::RingConsumer>,
+    ) {
+        let shared = looped_shared(flows, 1);
         let fabric = MemFabric::new();
-        let (host_tx, engine_rx) = ring(tx_cap);
-        let (engine_tx, host_rx) = ring(rx_cap);
+        let (mut host_tx, mut host_rx) = (Vec::new(), Vec::new());
+        let (mut tx_rings, mut rx_rings) = (Vec::new(), Vec::new());
+        for _ in 0..flows {
+            let (h_tx, e_rx) = ring(tx_cap);
+            let (e_tx, h_rx) = ring(rx_cap);
+            host_tx.push(h_tx);
+            host_rx.push(h_rx);
+            tx_rings.push(Some(e_rx));
+            rx_rings.push(Some(e_tx));
+        }
         let parts = WorkerParts {
             queue_id: 0,
             port: fabric.attach_queues(shared.addr, 1).unwrap().remove(0),
-            tx_rings: vec![Some(engine_rx)],
-            rx_rings: vec![Some(engine_tx)],
+            tx_rings,
+            rx_rings,
             reliable: None,
             arbiter: None,
         };
@@ -1282,13 +1273,11 @@ mod tests {
         assert_eq!(stats.retransmissions + stats.wire_drops, 0);
     }
 
-    /// At `batch_size` 16 a 43-line message leaves in one step as one
-    /// datagram (a round reads the ring until it runs dry), and arrives
-    /// whole and in order.
+    /// A 43-line message leaves in one step as one datagram (a round reads
+    /// what the ring holds), and arrives whole and in order.
     #[test]
     fn a_43_line_message_leaves_in_one_step_as_one_datagram() {
         let (mut core, mut host_tx, mut host_rx) = loopback_core();
-        assert_eq!(core.softregs.batch_size(), 16);
         for idx in 0..43 {
             host_tx.try_push(message_frame(0, idx, 43)).unwrap();
         }
@@ -1304,13 +1293,76 @@ mod tests {
         assert_eq!(idx, (0..43).collect::<Vec<u8>>());
     }
 
+    /// A flow holding more than a datagram's worth ships 256 lines in one
+    /// step, leaving the rest in its ring, and the rest in the next step;
+    /// all 300 come back in order, and a warm repeat stays off the heap.
+    #[test]
+    fn a_flow_holding_more_than_one_datagram_ships_256_lines_then_the_rest() {
+        let (mut core, mut host_tx, mut host_rx) = loopback_core_with(512, 512);
+        // Pushes 300 lines and takes two steps; returns the heap
+        // allocations of the steps.
+        let mut round = |core: &mut EngineCore| {
+            for rpc in 0..300 {
+                host_tx.try_push(data_frame(rpc)).unwrap();
+            }
+            let mut shipped = [(0, 0); 2];
+            let (allocs, ()) = alloc_counter::count_allocs(|| {
+                for step in &mut shipped {
+                    let before = core.qstats.snapshot();
+                    assert_eq!(core.step(), Progress::Moved);
+                    let after = core.qstats.snapshot();
+                    *step = (
+                        after.tx_frames - before.tx_frames,
+                        after.tx_datagrams - before.tx_datagrams,
+                    );
+                }
+            });
+            assert_eq!(shipped, [(256, 1), (44, 1)], "(lines, datagrams) per step");
+            assert_eq!(
+                rpc_ids(&drain(&mut host_rx)),
+                (0..300).collect::<Vec<u32>>()
+            );
+            allocs
+        };
+        for _ in 0..4 {
+            round(&mut core);
+        }
+        let allocs = round(&mut core);
+        assert_eq!(allocs, 0, "warm steps hit the allocator {allocs} time(s)");
+    }
+
+    /// Two flows of one queue holding 200 lines each toward one destination
+    /// fill one stage past a datagram: the round ships a 256-line datagram
+    /// and then a 144-line one, each flow's lines in ring order.
+    #[test]
+    fn two_flows_filling_one_stage_ship_256_lines_then_the_rest() {
+        let (mut core, mut host_tx, _host_rx) = one_queue_core(2, 256, 256);
+        let sink = core
+            .port
+            .fabric()
+            .attach_queues(NodeAddr(9), 1)
+            .unwrap()
+            .remove(0);
+        for (first, tx) in [0, 1000].into_iter().zip(&mut host_tx) {
+            for rpc in first..first + 200 {
+                tx.try_push(frame_toward(&core, NodeAddr(9), rpc)).unwrap();
+            }
+        }
+        assert_eq!(core.step(), Progress::Moved);
+        let got: Vec<Vec<u32>> = std::iter::from_fn(|| sink.try_recv())
+            .map(|bytes| rpc_ids(&Datagram::decode(&bytes).unwrap().lines))
+            .collect();
+        assert_eq!(got.iter().map(Vec::len).collect::<Vec<_>>(), [256, 144]);
+        let want: Vec<u32> = (0..200).chain(1000..1200).collect();
+        assert_eq!(got.concat(), want);
+    }
+
     /// A lone frame is written into its RX ring by the step that receives
     /// it: nothing waits for a batch to form, so the next step finds
     /// nothing outstanding.
     #[test]
     fn a_lone_frame_reaches_its_rx_ring_in_the_step_that_receives_it() {
         let (mut core, _host_tx, mut host_rx) = loopback_core();
-        assert_eq!(core.softregs.batch_size(), 16);
         inject(std::slice::from_ref(&core), 0, vec![data_frame(7)]);
         let back = step_out(&mut core, &mut host_rx);
         assert_eq!(rpc_ids(&back), [7]);
@@ -1318,11 +1370,10 @@ mod tests {
     }
 
     /// A 43-line message arriving as one datagram reaches its RX ring
-    /// whole and in order in the step that receives it, at `batch_size` 16.
+    /// whole and in order in the step that receives it.
     #[test]
     fn a_43_line_message_is_delivered_in_the_step_that_receives_it() {
         let (mut core, _host_tx, mut host_rx) = loopback_core();
-        assert_eq!(core.softregs.batch_size(), 16);
         let message = (0..43).map(|idx| message_frame(0, idx, 43)).collect();
         inject(std::slice::from_ref(&core), 0, message);
         let idx: Vec<u8> = step_out(&mut core, &mut host_rx)
@@ -1371,14 +1422,12 @@ mod tests {
         assert_eq!(core.monitor.flows()[0].snapshot().rx_frames, 36);
     }
 
-    /// A 16-frame burst at `batch_size` 16 through 2-line TX and RX rings
-    /// arrives whole and in order, two frames a step: a ring read takes
-    /// what is there and delivery writes one line at a time, so a batch
-    /// size wider than the rings needs no clamp.
+    /// A 16-frame burst through 2-line TX and RX rings arrives whole and
+    /// in order, two frames a step: a ring read takes what is there and
+    /// delivery writes one line at a time.
     #[test]
     fn a_16_frame_burst_through_2_slot_rings_arrives_whole() {
         let (mut core, mut host_tx, mut host_rx) = loopback_core_with(2, 2);
-        assert_eq!(core.softregs.batch_size(), 16);
         let mut pending = (0..16).map(data_frame).peekable();
         let mut back = Vec::new();
         for step in 1..=8 {

@@ -45,11 +45,12 @@ counter_bank! {
         /// nothing is staged against the hardware request buffer's bound.
         /// Kept because the perf ledger reads it.
         reqbuf_backpressure,
-        /// Frames fetched while polling the NIC's local coherent cache
-        /// (low-load mode, §4.4.1).
+        /// Always 0: the functional NIC has no polling modes (§4.4.1's
+        /// cached polling is hardware timing). Kept because the perf
+        /// ledger reads it.
         cached_polls,
-        /// Frames fetched while polling the processor's LLC directly
-        /// (high-load mode, §4.4.1).
+        /// Always 0, like `cached_polls` (§4.4.1's direct LLC polling).
+        /// Kept because the perf ledger reads it.
         direct_polls,
         /// Datagrams deferred (including re-deferred) by reliable-transport
         /// window backpressure.

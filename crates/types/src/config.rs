@@ -7,9 +7,10 @@
 //!   the CPU–NIC interface scheme. Changing these requires a new bitstream.
 //!   We model this with [`HardConfig`], fixed at NIC construction.
 //! * **Soft configuration** — register files the host writes over MMIO at
-//!   runtime: CCI-P batch size, number of active flows, load-balancer choice,
-//!   polling thresholds. We model this with a register file in `dagger-nic`;
-//!   [`SoftConfigSnapshot`] is the plain-data view of those registers.
+//!   runtime: number of active flows, load-balancer choice, and the like.
+//!   We model this with a register file of atomics in `dagger-nic`. The
+//!   paper's CCI-P batch size and polling threshold are not registers here:
+//!   they set hardware timing, which the `dagger-sim` model covers.
 
 use serde::{Deserialize, Serialize};
 
@@ -261,50 +262,9 @@ impl HardConfigBuilder {
     }
 }
 
-/// A plain-data snapshot of the NIC's soft (runtime) register file.
-///
-/// The live registers are atomics owned by `dagger-nic`'s soft-reconfiguration
-/// unit; this snapshot is what the host reads/writes in one shot.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SoftConfigSnapshot {
-    /// CCI-P transfer batch size `B` (Fig. 10/11). 1..=16.
-    pub batch_size: u8,
-    /// Number of currently active flows (≤ hard `num_flows`).
-    pub active_flows: u16,
-    /// RX load-balancer selection.
-    pub lb_policy: LbPolicy,
-}
-
-impl Default for SoftConfigSnapshot {
-    fn default() -> Self {
-        SoftConfigSnapshot {
-            batch_size: 1,
-            active_flows: 0, // 0 = all hard flows active
-            lb_policy: LbPolicy::Uniform,
-        }
-    }
-}
-
-/// Largest supported CCI-P batch size.
+/// Largest CCI-P batch size, the paper's Table 1 value. No register sets
+/// a batch size here: a TX ring read takes what the ring holds.
 pub const MAX_BATCH: u8 = 16;
-
-impl SoftConfigSnapshot {
-    /// Checks register-value invariants.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DaggerError::Config`] if `batch_size` is 0 or above
-    /// [`MAX_BATCH`].
-    pub fn validate(&self) -> Result<()> {
-        if self.batch_size == 0 || self.batch_size > MAX_BATCH {
-            return Err(DaggerError::Config(format!(
-                "batch_size {} outside 1..={MAX_BATCH}",
-                self.batch_size
-            )));
-        }
-        Ok(())
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -378,18 +338,6 @@ mod tests {
     #[test]
     fn rejects_tiny_ring() {
         assert!(HardConfig::builder().tx_ring_capacity(1).build().is_err());
-    }
-
-    #[test]
-    fn soft_config_batch_bounds() {
-        let mut s = SoftConfigSnapshot::default();
-        s.validate().unwrap();
-        s.batch_size = 0;
-        assert!(s.validate().is_err());
-        s.batch_size = MAX_BATCH + 1;
-        assert!(s.validate().is_err());
-        s.batch_size = MAX_BATCH;
-        s.validate().unwrap();
     }
 
     #[test]

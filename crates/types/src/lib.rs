@@ -37,7 +37,7 @@ pub mod ids;
 pub mod offload;
 
 pub use cell::{CacheLine, CACHE_LINE_BYTES, FRAME_PAYLOAD_BYTES, HEADER_BYTES};
-pub use config::{HardConfig, IfaceKind, LbPolicy, SoftConfigSnapshot};
+pub use config::{HardConfig, IfaceKind, LbPolicy};
 pub use error::{DaggerError, Result};
 pub use header::{RpcHeader, RpcKind};
 pub use ids::{ConnectionId, FlowId, FnId, NodeAddr, RpcId, TenantId};

@@ -1,6 +1,6 @@
 //! NIC virtualization (Fig. 14, §6): multiple "virtual but physical" Dagger
 //! NICs on one FPGA, sharing the CCI-P bus through the fair round-robin
-//! arbiter, each tenant with independent soft configuration.
+//! arbiter, each tenant with its own soft register file.
 //!
 //! ```sh
 //! cargo run --release --example multi_tenant
@@ -78,11 +78,6 @@ fn main() -> Result<()> {
             HardConfig::default(),
             arbiter.register(),
         )?;
-
-        // Per-tenant soft configuration: each tenant tunes its own batching.
-        server_nic
-            .softregs()
-            .set_batch_size(1 + (tenant as u8 % 4))?;
 
         let mut server = RpcThreadedServer::new(Arc::clone(&server_nic), 1);
         server.register_service(Arc::new(WorkDispatch::new(TenantService { id: tenant })))?;

@@ -95,30 +95,12 @@ const PIPELINE_DEPTH: usize = 8;
 /// echoes to one server NIC; all NICs share one telemetry hub so the final
 /// reconciliation sweep sees every side.
 pub fn run_conformance(label: &str, fabric: &dyn Fabric, n_clients: u32, calls: u32) {
-    run_conformance_batched(label, fabric, n_clients, calls, 1);
-}
-
-/// [`run_conformance`] with every NIC's CCI-P batch size set to `batch`
-/// right after start: the same invariants must hold when the engine stages,
-/// encodes, and submits `batch` frames per flow per round through the
-/// batched `send_many` doorbell instead of one at a time.
-pub fn run_conformance_batched(
-    label: &str,
-    fabric: &dyn Fabric,
-    n_clients: u32,
-    calls: u32,
-    batch: u8,
-) {
     let telemetry = Telemetry::new();
     let arrivals = Arc::new(Mutex::new(Vec::new()));
 
     let server_nic =
         Nic::start_with_telemetry(fabric, NodeAddr(1), reliable_cfg(), Arc::clone(&telemetry))
             .unwrap_or_else(|e| panic!("[{label}] server start: {e}"));
-    server_nic
-        .softregs()
-        .set_batch_size(batch)
-        .unwrap_or_else(|e| panic!("[{label}] server batch_size {batch}: {e}"));
     let mut server = RpcThreadedServer::new(Arc::clone(&server_nic), 1);
     server
         .register_service(Arc::new(ConformDispatch::new(RecordingEcho(Arc::clone(
@@ -137,9 +119,6 @@ pub fn run_conformance_batched(
             Arc::clone(&telemetry),
         )
         .unwrap_or_else(|e| panic!("[{label}] client {c} start: {e}"));
-        nic.softregs()
-            .set_batch_size(batch)
-            .unwrap_or_else(|e| panic!("[{label}] client {c} batch_size {batch}: {e}"));
         let pool = RpcClientPool::connect(Arc::clone(&nic), NodeAddr(1), 1)
             .unwrap_or_else(|e| panic!("[{label}] client {c} connect: {e}"));
         client_nics.push(nic);

@@ -8,7 +8,7 @@ use dagger::idl::{dagger_message, dagger_service};
 use dagger::nic::arbiter::CcipArbiter;
 use dagger::nic::{MemFabric, Nic};
 use dagger::rpc::{RpcClientPool, RpcThreadedServer};
-use dagger::types::{HardConfig, NodeAddr, Result};
+use dagger::types::{HardConfig, LbPolicy, NodeAddr, Result};
 
 dagger_message! {
     pub struct TenantRequest {
@@ -126,10 +126,10 @@ fn per_tenant_soft_configuration_is_independent() {
         arbiter.register(),
     )
     .unwrap();
-    a.softregs().set_batch_size(8).unwrap();
-    b.softregs().set_batch_size(2).unwrap();
-    assert_eq!(a.softregs().batch_size(), 8);
-    assert_eq!(b.softregs().batch_size(), 2);
+    a.softregs().set_lb_policy(LbPolicy::ObjectLevel);
+    b.softregs().set_lb_policy(LbPolicy::Static);
+    assert_eq!(a.softregs().lb_policy(), LbPolicy::ObjectLevel);
+    assert_eq!(b.softregs().lb_policy(), LbPolicy::Static);
     a.shutdown();
     b.shutdown();
 }

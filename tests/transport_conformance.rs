@@ -35,22 +35,6 @@ fn udp_fabric_conformance() {
     common::run_conformance("udp", &UdpFabric::new(), CLIENTS, CALLS);
 }
 
-/// Batch size wider than 1 on every NIC: the engine's batched rounds
-/// (multi-frame pop, staged encode, one `send_many` doorbell per round)
-/// must preserve byte-exact exactly-once delivery and per-flow FIFO on the
-/// in-process backend.
-#[test]
-fn mem_fabric_conformance_batched() {
-    common::run_conformance_batched("mem-batch8", &MemFabric::new(), CLIENTS, CALLS, 8);
-}
-
-/// Same batched-round invariants over real UDP sockets, where the RX pump
-/// drains bursts with one wake per touched queue.
-#[test]
-fn udp_fabric_conformance_batched() {
-    common::run_conformance_batched("udp-batch8", &UdpFabric::new(), CLIENTS, CALLS, 8);
-}
-
 /// The composed plan of the chaos column, seeded by `RUST_SEED` so a
 /// failure replays from the seed in its label.
 fn chaos_plan() -> (u64, FaultPlan) {
