@@ -20,12 +20,13 @@
 //!    the run to one of the destination NIC's queues
 //!    ([`EngineCore::pin_route`]), groups frames by `(destination, queue)`,
 //!    and ships each group as one transport datagram.
-//! 2. **RX FSM** — drains its fabric port queue, decodes datagrams, hands
-//!    control frames to the Connection Manager ([`crate::connmgr`]) and
+//! 2. **RX FSM** — drains its fabric port queue, decodes datagrams, and
+//!    classifies a message once, at its first frame in the datagram:
+//!    control frames go to the Connection Manager ([`crate::connmgr`]),
 //!    request lead frames to the offload stage ([`crate::offload`]) — each
-//!    decides, the engine ships whatever reply lines come back — steers
-//!    each data frame to one of the flows this worker owns and writes it
-//!    straight into that flow's RX ring (a full ring is a counted drop).
+//!    decides, the engine ships whatever reply lines come back — and a data
+//!    frame is steered to a flow this worker owns, which the message's other
+//!    frames follow. Each frame goes straight into its flow's RX ring.
 //!
 //! A frame never changes worker after the fabric (DESIGN.md §13). A
 //! response is routed by its sender to the queue that owns the flow it
@@ -242,11 +243,6 @@ pub(crate) enum Progress {
     Idle,
 }
 
-/// Packs a staging-table key from destination address and queue.
-fn stage_key(dst: NodeAddr, dst_queue: u16) -> u64 {
-    u64::from(dst.raw()) << 16 | u64::from(dst_queue)
-}
-
 impl EngineCore {
     /// Builds the worker for `parts.queue_id`: the NIC-shared handles, the
     /// worker's own rings, port and transport, and every piece of private
@@ -432,14 +428,7 @@ impl EngineCore {
                     self.qstats.unknown_connection_drops.inc();
                     continue;
                 };
-                let lead_request = hdr.kind == RpcKind::Request && hdr.frame_idx == 0;
-                if lead_request {
-                    self.telemetry.tracer().record(
-                        hdr.connection_id.raw(),
-                        hdr.rpc_id.raw(),
-                        RpcEvent::EnginePickup,
-                    );
-                }
+                let lead_request = self.stamp_lead(&hdr, RpcEvent::EnginePickup);
                 // TX half of the offload stage (DESIGN.md §18).
                 self.offload.tx_response(
                     &hdr,
@@ -498,7 +487,7 @@ impl EngineCore {
     fn stage_for(&mut self, hdr: &RpcHeader, dst: NodeAddr) -> usize {
         let dst_queue = self.pin_route(hdr, dst);
         let next = self.stage_idx.len();
-        let key = stage_key(dst, dst_queue);
+        let key = u64::from(dst.raw()) << 16 | u64::from(dst_queue);
         let i = *self.stage_idx.entry(key).or_insert(next);
         if i == self.stage.len() {
             self.stage.push(TxStage::default());
@@ -643,12 +632,7 @@ impl EngineCore {
                 break;
             };
             progress = true;
-            let dst_queue = dgram
-                .lines
-                .first()
-                .and_then(|l| RpcHeader::decode(l.header()).ok())
-                .map_or(0, |h| self.pin_route(&h, dst));
-            self.send_datagram(dgram, dst_queue);
+            self.originate(dst, dgram.lines);
         }
         self.flush_wire();
         progress
@@ -758,18 +742,21 @@ impl EngineCore {
                 self.absorb_datagram(dgram);
             }
         }
-        // Replies staged by `rx_frame` (open-acks, offload hits) ship here.
+        // Replies staged by `classify` (open-acks, offload hits) ship here.
         self.flush_wire();
         progress
     }
 
     /// Steers one decoded, in-sequence datagram's frames into the RX path
-    /// and recycles its line vector.
+    /// and recycles its line vector. A message moves as one unit: a frame
+    /// that continues the one before it ([`RpcHeader::continues`]) follows
+    /// it into the same flow, so only the first frame is classified.
     fn absorb_datagram(&mut self, dgram: Datagram) {
         self.qstats.rx_datagrams.inc();
         self.qstats.rx_frames.add(dgram.lines.len() as u64);
+        let mut run = None;
         for &line in &dgram.lines {
-            self.rx_frame(line);
+            run = self.rx_frame(line, run);
         }
         match &mut self.reliable {
             Some(rel) => rel.recycle_rx_lines(dgram.lines),
@@ -777,67 +764,87 @@ impl EngineCore {
         }
     }
 
-    /// Ships `lines` (a reply this engine originates) toward `dst` on the
-    /// queue [`EngineCore::pin_route`] picks for its first frame.
-    fn reply(&mut self, dst: NodeAddr, lines: Vec<CacheLine>) {
-        let dst_queue = match lines.first().map(|l| RpcHeader::decode(l.header())) {
-            Some(Ok(hdr)) => self.pin_route(&hdr, dst),
-            _ => 0,
-        };
+    /// Ships `lines` (frames this engine originates: control, open-acks,
+    /// offload hits) toward `dst` on the queue [`EngineCore::pin_route`]
+    /// picks for the first frame.
+    fn originate(&mut self, dst: NodeAddr, lines: Vec<CacheLine>) {
+        let first = lines
+            .first()
+            .and_then(|l| RpcHeader::decode(l.header()).ok());
+        let dst_queue = first.map_or(0, |hdr| self.pin_route(&hdr, dst));
         self.send_datagram(Datagram::new(self.addr, dst, lines), dst_queue);
     }
 
-    /// One received frame: decode, control, trace stamp, tuple lookup,
-    /// offload, steer, deliver.
-    fn rx_frame(&mut self, line: CacheLine) {
+    /// One received frame: decode; follow `run` (the header and flow of the
+    /// frame before it) if this frame continues it, else classify; then the
+    /// CCI-P write into the flow's RX ring. Returns the next frame's run.
+    fn rx_frame(
+        &mut self,
+        line: CacheLine,
+        run: Option<(RpcHeader, usize)>,
+    ) -> Option<(RpcHeader, usize)> {
         let Ok(hdr) = RpcHeader::decode(line.header()) else {
             self.qstats.unknown_connection_drops.inc();
-            return;
+            return None;
         };
-        match rx_control(&hdr, &line, &self.conn_mgr, &self.confirmed) {
+        let flow = match run {
+            Some((prev, flow)) if hdr.continues(&prev) => flow,
+            _ => self.classify(&hdr, &line)?,
+        };
+        // `steer` only picks owned flows; a missing ring would be a
+        // steering bug, counted like a full one rather than lost silently.
+        let delivered = self.rx_rings[flow]
+            .as_mut()
+            .is_some_and(|ring| ring.try_push(line).is_ok());
+        let bank = &self.monitor.flows()[flow];
+        if delivered {
+            bank.rx_frames.inc();
+            self.stamp_lead(&hdr, RpcEvent::RxDeliver);
+        } else {
+            self.qstats.rx_ring_drops.inc();
+            bank.rx_ring_drops.inc();
+        }
+        Some((hdr, flow))
+    }
+
+    /// The flow a frame that starts a run goes to, after control, the trace
+    /// stamp, the tuple lookup, offload and steering; `None` when one of
+    /// them consumed or dropped it.
+    fn classify(&mut self, hdr: &RpcHeader, line: &CacheLine) -> Option<usize> {
+        match rx_control(hdr, line, &self.conn_mgr, &self.confirmed) {
             Control::Data => {}
-            Control::Done => return,
+            Control::Done => return None,
             Control::Ack { to, line: ack } => {
                 let mut lines = self.pool.get_lines();
                 lines.push(ack);
-                self.reply(to, lines);
-                return;
+                self.originate(to, lines);
+                return None;
             }
         }
-        // Data frame: stamp the fabric-arrival trace event for first
-        // request frames.
-        if hdr.kind == RpcKind::Request && hdr.frame_idx == 0 {
-            self.telemetry.tracer().record(
-                hdr.connection_id.raw(),
-                hdr.rpc_id.raw(),
-                RpcEvent::EngineRx,
-            );
-        }
-        let tuple = self
-            .conn_cache
-            .lookup(hdr.connection_id, CmPort::Rx, &self.conn_mgr);
-        let Some(tuple) = tuple else {
+        self.stamp_lead(hdr, RpcEvent::EngineRx);
+        let cache = &mut self.conn_cache;
+        let Some(tuple) = cache.lookup(hdr.connection_id, CmPort::Rx, &self.conn_mgr) else {
             self.qstats.unknown_connection_drops.inc();
-            return;
+            return None;
         };
         // RX half of the on-NIC offload stage (DESIGN.md §18): a cacheable
         // read that hits comes back as its response lines — the frame never
         // reaches a host core; everything else steers on.
         if let Some(hit) = self.offload.rx_request(
-            &hdr,
-            &line,
+            hdr,
+            line,
             usize::from(self.queue_id),
             self.softregs.nic_serde(),
             self.softregs.offload_cache_entries() as usize,
             &mut self.pool,
         ) {
-            self.reply(tuple.dest_addr, hit);
-            return;
+            self.originate(tuple.dest_addr, hit);
+            return None;
         }
-        let Some(flow) = self.steer(&hdr, line.payload(), tuple.lb, tuple.src_flow) else {
+        let Some(flow) = self.steer(hdr, line.payload(), tuple.lb, tuple.src_flow) else {
             // A frame this worker cannot own: counted, never passed on.
             self.qstats.rx_ring_drops.inc();
-            return;
+            return None;
         };
         // A response's lead frame settles one request of its connection's
         // pin: this worker sent that request.
@@ -851,26 +858,17 @@ impl EngineCore {
             usize::from(self.queue_id),
             "flow {flow} delivered by a worker that does not own it"
         );
-        // The CCI-P write into the flow's RX ring. `steer` only picks owned
-        // flows; a missing ring would be a steering bug, counted like a
-        // full one rather than lost silently.
-        let delivered = self.rx_rings[flow]
-            .as_mut()
-            .is_some_and(|ring| ring.try_push(line).is_ok());
-        let bank = &self.monitor.flows()[flow];
-        if delivered {
-            bank.rx_frames.inc();
-            if hdr.kind == RpcKind::Request && hdr.frame_idx == 0 {
-                self.telemetry.tracer().record(
-                    hdr.connection_id.raw(),
-                    hdr.rpc_id.raw(),
-                    RpcEvent::RxDeliver,
-                );
-            }
-        } else {
-            self.qstats.rx_ring_drops.inc();
-            bank.rx_ring_drops.inc();
+        Some(flow)
+    }
+
+    /// Stamps `event` when `hdr` is a request's lead frame, and says so.
+    fn stamp_lead(&self, hdr: &RpcHeader, event: RpcEvent) -> bool {
+        let lead = hdr.kind == RpcKind::Request && hdr.frame_idx == 0;
+        if lead {
+            let tracer = self.telemetry.tracer();
+            tracer.record(hdr.connection_id.raw(), hdr.rpc_id.raw(), event);
         }
+        lead
     }
 
     /// The flow a data frame belongs to, among the flows this worker owns,
@@ -1126,6 +1124,19 @@ mod tests {
         })
     }
 
+    /// Frame `idx` of a `count`-frame request `rpc` on connection 1.
+    fn request_frame(rpc: u32, idx: u8, count: u8) -> CacheLine {
+        restamped(message_frame(rpc, idx, count), |h| {
+            h.kind = RpcKind::Request
+        })
+    }
+
+    /// RX and TX tuple lookups `core` has made.
+    fn lookups(core: &EngineCore) -> u64 {
+        let s = core.conn_cache.shared_stats().snapshot();
+        s.hits + s.misses
+    }
+
     /// A data frame on connection 2, which this opens toward `dst` — any
     /// address other than the core's own.
     fn frame_toward(core: &EngineCore, dst: NodeAddr, rpc: u32) -> CacheLine {
@@ -1369,19 +1380,120 @@ mod tests {
         assert_eq!(core.step(), Progress::Idle);
     }
 
-    /// A 43-line message arriving as one datagram reaches its RX ring
-    /// whole and in order in the step that receives it.
+    /// A 43-line message arriving as one datagram reaches one RX ring whole
+    /// and in order in the step that receives it, classified once (one
+    /// tuple lookup); a warm repeat stays off the heap.
     #[test]
     fn a_43_line_message_is_delivered_in_the_step_that_receives_it() {
-        let (mut core, _host_tx, mut host_rx) = loopback_core();
-        let message = (0..43).map(|idx| message_frame(0, idx, 43)).collect();
-        inject(std::slice::from_ref(&core), 0, message);
-        let idx: Vec<u8> = step_out(&mut core, &mut host_rx)
-            .iter()
-            .map(|l| RpcHeader::decode(l.header()).unwrap().frame_idx)
+        let (mut core, _host_tx, mut host_rx) = one_queue_core(4, 64, 64);
+        // A multi-frame request steers by its `(cid, rpc)` hash.
+        let home = |rpc| {
+            let hdr = RpcHeader::decode(request_frame(rpc, 0, 43).header()).unwrap();
+            LoadBalancer::new(LbPolicy::Uniform, (0, 32)).steer(&hdr, &[], 4, None)
+        };
+        for rpc in 0..8 {
+            // Sent in a buffer from the core's own pool, which the step
+            // recycles into it.
+            let message = (0..43).map(|idx| request_frame(rpc, idx, 43)).collect();
+            let mut bytes = core.pool.get_bytes();
+            Datagram::new(core.addr, core.addr, message).encode_into(&mut bytes);
+            core.port.send_to(core.addr, 0, bytes).unwrap();
+            let (allocs, _) = alloc_counter::count_allocs(|| core.step());
+            for (flow, rx) in host_rx.iter_mut().enumerate() {
+                let idx: Vec<u8> = drain(rx)
+                    .iter()
+                    .map(|l| RpcHeader::decode(l.header()).unwrap().frame_idx)
+                    .collect();
+                let want = if flow == home(rpc) {
+                    (0..43).collect()
+                } else {
+                    vec![]
+                };
+                assert_eq!(idx, want, "rpc {rpc} on flow {flow}");
+            }
+            assert_eq!(lookups(&core), u64::from(rpc) + 1, "one lookup a message");
+            assert!(
+                rpc < 4 || allocs == 0,
+                "warm step allocated {allocs} time(s)"
+            );
+        }
+    }
+
+    /// Two messages interleaved line by line in one datagram each land
+    /// whole and in order on their own flows; every frame breaks the run
+    /// of the one before, so each is classified.
+    #[test]
+    fn interleaved_messages_in_one_datagram_land_whole_on_their_own_flows() {
+        let (mut core, _host_tx, mut host_rx) = one_queue_core(2, 64, 64);
+        let lines = (0..5)
+            .flat_map(|idx| {
+                let b = restamped(message_frame(1, idx, 5), |h| h.src_flow = FlowId(1));
+                [message_frame(0, idx, 5), b]
+            })
             .collect();
-        assert_eq!(idx, (0..43).collect::<Vec<u8>>());
-        assert_eq!(core.monitor.flows()[0].snapshot().rx_frames, 43);
+        inject(std::slice::from_ref(&core), 0, lines);
+        core.step();
+        for (flow, rx) in host_rx.iter_mut().enumerate() {
+            let got: Vec<(u32, u8)> = drain(rx)
+                .iter()
+                .map(|l| RpcHeader::decode(l.header()).unwrap())
+                .map(|h| (h.rpc_id.raw(), h.frame_idx))
+                .collect();
+            let want: Vec<(u32, u8)> = (0..5).map(|idx| (flow as u32, idx)).collect();
+            assert_eq!(got, want, "flow {flow}");
+        }
+        assert_eq!(lookups(&core), 10);
+    }
+
+    /// A frame that does not continue the one before it — another RPC, a
+    /// frame index out of order, another connection — is classified on its
+    /// own: its own lookup, its own steering, its own drop.
+    #[test]
+    fn a_frame_that_breaks_a_run_is_classified_on_its_own() {
+        let (mut core, _host_tx, mut host_rx) = one_queue_core(4, 64, 64);
+        let home = |rpc| {
+            let hdr = RpcHeader::decode(request_frame(rpc, 0, 3).header()).unwrap();
+            LoadBalancer::new(LbPolicy::Uniform, (0, 32)).steer(&hdr, &[], 4, None)
+        };
+        let other = (1..).find(|&rpc| home(rpc) != home(0)).unwrap();
+        let run = |core: &mut EngineCore, lines: Vec<CacheLine>| {
+            let before = lookups(core);
+            inject(std::slice::from_ref(core), 0, lines);
+            core.step();
+            lookups(core) - before
+        };
+        // Another RPC mid-message: it goes to its own home, and the message
+        // resumes with a lookup of its own.
+        let f = |rpc, idx| request_frame(rpc, idx, 3);
+        assert_eq!(
+            run(&mut core, vec![f(0, 0), f(0, 1), f(other, 2), f(0, 2)]),
+            3
+        );
+        assert_eq!(rpc_ids(&drain(&mut host_rx[home(0)])), [0, 0, 0]);
+        assert_eq!(rpc_ids(&drain(&mut host_rx[home(other)])), [other]);
+        // Out of order: every frame is classified.
+        assert_eq!(run(&mut core, vec![f(0, 0), f(0, 2), f(0, 1)]), 3);
+        assert_eq!(drain(&mut host_rx[home(0)]).len(), 3);
+        // An unknown connection mid-message is one drop, that frame only.
+        let stranger = restamped(f(0, 1), |h| h.connection_id = ConnectionId(77));
+        run(&mut core, vec![f(0, 0), stranger, f(0, 2)]);
+        assert_eq!(core.qstats.snapshot().unknown_connection_drops, 1);
+        assert_eq!(drain(&mut host_rx[home(0)]).len(), 2);
+    }
+
+    /// A ring that fills mid-message counts each overflowed line as an
+    /// `rx_ring_drops` on both banks; the message is still classified once.
+    #[test]
+    fn a_ring_filling_mid_message_counts_each_overflowed_line() {
+        let (mut core, _host_tx, mut host_rx) = loopback_core_with(64, 4);
+        let message = (0..6).map(|idx| message_frame(0, idx, 6)).collect();
+        inject(std::slice::from_ref(&core), 0, message);
+        core.step();
+        assert_eq!(drain(&mut host_rx).len(), 4);
+        let flow = core.monitor.flows()[0].snapshot();
+        assert_eq!((flow.rx_frames, flow.rx_ring_drops), (4, 2));
+        assert_eq!(core.qstats.snapshot().rx_ring_drops, 2);
+        assert_eq!(lookups(&core), 1);
     }
 
     /// On a 4-line RX ring the host has not drained, a 6-frame burst

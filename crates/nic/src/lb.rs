@@ -61,10 +61,12 @@ impl LoadBalancer {
     }
 
     /// Picks one of `slots` positions (`0..slots`) for an incoming request
-    /// frame.
+    /// frame. The engine asks once per message lead — the first frame of a
+    /// message in a datagram; the frames that continue it follow its flow.
     ///
     /// * Multi-frame requests steer by `(connection, rpc)` hash so every
-    ///   frame of an RPC reaches the same ring.
+    ///   frame of an RPC reaches the same ring, including a lead that
+    ///   starts a datagram mid-message.
     /// * Single-frame requests follow the configured policy: Uniform
     ///   round-robins, Static follows `static_flow` (else `hdr.src_flow`),
     ///   Object-Level hashes the key.

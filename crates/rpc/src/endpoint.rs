@@ -104,8 +104,9 @@ impl FlowEndpoint {
         self.telemetry.as_ref()
     }
 
-    /// Writes an RPC's frames into the TX ring; on a full ring, steps the
-    /// flow's engine (which drains it) and backs off, until `deadline`.
+    /// Writes an RPC's frames into the TX ring as one batch (one engine
+    /// wake-up); while the ring is full, steps the flow's engine (which
+    /// drains it) and backs off, until `deadline`.
     ///
     /// # Errors
     ///
@@ -115,24 +116,21 @@ impl FlowEndpoint {
         let mut tx = self.tx.lock();
         self.stamp_tx_enqueue(frames);
         let mut wait = HostWait::new(&self.engine);
-        for frame in frames {
-            loop {
-                match tx.try_push(*frame) {
-                    Ok(()) => {
-                        wait.reset();
-                        break;
-                    }
-                    Err(DaggerError::RingFull) => {
-                        if Instant::now() >= deadline {
-                            return Err(DaggerError::Timeout);
-                        }
-                        wait.idle();
-                    }
-                    Err(e) => return Err(e),
-                }
+        let mut rest = frames;
+        loop {
+            let pushed = tx.try_push_batch(rest);
+            rest = &rest[pushed..];
+            if rest.is_empty() {
+                return Ok(());
+            }
+            if pushed > 0 {
+                wait.reset();
+            } else if Instant::now() >= deadline {
+                return Err(DaggerError::Timeout);
+            } else {
+                wait.idle();
             }
         }
-        Ok(())
     }
 
     /// Stamps the `TxEnqueue` trace event for a request's lead frame.

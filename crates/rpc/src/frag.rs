@@ -12,13 +12,16 @@
 //! Reassembly is one memory pass: a half-assembled RPC is one buffer of
 //! `frame_count × 48` bytes allocated at its first fragment, each fragment
 //! is copied once to `frame_idx × 48`, and completion hands the buffer over
-//! — one allocation and one map probe per frame, whatever the frame count.
-//! That placement is why every fragment but the last must be full (which
-//! [`fragment_with_ctx`] and the NIC's offload path guarantee); a short one
-//! is a [`DaggerError::Wire`] error. Pending memory is bounded by the
-//! pending limit times [`MAX_RPC_PAYLOAD`].
+//! — one allocation per RPC, whatever the frame count. The RPC being filled
+//! is held outside the map, so a message whose frames arrive back to back
+//! (the NIC writes them so) probes the map once, at its first frame; a
+//! frame of another RPC parks it there. Fragment placement is why every
+//! fragment but the last must be full (which [`fragment_with_ctx`] and the
+//! NIC's offload path guarantee); a short one is a [`DaggerError::Wire`]
+//! error. Pending memory is bounded by the pending limit times
+//! [`MAX_RPC_PAYLOAD`].
 
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::HashMap;
 
 use dagger_telemetry::TraceContext;
 use dagger_types::{
@@ -194,6 +197,10 @@ pub const DEFAULT_PENDING_LIMIT: usize = 1024;
 /// into a drop the reliable layer's retransmission repairs.
 #[derive(Debug)]
 pub struct Reassembler {
+    /// The RPC the last multi-frame fragment belonged to, out of the map.
+    filling: Option<(RpcKey, Partial)>,
+    /// Every other half-assembled RPC. Keys come off the wire, so the map
+    /// keeps the default (collision-resistant) hasher.
     partial: HashMap<RpcKey, Partial>,
     limit: usize,
     arrivals: u64,
@@ -216,6 +223,7 @@ impl Reassembler {
     /// (`limit` of 0 becomes 1).
     pub fn with_limit(limit: usize) -> Self {
         Reassembler {
+            filling: None,
             partial: HashMap::new(),
             limit: limit.max(1),
             arrivals: 0,
@@ -225,7 +233,7 @@ impl Reassembler {
 
     /// Number of RPCs currently awaiting more frames.
     pub fn pending(&self) -> usize {
-        self.partial.len()
+        self.partial.len() + usize::from(self.filling.is_some())
     }
 
     /// Partial RPCs evicted by the pending bound.
@@ -236,8 +244,11 @@ impl Reassembler {
     /// Discards any half-assembled frames of `(cid, rpc_id)` (both request
     /// and response direction) — the abandon path's cleanup.
     pub fn forget(&mut self, cid: ConnectionId, rpc_id: RpcId) {
-        self.partial
-            .retain(|k, _| !(k.0 == cid.raw() && k.1 == rpc_id.raw()));
+        let of_rpc = |k: &RpcKey| k.0 == cid.raw() && k.1 == rpc_id.raw();
+        if self.filling.as_ref().is_some_and(|(k, _)| of_rpc(k)) {
+            self.filling = None;
+        }
+        self.partial.retain(|k, _| !of_rpc(k));
     }
 
     /// Feeds one received frame. Returns `Some(rpc)` when this frame
@@ -263,7 +274,7 @@ impl Reassembler {
         }
         let key: RpcKey = (hdr.connection_id.raw(), hdr.rpc_id.raw(), hdr.kind as u8);
         if !hdr.is_last_frame() && chunk.len() != FRAME_PAYLOAD_BYTES {
-            self.partial.remove(&key);
+            self.discard(key);
             return Err(DaggerError::Wire(format!(
                 "short fragment {} of {} for rpc {}: {} bytes",
                 hdr.frame_idx,
@@ -272,33 +283,13 @@ impl Reassembler {
                 chunk.len()
             )));
         }
-        if self.partial.len() >= self.limit && !self.partial.contains_key(&key) {
-            // Bound pending state: evict the oldest half-assembled RPC.
-            if let Some(oldest) = self
-                .partial
-                .iter()
-                .min_by_key(|(_, p)| p.first_arrival)
-                .map(|(k, _)| *k)
-            {
-                self.partial.remove(&oldest);
-                self.evictions += 1;
-            }
+        if self.filling.as_ref().map(|(k, _)| *k) != Some(key) {
+            self.start_filling(key, &hdr);
         }
-        self.arrivals += 1;
-        let mut slot = match self.partial.entry(key) {
-            Entry::Occupied(slot) => slot,
-            Entry::Vacant(slot) => slot.insert_entry(Partial {
-                header: hdr,
-                payload: vec![0; usize::from(hdr.frame_count) * FRAME_PAYLOAD_BYTES],
-                seen: [0; 4],
-                received: 0,
-                last_len: 0,
-                first_arrival: self.arrivals,
-            }),
-        };
-        let partial = slot.get_mut();
+        let (_, partial) = self.filling.as_mut().expect("start_filling fills");
         if partial.header.frame_count != hdr.frame_count || partial.header.fn_id != hdr.fn_id {
-            let expect = slot.remove().header.frame_count;
+            let expect = partial.header.frame_count;
+            self.filling = None;
             return Err(DaggerError::Wire(format!(
                 "inconsistent frames for rpc {}: frame_count {} vs {expect}",
                 hdr.rpc_id, hdr.frame_count
@@ -317,15 +308,68 @@ impl Reassembler {
         if partial.received < hdr.frame_count {
             return Ok(None);
         }
+        let (_, done) = self
+            .filling
+            .take()
+            .expect("filling holds the completed RPC");
         let Partial {
             mut header,
             mut payload,
             last_len,
             ..
-        } = slot.remove();
+        } = done;
         payload.truncate(payload.len() - FRAME_PAYLOAD_BYTES + last_len);
         header.frame_idx = 0;
         Ok(Some(CompleteRpc { header, payload }))
+    }
+
+    /// Makes `key`'s partial the one being filled: the one being filled
+    /// before parks in the map, and `key`'s comes out of it — or starts,
+    /// evicting the oldest partial first when the pending bound is hit.
+    fn start_filling(&mut self, key: RpcKey, hdr: &RpcHeader) {
+        if let Some((parked, partial)) = self.filling.take() {
+            self.partial.insert(parked, partial);
+        }
+        let partial = match self.partial.remove(&key) {
+            Some(partial) => partial,
+            None => {
+                if self.partial.len() >= self.limit {
+                    self.evict_oldest();
+                }
+                self.arrivals += 1;
+                Partial {
+                    header: *hdr,
+                    payload: vec![0; usize::from(hdr.frame_count) * FRAME_PAYLOAD_BYTES],
+                    seen: [0; 4],
+                    received: 0,
+                    last_len: 0,
+                    first_arrival: self.arrivals,
+                }
+            }
+        };
+        self.filling = Some((key, partial));
+    }
+
+    /// Drops the half-assembled RPC that started first.
+    fn evict_oldest(&mut self) {
+        let oldest = self
+            .partial
+            .iter()
+            .min_by_key(|(_, p)| p.first_arrival)
+            .map(|(k, _)| *k);
+        if let Some(oldest) = oldest {
+            self.partial.remove(&oldest);
+            self.evictions += 1;
+        }
+    }
+
+    /// Drops whatever was assembled of `key`.
+    fn discard(&mut self, key: RpcKey) {
+        if self.filling.as_ref().is_some_and(|(k, _)| *k == key) {
+            self.filling = None;
+        } else {
+            self.partial.remove(&key);
+        }
     }
 }
 
@@ -662,7 +706,13 @@ mod tests {
         assert!(r.pending() <= 2);
         // Memory follows the count: one buffer per partial, none larger
         // than the largest RPC.
-        let held: usize = r.partial.values().map(|p| p.payload.capacity()).sum();
+        let filling = r.filling.iter().map(|(_, p)| p);
+        let held: usize = r
+            .partial
+            .values()
+            .chain(filling)
+            .map(|p| p.payload.capacity())
+            .sum();
         assert!(held <= 2 * MAX_RPC_PAYLOAD, "{held} bytes pending");
     }
 
@@ -701,5 +751,102 @@ mod tests {
         )
         .unwrap()[1];
         assert!(r.push(forged).is_err());
+    }
+
+    /// The three frames of request `rpc` on connection 1: 120 bytes of `rpc`.
+    fn rpc_frames(rpc: u32) -> Vec<CacheLine> {
+        fragment(
+            ConnectionId(1),
+            RpcId(rpc),
+            FnId(3),
+            FlowId(4),
+            RpcKind::Request,
+            &[rpc as u8; 120],
+        )
+        .unwrap()
+    }
+
+    /// The RPC being filled is held out of the map, and still counts as
+    /// pending; a frame of another RPC parks it without losing a byte.
+    #[test]
+    fn pending_counts_the_partial_being_filled() {
+        let (a, b) = (rpc_frames(0), rpc_frames(1));
+        let mut r = Reassembler::new();
+        assert!(r.push(a[0]).unwrap().is_none());
+        assert!(r.filling.is_some() && r.partial.is_empty());
+        assert_eq!(r.pending(), 1);
+        assert!(r.push(b[0]).unwrap().is_none());
+        assert_eq!(
+            (r.pending(), r.partial.len()),
+            (2, 1),
+            "a parked, b filling"
+        );
+        assert!(r.push(a[1]).unwrap().is_none());
+        assert_eq!(r.push(a[2]).unwrap().unwrap().payload, vec![0u8; 120]);
+        assert_eq!((r.pending(), r.filling.is_none()), (1, true));
+        assert!(r.push(b[1]).unwrap().is_none());
+        assert_eq!(r.push(b[2]).unwrap().unwrap().payload, vec![1u8; 120]);
+        assert_eq!(r.pending(), 0);
+    }
+
+    /// `forget` reaches the RPC being filled as well as the parked ones.
+    #[test]
+    fn forget_drops_the_partial_being_filled() {
+        let (a, b) = (rpc_frames(0), rpc_frames(1));
+        let mut r = Reassembler::new();
+        r.push(a[0]).unwrap();
+        r.push(b[0]).unwrap();
+        r.forget(ConnectionId(1), RpcId(1));
+        assert!(r.filling.is_none());
+        assert_eq!(r.pending(), 1);
+        r.forget(ConnectionId(1), RpcId(0));
+        assert_eq!(r.pending(), 0);
+    }
+
+    /// Starting an RPC at the bound while another is being filled parks
+    /// that one and evicts the oldest of all, the one being filled included.
+    #[test]
+    fn the_bound_counts_and_evicts_the_partial_being_filled() {
+        let mut r = Reassembler::with_limit(2);
+        for rpc in 0..2 {
+            r.push(rpc_frames(rpc)[0]).unwrap();
+        }
+        // rpc 0 is parked and oldest, rpc 1 is being filled.
+        r.push(rpc_frames(2)[0]).unwrap();
+        assert_eq!((r.pending(), r.evictions()), (2, 1));
+        assert!(!r.partial.contains_key(&(1, 0, RpcKind::Request as u8)));
+        // Resume rpc 1 (parked now), then start rpc 3 while it is being
+        // filled: the oldest left is rpc 1 itself.
+        r.push(rpc_frames(1)[1]).unwrap();
+        r.push(rpc_frames(3)[0]).unwrap();
+        assert_eq!((r.pending(), r.evictions()), (2, 2));
+        assert!(!r.partial.contains_key(&(1, 1, RpcKind::Request as u8)));
+        let rpc2 = r.push(rpc_frames(2)[1]).unwrap();
+        assert!(rpc2.is_none());
+        assert_eq!(r.push(rpc_frames(2)[2]).unwrap().unwrap().payload, [2; 120]);
+        assert!(r.pending() <= 2);
+    }
+
+    /// A short or inconsistent frame clears the RPC being filled.
+    #[test]
+    fn a_bad_frame_clears_the_partial_being_filled() {
+        let frames = rpc_frames(0);
+        let short = restamp(frames[1], |h| h.frame_payload_len = 47);
+        let recounted = restamp(frames[1], |h| h.frame_count = 4);
+        for bad in [short, recounted] {
+            let mut r = Reassembler::new();
+            r.push(frames[0]).unwrap();
+            assert!(matches!(r.push(bad), Err(DaggerError::Wire(_))));
+            assert!(r.filling.is_none());
+            assert_eq!(r.pending(), 0);
+        }
+    }
+
+    /// `line` with its header rewritten by `edit`.
+    fn restamp(mut line: CacheLine, edit: impl FnOnce(&mut RpcHeader)) -> CacheLine {
+        let mut hdr = RpcHeader::decode(line.header()).unwrap();
+        edit(&mut hdr);
+        hdr.encode(line.header_mut());
+        line
     }
 }

@@ -487,16 +487,20 @@ fn dispatch_one(ctx: &DispatchCtx, item: &WorkItem) {
         }
         return;
     };
+    // One batch, one engine wake-up; only a full ring makes it loop.
     let mut producer = item.tx.ring.lock();
     let mut wait = HostWait::new(&item.tx.engine);
-    for frame in frames {
-        while producer.try_push(frame).is_err() {
-            if ctx.stop.load(Ordering::Acquire) {
-                return;
-            }
-            // Stepping the flow's engine is what drains its TX ring.
-            wait.idle();
+    let mut rest = frames.as_slice();
+    loop {
+        rest = &rest[producer.try_push_batch(rest)..];
+        if rest.is_empty() {
+            break;
         }
+        if ctx.stop.load(Ordering::Acquire) {
+            return;
+        }
+        // Stepping the flow's engine is what drains its TX ring.
+        wait.idle();
     }
     drop(producer);
     tracer.record(item.cid.raw(), item.rpc_id.raw(), RpcEvent::HandlerDone);

@@ -123,6 +123,7 @@ impl RpcHeader {
     /// # Panics
     ///
     /// Panics if `buf` is shorter than [`HEADER_BYTES`].
+    #[inline]
     pub fn encode(&self, buf: &mut [u8]) {
         assert!(buf.len() >= HEADER_BYTES, "header buffer too small");
         buf[0..4].copy_from_slice(&self.connection_id.raw().to_le_bytes());
@@ -144,6 +145,7 @@ impl RpcHeader {
     /// Returns [`DaggerError::Wire`] if the kind byte is invalid, the frame
     /// payload length exceeds [`FRAME_PAYLOAD_BYTES`], the frame index is not
     /// below the frame count, or the frame count is zero.
+    #[inline]
     pub fn decode(buf: &[u8]) -> Result<Self> {
         if buf.len() < HEADER_BYTES {
             return Err(DaggerError::Wire(format!(
@@ -184,6 +186,20 @@ impl RpcHeader {
     /// `true` if this is the last frame of its RPC.
     pub fn is_last_frame(&self) -> bool {
         self.frame_idx + 1 == self.frame_count
+    }
+
+    /// `true` if this frame is the one right after `prev` in the same
+    /// message: same connection, RPC, function, kind and frame count, and
+    /// the next frame index. Whatever the first frame of a message decided
+    /// for it holds for such a frame.
+    #[inline]
+    pub fn continues(&self, prev: &RpcHeader) -> bool {
+        self.connection_id == prev.connection_id
+            && self.rpc_id == prev.rpc_id
+            && self.fn_id == prev.fn_id
+            && self.kind == prev.kind
+            && self.frame_count == prev.frame_count
+            && self.frame_idx.checked_sub(1) == Some(prev.frame_idx)
     }
 }
 
@@ -292,5 +308,48 @@ mod tests {
         assert!(!hdr.is_last_frame());
         hdr.frame_idx = 4;
         assert!(hdr.is_last_frame());
+    }
+
+    #[test]
+    fn continues_only_the_next_frame_of_the_same_message() {
+        let prev = sample();
+        let next = RpcHeader {
+            frame_idx: 3,
+            frame_payload_len: 7,
+            traced: true,
+            ..prev
+        };
+        assert!(next.continues(&prev), "payload length and flags may differ");
+        assert!(!prev.continues(&prev), "a repeat is not the next frame");
+        assert!(!prev.continues(&next), "nor is an earlier one");
+        let skip = RpcHeader {
+            frame_idx: 4,
+            ..prev
+        };
+        assert!(!skip.continues(&prev), "nor is a gap");
+        for other in [
+            RpcHeader {
+                connection_id: ConnectionId(1),
+                ..next
+            },
+            RpcHeader {
+                rpc_id: RpcId(1),
+                ..next
+            },
+            RpcHeader {
+                fn_id: FnId(1),
+                ..next
+            },
+            RpcHeader {
+                kind: RpcKind::Response,
+                ..next
+            },
+            RpcHeader {
+                frame_count: 6,
+                ..next
+            },
+        ] {
+            assert!(!other.continues(&prev), "{other:?}");
+        }
     }
 }
