@@ -18,7 +18,7 @@
 //!    read takes what the ring holds, up to a datagram), looks up each run
 //!    of a connection's frames once for destination credentials, routes
 //!    the run to one of the destination NIC's queues
-//!    ([`EngineCore::pin_route`]), groups frames by `(destination, queue)`,
+//!    ([`EngineCore::route`]), groups frames by `(destination, queue)`,
 //!    and ships each group as one transport datagram.
 //! 2. **RX FSM** — drains its fabric port queue, decodes datagrams, and
 //!    classifies a message once, at its first frame in the datagram:
@@ -31,16 +31,11 @@
 //! A frame never changes worker after the fabric (DESIGN.md §13). A
 //! response is routed by its sender to the queue that owns the flow it
 //! answers, so the worker that issued a request receives its response. A
-//! request lands on the queue its connection's RSS route picks, and that
+//! request lands on its connection's RSS queue ([`route_queue`]), and that
 //! queue's balancer steers it among the active flows the queue owns. A
 //! frame the receiving worker cannot own — a response for another
 //! worker's flow (a peer that routed by a wrong queue count), a request on
 //! a queue owning no active flow — is a counted `rx_ring_drops`.
-//!
-//! RSS routes are *elastic*: when the balancer rewrites the active-queue
-//! mask, a connection follows its new route once none of its requests
-//! awaits a response ([`RoutePin`]), so a handler sees one connection's
-//! requests in issue order across the move.
 //!
 //! When the NIC shares the physical bus with other virtual NICs, the engine
 //! takes a grant from the [`CcipArbiter`](crate::arbiter::CcipArbiter)
@@ -78,10 +73,24 @@ use crate::transport::{wire_frames, Datagram, MAX_LINES_PER_DATAGRAM};
 use crate::wait::{EngineWaker, SpinWait};
 
 /// The RSS route tag of a connection: every request of `cid` carries the
-/// same tag, so [`crate::fabric::Fabric::route`] pins the connection to one
-/// engine queue of the destination NIC (per-connection order depends on it).
+/// same tag, so [`route_queue`] sends the connection to one engine queue of
+/// the destination NIC (per-connection order depends on it).
 pub fn conn_route_tag(cid: ConnectionId) -> u64 {
     fnv1a(&cid.raw().to_le_bytes())
+}
+
+/// The queue of a destination with `queues` engine queues that the frame
+/// with header `hdr` goes to. A response goes to the queue that owns the
+/// flow it answers (`src_flow`, striped over `queues`), so the worker that
+/// issued the request receives it; everything else goes to its
+/// connection's queue, `conn_route_tag(cid) % queues`. No queues (an
+/// unknown destination) routes to 0.
+pub fn route_queue(hdr: &RpcHeader, queues: usize) -> u16 {
+    let queue = match hdr.kind {
+        RpcKind::Response => queue_of_flow(usize::from(hdr.src_flow.raw()), queues),
+        _ => (conn_route_tag(hdr.connection_id) % queues.max(1) as u64) as usize,
+    };
+    queue as u16
 }
 
 /// Everything one engine worker owns or shares. A single-queue NIC has
@@ -161,9 +170,6 @@ pub(crate) struct EngineCore {
     /// Shutdown rendezvous: a worker increments it once it has drained its
     /// own TX side, and keeps its RX side live until every sibling has.
     pub stop_barrier: Arc<AtomicUsize>,
-    /// Per-connection pinned destination queue and requests in flight there
-    /// (see [`EngineCore::pin_route`]).
-    pub route_pins: U64Map<RoutePin>,
     /// Per-flow TX fetch scratch: the batch-pop target of `tx_round`.
     /// Persistent so the steady-state round never allocates.
     pub tx_scratch: Vec<CacheLine>,
@@ -205,20 +211,6 @@ pub(crate) struct WorkerParts {
     pub rx_rings: Vec<Option<RingProducer>>,
     pub reliable: Option<ReliableTransport>,
     pub arbiter: Option<ArbiterSlot>,
-}
-
-/// A connection's pinned destination queue on the sender side. When the
-/// RSS route moves (the balancer rewrote the active-queue mask), the pin
-/// holds the connection on its old queue until none of its requests awaits
-/// a response: the responses come back to this worker (it owns the
-/// requests' flow), so the count is exact and needs no shared state. A
-/// request that is never answered holds the pin for good (DESIGN.md §14
-/// lists how that happens).
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct RoutePin {
-    pub queue: u16,
-    /// Request lead frames sent and not yet answered.
-    pub in_flight: u32,
 }
 
 /// One `(destination, queue)`'s staged lines for the current TX round. The
@@ -279,7 +271,6 @@ impl EngineCore {
             waker: Arc::clone(&shared.wakers[q]),
             qstats,
             stop_barrier: Arc::clone(&shared.stop_barrier),
-            route_pins: U64Map::default(),
             tx_scratch: Vec::new(),
             wire_out: Vec::new(),
             offload: Arc::clone(&shared.offload),
@@ -417,18 +408,15 @@ impl EngineCore {
             self.monitor.flows()[flow].tx_frames.add(fetched as u64);
             // The previous frame's route inputs and stage: a run of frames
             // that route alike — one connection's requests, or its
-            // responses to one flow (`pin_route`) — is classified once, and
-            // its lead requests join the connection's pin once, when the
-            // run ends.
+            // responses to one flow (`route`) — is classified once.
             let mut last: Option<((ConnectionId, Option<FlowId>), usize)> = None;
-            let mut leads = 0;
             for i in 0..fetched {
                 let line = self.tx_scratch[i];
                 let Ok(hdr) = RpcHeader::decode(line.header()) else {
                     self.qstats.unknown_connection_drops.inc();
                     continue;
                 };
-                let lead_request = self.stamp_lead(&hdr, RpcEvent::EnginePickup);
+                self.stamp_lead(&hdr, RpcEvent::EnginePickup);
                 // TX half of the offload stage (DESIGN.md §18).
                 self.offload.tx_response(
                     &hdr,
@@ -441,9 +429,6 @@ impl EngineCore {
                 let idx = match last {
                     Some((prev, idx)) if prev == class => idx,
                     _ => {
-                        // Settled before `pin_route` reads the count.
-                        let leads = std::mem::take(&mut leads);
-                        self.pin_requests(last.map(|((cid, _), _)| cid), leads);
                         let Some(tuple) = self.conn_cache.lookup(cid, CmPort::Tx, &self.conn_mgr)
                         else {
                             self.qstats.unknown_connection_drops.inc();
@@ -454,10 +439,8 @@ impl EngineCore {
                         idx
                     }
                 };
-                leads += u32::from(lead_request);
                 self.stage[idx].lines.push(line);
             }
-            self.pin_requests(last.map(|((cid, _), _)| cid), leads);
         }
         // Ship each destination's stage, moving the staged vector into the
         // datagram and backfilling the slot from the pool.
@@ -481,11 +464,11 @@ impl EngineCore {
     }
 
     /// This round's stage for `hdr`'s frame toward `dst`:
-    /// [`EngineCore::pin_route`] picks the queue, and the round's first
+    /// [`EngineCore::route`] picks the queue, and the round's first
     /// frame toward a `(dst, queue)` claims the next table entry (the table
     /// grows only the first time a round touches that many pairs).
     fn stage_for(&mut self, hdr: &RpcHeader, dst: NodeAddr) -> usize {
-        let dst_queue = self.pin_route(hdr, dst);
+        let dst_queue = self.route(hdr, dst);
         let next = self.stage_idx.len();
         let key = u64::from(dst.raw()) << 16 | u64::from(dst_queue);
         let i = *self.stage_idx.entry(key).or_insert(next);
@@ -498,51 +481,10 @@ impl EngineCore {
 
     /// The destination queue of `hdr`'s frame toward `dst` — the one
     /// routing decision: every frame this engine originates (data, control,
-    /// open-acks, offload hits) takes its queue from here.
-    ///
-    /// A response goes to the queue that owns the flow it answers
-    /// (`src_flow`, striped over the destination's queue count): the worker
-    /// that issued the request receives it. Everything else follows its
-    /// connection's RSS route, pinned: when the route moves, the connection
-    /// stays on its old queue until none of its requests awaits a response,
-    /// then switches (`remaps`). The active mask never applies to responses.
-    fn pin_route(&mut self, hdr: &RpcHeader, dst: NodeAddr) -> u16 {
-        if hdr.kind == RpcKind::Response {
-            let queues = self.port.fabric().queue_count(dst);
-            return queue_of_flow(usize::from(hdr.src_flow.raw()), queues) as u16;
-        }
-        let fresh = self.port.route(dst, conn_route_tag(hdr.connection_id));
-        let pin = self
-            .route_pins
-            .entry(u64::from(hdr.connection_id.raw()))
-            .or_insert(RoutePin {
-                queue: fresh,
-                in_flight: 0,
-            });
-        if pin.queue != fresh && pin.in_flight == 0 {
-            let old = std::mem::replace(&mut pin.queue, fresh);
-            self.qstats.remaps.inc();
-            // Flight-recorder breadcrumb: which queues the connection left
-            // and joined.
-            self.telemetry.flight().record(
-                FlightEventKind::Remap,
-                self.addr.raw(),
-                u64::from(old),
-                u64::from(fresh),
-            );
-        }
-        pin.queue
-    }
-
-    /// Adds `leads` requests sent on `cid` (the connection of a TX run that
-    /// just ended) to its pin's count.
-    fn pin_requests(&mut self, cid: Option<ConnectionId>, leads: u32) {
-        let Some(cid) = cid.filter(|_| leads > 0) else {
-            return;
-        };
-        if let Some(pin) = self.route_pins.get_mut(&u64::from(cid.raw())) {
-            pin.in_flight = pin.in_flight.saturating_add(leads);
-        }
+    /// open-acks, offload hits) takes its queue from here ([`route_queue`]
+    /// over the destination's queue count).
+    fn route(&self, hdr: &RpcHeader, dst: NodeAddr) -> u16 {
+        route_queue(hdr, self.port.fabric().queue_count(dst))
     }
 
     /// Ships one datagram toward `dst_queue` of its destination, through
@@ -623,7 +565,7 @@ impl EngineCore {
     }
 
     /// Drains the host's control outbox. Each control datagram is routed
-    /// like data: its connection's pin picks the destination queue, so an
+    /// like data: its connection's route picks the destination queue, so an
     /// open/close and the connection's requests share a channel.
     fn ctrl_round(&mut self) -> bool {
         let mut progress = false;
@@ -765,13 +707,13 @@ impl EngineCore {
     }
 
     /// Ships `lines` (frames this engine originates: control, open-acks,
-    /// offload hits) toward `dst` on the queue [`EngineCore::pin_route`]
-    /// picks for the first frame.
+    /// offload hits) toward `dst` on the queue [`EngineCore::route`] picks
+    /// for the first frame.
     fn originate(&mut self, dst: NodeAddr, lines: Vec<CacheLine>) {
         let first = lines
             .first()
             .and_then(|l| RpcHeader::decode(l.header()).ok());
-        let dst_queue = first.map_or(0, |hdr| self.pin_route(&hdr, dst));
+        let dst_queue = first.map_or(0, |hdr| self.route(&hdr, dst));
         self.send_datagram(Datagram::new(self.addr, dst, lines), dst_queue);
     }
 
@@ -846,13 +788,6 @@ impl EngineCore {
             self.qstats.rx_ring_drops.inc();
             return None;
         };
-        // A response's lead frame settles one request of its connection's
-        // pin: this worker sent that request.
-        if hdr.kind == RpcKind::Response && hdr.frame_idx == 0 {
-            if let Some(pin) = self.route_pins.get_mut(&u64::from(hdr.connection_id.raw())) {
-                pin.in_flight = pin.in_flight.saturating_sub(1);
-            }
-        }
         debug_assert_eq!(
             queue_of_flow(flow, self.num_queues),
             usize::from(self.queue_id),
@@ -861,21 +796,19 @@ impl EngineCore {
         Some(flow)
     }
 
-    /// Stamps `event` when `hdr` is a request's lead frame, and says so.
-    fn stamp_lead(&self, hdr: &RpcHeader, event: RpcEvent) -> bool {
-        let lead = hdr.kind == RpcKind::Request && hdr.frame_idx == 0;
-        if lead {
+    /// Stamps `event` when `hdr` is a request's lead frame.
+    fn stamp_lead(&self, hdr: &RpcHeader, event: RpcEvent) {
+        if hdr.kind == RpcKind::Request && hdr.frame_idx == 0 {
             let tracer = self.telemetry.tracer();
             tracer.record(hdr.connection_id.raw(), hdr.rpc_id.raw(), event);
         }
-        lead
     }
 
     /// The flow a data frame belongs to, among the flows this worker owns,
     /// or `None` when it owns no fitting flow.
     ///
     /// A response returns to the flow that issued its request. Its sender
-    /// routed it to queue `src_flow % num_queues` (`pin_route`), so that is
+    /// routed it to queue `src_flow % num_queues` (`route`), so that is
     /// the owner test; a `src_flow` beyond this NIC's flows folds onto the
     /// flows that queue owns (`q`, `q + num_queues`, …), which leaves every
     /// in-range flow itself. A request is steered by this worker's balancer
@@ -919,7 +852,6 @@ mod tests {
     use crate::ring::ring;
     use crate::softreg::SoftRegisterFile;
     use dagger_types::{FnId, RpcId};
-    use std::sync::atomic::AtomicU64;
 
     /// The NIC-shared handles of a hand-driven NIC at address 1 whose single
     /// connection's destination is its own fabric address, so TX datagrams
@@ -1925,23 +1857,27 @@ mod tests {
         }
     }
 
-    /// A Static connection (`ConnectionId(3)`) from `core` toward a
-    /// 2-queue destination whose active mask the caller holds: the
-    /// destination's ports, the mask and the connection.
-    fn remap_rig(core: &EngineCore) -> (Vec<Arc<dyn FabricPort>>, Arc<AtomicU64>, ConnectionId) {
+    /// The ports of a 2-queue destination `NodeAddr(9)` on `core`'s fabric,
+    /// and two Static connections from `core` toward it, one routed to
+    /// each of its queues.
+    fn two_queue_rig(core: &EngineCore) -> (Vec<Arc<dyn FabricPort>>, [ConnectionId; 2]) {
         let dst = NodeAddr(9);
-        let fabric = core.port.fabric();
-        let sinks = fabric.attach_queues(dst, 2).unwrap();
-        let mask = Arc::new(AtomicU64::new(0));
-        fabric.set_queue_mask(dst, Arc::clone(&mask));
-        let cid = ConnectionId(3);
-        let tuple = ConnectionTuple {
-            src_flow: FlowId(0),
-            dest_addr: dst,
-            lb: LbPolicy::Static,
-        };
-        core.conn_mgr.lock().open(cid, tuple).unwrap();
-        (sinks, mask, cid)
+        let sinks = core.port.fabric().attach_queues(dst, 2).unwrap();
+        let cids = [0, 1].map(|q| {
+            (3..)
+                .map(ConnectionId)
+                .find(|&cid| conn_route_tag(cid) % 2 == q)
+                .unwrap()
+        });
+        for cid in cids {
+            let tuple = ConnectionTuple {
+                src_flow: FlowId(0),
+                dest_addr: dst,
+                lb: LbPolicy::Static,
+            };
+            core.conn_mgr.lock().open(cid, tuple).unwrap();
+        }
+        (sinks, cids)
     }
 
     /// Frame `rpc` of kind `kind` on `cid`.
@@ -1992,97 +1928,25 @@ mod tests {
         step_out(core, host_rx);
     }
 
-    /// Elastic RSS: a Static connection with requests in flight stays on
-    /// its old queue after the destination's mask sheds it, and moves only
-    /// once every request has been answered.
+    /// Every request of a connection lands on one destination queue,
+    /// `conn_route_tag(cid) % 2`, whatever was answered before it — an
+    /// unanswered request included: no routing state outlives a request.
     #[test]
-    fn remap_waits_until_in_flight_requests_complete() {
+    fn a_connections_requests_keep_one_destination_queue() {
         let (mut core, mut host_tx, mut host_rx) = loopback_core();
-        let (sinks, mask, cid) = remap_rig(&core);
-        let old = usize::from(core.port.route(NodeAddr(9), conn_route_tag(cid)));
+        let (sinks, cids) = two_queue_rig(&core);
         let (tx, rx) = (&mut host_tx, &mut host_rx);
-
-        assert_eq!(send_requests(&mut core, tx, &sinks, cid, 0..3), old);
-        // The balancer sheds the connection's queue.
-        mask.store(1 << (1 - old), Ordering::Relaxed);
-        assert_eq!(
-            send_requests(&mut core, tx, &sinks, cid, 3..4),
-            old,
-            "moved with 3 requests in flight"
-        );
-        answer_requests(&mut core, rx, &sinks, cid, 0..3);
-        assert_eq!(
-            send_requests(&mut core, tx, &sinks, cid, 4..5),
-            old,
-            "moved with request 3 in flight"
-        );
-        assert_eq!(core.qstats.snapshot().remaps, 0);
-        answer_requests(&mut core, rx, &sinks, cid, 3..5);
-        assert_eq!(
-            send_requests(&mut core, tx, &sinks, cid, 5..6),
-            1 - old,
-            "quiescent, yet not moved"
-        );
-        assert_eq!(core.qstats.snapshot().remaps, 1);
-        let remaps: Vec<_> = core
-            .telemetry
-            .flight()
-            .snapshot()
-            .into_iter()
-            .filter(|e| e.kind == FlightEventKind::Remap)
-            .map(|e| (e.a, e.b))
-            .collect();
-        assert_eq!(remaps, [(old as u64, (1 - old) as u64)]);
-    }
-
-    /// The other side of remapping at quiescence: a request that is never
-    /// answered (the server dropped it, or the fabric lost it without the
-    /// reliable transport) keeps its connection on the queue the balancer
-    /// shed for good. No remap is counted; the pin's count shows the
-    /// request as still in flight.
-    #[test]
-    fn an_unanswered_request_pins_its_connection_for_good() {
-        let (mut core, mut host_tx, mut host_rx) = loopback_core();
-        let (sinks, mask, cid) = remap_rig(&core);
-        let (tx, rx) = (&mut host_tx, &mut host_rx);
-        let old = send_requests(&mut core, tx, &sinks, cid, 0..2);
-        mask.store(1 << (1 - old), Ordering::Relaxed);
-        // Request 1 is never answered.
-        answer_requests(&mut core, rx, &sinks, cid, 0..1);
-        for rpc in 2..10 {
-            assert_eq!(send_requests(&mut core, tx, &sinks, cid, rpc..rpc + 1), old);
-            answer_requests(&mut core, rx, &sinks, cid, rpc..rpc + 1);
+        for (home, cid) in cids.into_iter().enumerate() {
+            assert_eq!(send_requests(&mut core, tx, &sinks, cid, 0..3), home);
+            // Request 2 is never answered.
+            answer_requests(&mut core, rx, &sinks, cid, 0..2);
+            for rpc in 3..10 {
+                let queue = send_requests(&mut core, tx, &sinks, cid, rpc..rpc + 1);
+                assert_eq!(queue, home, "{cid:?} request {rpc}");
+                if rpc % 2 == 0 {
+                    answer_requests(&mut core, rx, &sinks, cid, rpc..rpc + 1);
+                }
+            }
         }
-        assert_eq!(core.qstats.snapshot().remaps, 0);
-        assert_eq!(core.route_pins[&u64::from(cid.raw())].in_flight, 1);
-    }
-
-    /// A TX round whose frames interleave two connections counts each
-    /// connection's lead requests on its own pin, and responses on none.
-    #[test]
-    fn interleaved_requests_count_on_their_own_connections_pins() {
-        let (mut core, mut host_tx, _host_rx) = loopback_core();
-        let (_sinks, _mask, a) = remap_rig(&core);
-        let b = ConnectionId(4);
-        let tuple = ConnectionTuple {
-            src_flow: FlowId(0),
-            dest_addr: NodeAddr(9),
-            lb: LbPolicy::Static,
-        };
-        core.conn_mgr.lock().open(b, tuple).unwrap();
-        let frames = [
-            on_conn(a, 0, RpcKind::Request),
-            on_conn(a, 1, RpcKind::Request),
-            on_conn(b, 2, RpcKind::Request),
-            on_conn(a, 3, RpcKind::Response),
-            on_conn(a, 4, RpcKind::Request),
-            restamped(on_conn(a, 4, RpcKind::Request), |h| h.frame_idx = 1),
-        ];
-        for line in frames {
-            host_tx.try_push(line).unwrap();
-        }
-        core.step();
-        let in_flight = |cid: ConnectionId| core.route_pins[&u64::from(cid.raw())].in_flight;
-        assert_eq!((in_flight(a), in_flight(b)), (3, 1));
     }
 }

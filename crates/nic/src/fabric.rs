@@ -7,9 +7,9 @@
 //! networking switch with a static switching table" (§5.1, Fig. 14). The
 //! code has the same three parts, each in one place (DESIGN.md §16):
 //!
-//! * **the switch** — [`Switch`]: the [`NodeTable`], attach/detach,
-//!   `rss_pick` routing, the receive half, and the only implementations
-//!   of [`Fabric`] and [`FabricPort`] in the crate;
+//! * **the switch** — [`Switch`]: the [`NodeTable`], attach/detach, the
+//!   receive half, and the only implementations of [`Fabric`] and
+//!   [`FabricPort`] in the crate;
 //! * **the wire** — a [`Wire`]: how a frame reaches the destination's
 //!   node-table entry. [`MemWire`] pushes it straight in ([`MemFabric`]);
 //!   [`crate::fabric_udp::UdpWire`] sends it as a UDP datagram
@@ -20,7 +20,6 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -42,10 +41,9 @@ type PortQueue = Mutex<VecDeque<Vec<u8>>>;
 
 /// The transport seam beneath the NIC: a network of `(node, queue)`
 /// attachment points that moves encoded wire frames. Everything above it —
-/// the reliable transport ([`crate::reliable`]), RSS steering, the elastic
-/// balancer, chaos harnesses — is written against `Fabric`/[`FabricPort`]
-/// only. [`Switch`] is the one implementation; backends differ in the
-/// [`Wire`] beneath it.
+/// the reliable transport ([`crate::reliable`]), queue routing, chaos
+/// harnesses — is written against `Fabric`/[`FabricPort`] only. [`Switch`]
+/// is the one implementation; backends differ in the [`Wire`] beneath it.
 ///
 /// # Contract
 ///
@@ -79,17 +77,10 @@ pub trait Fabric: Send + Sync + std::fmt::Debug {
     /// queue `queue`. No-op for unknown addresses or out-of-range queues.
     fn set_queue_waker(&self, addr: NodeAddr, queue: u16, waker: Arc<EngineWaker>);
 
-    /// Hands the fabric a live handle onto `addr`'s active-queue soft
-    /// register; [`Fabric::route`] consults it for new route decisions.
-    fn set_queue_mask(&self, addr: NodeAddr, mask: Arc<AtomicU64>);
-
-    /// Number of engine queues `addr` attached with (0 if unknown).
+    /// Number of engine queues `addr` attached with (0 if unknown): all a
+    /// sender needs to pick the queue a frame goes to
+    /// ([`crate::engine::route_queue`]).
     fn queue_count(&self, addr: NodeAddr) -> usize;
-
-    /// RSS route decision: which of `dst`'s engine queues should traffic
-    /// tagged `tag` land on? Deterministic per `(dst, tag)` while the
-    /// active mask is stable, so flows stay queue-affine.
-    fn route(&self, dst: NodeAddr, tag: u64) -> u16;
 
     /// Flushes frames the fabric itself still holds (fault-injection holds,
     /// socket/pump staging) into their destination queues, or waits until
@@ -117,7 +108,7 @@ pub trait FabricPort: Send + Sync + std::fmt::Debug {
     fn queue(&self) -> u16;
 
     /// Sends encoded datagram bytes to a specific engine queue of `dst`
-    /// (normally one chosen by [`FabricPort::route`]).
+    /// (normally one chosen by [`crate::engine::route_queue`]).
     ///
     /// # Errors
     ///
@@ -141,9 +132,6 @@ pub trait FabricPort: Send + Sync + std::fmt::Debug {
     /// doorbell per round (the paper's §4.4.1 batching).
     fn send_many(&self, frames: &mut Vec<(NodeAddr, u16, Vec<u8>)>) -> usize;
 
-    /// RSS route decision toward `dst`; see [`Fabric::route`].
-    fn route(&self, dst: NodeAddr, tag: u64) -> u16;
-
     /// Receives the next datagram staged for this port's queue, if any.
     /// Never blocks.
     fn try_recv(&self) -> Option<Vec<u8>>;
@@ -151,22 +139,6 @@ pub trait FabricPort: Send + Sync + std::fmt::Debug {
     /// The fabric this port belongs to (for shutdown-time
     /// [`Fabric::quiesce`] without threading a second handle around).
     fn fabric(&self) -> &dyn Fabric;
-}
-
-/// The RSS pick: queue `tag mod popcount`-th set bit of `mask` restricted
-/// to the `n` attached queues. Bits beyond `n` are ignored, and a mask
-/// selecting no queue falls back to "all active" so traffic is never
-/// stranded.
-pub(crate) fn rss_pick(n: usize, mask: u64, tag: u64) -> u16 {
-    if n <= 1 {
-        return 0;
-    }
-    let all = if n >= 64 { u64::MAX } else { (1u64 << n) - 1 };
-    let mut m = if mask & all == 0 { all } else { mask & all };
-    for _ in 0..tag % u64::from(m.count_ones()) {
-        m &= m - 1;
-    }
-    m.trailing_zeros() as u16
 }
 
 /// What sending one frame comes to: carried, or the bytes handed back
@@ -216,8 +188,8 @@ pub trait Wire: Send + Sync + std::fmt::Debug + Sized + 'static {
     fn detach(&self, _addr: NodeAddr) {}
 
     /// Engine queues of a node attached to *another* switch instance this
-    /// wire reaches (0 if unknown), for [`Fabric::queue_count`] and
-    /// [`Fabric::route`] toward nodes not in the table.
+    /// wire reaches (0 if unknown), for [`Fabric::queue_count`] toward
+    /// nodes not in the table.
     fn remote_queues(&self, _addr: NodeAddr) -> usize {
         0
     }
@@ -234,14 +206,11 @@ pub trait Wire: Send + Sync + std::fmt::Debug + Sized + 'static {
 }
 
 /// A node-table entry: one receive queue per engine queue of the attached
-/// NIC (RSS-style), per-queue wakers registered by the owning workers, and
-/// an optional live handle onto the NIC's soft-register active-queue mask
-/// consulted by [`Fabric::route`].
+/// NIC (RSS-style), and per-queue wakers registered by the owning workers.
 #[derive(Debug)]
 struct PortEntry {
     queues: Vec<Arc<PortQueue>>,
     wakers: Vec<Option<Arc<EngineWaker>>>,
-    active_mask: Option<Arc<AtomicU64>>,
 }
 
 /// The static switching table: the nodes attached to one [`Switch`]
@@ -365,7 +334,6 @@ impl<W: Wire> Fabric for Switch<W> {
         let entry = PortEntry {
             queues: queues.clone(),
             wakers: vec![None; n],
-            active_mask: None,
         };
         match self.shared.nodes.nodes.write().entry(addr) {
             Entry::Vacant(slot) => slot.insert(entry),
@@ -402,37 +370,11 @@ impl<W: Wire> Fabric for Switch<W> {
         }
     }
 
-    fn set_queue_mask(&self, addr: NodeAddr, mask: Arc<AtomicU64>) {
-        if let Some(entry) = self.shared.nodes.nodes.write().get_mut(&addr) {
-            entry.active_mask = Some(mask);
-        }
-    }
-
     fn queue_count(&self, addr: NodeAddr) -> usize {
         match self.shared.nodes.nodes.read().get(&addr) {
             Some(entry) => entry.queues.len(),
             None => self.shared.wire.remote_queues(addr),
         }
-    }
-
-    /// Deterministic: the same `(dst queue count, active mask, tag)` always
-    /// yields the same queue (`rss_pick`), so a connection's frames stay
-    /// queue-affine; the active mask gates only *new* decisions. A node in
-    /// another process spreads over its declared queue count with no mask
-    /// (that register lives over there; the receiver folds a stale route).
-    /// Unknown destinations route to 0 (the send fails anyway).
-    fn route(&self, dst: NodeAddr, tag: u64) -> u16 {
-        let (n, mask) = match self.shared.nodes.nodes.read().get(&dst) {
-            Some(entry) => (
-                entry.queues.len(),
-                entry
-                    .active_mask
-                    .as_ref()
-                    .map_or(0, |m| m.load(Ordering::Relaxed)),
-            ),
-            None => (self.shared.wire.remote_queues(dst), 0),
-        };
-        rss_pick(n, mask, tag)
     }
 
     /// Puts every frame still held by reorder/delay injection on the wire,
@@ -515,10 +457,6 @@ impl<W: Wire> FabricPort for Port<W> {
             }
         });
         staged - frames.len()
-    }
-
-    fn route(&self, dst: NodeAddr, tag: u64) -> u16 {
-        Fabric::route(&self.node.switch, dst, tag)
     }
 
     fn try_recv(&self) -> Option<Vec<u8>> {
@@ -671,60 +609,19 @@ mod tests {
         assert_eq!(fabric.ports(), 0, "last port detaches the address");
     }
 
+    /// A sender's routing input is the destination's queue count, and both
+    /// backends report the same count for every attachment, so a
+    /// connection's queue does not depend on which fabric carries it.
     #[test]
-    fn route_is_deterministic_and_mask_gated() {
-        let fabric = MemFabric::new();
-        let _ports = fabric.attach_queues(NodeAddr(2), 4).unwrap();
-        // Deterministic and within range.
-        for tag in 0..256u64 {
-            let q = fabric.route(NodeAddr(2), tag);
-            assert!(q < 4);
-            assert_eq!(q, fabric.route(NodeAddr(2), tag), "same tag, same queue");
-        }
-        // All four queues reachable without a mask.
-        let hit: std::collections::HashSet<u16> =
-            (0..64u64).map(|t| fabric.route(NodeAddr(2), t)).collect();
-        assert_eq!(hit.len(), 4);
-        // A mask restricts new decisions to its set bits.
-        let mask = Arc::new(AtomicU64::new(0b0101));
-        fabric.set_queue_mask(NodeAddr(2), Arc::clone(&mask));
-        for tag in 0..64u64 {
-            let q = fabric.route(NodeAddr(2), tag);
-            assert!(q == 0 || q == 2, "masked to queues 0/2, got {q}");
-        }
-        // An all-zero (or out-of-range) mask falls back to all-active.
-        mask.store(0, Ordering::Relaxed);
-        let hit: std::collections::HashSet<u16> =
-            (0..64u64).map(|t| fabric.route(NodeAddr(2), t)).collect();
-        assert_eq!(hit.len(), 4, "zero mask = all queues");
-        mask.store(0xF0, Ordering::Relaxed); // only bits beyond queue count
-        let hit: std::collections::HashSet<u16> =
-            (0..64u64).map(|t| fabric.route(NodeAddr(2), t)).collect();
-        assert_eq!(hit.len(), 4, "mask without in-range bits = all queues");
-        // Single-queue and unknown destinations always route to 0.
-        let _a = attach(&fabric, NodeAddr(1)).unwrap();
-        assert_eq!(fabric.route(NodeAddr(1), 12345), 0);
-        assert_eq!(fabric.route(NodeAddr(99), 12345), 0);
-        // Both backends make the same decision — `rss_pick` — for every
-        // `(queue count, active mask, tag)`, so a connection's queue does
-        // not depend on which fabric carries it.
-        let masks = [0, 0b1, 0b10, 0b101, 0b110, 0b1_0110, 0xF0, u64::MAX];
+    fn queue_count_is_the_attached_count_on_both_backends() {
         for n in 1..=5usize {
             let (mem, udp) = (MemFabric::new(), crate::fabric_udp::UdpFabric::new());
             let _mem_ports = mem.attach_queues(NodeAddr(2), n).unwrap();
             let _udp_ports = udp.attach_queues(NodeAddr(2), n).unwrap();
-            let mask = Arc::new(AtomicU64::new(0));
-            mem.set_queue_mask(NodeAddr(2), Arc::clone(&mask));
-            udp.set_queue_mask(NodeAddr(2), Arc::clone(&mask));
-            for m in masks {
-                mask.store(m, Ordering::Relaxed);
-                for tag in (0..64u64).chain([u64::MAX, 0x9E37_79B9_7F4A_7C15]) {
-                    let q = mem.route(NodeAddr(2), tag);
-                    assert_eq!(q, udp.route(NodeAddr(2), tag), "n={n} m={m:#x}");
-                    assert_eq!(q, rss_pick(n, m, tag), "n={n} m={m:#x} tag={tag}");
-                    assert!(usize::from(q) < n);
-                }
-            }
+            assert_eq!(mem.queue_count(NodeAddr(2)), n);
+            assert_eq!(udp.queue_count(NodeAddr(2)), n);
+            assert_eq!(mem.queue_count(NodeAddr(99)), 0);
+            assert_eq!(udp.queue_count(NodeAddr(99)), 0);
         }
     }
 }

@@ -37,11 +37,6 @@
 //!
 //! # What this backend does NOT give you
 //!
-//! * **Active-mask propagation**: RSS routing toward a *remote* node
-//!   spreads by `tag % queues` without the remote NIC's live active-queue
-//!   mask (that register lives in the other process). A stale route is
-//!   harmless: the receiver folds out-of-range queues and the reliable
-//!   transport preserves per-flow delivery.
 //! * **Cross-process fault state**: each process's switch has its own
 //!   fault layer, governing the frames *its* ports send. Decisions replay
 //!   per seed as in memory; real sockets add loss on their own schedule.
@@ -167,9 +162,7 @@ impl Switch<UdpWire> {
     /// are routed to the queue owning the flow they answer, and a peer
     /// learned from its traffic alone counts as single-queue. Declared too
     /// low, the peer drops every response for a flow of another queue
-    /// (`rx_ring_drops`), and each such request keeps its connection from
-    /// ever following a remap; so do requests the peer's server drops
-    /// (`rx_ring_drops`; DESIGN.md §14).
+    /// (`rx_ring_drops`; DESIGN.md §13).
     pub fn set_peer(&self, node: NodeAddr, addr: SocketAddr, queues: usize) {
         let queues = queues.max(1);
         let peer = PeerEntry { addr, queues };

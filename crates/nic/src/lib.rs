@@ -53,7 +53,6 @@
 //! timing lives in `dagger-sim`.
 
 pub mod arbiter;
-pub mod balancer;
 pub mod bank;
 pub mod bufpool;
 pub mod conncache;
@@ -73,7 +72,6 @@ pub mod softreg;
 pub mod transport;
 pub mod wait;
 
-pub use balancer::{BalancerConfig, QueueBalancer};
 pub use bufpool::{BufPool, BufPoolStats};
 pub use conncache::{ConnCacheStats, ConnTupleCache};
 pub use connmgr::{ConnectionManager, ConnectionTuple};

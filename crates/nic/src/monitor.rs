@@ -55,9 +55,6 @@ counter_bank! {
         /// Datagrams deferred (including re-deferred) by reliable-transport
         /// window backpressure.
         tx_window_deferrals,
-        /// Connections switched to a new destination queue once none of
-        /// their requests awaited a response (elastic RSS remap).
-        remaps,
         /// Engine steps that moved frames while driven by a host thread
         /// waiting on one of this queue's flows.
         host_steps,
@@ -197,7 +194,7 @@ mod tests {
     fn whole_nic_snapshot_is_the_sum_of_the_queue_banks() {
         let m = PacketMonitor::new(0, 2);
         m.queues()[0].tx_frames.add(3);
-        m.queues()[0].remaps.inc();
+        m.queues()[0].tx_window_deferrals.inc();
         m.queues()[1].tx_frames.add(4);
         m.queues()[1].rx_ring_drops.inc();
         m.queues()[1].wire_drops.inc();
@@ -206,7 +203,7 @@ mod tests {
         assert_eq!(s.queues[0].tx_frames, 3);
         assert_eq!(s.queues[1].tx_frames, 4);
         assert_eq!(s.tx_frames, 7);
-        assert_eq!(s.remaps, 1);
+        assert_eq!(s.tx_window_deferrals, 1);
         assert_eq!(s.total_drops(), 2);
         assert_eq!(s.totals, s.queues.iter().copied().sum());
     }
@@ -217,12 +214,12 @@ mod tests {
         m.queues()[0].tx_frames.add(10);
         let earlier = m.snapshot();
         m.queues()[0].tx_frames.add(5);
-        m.queues()[1].remaps.inc();
+        m.queues()[1].tx_window_deferrals.inc();
         let later = m.snapshot();
         let d = later.delta(&earlier);
         assert_eq!(d.tx_frames, 5);
         assert_eq!(d.queues[0].tx_frames, 5);
-        assert_eq!(d.queues[1].remaps, 1);
+        assert_eq!(d.queues[1].tx_window_deferrals, 1);
         // Reversed order saturates to zero rather than wrapping.
         let rev = earlier.delta(&later);
         assert_eq!(rev.totals, QueueSnapshot::default());

@@ -10,9 +10,9 @@
 //! receives on its own fabric port queue, and writes only its own flows' RX
 //! rings — a response is routed to the queue that owns the flow it answers
 //! and a request is steered among the receiving queue's own flows, so a
-//! frame never changes worker (DESIGN.md §13). The soft register file's
-//! active-queue mask gates *new* RSS routing decisions at runtime without
-//! re-synthesis.
+//! frame never changes worker (DESIGN.md §13). A connection's requests
+//! all go to one queue of the destination, picked from its connection id
+//! and the destination's queue count alone.
 //!
 //! Host threads claim flows with [`Nic::take_flow`] (or
 //! [`Nic::take_flow_on_queue`] to pin work to one engine worker) — each
@@ -45,7 +45,6 @@ use dagger_types::{
 };
 
 use crate::arbiter::ArbiterSlot;
-use crate::balancer::QueueBalancer;
 use crate::bank::GaugeNames;
 use crate::bufpool::BufPoolSnapshot;
 use crate::conncache::ConnCacheSnapshot;
@@ -230,9 +229,6 @@ impl Nic {
         let nq = cfg.num_queues;
         let ports: Vec<Arc<dyn FabricPort>> = fabric.attach_queues(addr, nq)?;
         let softregs = Arc::new(SoftRegisterFile::default());
-        // The soft active-queue mask gates new RSS routing decisions made
-        // by *senders* toward this NIC.
-        fabric.set_queue_mask(addr, softregs.active_queue_mask_handle());
         let monitor = Arc::new(PacketMonitor::new(cfg.num_flows, nq));
         let conn_mgr = Arc::new(Mutex::new(ConnectionManager::new(cfg.conn_cache_entries)));
 
@@ -481,19 +477,6 @@ impl Nic {
     /// one was passed to [`Nic::start_with_telemetry`]).
     pub fn telemetry(&self) -> &Arc<Telemetry> {
         &self.telemetry
-    }
-
-    /// Spawns the elastic RSS controller for this NIC: a closed loop from
-    /// the per-queue `rx_frames` counters back into the `queue.mask` soft
-    /// register (see [`crate::balancer`]).
-    pub fn start_balancer(&self, cfg: crate::balancer::BalancerConfig) -> QueueBalancer {
-        QueueBalancer::start(
-            Arc::clone(&self.telemetry),
-            Arc::clone(&self.softregs),
-            self.addr,
-            self.monitor.queues().to_vec(),
-            cfg,
-        )
     }
 
     /// Claims the next unclaimed flow (ring pair). Flows are claimed in

@@ -4,7 +4,7 @@
 //! accessible by the host CPU via PCIe MMIOs". This module is that register
 //! file: lock-free atomics the host writes and the NIC engine reads every
 //! loop iteration — the number of active flows, the RX load-balancer
-//! selection, the active-queue mask and the two offload knobs.
+//! selection and the two offload knobs.
 //!
 //! The paper's CCI-P batch size, auto-batching and polling-mode threshold
 //! are not registers here: each sets hardware timing the functional NIC
@@ -14,33 +14,26 @@
 //! [`SoftRegisterFile::set_auto_batch`] are no-ops kept only for callers
 //! that still make the calls (DESIGN.md §17).
 
-use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU32, AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU32, AtomicU8, Ordering};
 
 use dagger_types::{LbPolicy, Result};
 
 /// The NIC's runtime-writable register file. Every register starts at 0 /
-/// off: all flows active, the `Uniform` policy, all queues active, the
-/// host-serde baseline, no response cache.
+/// off: all flows active, the `Uniform` policy, the host-serde baseline,
+/// no response cache.
 #[derive(Debug, Default)]
 pub struct SoftRegisterFile {
     active_flows: AtomicU16,
     lb_policy: AtomicU8,
-    /// Bitmask of engine queues eligible for *new* RSS route decisions
-    /// (bit `i` = queue `i`). 0 means "all queues active". Shared with the
-    /// fabric's steering logic by handle, like the other soft registers;
-    /// masked-off queues keep draining already-routed traffic so no frames
-    /// are stranded by a reconfiguration.
-    active_queue_mask: Arc<AtomicU64>,
     /// A/B gate for the NIC-side serde path (the offload stage's
     /// per-frame table execution). Off by default: the host-serde
     /// baseline is the control arm.
     nic_serde: AtomicBool,
     /// Per-queue capacity of the on-NIC hot-key response cache, in
-    /// entries. 0 (the default) disables the cache entirely; like
-    /// `active_queue_mask` this is a live knob the engine consults on
-    /// every offload decision, so the cache can be resized or switched
-    /// off at runtime without restarting the NIC.
+    /// entries. 0 (the default) disables the cache entirely; this is a
+    /// live knob the engine consults on every offload decision, so the
+    /// cache can be resized or switched off at runtime without restarting
+    /// the NIC.
     offload_cache_entries: AtomicU32,
 }
 
@@ -79,25 +72,6 @@ impl SoftRegisterFile {
         self.lb_policy.store(p.to_wire(), Ordering::Relaxed);
     }
 
-    /// Current active-queue mask (bit `i` = queue `i`; 0 = all active).
-    pub fn active_queue_mask(&self) -> u64 {
-        self.active_queue_mask.load(Ordering::Relaxed)
-    }
-
-    /// Sets the active-queue mask. Only *new* route decisions consult the
-    /// mask: traffic already steered to a masked-off queue keeps draining.
-    /// Writing 0 re-activates every queue.
-    pub fn set_active_queue_mask(&self, mask: u64) {
-        self.active_queue_mask.store(mask, Ordering::Relaxed);
-    }
-
-    /// Shared handle onto the active-queue mask register, handed to the
-    /// fabric so its RSS `route` consults the live value without going
-    /// through the register file.
-    pub fn active_queue_mask_handle(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.active_queue_mask)
-    }
-
     /// Whether the NIC-side serde path (the offload stage) is enabled.
     pub fn nic_serde(&self) -> bool {
         self.nic_serde.load(Ordering::Relaxed)
@@ -133,18 +107,6 @@ mod tests {
             regs.set_lb_policy(p);
             assert_eq!(regs.lb_policy(), p);
         }
-    }
-
-    #[test]
-    fn queue_mask_defaults_to_all_active() {
-        let regs = SoftRegisterFile::default();
-        assert_eq!(regs.active_queue_mask(), 0, "0 = all queues active");
-        regs.set_active_queue_mask(0b101);
-        assert_eq!(regs.active_queue_mask(), 0b101);
-        let handle = regs.active_queue_mask_handle();
-        assert_eq!(handle.load(Ordering::Relaxed), 0b101);
-        handle.store(0b1, Ordering::Relaxed);
-        assert_eq!(regs.active_queue_mask(), 0b1, "handle aliases register");
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   trace tree with critical-path attribution;
 //! * **Flight events** — the flight-recorder slice around the breach
 //!   tick, reaching back to the start of the slowest tail call: what the
-//!   NIC engines, balancer, reliable layer, and fault injector were doing
-//!   when the tail formed.
+//!   NIC engines, reliable layer, and fault injector were doing when the
+//!   tail formed.
 //!
 //! Bundles are bounded (oldest dropped) and exported both in the v5 JSON
 //! snapshot (`bundles` section) and as human-readable text via

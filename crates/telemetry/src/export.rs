@@ -36,7 +36,7 @@
 //!   "exemplars": {"rpc.client.rtt_ns": [{"trace_id": "0000000000000001",
 //!                                        "span_id": "0000000000000002",
 //!                                        "value_ns": 0, "tick": 0}]},
-//!   "events": {"entries": [{"tick": 0, "kind": "remap", "node": 0,
+//!   "events": {"entries": [{"tick": 0, "kind": "heal", "node": 0,
 //!                           "a": 0, "b": 0}],
 //!              "dropped": 0},
 //!   "bundles": {"entries": [{"slo": "rtt", "tick": 0, "burn_milli": 0,

@@ -4,10 +4,10 @@
 //! Dagger's telemetry answers *how much* (metrics) and *which request*
 //! (spans); what was missing is *what the NIC was doing* when a tail
 //! formed. The recorder is that third leg (DESIGN.md §15): the engine,
-//! balancer, reliable layer, fault injector, and SLO tracker each drop a
-//! fixed-size [`FlightEvent`] into a shared ring when something
-//! operationally interesting happens — a route remap, a retransmit burst,
-//! a partition, a breach. The recorder owns the telemetry layer's one time
+//! reliable layer, fault injector, offload stage and SLO tracker each drop
+//! a fixed-size [`FlightEvent`] into a shared ring when something
+//! operationally interesting happens — a retransmit burst, a partition, a
+//! breach. The recorder owns the telemetry layer's one time
 //! grid: 1 ms ticks (`TICK_NS`) counted from the hub's clock epoch. Events,
 //! exemplars and SLO evaluation passes are all stamped with that tick, so
 //! a recorder slice lines up column-for-column with an objective's window
@@ -16,8 +16,8 @@
 //! ## Concurrency
 //!
 //! There is no single logical writer — the recorder is
-//! written from many threads: every engine worker, the balancer thread,
-//! whichever thread trips a fault or runs an SLO pass. Writers claim a
+//! written from many threads: every engine worker, whichever thread trips
+//! a fault or runs an SLO pass. Writers claim a
 //! slot with one `fetch_add` on `head` and publish it seqlock-style: the
 //! slot's `seq` is first zeroed (invalidating any stale content), the
 //! payload is stored relaxed, then `seq` is set to `index + 1` with
@@ -43,9 +43,6 @@ pub const DEFAULT_FLIGHT_CAPACITY: usize = 4096;
 /// What happened. The discriminant is stored on the ring as a `u64`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FlightEventKind {
-    /// A connection with no request awaiting a response followed its
-    /// moved RSS route (`a` = old queue, `b` = new queue).
-    Remap,
     /// Engine queue `a` retransmitted `b` unacked frames since its
     /// previous burst event (at most one event per grid tick per queue, so
     /// a blackholed peer cannot lap the ring).
@@ -58,11 +55,6 @@ pub enum FlightEventKind {
     Partition,
     /// The fault injector restored connectivity (same `a`/`b` coding).
     Heal,
-    /// The balancer shed a hot queue from the RSS mask (`a` = queue).
-    QueueShed,
-    /// The balancer restored the full RSS mask (`a` = previously shed
-    /// queue).
-    QueueRestore,
     /// An SLO's burn rate crossed above 1.0 (`a` = burn rate, milli).
     SloBreach,
     /// An SLO's burn rate fell back below 1.0 (`a` = burn rate, milli).
@@ -83,16 +75,13 @@ pub enum FlightEventKind {
 pub const FLIGHT_ALL_NODES: u64 = u64::MAX;
 
 impl FlightEventKind {
-    // New kinds append at the end: discriminants are positional and must
-    // stay stable for already-recorded rings.
-    const ALL: [FlightEventKind; 11] = [
-        FlightEventKind::Remap,
+    // Discriminants are positions in this list. A ring lives in one
+    // process's memory, so it only ever holds this build's positions.
+    const ALL: [FlightEventKind; 8] = [
         FlightEventKind::RetransmitBurst,
         FlightEventKind::PoolExhausted,
         FlightEventKind::Partition,
         FlightEventKind::Heal,
-        FlightEventKind::QueueShed,
-        FlightEventKind::QueueRestore,
         FlightEventKind::SloBreach,
         FlightEventKind::SloRecover,
         FlightEventKind::OffloadInvalidate,
@@ -102,13 +91,10 @@ impl FlightEventKind {
     /// Stable lower-snake name used by the JSON/text exporters.
     pub fn name(self) -> &'static str {
         match self {
-            FlightEventKind::Remap => "remap",
             FlightEventKind::RetransmitBurst => "retransmit_burst",
             FlightEventKind::PoolExhausted => "pool_exhausted",
             FlightEventKind::Partition => "partition",
             FlightEventKind::Heal => "heal",
-            FlightEventKind::QueueShed => "queue_shed",
-            FlightEventKind::QueueRestore => "queue_restore",
             FlightEventKind::SloBreach => "slo_breach",
             FlightEventKind::SloRecover => "slo_recover",
             FlightEventKind::OffloadInvalidate => "offload_invalidate",
@@ -280,12 +266,12 @@ mod tests {
     #[test]
     fn events_read_back_in_order() {
         let r = recorder(8);
-        r.record_at(10, FlightEventKind::Remap, 2, 0, 1);
+        r.record_at(10, FlightEventKind::Heal, 2, 0, 1);
         r.record_at(11, FlightEventKind::RetransmitBurst, 2, 5, 0);
         r.record_at(12, FlightEventKind::SloBreach, 0, 1500, 0);
         let events = r.snapshot();
         assert_eq!(events.len(), 3);
-        assert_eq!(events[0].kind, FlightEventKind::Remap);
+        assert_eq!(events[0].kind, FlightEventKind::Heal);
         assert_eq!(events[0].node, 2);
         assert_eq!(events[0].b, 1);
         assert_eq!(events[1].a, 5);
@@ -335,7 +321,7 @@ mod tests {
                 let r = Arc::clone(&r);
                 std::thread::spawn(move || {
                     for i in 0..200u64 {
-                        r.record_at(i, FlightEventKind::Remap, t, i, u64::from(t));
+                        r.record_at(i, FlightEventKind::Partition, t, i, u64::from(t));
                     }
                 })
             })
@@ -348,7 +334,7 @@ mod tests {
         // Every event is internally consistent: b echoes the writer id.
         for e in events {
             assert_eq!(e.b, u64::from(e.node));
-            assert_eq!(e.kind, FlightEventKind::Remap);
+            assert_eq!(e.kind, FlightEventKind::Partition);
         }
         assert_eq!(r.recorded(), 800);
     }

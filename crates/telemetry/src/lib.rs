@@ -177,7 +177,7 @@ impl Telemetry {
     }
 
     /// The flight recorder: components drop structured engine events here
-    /// (remaps, retransmit bursts, partitions, SLO crossings).
+    /// (retransmit bursts, partitions, SLO crossings).
     pub fn flight(&self) -> &Arc<FlightRecorder> {
         &self.flight
     }

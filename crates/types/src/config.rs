@@ -118,16 +118,14 @@ pub struct HardConfig {
     /// plus its own fabric RX queue,
     /// buffer pool, and reliable-transport channels — the functional
     /// equivalent of per-thread RX/TX queues in eRPC/FaSST. Must satisfy
-    /// `1 <= num_queues <= num_flows` and `num_queues <= 64` (the
-    /// soft-register active-queue mask is one u64).
+    /// `1 <= num_queues <= num_flows` and `num_queues <= MAX_QUEUES`.
     pub num_queues: usize,
 }
 
 /// Maximum number of flows a single NIC supports (Table 1).
 pub const MAX_FLOWS: usize = 512;
 
-/// Maximum number of engine queues: the soft-register active-queue mask is
-/// a single `u64`, one bit per queue.
+/// Maximum number of engine queues, each one worker thread.
 pub const MAX_QUEUES: usize = 64;
 
 /// Maximum connection-cache entries (power-of-two bound above the paper's

@@ -51,9 +51,9 @@ const BYE: u32 = u32::MAX;
 const SERVER_NODE: NodeAddr = NodeAddr(1);
 const CLIENT_NODE: NodeAddr = NodeAddr(2);
 
-/// Single engine queue on both sides: cross-process RSS spreading has no
-/// live view of the remote active-queue mask, so the minimal deployment
-/// keeps routing trivial (see the `fabric_udp` module docs).
+/// Single engine queue on both sides: the minimal deployment keeps routing
+/// trivial (a multi-queue peer must be declared with its real queue count,
+/// see `UdpFabric::set_peer`).
 fn pair_cfg() -> Result<HardConfig> {
     HardConfig::builder().reliable(true).num_queues(1).build()
 }

@@ -1,6 +1,6 @@
 //! The offload test battery: the on-NIC compute stage (NIC-side serde +
 //! hot-key response cache, DESIGN.md §18) under end-to-end traffic, chaos,
-//! partitions, and elastic-RSS remaps.
+//! partitions, and one key served from two engine queues' cache banks.
 //!
 //! Invariants, checked every scenario:
 //!
@@ -23,6 +23,7 @@ use dagger::kvs::server::{
     KvGetRequest, KvGetResponse, KvSetRequest, KvStoreClient, KvStoreDispatch,
 };
 use dagger::kvs::{Memcached, MemcachedPort};
+use dagger::nic::engine::conn_route_tag;
 use dagger::nic::{FaultPlan, MemFabric, Nic};
 use dagger::rpc::{RpcClientPool, RpcThreadedServer};
 use dagger::types::{HardConfig, NodeAddr, RpcHeader, RpcKind};
@@ -391,63 +392,53 @@ fn partition_heal_keeps_cache_coherent() {
     srv.nic.shutdown();
 }
 
-/// Elastic-RSS remap mid-stream: shrinking and restoring the server's
-/// active-queue mask moves connections across engine queues (each with its
-/// own cache bank); values stay exact and invalidation still reaches every
-/// bank because the generation counters are NIC-wide.
+/// One key read and written through two connections that route to
+/// different server queues, each queue with its own cache bank: every read
+/// returns the last acknowledged write, whichever bank served it, because
+/// invalidation reaches every bank (the generation counters are NIC-wide).
 #[test]
-fn queue_remap_does_not_break_coherence() {
+fn one_key_through_two_queues_stays_coherent() {
     let fabric = MemFabric::new();
     let cfg = HardConfig::builder().num_queues(2).build().unwrap();
     let mut srv = start_server(&fabric, 1, cfg, 64);
     let client_nic = Nic::start(&fabric, NodeAddr(2), HardConfig::default()).unwrap();
-    let pool = RpcClientPool::connect(Arc::clone(&client_nic), NodeAddr(1), 2).unwrap();
-    let clients: Vec<_> = (0..2)
-        .map(|i| KvStoreClient::new(pool.client(i).unwrap()))
-        .collect();
+    let pool = RpcClientPool::connect(Arc::clone(&client_nic), NodeAddr(1), 4).unwrap();
+    // A connection's requests all land on server queue `route_tag % 2`.
+    let clients = [0, 1].map(|q| {
+        let raw = (0..4)
+            .map(|i| pool.client(i).unwrap())
+            .find(|raw| conn_route_tag(raw.connection_id()) % 2 == q)
+            .unwrap_or_else(|| panic!("no connection routes to server queue {q}"));
+        KvStoreClient::new(raw)
+    });
 
-    let masks = [0b11u64, 0b01, 0b10, 0b11];
-    let mut expected: Vec<Vec<u8>> = (0..2).map(|c| format!("init{c}").into_bytes()).collect();
-    for (c, client) in clients.iter().enumerate() {
-        assert!(
-            client
-                .set(&KvSetRequest {
-                    key: format!("rk{c}").into_bytes(),
-                    value: expected[c].clone(),
-                })
-                .unwrap()
-                .ok
-        );
-    }
-    for (round, mask) in masks.iter().enumerate() {
-        srv.nic.softregs().set_active_queue_mask(*mask);
-        for (c, client) in clients.iter().enumerate() {
+    let key = b"shared".to_vec();
+    let set = |client: &KvStoreClient, value: &[u8]| {
+        let req = KvSetRequest {
+            key: key.clone(),
+            value: value.to_vec(),
+        };
+        assert!(client.set(&req).unwrap().ok);
+    };
+    let get = |client: &KvStoreClient| client.get(&KvGetRequest { key: key.clone() }).unwrap();
+    let mut expected = b"init".to_vec();
+    set(&clients[0], &expected);
+    for round in 0..8 {
+        for (q, client) in clients.iter().enumerate() {
             for _ in 0..10 {
-                let resp = client
-                    .get(&KvGetRequest {
-                        key: format!("rk{c}").into_bytes(),
-                    })
-                    .unwrap();
-                assert_eq!(resp.value, expected[c], "round {round} mask {mask:#b}");
+                assert_eq!(get(client).value, expected, "round {round} queue {q}");
             }
-            // Rewrite under the new mask; subsequent reads must see it.
-            expected[c] = format!("r{round}c{c}").into_bytes();
-            assert!(
-                client
-                    .set(&KvSetRequest {
-                        key: format!("rk{c}").into_bytes(),
-                        value: expected[c].clone(),
-                    })
-                    .unwrap()
-                    .ok
-            );
-            let resp = client
-                .get(&KvGetRequest {
-                    key: format!("rk{c}").into_bytes(),
-                })
-                .unwrap();
-            assert_eq!(resp.value, expected[c], "round {round}: stale after remap");
         }
+        // Write through one queue; the other queue's bank must not serve
+        // the old value.
+        let (writer, reader) = (&clients[round % 2], &clients[1 - round % 2]);
+        expected = format!("r{round}").into_bytes();
+        set(writer, &expected);
+        assert_eq!(
+            get(reader).value,
+            expected,
+            "round {round}: stale across banks"
+        );
     }
     let stats = srv.nic.offload_stats();
     assert!(stats.hits > 0, "{stats:?}");

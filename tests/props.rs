@@ -542,20 +542,16 @@ proptest! {
     /// RSS steering is deterministic and queue-affine for any connection
     /// tuple under every `LbPolicy`: the route tag depends only on the
     /// connection id (never on the LB policy, which steers server dispatch
-    /// flows, not engine queues), and the fabric maps the tag onto an
-    /// active queue of the destination — the same one on every decision,
-    /// for any nonempty active mask.
+    /// flows, not engine queues), and every request of the connection goes
+    /// to queue `tag % nq` of its destination.
     #[test]
     fn steering_deterministic_and_queue_affine(
         cid in any::<u32>(),
         nq in 2u16..=16,
-        mask_bits in any::<u16>(),
+        rpc in any::<u32>(),
         policy_pick in 0usize..3,
     ) {
-        use std::sync::Arc;
-        use std::sync::atomic::AtomicU64;
-        use dagger::nic::engine::conn_route_tag;
-        use dagger::nic::{Fabric, MemFabric};
+        use dagger::nic::engine::{conn_route_tag, route_queue};
 
         // The tag is a pure function of the connection id; the configured
         // LB policy must not perturb it.
@@ -563,21 +559,26 @@ proptest! {
         let tag = conn_route_tag(ConnectionId(cid));
         prop_assert_eq!(tag, conn_route_tag(ConnectionId(cid)));
 
-        let fabric = MemFabric::new();
-        let ports = fabric.attach_queues(NodeAddr(9), usize::from(nq)).unwrap();
-        let mask = (u64::from(mask_bits) | 1) & ((1u64 << nq) - 1);
-        fabric.set_queue_mask(NodeAddr(9), Arc::new(AtomicU64::new(mask)));
-
-        let q = fabric.route(NodeAddr(9), tag);
-        prop_assert_eq!(q, fabric.route(NodeAddr(9), tag), "route must be deterministic");
-        prop_assert_eq!(q, ports[0].route(NodeAddr(9), tag), "port view must agree");
+        let request = |rpc: u32, frame_idx: u8| RpcHeader {
+            connection_id: ConnectionId(cid),
+            rpc_id: RpcId(rpc),
+            fn_id: FnId(1),
+            src_flow: FlowId((rpc % 7) as u16),
+            kind: RpcKind::Request,
+            frame_idx,
+            frame_count: 2,
+            frame_payload_len: 8,
+            traced: false,
+            offloaded: false,
+        };
+        let nqs = usize::from(nq);
+        let q = route_queue(&request(rpc, 0), nqs);
         prop_assert!(q < nq);
-        prop_assert!(mask & (1 << q) != 0, "route must land on an active queue");
-        // The decision is the k-th active queue with k = tag mod popcount,
-        // so distinct tuples spread while each tuple stays affine.
-        let k = tag % u64::from(mask.count_ones());
-        let expect = (0u16..64).filter(|b| mask & (1 << b) != 0).nth(k as usize).unwrap();
-        prop_assert_eq!(q, expect);
+        prop_assert_eq!(u64::from(q), tag % u64::from(nq));
+        // Another request, or a later frame, of the same connection goes to
+        // the same queue.
+        prop_assert_eq!(q, route_queue(&request(rpc.wrapping_add(1), 0), nqs));
+        prop_assert_eq!(q, route_queue(&request(rpc, 1), nqs));
     }
 }
 

@@ -270,7 +270,6 @@ fn every_gauge_name_of_the_golden_list_is_still_exported() {
         "rx_frames",
         "tx_datagrams",
         "rx_datagrams",
-        "remaps",
         "host_steps",
         "thread_steps",
         "wakes_sent",
