@@ -178,10 +178,8 @@ pub(crate) struct EngineCore {
     /// backend is poked once per round, not once per datagram).
     pub wire_out: Vec<(NodeAddr, u16, Vec<u8>)>,
     /// The NIC-wide on-NIC offload stage (NIC-side serde + the hot-key
-    /// response cache, DESIGN.md §18), shared by every worker. Consulted
-    /// only when the `nic_serde` soft register is on and a spec is
-    /// installed; otherwise the datapath is byte-identical to the host-serde
-    /// baseline.
+    /// response cache, DESIGN.md §18), shared by every worker. Inert until
+    /// a spec is installed.
     pub offload: Arc<OffloadState>,
 }
 
@@ -391,6 +389,7 @@ impl EngineCore {
             st.lines.clear();
         }
         let mut progress = false;
+        let offload_cap = self.softregs.offload_cache_entries() as usize;
         // Every provisioned flow transmits (the active-flow register only
         // narrows RX steering); this worker polls the flows it owns.
         for flow in 0..self.tx_rings.len() {
@@ -418,12 +417,7 @@ impl EngineCore {
                 };
                 self.stamp_lead(&hdr, RpcEvent::EnginePickup);
                 // TX half of the offload stage (DESIGN.md §18).
-                self.offload.tx_response(
-                    &hdr,
-                    &line,
-                    self.softregs.nic_serde(),
-                    self.softregs.offload_cache_entries() as usize,
-                );
+                self.offload.tx_response(&hdr, &line, offload_cap);
                 let cid = hdr.connection_id;
                 let class = (cid, (hdr.kind == RpcKind::Response).then_some(hdr.src_flow));
                 let idx = match last {
@@ -776,7 +770,6 @@ impl EngineCore {
             hdr,
             line,
             usize::from(self.queue_id),
-            self.softregs.nic_serde(),
             self.softregs.offload_cache_entries() as usize,
             &mut self.pool,
         ) {

@@ -2,10 +2,10 @@
 //! switch and whatever [`Wire`] it runs over (DESIGN.md §11).
 //!
 //! Real fabrics do worse than deliver: they lose, reorder, duplicate,
-//! corrupt, delay, and partition. A [`FaultPlan`] injects all of those
-//! deterministically (splitmix64-seeded), either fabric-wide or per
-//! directed link, and can be swapped mid-run (soft-reconfiguration style)
-//! — as can link partitions ([`Switch::partition`] / [`Switch::heal`]).
+//! corrupt, delay, and partition. A [`FaultPlan`] injects all but the last
+//! deterministically (splitmix64-seeded), fabric-wide, fixed when the
+//! switch is built ([`Switch::with_faults`]); link partitions come and go
+//! mid-run ([`Switch::partition`] / [`Switch::heal`]).
 //! Every injected fault is counted in the [`FaultStats`] counter bank and
 //! exportable as `fabric.*` telemetry gauges via
 //! [`Switch::register_telemetry`].
@@ -76,8 +76,7 @@ fn clamp_prob(p: f64) -> f64 {
     }
 }
 
-/// A deterministic, composable fault specification for the fabric or one
-/// directed link.
+/// A deterministic, composable fault specification for the whole fabric.
 ///
 /// All probabilities are clamped into `[0, 1]` on construction (`NaN`
 /// clamps to `0`); a probability of `1.0` is legal and means "every frame"
@@ -217,10 +216,10 @@ struct HeldFrame {
 /// streams stay internally ordered.
 #[derive(Debug, Default)]
 struct FaultState {
-    global: Option<FaultPlan>,
-    links: HashMap<(NodeAddr, NodeAddr), FaultPlan>,
+    /// The fabric-wide plan, set once at build.
+    plan: Option<FaultPlan>,
     /// Per-directed-link splitmix64 streams, lazily derived from the
-    /// governing plan's seed and the endpoints.
+    /// plan's seed and the endpoints.
     streams: HashMap<(NodeAddr, NodeAddr), SplitMix>,
     /// Frames held for later release, any destination.
     held: Vec<HeldFrame>,
@@ -234,10 +233,6 @@ struct FaultState {
 }
 
 impl FaultState {
-    fn plan_for(&self, src: NodeAddr, dst: NodeAddr) -> Option<FaultPlan> {
-        self.links.get(&(src, dst)).copied().or(self.global)
-    }
-
     fn stream_for(&mut self, src: NodeAddr, dst: NodeAddr, plan: &FaultPlan) -> &mut SplitMix {
         self.streams.entry((src, dst)).or_insert_with(|| {
             // Distinct, deterministic stream per directed link.
@@ -261,10 +256,7 @@ impl FaultState {
 
     /// Whether a send has anything to consult here.
     fn armed(&self) -> bool {
-        self.global.is_some()
-            || !self.links.is_empty()
-            || self.partitioned()
-            || !self.held.is_empty()
+        self.plan.is_some() || self.partitioned() || !self.held.is_empty()
     }
 }
 
@@ -340,7 +332,7 @@ impl FaultLayer {
             self.stats.partition_drops.inc();
             return (None, None);
         }
-        let Some(plan) = state.plan_for(src, dst).filter(FaultPlan::is_active) else {
+        let Some(plan) = state.plan.filter(FaultPlan::is_active) else {
             return (None, Some(frame));
         };
 
@@ -440,36 +432,11 @@ impl<W: Wire> Switch<W> {
         Self::with_faults(FaultPlan::seeded(seed).with_drop(prob))
     }
 
-    /// Creates a fabric governed fabric-wide by `plan`.
+    /// Creates a fabric governed fabric-wide by `plan`, for its whole life.
     pub fn with_faults(plan: FaultPlan) -> Self {
         let fabric = Self::new();
-        fabric.set_faults(Some(plan));
+        fabric.shared.faults.locked(|state| state.plan = Some(plan));
         fabric
-    }
-
-    /// Installs (or clears) the fabric-wide fault plan mid-run. Per-link
-    /// plans set with [`Switch::set_link_faults`] take precedence.
-    /// Frames already held by the previous plan still release on schedule.
-    pub fn set_faults(&self, plan: Option<FaultPlan>) {
-        self.shared.faults.locked(|state| {
-            state.global = plan;
-            state.streams.clear();
-        });
-    }
-
-    /// Installs a fault plan for the directed link `src → dst`
-    /// (`Some(plan)`), forces that link clean overriding the global plan
-    /// (`Some` of an inactive plan — use [`FaultPlan::seeded`] for an
-    /// explicit no-fault plan), or removes the per-link override entirely
-    /// (`None`), restoring the global plan.
-    pub fn set_link_faults(&self, src: NodeAddr, dst: NodeAddr, plan: Option<FaultPlan>) {
-        self.shared.faults.locked(|state| {
-            match plan {
-                Some(p) => state.links.insert((src, dst), p),
-                None => state.links.remove(&(src, dst)),
-            };
-            state.streams.remove(&(src, dst));
-        });
     }
 
     /// Partitions the pair `a ↔ b`: frames between them (both directions)
@@ -694,38 +661,6 @@ mod tests {
         fabric.heal_node(NodeAddr(2));
         a.send(NodeAddr(2), vec![4]).unwrap();
         assert_eq!(b.try_recv(), Some(vec![4]));
-    }
-
-    #[test]
-    fn per_link_plan_overrides_global() {
-        let fabric = MemFabric::with_faults(FaultPlan::seeded(6).with_drop(1.0));
-        fabric.set_link_faults(NodeAddr(1), NodeAddr(3), Some(FaultPlan::seeded(6)));
-        let a = attach(&fabric, NodeAddr(1)).unwrap();
-        let b = attach(&fabric, NodeAddr(2)).unwrap();
-        let c = attach(&fabric, NodeAddr(3)).unwrap();
-        a.send(NodeAddr(2), vec![1]).unwrap(); // global: dropped
-        a.send(NodeAddr(3), vec![2]).unwrap(); // override: clean
-        assert_eq!(b.try_recv(), None);
-        assert_eq!(c.try_recv(), Some(vec![2]));
-        // Removing the override restores the global plan.
-        fabric.set_link_faults(NodeAddr(1), NodeAddr(3), None);
-        a.send(NodeAddr(3), vec![3]).unwrap();
-        assert_eq!(c.try_recv(), None);
-    }
-
-    #[test]
-    fn mid_run_plan_swap() {
-        let fabric = MemFabric::new();
-        let a = attach(&fabric, NodeAddr(1)).unwrap();
-        let b = attach(&fabric, NodeAddr(2)).unwrap();
-        a.send(NodeAddr(2), vec![1]).unwrap();
-        assert_eq!(b.try_recv(), Some(vec![1]));
-        fabric.set_faults(Some(FaultPlan::seeded(1).with_drop(1.0)));
-        a.send(NodeAddr(2), vec![2]).unwrap();
-        assert_eq!(b.try_recv(), None);
-        fabric.set_faults(None);
-        a.send(NodeAddr(2), vec![3]).unwrap();
-        assert_eq!(b.try_recv(), Some(vec![3]));
     }
 
     #[test]

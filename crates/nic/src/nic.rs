@@ -148,8 +148,7 @@ pub struct Nic {
     /// not reliable).
     reliable_stats: Vec<Arc<SharedReliableStats>>,
     /// The on-NIC compute offload stage (DESIGN.md §18), shared with every
-    /// engine worker. Idle until [`Nic::configure_offload`] installs a spec
-    /// and the `nic_serde` soft register is raised.
+    /// engine worker. Idle until [`Nic::configure_offload`] installs a spec.
     offload: Arc<OffloadState>,
 }
 
@@ -460,9 +459,9 @@ impl Nic {
     /// Installs the on-NIC offload spec: the IDL-generated serde and cache
     /// tables the engine executes per frame (DESIGN.md §18). One-shot, like
     /// hardware configuration at synthesis time — returns `false` if a spec
-    /// was already installed. The stage stays inert until the `nic_serde`
-    /// soft register is raised, and the response cache additionally until
-    /// `offload_cache_entries` is nonzero.
+    /// was already installed. Installing the spec arms the stage; the
+    /// response cache additionally stays off until `offload_cache_entries`
+    /// is nonzero.
     pub fn configure_offload(&self, spec: OffloadSpec) -> bool {
         self.offload.configure(spec)
     }

@@ -1,9 +1,8 @@
 //! The on-NIC compute offload stage: NIC-side serde and a hot-key
 //! response cache (DESIGN.md §18, paper §5.6 "near-memory offloads").
 //!
-//! With the `nic_serde` soft register enabled and an [`OffloadSpec`]
-//! installed, the engine consults this module on both sides of the
-//! datapath:
+//! Once an [`OffloadSpec`] is installed ([`OffloadState::configure`]), the
+//! engine consults this module on both sides of the datapath:
 //!
 //! - **RX** ([`OffloadState::rx_request`], over
 //!   [`OffloadState::on_read_rx`] / [`OffloadState::on_write_rx`]): the lead
@@ -16,9 +15,9 @@
 //!   [`OffloadState::on_response_tx`]): response frames leaving the NIC fill
 //!   the cache (reads) or complete the invalidation protocol (writes).
 //!
-//! The engine hands both entry points the frame and the values of the
-//! `nic_serde` and `offload_cache_entries` soft registers; the gate, the
-//! spec lookup, the bypass rules and key extraction all live here.
+//! The engine hands both entry points the frame and the value of the
+//! `offload_cache_entries` soft register; the gate (a spec is installed),
+//! the spec lookup, the bypass rules and key extraction all live here.
 //!
 //! # Coherence: the double-bump protocol
 //!
@@ -257,29 +256,29 @@ impl OffloadState {
         }
     }
 
-    /// The RX entry point: one received frame on `queue`, with the values of
-    /// the `nic_serde` and `offload_cache_entries` (`cap`) soft registers.
-    /// Returns the response lines of a read served from `queue`'s cache
-    /// (drawn from `pool`); the request then goes no further. `None` sends
-    /// the frame on to the host — invalidated first, if it is a write.
+    /// The RX entry point: one received frame on `queue`, with the value of
+    /// the `offload_cache_entries` (`cap`) soft register. Returns the
+    /// response lines of a read served from `queue`'s cache (drawn from
+    /// `pool`); the request then goes no further. `None` sends the frame on
+    /// to the host — invalidated first, if it is a write.
     ///
-    /// Only request lead frames of annotated functions are classified. The
-    /// key is extracted when the lead frame holds it whole and untraced (a
-    /// traced payload starts with a trace-context prelude the serde table
-    /// does not cover); a write without one flushes the whole cache through
-    /// the epoch. A read is looked up only if it is single-frame, its body
-    /// validates and it yields a key (the table describes the request
-    /// alone); any other read counts `bypass`.
+    /// Without an installed spec nothing is classified. Only request lead
+    /// frames of annotated functions are classified. The key is extracted
+    /// when the lead frame holds it whole and untraced (a traced payload
+    /// starts with a trace-context prelude the serde table does not cover);
+    /// a write without one flushes the whole cache through the epoch. A
+    /// read is looked up only if it is single-frame, its body validates and
+    /// it yields a key (the table describes the request alone); any other
+    /// read counts `bypass`.
     pub(crate) fn rx_request(
         &self,
         hdr: &RpcHeader,
         line: &CacheLine,
         queue: usize,
-        nic_serde: bool,
         cap: usize,
         pool: &mut BufPool,
     ) -> Option<Vec<CacheLine>> {
-        if !nic_serde || hdr.kind != RpcKind::Request || hdr.frame_idx != 0 {
+        if hdr.kind != RpcKind::Request || hdr.frame_idx != 0 {
             return None;
         }
         let fo = self.spec()?.get(hdr.fn_id)?;
@@ -307,17 +306,11 @@ impl OffloadState {
         Some(hit_lines(hdr, &cached, pool.get_lines()))
     }
 
-    /// The TX entry point: one frame leaving the NIC. With `nic_serde` on, a
-    /// response completes its read's fill or its write's second bump
-    /// ([`Self::on_response_tx`]).
-    pub(crate) fn tx_response(
-        &self,
-        hdr: &RpcHeader,
-        line: &CacheLine,
-        nic_serde: bool,
-        cap: usize,
-    ) {
-        if nic_serde && hdr.kind == RpcKind::Response {
+    /// The TX entry point: one frame leaving the NIC. Once a spec is
+    /// installed, a response completes its read's fill or its write's
+    /// second bump ([`Self::on_response_tx`]).
+    pub(crate) fn tx_response(&self, hdr: &RpcHeader, line: &CacheLine, cap: usize) {
+        if self.spec.get().is_some() && hdr.kind == RpcKind::Response {
             self.on_response_tx(
                 hdr.connection_id,
                 hdr.rpc_id,
@@ -753,16 +746,12 @@ mod tests {
         let s = state();
         let mut pool = BufPool::default();
         let (miss, line) = request(1, 1, &[b"k"]);
-        assert!(s.rx_request(&miss, &line, 0, true, 8, &mut pool).is_none());
+        assert!(s.rx_request(&miss, &line, 0, 8, &mut pool).is_none());
         // 66 bytes: two frames.
         let resp = ok_response(&[0xCD; 60]);
         s.on_response_tx(miss.connection_id, miss.rpc_id, 0, 1, &resp, 8);
         let (req, line) = request(1, 2, &[b"k"]);
-        assert!(
-            s.rx_request(&req, &line, 0, false, 8, &mut pool).is_none(),
-            "nic_serde off: nothing is classified"
-        );
-        let lines = s.rx_request(&req, &line, 0, true, 8, &mut pool).unwrap();
+        let lines = s.rx_request(&req, &line, 0, 8, &mut pool).unwrap();
         assert_eq!(lines.len(), 2);
         let mut body = Vec::new();
         for (i, l) in lines.iter().enumerate() {
@@ -789,7 +778,7 @@ mod tests {
         let mut rx = |tweak: fn(&mut RpcHeader), fn_id: u16, fields: &[&[u8]], cap: usize| {
             let (mut hdr, line) = request(fn_id, 1, fields);
             tweak(&mut hdr);
-            s.rx_request(&hdr, &line, 0, true, cap, &mut pool)
+            s.rx_request(&hdr, &line, 0, cap, &mut pool)
         };
         assert!(rx(|h| h.traced = true, 1, &[b"k"], 8).is_none());
         assert!(rx(|h| h.frame_count = 2, 1, &[b"k"], 8).is_none());
@@ -804,5 +793,27 @@ mod tests {
         assert!(rx(|h| h.frame_idx = 1, 2, &[b"k", b"v"], 8).is_none());
         let snap = s.stats().snapshot();
         assert_eq!((snap.bypass, snap.misses, snap.invalidations), (3, 0, 1));
+    }
+
+    #[test]
+    fn stage_without_a_spec_classifies_nothing_until_configured() {
+        let s = OffloadState::new(2);
+        let mut pool = BufPool::default();
+        let (read, line) = request(1, 1, &[b"k"]);
+        let (write, wline) = request(2, 2, &[b"k", b"v"]);
+        assert!(s.rx_request(&read, &line, 0, 8, &mut pool).is_none());
+        assert!(s.rx_request(&write, &wline, 0, 8, &mut pool).is_none());
+        let mut resp_hdr = read;
+        resp_hdr.kind = RpcKind::Response;
+        s.tx_response(&resp_hdr, &line, 8);
+        assert_eq!(s.stats().snapshot(), OffloadSnapshot::default());
+        assert_eq!(s.cached_entries(), 0);
+        assert!(s.configure(read_spec()));
+        assert!(s.rx_request(&read, &line, 0, 8, &mut pool).is_none());
+        assert_eq!(
+            s.stats().snapshot().misses,
+            1,
+            "the same frame is now classified"
+        );
     }
 }

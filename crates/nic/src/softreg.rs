@@ -4,31 +4,28 @@
 //! accessible by the host CPU via PCIe MMIOs". This module is that register
 //! file: lock-free atomics the host writes and the NIC engine reads every
 //! loop iteration — the number of active flows, the RX load-balancer
-//! selection and the two offload knobs.
+//! selection and the size of the on-NIC response cache.
 //!
 //! The paper's CCI-P batch size, auto-batching and polling-mode threshold
 //! are not registers here: each sets hardware timing the functional NIC
 //! does not have (the `dagger-sim` timing model covers it). A TX ring read
 //! takes what the ring holds, and received frames never wait for a batch.
-//! [`SoftRegisterFile::set_batch_size`] and
-//! [`SoftRegisterFile::set_auto_batch`] are no-ops kept only for callers
+//! Nor is there an on/off switch for the offload stage: installing its spec
+//! arms it (DESIGN.md §18). [`SoftRegisterFile::set_batch_size`],
+//! [`SoftRegisterFile::set_auto_batch`] and
+//! [`SoftRegisterFile::set_nic_serde`] are no-ops kept only for callers
 //! that still make the calls (DESIGN.md §17).
 
-use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU32, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU16, AtomicU32, AtomicU8, Ordering};
 
 use dagger_types::{LbPolicy, Result};
 
 /// The NIC's runtime-writable register file. Every register starts at 0 /
-/// off: all flows active, the `Uniform` policy, the host-serde baseline,
-/// no response cache.
+/// off: all flows active, the `Uniform` policy, no response cache.
 #[derive(Debug, Default)]
 pub struct SoftRegisterFile {
     active_flows: AtomicU16,
     lb_policy: AtomicU8,
-    /// A/B gate for the NIC-side serde path (the offload stage's
-    /// per-frame table execution). Off by default: the host-serde
-    /// baseline is the control arm.
-    nic_serde: AtomicBool,
     /// Per-queue capacity of the on-NIC hot-key response cache, in
     /// entries. 0 (the default) disables the cache entirely; this is a
     /// live knob the engine consults on every offload decision, so the
@@ -52,6 +49,10 @@ impl SoftRegisterFile {
     /// auto-batching to switch (see the module docs).
     pub fn set_auto_batch(&self, _on: bool) {}
 
+    /// Does nothing: the offload stage is armed by installing its spec,
+    /// not by a register (see the module docs).
+    pub fn set_nic_serde(&self, _on: bool) {}
+
     /// Number of active flows (0 means "all hard-configured flows").
     pub fn active_flows(&self) -> u16 {
         self.active_flows.load(Ordering::Relaxed)
@@ -70,17 +71,6 @@ impl SoftRegisterFile {
     /// Selects the RX load-balancer policy.
     pub fn set_lb_policy(&self, p: LbPolicy) {
         self.lb_policy.store(p.to_wire(), Ordering::Relaxed);
-    }
-
-    /// Whether the NIC-side serde path (the offload stage) is enabled.
-    pub fn nic_serde(&self) -> bool {
-        self.nic_serde.load(Ordering::Relaxed)
-    }
-
-    /// Enables/disables the NIC-side serde path. Off = host-serde
-    /// baseline (the A/B control arm).
-    pub fn set_nic_serde(&self, on: bool) {
-        self.nic_serde.store(on, Ordering::Relaxed);
     }
 
     /// Per-queue capacity of the on-NIC response cache (0 = disabled).
@@ -112,11 +102,8 @@ mod tests {
     #[test]
     fn offload_registers_default_off() {
         let regs = SoftRegisterFile::default();
-        assert!(!regs.nic_serde(), "host-serde baseline by default");
         assert_eq!(regs.offload_cache_entries(), 0, "cache disabled by default");
-        regs.set_nic_serde(true);
         regs.set_offload_cache_entries(256);
-        assert!(regs.nic_serde());
         assert_eq!(regs.offload_cache_entries(), 256);
     }
 

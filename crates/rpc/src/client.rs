@@ -46,12 +46,10 @@ impl RpcClient {
     /// Creates a client over an existing connection and endpoint. Most
     /// users go through [`RpcClientPool`](crate::RpcClientPool) instead.
     ///
-    /// Stamps and metrics go to the endpoint's telemetry hub when it has
-    /// one (so all stages share a clock epoch), else the NIC's.
+    /// Stamps and metrics go to the endpoint's telemetry hub, so all stages
+    /// share a clock epoch.
     pub fn new(nic: Arc<Nic>, endpoint: Arc<FlowEndpoint>, cid: ConnectionId) -> Self {
-        let telemetry = endpoint
-            .telemetry()
-            .map_or_else(|| Arc::clone(nic.telemetry()), Arc::clone);
+        let telemetry = Arc::clone(endpoint.telemetry());
         let rtt = telemetry.registry().histogram(CLIENT_RTT_HISTOGRAM);
         RpcClient {
             nic,
@@ -123,42 +121,14 @@ impl RpcClient {
     }
 
     /// Synchronous (blocking) call: sends the request and waits for the
-    /// response.
+    /// response ([`PendingCall::wait`]).
     ///
     /// # Errors
     ///
     /// Returns [`dagger_types::DaggerError::Timeout`] if the response does
     /// not arrive within the client timeout, or the remote handler's error.
     pub fn call_sync(&self, fn_id: FnId, payload: &[u8]) -> Result<Vec<u8>> {
-        let started = Instant::now();
-        let (rpc_id, span) = self.issue(fn_id, payload)?;
-        let outcome = self.endpoint.wait_for(self.cid, rpc_id, self.timeout());
-        let ids = span.as_ref().map(|s| (s.trace_id, s.span_id));
-        if let Some(span) = span {
-            // Closed even on timeout: the span then records the full wait.
-            span.finish(self.telemetry.spans());
-        }
-        if outcome.is_err() {
-            // Timed out (e.g. the peer is partitioned): give up the
-            // response slot so a late arrival cannot strand endpoint state.
-            self.endpoint.abandon(self.cid, rpc_id);
-        }
-        let rpc = outcome?;
-        self.record_rtt(started, ids);
-        decode_response(&rpc.payload)
-    }
-
-    /// Records the RTT sample; traced calls also stamp the histogram
-    /// bucket's exemplar so tail percentiles dereference to a trace.
-    fn record_rtt(&self, started: Instant, ids: Option<(u64, u64)>) {
-        let v = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        match ids {
-            Some((trace_id, span_id)) => {
-                self.rtt
-                    .record_traced(v, trace_id, span_id, self.telemetry.tick_now());
-            }
-            None => self.rtt.record(v),
-        }
+        self.call_async(fn_id, payload)?.wait()
     }
 
     /// Asynchronous (non-blocking) call: returns a [`PendingCall`] that can
@@ -248,6 +218,8 @@ impl PendingCall {
         })
     }
 
+    /// Records the RTT sample; traced calls also stamp the histogram
+    /// bucket's exemplar so tail percentiles dereference to a trace.
     fn record_rtt(&self, ids: Option<(u64, u64)>) {
         let v = u64::try_from(self.issued.elapsed().as_nanos()).unwrap_or(u64::MAX);
         match ids {
@@ -268,11 +240,12 @@ impl PendingCall {
     /// remote handler's error.
     pub fn wait(self) -> Result<Vec<u8>> {
         let outcome = self.endpoint.wait_for(self.cid, self.rpc_id, self.timeout);
+        // Closed even on timeout: the span then records the full wait.
         let ids = self.finish_span();
         if outcome.is_err() {
-            // Same cleanup as the sync path: a timed-out async call must
-            // not leave its (possibly late) response parked in the
-            // endpoint's ready buffer.
+            // Timed out (e.g. the peer is partitioned): give up the response
+            // slot so a late arrival cannot park in the endpoint's ready
+            // buffer.
             self.endpoint.abandon(self.cid, self.rpc_id);
         }
         let rpc = outcome?;
@@ -331,8 +304,9 @@ impl<T: crate::wire::Wire> TypedCall<T> {
 mod tests {
     use super::*;
     use crate::alloc_counter::count_allocs;
+    use crate::{RpcClientPool, RpcService, RpcThreadedServer, ServiceDescriptor};
     use dagger_nic::MemFabric;
-    use dagger_types::{HardConfig, NodeAddr};
+    use dagger_types::{DaggerError, HardConfig, NodeAddr};
 
     /// With tracing off a call pays for its frames and nothing else: no span
     /// name is formatted, no context encoded.
@@ -340,7 +314,7 @@ mod tests {
     fn untraced_issue_allocates_only_its_frame_vector() {
         let fabric = MemFabric::new();
         let nic = Nic::start(&fabric, NodeAddr(1), HardConfig::default()).unwrap();
-        let endpoint = Arc::new(FlowEndpoint::with_telemetry(
+        let endpoint = Arc::new(FlowEndpoint::new(
             nic.take_flow().unwrap(),
             Arc::clone(nic.telemetry()),
         ));
@@ -364,5 +338,57 @@ mod tests {
         assert_eq!(span.name, "rpc.fn7");
         assert!(allocs > 1, "a traced issue also builds its span name");
         nic.shutdown();
+    }
+
+    /// Echoes its request once the test releases it (or after 5 s, so a
+    /// failing test cannot hang the server's shutdown).
+    struct GatedEcho(Mutex<std::sync::mpsc::Receiver<()>>);
+
+    impl RpcService for GatedEcho {
+        fn descriptor(&self) -> ServiceDescriptor {
+            ServiceDescriptor::new("gated_echo", vec![FnId(1)])
+        }
+
+        fn dispatch(&self, _fn_id: FnId, payload: &[u8]) -> Result<Vec<u8>> {
+            let _ = self.0.lock().recv_timeout(Duration::from_secs(5));
+            Ok(payload.to_vec())
+        }
+    }
+
+    /// A sync call that times out gives up its response slot: the late
+    /// response is counted and dropped on arrival, never parked in the
+    /// endpoint's ready buffer.
+    #[test]
+    fn timed_out_sync_call_drops_its_late_response() {
+        let fabric = MemFabric::new();
+        let server_nic = Nic::start(&fabric, NodeAddr(1), HardConfig::default()).unwrap();
+        let client_nic = Nic::start(&fabric, NodeAddr(2), HardConfig::default()).unwrap();
+        let (release, gate) = std::sync::mpsc::channel();
+        let mut server = RpcThreadedServer::new(Arc::clone(&server_nic), 1);
+        server
+            .register_service(Arc::new(GatedEcho(Mutex::new(gate))))
+            .unwrap();
+        server.start().unwrap();
+        let pool = RpcClientPool::connect(Arc::clone(&client_nic), NodeAddr(1), 1).unwrap();
+        let client = pool.client(0).unwrap();
+        client.set_timeout(Duration::from_millis(20));
+
+        let err = client.call_sync(FnId(1), b"late").unwrap_err();
+        assert_eq!(err, DaggerError::Timeout);
+        // Only now may the handler answer.
+        release.send(()).unwrap();
+        let endpoint = client.endpoint();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while endpoint.late_drops() == 0 && Instant::now() < deadline {
+            assert!(endpoint
+                .poll_for(client.connection_id(), RpcId(1))
+                .is_none());
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(endpoint.late_drops(), 1);
+        assert_eq!(endpoint.ready_len(), 0);
+        server.stop();
+        client_nic.shutdown();
+        server_nic.shutdown();
     }
 }

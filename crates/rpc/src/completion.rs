@@ -27,8 +27,8 @@ pub struct CompletionQueue {
     endpoint: Arc<FlowEndpoint>,
     cid: ConnectionId,
     callbacks: Mutex<HashMap<u32, Callback>>,
-    /// `rpc.client.completions` in the endpoint's registry, if it has one.
-    completions: Option<Counter>,
+    /// `rpc.client.completions` in the endpoint's registry.
+    completions: Counter,
 }
 
 impl std::fmt::Debug for CompletionQueue {
@@ -45,7 +45,8 @@ impl CompletionQueue {
     pub fn new(endpoint: Arc<FlowEndpoint>, cid: ConnectionId) -> Self {
         let completions = endpoint
             .telemetry()
-            .map(|t| t.registry().counter("rpc.client.completions"));
+            .registry()
+            .counter("rpc.client.completions");
         CompletionQueue {
             endpoint,
             cid,
@@ -72,9 +73,7 @@ impl CompletionQueue {
     pub fn poll(&self) -> Vec<(RpcId, Result<Vec<u8>>)> {
         self.endpoint.poll_once();
         let completed = self.endpoint.take_all_for(self.cid);
-        if let Some(ctr) = &self.completions {
-            ctr.add(completed.len() as u64);
-        }
+        self.completions.add(completed.len() as u64);
         let mut out = Vec::new();
         for rpc in completed {
             let rpc_id = rpc.header.rpc_id;

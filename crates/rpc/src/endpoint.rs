@@ -54,24 +54,15 @@ pub struct FlowEndpoint {
     rx: Mutex<RxState>,
     /// The engine queue that owns this flow; every wait here drives it.
     engine: EngineHandle,
-    telemetry: Option<Arc<Telemetry>>,
+    telemetry: Arc<Telemetry>,
 }
 
 impl FlowEndpoint {
-    /// Wraps a claimed [`HostFlow`] with no telemetry attached.
-    pub fn new(flow: HostFlow) -> Self {
-        Self::build(flow, None)
-    }
-
     /// Wraps a claimed [`HostFlow`] and stamps RPC trace events
     /// (TX-ring enqueue, response completion) into `telemetry` — normally
     /// the owning NIC's hub, so client- and engine-side stamps share one
     /// clock epoch.
-    pub fn with_telemetry(flow: HostFlow, telemetry: Arc<Telemetry>) -> Self {
-        Self::build(flow, Some(telemetry))
-    }
-
-    fn build(flow: HostFlow, telemetry: Option<Arc<Telemetry>>) -> Self {
+    pub fn new(flow: HostFlow, telemetry: Arc<Telemetry>) -> Self {
         FlowEndpoint {
             flow: flow.flow,
             tx: Mutex::new(flow.tx),
@@ -99,9 +90,9 @@ impl FlowEndpoint {
         self.flow
     }
 
-    /// The telemetry hub this endpoint stamps into, if any.
-    pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
-        self.telemetry.as_ref()
+    /// The telemetry hub this endpoint stamps into.
+    pub fn telemetry(&self) -> &Arc<Telemetry> {
+        &self.telemetry
     }
 
     /// Writes an RPC's frames into the TX ring as one batch (one engine
@@ -135,10 +126,7 @@ impl FlowEndpoint {
 
     /// Stamps the `TxEnqueue` trace event for a request's lead frame.
     fn stamp_tx_enqueue(&self, frames: &[CacheLine]) {
-        let Some(telemetry) = &self.telemetry else {
-            return;
-        };
-        let tracer = telemetry.tracer();
+        let tracer = self.telemetry.tracer();
         if !tracer.is_enabled() {
             return;
         }
@@ -174,11 +162,9 @@ impl FlowEndpoint {
                         rx.late_drops += 1;
                         continue;
                     }
-                    if let Some(telemetry) = &self.telemetry {
-                        telemetry
-                            .tracer()
-                            .record(key.0, key.1, RpcEvent::ResponseComplete);
-                    }
+                    self.telemetry
+                        .tracer()
+                        .record(key.0, key.1, RpcEvent::ResponseComplete);
                     rx.ready.insert(key, rpc);
                     completed += 1;
                 }
@@ -315,7 +301,7 @@ mod tests {
             rx: rx_c,
             engine: EngineHandle::detached(),
         };
-        (FlowEndpoint::new(flow), tx_c, rx_p)
+        (FlowEndpoint::new(flow, Telemetry::new()), tx_c, rx_p)
     }
 
     fn response_frames(cid: u32, rpc: u32, payload: &[u8]) -> Vec<CacheLine> {
@@ -405,7 +391,7 @@ mod tests {
         };
         let telemetry = Telemetry::new();
         telemetry.tracer().enable();
-        let ep = FlowEndpoint::with_telemetry(flow, Arc::clone(&telemetry));
+        let ep = FlowEndpoint::new(flow, Arc::clone(&telemetry));
 
         let request = fragment(
             ConnectionId(7),

@@ -73,10 +73,7 @@ impl RpcClientPool {
             let flow_id = host_flow.flow;
             // Endpoints stamp into the NIC's telemetry hub so host-side and
             // engine-side trace events share one clock epoch.
-            let endpoint = Arc::new(FlowEndpoint::with_telemetry(
-                host_flow,
-                Arc::clone(nic.telemetry()),
-            ));
+            let endpoint = Arc::new(FlowEndpoint::new(host_flow, Arc::clone(nic.telemetry())));
             for _ in 0..clients_per_flow {
                 let cid = nic.open_connection(remote, flow_id, lb)?;
                 clients.push(Arc::new(RpcClient::new(
@@ -117,10 +114,7 @@ impl RpcClientPool {
                 .take_flow_on_queue(i % num_queues)
                 .or_else(|_| nic.take_flow())?;
             let flow_id = host_flow.flow;
-            let endpoint = Arc::new(FlowEndpoint::with_telemetry(
-                host_flow,
-                Arc::clone(nic.telemetry()),
-            ));
+            let endpoint = Arc::new(FlowEndpoint::new(host_flow, Arc::clone(nic.telemetry())));
             let cid = nic.open_connection(remote, flow_id, lb)?;
             pool_clients.push(Arc::new(RpcClient::new(Arc::clone(&nic), endpoint, cid)));
         }

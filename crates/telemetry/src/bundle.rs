@@ -8,7 +8,7 @@
 //!   events in its rolling window as of the breach pass, i.e. the two
 //!   numbers the burn rate was computed from;
 //! * **Exemplars → trace trees** — the tail-bucket exemplars of the
-//!   breached latency objective's histogram, each resolved into its full
+//!   breached objective's histogram, each resolved into its full
 //!   trace tree with critical-path attribution;
 //! * **Flight events** — the flight-recorder slice around the breach
 //!   tick, reaching back to the start of the slowest tail call: what the
@@ -22,7 +22,7 @@
 use crate::flight::{FlightEvent, FlightRecorder};
 use crate::hist::Exemplar;
 use crate::registry::MetricsRegistry;
-use crate::slo::{BreachCapture, SloKind, WINDOW_TICKS};
+use crate::slo::{BreachCapture, WINDOW_TICKS};
 use crate::span::Span;
 use crate::tree::{assemble, CriticalSegment};
 
@@ -53,10 +53,9 @@ pub struct DiagnosisBundle {
     pub tick: u64,
     /// Burn rate at the crossing, milli-scaled.
     pub burn_milli: u64,
-    /// Latency threshold for latency objectives; `None` for availability.
-    pub threshold_ns: Option<u64>,
-    /// Tail-bucket exemplars of the objective's histogram (empty for
-    /// availability objectives).
+    /// The objective's latency threshold.
+    pub threshold_ns: u64,
+    /// Tail-bucket exemplars of the objective's histogram.
     pub exemplars: Vec<Exemplar>,
     /// Exemplar traces resolved into trees with critical paths.
     pub traces: Vec<BundleTrace>,
@@ -82,19 +81,10 @@ impl DiagnosisBundle {
         spans: &[Span],
         flight: &FlightRecorder,
     ) -> DiagnosisBundle {
-        let (threshold_ns, exemplars) = match &breach.spec.kind {
-            SloKind::Latency {
-                histogram,
-                threshold_ns,
-                ..
-            } => {
-                let ex = registry
-                    .histogram(histogram)
-                    .with_histogram(|h| h.exemplars_above(*threshold_ns));
-                (Some(*threshold_ns), ex)
-            }
-            SloKind::Availability { .. } => (None, Vec::new()),
-        };
+        let threshold_ns = breach.spec.threshold_ns;
+        let exemplars = registry
+            .histogram(&breach.spec.histogram)
+            .with_histogram(|h| h.exemplars_above(threshold_ns));
         let mut trace_ids: Vec<u64> = exemplars.iter().map(|e| e.trace_id).collect();
         trace_ids.sort_unstable();
         trace_ids.dedup();
@@ -143,9 +133,7 @@ impl DiagnosisBundle {
             self.tick,
             self.burn_milli as f64 / 1000.0
         ));
-        if let Some(t) = self.threshold_ns {
-            out.push_str(&format!("objective: latency <= {t}ns\n"));
-        }
+        out.push_str(&format!("objective: latency <= {}ns\n", self.threshold_ns));
         out.push_str(&format!(
             "flight events around the breach ({}):\n",
             self.events.len()
@@ -272,7 +260,7 @@ mod tests {
             &flight,
         );
         assert_eq!(b.slo, "rtt_slo");
-        assert_eq!(b.threshold_ns, Some(10_000));
+        assert_eq!(b.threshold_ns, 10_000);
         assert_eq!((b.window_bad, b.window_total), (1, 40));
         assert_eq!(b.exemplars.len(), 1);
         assert_eq!(b.exemplars[0].trace_id, 0xBB);
@@ -310,23 +298,5 @@ mod tests {
         );
         let kinds: Vec<_> = b.events.iter().map(|e| (e.tick, e.kind)).collect();
         assert_eq!(kinds, vec![(cut, FlightEventKind::Partition)]);
-    }
-
-    #[test]
-    fn availability_breach_captures_events_only() {
-        let reg = MetricsRegistry::new();
-        let flight = FlightRecorder::with_epoch(64, Instant::now());
-        flight.record_at(AT, FlightEventKind::SloBreach, 0, 2000, 0);
-        let b = DiagnosisBundle::capture(
-            &breach(SloSpec::availability("ok", "good", "total", 0.999)),
-            &reg,
-            &[],
-            &flight,
-        );
-        assert_eq!(b.threshold_ns, None);
-        assert!(b.exemplars.is_empty());
-        assert!(b.traces.is_empty());
-        assert_eq!(b.events.len(), 1);
-        assert!(b.render().contains(&format!("breached at tick {AT}")));
     }
 }

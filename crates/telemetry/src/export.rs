@@ -292,18 +292,15 @@ fn flight_event_json(ev: &FlightEvent) -> String {
 
 fn bundle_json(b: &DiagnosisBundle) -> String {
     let mut out = format!(
-        "{{\"slo\":\"{}\",\"tick\":{},\"burn_milli\":{}",
+        "{{\"slo\":\"{}\",\"tick\":{},\"burn_milli\":{},\"threshold_ns\":{},\
+         \"window_bad\":{},\"window_total\":{},\"exemplars\":[",
         json_escape(&b.slo),
         b.tick,
-        b.burn_milli
+        b.burn_milli,
+        b.threshold_ns,
+        b.window_bad,
+        b.window_total
     );
-    if let Some(t) = b.threshold_ns {
-        out.push_str(&format!(",\"threshold_ns\":{t}"));
-    }
-    out.push_str(&format!(
-        ",\"window_bad\":{},\"window_total\":{},\"exemplars\":[",
-        b.window_bad, b.window_total
-    ));
     for (i, ex) in b.exemplars.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -698,7 +695,7 @@ mod tests {
             slo: "client_rtt".to_string(),
             tick: 17,
             burn_milli: 2500,
-            threshold_ns: Some(1_000_000),
+            threshold_ns: 1_000_000,
             window_bad: 1,
             window_total: 6,
             exemplars: vec![ex],

@@ -14,10 +14,10 @@
 //!   `(connection_id, rpc_id)`: client send → TX ring → engine → fabric →
 //!   RX ring → dispatch → handler → response, yielding a six-stage latency
 //!   breakdown ([`STAGE_NAMES`]).
-//! * [`SloSpec`] — declared latency/availability objectives. Each reads
-//!   its own good and total event counts from the registry into a rolling
-//!   window; a burn-rate breach freezes a [`DiagnosisBundle`] joining the
-//!   tail's exemplar traces with the [`FlightRecorder`]'s engine events.
+//! * [`SloSpec`] — declared latency objectives. Each reads its own good
+//!   and total sample counts from its histogram into a rolling window; a
+//!   burn-rate breach freezes a [`DiagnosisBundle`] joining the tail's
+//!   exemplar traces with the [`FlightRecorder`]'s engine events.
 //! * [`TelemetrySnapshot`] — exporters: human-readable text (`Display`)
 //!   and a stable versioned JSON document ([`TelemetrySnapshot::to_json`]).
 //!
@@ -46,7 +46,7 @@ pub use flight::{
 };
 pub use hist::{Exemplar, Histogram, Summary};
 pub use registry::{Counter, Gauge, HistogramHandle, MetricsRegistry, RegistrySnapshot};
-pub use slo::{SloEvent, SloEventKind, SloKind, SloReport, SloSnapshot, SloSpec};
+pub use slo::{SloEvent, SloEventKind, SloReport, SloSnapshot, SloSpec};
 pub use span::{
     current_context, next_id, ContextScope, OpenSpan, Span, SpanCollector, SpanKind, TraceContext,
     DEFAULT_SPAN_CAPACITY,

@@ -1,19 +1,18 @@
-//! SLO tracking: declared objectives, rolling burn rate, budget accounting.
+//! SLO tracking: declared latency objectives, rolling burn rate, budget
+//! accounting.
 //!
-//! An *objective* is either a latency target ("99.9% of `rpc.client.rtt_ns`
-//! samples under 100µs") or an availability target ("99.9% of requests
-//! good"). The tracker is self-contained: on every evaluation pass
-//! ([`crate::Telemetry::sample_now`]) each objective reads its own two
-//! cumulative numbers — good and total events — straight from the
-//! registry, diffs them against the previous pass, and folds the delta
+//! An *objective* is a latency target ("99.9% of `rpc.client.rtt_ns`
+//! samples under 100µs"). The tracker is self-contained: on every
+//! evaluation pass ([`crate::Telemetry::sample_now`]) each objective reads
+//! its own two cumulative numbers — good and total samples — straight from
+//! its histogram, diffs them against the previous pass, and folds the delta
 //! into its own rolling window of `SUB_WINDOWS` × `SUB_WINDOW_TICKS` grid
 //! ticks (≈ 1 s on the flight recorder's 1 ms grid). No other metric is
 //! visited and no sample is stored. From the window and the running totals
 //! it derives:
 //!
 //! * **Error fraction** `e` — the fraction of bad events in the window
-//!   (histogram samples above the latency threshold, or `1 - good/total`
-//!   for availability).
+//!   (histogram samples above the latency threshold).
 //! * **Burn rate** — `e / (1 - target)`: how many times faster than
 //!   sustainable the error budget is burning. 1.0 means exactly on budget;
 //!   exported milli-scaled as the gauge `slo.<name>.burn_rate`.
@@ -50,68 +49,18 @@ const SUB_WINDOW_TICKS: u64 = 128;
 /// flight-recorder slice a diagnosis bundle freezes around a breach.
 pub(crate) const WINDOW_TICKS: u64 = SUB_WINDOWS * SUB_WINDOW_TICKS;
 
-/// What an objective measures.
-#[derive(Clone, Debug)]
-pub enum SloKind {
-    /// `target` fraction of samples of `histogram` must be at or under
-    /// `threshold_ns`.
-    Latency {
-        /// Registry histogram name, e.g. `rpc.client.rtt_ns`.
-        histogram: String,
-        /// Latency threshold in nanoseconds.
-        threshold_ns: u64,
-        /// Target good fraction in `(0, 1)`, e.g. `0.999`.
-        target: f64,
-    },
-    /// `target` fraction of `total` counter increments must be matched by
-    /// `good` counter increments.
-    Availability {
-        /// Registry counter counting good events.
-        good: String,
-        /// Registry counter counting all events.
-        total: String,
-        /// Target good fraction in `(0, 1)`.
-        target: f64,
-    },
-}
-
-impl SloKind {
-    fn target(&self) -> f64 {
-        match self {
-            SloKind::Latency { target, .. } | SloKind::Availability { target, .. } => *target,
-        }
-    }
-
-    /// The objective's cumulative `(good, total)` event counts, read
-    /// straight from the registry: a histogram's samples in the buckets up
-    /// to the threshold's and in all, or the two counters. Good rather than
-    /// bad is what gets diffed, so a `good` counter that trails its `total`
-    /// (requests in flight) corrects itself in the window on a later pass.
-    fn read(&self, registry: &MetricsRegistry) -> (u64, u64) {
-        match self {
-            SloKind::Latency {
-                histogram,
-                threshold_ns,
-                ..
-            } => registry.histogram(histogram).with_histogram(|h| {
-                let above = Histogram::bucket_index(*threshold_ns) + 1;
-                let bad: u64 = h.bucket_counts()[above..].iter().sum();
-                (h.count() - bad, h.count())
-            }),
-            SloKind::Availability { good, total, .. } => {
-                (registry.counter(good).get(), registry.counter(total).get())
-            }
-        }
-    }
-}
-
-/// A declared objective.
+/// A declared objective: `target` fraction of the samples of `histogram`
+/// must be at or under `threshold_ns`.
 #[derive(Clone, Debug)]
 pub struct SloSpec {
     /// Objective name; gauges are exported as `slo.<name>.*`.
     pub name: String,
-    /// What it measures.
-    pub kind: SloKind,
+    /// Registry histogram name, e.g. `rpc.client.rtt_ns`.
+    pub(crate) histogram: String,
+    /// Latency threshold in nanoseconds.
+    pub(crate) threshold_ns: u64,
+    /// Target good fraction in `(0, 1)`, e.g. `0.999`.
+    pub(crate) target: f64,
 }
 
 impl SloSpec {
@@ -128,33 +77,21 @@ impl SloSpec {
         );
         SloSpec {
             name: name.to_string(),
-            kind: SloKind::Latency {
-                histogram: histogram.to_string(),
-                threshold_ns,
-                target,
-            },
+            histogram: histogram.to_string(),
+            threshold_ns,
+            target,
         }
     }
 
-    /// Declares an availability objective: `target` fraction of `total`
-    /// counter events matched by `good`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target` is not in `(0, 1)`.
-    pub fn availability(name: &str, good: &str, total: &str, target: f64) -> Self {
-        assert!(
-            target > 0.0 && target < 1.0,
-            "SLO target must be in (0, 1), got {target}"
-        );
-        SloSpec {
-            name: name.to_string(),
-            kind: SloKind::Availability {
-                good: good.to_string(),
-                total: total.to_string(),
-                target,
-            },
-        }
+    /// The objective's cumulative `(good, total)` sample counts, read
+    /// straight from the registry: the histogram's samples in the buckets
+    /// up to the threshold's, and in all.
+    fn read(&self, registry: &MetricsRegistry) -> (u64, u64) {
+        registry.histogram(&self.histogram).with_histogram(|h| {
+            let above = Histogram::bucket_index(self.threshold_ns) + 1;
+            let bad: u64 = h.bucket_counts()[above..].iter().sum();
+            (h.count() - bad, h.count())
+        })
     }
 }
 
@@ -214,8 +151,8 @@ pub struct SloReport {
 /// diagnosis bundle once the evaluation pass releases the tracker's mutex.
 #[derive(Clone, Debug)]
 pub(crate) struct BreachCapture {
-    /// The breached objective (carries the histogram/counter names and
-    /// threshold the capture needs).
+    /// The breached objective (carries the histogram name and threshold
+    /// the capture needs).
     pub spec: SloSpec,
     /// Tick of the crossing pass.
     pub tick: u64,
@@ -331,8 +268,8 @@ impl SloTracker {
         self.last_tick = Some(tick);
         let mut breaches = Vec::new();
         for state in &mut self.slos {
-            state.fold(tick / SUB_WINDOW_TICKS, state.spec.kind.read(registry));
-            let budget = 1.0 - state.spec.kind.target();
+            state.fold(tick / SUB_WINDOW_TICKS, state.spec.read(registry));
+            let budget = 1.0 - state.spec.target;
             let e = if state.window_total == 0 {
                 0.0
             } else {
@@ -411,7 +348,7 @@ impl SloTracker {
                 .iter()
                 .map(|s| SloSnapshot {
                     name: s.spec.name.clone(),
-                    target_ppm: (s.spec.kind.target() * 1e6).round() as u64,
+                    target_ppm: (s.spec.target * 1e6).round() as u64,
                     burn_rate_milli: s.burn_milli,
                     budget_remaining_ppm: s.budget_remaining_ppm,
                     breached: s.breached,
@@ -444,11 +381,6 @@ mod tests {
             Rig::new(SloSpec::latency("rtt", "lat", 1_000, 0.99))
         }
 
-        /// 99 % of `total` matched by `good`.
-        fn availability() -> Rig {
-            Rig::new(SloSpec::availability("ok", "good", "total", 0.99))
-        }
-
         fn new(spec: SloSpec) -> Rig {
             let mut t = SloTracker::default();
             t.register(spec);
@@ -465,12 +397,6 @@ mod tests {
             let h = self.reg.histogram("lat");
             h.record_n(100_000, bad);
             h.record_n(100, total - bad);
-        }
-
-        /// Counts `total` requests of which `bad` failed.
-        fn count(&self, bad: u64, total: u64) {
-            self.reg.counter("good").add(total - bad);
-            self.reg.counter("total").add(total);
         }
 
         /// One pass; whether it ran (its captures are dropped).
@@ -523,26 +449,26 @@ mod tests {
     }
 
     #[test]
-    fn availability_slo_tracks_counter_deltas() {
-        let mut r = Rig::availability();
-        r.count(10, 100);
+    fn slo_tracks_histogram_deltas() {
+        let mut r = Rig::latency();
+        r.record(10, 100);
         r.eval(1, false);
         let obj = r.objective();
         assert_eq!((obj.window_bad, obj.window_total), (10, 100));
         assert!(obj.breached);
         // The next pass folds the increase, not the cumulative value.
-        r.count(0, 50);
+        r.record(0, 50);
         r.eval(2, false);
         let obj = r.objective();
         assert_eq!((obj.window_bad, obj.window_total), (10, 150));
     }
 
     #[test]
-    fn availability_slo_window_survives_counter_reset() {
-        let mut r = Rig::availability();
+    fn slo_window_survives_a_reset() {
+        let mut r = Rig::latency();
         let s = &mut r.t.slos[0];
         s.fold(0, (90, 100));
-        // The component restarts and re-zeroes its counters, then regrows:
+        // The component restarts and re-zeroes its histogram, then regrows:
         // only the one negative step is clamped; increments on both sides
         // of the reset survive in the window and in the budget.
         s.fold(0, (0, 0));
@@ -552,28 +478,12 @@ mod tests {
     }
 
     #[test]
-    fn good_counter_trailing_its_total_corrects_itself() {
-        let mut r = Rig::availability();
-        // Two requests are in flight at the first pass: counted in `total`,
-        // not yet in `good`.
-        r.reg.counter("total").add(10);
-        r.reg.counter("good").add(8);
-        r.eval(1, false);
-        assert_eq!(r.objective().window_bad, 2);
-        r.reg.counter("good").add(2);
-        r.eval(2, false);
-        let obj = r.objective();
-        assert_eq!((obj.window_bad, obj.window_total), (0, 10));
-        assert_eq!(obj.budget_remaining_ppm, 1_000_000);
-    }
-
-    #[test]
     fn sampling_is_idempotent_per_tick_and_force_overrides() {
-        let mut r = Rig::availability();
-        r.count(0, 5);
+        let mut r = Rig::latency();
+        r.record(0, 5);
         assert!(r.eval(1, false));
         // Same tick: skipped, and nothing is folded.
-        r.count(0, 3);
+        r.record(0, 3);
         assert!(!r.eval(1, false));
         assert_eq!(r.objective().window_total, 5);
         // Forced: runs anyway and picks up the new data in place.
@@ -617,13 +527,14 @@ mod tests {
 
     #[test]
     fn breach_and_recover_log_crossings_once() {
-        let mut r = Rig::availability();
-        r.count(10, 100);
+        let mut r = Rig::latency();
+        r.record(10, 100);
         r.eval(1, false);
-        r.count(10, 100);
-        r.eval(2, false); // still breached: no second event
-                          // Enough clean traffic to dilute the window under budget.
-        r.count(0, 10_000);
+        // Still breached: no second event.
+        r.record(10, 100);
+        r.eval(2, false);
+        // Enough clean traffic to dilute the window under budget.
+        r.record(0, 10_000);
         r.eval(3, false);
         let snap = r.t.snapshot();
         assert_eq!(snap.events.len(), 2);

@@ -108,7 +108,7 @@ fn partition_breach_produces_attributing_bundle() {
         .iter()
         .find(|b| b.slo == "client_rtt")
         .expect("breach must freeze a diagnosis bundle");
-    assert_eq!(bundle.threshold_ns, Some(THRESHOLD_NS));
+    assert_eq!(bundle.threshold_ns, THRESHOLD_NS);
     assert!(bundle.burn_milli >= 1000, "burn {}", bundle.burn_milli);
 
     // Tail-bucket exemplars: only the slow call qualifies, and its sample

@@ -29,7 +29,7 @@ use dagger::rpc::{RpcClientPool, RpcThreadedServer};
 use dagger::types::{HardConfig, NodeAddr, RpcHeader, RpcKind};
 
 /// Per-scenario server: a memcached-like store behind a NIC with the
-/// offload stage armed (spec installed, `nic_serde` raised, cache sized).
+/// offload stage armed (spec installed, cache sized).
 struct OffloadServer {
     nic: Arc<Nic>,
     store: Arc<Memcached>,
@@ -44,7 +44,6 @@ fn start_server(
 ) -> OffloadServer {
     let nic = Nic::start(fabric, NodeAddr(addr), cfg).unwrap();
     assert!(nic.configure_offload(KvStoreClient::offload_spec().expect("kvs is offloadable")));
-    nic.softregs().set_nic_serde(true);
     nic.softregs().set_offload_cache_entries(cache_entries);
     let store = Arc::new(Memcached::new(1 << 22, 8));
     // One dispatch thread per engine queue: a request is steered among the

@@ -153,7 +153,6 @@ fn run_offload_conformance(
 ) -> Vec<(bool, Vec<u8>)> {
     let server_nic = Nic::start(fabric, NodeAddr(1), reliable_cfg()).unwrap();
     assert!(server_nic.configure_offload(KvStoreClient::offload_spec().expect("kvs offloadable")));
-    server_nic.softregs().set_nic_serde(true);
     server_nic
         .softregs()
         .set_offload_cache_entries(cache_entries);
