@@ -1,6 +1,7 @@
 //! Offline build stub for `crossbeam` covering the `channel` subset this
 //! workspace uses: `unbounded()`, clonable `Sender`/`Receiver` (MPMC), and
-//! `send` / `recv` / `try_recv` / `recv_timeout`.
+//! `send` / `recv` / `try_recv` / `recv_timeout`. Like the real crate's,
+//! a `try_recv` on an empty channel takes no lock.
 
 pub mod channel {
     use std::collections::VecDeque;
@@ -10,14 +11,28 @@ pub mod channel {
 
     struct Shared<T> {
         queue: Mutex<VecDeque<T>>,
+        /// `queue.len()`, stored under the lock after every change, so an
+        /// empty poll can answer without taking it.
+        len: AtomicUsize,
         ready: Condvar,
         senders: AtomicUsize,
         receivers: AtomicUsize,
     }
 
+    impl<T> Shared<T> {
+        /// Pops the front value, keeping `len` in step; `queue` is the
+        /// locked queue.
+        fn pop(&self, queue: &mut VecDeque<T>) -> Option<T> {
+            let value = queue.pop_front()?;
+            self.len.store(queue.len(), Ordering::Release);
+            Some(value)
+        }
+    }
+
     pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
+            len: AtomicUsize::new(0),
             ready: Condvar::new(),
             senders: AtomicUsize::new(1),
             receivers: AtomicUsize::new(1),
@@ -57,11 +72,15 @@ pub mod channel {
             if self.shared.receivers.load(Ordering::Acquire) == 0 {
                 return Err(SendError(value));
             }
-            self.shared
-                .queue
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push_back(value);
+            {
+                let mut queue = self
+                    .shared
+                    .queue
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner);
+                queue.push_back(value);
+                self.shared.len.store(queue.len(), Ordering::Release);
+            }
             self.shared.ready.notify_one();
             Ok(())
         }
@@ -90,12 +109,22 @@ pub mod channel {
 
     impl<T> Receiver<T> {
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
+            if self.shared.len.load(Ordering::Acquire) == 0 {
+                if self.shared.senders.load(Ordering::Acquire) > 0 {
+                    return Err(TryRecvError::Empty);
+                }
+                // Every sender is gone, and the load that saw it publishes
+                // all they sent: a zero now means nothing is left.
+                if self.shared.len.load(Ordering::Acquire) == 0 {
+                    return Err(TryRecvError::Disconnected);
+                }
+            }
             let mut queue = self
                 .shared
                 .queue
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner);
-            if let Some(value) = queue.pop_front() {
+            if let Some(value) = self.shared.pop(&mut queue) {
                 return Ok(value);
             }
             if self.shared.senders.load(Ordering::Acquire) == 0 {
@@ -112,7 +141,7 @@ pub mod channel {
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner);
             loop {
-                if let Some(value) = queue.pop_front() {
+                if let Some(value) = self.shared.pop(&mut queue) {
                     return Ok(value);
                 }
                 if self.shared.senders.load(Ordering::Acquire) == 0 {
@@ -134,7 +163,7 @@ pub mod channel {
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner);
             loop {
-                if let Some(value) = queue.pop_front() {
+                if let Some(value) = self.shared.pop(&mut queue) {
                     return Ok(value);
                 }
                 if self.shared.senders.load(Ordering::Acquire) == 0 {

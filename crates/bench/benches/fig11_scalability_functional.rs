@@ -3,8 +3,9 @@
 //! The simulator already reproduces the paper's Fig. 11 curve analytically;
 //! this harness measures the real multi-queue engine instead. For each
 //! queue count it builds a fresh NIC pair with `num_queues = N`, starts an
-//! `N`-thread echo server, connects one pipelined client per queue via
-//! [`RpcClientPool::connect_per_queue`], and records aggregate throughput.
+//! `N`-thread echo server, connects `N` pipelined clients with
+//! [`RpcClientPool::connect_with`] — on a fresh NIC client `i` claims flow
+//! `i`, which queue `i` owns — and records aggregate throughput.
 //!
 //! Prints machine-parseable `key=value` lines:
 //!
@@ -84,11 +85,11 @@ fn drive_client(client: &Arc<RpcClient>, calls: u32) {
 /// workers per NIC, `queues` server dispatch threads, and `queues`
 /// concurrent pipelined clients (one pinned per engine queue).
 fn run_at(queues: usize, calls_per_client: u32) -> f64 {
-    let cfg = HardConfig::builder()
-        .num_flows(queues)
-        .num_queues(queues)
-        .build()
-        .unwrap();
+    let cfg = HardConfig {
+        num_flows: queues,
+        num_queues: queues,
+        ..HardConfig::default()
+    };
     let fabric = MemFabric::new();
     let server_nic = Nic::start(&fabric, NodeAddr(1), cfg.clone()).unwrap();
     let client_nic = Nic::start(&fabric, NodeAddr(2), cfg).unwrap();
@@ -98,7 +99,7 @@ fn run_at(queues: usize, calls_per_client: u32) -> f64 {
         .unwrap();
     server.start().unwrap();
 
-    let pool = RpcClientPool::connect_per_queue(
+    let pool = RpcClientPool::connect_with(
         Arc::clone(&client_nic),
         NodeAddr(1),
         queues,

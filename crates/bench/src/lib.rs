@@ -20,27 +20,6 @@ pub fn us(ns: u64) -> String {
     format!("{:.2}", ns as f64 / 1_000.0)
 }
 
-/// Formats a latency [`Summary`](dagger_telemetry::Summary) as a harness
-/// table row: `p50 / p90 / p99` in microseconds plus the sample count.
-pub fn summary_row(name: &str, s: &dagger_telemetry::Summary) {
-    println!(
-        "{name:<28} p50={:>8}us p90={:>8}us p99={:>8}us  (n={})",
-        us(s.p50_ns),
-        us(s.p90_ns),
-        us(s.p99_ns),
-        s.count
-    );
-}
-
-/// Dumps every histogram of a registry snapshot as harness table rows —
-/// the quick way for a bench target to report the unified telemetry its
-/// run produced.
-pub fn registry_histograms(snapshot: &dagger_telemetry::RegistrySnapshot) {
-    for (name, summary) in &snapshot.histograms {
-        summary_row(name, summary);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -49,12 +28,5 @@ mod tests {
     fn us_formats() {
         assert_eq!(us(2_100), "2.10");
         assert_eq!(us(0), "0.00");
-    }
-
-    #[test]
-    fn summary_row_does_not_panic() {
-        let reg = dagger_telemetry::MetricsRegistry::default();
-        reg.histogram("x_ns").record(1_500);
-        registry_histograms(&reg.snapshot());
     }
 }

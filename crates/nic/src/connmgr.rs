@@ -109,24 +109,26 @@ pub(crate) enum Control {
     Ack { to: NodeAddr, line: CacheLine },
 }
 
-/// Handles one received frame if it is a control frame: an open
-/// (re)installs the connection and asks for its ack, an open-ack confirms
-/// the connection in `confirmed`, a close removes it.
+/// Handles one received frame if it is a control frame: an open installs
+/// the connection and asks for its ack, an open-ack confirms the
+/// connection, a close removes it.
 pub(crate) fn rx_control(
     hdr: &RpcHeader,
     line: &CacheLine,
     cm: &Mutex<ConnectionManager>,
-    confirmed: &Mutex<HashSet<u32>>,
 ) -> Control {
     let cid = hdr.connection_id;
     match hdr.fn_id.raw() {
         CTRL_OPEN_FN => {
             let tuple = decode_ctrl_open(line);
-            // Re-opening (e.g. a retried control frame) is idempotent.
+            // A retried open finds its tuple installed and is only acked
+            // again: it counts no second open and flushes no tuple cache.
             {
                 let mut cm = cm.lock();
-                let _ = cm.close(cid);
-                let _ = cm.open(cid, tuple);
+                if cm.tuple(cid) != Some(tuple) {
+                    let _ = cm.close(cid);
+                    let _ = cm.open(cid, tuple);
+                }
             }
             // The ack completes the initiator's blocking setup (and
             // survives fabric loss via its retries).
@@ -136,7 +138,7 @@ pub(crate) fn rx_control(
             }
         }
         CTRL_OPEN_ACK_FN => {
-            confirmed.lock().insert(cid.raw());
+            cm.lock().confirm(cid);
             Control::Done
         }
         CTRL_CLOSE_FN => {
@@ -177,6 +179,8 @@ pub struct ConnectionManager {
     stats: [PortStats; 3],
     spills: u64,
     open_count: u64,
+    /// Open connections the remote NIC has acknowledged.
+    confirmed: HashSet<ConnectionId>,
     /// Mutation generation, bumped on every successful `open`/`close`.
     /// Engine-side tuple caches ([`crate::conncache::ConnTupleCache`])
     /// snapshot this counter and drop their entries when it moves — the
@@ -203,6 +207,7 @@ impl ConnectionManager {
             stats: [PortStats::default(); 3],
             spills: 0,
             open_count: 0,
+            confirmed: HashSet::new(),
             generation: Arc::new(AtomicU64::new(0)),
         }
     }
@@ -255,12 +260,14 @@ impl ConnectionManager {
         Ok(())
     }
 
-    /// Closes a connection, removing it from cache and backing store.
+    /// Closes a connection, removing it (and its confirmation) from cache
+    /// and backing store.
     ///
     /// # Errors
     ///
     /// Returns [`DaggerError::UnknownConnection`] if it was not open.
     pub fn close(&mut self, cid: ConnectionId) -> Result<()> {
+        self.confirmed.remove(&cid);
         let idx = self.index(cid);
         if matches!(self.entries[idx], Some((c, _)) if c == cid) {
             self.entries[idx] = None;
@@ -301,10 +308,31 @@ impl ConnectionManager {
         None
     }
 
+    /// The tuple of an open connection, read without a port: no hit or
+    /// miss is counted and nothing moves between cache and backing store.
+    fn tuple(&self, cid: ConnectionId) -> Option<ConnectionTuple> {
+        match self.entries[self.index(cid)] {
+            Some((c, t)) if c == cid => Some(t),
+            _ => self.backing.get(&cid).copied(),
+        }
+    }
+
     /// `true` if the connection is open (cache or backing store).
     pub fn contains(&self, cid: ConnectionId) -> bool {
-        let idx = self.index(cid);
-        matches!(self.entries[idx], Some((c, _)) if c == cid) || self.backing.contains_key(&cid)
+        self.tuple(cid).is_some()
+    }
+
+    /// Records the remote NIC's ack of an open connection (ignored unless
+    /// `cid` is open). The tuple is unchanged, so the generation is too.
+    pub fn confirm(&mut self, cid: ConnectionId) {
+        if self.contains(cid) {
+            self.confirmed.insert(cid);
+        }
+    }
+
+    /// `true` once the remote NIC has acknowledged the open connection.
+    pub fn is_confirmed(&self, cid: ConnectionId) -> bool {
+        self.confirmed.contains(&cid)
     }
 
     /// Number of connections currently open.
@@ -510,10 +538,9 @@ mod tests {
     #[test]
     fn rx_control_opens_acks_confirms_and_closes() {
         let cm = Mutex::new(ConnectionManager::new(8));
-        let confirmed = Mutex::new(HashSet::new());
         let rx = |line: CacheLine| {
             let hdr = RpcHeader::decode(line.header()).unwrap();
-            rx_control(&hdr, &line, &cm, &confirmed)
+            rx_control(&hdr, &line, &cm)
         };
         let cid = ConnectionId(3);
         let open = ctrl_open(cid, tuple(2, 40));
@@ -521,12 +548,17 @@ mod tests {
             to: NodeAddr(40),
             line: ctrl_open_ack(cid),
         };
+        let g0 = cm.lock().generation();
         assert_eq!(rx(open), ack);
-        // A retried open is idempotent and acked again.
+        // A retried open is idempotent in fact: acked again, but neither a
+        // second open nor a second generation step.
         assert_eq!(rx(open), ack);
+        assert_eq!(rx(open), ack);
+        assert_eq!(cm.lock().total_opened(), 1);
+        assert_eq!(cm.lock().generation(), g0 + 1);
         assert_eq!(cm.lock().lookup(CmPort::Cm, cid), Some(tuple(2, 40)));
         assert_eq!(rx(ctrl_open_ack(cid)), Control::Done);
-        assert!(confirmed.lock().contains(&3));
+        assert!(cm.lock().is_confirmed(cid));
         assert_eq!(rx(ctrl_close(cid)), Control::Done);
         assert!(!cm.lock().contains(cid));
         // Anything else is data.
@@ -535,6 +567,71 @@ mod tests {
         hdr.fn_id = FnId(1);
         hdr.encode(data.header_mut());
         assert_eq!(rx(data), Control::Data);
+    }
+
+    #[test]
+    fn an_open_with_a_new_tuple_reinstalls_it() {
+        let cm = Mutex::new(ConnectionManager::new(8));
+        let cid = ConnectionId(3);
+        for t in [tuple(2, 40), tuple(5, 40)] {
+            let line = ctrl_open(cid, t);
+            let hdr = RpcHeader::decode(line.header()).unwrap();
+            rx_control(&hdr, &line, &cm);
+        }
+        assert_eq!(cm.lock().lookup(CmPort::Cm, cid), Some(tuple(5, 40)));
+        assert_eq!(cm.lock().total_opened(), 2);
+    }
+
+    #[test]
+    fn confirm_ignores_a_connection_that_is_not_open() {
+        let mut cm = ConnectionManager::new(8);
+        cm.confirm(ConnectionId(7));
+        assert!(!cm.is_confirmed(ConnectionId(7)));
+        // Opened later, it is still unconfirmed until its own ack.
+        cm.open(ConnectionId(7), tuple(0, 1)).unwrap();
+        assert!(!cm.is_confirmed(ConnectionId(7)));
+    }
+
+    #[test]
+    fn close_clears_the_confirmation() {
+        let mut cm = ConnectionManager::new(2);
+        cm.open(ConnectionId(0), tuple(0, 0)).unwrap();
+        cm.open(ConnectionId(2), tuple(1, 1)).unwrap(); // spills cid 0
+        for cid in [ConnectionId(0), ConnectionId(2)] {
+            cm.confirm(cid);
+            assert!(cm.is_confirmed(cid));
+            cm.close(cid).unwrap();
+            assert!(!cm.is_confirmed(cid), "{cid}");
+        }
+        // A reopened id waits for a fresh ack.
+        cm.open(ConnectionId(2), tuple(1, 1)).unwrap();
+        assert!(!cm.is_confirmed(ConnectionId(2)));
+    }
+
+    #[test]
+    fn confirm_leaves_the_generation_alone() {
+        let mut cm = ConnectionManager::new(8);
+        cm.open(ConnectionId(1), tuple(0, 1)).unwrap();
+        let g = cm.generation();
+        cm.confirm(ConnectionId(1));
+        cm.confirm(ConnectionId(1));
+        assert!(cm.is_confirmed(ConnectionId(1)));
+        assert_eq!(cm.generation(), g);
+    }
+
+    #[test]
+    fn a_timed_out_open_leaves_no_confirmation_behind() {
+        // The initiator's side of `Nic::open_connection`: open, give up
+        // (close), then the remote's late ack arrives.
+        let cm = Mutex::new(ConnectionManager::new(8));
+        let cid = ConnectionId(4);
+        cm.lock().open(cid, tuple(1, 9)).unwrap();
+        cm.lock().close(cid).unwrap();
+        let ack = ctrl_open_ack(cid);
+        let hdr = RpcHeader::decode(ack.header()).unwrap();
+        assert_eq!(rx_control(&hdr, &ack, &cm), Control::Done);
+        assert!(!cm.lock().is_confirmed(cid));
+        assert!(!cm.lock().contains(cid));
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //! balancer, reliable-transport instance — so the hot path never shares
 //! mutable state between workers, and every count lands in the worker's
 //! own [`QueueStats`] bank. Shared pieces are the Packet Monitor's per-flow
-//! banks, the Connection Manager mutex (reached only on tuple-cache
-//! misses), the soft register file, and the confirmed-set fed by control
-//! acknowledgements.
+//! banks, the Connection Manager mutex (reached on tuple-cache misses and
+//! control frames), the soft register file, and the offload stage.
 //!
 //! Each [`EngineCore::step`] (one "tick") a worker:
 //!
@@ -47,7 +46,7 @@
 //! flows, or the queue's fallback engine thread (`drive.rs`, DESIGN.md §12)
 //! — and the only caller of the round functions.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -125,8 +124,6 @@ pub(crate) struct EngineCore {
     /// side handles control frames on any queue, against the shared
     /// Connection Manager).
     pub ctrl_rx: Receiver<(NodeAddr, Datagram)>,
-    /// Connections whose open has been acknowledged by the remote NIC.
-    pub confirmed: Arc<Mutex<HashSet<u32>>>,
     /// The reliable-transport state machine (§4.5 follow-up), when the
     /// hard configuration enables it. Per worker, on this worker's queue:
     /// channels are keyed per `(peer, peer queue)`, so two workers never
@@ -193,7 +190,6 @@ pub(crate) struct NicShared {
     pub stop: Arc<AtomicBool>,
     pub stop_barrier: Arc<AtomicUsize>,
     pub ctrl_rx: Receiver<(NodeAddr, Datagram)>,
-    pub confirmed: Arc<Mutex<HashSet<u32>>>,
     pub telemetry: Arc<Telemetry>,
     /// Every worker's waker, indexed by queue (so its length is the
     /// NIC's queue count).
@@ -256,7 +252,6 @@ impl EngineCore {
             arbiter: parts.arbiter,
             stop: Arc::clone(&shared.stop),
             ctrl_rx: shared.ctrl_rx.clone(),
-            confirmed: Arc::clone(&shared.confirmed),
             reliable: parts.reliable,
             pending_out: VecDeque::new(),
             burst_tick: 0,
@@ -747,7 +742,7 @@ impl EngineCore {
     /// stamp, the tuple lookup, offload and steering; `None` when one of
     /// them consumed or dropped it.
     fn classify(&mut self, hdr: &RpcHeader, line: &CacheLine) -> Option<usize> {
-        match rx_control(hdr, line, &self.conn_mgr, &self.confirmed) {
+        match rx_control(hdr, line, &self.conn_mgr) {
             Control::Data => {}
             Control::Done => return None,
             Control::Ack { to, line: ack } => {
@@ -875,7 +870,6 @@ mod tests {
             stop: Arc::new(AtomicBool::new(false)),
             stop_barrier: Arc::new(AtomicUsize::new(0)),
             ctrl_rx,
-            confirmed: Arc::new(Mutex::new(HashSet::new())),
             telemetry: Telemetry::new(),
             wakers: (0..queues).map(|_| Arc::new(EngineWaker::new())).collect(),
             offload: Arc::new(OffloadState::new(queues)),

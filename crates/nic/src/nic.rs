@@ -14,8 +14,8 @@
 //! all go to one queue of the destination, picked from its connection id
 //! and the destination's queue count alone.
 //!
-//! Host threads claim flows with [`Nic::take_flow`] (or
-//! [`Nic::take_flow_on_queue`] to pin work to one engine worker) — each
+//! Host threads claim flows with [`Nic::take_flow`], in ascending id order,
+//! so the first `num_queues` claims land one on each engine worker — each
 //! [`HostFlow`] is the 1-to-1 ring pair backing one `RpcClient` or one
 //! server dispatch thread — and manage connections with
 //! [`Nic::open_connection`] / [`Nic::close_connection`], which register the
@@ -30,7 +30,6 @@
 //! interface, so `num_queues > 1` under an arbiter slot is a configuration
 //! error.
 
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, LazyLock};
 use std::thread::JoinHandle;
@@ -136,7 +135,6 @@ pub struct Nic {
     stop: Arc<AtomicBool>,
     engines: Mutex<Vec<JoinHandle<()>>>,
     ctrl_tx: Sender<(NodeAddr, Datagram)>,
-    confirmed: Arc<Mutex<HashSet<u32>>>,
     telemetry: Arc<Telemetry>,
     /// Per-worker wakeup latches (control sends and shutdown kick all of
     /// them; the control channel is shared, so any worker may be the one
@@ -264,7 +262,6 @@ impl Nic {
         let stop = Arc::new(AtomicBool::new(false));
         let stop_barrier = Arc::new(AtomicUsize::new(0));
         let (ctrl_tx, ctrl_rx) = unbounded();
-        let confirmed = Arc::new(Mutex::new(HashSet::new()));
 
         // The offload stage is NIC-wide: per-queue caches inside, shared
         // generation counters across workers, wired to the flight recorder
@@ -282,7 +279,6 @@ impl Nic {
             stop: Arc::clone(&stop),
             stop_barrier,
             ctrl_rx,
-            confirmed: Arc::clone(&confirmed),
             telemetry: Arc::clone(&telemetry),
             wakers: wakers.clone(),
             offload: Arc::clone(&offload),
@@ -420,7 +416,6 @@ impl Nic {
             stop,
             engines: Mutex::new(threads),
             ctrl_tx,
-            confirmed,
             telemetry,
             wakers,
             engine_handles: handles,
@@ -496,38 +491,6 @@ impl Nic {
         Ok(flows.remove(0))
     }
 
-    /// Claims the lowest unclaimed flow owned by engine queue `queue`
-    /// (see [`queue_of_flow`]), pinning the caller's traffic to that
-    /// worker's TX/RX path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DaggerError::Config`] when the queue is out of range or
-    /// all of its flows are claimed.
-    pub fn take_flow_on_queue(&self, queue: usize) -> Result<HostFlow> {
-        if queue >= self.cfg.num_queues {
-            return Err(DaggerError::Config(format!(
-                "queue {queue} out of range (num_queues = {})",
-                self.cfg.num_queues
-            )));
-        }
-        let mut flows = self.unclaimed.lock();
-        let pos = flows
-            .iter()
-            .position(|f| queue_of_flow(usize::from(f.flow.raw()), self.cfg.num_queues) == queue);
-        match pos {
-            Some(i) => Ok(flows.remove(i)),
-            None => Err(DaggerError::Config(format!(
-                "all flows of queue {queue} already claimed"
-            ))),
-        }
-    }
-
-    /// Flows not yet claimed.
-    pub fn unclaimed_flows(&self) -> usize {
-        self.unclaimed.lock().len()
-    }
-
     /// Allocates a fabric-unique connection id: high 16 bits from this
     /// NIC's address, low 16 bits a local counter.
     ///
@@ -590,7 +553,7 @@ impl Nic {
             self.wake_all();
             let deadline = Instant::now() + Duration::from_millis(50);
             while Instant::now() < deadline {
-                if self.confirmed.lock().contains(&cid.raw()) {
+                if self.conn_mgr.lock().is_confirmed(cid) {
                     return Ok(cid);
                 }
                 wait.idle();
@@ -613,7 +576,6 @@ impl Nic {
             .lookup(crate::connmgr::CmPort::Cm, cid)
             .ok_or(DaggerError::UnknownConnection(cid.raw()))?;
         self.conn_mgr.lock().close(cid)?;
-        self.confirmed.lock().remove(&cid.raw());
         let ctrl = ctrl_close(cid);
         let dgram = Datagram::new(self.addr, tuple.dest_addr, vec![ctrl]);
         // Best-effort: the remote may already be gone.
@@ -809,19 +771,17 @@ mod tests {
 
     #[test]
     fn multi_queue_end_to_end_stays_on_the_owning_queues() {
-        let cfg = HardConfig::builder()
-            .num_flows(4)
-            .num_queues(4)
-            .build()
-            .unwrap();
+        let cfg = HardConfig {
+            num_flows: 4,
+            num_queues: 4,
+            ..HardConfig::default()
+        };
         let fabric = MemFabric::new();
         let client = Nic::start(&fabric, NodeAddr(1), cfg.clone()).unwrap();
         let server = Nic::start(&fabric, NodeAddr(2), cfg).unwrap();
 
         // One client flow per queue; the server dispatches on all four.
-        let mut cflows: Vec<HostFlow> = (0..4)
-            .map(|q| client.take_flow_on_queue(q).unwrap())
-            .collect();
+        let mut cflows: Vec<HostFlow> = (0..4).map(|_| client.take_flow().unwrap()).collect();
         for (q, f) in cflows.iter().enumerate() {
             assert_eq!(queue_of_flow(usize::from(f.flow.raw()), 4), q);
         }
@@ -889,11 +849,11 @@ mod tests {
         use crate::arbiter::CcipArbiter;
         let fabric = MemFabric::new();
         let arb = CcipArbiter::new(1);
-        let cfg = HardConfig::builder()
-            .num_flows(4)
-            .num_queues(2)
-            .build()
-            .unwrap();
+        let cfg = HardConfig {
+            num_flows: 4,
+            num_queues: 2,
+            ..HardConfig::default()
+        };
         let err = Nic::start_virtual(&fabric, NodeAddr(1), cfg, arb.register());
         assert!(matches!(err, Err(DaggerError::Config(_))));
     }
@@ -1050,11 +1010,14 @@ mod tests {
     #[test]
     fn take_flow_exhausts() {
         let fabric = MemFabric::new();
-        let cfg = HardConfig::builder().num_flows(2).build().unwrap();
+        let cfg = HardConfig {
+            num_flows: 2,
+            ..HardConfig::default()
+        };
         let nic = Nic::start(&fabric, NodeAddr(1), cfg).unwrap();
-        assert_eq!(nic.unclaimed_flows(), 2);
-        let _a = nic.take_flow().unwrap();
-        let _b = nic.take_flow().unwrap();
+        // Claimed in ascending id order, then exhausted.
+        assert_eq!(nic.take_flow().unwrap().flow, FlowId(0));
+        assert_eq!(nic.take_flow().unwrap().flow, FlowId(1));
         assert!(nic.take_flow().is_err());
         nic.shutdown();
     }

@@ -174,11 +174,6 @@ impl EngineWaker {
         std::thread::park_timeout(dur);
     }
 
-    /// True if a parked (or parking) thread is registered as waiting.
-    pub fn is_parked(&self) -> bool {
-        self.parked.load(Ordering::Acquire)
-    }
-
     /// A host thread is about to step the queue.
     pub fn renew_lease(&self) {
         if !self.host_driven.load(Ordering::Relaxed) {
@@ -415,7 +410,7 @@ mod tests {
             start.elapsed()
         });
         // Wait until the parker has registered and flagged itself.
-        while !waker.is_parked() {
+        while !waker.parked.load(Ordering::Acquire) {
             std::thread::yield_now();
         }
         waker.wake();
@@ -450,7 +445,7 @@ mod tests {
             w2.register_current();
             w2.park(Duration::from_secs(5));
         });
-        while !waker.is_parked() {
+        while !waker.parked.load(Ordering::Acquire) {
             std::thread::yield_now();
         }
         waker.wake();
@@ -466,6 +461,6 @@ mod tests {
     fn wake_without_parker_is_noop() {
         let waker = EngineWaker::new();
         waker.wake(); // no registered thread, no parked flag: must not panic
-        assert!(!waker.is_parked());
+        assert!(!waker.parked.load(Ordering::Acquire));
     }
 }

@@ -4,6 +4,8 @@
 //! ring pair ([`RpcClientPool::connect`]). The shared-receive-queue (SRQ)
 //! variant of §4.2 multiplexes several connections over each flow
 //! ([`RpcClientPool::connect_shared`]) — fewer rings, shared locking.
+//! Flows are claimed in ascending id order ([`Nic::take_flow`]) and striped
+//! across engine queues: on a fresh NIC, client `i` runs on queue `i % queues`.
 
 use std::sync::Arc;
 
@@ -84,44 +86,6 @@ impl RpcClientPool {
             }
         }
         Ok(RpcClientPool { remote, clients })
-    }
-
-    /// Connects `clients` clients, spreading their flows round-robin
-    /// across the NIC's engine queues (each flow pinned to a worker via
-    /// [`Nic::take_flow_on_queue`]), so a multi-queue NIC drives all of
-    /// its TX workers even with few clients. Falls back to any unclaimed
-    /// flow once a queue's partition is exhausted.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the NIC has too few unclaimed flows, `clients`
-    /// is zero, or connection setup fails.
-    pub fn connect_per_queue(
-        nic: Arc<Nic>,
-        remote: NodeAddr,
-        clients: usize,
-        lb: LbPolicy,
-    ) -> Result<Self> {
-        if clients == 0 {
-            return Err(dagger_types::DaggerError::Config(
-                "pool needs at least one client".to_string(),
-            ));
-        }
-        let num_queues = nic.config().num_queues;
-        let mut pool_clients = Vec::with_capacity(clients);
-        for i in 0..clients {
-            let host_flow = nic
-                .take_flow_on_queue(i % num_queues)
-                .or_else(|_| nic.take_flow())?;
-            let flow_id = host_flow.flow;
-            let endpoint = Arc::new(FlowEndpoint::new(host_flow, Arc::clone(nic.telemetry())));
-            let cid = nic.open_connection(remote, flow_id, lb)?;
-            pool_clients.push(Arc::new(RpcClient::new(Arc::clone(&nic), endpoint, cid)));
-        }
-        Ok(RpcClientPool {
-            remote,
-            clients: pool_clients,
-        })
     }
 
     /// The remote host this pool targets.

@@ -348,12 +348,10 @@ impl std::fmt::Debug for FlightApp {
 }
 
 fn tier_nic(fabric: &dyn Fabric, addr: NodeAddr, telemetry: &Arc<Telemetry>) -> Result<Arc<Nic>> {
-    let cfg = HardConfig::builder()
-        .num_flows(8)
-        .tx_ring_capacity(256)
-        .rx_ring_capacity(256)
-        .conn_cache_entries(1024)
-        .build()?;
+    let cfg = HardConfig {
+        num_flows: 8,
+        ..HardConfig::default()
+    };
     Nic::start_with_telemetry(fabric, addr, cfg, Arc::clone(telemetry))
 }
 

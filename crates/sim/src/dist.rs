@@ -58,35 +58,6 @@ impl Exp {
     }
 }
 
-/// An open-loop Poisson arrival process: exponential interarrival times.
-#[derive(Clone, Debug)]
-pub struct PoissonArrivals {
-    interarrival: Exp,
-    next: f64,
-}
-
-impl PoissonArrivals {
-    /// Creates a process with `rate_per_ns` arrivals per nanosecond
-    /// (e.g. `1e-3` for 1 Mrps).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rate is not positive and finite.
-    pub fn new(rate_per_ns: f64) -> Self {
-        PoissonArrivals {
-            interarrival: Exp::with_rate(rate_per_ns),
-            next: 0.0,
-        }
-    }
-
-    /// Returns the next arrival time in nanoseconds; strictly
-    /// non-decreasing across calls.
-    pub fn next_arrival(&mut self, rng: &mut Rng) -> u64 {
-        self.next += self.interarrival.sample(rng);
-        self.next as u64
-    }
-}
-
 /// Lognormal distribution parameterized by the *linear-space* median and the
 /// shape `sigma` (standard deviation of the underlying normal).
 ///
@@ -298,24 +269,6 @@ mod tests {
     fn exp_with_rate_matches_mean() {
         let a = Exp::with_rate(0.01);
         assert!((a.mean() - 100.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn poisson_arrivals_monotonic_and_rate_correct() {
-        let mut p = PoissonArrivals::new(0.01); // 10 Mrps
-        let mut rng = Rng::new(2);
-        let mut last = 0u64;
-        let n = 100_000;
-        for _ in 0..n {
-            let t = p.next_arrival(&mut rng);
-            assert!(t >= last);
-            last = t;
-        }
-        let achieved_rate = n as f64 / last as f64;
-        assert!(
-            (achieved_rate - 0.01).abs() / 0.01 < 0.03,
-            "rate {achieved_rate}"
-        );
     }
 
     #[test]

@@ -33,7 +33,6 @@ type Event = Box<dyn FnOnce(&mut Sim)>;
 pub struct Sim {
     now: Nanos,
     seq: u64,
-    executed: u64,
     // Min-heap on (time, seq); the payload closure travels with the key.
     queue: BinaryHeap<Reverse<Entry>>,
 }
@@ -67,7 +66,6 @@ impl Sim {
         Sim {
             now: 0,
             seq: 0,
-            executed: 0,
             queue: BinaryHeap::new(),
         }
     }
@@ -75,16 +73,6 @@ impl Sim {
     /// Current virtual time in nanoseconds.
     pub fn now(&self) -> Nanos {
         self.now
-    }
-
-    /// Number of events executed so far.
-    pub fn events_executed(&self) -> u64 {
-        self.executed
-    }
-
-    /// Number of events currently pending.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
     }
 
     /// Schedules `event` at absolute time `time`.
@@ -114,7 +102,6 @@ impl Sim {
             Some(Reverse(entry)) => {
                 debug_assert!(entry.time >= self.now, "time went backwards");
                 self.now = entry.time;
-                self.executed += 1;
                 (entry.event)(self);
                 true
             }
@@ -125,21 +112,6 @@ impl Sim {
     /// Runs until no events remain.
     pub fn run(&mut self) {
         while self.step() {}
-    }
-
-    /// Runs until the next event would be strictly after `deadline` (or the
-    /// queue empties). Afterwards `now` is at most `deadline`.
-    pub fn run_until(&mut self, deadline: Nanos) {
-        while let Some(Reverse(entry)) = self.queue.peek() {
-            if entry.time > deadline {
-                break;
-            }
-            self.step();
-        }
-        if self.queue.is_empty() {
-            // Nothing left; the caller still observes time advanced.
-            self.now = self.now.max(deadline);
-        }
     }
 }
 
@@ -154,7 +126,6 @@ impl std::fmt::Debug for Sim {
         f.debug_struct("Sim")
             .field("now", &self.now)
             .field("pending", &self.queue.len())
-            .field("executed", &self.executed)
             .finish()
     }
 }
@@ -207,7 +178,6 @@ mod tests {
         // Fires at 7, 14, 21, 28, 35.
         assert_eq!(*total.borrow(), 7 + 14 + 21 + 28 + 35);
         assert_eq!(sim.now(), 35);
-        assert_eq!(sim.events_executed(), 5);
     }
 
     #[test]
@@ -221,21 +191,6 @@ mod tests {
         });
         sim.run();
         assert_eq!(*fired_at.borrow(), 100);
-    }
-
-    #[test]
-    fn run_until_stops_at_deadline() {
-        let count = Rc::new(RefCell::new(0u32));
-        let mut sim = Sim::new();
-        for t in [10u64, 20, 30, 40] {
-            let c = count.clone();
-            sim.schedule_at(t, move |_| *c.borrow_mut() += 1);
-        }
-        sim.run_until(25);
-        assert_eq!(*count.borrow(), 2);
-        assert_eq!(sim.pending(), 2);
-        sim.run();
-        assert_eq!(*count.borrow(), 4);
     }
 
     #[test]

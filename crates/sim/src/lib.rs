@@ -43,12 +43,3 @@ pub use rng::Rng;
 
 /// Nanoseconds, the unit of simulated time across the workspace.
 pub type Nanos = u64;
-
-/// One microsecond in simulator units.
-pub const MICROS: Nanos = 1_000;
-
-/// One millisecond in simulator units.
-pub const MILLIS: Nanos = 1_000_000;
-
-/// One second in simulator units.
-pub const SECS: Nanos = 1_000_000_000;

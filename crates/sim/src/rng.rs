@@ -43,13 +43,6 @@ impl Rng {
         }
     }
 
-    /// Derives an independent child generator; used to give each simulated
-    /// component its own stream so adding a component does not perturb
-    /// others.
-    pub fn fork(&mut self) -> Rng {
-        Rng::new(self.next_u64() ^ 0xA5A5_5A5A_F0F0_0F0F)
-    }
-
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
@@ -151,14 +144,6 @@ mod tests {
             seen[r.next_below(8) as usize] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn fork_streams_are_independent() {
-        let mut parent = Rng::new(21);
-        let mut c1 = parent.fork();
-        let mut c2 = parent.fork();
-        assert_ne!(c1.next_u64(), c2.next_u64());
     }
 
     #[test]

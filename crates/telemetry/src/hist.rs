@@ -223,30 +223,6 @@ impl Histogram {
         self.max
     }
 
-    /// Merges another histogram into this one. Exemplars keep the sample
-    /// with the larger tick per bucket ("most recent" across both inputs).
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        if !other.exemplars.is_empty() {
-            if self.exemplars.is_empty() {
-                self.exemplars = vec![None; NUM_BUCKETS];
-            }
-            for (mine, theirs) in self.exemplars.iter_mut().zip(other.exemplars.iter()) {
-                match (&mine, theirs) {
-                    (None, Some(e)) => *mine = Some(*e),
-                    (Some(m), Some(e)) if e.tick > m.tick => *mine = Some(*e),
-                    _ => {}
-                }
-            }
-        }
-    }
-
     /// Raw per-bucket counts, indexed by [`Histogram::bucket_index`]. A
     /// latency SLO sums the buckets above its threshold's to count the bad
     /// samples without re-recording anything.
@@ -416,27 +392,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_combines() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        for v in 1..=100u64 {
-            a.record(v);
-        }
-        for v in 10_001..=10_100u64 {
-            b.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), 200);
-        assert_eq!(a.min(), 1);
-        assert!(a.max() >= 10_100);
-        // Median should sit at the boundary between the two clusters.
-        let p50 = a.percentile(50.0);
-        assert!(p50 <= 110, "p50 {p50}");
-        let p90 = a.percentile(90.0);
-        assert!(p90 >= 10_000, "p90 {p90}");
-    }
-
-    #[test]
     fn percentiles_monotonic() {
         let mut h = Histogram::new();
         let mut x = 1u64;
@@ -495,24 +450,6 @@ mod tests {
         assert!(same.is_empty(), "{same:?}");
         assert!(h.exemplars_above(u64::MAX).is_empty());
         assert_eq!(h.exemplars_above(0).len(), 2);
-    }
-
-    #[test]
-    fn merge_keeps_newest_exemplar_per_bucket() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record_traced(500, 0xA, 1, 10);
-        b.record_traced(500, 0xB, 2, 20);
-        b.record_traced(64_000, 0xD, 4, 5);
-        a.merge(&b);
-        let ex = a.exemplars();
-        assert_eq!(ex.len(), 2);
-        assert_eq!(ex[0].trace_id, 0xB, "newer tick wins the shared bucket");
-        assert_eq!(ex[1].trace_id, 0xD, "unopposed exemplar carried over");
-        // Merging an exemplar-free histogram leaves exemplars intact.
-        let plain = Histogram::new();
-        a.merge(&plain);
-        assert_eq!(a.exemplars().len(), 2);
     }
 
     #[test]

@@ -51,12 +51,6 @@ impl Gauge {
         self.0.store(v, Ordering::Relaxed);
     }
 
-    /// Sets the gauge to `v` if it exceeds the current value (high
-    /// watermark).
-    pub fn set_max(&self, v: u64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
-    }
-
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
@@ -286,14 +280,13 @@ mod tests {
     }
 
     #[test]
-    fn gauges_set_and_watermark() {
+    fn gauges_set_and_read() {
         let reg = MetricsRegistry::new();
         let g = reg.gauge("depth");
         g.set(5);
-        g.set_max(3);
         assert_eq!(g.get(), 5);
-        g.set_max(9);
-        assert_eq!(reg.snapshot().gauge("depth"), Some(9));
+        g.set(3);
+        assert_eq!(reg.snapshot().gauge("depth"), Some(3));
     }
 
     #[test]

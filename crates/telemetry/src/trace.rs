@@ -334,21 +334,6 @@ impl RpcTracer {
         inner.order.clear();
         self.dropped.store(0, Ordering::Relaxed);
     }
-
-    /// Re-bounds the table to `capacity` traces (min 1), evicting oldest
-    /// as needed.
-    pub fn set_capacity(&self, capacity: usize) {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        inner.capacity = capacity.max(1);
-        while inner.traces.len() > inner.capacity {
-            if let Some(old) = inner.order.pop_front() {
-                inner.traces.remove(&old);
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-            } else {
-                break;
-            }
-        }
-    }
 }
 
 impl std::fmt::Debug for RpcTracer {
@@ -437,19 +422,6 @@ mod tests {
         t.clear();
         assert!(t.is_empty());
         assert_eq!(t.dropped(), 0);
-    }
-
-    #[test]
-    fn set_capacity_shrinks_and_evicts() {
-        let t = RpcTracer::with_capacity(8);
-        t.enable();
-        for i in 0..8u32 {
-            t.record_at(1, i, RpcEvent::ClientSend, u64::from(i));
-        }
-        t.set_capacity(3);
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.dropped(), 5);
-        assert!(t.get(1, 7).is_some());
     }
 
     #[test]

@@ -12,13 +12,11 @@
 //!   paper's CCI-P batch size and polling threshold are not registers here:
 //!   they set hardware timing, which the `dagger-sim` model covers.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{DaggerError, Result};
 
 /// The CPU–NIC interface scheme (§4.4.1). In the paper the choice of scheme
 /// is *hard* configuration (dedicated IP blocks).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum IfaceKind {
     /// WQE-by-MMIO: the CPU writes each 64 B RPC into NIC MMIO space using
     /// two AVX-256 stores. Lowest PCIe latency, lowest throughput.
@@ -54,7 +52,7 @@ impl IfaceKind {
 
 /// Load-balancing scheme used by the NIC RX path to steer incoming RPCs to
 /// flows (§4.4.2, §5.7).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum LbPolicy {
     /// Dynamic uniform steering: round-robin over active flows.
     #[default]
@@ -90,10 +88,12 @@ impl LbPolicy {
 
 /// Synthesis-time ("hard") configuration of one NIC instance.
 ///
-/// Construct via [`HardConfig::builder`]; [`HardConfig::validate`] enforces
-/// the invariants the hardware would impose (power-of-two tables, at least
-/// one flow, ring capacity bounds).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// Plain data: write the fields that differ from the defaults, as in
+/// `HardConfig { num_flows: 8, ..HardConfig::default() }`.
+/// [`HardConfig::validate`] enforces the invariants the hardware would
+/// impose (power-of-two tables, at least one flow, ring capacity bounds);
+/// `Nic::start` runs it.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HardConfig {
     /// Number of hardware flows; each maps 1-to-1 to an RX/TX ring pair.
     /// Table 1 allows up to 512.
@@ -147,13 +147,6 @@ impl Default for HardConfig {
 }
 
 impl HardConfig {
-    /// Starts building a configuration from the defaults.
-    pub fn builder() -> HardConfigBuilder {
-        HardConfigBuilder {
-            config: HardConfig::default(),
-        }
-    }
-
     /// Checks all hardware invariants.
     ///
     /// # Errors
@@ -200,66 +193,6 @@ impl HardConfig {
     }
 }
 
-/// Builder for [`HardConfig`].
-#[derive(Clone, Debug)]
-pub struct HardConfigBuilder {
-    config: HardConfig,
-}
-
-impl HardConfigBuilder {
-    /// Sets the number of hardware flows.
-    pub fn num_flows(mut self, n: usize) -> Self {
-        self.config.num_flows = n;
-        self
-    }
-
-    /// Sets the per-flow TX ring capacity (cache lines).
-    pub fn tx_ring_capacity(mut self, n: usize) -> Self {
-        self.config.tx_ring_capacity = n;
-        self
-    }
-
-    /// Sets the per-flow RX ring capacity (cache lines).
-    pub fn rx_ring_capacity(mut self, n: usize) -> Self {
-        self.config.rx_ring_capacity = n;
-        self
-    }
-
-    /// Sets the connection-cache entry count (power of two).
-    pub fn conn_cache_entries(mut self, n: usize) -> Self {
-        self.config.conn_cache_entries = n;
-        self
-    }
-
-    /// Sets the CPU–NIC interface scheme.
-    pub fn iface(mut self, iface: IfaceKind) -> Self {
-        self.config.iface = iface;
-        self
-    }
-
-    /// Enables the reliable transport (§4.5 follow-up work).
-    pub fn reliable(mut self, on: bool) -> Self {
-        self.config.reliable = on;
-        self
-    }
-
-    /// Sets the number of engine queues (worker threads).
-    pub fn num_queues(mut self, n: usize) -> Self {
-        self.config.num_queues = n;
-        self
-    }
-
-    /// Validates and produces the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DaggerError::Config`] if the configuration is invalid.
-    pub fn build(self) -> Result<HardConfig> {
-        self.config.validate()?;
-        Ok(self.config)
-    }
-}
-
 /// Largest CCI-P batch size, the paper's Table 1 value. No register sets
 /// a batch size here: a TX ring read takes what the ring holds.
 pub const MAX_BATCH: u8 = 16;
@@ -274,68 +207,66 @@ mod tests {
     }
 
     #[test]
-    fn builder_sets_fields() {
-        let cfg = HardConfig::builder()
-            .num_flows(8)
-            .tx_ring_capacity(512)
-            .rx_ring_capacity(128)
-            .conn_cache_entries(4096)
-            .iface(IfaceKind::Doorbell)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.num_flows, 8);
-        assert_eq!(cfg.tx_ring_capacity, 512);
-        assert_eq!(cfg.rx_ring_capacity, 128);
-        assert_eq!(cfg.conn_cache_entries, 4096);
-        assert_eq!(cfg.iface, IfaceKind::Doorbell);
+    fn non_default_fields_validate() {
+        let cfg = HardConfig {
+            num_flows: 8,
+            tx_ring_capacity: 512,
+            rx_ring_capacity: 128,
+            conn_cache_entries: 4096,
+            iface: IfaceKind::Doorbell,
+            ..HardConfig::default()
+        };
+        cfg.validate().unwrap();
     }
 
     #[test]
     fn rejects_zero_flows() {
-        assert!(HardConfig::builder().num_flows(0).build().is_err());
+        let cfg = HardConfig {
+            num_flows: 0,
+            ..HardConfig::default()
+        };
+        assert!(cfg.validate().is_err());
     }
 
     #[test]
     fn rejects_too_many_flows() {
-        assert!(HardConfig::builder()
-            .num_flows(MAX_FLOWS + 1)
-            .build()
-            .is_err());
+        let cfg = HardConfig {
+            num_flows: MAX_FLOWS + 1,
+            ..HardConfig::default()
+        };
+        assert!(cfg.validate().is_err());
     }
 
     #[test]
     fn rejects_bad_queue_counts() {
-        assert!(HardConfig::builder().num_queues(0).build().is_err());
-        assert!(HardConfig::builder()
-            .num_queues(MAX_QUEUES + 1)
-            .num_flows(MAX_FLOWS)
-            .build()
-            .is_err());
+        let with = |num_flows, num_queues| HardConfig {
+            num_flows,
+            num_queues,
+            ..HardConfig::default()
+        };
+        assert!(with(4, 0).validate().is_err());
+        assert!(with(MAX_FLOWS, MAX_QUEUES + 1).validate().is_err());
         // More queues than flows: at least one queue would own no flow.
-        assert!(HardConfig::builder()
-            .num_flows(2)
-            .num_queues(4)
-            .build()
-            .is_err());
-        let cfg = HardConfig::builder()
-            .num_flows(8)
-            .num_queues(4)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.num_queues, 4);
+        assert!(with(2, 4).validate().is_err());
+        with(8, 4).validate().unwrap();
     }
 
     #[test]
     fn rejects_non_pow2_conn_cache() {
-        assert!(HardConfig::builder()
-            .conn_cache_entries(1000)
-            .build()
-            .is_err());
+        let cfg = HardConfig {
+            conn_cache_entries: 1000,
+            ..HardConfig::default()
+        };
+        assert!(cfg.validate().is_err());
     }
 
     #[test]
     fn rejects_tiny_ring() {
-        assert!(HardConfig::builder().tx_ring_capacity(1).build().is_err());
+        let cfg = HardConfig {
+            tx_ring_capacity: 1,
+            ..HardConfig::default()
+        };
+        assert!(cfg.validate().is_err());
     }
 
     #[test]

@@ -10,7 +10,6 @@ macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident($inner:ty)) => {
         $(#[$doc])*
         #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-        #[derive(serde::Serialize, serde::Deserialize)]
         pub struct $name(pub $inner);
 
         impl $name {

@@ -55,7 +55,10 @@ fn main() -> Result<()> {
 
     let fabric = MemFabric::new();
     fabric.register_telemetry(&telemetry);
-    let cfg = HardConfig::builder().reliable(true).build().unwrap();
+    let cfg = HardConfig {
+        reliable: true,
+        ..HardConfig::default()
+    };
     let server_nic =
         Nic::start_with_telemetry(&fabric, NodeAddr(1), cfg.clone(), Arc::clone(&telemetry))?;
     let client_nic = Nic::start_with_telemetry(&fabric, NodeAddr(2), cfg, Arc::clone(&telemetry))?;

@@ -40,7 +40,10 @@ impl PingHandler for EchoImpl {
 }
 
 fn run(label: &str, fabric: &MemFabric, reliable: bool, calls: u32) -> Result<()> {
-    let cfg = HardConfig::builder().reliable(reliable).build()?;
+    let cfg = HardConfig {
+        reliable,
+        ..HardConfig::default()
+    };
     let server_nic = Nic::start(fabric, NodeAddr(1), cfg.clone())?;
     let client_nic = Nic::start(fabric, NodeAddr(2), cfg)?;
     let mut server = RpcThreadedServer::new(Arc::clone(&server_nic), 1);

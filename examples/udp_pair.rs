@@ -54,8 +54,12 @@ const CLIENT_NODE: NodeAddr = NodeAddr(2);
 /// Single engine queue on both sides: the minimal deployment keeps routing
 /// trivial (a multi-queue peer must be declared with its real queue count,
 /// see `UdpFabric::set_peer`).
-fn pair_cfg() -> Result<HardConfig> {
-    HardConfig::builder().reliable(true).num_queues(1).build()
+fn pair_cfg() -> HardConfig {
+    HardConfig {
+        reliable: true,
+        num_queues: 1,
+        ..HardConfig::default()
+    }
 }
 
 struct EchoImpl {
@@ -74,7 +78,7 @@ impl PairHandler for EchoImpl {
 fn run_server(bind: &str) -> Result<()> {
     let fabric = UdpFabric::new();
     fabric.bind_addr(SERVER_NODE, bind.parse().expect("bind address parses"));
-    let nic = Nic::start(&fabric, SERVER_NODE, pair_cfg()?)?;
+    let nic = Nic::start(&fabric, SERVER_NODE, pair_cfg())?;
     let addr = fabric
         .local_addr(SERVER_NODE)
         .expect("server NIC is attached");
@@ -109,7 +113,7 @@ fn run_client(server: &str, calls: u32) -> Result<()> {
         server.parse().expect("server address parses"),
         1,
     );
-    let nic = Nic::start(&fabric, CLIENT_NODE, pair_cfg()?)?;
+    let nic = Nic::start(&fabric, CLIENT_NODE, pair_cfg())?;
     let pool = RpcClientPool::connect(Arc::clone(&nic), SERVER_NODE, 1)?;
     let raw = pool.client(0)?;
     raw.set_timeout(Duration::from_secs(20));

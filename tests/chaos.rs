@@ -54,7 +54,10 @@ impl ChaosHandler for EchoImpl {
 }
 
 fn reliable_cfg() -> HardConfig {
-    HardConfig::builder().reliable(true).build().unwrap()
+    HardConfig {
+        reliable: true,
+        ..HardConfig::default()
+    }
 }
 
 /// Deterministic multi-frame payload for client `client`'s call `seq`.

@@ -72,7 +72,10 @@ pub fn env_seed() -> u64 {
 }
 
 pub fn reliable_cfg() -> HardConfig {
-    HardConfig::builder().reliable(true).build().unwrap()
+    HardConfig {
+        reliable: true,
+        ..HardConfig::default()
+    }
 }
 
 /// Deterministic multi-line payload for client `client`'s call `seq`.

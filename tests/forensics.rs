@@ -59,7 +59,10 @@ fn partition_breach_produces_attributing_bundle() {
 
     let fabric = MemFabric::new();
     fabric.register_telemetry(&telemetry);
-    let cfg = HardConfig::builder().reliable(true).build().unwrap();
+    let cfg = HardConfig {
+        reliable: true,
+        ..HardConfig::default()
+    };
     let server_nic =
         Nic::start_with_telemetry(&fabric, NodeAddr(1), cfg.clone(), Arc::clone(&telemetry))
             .unwrap();

@@ -73,12 +73,12 @@ impl HotHandler for OrderedEcho {
 }
 
 fn cfg() -> HardConfig {
-    HardConfig::builder()
-        .reliable(true)
-        .num_flows(NUM_CLIENTS)
-        .num_queues(NUM_QUEUES)
-        .build()
-        .unwrap()
+    HardConfig {
+        reliable: true,
+        num_flows: NUM_CLIENTS,
+        num_queues: NUM_QUEUES,
+        ..HardConfig::default()
+    }
 }
 
 fn env_seed() -> u64 {
@@ -162,7 +162,7 @@ fn run_hotspot(label: &str, seed: u64, plan: FaultPlan) -> RunOutcome {
     server.start().unwrap();
 
     let client_nic = Nic::start(&fabric, NodeAddr(100), cfg()).unwrap();
-    let pool = RpcClientPool::connect_per_queue(
+    let pool = RpcClientPool::connect_with(
         Arc::clone(&client_nic),
         NodeAddr(1),
         NUM_CLIENTS,

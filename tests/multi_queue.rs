@@ -1,7 +1,7 @@
 //! Chaos suite for the multi-queue (RSS-sharded) NIC engine.
 //!
 //! Every scenario runs a 4-queue NIC pair — four engine workers per NIC,
-//! four server dispatch threads, four clients pinned round-robin across the
+//! four server dispatch threads, four clients spread round-robin across the
 //! client NIC's queues — and checks the sharding contract under fire:
 //!
 //! * every completed RPC echoes its payload byte-exactly, exactly once,
@@ -24,7 +24,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use dagger::idl::{dagger_message, dagger_service};
-use dagger::nic::{FaultPlan, MemFabric, Nic};
+use dagger::nic::{queue_of_flow, FaultPlan, MemFabric, Nic};
 use dagger::rpc::{PendingCall, RpcClientPool, RpcThreadedServer, Wire};
 use dagger::telemetry::Telemetry;
 use dagger::types::{DaggerError, FnId, HardConfig, LbPolicy, NodeAddr, Result};
@@ -75,12 +75,12 @@ impl MqHandler for OrderedEcho {
 
 /// 4 flows × 4 queues, reliable transport (chaos needs retransmission).
 fn mq_cfg() -> HardConfig {
-    HardConfig::builder()
-        .reliable(true)
-        .num_flows(4)
-        .num_queues(4)
-        .build()
-        .unwrap()
+    HardConfig {
+        reliable: true,
+        num_flows: 4,
+        num_queues: 4,
+        ..HardConfig::default()
+    }
 }
 
 /// Deterministic payload for client `client`'s call `seq`.
@@ -176,7 +176,7 @@ fn run_mq_chaos(
     let client_nic =
         Nic::start_with_telemetry(&fabric, NodeAddr(100), mq_cfg(), Arc::clone(&telemetry))
             .unwrap_or_else(|e| panic!("[{label} seed={seed}] client start: {e}"));
-    let pool = RpcClientPool::connect_per_queue(Arc::clone(&client_nic), NodeAddr(1), 4, lb)
+    let pool = RpcClientPool::connect_with(Arc::clone(&client_nic), NodeAddr(1), 4, lb)
         .unwrap_or_else(|e| panic!("[{label} seed={seed}] connect: {e}"));
 
     let workers: Vec<_> = (0..4u32)
@@ -343,7 +343,7 @@ fn multi_queue_partition_heal() {
         .unwrap();
     server.start().unwrap();
     let pool =
-        RpcClientPool::connect_per_queue(Arc::clone(&client_nic), NodeAddr(1), 4, LbPolicy::Static)
+        RpcClientPool::connect_with(Arc::clone(&client_nic), NodeAddr(1), 4, LbPolicy::Static)
             .unwrap();
     let clients: Vec<_> = (0..4)
         .map(|c| {
@@ -438,11 +438,11 @@ fn a_server_with_fewer_threads_than_queues_is_refused() {
     let fabric = MemFabric::new();
     // Two flows: the second server gets them only if the refused one
     // claimed none.
-    let cfg = HardConfig::builder()
-        .num_flows(2)
-        .num_queues(2)
-        .build()
-        .unwrap();
+    let cfg = HardConfig {
+        num_flows: 2,
+        num_queues: 2,
+        ..HardConfig::default()
+    };
     let nic = Nic::start(&fabric, NodeAddr(1), cfg).unwrap();
     let echo = || {
         Arc::new(MqDispatch::new(OrderedEcho {
@@ -463,4 +463,32 @@ fn a_server_with_fewer_threads_than_queues_is_refused() {
     server.start().unwrap();
     server.stop();
     nic.shutdown();
+}
+
+/// A pool claims flows in ascending id order and flows are striped across
+/// queues, so on a fresh NIC client `i` runs on queue `i`: a plain
+/// `connect_with` pool drives every client-side worker.
+#[test]
+fn a_fresh_pool_puts_client_i_on_queue_i() {
+    let fabric = MemFabric::new();
+    let server_nic = Nic::start(&fabric, NodeAddr(1), mq_cfg()).unwrap();
+    let client_nic = Nic::start(&fabric, NodeAddr(100), mq_cfg()).unwrap();
+    let mut server = RpcThreadedServer::new(Arc::clone(&server_nic), 4);
+    server
+        .register_service(Arc::new(MqDispatch::new(OrderedEcho {
+            next: Mutex::new(HashMap::new()),
+            violations: Arc::new(Mutex::new(Vec::new())),
+        })))
+        .unwrap();
+    server.start().unwrap();
+    let pool =
+        RpcClientPool::connect_with(Arc::clone(&client_nic), NodeAddr(1), 4, LbPolicy::Uniform)
+            .unwrap();
+    for (i, client) in pool.iter().enumerate() {
+        assert_eq!(queue_of_flow(usize::from(client.flow().raw()), 4), i);
+    }
+    drop(pool);
+    server.stop();
+    client_nic.shutdown();
+    server_nic.shutdown();
 }

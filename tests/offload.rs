@@ -217,7 +217,10 @@ fn chaos_zipfian_mix_with_composed_faults() {
         .with_duplicate(0.08)
         .with_delay(0.05, 12);
     let fabric = MemFabric::with_faults(plan);
-    let cfg = HardConfig::builder().reliable(true).build().unwrap();
+    let cfg = HardConfig {
+        reliable: true,
+        ..HardConfig::default()
+    };
     let mut srv = start_server(&fabric, 1, cfg.clone(), 128);
 
     let n_clients = 2usize;
@@ -321,7 +324,10 @@ fn chaos_zipfian_mix_with_composed_faults() {
 fn partition_heal_keeps_cache_coherent() {
     let seed = 17u64;
     let fabric = MemFabric::new();
-    let cfg = HardConfig::builder().reliable(true).build().unwrap();
+    let cfg = HardConfig {
+        reliable: true,
+        ..HardConfig::default()
+    };
     let mut srv = start_server(&fabric, 1, cfg.clone(), 64);
     let client_nic = Nic::start(&fabric, NodeAddr(2), cfg).unwrap();
     let pool = RpcClientPool::connect(Arc::clone(&client_nic), NodeAddr(1), 1).unwrap();
@@ -398,7 +404,10 @@ fn partition_heal_keeps_cache_coherent() {
 #[test]
 fn one_key_through_two_queues_stays_coherent() {
     let fabric = MemFabric::new();
-    let cfg = HardConfig::builder().num_queues(2).build().unwrap();
+    let cfg = HardConfig {
+        num_queues: 2,
+        ..HardConfig::default()
+    };
     let mut srv = start_server(&fabric, 1, cfg, 64);
     let client_nic = Nic::start(&fabric, NodeAddr(2), HardConfig::default()).unwrap();
     let pool = RpcClientPool::connect(Arc::clone(&client_nic), NodeAddr(1), 4).unwrap();

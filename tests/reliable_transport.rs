@@ -190,11 +190,11 @@ fn shutdown_flushes_window_deferred_datagrams() {
     // The forced shutdown flush dumps the whole backlog at once with no
     // live sender left to repair receiver-side drops, so the server gets a
     // deep RX ring that absorbs the entire burst.
-    let server_cfg = HardConfig::builder()
-        .reliable(true)
-        .rx_ring_capacity(4096)
-        .build()
-        .unwrap();
+    let server_cfg = HardConfig {
+        reliable: true,
+        rx_ring_capacity: 4096,
+        ..HardConfig::default()
+    };
     let server_nic = Nic::start(&fabric, NodeAddr(1), server_cfg).unwrap();
     let client_nic = Nic::start(&fabric, NodeAddr(2), reliable_cfg()).unwrap();
     let served = Arc::new(AtomicU32::new(0));

@@ -291,12 +291,12 @@ fn every_gauge_name_of_the_golden_list_is_still_exported() {
     let telemetry = Telemetry::new();
     let fabric = MemFabric::new();
     fabric.register_telemetry(&telemetry);
-    let cfg = HardConfig::builder()
-        .num_flows(2)
-        .num_queues(2)
-        .reliable(true)
-        .build()
-        .unwrap();
+    let cfg = HardConfig {
+        num_flows: 2,
+        num_queues: 2,
+        reliable: true,
+        ..HardConfig::default()
+    };
     let nic = Nic::start_with_telemetry(&fabric, NodeAddr(1), cfg, Arc::clone(&telemetry)).unwrap();
 
     let mut golden: Vec<String> = Vec::new();
