@@ -182,7 +182,7 @@ impl TcpRpcClient {
     pub fn call_sync(&mut self, fn_id: FnId, payload: &[u8]) -> Result<Vec<u8>> {
         write_frame(&mut self.stream, fn_id.raw(), payload)?;
         let (_, resp) = read_frame(&mut self.stream)?;
-        decode_response(&resp)
+        decode_response(resp)
     }
 }
 

@@ -25,6 +25,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use dagger_types::{DaggerError, Result};
 use parking_lot::Mutex;
 
 use crate::bank::Counter;
@@ -155,6 +156,12 @@ impl EngineHandle {
     }
 }
 
+/// Consecutive steps that moved frames after which a bounded wait reads
+/// the clock anyway. A wait reads it when it backs off; on a queue other
+/// flows keep busy every step may move frames, and without this look the
+/// deadline would never be read.
+const DEADLINE_LOOK_EVERY: u32 = 64;
+
 /// One host-side wait on a flow: each time the caller's own poll comes up
 /// empty it steps the flow's engine queue, and backs off only when that
 /// moved nothing either — so an idle wait advances exactly one engine tick
@@ -167,6 +174,8 @@ pub struct HostWait<'a> {
     /// This wait went to sleep and gave the queue back (once per idle
     /// spell: another host may be driving it by now).
     handed_back: bool,
+    /// Steps that moved frames since a bounded wait last read the clock.
+    moved: u32,
 }
 
 impl<'a> HostWait<'a> {
@@ -176,6 +185,7 @@ impl<'a> HostWait<'a> {
             slot: engine.0.as_deref(),
             backoff: SpinWait::new(),
             handed_back: false,
+            moved: 0,
         }
     }
 
@@ -183,11 +193,32 @@ impl<'a> HostWait<'a> {
     /// moved frames return at once (poll again), otherwise take one
     /// back-off step.
     pub fn idle(&mut self) {
+        // Without a deadline nothing can expire.
+        let _ = self.step_or_back_off(None);
+    }
+
+    /// [`HostWait::idle`] bounded by `deadline`. The clock is read only
+    /// when the wait backs off, and once every [`DEADLINE_LOOK_EVERY`]
+    /// consecutive steps that moved frames, so a call's deadline costs no
+    /// clock read while its queue is making progress.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DaggerError::Timeout`] once `deadline` has passed.
+    pub fn idle_until(&mut self, deadline: Instant) -> Result<()> {
+        self.step_or_back_off(Some(deadline))
+    }
+
+    fn step_or_back_off(&mut self, deadline: Option<Instant>) -> Result<()> {
         if let Some(slot) = self.slot {
             if !self.backoff.is_parking() {
                 if slot.host_step() == Some(Progress::Moved) {
                     self.backoff.reset();
-                    return;
+                    self.moved += 1;
+                    if self.moved < DEADLINE_LOOK_EVERY {
+                        return Ok(());
+                    }
+                    return self.look(deadline);
                 }
             } else if !self.handed_back {
                 // Right after the first (20 µs) nap: from here on producers
@@ -197,12 +228,57 @@ impl<'a> HostWait<'a> {
                 self.handed_back = true;
             }
         }
+        self.look(deadline)?;
         self.backoff.wait();
+        Ok(())
+    }
+
+    /// Reads the clock against `deadline` (if any).
+    fn look(&mut self, deadline: Option<Instant>) -> Result<()> {
+        self.moved = 0;
+        match deadline {
+            Some(deadline) if Instant::now() >= deadline => Err(DaggerError::Timeout),
+            _ => Ok(()),
+        }
     }
 
     /// The caller's poll found work: forget accumulated idleness.
     pub fn reset(&mut self) {
         self.backoff.reset();
         self.handed_back = false;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::tests::{data_frame, loopback_core};
+
+    /// A bounded wait that never backs off — every step it takes moves
+    /// frames, as on a queue other flows keep busy — still reads its
+    /// deadline, once every `DEADLINE_LOOK_EVERY` such steps; a step that
+    /// moves nothing reads it at once.
+    #[test]
+    fn a_wait_whose_every_step_moves_frames_still_reads_its_deadline() {
+        let (core, mut host_tx, mut host_rx) = loopback_core();
+        let engine = EngineHandle::attached(EngineSlot::new(core));
+        let mut wait = HostWait::new(&engine);
+        let passed = Instant::now();
+        for step in 1..=DEADLINE_LOOK_EVERY {
+            host_tx.try_push(data_frame(step)).unwrap();
+            let looked = wait.idle_until(passed);
+            assert!(host_rx.try_pop().is_some(), "step {step} moved nothing");
+            if step < DEADLINE_LOOK_EVERY {
+                assert_eq!(looked, Ok(()), "step {step} read the clock");
+            } else {
+                assert_eq!(looked, Err(DaggerError::Timeout));
+            }
+        }
+        assert_eq!(wait.idle_until(passed), Err(DaggerError::Timeout));
+        assert_eq!(
+            wait.idle_until(passed + Duration::from_secs(60)),
+            Ok(()),
+            "an idle step backs off once the deadline is ahead"
+        );
     }
 }

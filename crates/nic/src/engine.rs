@@ -832,7 +832,7 @@ impl EngineCore {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::alloc_counter;
     use crate::connmgr::ConnectionTuple;
@@ -878,7 +878,7 @@ mod tests {
 
     /// Builds an engine core wired back to itself, so every pooled buffer
     /// circulates.
-    fn loopback_core() -> (
+    pub(crate) fn loopback_core() -> (
         EngineCore,
         crate::ring::RingProducer,
         crate::ring::RingConsumer,
@@ -989,7 +989,7 @@ mod tests {
     /// A data frame on connection 1. `Response` kind pins steering to
     /// `src_flow` and keeps the (disabled anyway) tracer entirely out of
     /// the path under measurement.
-    fn data_frame(rpc: u32) -> CacheLine {
+    pub(crate) fn data_frame(rpc: u32) -> CacheLine {
         let mut line = CacheLine::zeroed();
         let hdr = RpcHeader {
             connection_id: ConnectionId(1),
@@ -1141,6 +1141,57 @@ mod tests {
             back += 1;
         }
         assert_eq!(back, 16, "loopback burst never arrived");
+    }
+
+    /// A warm offload hit — a cached read answered on the NIC, its response
+    /// looped back to the host — stays off the heap: the hit shares the
+    /// cached bytes instead of copying them.
+    #[test]
+    fn warm_offload_hit_cycles_perform_zero_heap_allocations() {
+        let (mut core, mut host_tx, mut host_rx) = loopback_core();
+        assert!(core.offload.configure(crate::offload::tests::read_spec()));
+        core.softregs.set_offload_cache_entries(64);
+        let frame = |kind, rpc: u32, body: &[u8]| {
+            let mut line = restamped(data_frame(rpc), |h| {
+                (h.kind, h.fn_id, h.frame_payload_len) = (kind, FnId(1), body.len() as u8)
+            });
+            line.payload_mut()[..body.len()].copy_from_slice(body);
+            line
+        };
+        // GET "k", and its response: status OK, found, value "v".
+        let get = |rpc| frame(RpcKind::Request, rpc, &[1, 0, 0, 0, b'k']);
+        let reply = frame(RpcKind::Response, 1, &[0, 1, 1, 0, 0, 0, b'v']);
+        // The miss reaches the host; its response fills the cache.
+        host_tx.try_push(get(1)).unwrap();
+        assert_eq!(step_out(&mut core, &mut host_rx), [get(1)]);
+        host_tx.try_push(reply).unwrap();
+        assert_eq!(step_out(&mut core, &mut host_rx), [reply]);
+        assert_eq!(core.offload.cached_entries(), 1);
+        // A hit: the request is answered in the step that receives it, and
+        // the answer comes back around in the next.
+        let mut hit = |core: &mut EngineCore, rpc| {
+            host_tx.try_push(get(rpc)).unwrap();
+            let (allocs, ()) = alloc_counter::count_allocs(|| {
+                core.step();
+                core.step();
+            });
+            let back = drain(&mut host_rx);
+            let hdr = RpcHeader::decode(back[0].header()).unwrap();
+            assert_eq!(
+                (back.len(), hdr.rpc_id, hdr.offloaded),
+                (1, RpcId(rpc), true)
+            );
+            allocs
+        };
+        for rpc in 2..10 {
+            hit(&mut core, rpc);
+        }
+        let allocs = hit(&mut core, 10);
+        assert_eq!(
+            allocs, 0,
+            "a warm offload hit hit the allocator {allocs} time(s)"
+        );
+        assert_eq!(core.offload.stats().snapshot().hits, 9);
     }
 
     /// The reliable arm of the same loop: TX sequences into the window, RX

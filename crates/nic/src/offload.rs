@@ -99,12 +99,14 @@ counter_bank! {
 
 /// A cached response: the exact status-prefixed payload bytes the host
 /// produced, plus the coherence stamps under which they were latched. A
-/// read's fill obligation accumulates one of these as its response leaves.
+/// read's fill obligation accumulates one of these in a `Vec` as its
+/// response leaves; the fill freezes the bytes into an `Arc`, which every
+/// hit then shares instead of copying.
 #[derive(Debug)]
-struct Entry {
+struct Entry<P = Arc<[u8]>> {
     fn_id: FnId,
     key: Vec<u8>,
-    payload: Vec<u8>,
+    payload: P,
     gen: u64,
     epoch: u64,
     stamp: u64,
@@ -157,7 +159,7 @@ enum Pending {
         hash: u64,
         slot: usize,
         next_frame: u8,
-        entry: Entry,
+        entry: Entry<Vec<u8>>,
     },
     /// A write awaiting its acknowledgment: the TX-side (second) bump.
     Write { slot: Option<usize> },
@@ -323,9 +325,9 @@ impl OffloadState {
     }
 
     /// A cacheable read's lead frame arrived on `queue`. Returns the cached
-    /// status-prefixed response payload on a hit; on a miss, registers a
-    /// fill obligation (best effort, bounded) and returns `None` so the
-    /// request continues to the host.
+    /// status-prefixed response payload on a hit (shared with the cache,
+    /// not copied); on a miss, registers a fill obligation (best effort,
+    /// bounded) and returns `None` so the request continues to the host.
     pub fn on_read_rx(
         &self,
         queue: usize,
@@ -334,7 +336,7 @@ impl OffloadState {
         rpc_id: RpcId,
         key: &[u8],
         cap: usize,
-    ) -> Option<Vec<u8>> {
+    ) -> Option<Arc<[u8]>> {
         let slot = gen_slot(key);
         let hash = entry_hash(fn_id, key);
         // Stamps first: a hit must be validated against counters read no
@@ -345,7 +347,7 @@ impl OffloadState {
             let mut cache = self.queues[queue].lock();
             match cache.entries.get(&hash) {
                 Some(e) if e.gen == gen && e.epoch == epoch && e.fn_id == fn_id && e.key == key => {
-                    let payload = e.payload.clone();
+                    let payload = Arc::clone(&e.payload);
                     let stamp = cache.touch(hash);
                     cache.entries.get_mut(&hash).expect("just read").stamp = stamp;
                     drop(cache);
@@ -497,7 +499,7 @@ impl OffloadState {
     }
 
     /// Latches a completed read response, unless a write raced it.
-    fn fill(&self, queue: usize, hash: u64, slot: usize, mut entry: Entry, cap: usize) {
+    fn fill(&self, queue: usize, hash: u64, slot: usize, entry: Entry<Vec<u8>>, cap: usize) {
         let payload = &entry.payload;
         if cap == 0 {
             return;
@@ -523,9 +525,26 @@ impl OffloadState {
         {
             return;
         }
+        let Entry {
+            fn_id,
+            key,
+            payload,
+            gen,
+            epoch,
+            ..
+        } = entry;
+        let payload = Arc::from(payload);
         let mut cache = self.queues[queue].lock();
         let evicted = cache.make_room(cap);
-        entry.stamp = cache.touch(hash);
+        let stamp = cache.touch(hash);
+        let entry = Entry {
+            fn_id,
+            key,
+            payload,
+            gen,
+            epoch,
+            stamp,
+        };
         cache.entries.insert(hash, entry);
         drop(cache);
         if evicted > 0 {
@@ -541,10 +560,11 @@ impl OffloadState {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn read_spec() -> OffloadSpec {
+    /// Function 1 reads (key: its one field), function 2 writes.
+    pub(crate) fn read_spec() -> OffloadSpec {
         use dagger_types::offload::{CacheClass, FnOffload, SerdeOp, SerdeTable};
         OffloadSpec::new(vec![
             FnOffload {
@@ -586,7 +606,7 @@ mod tests {
         let hit = s
             .on_read_rx(0, FnId(1), cid, RpcId(2), b"k", 8)
             .expect("filled entry must hit");
-        assert_eq!(hit, resp);
+        assert_eq!(*hit, *resp);
         let snap = s.stats().snapshot();
         assert_eq!((snap.hits, snap.misses, snap.fills), (1, 1, 1));
     }
@@ -678,8 +698,8 @@ mod tests {
         s.on_response_tx(cid, RpcId(1), 0, 2, a, 8);
         s.on_response_tx(cid, RpcId(1), 1, 2, b, 8);
         assert_eq!(
-            s.on_read_rx(0, FnId(1), cid, RpcId(2), b"big", 8).unwrap(),
-            resp
+            *s.on_read_rx(0, FnId(1), cid, RpcId(2), b"big", 8).unwrap(),
+            *resp
         );
         // A duplicated (retransmitted) middle frame kills a fill instead of
         // corrupting it.

@@ -17,8 +17,11 @@
 //!    when the host offers no parallelism — see `spin_rounds`);
 //! 2. a long `yield_now` phase — when producer and consumer share a core
 //!    this is what lets the peer produce the work we are waiting for;
-//! 3. an escalating timed park/sleep once the wait has been idle for
-//!    `PARK_AFTER`, capped so a lost wakeup costs at most `PARK_MAX`.
+//! 3. an escalating timed park/sleep once the wait has stayed idle for
+//!    `PARK_AFTER` past the end of the yield phase, capped so a lost
+//!    wakeup costs at most `PARK_MAX`. The clock is first read when the
+//!    yield rounds run out: a wait that ends inside the spin or yield
+//!    phase — every wait inside a µs-scale RPC — never reads it.
 //!
 //! A host thread that waits on its flow *drives its own engine queue* while
 //! it waits (`drive.rs`), and every step it takes renews the queue's drive
@@ -64,9 +67,11 @@ fn spin_rounds() -> u32 {
 /// dominate on purpose: with waiter and producer on one core, yielding is
 /// how the waited-on thread makes progress.
 const YIELD_ROUNDS: u32 = 1024;
-/// Continuous idle time required before the backoff escalates from yielding
-/// to parking. Gating on *time* rather than rounds keeps the load path
-/// park-free: at µs-scale RPC gaps the waiter never parks (an unpark
+/// Idle time required after the yield phase before the backoff escalates
+/// from yielding to parking. The gate opens this long after the yield
+/// rounds run out (that is when the wait first reads the clock), not after
+/// the first empty poll. Gating on *time* rather than rounds keeps the load
+/// path park-free: at µs-scale RPC gaps the waiter never parks (an unpark
 /// syscall per wait would dominate the RTT), while a flow idle for longer
 /// than this drops to a timed park and frees the core.
 const PARK_AFTER: Duration = Duration::from_millis(1);
@@ -209,8 +214,8 @@ impl EngineWaker {
 #[derive(Debug, Default)]
 pub struct SpinWait {
     rounds: u32,
-    /// First empty poll after the spin phase; the park phase opens only
-    /// once [`PARK_AFTER`] has elapsed since this instant.
+    /// When the yield rounds ran out; the park phase opens only once
+    /// [`PARK_AFTER`] has elapsed since this instant.
     idle_since: Option<Instant>,
 }
 
@@ -264,15 +269,22 @@ impl SpinWait {
             std::hint::spin_loop();
             return;
         }
-        let since = *self.idle_since.get_or_insert_with(Instant::now);
-        if self.rounds < spin + YIELD_ROUNDS || since.elapsed() < PARK_AFTER {
-            // Hold in the yield phase until the wait has been continuously
-            // idle for PARK_AFTER — round counts alone misjudge idleness
+        if self.rounds < spin + YIELD_ROUNDS {
+            self.rounds += 1;
+            if self.rounds == spin + YIELD_ROUNDS {
+                self.idle_since = Some(Instant::now());
+            }
+            std::thread::yield_now();
+            return;
+        }
+        if self
+            .idle_since
+            .is_some_and(|since| since.elapsed() < PARK_AFTER)
+        {
+            // Hold in the yield phase until the wait has stayed idle for
+            // PARK_AFTER past it — round counts alone misjudge idleness
             // (1024 yields pass in tens of µs when no other thread is
             // runnable).
-            if self.rounds < spin + YIELD_ROUNDS {
-                self.rounds += 1;
-            }
             std::thread::yield_now();
             return;
         }
@@ -342,6 +354,20 @@ mod tests {
         assert!(w.is_parking());
         w.reset();
         assert!(!w.is_parking());
+    }
+
+    /// The spin and yield phases read no clock: the idle stamp the park
+    /// gate measures from is taken when the yield rounds run out.
+    #[test]
+    fn the_idle_clock_starts_when_the_yield_rounds_run_out() {
+        let mut w = SpinWait::new();
+        for _ in 1..(spin_rounds() + YIELD_ROUNDS) {
+            w.wait();
+            assert!(w.idle_since.is_none(), "stamped inside the yield phase");
+        }
+        w.wait();
+        assert!(w.idle_since.is_some(), "the last yield round stamps");
+        assert!(!w.is_parking(), "the gate opens PARK_AFTER later");
     }
 
     #[test]

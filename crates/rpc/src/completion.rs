@@ -15,7 +15,7 @@ use parking_lot::Mutex;
 
 use dagger_nic::HostWait;
 use dagger_telemetry::Counter;
-use dagger_types::{ConnectionId, DaggerError, Result, RpcId};
+use dagger_types::{ConnectionId, Result, RpcId};
 
 use crate::endpoint::FlowEndpoint;
 use crate::service::decode_response;
@@ -77,7 +77,7 @@ impl CompletionQueue {
         let mut out = Vec::new();
         for rpc in completed {
             let rpc_id = rpc.header.rpc_id;
-            let outcome = decode_response(&rpc.payload);
+            let outcome = decode_response(rpc.payload);
             let cb = self.callbacks.lock().remove(&rpc_id.raw());
             match cb {
                 Some(cb) => cb(outcome),
@@ -89,11 +89,13 @@ impl CompletionQueue {
 
     /// Polls until `n` completions have been observed (callbacks count) or
     /// the timeout elapses, driving the flow's engine queue between empty
-    /// polls; returns the non-callback completions.
+    /// polls; returns the non-callback completions. Waits like a call does:
+    /// one deadline, fixed on entry, read only when the wait backs off (and
+    /// now and then while the queue keeps moving frames).
     ///
     /// # Errors
     ///
-    /// Returns [`DaggerError::Timeout`] if fewer than `n` completions arrive
+    /// Returns [`dagger_types::DaggerError::Timeout`] if fewer than `n` completions arrive
     /// in time (already-collected completions are lost to the caller, as
     /// with a real completion queue drain).
     pub fn wait_for(&self, n: usize, timeout: Duration) -> Result<Vec<(RpcId, Result<Vec<u8>>)>> {
@@ -113,10 +115,7 @@ impl CompletionQueue {
             if seen >= n {
                 break;
             }
-            if Instant::now() >= deadline {
-                return Err(DaggerError::Timeout);
-            }
-            wait.idle();
+            wait.idle_until(deadline)?;
         }
         Ok(out)
     }

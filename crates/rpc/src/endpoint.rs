@@ -8,17 +8,15 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use parking_lot::Mutex;
 
 use dagger_nic::{EngineHandle, HostFlow, HostWait, RingConsumer, RingProducer};
 use dagger_telemetry::{RpcEvent, Telemetry};
-use dagger_types::{
-    CacheLine, ConnectionId, DaggerError, FlowId, Result, RpcHeader, RpcId, RpcKind,
-};
+use dagger_types::{CacheLine, ConnectionId, FlowId, Result, RpcHeader, RpcId, RpcKind};
 
-use crate::frag::{CompleteRpc, Reassembler};
+use crate::frag::{fragment_into, CompleteRpc, Reassembler};
 
 type ReadyKey = (u32, u32); // (connection id, rpc id)
 
@@ -26,6 +24,45 @@ type ReadyKey = (u32, u32); // (connection id, rpc id)
 /// forgotten (its late response, should it still arrive, then surfaces in
 /// `ready` like any other — a bounded-memory trade-off, not a leak).
 const ABANDONED_CAP: usize = 1024;
+
+/// A flow's TX ring and the scratch vector each message is fragmented
+/// into before it is pushed, under one lock: a message is built in place,
+/// with no per-message allocation.
+#[derive(Debug)]
+pub(crate) struct TxRing {
+    ring: RingProducer,
+    frames: Vec<CacheLine>,
+}
+
+impl TxRing {
+    pub(crate) fn new(ring: RingProducer) -> Self {
+        TxRing {
+            ring,
+            frames: Vec::new(),
+        }
+    }
+
+    /// Fragments the message `prefix ++ payload` under `header` into the
+    /// scratch vector, replacing the one staged before.
+    pub(crate) fn stage(&mut self, header: RpcHeader, prefix: &[u8], payload: &[u8]) -> Result<()> {
+        self.frames.clear();
+        fragment_into(&mut self.frames, header, prefix, payload)
+    }
+
+    /// Pushes the staged message as one batch (one engine wake-up). While
+    /// the ring is full `back_off` runs: it steps the engine that drains
+    /// the ring, or gives up with an error.
+    pub(crate) fn push_staged(&mut self, mut back_off: impl FnMut() -> Result<()>) -> Result<()> {
+        let mut rest = self.frames.as_slice();
+        loop {
+            rest = &rest[self.ring.try_push_batch(rest)..];
+            if rest.is_empty() {
+                return Ok(());
+            }
+            back_off()?;
+        }
+    }
+}
 
 #[derive(Debug)]
 struct RxState {
@@ -46,11 +83,22 @@ struct RxState {
     offload_served: u64,
 }
 
+impl RxState {
+    /// Takes the buffered response for `key`; the map is probed only when
+    /// it holds anything.
+    fn take_ready(&mut self, key: ReadyKey) -> Option<CompleteRpc> {
+        if self.ready.is_empty() {
+            return None;
+        }
+        self.ready.remove(&key)
+    }
+}
+
 /// A claimed hardware flow shared by the clients issuing on it.
 #[derive(Debug)]
 pub struct FlowEndpoint {
     flow: FlowId,
-    tx: Mutex<RingProducer>,
+    tx: Mutex<TxRing>,
     rx: Mutex<RxState>,
     /// The engine queue that owns this flow; every wait here drives it.
     engine: EngineHandle,
@@ -65,7 +113,7 @@ impl FlowEndpoint {
     pub fn new(flow: HostFlow, telemetry: Arc<Telemetry>) -> Self {
         FlowEndpoint {
             flow: flow.flow,
-            tx: Mutex::new(flow.tx),
+            tx: Mutex::new(TxRing::new(flow.tx)),
             rx: Mutex::new(RxState {
                 consumer: flow.rx,
                 reassembler: Reassembler::new(),
@@ -95,60 +143,50 @@ impl FlowEndpoint {
         &self.telemetry
     }
 
-    /// Writes an RPC's frames into the TX ring as one batch (one engine
+    /// Sends one message: fragments `prefix ++ payload` under `header`
+    /// (see [`fragment_into`]) straight into the TX ring's scratch vector
+    /// and writes the frames into the ring as one batch (one engine
     /// wake-up); while the ring is full, steps the flow's engine (which
     /// drains it) and backs off, until `deadline`.
     ///
     /// # Errors
     ///
-    /// Returns [`DaggerError::Timeout`] if the ring stays full past the
-    /// deadline.
-    pub fn send_frames(&self, frames: &[CacheLine], deadline: Instant) -> Result<()> {
+    /// Returns [`dagger_types::DaggerError::PayloadTooLarge`] if the
+    /// message does not fit an RPC, or
+    /// [`dagger_types::DaggerError::Timeout`] if the ring stays full past
+    /// the deadline.
+    pub fn send(
+        &self,
+        header: RpcHeader,
+        prefix: &[u8],
+        payload: &[u8],
+        deadline: Instant,
+    ) -> Result<()> {
         let mut tx = self.tx.lock();
-        self.stamp_tx_enqueue(frames);
+        tx.stage(header, prefix, payload)?;
+        if header.kind == RpcKind::Request {
+            self.telemetry.tracer().record(
+                header.connection_id.raw(),
+                header.rpc_id.raw(),
+                RpcEvent::TxEnqueue,
+            );
+        }
         let mut wait = HostWait::new(&self.engine);
-        let mut rest = frames;
-        loop {
-            let pushed = tx.try_push_batch(rest);
-            rest = &rest[pushed..];
-            if rest.is_empty() {
-                return Ok(());
-            }
-            if pushed > 0 {
-                wait.reset();
-            } else if Instant::now() >= deadline {
-                return Err(DaggerError::Timeout);
-            } else {
-                wait.idle();
-            }
-        }
-    }
-
-    /// Stamps the `TxEnqueue` trace event for a request's lead frame.
-    fn stamp_tx_enqueue(&self, frames: &[CacheLine]) {
-        let tracer = self.telemetry.tracer();
-        if !tracer.is_enabled() {
-            return;
-        }
-        if let Some(hdr) = frames
-            .first()
-            .and_then(|f| RpcHeader::decode(f.header()).ok())
-        {
-            if hdr.kind == RpcKind::Request && hdr.frame_idx == 0 {
-                tracer.record(
-                    hdr.connection_id.raw(),
-                    hdr.rpc_id.raw(),
-                    RpcEvent::TxEnqueue,
-                );
-            }
-        }
+        tx.push_staged(|| wait.idle_until(deadline))
     }
 
     /// Drains the RX ring once, moving completed responses into the ready
     /// buffer. Returns how many responses completed.
     pub fn poll_once(&self) -> usize {
-        let mut rx = self.rx.lock();
+        self.drain(&mut self.rx.lock(), None).0
+    }
+
+    /// Drains the RX ring: every completed response goes into the ready
+    /// buffer, except one for `awaited`, which is handed straight back.
+    /// Returns how many responses completed, and the awaited one.
+    fn drain(&self, rx: &mut RxState, awaited: Option<ReadyKey>) -> (usize, Option<CompleteRpc>) {
         let mut completed = 0;
+        let mut found = None;
         while let Some(line) = rx.consumer.try_pop() {
             match rx.reassembler.push(line) {
                 Ok(Some(rpc)) if rpc.header.kind == RpcKind::Response => {
@@ -156,7 +194,7 @@ impl FlowEndpoint {
                     if rpc.header.offloaded {
                         rx.offload_served += 1;
                     }
-                    if rx.abandoned.remove(&key) {
+                    if !rx.abandoned.is_empty() && rx.abandoned.remove(&key) {
                         // The caller timed out and gave up on this response;
                         // drop it so it never parks in `ready` forever.
                         rx.late_drops += 1;
@@ -165,33 +203,46 @@ impl FlowEndpoint {
                     self.telemetry
                         .tracer()
                         .record(key.0, key.1, RpcEvent::ResponseComplete);
-                    rx.ready.insert(key, rpc);
                     completed += 1;
+                    if found.is_none() && awaited == Some(key) {
+                        found = Some(rpc);
+                    } else {
+                        rx.ready.insert(key, rpc);
+                    }
                 }
                 // Requests on a client endpoint or malformed frames are
                 // dropped; the NIC's monitor counts wire-level drops.
                 Ok(_) | Err(_) => {}
             }
         }
-        completed
+        (completed, found)
+    }
+
+    /// The response for `key`: buffered by an earlier drain, or completed
+    /// by this one.
+    fn take_or_drain(&self, key: ReadyKey) -> Option<CompleteRpc> {
+        let mut rx = self.rx.lock();
+        match rx.take_ready(key) {
+            Some(rpc) => Some(rpc),
+            None => self.drain(&mut rx, Some(key)).1,
+        }
     }
 
     /// Takes the response for a specific call, if it has arrived.
     pub fn try_take(&self, cid: ConnectionId, rpc_id: RpcId) -> Option<CompleteRpc> {
-        self.rx.lock().ready.remove(&(cid.raw(), rpc_id.raw()))
+        self.rx.lock().take_ready((cid.raw(), rpc_id.raw()))
     }
 
     /// Non-blocking completion check for one call: drains the RX ring, and
     /// if the response is not there yet gives the flow's engine one step
     /// before looking again.
     pub fn poll_for(&self, cid: ConnectionId, rpc_id: RpcId) -> Option<CompleteRpc> {
-        self.poll_once();
-        self.try_take(cid, rpc_id).or_else(|| {
+        let key = (cid.raw(), rpc_id.raw());
+        self.take_or_drain(key).or_else(|| {
             if !self.engine.step() {
                 return None;
             }
-            self.poll_once();
-            self.try_take(cid, rpc_id)
+            self.take_or_drain(key)
         })
     }
 
@@ -213,31 +264,31 @@ impl FlowEndpoint {
         out
     }
 
-    /// Polls until the response for `(cid, rpc_id)` arrives or `timeout`
-    /// elapses, driving the flow's engine queue between polls. A response
-    /// already buffered is returned without stepping.
+    /// Polls until the response for `(cid, rpc_id)` arrives or `deadline`
+    /// passes, driving the flow's engine queue between polls. A response
+    /// already buffered is returned without stepping, and so is one that
+    /// arrived after the deadline but before the first look. The deadline
+    /// is the call's, fixed when it was issued: the wait reads the clock
+    /// only when it backs off (and now and then while the queue keeps
+    /// moving frames, see [`HostWait::idle_until`]).
     ///
     /// # Errors
     ///
-    /// Returns [`DaggerError::Timeout`] if the response does not arrive in
-    /// time.
-    pub fn wait_for(
+    /// Returns [`dagger_types::DaggerError::Timeout`] if the response does
+    /// not arrive in time.
+    pub fn wait_until(
         &self,
         cid: ConnectionId,
         rpc_id: RpcId,
-        timeout: Duration,
+        deadline: Instant,
     ) -> Result<CompleteRpc> {
-        let deadline = Instant::now() + timeout;
+        let key = (cid.raw(), rpc_id.raw());
         let mut wait = HostWait::new(&self.engine);
         loop {
-            self.poll_once();
-            if let Some(rpc) = self.try_take(cid, rpc_id) {
+            if let Some(rpc) = self.take_or_drain(key) {
                 return Ok(rpc);
             }
-            if Instant::now() >= deadline {
-                return Err(DaggerError::Timeout);
-            }
-            wait.idle();
+            wait.idle_until(deadline)?;
         }
     }
 
@@ -287,9 +338,10 @@ impl FlowEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frag::fragment;
+    use crate::frag::{fragment, message_header};
     use dagger_nic::ring;
-    use dagger_types::FnId;
+    use dagger_types::{DaggerError, FnId};
+    use std::time::Duration;
 
     /// Builds an endpoint whose rings we drive manually from the test.
     fn test_endpoint() -> (FlowEndpoint, RingConsumer, RingProducer) {
@@ -316,29 +368,40 @@ mod tests {
         .unwrap()
     }
 
+    /// The template header of response `rpc` on connection `cid`.
+    fn response_header(cid: u32, rpc: u32) -> RpcHeader {
+        message_header(
+            ConnectionId(cid),
+            RpcId(rpc),
+            FnId(1),
+            FlowId(0),
+            RpcKind::Response,
+        )
+    }
+
+    fn in_a_second() -> Instant {
+        Instant::now() + Duration::from_secs(1)
+    }
+
     #[test]
-    fn send_frames_lands_in_tx_ring() {
+    fn send_lands_in_tx_ring() {
         let (ep, mut tx_c, _rx_p) = test_endpoint();
-        let frames = response_frames(1, 1, b"abc");
-        ep.send_frames(&frames, Instant::now() + Duration::from_secs(1))
+        ep.send(response_header(1, 1), &[], b"abc", in_a_second())
             .unwrap();
-        assert!(tx_c.try_pop().is_some());
+        assert_eq!(tx_c.try_pop(), Some(response_frames(1, 1, b"abc")[0]));
     }
 
     #[test]
     fn send_times_out_on_persistently_full_ring() {
         let (ep, _tx_c, _rx_p) = test_endpoint();
-        let frames = response_frames(1, 1, &[0u8; 40]);
         // Fill the 64-slot ring without draining it.
         for i in 0..64 {
-            ep.send_frames(
-                &response_frames(1, i, &[0u8; 40]),
-                Instant::now() + Duration::from_secs(1),
-            )
-            .unwrap();
+            ep.send(response_header(1, i), &[], &[0u8; 40], in_a_second())
+                .unwrap();
         }
+        let deadline = Instant::now() + Duration::from_millis(20);
         let err = ep
-            .send_frames(&frames, Instant::now() + Duration::from_millis(20))
+            .send(response_header(1, 64), &[], &[0u8; 40], deadline)
             .unwrap_err();
         assert_eq!(err, DaggerError::Timeout);
     }
@@ -356,12 +419,37 @@ mod tests {
     }
 
     #[test]
-    fn wait_for_times_out() {
+    fn wait_until_times_out() {
         let (ep, _tx_c, _rx_p) = test_endpoint();
+        let deadline = Instant::now() + Duration::from_millis(20);
         let err = ep
-            .wait_for(ConnectionId(1), RpcId(1), Duration::from_millis(20))
+            .wait_until(ConnectionId(1), RpcId(1), deadline)
             .unwrap_err();
         assert_eq!(err, DaggerError::Timeout);
+        assert!(Instant::now() >= deadline);
+    }
+
+    /// The awaited response is handed straight back by the drain that
+    /// completes it; the others it completes wait in the ready buffer.
+    #[test]
+    fn the_awaited_response_skips_the_ready_buffer() {
+        let (ep, _tx_c, mut rx_p) = test_endpoint();
+        for rpc in [1, 2, 3] {
+            for f in response_frames(1, rpc, &[rpc as u8]) {
+                rx_p.try_push(f).unwrap();
+            }
+        }
+        let rpc = ep
+            .wait_until(ConnectionId(1), RpcId(2), in_a_second())
+            .unwrap();
+        assert_eq!(rpc.payload, [2]);
+        assert_eq!(ep.ready_len(), 2, "responses 1 and 3 are buffered");
+        // A deadline already past still takes a buffered response.
+        let rpc = ep
+            .wait_until(ConnectionId(1), RpcId(3), Instant::now())
+            .unwrap();
+        assert_eq!(rpc.payload, [3]);
+        assert_eq!(ep.ready_len(), 1);
     }
 
     #[test]
@@ -393,17 +481,14 @@ mod tests {
         telemetry.tracer().enable();
         let ep = FlowEndpoint::new(flow, Arc::clone(&telemetry));
 
-        let request = fragment(
+        let request = message_header(
             ConnectionId(7),
             RpcId(11),
             FnId(1),
             FlowId(0),
             RpcKind::Request,
-            b"ping",
-        )
-        .unwrap();
-        ep.send_frames(&request, Instant::now() + Duration::from_secs(1))
-            .unwrap();
+        );
+        ep.send(request, &[], b"ping", in_a_second()).unwrap();
         for f in response_frames(7, 11, b"pong") {
             rx_p.try_push(f).unwrap();
         }

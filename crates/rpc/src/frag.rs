@@ -3,8 +3,10 @@
 //! The coherent interconnect's MTU is one cache line, and the paper's
 //! hardware lacks CAM-based on-chip reassembly; "as of now, Dagger only
 //! features software-based RPC reassembling". This module is that software:
-//! [`fragment`] splits an RPC payload across up to 255 cache-line frames,
-//! and [`Reassembler`] rebuilds complete RPCs on the receive side, tolerant
+//! [`fragment_into`] writes an RPC payload (behind an optional prefix: a
+//! trace context, a response status) into up to 255 cache-line frames in a
+//! vector the caller reuses, [`fragment`] is its allocating form, and
+//! [`Reassembler`] rebuilds complete RPCs on the receive side, tolerant
 //! of interleaving between different RPCs (the NIC guarantees all frames of
 //! one RPC reach the same ring, so reordering *within* an RPC cannot occur,
 //! but we handle it anyway for robustness).
@@ -12,11 +14,13 @@
 //! Reassembly is one memory pass: a half-assembled RPC is one buffer of
 //! `frame_count × 48` bytes allocated at its first fragment, each fragment
 //! is copied once to `frame_idx × 48`, and completion hands the buffer over
-//! — one allocation per RPC, whatever the frame count. The RPC being filled
+//! — one allocation per RPC, whatever the frame count, and none for a
+//! single-frame RPC while the consumer hands payloads back
+//! ([`Reassembler::recycle`]). The RPC being filled
 //! is held outside the map, so a message whose frames arrive back to back
 //! (the NIC writes them so) probes the map once, at its first frame; a
 //! frame of another RPC parks it there. Fragment placement is why every
-//! fragment but the last must be full (which [`fragment_with_ctx`] and the
+//! fragment but the last must be full (which [`fragment_into`] and the
 //! NIC's offload path guarantee); a short one is a [`DaggerError::Wire`]
 //! error. Pending memory is bounded by the pending limit times
 //! [`MAX_RPC_PAYLOAD`].
@@ -47,7 +51,7 @@ impl CompleteRpc {
     ///
     /// Returns `None` (and leaves the RPC untouched) for untraced RPCs or
     /// a traced RPC whose payload is too short to hold the prelude (which
-    /// cannot be produced by [`fragment_with_ctx`], but a forged frame
+    /// cannot be produced by [`fragment_into`], but a forged frame
     /// could claim it).
     pub fn take_trace_context(&mut self) -> Option<TraceContext> {
         if !self.header.traced {
@@ -57,6 +61,30 @@ impl CompleteRpc {
         self.payload.drain(..TraceContext::WIRE_BYTES);
         self.header.traced = false;
         Some(ctx)
+    }
+}
+
+/// The header every frame of one message starts from: the message's
+/// identity, untraced and not offloaded. [`fragment_into`] fills in the
+/// per-frame fields (`frame_idx`, `frame_count`, `frame_payload_len`).
+pub fn message_header(
+    cid: ConnectionId,
+    rpc_id: RpcId,
+    fn_id: FnId,
+    src_flow: FlowId,
+    kind: RpcKind,
+) -> RpcHeader {
+    RpcHeader {
+        connection_id: cid,
+        rpc_id,
+        fn_id,
+        src_flow,
+        kind,
+        frame_idx: 0,
+        frame_count: 0,
+        frame_payload_len: 0,
+        traced: false,
+        offloaded: false,
     }
 }
 
@@ -96,70 +124,67 @@ pub fn fragment(
     kind: RpcKind,
     payload: &[u8],
 ) -> Result<Vec<CacheLine>> {
-    fragment_with_ctx(cid, rpc_id, fn_id, src_flow, kind, payload, None)
+    let mut frames = Vec::new();
+    let header = message_header(cid, rpc_id, fn_id, src_flow, kind);
+    fragment_into(&mut frames, header, &[], payload)?;
+    Ok(frames)
 }
 
-/// Like [`fragment`], but when `ctx` is given the 16-byte wire trace
-/// context is prepended to the payload before splitting and every frame's
-/// header carries the `traced` bit. Because the context is ordinary payload
-/// from the fabric's point of view, it survives reassembly, reordering and
-/// retransmission untouched; the receive side strips it back off with
-/// [`CompleteRpc::take_trace_context`]. With `ctx = None` this is exactly
-/// [`fragment`]: zero extra bytes on the wire.
+/// Appends to `out` the frames of the byte stream `prefix ++ payload`,
+/// each stamped with `header` and its own frame fields, without building
+/// the concatenated stream. Every frame but the last is full.
+///
+/// The prefix is how a message carries bytes its payload does not: the
+/// 16-byte wire trace context of a traced request (with `header.traced`
+/// set; the receive side strips it with
+/// [`CompleteRpc::take_trace_context`]) and a response's status byte.
+/// Because it is ordinary payload from the fabric's point of view, it
+/// survives reassembly, reordering and retransmission untouched. An empty
+/// stream still produces one frame (RPCs with no arguments).
 ///
 /// # Errors
 ///
-/// Returns [`DaggerError::PayloadTooLarge`] if payload plus prelude exceeds
-/// [`MAX_RPC_PAYLOAD`].
-pub fn fragment_with_ctx(
-    cid: ConnectionId,
-    rpc_id: RpcId,
-    fn_id: FnId,
-    src_flow: FlowId,
-    kind: RpcKind,
-    payload: &[u8],
-    ctx: Option<TraceContext>,
-) -> Result<Vec<CacheLine>> {
-    // One logical byte stream: prelude (if any) followed by the payload.
-    let traced = ctx.is_some();
-    let combined;
-    let bytes: &[u8] = match ctx {
-        Some(c) => {
-            combined = [c.encode().as_slice(), payload].concat();
-            &combined
-        }
-        None => payload,
-    };
-    if bytes.len() > MAX_RPC_PAYLOAD {
+/// Returns [`DaggerError::PayloadTooLarge`] (appending nothing) if prefix
+/// plus payload exceeds [`MAX_RPC_PAYLOAD`].
+pub fn fragment_into(
+    out: &mut Vec<CacheLine>,
+    header: RpcHeader,
+    mut prefix: &[u8],
+    mut payload: &[u8],
+) -> Result<()> {
+    let total = prefix.len() + payload.len();
+    if total > MAX_RPC_PAYLOAD {
         return Err(DaggerError::PayloadTooLarge {
-            requested: bytes.len(),
+            requested: total,
             max: MAX_RPC_PAYLOAD,
         });
     }
-    let frame_count = bytes.len().div_ceil(FRAME_PAYLOAD_BYTES).max(1) as u8;
-    let mut frames = Vec::with_capacity(frame_count as usize);
-    for idx in 0..frame_count {
-        let start = (idx as usize * FRAME_PAYLOAD_BYTES).min(bytes.len());
-        let end = (start + FRAME_PAYLOAD_BYTES).min(bytes.len());
-        let chunk = &bytes[start..end];
-        let hdr = RpcHeader {
-            connection_id: cid,
-            rpc_id,
-            fn_id,
-            src_flow,
-            kind,
-            frame_idx: idx,
+    let frame_count = total.div_ceil(FRAME_PAYLOAD_BYTES).max(1) as u8;
+    let first = out.len();
+    out.reserve_exact(usize::from(frame_count));
+    out.resize(first + usize::from(frame_count), CacheLine::zeroed());
+    for (frame_idx, line) in (0..frame_count).zip(&mut out[first..]) {
+        let dst = line.payload_mut();
+        let mut used = 0;
+        // The prefix fills the first frame or two; past it a frame takes
+        // one copy.
+        if !prefix.is_empty() {
+            used = prefix.len().min(FRAME_PAYLOAD_BYTES);
+            dst[..used].copy_from_slice(&prefix[..used]);
+            prefix = &prefix[used..];
+        }
+        let n = payload.len().min(FRAME_PAYLOAD_BYTES - used);
+        dst[used..used + n].copy_from_slice(&payload[..n]);
+        payload = &payload[n..];
+        RpcHeader {
+            frame_idx,
             frame_count,
-            frame_payload_len: chunk.len() as u8,
-            traced,
-            offloaded: false,
-        };
-        let mut line = CacheLine::zeroed();
-        hdr.encode(line.header_mut());
-        line.payload_mut()[..chunk.len()].copy_from_slice(chunk);
-        frames.push(line);
+            frame_payload_len: (used + n) as u8,
+            ..header
+        }
+        .encode(line.header_mut());
     }
-    Ok(frames)
+    Ok(())
 }
 
 /// One half-assembled RPC: a single payload buffer sized for every
@@ -187,6 +212,10 @@ type RpcKey = (u32, u32, u8);
 /// Default bound on concurrently pending partial RPCs.
 pub const DEFAULT_PENDING_LIMIT: usize = 1024;
 
+/// Bound on payload buffers a reassembler keeps for reuse
+/// ([`Reassembler::recycle`]); beyond it a handed-back buffer is freed.
+const RECYCLED_CAP: usize = 16;
+
 /// Receive-side reassembly of multi-frame RPCs.
 ///
 /// Pending state is bounded: at most `limit` RPCs can be half-assembled at
@@ -202,6 +231,9 @@ pub struct Reassembler {
     /// Every other half-assembled RPC. Keys come off the wire, so the map
     /// keeps the default (collision-resistant) hasher.
     partial: HashMap<RpcKey, Partial>,
+    /// Payload buffers handed back by the consumer; a single-frame RPC
+    /// completes into one of these instead of a fresh allocation.
+    recycled: Vec<Vec<u8>>,
     limit: usize,
     arrivals: u64,
     evictions: u64,
@@ -225,6 +257,7 @@ impl Reassembler {
         Reassembler {
             filling: None,
             partial: HashMap::new(),
+            recycled: Vec::new(),
             limit: limit.max(1),
             arrivals: 0,
             evictions: 0,
@@ -239,6 +272,17 @@ impl Reassembler {
     /// Partial RPCs evicted by the pending bound.
     pub fn evictions(&self) -> u64 {
         self.evictions
+    }
+
+    /// Hands back a completed RPC's payload once its consumer is done with
+    /// it: a later single-frame RPC completes into it. At most a few
+    /// buffers are kept; the rest, and buffers too small for a frame, are
+    /// freed.
+    pub fn recycle(&mut self, mut payload: Vec<u8>) {
+        if self.recycled.len() < RECYCLED_CAP && payload.capacity() >= FRAME_PAYLOAD_BYTES {
+            payload.clear();
+            self.recycled.push(payload);
+        }
     }
 
     /// Discards any half-assembled frames of `(cid, rpc_id)` (both request
@@ -267,9 +311,15 @@ impl Reassembler {
         let hdr = RpcHeader::decode(line.header())?;
         let chunk = &line.payload()[..usize::from(hdr.frame_payload_len)];
         if hdr.frame_count == 1 {
+            // Room for a whole frame, so the buffer can be recycled.
+            let mut payload = self
+                .recycled
+                .pop()
+                .unwrap_or_else(|| Vec::with_capacity(FRAME_PAYLOAD_BYTES));
+            payload.extend_from_slice(chunk);
             return Ok(Some(CompleteRpc {
                 header: hdr,
-                payload: chunk.to_vec(),
+                payload,
             }));
         }
         let key: RpcKey = (hdr.connection_id.raw(), hdr.rpc_id.raw(), hdr.kind as u8);
@@ -575,6 +625,23 @@ mod tests {
         assert_eq!(done.unwrap().payload, payload);
     }
 
+    /// `payload` behind the wire trace context `ctx`, as a traced request.
+    fn traced_frames(payload: &[u8], ctx: TraceContext) -> Result<Vec<CacheLine>> {
+        let header = RpcHeader {
+            traced: true,
+            ..message_header(
+                ConnectionId(1),
+                RpcId(2),
+                FnId(3),
+                FlowId(4),
+                RpcKind::Request,
+            )
+        };
+        let mut frames = Vec::new();
+        fragment_into(&mut frames, header, &ctx.encode(), payload)?;
+        Ok(frames)
+    }
+
     #[test]
     fn trace_context_rides_and_strips() {
         let ctx = TraceContext {
@@ -583,16 +650,7 @@ mod tests {
         };
         for size in [0usize, 1, 32, 47, 48, 100, 200] {
             let payload: Vec<u8> = (0..size).map(|i| i as u8).collect();
-            let frames = fragment_with_ctx(
-                ConnectionId(1),
-                RpcId(2),
-                FnId(3),
-                FlowId(4),
-                RpcKind::Request,
-                &payload,
-                Some(ctx),
-            )
-            .unwrap();
+            let frames = traced_frames(&payload, ctx).unwrap();
             assert_eq!(
                 frames.len(),
                 (size + TraceContext::WIRE_BYTES).div_ceil(48),
@@ -616,16 +674,15 @@ mod tests {
 
     #[test]
     fn untraced_rpc_has_no_context_and_no_extra_bytes() {
-        let with_none = fragment_with_ctx(
+        let mut with_none = Vec::new();
+        let header = message_header(
             ConnectionId(1),
             RpcId(2),
             FnId(3),
             FlowId(4),
             RpcKind::Request,
-            &[9u8; 100],
-            None,
-        )
-        .unwrap();
+        );
+        fragment_into(&mut with_none, header, &[], &[9u8; 100]).unwrap();
         let plain = frames_for(&[9u8; 100]);
         assert_eq!(with_none.len(), plain.len());
         for (a, b) in with_none.iter().zip(plain.iter()) {
@@ -647,27 +704,88 @@ mod tests {
             span_id: 2,
         };
         let limit = MAX_RPC_PAYLOAD - TraceContext::WIRE_BYTES;
-        let ok = fragment_with_ctx(
-            ConnectionId(1),
-            RpcId(2),
-            FnId(3),
-            FlowId(4),
-            RpcKind::Request,
-            &vec![0u8; limit],
-            Some(ctx),
-        );
-        assert_eq!(ok.unwrap().len(), 255);
-        let err = fragment_with_ctx(
-            ConnectionId(1),
-            RpcId(2),
-            FnId(3),
-            FlowId(4),
-            RpcKind::Request,
-            &vec![0u8; limit + 1],
-            Some(ctx),
-        )
-        .unwrap_err();
+        assert_eq!(traced_frames(&vec![0u8; limit], ctx).unwrap().len(), 255);
+        let err = traced_frames(&vec![0u8; limit + 1], ctx).unwrap_err();
         assert!(matches!(err, DaggerError::PayloadTooLarge { .. }));
+    }
+
+    /// Fragmenting `prefix ++ payload` in place gives the frames of the
+    /// concatenated stream byte for byte — headers included — whatever
+    /// side of a frame boundary the seam falls on, and appends behind
+    /// what `out` already holds.
+    #[test]
+    fn fragment_into_matches_fragmenting_the_concatenated_stream() {
+        let sentinel = CacheLine::zeroed();
+        for prefix_len in [0usize, 1, 16, 47, 48, 49] {
+            for payload_len in [0usize, 1, 47, 48, 49, 200, 2040] {
+                let prefix: Vec<u8> = (0..prefix_len).map(|i| 0x80 | i as u8).collect();
+                let payload: Vec<u8> = (0..payload_len).map(|i| i as u8).collect();
+                let traced = prefix_len == TraceContext::WIRE_BYTES;
+                let header = RpcHeader {
+                    traced,
+                    ..message_header(
+                        ConnectionId(1),
+                        RpcId(2),
+                        FnId(3),
+                        FlowId(4),
+                        RpcKind::Response,
+                    )
+                };
+                let mut got = vec![sentinel];
+                fragment_into(&mut got, header, &prefix, &payload).unwrap();
+                assert_eq!(got.remove(0), sentinel, "appends behind what out holds");
+                let stream = [prefix.as_slice(), &payload].concat();
+                let want: Vec<CacheLine> = fragment(
+                    ConnectionId(1),
+                    RpcId(2),
+                    FnId(3),
+                    FlowId(4),
+                    RpcKind::Response,
+                    &stream,
+                )
+                .unwrap()
+                .into_iter()
+                .map(|l| restamp(l, |h| h.traced = traced))
+                .collect();
+                let case = format!("prefix {prefix_len}, payload {payload_len}");
+                assert_eq!(got, want, "{case}");
+                let count = stream.len().div_ceil(FRAME_PAYLOAD_BYTES).max(1);
+                for (idx, line) in got.iter().enumerate() {
+                    let h = RpcHeader::decode(line.header()).unwrap();
+                    let used = (stream.len() - idx * FRAME_PAYLOAD_BYTES).min(48);
+                    assert_eq!(h.traced, traced, "{case}");
+                    assert_eq!(usize::from(h.frame_count), count, "{case}");
+                    assert_eq!(usize::from(h.frame_payload_len), used, "{case}");
+                }
+            }
+        }
+    }
+
+    /// A recycled payload buffer is what the next single-frame RPC
+    /// completes into; the free list keeps at most its cap of buffers, and
+    /// none too small for a frame.
+    #[test]
+    fn recycle_reuses_a_buffer_and_keeps_its_free_list_bounded() {
+        let mut r = Reassembler::new();
+        let first = r.push(frames_for(b"first")[0]).unwrap().unwrap();
+        let buf = first.payload;
+        assert!(buf.capacity() >= FRAME_PAYLOAD_BYTES, "room for any frame");
+        let ptr = buf.as_ptr();
+        r.recycle(buf);
+        let line = frames_for(b"second")[0];
+        let (allocs, done) = crate::alloc_counter::count_allocs(|| r.push(line));
+        let second = done.unwrap().unwrap();
+        assert_eq!(allocs, 0, "completed into the recycled buffer");
+        assert_eq!(
+            (second.payload.as_ptr(), &second.payload[..]),
+            (ptr, &b"second"[..])
+        );
+        r.recycle(Vec::with_capacity(FRAME_PAYLOAD_BYTES - 1));
+        assert!(r.recycled.is_empty(), "a buffer too small for a frame");
+        for _ in 0..2 * RECYCLED_CAP {
+            r.recycle(Vec::with_capacity(FRAME_PAYLOAD_BYTES));
+        }
+        assert_eq!(r.recycled.len(), RECYCLED_CAP);
     }
 
     #[test]

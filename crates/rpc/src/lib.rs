@@ -68,7 +68,7 @@ pub mod wire;
 pub use client::{PendingCall, RpcClient, TypedCall, CLIENT_RTT_HISTOGRAM};
 pub use completion::CompletionQueue;
 pub use endpoint::FlowEndpoint;
-pub use frag::{fragment, fragment_with_ctx, CompleteRpc, Reassembler, MAX_RPC_PAYLOAD};
+pub use frag::{fragment, fragment_into, CompleteRpc, Reassembler, MAX_RPC_PAYLOAD};
 pub use pool::RpcClientPool;
 pub use server::{RpcThreadedServer, ThreadingModel, SERVER_HANDLER_HISTOGRAM};
 pub use service::{RpcService, ServiceDescriptor};

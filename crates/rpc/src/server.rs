@@ -28,14 +28,15 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
-use dagger_nic::{EngineHandle, HostFlow, HostWait, Nic, RingProducer};
+use dagger_nic::{EngineHandle, HostFlow, HostWait, Nic};
 use dagger_telemetry::{
     ContextScope, Counter, HistogramHandle, RpcEvent, SpanKind, Telemetry, TraceContext,
 };
 use dagger_types::{ConnectionId, DaggerError, FlowId, FnId, NodeAddr, Result, RpcId, RpcKind};
 
-use crate::frag::{fragment, Reassembler};
-use crate::service::{encode_response, RpcService};
+use crate::endpoint::TxRing;
+use crate::frag::{message_header, Reassembler};
+use crate::service::{response_parts, RpcService};
 
 /// Name of the server handler-latency histogram in the metrics registry.
 pub const SERVER_HANDLER_HISTOGRAM: &str = "rpc.server.handler_ns";
@@ -65,9 +66,10 @@ struct WorkItem {
 }
 
 /// The response side of one dispatch flow, shared with the worker pool:
-/// the (hence locked) TX ring and the engine queue that drains it.
+/// the (hence locked) TX ring with its scratch frames, and the engine
+/// queue that drains it.
 struct FlowTx {
-    ring: Mutex<RingProducer>,
+    ring: Mutex<TxRing>,
     engine: EngineHandle,
 }
 
@@ -280,7 +282,7 @@ impl RpcThreadedServer {
                         flow: host_flow.flow,
                         rx: host_flow.rx,
                         tx: Arc::new(FlowTx {
-                            ring: Mutex::new(host_flow.tx),
+                            ring: Mutex::new(TxRing::new(host_flow.tx)),
                             engine: host_flow.engine,
                         }),
                         reassembler: Reassembler::new(),
@@ -341,7 +343,9 @@ pub struct RpcServerThread {
 
 impl RpcServerThread {
     fn run(mut self) {
-        let mut wait = HostWait::new(&self.tx.engine);
+        // Its own handle on the flow's TX side: `handle` needs `self` whole.
+        let tx = Arc::clone(&self.tx);
+        let mut wait = HostWait::new(&tx.engine);
         loop {
             if self.ctx.stop.load(Ordering::Acquire) {
                 return;
@@ -378,7 +382,7 @@ impl RpcServerThread {
     }
 
     fn handle(
-        &self,
+        &mut self,
         cid: ConnectionId,
         rpc_id: RpcId,
         fn_id: FnId,
@@ -396,7 +400,11 @@ impl RpcServerThread {
             tx: Arc::clone(&self.tx),
         };
         match self.threading {
-            ThreadingModel::Dispatch => dispatch_one(&self.ctx, &item),
+            ThreadingModel::Dispatch => {
+                dispatch_one(&self.ctx, &item);
+                // The next single-frame request completes into this buffer.
+                self.reassembler.recycle(item.payload);
+            }
             ThreadingModel::Worker { .. } => {
                 let _ = self.work_tx.send(item);
             }
@@ -471,38 +479,40 @@ fn dispatch_one(ctx: &DispatchCtx, item: &WorkItem) {
         ctx.errors.fetch_add(1, Ordering::Relaxed);
         ctx.handler_errors.inc();
     }
-    let response = encode_response(outcome);
-    let Ok(frames) = fragment(
+    // The status byte and the body are fragmented straight into the flow's
+    // scratch frames: no response buffer is built.
+    let (status, body) = response_parts(&outcome);
+    let header = message_header(
         item.cid,
         item.rpc_id,
         item.fn_id,
         item.src_flow,
         RpcKind::Response,
-        &response,
-    ) else {
+    );
+    let mut tx = item.tx.ring.lock();
+    if tx.stage(header, &[status], &body).is_err() {
         // Response too large for the fragmentation layer; the client will
         // time out (no truncated garbage on the wire).
+        drop(tx);
         if let Some(span) = span {
             span.finish(ctx.telemetry.spans());
         }
         return;
-    };
+    }
     // One batch, one engine wake-up; only a full ring makes it loop.
-    let mut producer = item.tx.ring.lock();
     let mut wait = HostWait::new(&item.tx.engine);
-    let mut rest = frames.as_slice();
-    loop {
-        rest = &rest[producer.try_push_batch(rest)..];
-        if rest.is_empty() {
-            break;
-        }
+    let pushed = tx.push_staged(|| {
         if ctx.stop.load(Ordering::Acquire) {
-            return;
+            return Err(DaggerError::Closed);
         }
         // Stepping the flow's engine is what drains its TX ring.
         wait.idle();
+        Ok(())
+    });
+    drop(tx);
+    if pushed.is_err() {
+        return;
     }
-    drop(producer);
     tracer.record(item.cid.raw(), item.rpc_id.raw(), RpcEvent::HandlerDone);
     if let Some(span) = span {
         // Closed after the response frames are on the TX ring, so the

@@ -9,6 +9,8 @@
 //! propagate to the caller instead of hanging it: `0` = ok followed by the
 //! response message, `1` = error followed by a UTF-8 message.
 
+use std::borrow::Cow;
+
 use dagger_types::{DaggerError, FnId, Result};
 
 /// Identity of a service: a display name and the function ids it serves.
@@ -68,39 +70,45 @@ const STATUS_OK: u8 = 0;
 /// Wire status byte for a handler error.
 const STATUS_ERR: u8 = 1;
 
-/// Wraps a handler outcome into the status-prefixed response payload.
-pub fn encode_response(result: Result<Vec<u8>>) -> Vec<u8> {
-    match result {
-        Ok(body) => {
-            let mut out = Vec::with_capacity(1 + body.len());
-            out.push(STATUS_OK);
-            out.extend_from_slice(&body);
-            out
-        }
-        Err(err) => {
-            let msg = err.to_string();
-            let mut out = Vec::with_capacity(1 + msg.len());
-            out.push(STATUS_ERR);
-            out.extend_from_slice(msg.as_bytes());
-            out
-        }
+/// The two parts of a response payload on the wire: the status byte and
+/// what follows it — the handler's message, or its error's text. The
+/// server fragments the parts straight into frames; [`encode_response`]
+/// joins them.
+pub(crate) fn response_parts(outcome: &Result<Vec<u8>>) -> (u8, Cow<'_, [u8]>) {
+    match outcome {
+        Ok(body) => (STATUS_OK, Cow::Borrowed(body)),
+        Err(err) => (STATUS_ERR, Cow::Owned(err.to_string().into_bytes())),
     }
 }
 
-/// Unwraps a status-prefixed response payload back into a handler outcome.
+/// Wraps a handler outcome into the status-prefixed response payload.
+pub fn encode_response(result: Result<Vec<u8>>) -> Vec<u8> {
+    let (status, body) = response_parts(&result);
+    let mut out = Vec::with_capacity(1 + body.len());
+    out.push(status);
+    out.extend_from_slice(&body);
+    out
+}
+
+/// Unwraps a reassembled status-prefixed response payload back into a
+/// handler outcome. An ok response's body is `bytes` itself, the status
+/// byte stripped in place.
 ///
 /// # Errors
 ///
 /// Returns the remote handler's error for an error status, or
 /// [`DaggerError::Wire`] if the status byte is missing/unknown.
-pub fn decode_response(bytes: &[u8]) -> Result<Vec<u8>> {
-    match bytes.split_first() {
-        Some((&STATUS_OK, body)) => Ok(body.to_vec()),
-        Some((&STATUS_ERR, msg)) => Err(DaggerError::Wire(format!(
+pub fn decode_response(mut bytes: Vec<u8>) -> Result<Vec<u8>> {
+    match bytes.first() {
+        Some(&STATUS_OK) => {
+            bytes.remove(0);
+            Ok(bytes)
+        }
+        Some(&STATUS_ERR) => Err(DaggerError::Wire(format!(
             "remote handler error: {}",
-            String::from_utf8_lossy(msg)
+            String::from_utf8_lossy(&bytes[1..])
         ))),
-        Some((other, _)) => Err(DaggerError::Wire(format!(
+        Some(other) => Err(DaggerError::Wire(format!(
             "unknown response status byte {other}"
         ))),
         None => Err(DaggerError::Wire("empty response payload".to_string())),
@@ -133,25 +141,61 @@ mod tests {
     #[test]
     fn ok_response_roundtrip() {
         let encoded = encode_response(Ok(vec![1, 2, 3]));
-        assert_eq!(decode_response(&encoded).unwrap(), vec![1, 2, 3]);
+        assert_eq!(decode_response(encoded).unwrap(), vec![1, 2, 3]);
     }
 
     #[test]
     fn empty_ok_response_roundtrip() {
         let encoded = encode_response(Ok(vec![]));
-        assert_eq!(decode_response(&encoded).unwrap(), Vec::<u8>::new());
+        assert_eq!(decode_response(encoded).unwrap(), Vec::<u8>::new());
     }
 
     #[test]
     fn error_response_roundtrip() {
         let encoded = encode_response(Err(DaggerError::UnknownFunction(9)));
-        let err = decode_response(&encoded).unwrap_err();
+        let err = decode_response(encoded).unwrap_err();
         assert!(err.to_string().contains("unknown function id 9"), "{err}");
     }
 
     #[test]
     fn malformed_status_rejected() {
-        assert!(decode_response(&[]).is_err());
-        assert!(decode_response(&[7, 1, 2]).is_err());
+        assert!(decode_response(vec![]).is_err());
+        assert!(decode_response(vec![7, 1, 2]).is_err());
+    }
+
+    /// An ok body is the reassembled buffer itself, its status byte
+    /// stripped in place; every other status is an error, whatever its
+    /// bytes.
+    #[test]
+    fn decode_strips_the_status_byte_in_place() {
+        let buf = encode_response(Ok(b"body".to_vec()));
+        let ptr = buf.as_ptr();
+        let body = decode_response(buf).unwrap();
+        assert_eq!((body.as_ptr(), &body[..]), (ptr, &b"body"[..]));
+        assert!(decode_response(vec![STATUS_OK]).unwrap().is_empty());
+        let err = decode_response(vec![STATUS_ERR, b'n', b'o']).unwrap_err();
+        assert_eq!(err, DaggerError::Wire("remote handler error: no".into()));
+        let unknown = decode_response(vec![2, STATUS_OK]).unwrap_err();
+        assert_eq!(
+            unknown,
+            DaggerError::Wire("unknown response status byte 2".into())
+        );
+        let empty = decode_response(Vec::new()).unwrap_err();
+        assert_eq!(empty, DaggerError::Wire("empty response payload".into()));
+    }
+
+    /// The parts the server fragments are the bytes `encode_response`
+    /// joins: one response format.
+    #[test]
+    fn response_parts_are_the_encoded_response() {
+        for outcome in [
+            Ok(vec![1, 2, 3]),
+            Ok(vec![]),
+            Err(DaggerError::UnknownFunction(9)),
+        ] {
+            let (status, body) = response_parts(&outcome);
+            let joined = [&[status][..], &body].concat();
+            assert_eq!(joined, encode_response(outcome));
+        }
     }
 }

@@ -149,6 +149,14 @@ if grep -rnE 'SloKind|SloSpec::availability|set_link_faults|FlowEndpoint::with_t
   exit 1
 fi
 
+# A message's frames are built in place (`fragment_into`, prefix-aware), so
+# the prefixed copy builder `fragment_with_ctx` is gone; the frozen perf
+# ledger is exempt.
+if grep -rnw 'fragment_with_ctx' --exclude-dir=ledger crates examples tests README.md DESIGN.md EXPERIMENTS.md; then
+  echo "lint.sh: fragment_with_ctx is back (see above); fragment the prefix and the payload in place with fragment_into" >&2
+  exit 1
+fi
+
 # Host-side setup has one path per thing: a `HardConfig` is plain data
 # (struct literal plus `validate`), flows are claimed in ascending order by
 # `Nic::take_flow` (striped, so a fresh pool's client `i` lands on queue
@@ -309,6 +317,33 @@ for f in crates/rpc/src/*.rs; do
   fi
 done
 [ "$push_violations" -eq 0 ] || exit 1
+
+echo "== the host half builds frames in place and takes deadlines from the call (crates/rpc/src) =="
+# A request, a response and a completion are fragmented straight into the
+# TX ring's scratch frames and decoded in place (DESIGN.md §12, "the host
+# half"): the copying builders `encode_response` and `fragment` (kept for
+# the frozen perf ledger and the baselines) stay off the hot path. Unit-test
+# modules and comments are exempt.
+inplace_violations=0
+for f in crates/rpc/src/client.rs crates/rpc/src/server.rs crates/rpc/src/endpoint.rs crates/rpc/src/completion.rs; do
+  hits=$(awk '/#\[cfg\(test\)\]/{exit} !/^[[:space:]]*\/\//' "$f" \
+           | grep -nE '\b(encode_response|fragment|fragment_with_ctx)\(' || true)
+  if [ -n "$hits" ]; then
+    echo "lint.sh: $f builds a message by copy on the hot path; use response_parts / TxRing::stage (fragment_into):" >&2
+    echo "$hits" >&2
+    inplace_violations=1
+  fi
+done
+[ "$inplace_violations" -eq 0 ] || exit 1
+# A wait's deadline is the call's, fixed at issue; `HostWait::idle_until`
+# reads the clock when it backs off. The endpoint reads no clock itself.
+clock_hits=$(awk '/#\[cfg\(test\)\]/{exit} !/^[[:space:]]*\/\//' crates/rpc/src/endpoint.rs \
+               | grep -nF 'Instant::now()' || true)
+if [ -n "$clock_hits" ]; then
+  echo "lint.sh: crates/rpc/src/endpoint.rs reads the clock; waits get their deadline from the call:" >&2
+  echo "$clock_hits" >&2
+  exit 1
+fi
 
 echo "== file-size ratchet (no nic source file over 800 lines before its tests) =="
 # ROADMAP item 4's acceptance line, made mechanical: lines before a file's

@@ -7,7 +7,8 @@
 use std::sync::Arc;
 
 use dagger::nic::{MemFabric, Nic};
-use dagger::rpc::{fragment, fragment_with_ctx, RpcClientPool, RpcThreadedServer};
+use dagger::rpc::frag::message_header;
+use dagger::rpc::{fragment, fragment_into, RpcClientPool, RpcThreadedServer};
 use dagger::services::flight::{FlightApp, FlightConfig};
 use dagger::telemetry::{
     assemble, chrome_trace_json, fig3_report, render_waterfall, SpanKind, Telemetry, TraceTree,
@@ -230,16 +231,15 @@ fn disabled_tracing_adds_zero_wire_bytes() {
         &payload,
     )
     .unwrap();
-    let via_ctx = fragment_with_ctx(
+    let header = message_header(
         ConnectionId(3),
         RpcId(4),
         FnId(5),
         FlowId(0),
         RpcKind::Request,
-        &payload,
-        None,
-    )
-    .unwrap();
+    );
+    let mut via_ctx = Vec::new();
+    fragment_into(&mut via_ctx, header, &[], &payload).unwrap();
     assert_eq!(plain.len(), via_ctx.len());
     for (a, b) in plain.iter().zip(via_ctx.iter()) {
         assert_eq!(a.header(), b.header(), "untraced frames must be identical");

@@ -430,20 +430,16 @@ proptest! {
         trace_id in any::<u64>(),
         span_id in any::<u64>(),
     ) {
-        use dagger::rpc::frag::fragment_with_ctx;
+        use dagger::rpc::frag::{fragment_into, message_header};
         use dagger::telemetry::TraceContext;
 
         let ctx = TraceContext { trace_id, span_id };
-        let frames = fragment_with_ctx(
-            ConnectionId(7),
-            RpcId(9),
-            FnId(3),
-            FlowId(0),
-            RpcKind::Request,
-            &payload,
-            Some(ctx),
-        )
-        .unwrap();
+        let header = RpcHeader {
+            traced: true,
+            ..message_header(ConnectionId(7), RpcId(9), FnId(3), FlowId(0), RpcKind::Request)
+        };
+        let mut frames = Vec::new();
+        fragment_into(&mut frames, header, &ctx.encode(), &payload).unwrap();
 
         let cfg = ReliableConfig { retransmit_after_ticks: 1, window: 64 };
         let mut pair = ReliablePair::new(FaultPlan::seeded(0), cfg);
