@@ -542,7 +542,8 @@ impl Nic {
         // data, covered by the reliable transport when enabled) and wait
         // for the remote's acknowledgement, retrying the announcement. The
         // caller is the flow's host thread, so it drives the flow's queue
-        // while it waits.
+        // while it waits; each attempt reads the clock once for its
+        // deadline, and the wait once per back-off.
         let mut wait = HostWait::new(self.engine_of(src_flow));
         for _attempt in 0..40 {
             let ctrl = ctrl_open(cid, reverse);
@@ -552,11 +553,13 @@ impl Nic {
                 .map_err(|_| DaggerError::Closed)?;
             self.wake_all();
             let deadline = Instant::now() + Duration::from_millis(50);
-            while Instant::now() < deadline {
+            loop {
                 if self.conn_mgr.lock().is_confirmed(cid) {
                     return Ok(cid);
                 }
-                wait.idle();
+                if wait.idle_until(deadline).is_err() {
+                    break;
+                }
             }
         }
         let _ = self.conn_mgr.lock().close(cid);
@@ -707,6 +710,30 @@ mod tests {
                 assert!((0..flows).any(|f| queue_of_flow(f, queues) == q));
             }
         }
+    }
+
+    /// An open toward a peer the switch has cut off is retried until its
+    /// attempts run out (40 × 50 ms), then given up: `Timeout`, and nothing
+    /// is left open on either side.
+    #[test]
+    fn an_open_toward_a_partitioned_peer_times_out_and_leaves_nothing_open() {
+        let fabric = MemFabric::new();
+        let client = Nic::start(&fabric, NodeAddr(1), HardConfig::default()).unwrap();
+        let server = Nic::start(&fabric, NodeAddr(2), HardConfig::default()).unwrap();
+        fabric.partition(NodeAddr(1), NodeAddr(2));
+        let cflow = client.take_flow().unwrap();
+        let started = Instant::now();
+        let opened = client.open_connection(NodeAddr(2), cflow.flow, LbPolicy::Uniform);
+        assert_eq!(opened, Err(DaggerError::Timeout));
+        assert!(
+            started.elapsed() >= Duration::from_secs(2),
+            "gave up after {:?}",
+            started.elapsed()
+        );
+        assert_eq!(client.open_connections(), 0);
+        assert_eq!(server.open_connections(), 0);
+        client.shutdown();
+        server.shutdown();
     }
 
     #[test]

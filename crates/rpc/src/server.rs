@@ -475,10 +475,6 @@ fn dispatch_one(ctx: &DispatchCtx, item: &WorkItem) {
         ),
         None => ctx.handler_ns.record(handler_elapsed),
     }
-    if outcome.is_err() {
-        ctx.errors.fetch_add(1, Ordering::Relaxed);
-        ctx.handler_errors.inc();
-    }
     // The status byte and the body are fragmented straight into the flow's
     // scratch frames: no response buffer is built.
     let (status, body) = response_parts(&outcome);
@@ -490,14 +486,20 @@ fn dispatch_one(ctx: &DispatchCtx, item: &WorkItem) {
         RpcKind::Response,
     );
     let mut tx = item.tx.ring.lock();
-    if tx.stage(header, &[status], &body).is_err() {
-        // Response too large for the fragmentation layer; the client will
-        // time out (no truncated garbage on the wire).
-        drop(tx);
-        if let Some(span) = span {
-            span.finish(ctx.telemetry.spans());
-        }
-        return;
+    let mut failed = outcome.is_err();
+    if let Err(too_large) = tx.stage(header, &[status], &body) {
+        // A response the fragmentation layer cannot carry reaches its
+        // caller as an error naming the limit, not as a timeout. The
+        // error's text is far under the limit, so it always stages.
+        failed = true;
+        let outcome = Err(too_large);
+        let (status, body) = response_parts(&outcome);
+        tx.stage(header, &[status], &body)
+            .expect("an error response fits in one message");
+    }
+    if failed {
+        ctx.errors.fetch_add(1, Ordering::Relaxed);
+        ctx.handler_errors.inc();
     }
     // One batch, one engine wake-up; only a full ring makes it loop.
     let mut wait = HostWait::new(&item.tx.engine);
@@ -511,6 +513,11 @@ fn dispatch_one(ctx: &DispatchCtx, item: &WorkItem) {
     });
     drop(tx);
     if pushed.is_err() {
+        // The server is stopping: the response is abandoned, its span is
+        // still closed.
+        if let Some(span) = span {
+            span.finish(ctx.telemetry.spans());
+        }
         return;
     }
     tracer.record(item.cid.raw(), item.rpc_id.raw(), RpcEvent::HandlerDone);

@@ -15,7 +15,7 @@
 //!   NIC engines, reliable layer, and fault injector were doing when the
 //!   tail formed.
 //!
-//! Bundles are bounded (oldest dropped) and exported both in the v5 JSON
+//! Bundles are bounded (oldest dropped) and exported both in the v6 JSON
 //! snapshot (`bundles` section) and as human-readable text via
 //! [`DiagnosisBundle::render`] (used by `examples/diagnose.rs`).
 

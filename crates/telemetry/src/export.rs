@@ -7,7 +7,7 @@
 //!
 //! ```json
 //! {
-//!   "version": 5,
+//!   "version": 6,
 //!   "counters": {"name": 0},
 //!   "gauges": {"name": 0},
 //!   "histograms": {"name": {"count": 0, "mean_ns": 0.0, "p50_ns": 0,
@@ -25,14 +25,6 @@
 //!              "start_ns": 0, "end_ns": 0, "duration_ns": 0,
 //!              "connection_id": 0, "rpc_id": 0}],
 //!   "dropped_spans": 0,
-//!   "slo": {"objectives": [{"name": "rtt", "target_ppm": 999000,
-//!                           "burn_rate_milli": 0,
-//!                           "budget_remaining_ppm": 1000000,
-//!                           "breached": false, "window_bad": 0,
-//!                           "window_total": 0}],
-//!           "events": [{"name": "rtt", "tick": 0, "kind": "breach",
-//!                       "burn_milli": 0}],
-//!           "dropped_events": 0},
 //!   "exemplars": {"rpc.client.rtt_ns": [{"trace_id": "0000000000000001",
 //!                                        "span_id": "0000000000000002",
 //!                                        "value_ns": 0, "tick": 0}]},
@@ -50,9 +42,10 @@
 //! }
 //! ```
 //!
-//! This is the one current schema (`"version": 5`: version 4 less its
-//! `series` section and the bundles' `series` member, plus each bundle's
-//! `window_bad`/`window_total`); key spelling and order are pinned by
+//! This is the one current schema (`"version": 6`: version 5 less its
+//! `slo` section, whose numbers each have one home elsewhere — burn rate
+//! and budget in the `slo.<name>.*` gauges, crossings in `events`, window
+//! counts in each bundle); key spelling and order are pinned by
 //! exact-string tests below and in `tests/telemetry.rs`. `exemplars`,
 //! `events` and `bundles` are the forensics sections (DESIGN.md §15). Keys
 //! inside `counters`/`gauges`/`histograms` are sorted by name; only
@@ -68,7 +61,6 @@ use crate::bundle::DiagnosisBundle;
 use crate::flight::FlightEvent;
 use crate::hist::Exemplar;
 use crate::registry::RegistrySnapshot;
-use crate::slo::{SloEventKind, SloReport};
 use crate::span::Span;
 use crate::trace::{RpcEvent, RpcTrace, STAGE_NAMES};
 
@@ -86,15 +78,13 @@ pub struct TelemetrySnapshot {
     pub spans: Vec<Span>,
     /// Spans evicted by the collector's capacity bound.
     pub dropped_spans: u64,
-    /// SLO objectives, budgets, and threshold-crossing events.
-    pub slo: SloReport,
     /// Per-histogram exemplars (most recent traced sample per bucket),
     /// sorted by histogram name; histograms without exemplars are omitted.
     pub exemplars: Vec<(String, Vec<Exemplar>)>,
     /// Flight-recorder events, oldest first.
     pub events: Vec<FlightEvent>,
     /// Flight-recorder events overwritten by the ring before this snapshot.
-    pub dropped_events: u64,
+    pub dropped_flight_events: u64,
     /// Retained SLO-breach diagnosis bundles, oldest first.
     pub bundles: Vec<DiagnosisBundle>,
     /// Bundles evicted by the [`crate::bundle::MAX_BUNDLES`] bound.
@@ -129,7 +119,7 @@ fn json_f64(v: f64) -> String {
 
 impl TelemetrySnapshot {
     /// Schema version emitted in the JSON output.
-    pub const JSON_VERSION: u32 = 5;
+    pub const JSON_VERSION: u32 = 6;
 
     /// Serializes the snapshot to the stable JSON schema described in the
     /// module docs. Single line, no trailing newline.
@@ -196,43 +186,6 @@ impl TelemetrySnapshot {
 
         out.push_str(&format!(",\"dropped_spans\":{}", self.dropped_spans));
 
-        out.push_str(",\"slo\":{\"objectives\":[");
-        for (i, o) in self.slo.objectives.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"target_ppm\":{},\"burn_rate_milli\":{},\"budget_remaining_ppm\":{},\"breached\":{},\"window_bad\":{},\"window_total\":{}}}",
-                json_escape(&o.name),
-                o.target_ppm,
-                o.burn_rate_milli,
-                o.budget_remaining_ppm,
-                o.breached,
-                o.window_bad,
-                o.window_total
-            ));
-        }
-        out.push_str("],\"events\":[");
-        for (i, ev) in self.slo.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"tick\":{},\"kind\":\"{}\",\"burn_milli\":{}}}",
-                json_escape(&ev.name),
-                ev.tick,
-                match ev.kind {
-                    SloEventKind::Breach => "breach",
-                    SloEventKind::Recover => "recover",
-                },
-                ev.burn_milli
-            ));
-        }
-        out.push_str(&format!(
-            "],\"dropped_events\":{}}}",
-            self.slo.dropped_events
-        ));
-
         // Forensics sections: exemplars, flight events, bundles.
         out.push_str(",\"exemplars\":{");
         for (i, (name, exs)) in self.exemplars.iter().enumerate() {
@@ -257,7 +210,7 @@ impl TelemetrySnapshot {
             }
             out.push_str(&flight_event_json(ev));
         }
-        out.push_str(&format!("],\"dropped\":{}}}", self.dropped_events));
+        out.push_str(&format!("],\"dropped\":{}}}", self.dropped_flight_events));
 
         out.push_str(",\"bundles\":{\"entries\":[");
         for (i, b) in self.bundles.iter().enumerate() {
@@ -470,19 +423,6 @@ impl fmt::Display for TelemetrySnapshot {
                 writeln!(f)?;
             }
         }
-        if !self.slo.objectives.is_empty() {
-            writeln!(f, "slo:")?;
-            for o in &self.slo.objectives {
-                writeln!(
-                    f,
-                    "  {}: burn={:.2}x budget_remaining={:.1}% {}",
-                    o.name,
-                    o.burn_rate_milli as f64 / 1000.0,
-                    o.budget_remaining_ppm as f64 / 10_000.0,
-                    if o.breached { "BREACHED" } else { "ok" }
-                )?;
-            }
-        }
         if !self.spans.is_empty() {
             writeln!(f, "spans ({} dropped):", self.dropped_spans)?;
             for s in &self.spans {
@@ -501,7 +441,7 @@ impl fmt::Display for TelemetrySnapshot {
             }
         }
         if !self.events.is_empty() {
-            writeln!(f, "flight events ({} dropped):", self.dropped_events)?;
+            writeln!(f, "flight events ({} dropped):", self.dropped_flight_events)?;
             for e in &self.events {
                 writeln!(
                     f,
@@ -568,10 +508,9 @@ mod tests {
                 rpc: Some((65536, 1)),
             }],
             dropped_spans: 3,
-            slo: SloReport::default(),
             exemplars: Vec::new(),
             events: Vec::new(),
-            dropped_events: 0,
+            dropped_flight_events: 0,
             bundles: Vec::new(),
             dropped_bundles: 0,
         }
@@ -580,7 +519,7 @@ mod tests {
     #[test]
     fn json_contains_all_sections() {
         let json = sample_snapshot().to_json();
-        assert!(json.starts_with("{\"version\":5"));
+        assert!(json.starts_with("{\"version\":6"));
         assert!(json.contains("\"nic.0.tx_frames\":7"));
         assert!(json.contains("\"nic.0.flows\":4"));
         assert!(json.contains("\"p99_ns\""));
@@ -600,15 +539,15 @@ mod tests {
         assert!(json.contains("\"node\":2"), "{json}");
         assert!(json.contains("\"duration_ns\":2800"), "{json}");
         assert!(json.contains("\"connection_id\":65536,\"rpc_id\":1"));
-        // The slo section follows dropped_spans; exemplars, flight events
-        // and bundles follow slo. No series section since version 5.
+        // Exemplars, flight events and bundles follow dropped_spans. No
+        // series section since version 5, no slo section since version 6.
         let ds = json.find("\"dropped_spans\":3").expect("dropped_spans");
         assert!(!json.contains("\"series\""), "{json}");
-        let sl = json.find("\"slo\":{").expect("slo");
+        assert!(!json.contains("\"slo\""), "{json}");
         let ex = json.find("\"exemplars\":{").expect("exemplars");
         let ev = json.find("\"events\":{\"entries\":[").expect("events");
         let bu = json.find("\"bundles\":{\"entries\":[").expect("bundles");
-        assert!(ds < sl && sl < ex && ex < ev && ev < bu, "{json}");
+        assert!(ds < ex && ex < ev && ev < bu, "{json}");
     }
 
     #[test]
@@ -627,44 +566,10 @@ mod tests {
         let json = TelemetrySnapshot::default().to_json();
         assert_eq!(
             json,
-            "{\"version\":5,\"counters\":{},\"gauges\":{},\"histograms\":{},\
+            "{\"version\":6,\"counters\":{},\"gauges\":{},\"histograms\":{},\
              \"traces\":[],\"dropped_traces\":0,\"spans\":[],\"dropped_spans\":0,\
-             \"slo\":{\"objectives\":[],\"events\":[],\"dropped_events\":0},\
              \"exemplars\":{},\"events\":{\"entries\":[],\"dropped\":0},\
              \"bundles\":{\"entries\":[],\"dropped\":0}}"
-        );
-    }
-
-    #[test]
-    fn json_emits_slo_payloads() {
-        let mut snap = sample_snapshot();
-        snap.slo.objectives.push(crate::slo::SloSnapshot {
-            name: "rtt".to_string(),
-            target_ppm: 999_000,
-            burn_rate_milli: 1500,
-            budget_remaining_ppm: 250_000,
-            breached: true,
-            window_bad: 3,
-            window_total: 2000,
-        });
-        snap.slo.events.push(crate::slo::SloEvent {
-            name: "rtt".to_string(),
-            tick: 9,
-            kind: SloEventKind::Breach,
-            burn_milli: 1500,
-        });
-        let json = snap.to_json();
-        assert!(
-            json.contains("\"name\":\"rtt\",\"target_ppm\":999000,\"burn_rate_milli\":1500"),
-            "{json}"
-        );
-        assert!(
-            json.contains("\"breached\":true,\"window_bad\":3,\"window_total\":2000}"),
-            "{json}"
-        );
-        assert!(
-            json.contains("\"kind\":\"breach\",\"burn_milli\":1500"),
-            "{json}"
         );
     }
 
@@ -690,7 +595,7 @@ mod tests {
         snap.exemplars
             .push(("rpc.client.rtt_ns".to_string(), vec![ex]));
         snap.events.push(ev);
-        snap.dropped_events = 2;
+        snap.dropped_flight_events = 2;
         snap.bundles.push(DiagnosisBundle {
             slo: "client_rtt".to_string(),
             tick: 17,
@@ -745,6 +650,8 @@ mod tests {
             ),
             "{json}"
         );
+        // A bundle names its objective; there is no top-level slo section.
+        assert!(!json.contains("\"slo\":{"), "{json}");
         let text = snap.to_string();
         assert!(text.contains("flight events (2 dropped):"), "{text}");
         assert!(text.contains("client_rtt @tick 17 burn=2.50x"), "{text}");

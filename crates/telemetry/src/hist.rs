@@ -8,8 +8,8 @@
 //!
 //! This histogram originated in `dagger-sim` (where the simulator records
 //! virtual-time latencies) and was rehomed here so the *host* RPC stack can
-//! record wall-clock nanoseconds into the same structure; `dagger-sim`
-//! re-exports it for compatibility.
+//! record wall-clock nanoseconds into the same structure; the simulator
+//! uses it from here.
 
 use crate::Nanos;
 

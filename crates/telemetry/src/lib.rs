@@ -15,9 +15,10 @@
 //!   RX ring → dispatch → handler → response, yielding a six-stage latency
 //!   breakdown ([`STAGE_NAMES`]).
 //! * [`SloSpec`] — declared latency objectives. Each reads its own good
-//!   and total sample counts from its histogram into a rolling window; a
-//!   burn-rate breach freezes a [`DiagnosisBundle`] joining the tail's
-//!   exemplar traces with the [`FlightRecorder`]'s engine events.
+//!   and total sample counts from its histogram into a rolling window and
+//!   publishes two gauges; a burn-rate crossing is a [`FlightRecorder`]
+//!   event, and a breach freezes a [`DiagnosisBundle`] joining the tail's
+//!   exemplar traces with the recorder's engine events.
 //! * [`TelemetrySnapshot`] — exporters: human-readable text (`Display`)
 //!   and a stable versioned JSON document ([`TelemetrySnapshot::to_json`]).
 //!
@@ -46,7 +47,7 @@ pub use flight::{
 };
 pub use hist::{Exemplar, Histogram, Summary};
 pub use registry::{Counter, Gauge, HistogramHandle, MetricsRegistry, RegistrySnapshot};
-pub use slo::{SloEvent, SloEventKind, SloReport, SloSnapshot, SloSpec};
+pub use slo::SloSpec;
 pub use span::{
     current_context, next_id, ContextScope, OpenSpan, Span, SpanCollector, SpanKind, TraceContext,
     DEFAULT_SPAN_CAPACITY,
@@ -63,7 +64,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
-/// Nanoseconds. Mirrors `dagger_sim::Nanos`, which is a re-export of this.
+/// Nanoseconds.
 pub type Nanos = u64;
 
 /// Collector callback: folds an external counter bank (e.g. a NIC's Packet
@@ -208,7 +209,9 @@ impl Telemetry {
 
     /// Declares an SLO; evaluated on every [`sample_now`](Telemetry::sample_now)
     /// pass, exported as `slo.<name>.{burn_rate,budget_remaining}` gauges
-    /// plus flight-recorder events on burn-threshold crossings.
+    /// plus flight-recorder events on burn-threshold crossings, whose `b`
+    /// is the objective's declaration index (a re-declared name keeps its
+    /// index).
     pub fn register_slo(&self, spec: SloSpec) {
         self.slos
             .lock()
@@ -255,16 +258,11 @@ impl Telemetry {
     }
 
     /// Runs a forced pass (so whatever was recorded since the last one is
-    /// in the SLO windows, exactly once), then snapshots the registry, the
-    /// SLO state, all retained traces and spans, the histogram exemplars,
+    /// in the SLO windows and gauges, exactly once), then snapshots the
+    /// registry, all retained traces and spans, the histogram exemplars,
     /// the flight-recorder events, and any captured diagnosis bundles.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         self.pass(true);
-        let slo = self
-            .slos
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .snapshot();
         let mut exemplars = Vec::new();
         self.registry.visit_histograms(|name, handle| {
             let ex = handle.with_histogram(|h| h.exemplars());
@@ -282,10 +280,9 @@ impl Telemetry {
             dropped_traces: self.tracer.dropped(),
             spans: self.spans.spans(),
             dropped_spans: self.spans.dropped(),
-            slo,
             exemplars,
             events: self.flight.snapshot(),
-            dropped_events: self.flight.dropped(),
+            dropped_flight_events: self.flight.dropped(),
             bundles,
             dropped_bundles,
         }
@@ -362,12 +359,13 @@ mod tests {
         h.record(100);
         t.sample_now();
         // Recorded after the grid point's pass (same tick or not): the
-        // forced pass of `snapshot()` folds it, and only it.
-        h.record(200);
-        let obj = &t.snapshot().slo.objectives[0];
-        assert_eq!((obj.window_bad, obj.window_total), (0, 2));
-        let obj = &t.snapshot().slo.objectives[0];
-        assert_eq!((obj.window_bad, obj.window_total), (0, 2));
+        // forced pass of `snapshot()` folds it, and only it. One bad of two
+        // against a 50 % budget burns exactly 1.0x; losing the bad sample
+        // would read 0, counting the good one twice 0.667x.
+        h.record(5_000);
+        let burn = |t: &Telemetry| t.snapshot().registry.gauge("slo.rtt.burn_rate");
+        assert_eq!(burn(&t), Some(1000));
+        assert_eq!(burn(&t), Some(1000));
     }
 
     #[test]
@@ -390,7 +388,7 @@ mod tests {
         assert!(b
             .events
             .iter()
-            .any(|e| e.kind == FlightEventKind::SloBreach && e.tick == b.tick));
+            .any(|e| e.kind == FlightEventKind::SloBreach && e.tick == b.tick && e.b == 0));
         assert_eq!(snap.registry.gauge("slo.rtt.burn_rate"), Some(2500));
     }
 

@@ -19,9 +19,11 @@
 //! * **Budget remaining** — cumulative: `1 - cum_bad / (budget * cum_total)`,
 //!   clamped at 0, exported ppm-scaled as `slo.<name>.budget_remaining`.
 //!
-//! Crossings of the burn-rate threshold (≥ 1.0 entering breach, < 1.0
-//! recovering) append to a bounded event log and land on the flight
-//! recorder; a breach also hands the hub a diagnosis-bundle capture.
+//! Each fact has one home. The two gauges are the objective's state; a
+//! crossing of the burn-rate threshold (≥ 1.0 entering breach, < 1.0
+//! recovering) is one flight-recorder event carrying the burn rate and the
+//! objective's declaration index; a breach also hands the hub a
+//! diagnosis-bundle capture, which freezes the window counts.
 //!
 //! Evaluation is idempotent per grid tick: concurrent drivers collapse
 //! onto the same grid point, and a *forced* pass (every
@@ -34,10 +36,6 @@ use std::collections::VecDeque;
 use crate::flight::{FlightEventKind, FlightRecorder};
 use crate::hist::Histogram;
 use crate::registry::MetricsRegistry;
-
-/// Bound on the retained threshold-crossing event log; older events are
-/// dropped (and counted) once exceeded.
-const MAX_EVENTS: usize = 256;
 
 /// Sub-windows in an objective's rolling window.
 const SUB_WINDOWS: u64 = 8;
@@ -95,58 +93,6 @@ impl SloSpec {
     }
 }
 
-/// Breach or recovery.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SloEventKind {
-    /// Burn rate crossed ≥ 1.0.
-    Breach,
-    /// Burn rate dropped back under 1.0.
-    Recover,
-}
-
-/// One threshold crossing.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SloEvent {
-    /// Objective name.
-    pub name: String,
-    /// Grid tick of the evaluation pass that observed the crossing.
-    pub tick: u64,
-    /// Crossing direction.
-    pub kind: SloEventKind,
-    /// Burn rate at the crossing, milli-scaled.
-    pub burn_milli: u64,
-}
-
-/// Point-in-time state of one objective.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct SloSnapshot {
-    /// Objective name.
-    pub name: String,
-    /// Target good fraction, ppm-scaled (999_000 = 99.9%).
-    pub target_ppm: u64,
-    /// Rolling-window burn rate, milli-scaled (1000 = exactly on budget).
-    pub burn_rate_milli: u64,
-    /// Cumulative error budget remaining, ppm-scaled.
-    pub budget_remaining_ppm: u64,
-    /// Whether the objective is currently in breach.
-    pub breached: bool,
-    /// Bad events in the current window.
-    pub window_bad: u64,
-    /// All events in the current window.
-    pub window_total: u64,
-}
-
-/// The `slo` section of a telemetry snapshot.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct SloReport {
-    /// One entry per declared objective, in declaration order.
-    pub objectives: Vec<SloSnapshot>,
-    /// Retained threshold-crossing events, oldest first.
-    pub events: Vec<SloEvent>,
-    /// Events dropped from the bounded log.
-    pub dropped_events: u64,
-}
-
 /// A just-fired breach crossing, returned so the telemetry hub can freeze a
 /// diagnosis bundle once the evaluation pass releases the tracker's mutex.
 #[derive(Clone, Debug)]
@@ -173,11 +119,9 @@ struct SloState {
     cum: (u64, u64),
     /// The rolling window, oldest first: `(sub_window_index, good, total)`.
     window: VecDeque<(u64, u64, u64)>,
+    /// Whether the latest pass left the objective in breach: the side of
+    /// the threshold a crossing is measured from.
     breached: bool,
-    burn_milli: u64,
-    budget_remaining_ppm: u64,
-    window_bad: u64,
-    window_total: u64,
 }
 
 impl SloState {
@@ -202,29 +146,30 @@ impl SloState {
             }
             _ => self.window.push_back((sub, good, total)),
         }
+    }
+
+    /// `(bad, total)` events in the rolling window.
+    fn window_counts(&self) -> (u64, u64) {
         let (good, total) = self
             .window
             .iter()
             .fold((0, 0), |(g, t), w| (g + w.1, t + w.2));
-        self.window_total = total;
-        self.window_bad = total.saturating_sub(good);
+        (total.saturating_sub(good), total)
     }
 }
 
-/// All declared objectives plus the shared crossing log. Owned by the
-/// telemetry hub and evaluated under its mutex.
+/// All declared objectives, in declaration order. Owned by the telemetry
+/// hub and evaluated under its mutex.
 #[derive(Debug, Default)]
 pub(crate) struct SloTracker {
     slos: Vec<SloState>,
     /// Grid tick of the latest pass (the idempotence check).
     last_tick: Option<u64>,
-    events: VecDeque<SloEvent>,
-    dropped_events: u64,
 }
 
 impl SloTracker {
-    /// Registers an objective. Duplicate names replace the old objective
-    /// (cumulative budget resets).
+    /// Registers an objective. A duplicate name replaces the old objective
+    /// in place: its cumulative budget resets, its declaration index stays.
     pub(crate) fn register(&mut self, spec: SloSpec) {
         let state = SloState {
             spec,
@@ -232,10 +177,6 @@ impl SloTracker {
             cum: (0, 0),
             window: VecDeque::new(),
             breached: false,
-            burn_milli: 0,
-            budget_remaining_ppm: 1_000_000,
-            window_bad: 0,
-            window_total: 0,
         };
         if let Some(existing) = self
             .slos
@@ -267,98 +208,59 @@ impl SloTracker {
         }
         self.last_tick = Some(tick);
         let mut breaches = Vec::new();
-        for state in &mut self.slos {
+        for (index, state) in self.slos.iter_mut().enumerate() {
             state.fold(tick / SUB_WINDOW_TICKS, state.spec.read(registry));
+            let (window_bad, window_total) = state.window_counts();
             let budget = 1.0 - state.spec.target;
-            let e = if state.window_total == 0 {
+            let e = if window_total == 0 {
                 0.0
             } else {
-                state.window_bad as f64 / state.window_total as f64
+                window_bad as f64 / window_total as f64
             };
-            let burn = e / budget;
-            state.burn_milli = (burn * 1000.0).round().min(u64::MAX as f64) as u64;
+            let burn_milli = (e / budget * 1000.0).round().min(u64::MAX as f64) as u64;
             let (cum_good, cum_total) = state.cum;
-            state.budget_remaining_ppm = if cum_total == 0 {
+            let budget_remaining_ppm = if cum_total == 0 {
                 1_000_000
             } else {
                 let cum_bad = cum_total.saturating_sub(cum_good);
                 let spent = cum_bad as f64 / (budget * cum_total as f64);
                 ((1.0 - spent).max(0.0) * 1e6).round() as u64
             };
+            let name = &state.spec.name;
+            registry.set_gauge(&format!("slo.{name}.burn_rate"), burn_milli);
             registry.set_gauge(
-                &format!("slo.{}.burn_rate", state.spec.name),
-                state.burn_milli,
-            );
-            registry.set_gauge(
-                &format!("slo.{}.budget_remaining", state.spec.name),
-                state.budget_remaining_ppm,
+                &format!("slo.{name}.budget_remaining"),
+                budget_remaining_ppm,
             );
             // An empty window burns nothing: it cannot breach, and an
             // objective whose traffic stopped recovers once its last bad
             // sub-window has aged out.
-            let crossing = if !state.breached && state.burn_milli >= 1000 {
-                SloEventKind::Breach
-            } else if state.breached && state.burn_milli < 1000 {
-                SloEventKind::Recover
-            } else {
+            let breached = burn_milli >= 1000;
+            if breached == state.breached {
                 continue;
-            };
-            state.breached = crossing == SloEventKind::Breach;
+            }
+            state.breached = breached;
             // The crossing lands on the flight recorder (at the pass's own
             // tick, not "now") so a bundle's event slice shows the breach
-            // inline with the engine events that caused it — and a breach
-            // hands the hub a diagnosis-bundle capture.
-            flight.record_at(
-                tick,
-                match crossing {
-                    SloEventKind::Breach => FlightEventKind::SloBreach,
-                    SloEventKind::Recover => FlightEventKind::SloRecover,
-                },
-                0,
-                state.burn_milli,
-                0,
-            );
-            if crossing == SloEventKind::Breach {
+            // inline with the engine events that caused it; `b` names the
+            // objective when several are declared.
+            let kind = if breached {
+                FlightEventKind::SloBreach
+            } else {
+                FlightEventKind::SloRecover
+            };
+            flight.record_at(tick, kind, 0, burn_milli, index as u64);
+            if breached {
                 breaches.push(BreachCapture {
                     spec: state.spec.clone(),
                     tick,
-                    burn_milli: state.burn_milli,
-                    window_bad: state.window_bad,
-                    window_total: state.window_total,
+                    burn_milli,
+                    window_bad,
+                    window_total,
                 });
             }
-            if self.events.len() >= MAX_EVENTS {
-                self.events.pop_front();
-                self.dropped_events += 1;
-            }
-            self.events.push_back(SloEvent {
-                name: state.spec.name.clone(),
-                tick,
-                kind: crossing,
-                burn_milli: state.burn_milli,
-            });
         }
         Some(breaches)
-    }
-
-    pub(crate) fn snapshot(&self) -> SloReport {
-        SloReport {
-            objectives: self
-                .slos
-                .iter()
-                .map(|s| SloSnapshot {
-                    name: s.spec.name.clone(),
-                    target_ppm: (s.spec.target * 1e6).round() as u64,
-                    burn_rate_milli: s.burn_milli,
-                    budget_remaining_ppm: s.budget_remaining_ppm,
-                    breached: s.breached,
-                    window_bad: s.window_bad,
-                    window_total: s.window_total,
-                })
-                .collect(),
-            events: self.events.iter().cloned().collect(),
-            dropped_events: self.dropped_events,
-        }
     }
 }
 
@@ -408,8 +310,38 @@ mod tests {
             self.t.evaluate(tick, force, &self.reg, &self.flight)
         }
 
-        fn objective(&self) -> SloSnapshot {
-            self.t.snapshot().objectives[0].clone()
+        /// The first objective's `(bad, total)` window counts.
+        fn window(&self) -> (u64, u64) {
+            self.t.slos[0].window_counts()
+        }
+
+        fn breached(&self) -> bool {
+            self.t.slos[0].breached
+        }
+
+        /// The `slo.rtt.burn_rate` gauge (milli).
+        fn burn(&self) -> Option<u64> {
+            self.reg.snapshot().gauge("slo.rtt.burn_rate")
+        }
+
+        /// The `slo.rtt.budget_remaining` gauge (ppm).
+        fn budget(&self) -> Option<u64> {
+            self.reg.snapshot().gauge("slo.rtt.budget_remaining")
+        }
+
+        /// Every crossing on the flight recorder: `(kind, tick, a, b)`.
+        fn crossings(&self) -> Vec<(FlightEventKind, u64, u64, u64)> {
+            self.flight
+                .snapshot()
+                .iter()
+                .filter(|e| {
+                    matches!(
+                        e.kind,
+                        FlightEventKind::SloBreach | FlightEventKind::SloRecover
+                    )
+                })
+                .map(|e| (e.kind, e.tick, e.a, e.b))
+                .collect()
         }
     }
 
@@ -419,12 +351,12 @@ mod tests {
         // 5% bad with a 1% budget: burn = 5.0.
         r.record(5, 100);
         r.eval(1, false);
-        assert_eq!(r.reg.snapshot().gauge("slo.rtt.burn_rate"), Some(5000));
-        let snap = r.t.snapshot();
-        assert_eq!(snap.objectives[0].burn_rate_milli, 5000);
-        assert!(snap.objectives[0].breached);
-        assert_eq!(snap.events.len(), 1);
-        assert_eq!(snap.events[0].kind, SloEventKind::Breach);
+        assert_eq!(r.burn(), Some(5000));
+        assert!(r.breached());
+        assert_eq!(
+            r.crossings(),
+            vec![(FlightEventKind::SloBreach, 1, 5000, 0)]
+        );
     }
 
     #[test]
@@ -434,18 +366,16 @@ mod tests {
         // burn = 5.0.
         r.record(50, 100);
         r.eval(1, false);
-        let obj = r.objective();
-        assert!(obj.breached, "{obj:?}");
-        assert_eq!(obj.burn_rate_milli, 5000, "{obj:?}");
-        assert_eq!((obj.window_bad, obj.window_total), (50, 100));
+        assert!(r.breached());
+        assert_eq!(r.burn(), Some(5000));
+        assert_eq!(r.window(), (50, 100));
         // A sample exactly at the threshold is good; one in the next
         // bucket up is bad.
         let h = r.reg.histogram("lat");
         h.record(1_000);
         h.record(Histogram::bucket_high(Histogram::bucket_index(1_000)) + 1);
         r.eval(2, false);
-        let obj = r.objective();
-        assert_eq!((obj.window_bad, obj.window_total), (51, 102));
+        assert_eq!(r.window(), (51, 102));
     }
 
     #[test]
@@ -453,14 +383,12 @@ mod tests {
         let mut r = Rig::latency();
         r.record(10, 100);
         r.eval(1, false);
-        let obj = r.objective();
-        assert_eq!((obj.window_bad, obj.window_total), (10, 100));
-        assert!(obj.breached);
+        assert_eq!(r.window(), (10, 100));
+        assert!(r.breached());
         // The next pass folds the increase, not the cumulative value.
         r.record(0, 50);
         r.eval(2, false);
-        let obj = r.objective();
-        assert_eq!((obj.window_bad, obj.window_total), (10, 150));
+        assert_eq!(r.window(), (10, 150));
     }
 
     #[test]
@@ -473,7 +401,7 @@ mod tests {
         // of the reset survive in the window and in the budget.
         s.fold(0, (0, 0));
         s.fold(0, (9, 10));
-        assert_eq!((s.window_bad, s.window_total), (11, 110));
+        assert_eq!(s.window_counts(), (11, 110));
         assert_eq!(s.cum, (99, 110));
     }
 
@@ -485,13 +413,13 @@ mod tests {
         // Same tick: skipped, and nothing is folded.
         r.record(0, 3);
         assert!(!r.eval(1, false));
-        assert_eq!(r.objective().window_total, 5);
+        assert_eq!(r.window().1, 5);
         // Forced: runs anyway and picks up the new data in place.
         assert!(r.eval(1, true));
-        assert_eq!(r.objective().window_total, 8);
+        assert_eq!(r.window().1, 8);
         // The next tick runs unforced.
         assert!(r.eval(2, false));
-        assert_eq!(r.objective().window_total, 8);
+        assert_eq!(r.window().1, 8);
     }
 
     #[test]
@@ -503,8 +431,7 @@ mod tests {
         r.eval(1, true);
         // A second forced pass with nothing new must not count twice.
         r.eval(1, true);
-        let obj = r.objective();
-        assert_eq!((obj.window_bad, obj.window_total), (1, 2));
+        assert_eq!(r.window(), (1, 2));
     }
 
     #[test]
@@ -513,20 +440,16 @@ mod tests {
         // Exactly on budget: 1 bad per 100, budget 1% — nothing remains.
         r.record(1, 100);
         r.eval(1, false);
-        assert_eq!(r.objective().budget_remaining_ppm, 0);
+        assert_eq!(r.budget(), Some(0));
         // Clean traffic refills nothing (the bad event stays spent) but
         // grows the total, so remaining climbs back above 0.
         r.record(0, 900);
         r.eval(2, false);
-        assert_eq!(r.objective().budget_remaining_ppm, 900_000);
-        assert_eq!(
-            r.reg.snapshot().gauge("slo.rtt.budget_remaining"),
-            Some(900_000)
-        );
+        assert_eq!(r.budget(), Some(900_000));
     }
 
     #[test]
-    fn breach_and_recover_log_crossings_once() {
+    fn breach_and_recover_land_on_the_flight_recorder_once_each() {
         let mut r = Rig::latency();
         r.record(10, 100);
         r.eval(1, false);
@@ -536,11 +459,16 @@ mod tests {
         // Enough clean traffic to dilute the window under budget.
         r.record(0, 10_000);
         r.eval(3, false);
-        let snap = r.t.snapshot();
-        assert_eq!(snap.events.len(), 2);
-        assert_eq!(snap.events[0].kind, SloEventKind::Breach);
-        assert_eq!(snap.events[1].kind, SloEventKind::Recover);
-        assert!(!snap.objectives[0].breached);
+        // Each crossing carries the burn rate its pass computed.
+        assert_eq!(
+            r.crossings(),
+            vec![
+                (FlightEventKind::SloBreach, 1, 10_000, 0),
+                (FlightEventKind::SloRecover, 3, 196, 0),
+            ]
+        );
+        assert!(!r.breached());
+        assert_eq!(r.burn(), Some(196));
     }
 
     #[test]
@@ -548,48 +476,78 @@ mod tests {
         let mut r = Rig::latency();
         r.record(10, 100);
         r.eval(5, false);
-        assert!(r.objective().breached);
+        assert!(r.breached());
         // One tick short of the bad sub-window leaving the window: still in.
         let sub_of_5 = 5 / SUB_WINDOW_TICKS;
         let leaves_at = (sub_of_5 + SUB_WINDOWS) * SUB_WINDOW_TICKS;
         r.eval(leaves_at - 1, false);
-        let obj = r.objective();
-        assert!(obj.breached, "{obj:?}");
-        assert_eq!(obj.window_total, 100);
+        assert!(r.breached());
+        assert_eq!(r.window(), (10, 100));
         // No pass ran in between and no traffic arrived: the sub-window
         // ages out by tick index and the empty window recovers.
         r.eval(leaves_at, false);
-        let obj = r.objective();
-        assert!(!obj.breached, "{obj:?}");
-        assert_eq!(
-            (obj.window_bad, obj.window_total, obj.burn_rate_milli),
-            (0, 0, 0)
-        );
+        assert!(!r.breached());
+        assert_eq!((r.window(), r.burn()), ((0, 0), Some(0)));
         // The budget is cumulative and does not age.
-        assert_eq!(obj.budget_remaining_ppm, 0);
-        let kinds: Vec<SloEventKind> = r.t.snapshot().events.iter().map(|e| e.kind).collect();
-        assert_eq!(kinds, vec![SloEventKind::Breach, SloEventKind::Recover]);
+        assert_eq!(r.budget(), Some(0));
+        assert_eq!(
+            r.crossings(),
+            vec![
+                (FlightEventKind::SloBreach, 5, 10_000, 0),
+                (FlightEventKind::SloRecover, leaves_at, 0, 0),
+            ]
+        );
     }
 
     #[test]
     fn empty_window_does_not_cross_thresholds() {
         let mut r = Rig::latency();
         r.eval(1, false);
-        let snap = r.t.snapshot();
-        assert_eq!(snap.objectives[0].burn_rate_milli, 0);
-        assert_eq!(snap.objectives[0].budget_remaining_ppm, 1_000_000);
-        assert!(snap.events.is_empty());
+        assert_eq!(r.burn(), Some(0));
+        assert_eq!(r.budget(), Some(1_000_000));
+        assert!(r.crossings().is_empty());
     }
 
     #[test]
-    fn reregistering_resets_budget() {
+    fn reregistering_resets_budget_and_keeps_the_index() {
         let mut r = Rig::latency();
+        r.t.register(SloSpec::latency("other", "lat2", 1_000, 0.99));
         r.record(50, 100);
         r.eval(1, false);
-        assert_eq!(r.objective().budget_remaining_ppm, 0);
+        assert_eq!(r.budget(), Some(0));
         r.t.register(SloSpec::latency("rtt", "lat", 1_000, 0.99));
-        assert_eq!(r.objective().budget_remaining_ppm, 1_000_000);
-        assert_eq!(r.t.snapshot().objectives.len(), 1);
+        assert_eq!(r.t.slos.len(), 2);
+        assert_eq!(r.t.slos[0].spec.name, "rtt", "replaced in place");
+        assert_eq!((r.t.slos[0].cum, r.breached()), ((0, 0), false));
+        // The fresh objective breaches again, still under index 0.
+        r.eval(2, false);
+        let breaches: Vec<u64> = r
+            .crossings()
+            .iter()
+            .filter(|c| c.0 == FlightEventKind::SloBreach)
+            .map(|c| c.3)
+            .collect();
+        assert_eq!(breaches, vec![0, 0]);
+    }
+
+    #[test]
+    fn a_crossing_names_its_objective_by_declaration_index() {
+        let mut r = Rig::new(SloSpec::latency("fast", "lat", 1_000, 0.99));
+        // A lenient second objective on a second histogram.
+        r.t.register(SloSpec::latency("slow", "lat2", 1_000, 0.5));
+        r.record(0, 100);
+        r.reg.histogram("lat2").record_n(100_000, 60);
+        r.reg.histogram("lat2").record_n(100, 40);
+        let captures = r.captures(4, false).unwrap();
+        // Only the second objective breaches (e = 0.6 against 0.5: 1.2x).
+        assert_eq!(
+            r.crossings(),
+            vec![(FlightEventKind::SloBreach, 4, 1200, 1)]
+        );
+        assert_eq!(captures.len(), 1);
+        assert_eq!(captures[0].spec.name, "slow");
+        assert_eq!(r.reg.snapshot().gauge("slo.fast.burn_rate"), Some(0));
+        assert_eq!(r.reg.snapshot().gauge("slo.slow.burn_rate"), Some(1200));
     }
 
     #[test]
@@ -617,11 +575,11 @@ mod tests {
             (captures[0].window_bad, captures[0].window_total),
             (10, 100)
         );
-        let kinds: Vec<FlightEventKind> = r.flight.snapshot().iter().map(|e| e.kind).collect();
+        let kinds: Vec<FlightEventKind> = r.crossings().iter().map(|c| c.0).collect();
         assert_eq!(
             kinds,
             vec![FlightEventKind::SloBreach, FlightEventKind::SloRecover]
         );
-        assert_eq!(r.flight.snapshot()[0].tick, 7, "stamped at the pass's tick");
+        assert_eq!(r.crossings()[0].1, 7, "stamped at the pass's tick");
     }
 }

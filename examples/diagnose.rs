@@ -3,7 +3,7 @@
 //! breach freezes a diagnosis bundle — burn-rate window, tail-bucket
 //! exemplars resolved into trace trees with critical-path attribution,
 //! and the flight-recorder slice around the breach tick — which this
-//! example prints both human-readably and as the v5 JSON export.
+//! example prints both human-readably and as the v6 JSON export.
 //!
 //! ```sh
 //! cargo run --release --example diagnose
@@ -97,12 +97,18 @@ fn main() -> Result<()> {
         print!("{}", bundle.render());
     }
 
-    // The same bundles ride the v5 JSON snapshot for offline tooling.
+    // The objective's state is its two gauges; the same bundles ride the
+    // v6 JSON snapshot for offline tooling.
     let snap = telemetry.snapshot();
-    println!("\n== JSON export ({} bytes) ==", snap.to_json().len());
+    let gauge = |name: &str| snap.registry.gauge(name).unwrap_or(0);
     println!(
-        "objectives: {}, bundles: {}, flight events: {}",
-        snap.slo.objectives.len(),
+        "\nclient_rtt: burn {:.2}x, budget remaining {:.1}%",
+        gauge("slo.client_rtt.burn_rate") as f64 / 1000.0,
+        gauge("slo.client_rtt.budget_remaining") as f64 / 10_000.0
+    );
+    println!("== JSON export ({} bytes) ==", snap.to_json().len());
+    println!(
+        "bundles: {}, flight events: {}",
         snap.bundles.len(),
         snap.events.len()
     );

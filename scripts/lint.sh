@@ -34,7 +34,19 @@ for path in $(grep -ohE '(scripts/[A-Za-z0-9_.-]+\.sh|crates/[a-z_]+/[a-z]+/[A-Z
 done
 [ "$stale_paths" -eq 0 ] || exit 1
 
-echo "== deleted names stay deleted (one recovery machine, one frame type, one checksum, no series engine, no slot table, no hand-off rings, no queue remaps, no caller-less settings, one setup path) =="
+echo "== module map (every source file DESIGN.md §3 names exists) =="
+# The module map of DESIGN.md §3 names files by their bare name; each one
+# must exist somewhere under crates/, so a deleted or never-written module
+# cannot live on in the map.
+stale_modules=0
+for file in $(awk '/^## 3\./{on=1; next} /^## [0-9]+\./{on=0} on' DESIGN.md \
+                | grep -oE '\b[A-Za-z0-9_]+\.rs\b' | sort -u); do
+  [ -n "$(find crates -name "$file" -not -path '*/target/*' -print -quit)" ] \
+    || { echo "lint.sh: DESIGN.md §3 names '$file' but no such file exists under crates/" >&2; stale_modules=1; }
+done
+[ "$stale_modules" -eq 0 ] || exit 1
+
+echo "== deleted names stay deleted (one recovery machine, one frame type, one checksum, no series engine, one record per SLO fact, no slot table, no hand-off rings, no queue remaps, no caller-less settings, one setup path) =="
 # The reliable transport has one recovery state machine (selective repeat)
 # and one frame type (`FrameView`). The removed second protocol and the
 # removed owned frame enum must not come back through code, comments or
@@ -62,6 +74,16 @@ fi
 if grep -rnE 'SeriesEngine|SeriesConfig|SeriesSnapshot|WindowSummary|CounterStat|GaugeStat|with_series_config' \
      --exclude-dir=ledger crates examples tests README.md DESIGN.md EXPERIMENTS.md; then
   echo "lint.sh: a deleted series-engine name is back (see above); an SLO reads its own two numbers, nothing samples the whole registry" >&2
+  exit 1
+fi
+# An SLO crossing is recorded once, on the flight recorder (`b` = the
+# objective's declaration index); burn rate and budget live in their
+# gauges and window counts in each diagnosis bundle. The tracker's own
+# crossing log, its report types and the JSON `slo` section must not come
+# back.
+if grep -rnwE 'SloEvent|SloEventKind|SloReport|SloSnapshot|dropped_events' \
+     --exclude-dir=ledger crates examples tests README.md DESIGN.md EXPERIMENTS.md; then
+  echo "lint.sh: a retired SLO report name is back (see above); read the slo.<name>.* gauges and the flight recorder's slo_breach/slo_recover events" >&2
   exit 1
 fi
 if grep -rnF 'feature = "serde"' crates/telemetry; then

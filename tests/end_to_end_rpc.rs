@@ -2,12 +2,16 @@
 //! services over real NICs, rings, and the in-process fabric.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dagger::idl::{dagger_message, dagger_service};
 use dagger::nic::{MemFabric, Nic};
-use dagger::rpc::{RpcClientPool, RpcThreadedServer, ThreadingModel};
-use dagger::types::{HardConfig, LbPolicy, NodeAddr, Result};
+use dagger::rpc::{
+    RpcClientPool, RpcService, RpcThreadedServer, ServiceDescriptor, ThreadingModel,
+    MAX_RPC_PAYLOAD,
+};
+use dagger::telemetry::Telemetry;
+use dagger::types::{FnId, HardConfig, LbPolicy, NodeAddr, Result};
 
 dagger_message! {
     pub struct EchoRequest {
@@ -197,6 +201,74 @@ fn handler_errors_propagate_to_caller() {
     assert_eq!(client.add(&AddRequest { a: 2, b: 3 }).unwrap().sum, 5);
     drop(pool);
     dep.teardown();
+}
+
+/// Answers fn 1 with `MAX_RPC_PAYLOAD` bytes — one byte more than a
+/// response can carry once its status byte is added — and echoes fn 2.
+struct Oversize;
+
+impl RpcService for Oversize {
+    fn descriptor(&self) -> ServiceDescriptor {
+        ServiceDescriptor::new("oversize", vec![FnId(1), FnId(2)])
+    }
+
+    fn dispatch(&self, fn_id: FnId, payload: &[u8]) -> Result<Vec<u8>> {
+        Ok(match fn_id.raw() {
+            1 => vec![0; MAX_RPC_PAYLOAD],
+            _ => payload.to_vec(),
+        })
+    }
+}
+
+#[test]
+fn a_response_too_large_to_send_fails_its_call_at_once() {
+    let telemetry = Telemetry::new();
+    let fabric = MemFabric::new();
+    let server_nic = Nic::start_with_telemetry(
+        &fabric,
+        NodeAddr(1),
+        HardConfig::default(),
+        Arc::clone(&telemetry),
+    )
+    .unwrap();
+    let client_nic = Nic::start(&fabric, NodeAddr(2), HardConfig::default()).unwrap();
+    let mut server = RpcThreadedServer::new(Arc::clone(&server_nic), 1);
+    server.register_service(Arc::new(Oversize)).unwrap();
+    server.start().unwrap();
+    let pool = RpcClientPool::connect(Arc::clone(&client_nic), NodeAddr(1), 1).unwrap();
+    let client = pool.client(0).unwrap();
+
+    // The caller gets an error naming the limit, well inside its 5 s
+    // timeout, instead of waiting the timeout out.
+    let started = Instant::now();
+    let err = client.call_sync(FnId(1), &[]).unwrap_err();
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "took {:?}: {err}",
+        started.elapsed()
+    );
+    assert!(
+        err.to_string()
+            .contains(&format!("exceeds maximum {MAX_RPC_PAYLOAD}")),
+        "{err}"
+    );
+    // Both error counters saw it.
+    assert_eq!(server.stats().handler_errors, 1);
+    assert_eq!(
+        telemetry
+            .registry()
+            .snapshot()
+            .counter("rpc.server.handler_errors"),
+        Some(1)
+    );
+    // The connection still works afterwards.
+    assert_eq!(client.call_sync(FnId(2), b"small").unwrap(), b"small");
+
+    drop(client);
+    drop(pool);
+    server.stop();
+    client_nic.shutdown();
+    server_nic.shutdown();
 }
 
 #[test]

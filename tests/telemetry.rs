@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 use dagger::idl::{dagger_message, dagger_service};
 use dagger::nic::{MemFabric, Nic, UdpFabric};
 use dagger::rpc::{RpcClientPool, RpcThreadedServer};
-use dagger::telemetry::{SloSpec, Telemetry, STAGE_NAMES};
+use dagger::telemetry::{FlightEventKind, SloSpec, Telemetry, STAGE_NAMES};
 use dagger::types::{HardConfig, NodeAddr, Result};
 
 dagger_message! {
@@ -41,7 +41,7 @@ fn round_trip_populates_unified_telemetry() {
     let telemetry = Telemetry::new();
     telemetry.enable_tracing();
     // Declare a latency SLO up front: evaluated on every sampling pass,
-    // surfaced as `slo.<name>.*` gauges and an `slo` JSON section.
+    // surfaced as the `slo.<name>.{burn_rate,budget_remaining}` gauges.
     telemetry.register_slo(SloSpec::latency(
         "client_rtt",
         "rpc.client.rtt_ns",
@@ -134,21 +134,22 @@ fn round_trip_populates_unified_telemetry() {
     assert_eq!(handler.count, 1);
     assert_eq!(snap.registry.counter("rpc.server.requests"), Some(1));
 
-    // The SLO declared up front was evaluated: one good RPC in its window,
-    // no breach, full budget, and the burn-rate/budget gauges are published.
-    let obj = snap
-        .slo
-        .objectives
-        .iter()
-        .find(|o| o.name == "client_rtt")
-        .expect("client_rtt objective");
-    assert!(!obj.breached, "a 5s threshold must not breach: {obj:?}");
-    assert_eq!((obj.window_bad, obj.window_total), (0, 1), "{obj:?}");
-    assert_eq!(obj.budget_remaining_ppm, 1_000_000, "{obj:?}");
+    // The SLO declared up front was evaluated and its two gauges are its
+    // whole state: one good RPC burns nothing (under 1000 milli is not in
+    // breach) and spends no budget, and no crossing reached the flight
+    // recorder.
     assert_eq!(snap.registry.gauge("slo.client_rtt.burn_rate"), Some(0));
     assert_eq!(
         snap.registry.gauge("slo.client_rtt.budget_remaining"),
         Some(1_000_000)
+    );
+    assert!(
+        !snap.events.iter().any(|e| matches!(
+            e.kind,
+            FlightEventKind::SloBreach | FlightEventKind::SloRecover
+        )),
+        "a 5s threshold must not breach: {:?}",
+        snap.events
     );
 
     // Tracing was on for the whole run, so the RTT sample carried its
@@ -170,12 +171,13 @@ fn round_trip_populates_unified_telemetry() {
     );
 
     // The JSON export names every stage and the percentile fields. Schema
-    // v5 is v4 less its `series` section; every other v1–v4 key must
-    // remain, spelled exactly as before, so existing consumers keep
-    // parsing.
+    // v6 is v5 less its `slo` section, as v5 was v4 less its `series`
+    // section; every other v1–v4 key must remain, spelled exactly as
+    // before, so existing consumers keep parsing.
     let json = snap.to_json();
-    assert!(json.starts_with("{\"version\":5"), "{json}");
+    assert!(json.starts_with("{\"version\":6"), "{json}");
     assert!(!json.contains("\"series\""), "{json}");
+    assert!(!json.contains("\"slo\""), "{json}");
     for v1_key in [
         "\"counters\":",
         "\"gauges\":",
@@ -187,14 +189,6 @@ fn round_trip_populates_unified_telemetry() {
     }
     assert!(json.contains("\"spans\":["), "{json}");
     assert!(json.contains("\"dropped_spans\":"), "{json}");
-    for v3_key in [
-        "\"slo\":{",
-        "\"objectives\":[",
-        "\"burn_rate_milli\":",
-        "\"budget_remaining_ppm\":",
-    ] {
-        assert!(json.contains(v3_key), "v3 key {v3_key} missing: {json}");
-    }
     for v4_key in [
         "\"exemplars\":{",
         "\"events\":{\"entries\":[",
@@ -202,7 +196,12 @@ fn round_trip_populates_unified_telemetry() {
     ] {
         assert!(json.contains(v4_key), "v4 key {v4_key} missing: {json}");
     }
-    assert!(json.contains("\"client_rtt\""), "{json}");
+    // The objective reaches the JSON through its gauges.
+    assert!(json.contains("\"slo.client_rtt.burn_rate\":0"), "{json}");
+    assert!(
+        json.contains("\"slo.client_rtt.budget_remaining\":1000000"),
+        "{json}"
+    );
     for name in STAGE_NAMES {
         assert!(json.contains(&format!("\"{name}\"")), "missing {name}");
     }
