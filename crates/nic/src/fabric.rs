@@ -26,6 +26,7 @@ use parking_lot::{Mutex, RwLock};
 
 use dagger_types::{DaggerError, NodeAddr, Result};
 
+use crate::drive::note_delivery;
 use crate::fabric_faults::FaultLayer;
 use crate::wait::EngineWaker;
 
@@ -223,7 +224,10 @@ pub struct NodeTable {
 impl NodeTable {
     /// Delivers one frame into `dst`'s queue `queue` (folded onto the
     /// queues `dst` has) and wakes the owning engine worker if it
-    /// registered a waker. No entry for `dst` hands the frame back.
+    /// registered a waker. Inside a host step the queue is also noted for a
+    /// step once that host step is done (`drive::note_delivery`); it is never
+    /// stepped here, under the fabric's locks. No entry for `dst` hands the
+    /// frame back.
     pub fn deliver(&self, dst: NodeAddr, queue: u16, bytes: Vec<u8>) -> Carried {
         let nodes = self.nodes.read();
         let Some(entry) = nodes.get(&dst) else {
@@ -233,6 +237,7 @@ impl NodeTable {
         entry.queues[qi].lock().push_back(bytes);
         if let Some(waker) = &entry.wakers[qi] {
             waker.wake();
+            note_delivery(waker);
         }
         Ok(())
     }

@@ -78,6 +78,8 @@ const RX_BATCH: usize = 32;
 /// Upper bound a [`Wire::settle`] waits for locally-destined datagrams
 /// still sitting in kernel buffers to reach their staging queues.
 const QUIESCE_DEADLINE: Duration = Duration::from_millis(250);
+/// Sent datagrams' buffers the wire keeps for its pumps to receive into.
+const SPARE_CAP: usize = 256;
 
 /// A remote (or loopback-local) NIC endpoint in the static peer table.
 #[derive(Clone, Copy, Debug)]
@@ -116,6 +118,10 @@ struct UdpShared {
     /// the bounded stage, refused by the kernel or written off. Moved only
     /// by [`UdpShared::credit`].
     rx_local: AtomicU64,
+    /// Buffers of sent datagrams, which the pumps receive into: a frame's
+    /// buffer circulates engine → wire → pump → engine as it does on the
+    /// in-memory wire, so neither side allocates per datagram.
+    spare: Mutex<Vec<Vec<u8>>>,
     stats: UdpStats,
 }
 
@@ -202,6 +208,7 @@ impl Wire for UdpWire {
     fn new(nodes: Arc<NodeTable>) -> Self {
         UdpWire(Arc::new(UdpShared {
             nodes,
+            spare: Mutex::new(Vec::with_capacity(SPARE_CAP)),
             ..UdpShared::default()
         }))
     }
@@ -216,12 +223,17 @@ impl Wire for UdpWire {
         let (Some(peer), Some((from, _))) = (peer, endpoints.get(&frame.src)) else {
             return Err(frame.bytes);
         };
-        let mut pkt = Vec::with_capacity(UDP_HEADER + frame.bytes.len());
-        pkt.extend_from_slice(&[UDP_MAGIC, UDP_VERSION]);
-        pkt.extend_from_slice(&frame.dst_queue.to_le_bytes());
-        pkt.extend_from_slice(&frame.src.raw().to_le_bytes());
-        pkt.extend_from_slice(&frame.src_queue.to_le_bytes());
-        pkt.extend_from_slice(&frame.bytes);
+        // Encapsulated in place: the header goes in front of the frame in
+        // the frame's own buffer.
+        let mut pkt = frame.bytes;
+        let len = pkt.len();
+        pkt.resize(UDP_HEADER + len, 0);
+        pkt.copy_within(..len, UDP_HEADER);
+        let mut header = [UDP_MAGIC, UDP_VERSION, 0, 0, 0, 0, 0, 0, 0, 0];
+        header[2..4].copy_from_slice(&frame.dst_queue.to_le_bytes());
+        header[4..8].copy_from_slice(&frame.src.raw().to_le_bytes());
+        header[8..].copy_from_slice(&frame.src_queue.to_le_bytes());
+        pkt[..UDP_HEADER].copy_from_slice(&header);
         // Count before the syscall: once handed to the kernel the datagram
         // is in flight until a local pump accounts for it.
         let dst_is_local = endpoints.contains_key(&frame.dst);
@@ -234,6 +246,7 @@ impl Wire for UdpWire {
             shared.credit(u64::from(dst_is_local));
             shared.stats.tx_errors.inc();
         }
+        shared.keep(pkt);
         Ok(())
     }
 
@@ -326,11 +339,28 @@ impl UdpShared {
         n.min(sent.saturating_sub(before.unwrap_or(sent)))
     }
 
+    /// Keeps a sent datagram's buffer for a pump to receive into (dropped
+    /// once [`SPARE_CAP`] are kept).
+    fn keep(&self, buf: Vec<u8>) {
+        let mut spare = self.spare.lock();
+        if spare.len() < SPARE_CAP {
+            spare.push(buf);
+        }
+    }
+
+    /// A buffer holding a copy of `frame`: a kept one when there is one.
+    fn copy_out(&self, frame: &[u8]) -> Vec<u8> {
+        let mut buf = self.spare.lock().pop().unwrap_or_default();
+        buf.clear();
+        buf.extend_from_slice(frame);
+        buf
+    }
+
     /// Validates and strips one datagram's encapsulation, learning the
     /// sender's socket address so replies need no static entry. Returns the
     /// destination queue, the frame, and whether the sender is attached to
     /// this instance (its datagram was counted in flight).
-    fn decap(&self, pkt: &[u8], addr: SocketAddr) -> Option<(u16, Vec<u8>, bool)> {
+    fn decap<'p>(&self, pkt: &'p [u8], addr: SocketAddr) -> Option<(u16, &'p [u8], bool)> {
         if pkt.len() < UDP_HEADER || pkt[0] != UDP_MAGIC || pkt[1] != UDP_VERSION {
             self.stats.rx_malformed.inc();
             return None;
@@ -343,7 +373,7 @@ impl UdpShared {
             self.peers.write().entry(src_node).or_insert(learned);
         }
         let src_is_local = self.endpoints.read().contains_key(&src_node);
-        Some((dst_queue, pkt[UDP_HEADER..].to_vec(), src_is_local))
+        Some((dst_queue, &pkt[UDP_HEADER..], src_is_local))
     }
 
     /// The RX pump: drains `node`'s socket into its node-table entry.
@@ -367,7 +397,7 @@ impl UdpShared {
             let mut from_local = 0u64;
             let mut stage = |pkt: &[u8], from: SocketAddr| {
                 if let Some((queue, frame, src_is_local)) = self.decap(pkt, from) {
-                    burst.push((queue, frame));
+                    burst.push((queue, self.copy_out(frame)));
                     from_local += u64::from(src_is_local);
                 }
             };
@@ -610,5 +640,31 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         a[0].send(NodeAddr(2), vec![7]).unwrap();
         assert_eq!(receiver.join().unwrap(), vec![7]);
+    }
+
+    /// A datagram travels in the buffer it was handed: `carry` writes the
+    /// header in front of the frame in place and keeps the buffer for a
+    /// pump, which copies the next received frame into it. Neither side
+    /// allocates once the buffer has room.
+    #[test]
+    fn a_sent_buffer_is_encapsulated_in_place_and_received_into() {
+        let fabric = UdpFabric::new();
+        let a = attach(&fabric, NodeAddr(1), 1);
+        let b = attach(&fabric, NodeAddr(2), 1);
+        let wire = &fabric.shared.wire.0;
+        let mut bytes = Vec::with_capacity(64);
+        bytes.extend_from_slice(&[7; 32]);
+        let (allocs, sent) =
+            crate::alloc_counter::count_allocs(|| a[0].send_to(NodeAddr(2), 0, bytes));
+        sent.unwrap();
+        assert_eq!(allocs, 0, "carry allocated");
+        assert_eq!(recv_within(&b[0], 2000), Some(vec![7; 32]));
+        // Whether the pump took the kept buffer or beat `carry` to it, one
+        // sent buffer with room is what a pump receives into.
+        let mut kept = Vec::with_capacity(64);
+        kept.extend_from_slice(&[1; 48]);
+        wire.keep(kept);
+        let (allocs, copy) = crate::alloc_counter::count_allocs(|| wire.copy_out(&[9; 40]));
+        assert_eq!((allocs, copy), (0, vec![9; 40]));
     }
 }

@@ -41,10 +41,11 @@
 //! finds the lease renewed, up to `STANDBY_MAX`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
+use crate::drive::EngineSlot;
 use crate::monitor::QueueStats;
 
 /// Rounds of `spin_loop` hinting before yielding — on hosts with more than
@@ -115,6 +116,10 @@ pub struct EngineWaker {
     thread: Mutex<Option<Thread>>,
     /// The queue's counter bank: `wakes_sent` / `wakes_skipped` land here.
     stats: Arc<QueueStats>,
+    /// The queue's slot, for a host step that delivers frames here to step
+    /// once it is done with its own (`drive.rs`). Set for host-driven
+    /// queues only.
+    pub(crate) slot: OnceLock<Weak<EngineSlot>>,
 }
 
 impl EngineWaker {

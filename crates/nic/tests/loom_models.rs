@@ -786,6 +786,11 @@ fn batched_ring_rounds_with_one_doorbell_per_batch_are_fifo_and_lossless() {
 //
 // The seeded twin is a look that reads the lease without clearing it: the
 // thread then stands by behind a host that is gone for good.
+//
+// A third driver joins in the peer-step variant: the producer is another
+// queue's host step whose delivery filled this queue, and once its own slot
+// is released it try-steps this one once — without touching the lease,
+// because it does not stay to poll. The same three properties must hold.
 
 /// Steps the host takes before it walks away.
 const LEASE_HOST_ROUNDS: u8 = 2;
@@ -862,6 +867,42 @@ fn lease_producer(s: &mut LeaseState, pc: u32) -> Option<u32> {
             } else {
                 s.token = true;
             }
+            s.producer_done = true;
+            None
+        }
+    }
+}
+
+/// The delivering host step (`drive.rs`, `note_delivery`): publish the
+/// frame and wake as [`lease_producer`] does, then — its own slot released
+/// — one plain try-step of this queue: no lease renewal, no retry.
+fn lease_producer_peer_stepping(s: &mut LeaseState, pc: u32) -> Option<u32> {
+    match pc {
+        0..=2 => {
+            let next = lease_producer(s, pc);
+            // The wake is done: go on to the peer step instead of leaving.
+            if next.is_none() {
+                s.producer_done = false;
+                return Some(10);
+            }
+            next
+        }
+        10 => {
+            if s.locked {
+                s.producer_done = true;
+                return None; // busy: the holder (or the wake) attends it
+            }
+            s.locked = true;
+            s.in_step += 1;
+            Some(11)
+        }
+        11 => {
+            lease_step(s);
+            Some(12)
+        }
+        _ => {
+            s.in_step -= 1;
+            s.locked = false;
             s.producer_done = true;
             None
         }
@@ -1037,6 +1078,18 @@ fn drive_lease_hands_the_queue_back_within_two_looks_under_all_interleavings() {
     let stats = explore(
         lease_initial(),
         &[lease_producer, lease_host, lease_engine],
+        lease_invariant,
+        lease_accept,
+    );
+    assert!(stats.terminals >= 1);
+    assert!(stats.nodes > 200, "explored only {} nodes", stats.nodes);
+}
+
+#[test]
+fn a_delivering_peer_step_keeps_step_exclusive_and_consumes_once_under_all_interleavings() {
+    let stats = explore(
+        lease_initial(),
+        &[lease_producer_peer_stepping, lease_host, lease_engine],
         lease_invariant,
         lease_accept,
     );

@@ -211,12 +211,13 @@ impl Telemetry {
     /// pass, exported as `slo.<name>.{burn_rate,budget_remaining}` gauges
     /// plus flight-recorder events on burn-threshold crossings, whose `b`
     /// is the objective's declaration index (a re-declared name keeps its
-    /// index).
+    /// index). The objective counts the histogram's samples from now on; a
+    /// re-declared one starts a fresh budget from the current reading.
     pub fn register_slo(&self, spec: SloSpec) {
         self.slos
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .register(spec);
+            .register(spec, &self.registry);
     }
 
     /// The one pass: runs collectors, evaluates every declared SLO against

@@ -168,12 +168,14 @@ pub(crate) struct SloTracker {
 }
 
 impl SloTracker {
-    /// Registers an objective. A duplicate name replaces the old objective
-    /// in place: its cumulative budget resets, its declaration index stays.
-    pub(crate) fn register(&mut self, spec: SloSpec) {
+    /// Registers an objective, counting from what `registry` holds now:
+    /// samples recorded before it was declared are not its budget's. A
+    /// duplicate name replaces the old objective in place: its cumulative
+    /// budget resets, its declaration index stays.
+    pub(crate) fn register(&mut self, spec: SloSpec, registry: &MetricsRegistry) {
         let state = SloState {
+            last: spec.read(registry),
             spec,
-            last: (0, 0),
             cum: (0, 0),
             window: VecDeque::new(),
             breached: false,
@@ -284,13 +286,17 @@ mod tests {
         }
 
         fn new(spec: SloSpec) -> Rig {
-            let mut t = SloTracker::default();
-            t.register(spec);
-            Rig {
-                t,
+            let mut r = Rig {
+                t: SloTracker::default(),
                 reg: MetricsRegistry::new(),
                 flight: FlightRecorder::with_epoch(64, Instant::now()),
-            }
+            };
+            r.register(spec);
+            r
+        }
+
+        fn register(&mut self, spec: SloSpec) {
+            self.t.register(spec, &self.reg);
         }
 
         /// Records `bad` samples over and `total - bad` under the latency
@@ -511,30 +517,35 @@ mod tests {
     #[test]
     fn reregistering_resets_budget_and_keeps_the_index() {
         let mut r = Rig::latency();
-        r.t.register(SloSpec::latency("other", "lat2", 1_000, 0.99));
+        r.register(SloSpec::latency("other", "lat2", 1_000, 0.99));
         r.record(50, 100);
         r.eval(1, false);
         assert_eq!(r.budget(), Some(0));
-        r.t.register(SloSpec::latency("rtt", "lat", 1_000, 0.99));
+        r.register(SloSpec::latency("rtt", "lat", 1_000, 0.99));
         assert_eq!(r.t.slos.len(), 2);
         assert_eq!(r.t.slos[0].spec.name, "rtt", "replaced in place");
         assert_eq!((r.t.slos[0].cum, r.breached()), ((0, 0), false));
-        // The fresh objective breaches again, still under index 0.
+        // The fresh objective starts from the histogram's current reading:
+        // the history it replaced is not folded back in.
         r.eval(2, false);
-        let breaches: Vec<u64> = r
+        assert_eq!((r.window(), r.breached()), ((0, 0), false));
+        // New bad samples breach it again, still under index 0.
+        r.record(50, 100);
+        r.eval(3, false);
+        let breaches: Vec<(u64, u64)> = r
             .crossings()
             .iter()
             .filter(|c| c.0 == FlightEventKind::SloBreach)
-            .map(|c| c.3)
+            .map(|c| (c.1, c.3))
             .collect();
-        assert_eq!(breaches, vec![0, 0]);
+        assert_eq!(breaches, vec![(1, 0), (3, 0)]);
     }
 
     #[test]
     fn a_crossing_names_its_objective_by_declaration_index() {
         let mut r = Rig::new(SloSpec::latency("fast", "lat", 1_000, 0.99));
         // A lenient second objective on a second histogram.
-        r.t.register(SloSpec::latency("slow", "lat2", 1_000, 0.5));
+        r.register(SloSpec::latency("slow", "lat2", 1_000, 0.5));
         r.record(0, 100);
         r.reg.histogram("lat2").record_n(100_000, 60);
         r.reg.histogram("lat2").record_n(100, 40);

@@ -316,6 +316,19 @@ for seam in Fabric FabricPort; do
     || { echo "lint.sh: ${impls} implementations of ${seam} in crates/nic/src; the switch is the only one — implement Wire instead" >&2; exit 1; }
 done
 
+echo "== no fabric file steps an engine (a delivery only notes its queue) =="
+# A frame is delivered under the fabric's locks: the node table's, and the
+# fault layer's when it carries a held frame (`FaultLayer::forward`,
+# `release_due`). An engine stepped there would send its own frames under
+# them and deadlock on the fault lock. So a delivery inside a host step only
+# notes the queue it filled (`drive::note_delivery`), and the host step
+# steps it once its own slot is released (DESIGN.md §12). No fabric file,
+# tests included, names a step.
+if grep -nE '\b(try_step|host_step)\b|\.step\(' crates/nic/src/fabric*.rs; then
+  echo "lint.sh: a fabric file steps an engine (see above); note the delivery and let the host step take the peer step" >&2
+  exit 1
+fi
+
 echo "== one encapsulation (the UDP header is written in one place) =="
 # Every datagram's 10-byte header is written by `UdpWire::carry`; a second
 # site pushing the magic byte is a second send path.
