@@ -19,32 +19,37 @@
 //! `offload_cache_entries` soft register; the gate (a spec is installed),
 //! the spec lookup, the bypass rules and key extraction all live here.
 //!
-//! # Coherence: the double-bump protocol
+//! # Coherence: bump and remove, twice
 //!
 //! Every key hashes to one of [`GEN_SLOTS`] generation counters. A write
-//! bumps its key's generation **twice** — once when the request enters the
-//! NIC (RX) and once when the acknowledgment leaves it (TX). A cached entry
-//! records the generation observed at fill time and is served only while
-//! that generation is still current; a fill is abandoned if the generation
-//! moved between the read's arrival and its response. The two bumps bracket
-//! the store mutation, so:
+//! invalidates its key **twice** — once when the request enters the NIC
+//! (RX) and once when the acknowledgment leaves it (TX). Each invalidation
+//! bumps the key's generation, then removes the key's entries (one per
+//! cacheable read function) from every queue's cache. A fill latches only
+//! if the generation is still the one its read saw on arrival, checked and
+//! inserted under its queue's cache lock. The two invalidations bracket the
+//! store mutation, so:
 //!
-//! - any entry filled *before* a write's RX bump is stale the moment the
-//!   write arrives (first bump) — a hit can never return a value from
-//!   before a write that has already reached the NIC;
+//! - any entry filled *before* a write's RX bump is removed the moment the
+//!   write arrives — a hit can never return a value from before a write
+//!   that has already reached the NIC;
 //! - any read that raced the mutation (arrived after RX bump, responded
-//!   before TX bump) sees a moved generation at fill time and is dropped —
-//!   the cache never latches a value of ambiguous vintage.
+//!   before TX bump) either sees a moved generation at fill time and is
+//!   dropped, or latched before the TX bump and is removed by it — the
+//!   cache never keeps a value of ambiguous vintage.
 //!
 //! Therefore a hit always returns a value at least as new as the last
-//! *acknowledged* write, which is the strongest claim a client can check. A
-//! write whose key cannot be extracted on the NIC (key split across frames)
-//! falls back to bumping a global epoch, flushing the whole cache —
-//! conservative, never stale.
+//! *acknowledged* write, which is the strongest claim a client can check.
+//! Removal is exact: a key that shares its slot with a written one loses
+//! only the fills in flight across the write. A write whose key cannot be
+//! extracted on the NIC (key split across frames) falls back to bumping a
+//! global epoch, flushing the whole cache lazily: a hit checks the epoch
+//! alone, and drops an entry latched under an older one.
 //!
-//! Caches are per engine queue (like the connection cache), so a hit takes
-//! no cross-queue locks; invalidation is lazy — a stale entry is dropped on
-//! its next lookup and counted in `stale_drops`.
+//! Caches are per engine queue (like the connection cache), so a hit locks
+//! only its own queue's cache; a write locks each queue's once per
+//! invalidation. Entries a write removes, and epoch-stale entries found at
+//! lookup, count `stale_drops`.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -89,7 +94,8 @@ counter_bank! {
         invalidations,
         /// Entries evicted by the LRU capacity bound.
         evictions,
-        /// Lookups that found an entry whose generation had moved.
+        /// Entries a write removed, plus entries a lookup found latched
+        /// under an older epoch.
         stale_drops,
         /// Offload-annotated requests the stage refused to classify
         /// (traced, multi-frame reads, or undecodable lead frames).
@@ -98,16 +104,15 @@ counter_bank! {
 }
 
 /// A cached response: the exact status-prefixed payload bytes the host
-/// produced, plus the coherence stamps under which they were latched. A
-/// read's fill obligation accumulates one of these in a `Vec` as its
-/// response leaves; the fill freezes the bytes into an `Arc`, which every
-/// hit then shares instead of copying.
+/// produced, plus the epoch under which they were latched. A read's fill
+/// obligation accumulates one of these in a `Vec` as its response leaves;
+/// the fill freezes the bytes into an `Arc`, which every hit then shares
+/// instead of copying.
 #[derive(Debug)]
 struct Entry<P = Arc<[u8]>> {
     fn_id: FnId,
     key: Vec<u8>,
     payload: P,
-    gen: u64,
     epoch: u64,
     stamp: u64,
 }
@@ -123,7 +128,16 @@ struct ResponseCache {
 }
 
 impl ResponseCache {
+    /// Records a use of `hash` and returns its new stamp. Once the deque
+    /// holds `2 × entries + 16` records it first keeps only the live ones
+    /// (each entry's current stamp), so hits without evictions cannot grow
+    /// it without bound.
     fn touch(&mut self, hash: u64) -> u64 {
+        if self.recency.len() >= 2 * self.entries.len() + 16 {
+            let entries = &self.entries;
+            self.recency
+                .retain(|(h, stamp)| entries.get(h).is_some_and(|e| e.stamp == *stamp));
+        }
         self.clock += 1;
         self.recency.push_back((hash, self.clock));
         self.clock
@@ -153,16 +167,18 @@ impl ResponseCache {
 #[derive(Debug)]
 enum Pending {
     /// A cacheable read that missed: accumulate its response frames into
-    /// `entry.payload` and fill the cache if no write intervened.
+    /// `entry.payload` and fill the cache if no write intervened (`gen` is
+    /// the generation of key hash `kh`'s slot at the read's arrival).
     Read {
         queue: usize,
-        hash: u64,
-        slot: usize,
+        kh: u64,
+        gen: u64,
         next_frame: u8,
         entry: Entry<Vec<u8>>,
     },
-    /// A write awaiting its acknowledgment: the TX-side (second) bump.
-    Write { slot: Option<usize> },
+    /// A write awaiting its acknowledgment: the TX-side (second)
+    /// invalidation of the key whose `fnv1a` is `key` (`None`: the epoch).
+    Write { key: Option<u64> },
 }
 
 /// Shared state of the offload stage: the installed spec, the coherence
@@ -179,15 +195,16 @@ pub struct OffloadState {
     flight: OnceLock<(Arc<FlightRecorder>, u32)>,
 }
 
-/// Combines the function id into the key hash so distinct read RPCs over
-/// the same key bytes cache independently. Generation slots deliberately
-/// hash the key *alone*: a write to a key invalidates it across functions.
-fn entry_hash(fn_id: FnId, key: &[u8]) -> u64 {
-    fnv1a(key) ^ (u64::from(fn_id.raw())).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+/// Combines the function id into the key hash `kh` (`fnv1a` of the key) so
+/// distinct read RPCs over the same key bytes cache independently.
+/// Generation slots deliberately hash the key *alone*: a write to a key
+/// invalidates it across functions.
+fn entry_hash(kh: u64, fn_id: FnId) -> u64 {
+    kh ^ (u64::from(fn_id.raw())).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-fn gen_slot(key: &[u8]) -> usize {
-    fnv1a(key) as usize & (GEN_SLOTS - 1)
+fn gen_slot(kh: u64) -> usize {
+    kh as usize & (GEN_SLOTS - 1)
 }
 
 /// Appends the response frames of a cache hit on `req` to `lines`. The
@@ -310,7 +327,7 @@ impl OffloadState {
 
     /// The TX entry point: one frame leaving the NIC. Once a spec is
     /// installed, a response completes its read's fill or its write's
-    /// second bump ([`Self::on_response_tx`]).
+    /// second invalidation ([`Self::on_response_tx`]).
     pub(crate) fn tx_response(&self, hdr: &RpcHeader, line: &CacheLine, cap: usize) {
         if self.spec.get().is_some() && hdr.kind == RpcKind::Response {
             self.on_response_tx(
@@ -337,8 +354,8 @@ impl OffloadState {
         key: &[u8],
         cap: usize,
     ) -> Option<Arc<[u8]>> {
-        let slot = gen_slot(key);
-        let hash = entry_hash(fn_id, key);
+        let kh = fnv1a(key);
+        let (slot, hash) = (gen_slot(kh), entry_hash(kh, fn_id));
         // Stamps first: a hit must be validated against counters read no
         // earlier than the request's arrival.
         let gen = self.gens[slot].load(Ordering::Acquire);
@@ -346,7 +363,7 @@ impl OffloadState {
         {
             let mut cache = self.queues[queue].lock();
             match cache.entries.get(&hash) {
-                Some(e) if e.gen == gen && e.epoch == epoch && e.fn_id == fn_id && e.key == key => {
+                Some(e) if e.epoch == epoch && e.fn_id == fn_id && e.key == key => {
                     let payload = Arc::clone(&e.payload);
                     let stamp = cache.touch(hash);
                     cache.entries.get_mut(&hash).expect("just read").stamp = stamp;
@@ -355,11 +372,10 @@ impl OffloadState {
                     return Some(payload);
                 }
                 Some(e) if e.fn_id == fn_id && e.key == key => {
-                    let stale_gen = e.gen;
                     cache.entries.remove(&hash);
                     drop(cache);
                     self.stats.stale_drops.inc();
-                    self.record(FlightEventKind::OffloadStale, fnv1a(key), stale_gen);
+                    self.record(FlightEventKind::OffloadStale, kh, epoch);
                 }
                 // Hash collision with a different key, or cold: miss.
                 Some(_) | None => {}
@@ -374,14 +390,13 @@ impl OffloadState {
                         (cid, rpc_id),
                         Pending::Read {
                             queue,
-                            hash,
-                            slot,
+                            kh,
+                            gen,
                             next_frame: 0,
                             entry: Entry {
                                 fn_id,
                                 key: key.to_vec(),
                                 payload: Vec::new(),
-                                gen,
                                 epoch,
                                 stamp: 0,
                             },
@@ -402,35 +417,52 @@ impl OffloadState {
     /// continues to the host; its acknowledgment completes the protocol in
     /// [`Self::on_response_tx`].
     pub fn on_write_rx(&self, cid: ConnectionId, rpc_id: RpcId, key: Option<&[u8]>) {
-        let slot = match key {
-            Some(key) => {
-                let slot = gen_slot(key);
-                let gen = self.gens[slot].fetch_add(1, Ordering::AcqRel) + 1;
-                self.record(FlightEventKind::OffloadInvalidate, fnv1a(key), gen);
-                Some(slot)
-            }
-            None => {
-                self.epoch.fetch_add(1, Ordering::AcqRel);
-                self.record(FlightEventKind::OffloadInvalidate, 0, FLIGHT_ALL_NODES);
-                None
-            }
-        };
+        let key = key.map(fnv1a);
+        let count = self.invalidate(key);
+        match key {
+            Some(kh) => self.record(FlightEventKind::OffloadInvalidate, kh, count),
+            None => self.record(FlightEventKind::OffloadInvalidate, 0, FLIGHT_ALL_NODES),
+        }
         self.stats.invalidations.inc();
+        // Tracked even when fills have filled the tracker: only the TX
+        // invalidation removes a read that arrived after the RX one.
         let mut pending = self.pending.lock();
-        if pending.len() < PENDING_CAP
-            && pending
-                .insert((cid, rpc_id), Pending::Write { slot })
-                .is_none()
+        if pending
+            .insert((cid, rpc_id), Pending::Write { key })
+            .is_none()
         {
             self.pending_hint.fetch_add(1, Ordering::Relaxed);
         }
-        // If the tracker was full the TX bump is lost — harmless: the RX
-        // bump already invalidated, and fills that raced see the moved
-        // generation.
+    }
+
+    /// One invalidation of a write whose key hashes to `key`: bumps the
+    /// key's generation, then removes its entries from every queue's cache,
+    /// one per cacheable read function. `None` bumps the epoch instead,
+    /// which every hit checks. Returns the bumped counter's new value.
+    fn invalidate(&self, key: Option<u64>) -> u64 {
+        let Some(kh) = key else {
+            return self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
+        };
+        let gen = self.gens[gen_slot(kh)].fetch_add(1, Ordering::AcqRel) + 1;
+        let fns = self.spec.get().map_or(&[][..], OffloadSpec::fns);
+        for queue in &self.queues {
+            let mut cache = queue.lock();
+            let removed = fns
+                .iter()
+                .filter(|f| matches!(f.class, CacheClass::Read { .. }))
+                .filter(|f| cache.entries.remove(&entry_hash(kh, f.fn_id)).is_some())
+                .count();
+            drop(cache);
+            for _ in 0..removed {
+                self.stats.stale_drops.inc();
+                self.record(FlightEventKind::OffloadStale, kh, gen);
+            }
+        }
+        gen
     }
 
     /// A response frame is leaving the NIC. Completes fill obligations
-    /// (reads) and issues the second invalidation bump (writes). `chunk` is
+    /// (reads) and issues the second invalidation (writes). `chunk` is
     /// the frame's used payload bytes.
     pub fn on_response_tx(
         &self,
@@ -450,20 +482,13 @@ impl OffloadState {
             return;
         };
         match entry {
-            Pending::Write { slot } => {
+            Pending::Write { key } => {
                 if last {
-                    let slot = *slot;
+                    let key = *key;
                     pending.remove(&(cid, rpc_id));
                     self.pending_hint.fetch_sub(1, Ordering::Relaxed);
                     drop(pending);
-                    match slot {
-                        Some(slot) => {
-                            self.gens[slot].fetch_add(1, Ordering::AcqRel);
-                        }
-                        None => {
-                            self.epoch.fetch_add(1, Ordering::AcqRel);
-                        }
-                    }
+                    self.invalidate(key);
                 }
             }
             Pending::Read {
@@ -482,8 +507,8 @@ impl OffloadState {
                 if last {
                     let Some(Pending::Read {
                         queue,
-                        hash,
-                        slot,
+                        kh,
+                        gen,
                         entry,
                         ..
                     }) = pending.remove(&(cid, rpc_id))
@@ -492,14 +517,14 @@ impl OffloadState {
                     };
                     self.pending_hint.fetch_sub(1, Ordering::Relaxed);
                     drop(pending);
-                    self.fill(queue, hash, slot, entry, cap);
+                    self.fill(queue, kh, gen, entry, cap);
                 }
             }
         }
     }
 
     /// Latches a completed read response, unless a write raced it.
-    fn fill(&self, queue: usize, hash: u64, slot: usize, entry: Entry<Vec<u8>>, cap: usize) {
+    fn fill(&self, queue: usize, kh: u64, gen: u64, entry: Entry<Vec<u8>>, cap: usize) {
         let payload = &entry.payload;
         if cap == 0 {
             return;
@@ -518,30 +543,31 @@ impl OffloadState {
         if !valid {
             return;
         }
-        // The double-bump race check: if either counter moved since the
-        // read arrived, a write bracketed this response — drop the fill.
-        if self.gens[slot].load(Ordering::Acquire) != entry.gen
-            || self.epoch.load(Ordering::Acquire) != entry.epoch
-        {
-            return;
-        }
         let Entry {
             fn_id,
             key,
             payload,
-            gen,
             epoch,
             ..
         } = entry;
         let payload = Arc::from(payload);
+        // The race check, under the queue's lock: if either counter moved
+        // since the read arrived, a write bracketed this response — drop
+        // the fill. A write that bumps after the check finds the new entry
+        // and removes it.
         let mut cache = self.queues[queue].lock();
+        if self.gens[gen_slot(kh)].load(Ordering::Acquire) != gen
+            || self.epoch.load(Ordering::Acquire) != epoch
+        {
+            return;
+        }
+        let hash = entry_hash(kh, fn_id);
         let evicted = cache.make_room(cap);
         let stamp = cache.touch(hash);
         let entry = Entry {
             fn_id,
             key,
             payload,
-            gen,
             epoch,
             stamp,
         };
@@ -723,6 +749,171 @@ pub(crate) mod tests {
         // But a write invalidates both.
         s.on_write_rx(cid, RpcId(3), Some(b"k"));
         assert!(s.on_read_rx(0, FnId(1), cid, RpcId(4), b"k", 8).is_none());
+    }
+
+    /// Misses `key` on `queue` and fills it with `value`.
+    fn warm(s: &OffloadState, queue: usize, rpc: u32, key: &[u8], value: &[u8], cap: usize) {
+        let cid = ConnectionId(7);
+        assert!(s
+            .on_read_rx(queue, FnId(1), cid, RpcId(rpc), key, cap)
+            .is_none());
+        s.on_response_tx(cid, RpcId(rpc), 0, 1, &ok_response(value), cap);
+    }
+
+    #[test]
+    fn a_set_leaves_a_slot_sharing_key_hitting() {
+        let s = state();
+        let a = b"k".to_vec();
+        let slot = gen_slot(fnv1a(&a));
+        let b = (0u32..)
+            .map(|i| i.to_le_bytes().to_vec())
+            .find(|k| gen_slot(fnv1a(k)) == slot)
+            .unwrap();
+        warm(&s, 0, 1, &a, b"va", 8);
+        warm(&s, 1, 2, &b, b"vb", 8);
+        let cid = ConnectionId(7);
+        s.on_write_rx(cid, RpcId(3), Some(&a));
+        s.on_response_tx(cid, RpcId(3), 0, 1, &[0, 1], 8);
+        assert!(
+            s.on_read_rx(1, FnId(1), cid, RpcId(4), &b, 8).is_some(),
+            "a SET to another key of the same slot removed this one"
+        );
+        assert!(s.on_read_rx(0, FnId(1), cid, RpcId(5), &a, 8).is_none());
+        // The RX invalidation removed the written key's one entry; the TX
+        // one found nothing left to remove.
+        assert_eq!(s.stats().snapshot().stale_drops, 1);
+    }
+
+    #[test]
+    fn hits_without_evictions_keep_the_recency_deque_bounded() {
+        let s = state();
+        let cid = ConnectionId(7);
+        let records = |s: &OffloadState| {
+            let cache = s.queues[0].lock();
+            (cache.recency.len(), cache.entries.len())
+        };
+        warm(&s, 0, 0, b"k", b"v", 8);
+        for rpc in 1..=100_000 {
+            assert!(s.on_read_rx(0, FnId(1), cid, RpcId(rpc), b"k", 8).is_some());
+        }
+        let (len, entries) = records(&s);
+        assert!(
+            len <= 2 * entries + 16,
+            "{len} records for {entries} entries"
+        );
+        // Compaction keeps the live stamps in order: with the cache full,
+        // the next fill evicts the least recently used key, not "k".
+        for i in 1u32..8 {
+            warm(&s, 0, 100_000 + i, &i.to_le_bytes(), b"v", 8);
+        }
+        for rpc in 0..100 {
+            assert!(s.on_read_rx(0, FnId(1), cid, RpcId(rpc), b"k", 8).is_some());
+        }
+        let (len, entries) = records(&s);
+        assert!(
+            len <= 2 * entries + 16,
+            "{len} records for {entries} entries"
+        );
+        warm(&s, 0, 200_000, &8u32.to_le_bytes(), b"v", 8);
+        assert_eq!(s.stats().snapshot().evictions, 1);
+        assert!(s.on_read_rx(0, FnId(1), cid, RpcId(1), b"k", 8).is_some());
+        assert!(s
+            .on_read_rx(0, FnId(1), cid, RpcId(2), &1u32.to_le_bytes(), 8)
+            .is_none());
+    }
+
+    /// Fills and SETs race on one key through two queues' caches; no hit
+    /// may return a value older than the last acknowledged SET. The
+    /// "host" answers a miss with the store's value when it reads it, and
+    /// `RUST_SEED` varies where the writer pauses.
+    #[test]
+    fn racing_fills_and_sets_never_serve_a_value_older_than_the_last_ack() {
+        use std::sync::atomic::AtomicBool;
+        const WRITES: u32 = 50_000;
+        let seed: u64 = std::env::var("RUST_SEED")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(0xDA66E4);
+        let s = state();
+        let (store, acked, done) = (AtomicU64::new(0), AtomicU64::new(0), AtomicBool::new(false));
+        let hits: u64 = std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..2usize)
+                .map(|queue| {
+                    let (s, store, acked, done) = (&s, &store, &acked, &done);
+                    scope.spawn(move || {
+                        let cid = ConnectionId(100 + queue as u32);
+                        let mut hits = 0u64;
+                        for rpc in 0u32.. {
+                            if done.load(Ordering::Acquire) {
+                                break;
+                            }
+                            let floor = acked.load(Ordering::SeqCst);
+                            match s.on_read_rx(queue, FnId(1), cid, RpcId(rpc), b"k", 8) {
+                                Some(hit) => {
+                                    let v = u64::from_le_bytes(hit[6..].try_into().unwrap());
+                                    assert!(
+                                        v >= floor,
+                                        "RUST_SEED={seed}: queue {queue} served version {v} \
+                                         after SET {floor} was acknowledged"
+                                    );
+                                    hits += 1;
+                                    std::thread::yield_now();
+                                }
+                                None => {
+                                    let v = store.load(Ordering::SeqCst).to_le_bytes();
+                                    s.on_response_tx(cid, RpcId(rpc), 0, 1, &ok_response(&v), 8);
+                                }
+                            }
+                        }
+                        hits
+                    })
+                })
+                .collect();
+            let (cid, mut rng) = (ConnectionId(9), seed);
+            for v in 1..=WRITES {
+                s.on_write_rx(cid, RpcId(v), Some(b"k"));
+                store.store(u64::from(v), Ordering::SeqCst);
+                s.on_response_tx(cid, RpcId(v), 0, 1, &[0, 1], 8);
+                acked.store(u64::from(v), Ordering::SeqCst);
+                rng = rng
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                for _ in 0..rng >> 54 {
+                    std::hint::spin_loop();
+                }
+            }
+            done.store(true, Ordering::Release);
+            readers.into_iter().map(|r| r.join().unwrap()).sum()
+        });
+        assert!(hits > 0, "RUST_SEED={seed}: the readers never hit");
+    }
+
+    /// A write that arrives with the tracker full of fills is still
+    /// tracked: a read that arrives after its RX bump and latches the old
+    /// value is removed by its TX invalidation.
+    #[test]
+    fn a_write_is_tracked_when_the_fill_tracker_is_full() {
+        let s = state();
+        let (cid, other) = (ConnectionId(7), ConnectionId(8));
+        for i in 0..PENDING_CAP as u32 {
+            assert!(s
+                .on_read_rx(0, FnId(1), other, RpcId(i), &i.to_le_bytes(), 8)
+                .is_none());
+        }
+        s.on_write_rx(cid, RpcId(1), Some(b"k"));
+        // Two fills complete (the write took the last slot and one more);
+        // a GET of "k" takes the freed one and is answered with the value
+        // from before the SET.
+        for i in 0..2 {
+            s.on_response_tx(other, RpcId(i), 0, 1, &ok_response(b"v"), 8);
+        }
+        warm(&s, 0, 2, b"k", b"old", 8);
+        assert_eq!(s.cached_entries(), 3);
+        s.on_response_tx(cid, RpcId(1), 0, 1, &[0, 1], 8);
+        assert!(
+            s.on_read_rx(0, FnId(1), cid, RpcId(3), b"k", 8).is_none(),
+            "a hit returned the value from before an acknowledged SET"
+        );
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! Invariants, checked every scenario:
 //!
 //! * **correctness** — every GET returns exactly the value of the last
-//!   acknowledged SET for its key (the coherence claim of the double-bump
-//!   protocol: zero stale reads, cache on or off);
+//!   acknowledged SET for its key (the coherence claim of bump-and-remove
+//!   invalidation: zero stale reads, cache on or off);
 //! * **accounting** — after shutdown the counters reconcile exactly:
 //!   `client GETs == nic offload hits + store-side GETs`, and the client
 //!   endpoints' `offload_served` totals equal the server NIC's `hits`;
